@@ -26,6 +26,9 @@ from .errors import (
     NotSymmetric,
 )
 
+# dimension envelope of the package: documents, connections and the lattice scan
+MAX_DIM = 16
+
 
 class LieAlgebra:
     """Exact Lie algebra on a fixed basis.

@@ -263,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lcplab",
         description="Exact LCP structures on metric Lie algebras: audits, "
         "detection, constructions, the dimension <= 5 catalog, and lattice search.",
-        epilog="Environment: LCPLAB_FIXTURES overrides the witness fixture "
-        "directory; LCPLAB_DISABLE_NUMBA=1 forces the pure-numpy kernels.",
+        epilog="Environment: LCPLAB_FIXTURES overrides the witness fixture directory.",
     )
     sub = p.add_subparsers(dest="verb", required=True)
 

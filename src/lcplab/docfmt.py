@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import exact as ex
-from .algebra import LieAlgebra, Metric, OneForm, Subspace
+from .algebra import MAX_DIM, LieAlgebra, Metric, OneForm, Subspace
 from .errors import DocumentError
 
 
@@ -135,6 +135,12 @@ def parse_document(text: str) -> Document:
                 raise DocumentError(f"bad dimension {rest.strip()!r}", lineno, indent + 5)
             if dim <= 0:
                 raise DocumentError("dimension must be positive", lineno, indent + 5)
+            if dim > MAX_DIM:
+                raise DocumentError(
+                    f"dimension {dim} exceeds the supported envelope dim <= {MAX_DIM}",
+                    lineno,
+                    indent + 5,
+                )
             doc = Document(dim=dim)
             continue
         if doc is None:

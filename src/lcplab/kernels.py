@@ -1,40 +1,18 @@
 """Float kernels for the lattice scan: matrix exponential, characteristic
 polynomial coefficients, and the integer-defect scan over a t-grid.
 
-These are the only hot numeric loops in the package (the scan evaluates
-expm + charpoly at ~20000 grid points); everything else is exact
-rational arithmetic where JIT compilation does not apply.  The kernels
-are compiled with numba when available; set ``LCPLAB_DISABLE_NUMBA=1``
-to force the pure-numpy fallback (used by the benchmark for comparison,
-and as a safety hatch).  Both paths run the same source.
+The scan needs no matrix exponential per grid point: the spectrum of
+exp(t C) is exp(t spec C), and the characteristic polynomial depends
+only on the spectrum (also for non-diagonalisable C), so one eigenvalue
+decomposition of C serves the whole grid.  ``expm`` is kept for the few
+calls made by refinement and certification.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("LCPLAB_DISABLE_NUMBA", "").strip() not in ("", "0")
 
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-if not HAS_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-@njit(cache=True)
 def expm(a):
     """Scaling-and-squaring matrix exponential with a Taylor core.
 
@@ -42,13 +20,7 @@ def expm(a):
     summed to machine precision, and the result squared back; accurate to
     ~1e-13 relative on the supported envelope (n <= 16, norm <= ~60)."""
     n = a.shape[0]
-    nrm = 0.0
-    for j in range(n):
-        s = 0.0
-        for i in range(n):
-            s += abs(a[i, j])
-        if s > nrm:
-            nrm = s
+    nrm = np.abs(a).sum(axis=0).max(initial=0.0)
     sq = 0
     while nrm > 0.25:
         nrm *= 0.5
@@ -59,48 +31,39 @@ def expm(a):
     for k in range(2, 40):
         term = term @ b / k
         e = e + term
-        t = 0.0
-        for i in range(n):
-            for j in range(n):
-                t += abs(term[i, j])
-        if t < 1e-18:
+        if np.abs(term).sum() < 1e-18:
             break
     for _ in range(sq):
         e = e @ e
     return e
 
 
-@njit(cache=True)
+def _poly_from_roots(roots):
+    """Coefficients [1, e1, ..., en] (descending degree, signed) of
+    prod_k (x - roots[..., k]), built column by column over the last axis."""
+    n = roots.shape[-1]
+    c = np.zeros(roots.shape[:-1] + (n + 1,), dtype=np.complex128)
+    c[..., 0] = 1.0
+    for k in range(n):
+        c[..., 1 : k + 2] -= roots[..., k, None] * c[..., : k + 1]
+    return c
+
+
 def charpoly_coeffs(m):
     """Coefficients [1, c1, ..., cn] of det(xI - m) by descending degree,
     built from the (complex) eigenvalues so repeated squaring noise does
     not compound; the matrix is real so the result is real."""
-    n = m.shape[0]
-    ev = np.linalg.eigvals(m.astype(np.complex128))
-    c = np.zeros(n + 1, dtype=np.complex128)
-    c[0] = 1.0
-    for k in range(n):
-        lam = ev[k]
-        for i in range(k + 1, 0, -1):
-            c[i] = c[i] - lam * c[i - 1]
-    return c.real
+    return _poly_from_roots(np.linalg.eigvals(m.astype(np.complex128))).real
 
 
-@njit(cache=True)
 def integer_defect(coeffs):
-    """Max distance of the non-leading coefficients from integers."""
-    d = 0.0
-    for i in range(1, coeffs.shape[0]):
-        r = abs(coeffs[i] - np.rint(coeffs[i]))
-        if r > d:
-            d = r
-    return d
+    """Max distance of the non-leading coefficients from integers (over
+    the last axis)."""
+    x = coeffs[..., 1:]
+    return np.abs(x - np.rint(x)).max(axis=-1, initial=0.0)
 
 
-@njit(cache=True)
 def scan_defects(c, ts):
     """defect(t) = integer distance of charpoly(exp(t C)) over the grid."""
-    out = np.empty(ts.shape[0])
-    for i in range(ts.shape[0]):
-        out[i] = integer_defect(charpoly_coeffs(expm(ts[i] * c)))
-    return out
+    ev = np.linalg.eigvals(c.astype(np.complex128))
+    return integer_defect(_poly_from_roots(np.exp(np.outer(ts, ev))).real)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import exact as ex
 from . import kernels
-from .algebra import audit_algebra
+from .algebra import MAX_DIM, audit_algebra
 from .detect import LCPStructure
 from .errors import (
     EnvelopeExceeded,
@@ -40,7 +40,6 @@ from .errors import (
 )
 from .intpoly import IntPoly, companion, int_charpoly, int_det, smith_normal_form
 
-MAX_DIM = 16
 MAX_SPECTRAL = 50.0
 
 
@@ -103,6 +102,17 @@ class ScanCandidate:
         return {"t0": self.t0, "poly": list(self.poly.coeffs), "defect": self.defect}
 
 
+def _scanned_range(c, t_range) -> tuple:
+    """The t-range the scan covers: ``t_range`` with its upper end clamped
+    so that the spectral radius of t C stays within MAX_SPECTRAL."""
+    a = _as_float_matrix(c)
+    lo, hi = float(t_range[0]), float(t_range[1])
+    rho = float(np.max(np.abs(np.linalg.eigvals(a)))) if a.shape[0] else 0.0
+    if hi * rho > MAX_SPECTRAL:
+        hi = MAX_SPECTRAL / rho
+    return lo, hi
+
+
 def integer_charpoly_scan(
     c,
     t_range=(0.0, 20.0),
@@ -124,9 +134,7 @@ def integer_charpoly_scan(
         raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
     if abs(np.trace(a)) > tol * max(1.0, np.abs(a).max()):
         raise NonTraceFree("Bock scan requires a trace-free matrix")
-    lo, hi = float(t_range[0]), float(t_range[1])
-    if hi * np.max(np.abs(np.linalg.eigvals(a)) if n else [0.0]) > MAX_SPECTRAL:
-        hi = MAX_SPECTRAL / max(np.max(np.abs(np.linalg.eigvals(a))), 1e-30)
+    lo, hi = _scanned_range(a, t_range)
     ts = np.arange(lo + step, hi + step / 2, step)
     if ts.size == 0:
         return []
@@ -201,23 +209,26 @@ def certify_witness(c, t0: float, poly: IntPoly, tol: float = 1e-8, seed: int = 
     A non-derogatory matrix is conjugate to the companion matrix of its
     characteristic polynomial; when that polynomial is monic integral
     with constant term of unit modulus, the companion matrix is integer
-    with determinant +-1.  Returns None (inconclusive) for derogatory
-    exponentials or determinant -1.
+    with determinant +-1.  Up to four random Krylov probes are tried, and
+    the first whose conjugation passes the residual check is returned.
+    Returns None (inconclusive) for derogatory exponentials, determinant
+    -1, or when no probe passes.
     """
     m = exp_ad(c, t0)
     n = m.shape[0]
     if not poly.monic or abs(poly.constant_term()) != 1 or poly.degree != n:
         return None
+    z = companion(poly)
     rng = np.random.default_rng(seed)
     for _ in range(4):
         v = rng.standard_normal(n)
         k = _krylov(m, v)
         sv = np.linalg.svd(k, compute_uv=False)
         if sv[-1] > 1e-8 * sv[0]:
-            z = companion(poly)
-            q = np.linalg.inv(k)
-            return _witness_from_conjugacy(t0, m, z, q, tol)
-    return None  # derogatory: inconclusive on this path
+            w = _witness_from_conjugacy(t0, m, z, np.linalg.inv(k), tol)
+            if w is not None:
+                return w
+    return None  # derogatory or no probe passed: inconclusive on this path
 
 
 def _blocks_of(c: np.ndarray) -> list:
@@ -474,5 +485,5 @@ def lattice_verdict(
             w = certify_witness_blocked(c, cand.t0, tol=tol, seed=seed)
         if w is not None:
             witnesses.append(w)
-    inconclusive = () if witnesses else ((float(t_range[0]), float(t_range[1])),)
+    inconclusive = () if witnesses else (_scanned_range(c, t_range),)
     return LatticeVerdict(label, tuple(witnesses), (), inconclusive)

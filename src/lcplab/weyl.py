@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact as ex
-from .algebra import LieAlgebra, Metric, OneForm, is_closed
+from .algebra import MAX_DIM, LieAlgebra, Metric, OneForm, is_closed
 from .errors import EnvelopeExceeded, NonClosedLeeForm
-
-MAX_DIM = 16
 
 
 @dataclass(frozen=True)

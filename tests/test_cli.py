@@ -91,6 +91,14 @@ def test_parse_error_exit_code(tmp_path):
     assert "line 2" in out.stderr
 
 
+def test_oversized_dim_exit_code(tmp_path):
+    p = tmp_path / "big.lcp"
+    p.write_text("dim 17\n")
+    out = run_cli("check", "--input", str(p))
+    assert out.returncode == 2
+    assert "envelope" in out.stderr
+
+
 def test_missing_file():
     assert run_cli("check", "--input", "/nonexistent.lcp").returncode == 2
 

@@ -54,6 +54,8 @@ def test_metric_and_blocks():
         ("bracket 1 2 : 0 1 0", "dim directive"),
         ("dim 3\nbroket 1 2 : 0 1 0", "unknown directive"),
         ("dim 0", "positive"),
+        ("dim 17", "envelope"),
+        ("dim 2000", "envelope"),
         ("dim 3\nbracket 1 2 : 0 1", "expected 3"),
         ("dim 2\nmetric : 1 0", "2 rows"),
     ],

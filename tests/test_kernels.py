@@ -1,48 +1,38 @@
-"""The numba-compiled kernels and the pure-numpy fallback must agree."""
-
-import os
-import subprocess
-import sys
+"""The float kernels of the lattice scan."""
 
 import numpy as np
+import pytest
 
 from lcplab import kernels
 
-CHECK = r"""
-import numpy as np
-from lcplab import kernels
-assert not kernels.HAS_NUMBA, "fallback flag did not disable numba"
-rng = np.random.default_rng(0)
-a = rng.standard_normal((5, 5))
-a -= np.trace(a) / 5 * np.eye(5)
-print(repr(kernels.expm(a).sum()))
-print(repr(kernels.charpoly_coeffs(kernels.expm(a)).tolist()))
-ts = np.arange(1e-2, 1.0, 1e-2)
-print(repr(float(kernels.scan_defects(np.diag([1.0,-1.0]), ts).min())))
-"""
+# absolute tolerance of the spectral scan against the per-point reference,
+# on grids where every characteristic-polynomial coefficient stays below 1e3
+SCAN_ATOL = 1e-9
 
 
-def _fallback_output():
-    env = dict(os.environ, LCPLAB_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", CHECK], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.splitlines()
+def _reference_coeffs(c, ts):
+    """Per-point reference: expm and charpoly at every grid point."""
+    return np.array([kernels.charpoly_coeffs(kernels.expm(t * c)) for t in ts])
 
 
-def test_fallback_matches_jit():
-    lines = _fallback_output()
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((5, 5))
-    a -= np.trace(a) / 5 * np.eye(5)
-    assert np.isclose(eval(lines[0]), kernels.expm(a).sum(), rtol=1e-12)
-    got = np.array(eval(lines[1]))
-    here = kernels.charpoly_coeffs(kernels.expm(a))
-    assert np.allclose(got, here, rtol=1e-9, atol=1e-12)
-    ts = np.arange(1e-2, 1.0, 1e-2)
-    mine = float(kernels.scan_defects(np.diag([1.0, -1.0]), ts).min())
-    assert np.isclose(eval(lines[2]), mine, rtol=1e-9, atol=1e-12)
+@pytest.mark.parametrize(
+    "c,t_max",
+    [
+        (np.diag([1.0, -1.0]), 6.0),
+        # 2x2 Jordan block (non-diagonalisable) plus -2
+        (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -2.0]]), 3.0),
+        # rotation block: eigenvalues 1/2 +- 3i and -1
+        (np.array([[0.5, -3.0, 0.0], [3.0, 0.5, 0.0], [0.0, 0.0, -1.0]]), 6.0),
+    ],
+)
+def test_scan_defects_matches_pointwise_reference(c, t_max):
+    ts = np.arange(2e-3, t_max, 2e-3)
+    coeffs = _reference_coeffs(c, ts)
+    assert np.abs(coeffs).max() < 1e3
+    ref = np.array([kernels.integer_defect(row) for row in coeffs])
+    got = kernels.scan_defects(c, ts)
+    assert got.shape == ts.shape
+    assert np.abs(got - ref).max() <= SCAN_ATOL
 
 
 def test_expm_against_series():

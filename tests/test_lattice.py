@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,3 +176,31 @@ def test_verdict_exclusivity():
     v2 = lattice_verdict(C_E11, t_range=(0, 3))
     assert v2.status == "yes" and not v2.certificates
     assert not (v.witnesses and v.certificates)
+
+
+def test_certify_tries_further_probes():
+    # B + 0 with B a rational orthogonal conjugate of diag(1, -1, 0): the
+    # first well-conditioned Krylov probe fails the residual check for
+    # some m, and a later probe certifies it
+    d, d3 = 34959639475, 1398385579
+    b11, b12, b13 = Fraction(4568368896, d), Fraction(-4493798172, d), Fraction(450054396, d3)
+    b22, b23, b33 = Fraction(-32191838371, d), Fraction(-514227672, d3), Fraction(1104938779, d3)
+    c = np.array(
+        [[b11, b12, b13, 0], [b12, b22, b23, 0], [b13, b23, b33, 0], [0, 0, 0, 0]],
+        dtype=object,
+    )
+    assert sum(c[i, i] for i in range(4)) == 0
+    assert len(integer_charpoly_scan(c, t_range=(0, 3))) == 18
+    v = lattice_verdict(c, t_range=(0, 3))
+    # trace of exp(t C) is m + 2 for the 2x2 witness E_m, m = 3..20
+    assert sorted(-w.poly.coeffs[1] - 2 for w in v.witnesses) == list(range(3, 21))
+
+
+def test_verdict_reports_clamped_range():
+    # spectral radius sqrt(37)/2, so the scan stops at t = 50 / rho
+    c = np.array([[0.5, -3.0, 0.0], [3.0, 0.5, 0.0], [0.0, 0.0, -1.0]])
+    v = lattice_verdict(c, t_range=(0, 40))
+    assert v.status == "inconclusive"
+    ((lo, hi),) = v.inconclusive_ranges
+    assert lo == 0.0
+    assert abs(hi - 100 / math.sqrt(37)) < 1e-9
