@@ -49,7 +49,7 @@ from .docfmt import parse_file, render_document
 from .errors import DocumentError, LcpError
 from .intpoly import IntPoly
 from .lattice import certify_witness, certify_witness_blocked, lattice_verdict
-from .lowdim import render_tables_text
+from .lowdim import render_tables_text, reproduce_tables
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -98,12 +98,11 @@ def cmd_detect(args) -> int:
     if theta is None:
         raise DocumentError("detect requires a theta directive")
     cls = classify(L, G, theta)
-    flat = maximal_flat_parallel(L, G, theta)
     payload = {
         "label": doc.label,
         "kind": cls.kind,
         "flat_dim": cls.flat_dim,
-        "flat_basis": [[str(x) for x in flat.basis[:, a]] for a in range(flat.dim)],
+        "flat_basis": [[str(x) for x in cls.flat.basis[:, a]] for a in range(cls.flat_dim)],
     }
     _emit(
         payload,
@@ -195,11 +194,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    from .lowdim import reproduce_tables
-
-    rows = reproduce_tables(
-        t_range=_t_range(args.t_range), seed=args.seed, use_fixtures=True
-    )
+    rows = reproduce_tables(t_range=_t_range(args.t_range), seed=args.seed)
     ok = all(r["witnesses_ok"] and r["dims_found"] == r["dims_expected"] for r in rows)
     _emit(rows, args.format, render_tables_text(rows).rstrip("\n"))
     return EXIT_OK if ok else EXIT_FAIL

@@ -193,18 +193,25 @@ def maximal_flat_parallel(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
 
 @dataclass(frozen=True)
 class LCPClass:
+    """Classification of (L, G, theta), with the maximal flat parallel
+    subspace it rests on."""
+
     kind: str
-    flat_dim: int
+    flat: Subspace
+
+    @property
+    def flat_dim(self) -> int:
+        return self.flat.dim
 
 
 def classify(L: LieAlgebra, G: Metric, theta: OneForm) -> LCPClass:
     u = maximal_flat_parallel(L, G, theta)
     if u.dim == 0:
-        return LCPClass(DEGENERATE, 0)
+        return LCPClass(DEGENERATE, u)
     if u.dim == L.dim:
-        return LCPClass(CONFORMALLY_FLAT, u.dim)
+        return LCPClass(CONFORMALLY_FLAT, u)
     adapted = all(theta(u.basis[:, a]) == 0 for a in range(u.dim))
-    return LCPClass(ADAPTED if adapted else NON_ADAPTED, u.dim)
+    return LCPClass(ADAPTED if adapted else NON_ADAPTED, u)
 
 
 @dataclass(frozen=True)

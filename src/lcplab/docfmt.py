@@ -71,19 +71,18 @@ def _parse_rational(tok: str, line: int, col: int) -> Fraction:
     neg = s.startswith("-")
     if neg or s.startswith("+"):
         s = s[1:]
-    if "/" in s:
-        parts = s.split("/")
-        if len(parts) != 2 or not parts[0].isdigit() or not parts[1].isdigit():
-            raise DocumentError(f"malformed rational {tok!r}", line, col)
-        num, den = int(parts[0]), int(parts[1])
-        if den == 0:
-            raise DocumentError(f"zero denominator in {tok!r}", line, col)
-        if gcd(num, den) != 1:
-            raise DocumentError(f"non-reduced rational {tok!r}", line, col)
-    elif s.isdigit():
-        num, den = int(s), 1
-    else:
+    parts = s.split("/")
+    if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise DocumentError(f"malformed rational {tok!r}", line, col)
+    try:
+        num = int(parts[0])
+        den = int(parts[1]) if len(parts) == 2 else 1
+    except ValueError:  # more digits than int() converts
+        raise DocumentError(f"rational of {len(s)} digits is too long", line, col) from None
+    if den == 0:
+        raise DocumentError(f"zero denominator in {tok!r}", line, col)
+    if gcd(num, den) != 1:
+        raise DocumentError(f"non-reduced rational {tok!r}", line, col)
     return Fraction(-num if neg else num, den)
 
 

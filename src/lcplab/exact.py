@@ -248,55 +248,15 @@ def charpoly(a: np.ndarray) -> list:
 def rational_roots(coeffs) -> list:
     """Rational roots (with multiplicity) of a polynomial given by
     descending-degree Fraction coefficients."""
+    import sympy  # imported here: it is slow to import and rarely needed
+
     coeffs = [rat(c) for c in coeffs]
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return []
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // np.gcd(den, c.denominator)
-    ic = [int(c * den) for c in coeffs]
+    poly = sympy.Poly.from_list(coeffs, sympy.Symbol("x"), domain=sympy.QQ)
     roots = []
-    # factor out roots at zero
-    while ic[-1] == 0 and len(ic) > 1:
-        roots.append(ZERO)
-        ic = ic[:-1]
-    if len(ic) <= 1:
-        return roots
-
-    def divisors(v):
-        v = abs(v)
-        out = []
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.append(d)
-                out.append(v // d)
-            d += 1
-        return sorted(set(out))
-
-    def synth_div(poly, r):
-        # poly descending ints/Fractions; returns (quotient, remainder)
-        out = [rat(poly[0])]
-        for c in poly[1:]:
-            out.append(rat(c) + out[-1] * r)
-        return out[:-1], out[-1]
-
-    candidates = sorted(
-        {
-            Fraction(s * p, q)
-            for p in divisors(ic[-1])
-            for q in divisors(ic[0])
-            for s in (1, -1)
-        }
-    )
-    poly = [rat(c) for c in ic]
-    for r in candidates:
-        while len(poly) > 1:
-            quo, rem = synth_div(poly, r)
-            if rem != 0:
-                break
-            roots.append(r)
-            poly = quo
+    for r, mult in poly.ground_roots().items():
+        roots += [Fraction(int(r.p), int(r.q))] * mult
     return sorted(roots)

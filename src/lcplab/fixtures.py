@@ -1,11 +1,12 @@
-"""Witness fixture corpus: one definition document per sampled catalog
-row and witness, shipped with the package and overridable through the
-``LCPLAB_FIXTURES`` environment variable.
+"""Witness fixture corpus: the catalog's witness data, one definition
+document per sampled catalog row and witness, shipped with the package.
+The ``LCPLAB_FIXTURES`` environment variable names a directory that
+replaces it, for the library and the command line alike.
 
-Each fixture file serialises (algebra, metric, theta, expected flat
-space); the label line carries ``name | params | expected_dim`` so the
-corpus can be re-associated with catalog rows without relying on file
-names.
+A row's witnesses are the files ``<slug>_w0.lcp``, ``<slug>_w1.lcp``, ...
+up to the first one missing.  Each serialises (algebra, metric, theta,
+maximal flat space); its label line ``name | params | dim N`` names the
+row and the flat dimension N the witness realises.
 """
 
 from __future__ import annotations
@@ -13,11 +14,23 @@ from __future__ import annotations
 import os
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
-from .detect import maximal_flat_parallel
-from .docfmt import parse_file, render_document
+from .algebra import Metric, OneForm
+from .docfmt import parse_file
 from .errors import DocumentError
-from .lowdim import SAMPLES, _params_str, table_algebra
+
+
+class FixtureWitness(NamedTuple):
+    metric: Metric
+    theta: OneForm
+    expected_dim: int
+
+
+def _params_str(params: dict) -> str:
+    if not params:
+        return "-"
+    return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
 def _slug(name: str, params: dict) -> str:
@@ -41,55 +54,30 @@ def fixture_name(sample, windex: int) -> str:
     return f"{_slug(sample.name, sample.params)}_w{windex}.lcp"
 
 
-def write_fixture_corpus(path: Path) -> list:
-    """Generate the whole corpus into ``path``; returns the file list."""
-    path.mkdir(parents=True, exist_ok=True)
-    written = []
-    for sample in SAMPLES:
-        L = table_algebra(sample.name, sample.params)
-        for k, w in enumerate(sample.witnesses):
-            g = w.metric(L.dim)
-            theta = w.one_form()
-            flat = maximal_flat_parallel(L, g, theta)
-            label = f"{sample.name} | {_params_str(sample.params)} | dim {w.expected_dim}"
-            text = render_document(L, g, theta, flat, label=label)
-            fname = fixture_name(sample, k)
-            (path / fname).write_text(text, encoding="utf-8")
-            written.append(fname)
-    return written
-
-
-def load_witnesses(sample, base: Path = None) -> list:
-    """Load the (metric, theta, expected_dim) triples for a sample from
-    the fixture corpus."""
-    base = base or fixture_dir()
-    out = []
-    for k in range(len(sample.witnesses)):
-        f = base / fixture_name(sample, k)
-        if not f.exists():
-            raise DocumentError(f"missing fixture {f}")
-        doc = parse_file(f)
-        expected = int(doc.label.rsplit("dim", 1)[1])
-        out.append((doc.metric(), doc.one_form(), expected, doc))
-    return out
+def parse_label(label) -> tuple:
+    """(name, params string, expected flat dimension) of a fixture label."""
+    parts = [p.strip() for p in (label or "").split("|")]
+    key, _, dim = parts[-1].partition(" ")
+    if len(parts) != 3 or key != "dim" or not (dim.isascii() and dim.isdigit()):
+        raise DocumentError(f"fixture label {label!r} is not 'name | params | dim N'")
+    return parts[0], parts[1], int(dim)
 
 
 def witness_specs_from_fixtures(sample, base: Path = None) -> list:
-    """WitnessSpec-compatible view of the on-disk corpus (for verify_table)."""
-
-    class _DocWitness:
-        def __init__(self, metric, theta, expected):
-            self._metric = metric
-            self._theta = theta
-            self.expected_dim = expected
-
-        def metric(self, n):
-            return self._metric
-
-        def one_form(self):
-            return self._theta
-
-    return [
-        _DocWitness(g, theta, expected)
-        for (g, theta, expected, _) in load_witnesses(sample, base)
-    ]
+    """The witnesses of one sampled row (anything with ``name`` and
+    ``params``), read from the corpus in ``base`` (default
+    ``fixture_dir()``)."""
+    base = base or fixture_dir()
+    out = []
+    while (path := base / fixture_name(sample, len(out))).exists():
+        doc = parse_file(path)
+        name, params, expected = parse_label(doc.label)
+        if (name, params) != (sample.name, _params_str(sample.params)):
+            raise DocumentError(f"{path} is labelled for {name} at {params}")
+        theta = doc.one_form()
+        if theta is None:
+            raise DocumentError(f"{path} has no theta directive")
+        out.append(FixtureWitness(doc.metric(), theta, expected))
+    if not out:
+        raise DocumentError(f"no witness fixture {base / fixture_name(sample, 0)}")
+    return out

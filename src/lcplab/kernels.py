@@ -1,11 +1,11 @@
 """Float kernels for the lattice scan: matrix exponential, characteristic
 polynomial coefficients, and the integer-defect scan over a t-grid.
 
-The scan needs no matrix exponential per grid point: the spectrum of
-exp(t C) is exp(t spec C), and the characteristic polynomial depends
-only on the spectrum (also for non-diagonalisable C), so one eigenvalue
-decomposition of C serves the whole grid.  ``expm`` is kept for the few
-calls made by refinement and certification.
+No characteristic polynomial of exp(t C) needs a matrix exponential: the
+spectrum of exp(t C) is exp(t spec C), and the characteristic polynomial
+depends only on the spectrum (also for non-diagonalisable C), so one
+eigenvalue decomposition of C serves every t (``exp_charpoly``).
+``expm`` is kept for the conjugacy check of certification.
 """
 
 from __future__ import annotations
@@ -63,7 +63,17 @@ def integer_defect(coeffs):
     return np.abs(x - np.rint(x)).max(axis=-1, initial=0.0)
 
 
+def spectrum(c):
+    """Complex eigenvalues of a real square matrix."""
+    return np.linalg.eigvals(np.asarray(c, dtype=np.complex128))
+
+
+def exp_charpoly(ev, t):
+    """Coefficients [1, c1, ..., cn] of charpoly(exp(t C)) from the
+    eigenvalues ``ev`` of C; an array ``t`` gives one row per entry."""
+    return _poly_from_roots(np.exp(np.multiply.outer(t, ev))).real
+
+
 def scan_defects(c, ts):
     """defect(t) = integer distance of charpoly(exp(t C)) over the grid."""
-    ev = np.linalg.eigvals(c.astype(np.complex128))
-    return integer_defect(_poly_from_roots(np.exp(np.outer(ts, ev))).real)
+    return integer_defect(exp_charpoly(spectrum(c), ts))

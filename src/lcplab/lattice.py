@@ -64,10 +64,6 @@ def exp_ad(c, t: float) -> np.ndarray:
     return kernels.expm(t * a)
 
 
-def _defect_at(c: np.ndarray, t: float) -> float:
-    return kernels.integer_defect(kernels.charpoly_coeffs(kernels.expm(t * c)))
-
-
 def _golden_min(f, lo: float, hi: float, iters: int = 130):
     """Golden-section minimisation; localises the (V-shaped) defect
     minimum to machine precision, which generic quadratic-interpolation
@@ -139,10 +135,15 @@ def integer_charpoly_scan(
     if ts.size == 0:
         return []
     defects = kernels.scan_defects(a, ts)
+    ev = kernels.spectrum(a)
+
+    def defect_at(t):
+        return float(kernels.integer_defect(kernels.exp_charpoly(ev, t)))
+
     if defects.max() <= tol:
         # unipotent exponential: every t works, report t = 1
-        poly = IntPoly(tuple(int(round(x)) for x in kernels.charpoly_coeffs(kernels.expm(a))))
-        return [ScanCandidate(1.0, poly, float(_defect_at(a, 1.0)))]
+        poly = IntPoly(tuple(int(round(x)) for x in kernels.exp_charpoly(ev, 1.0)))
+        return [ScanCandidate(1.0, poly, defect_at(1.0))]
     flagged = [
         i
         for i in range(1, len(ts) - 1)
@@ -152,11 +153,10 @@ def integer_charpoly_scan(
     ]
     out = []
     for i in flagged:
-        t0, d0 = _golden_min(lambda t: _defect_at(a, t), ts[i - 1], ts[i + 1])
+        t0, d0 = _golden_min(defect_at, ts[i - 1], ts[i + 1])
         if d0 > tol:
             continue
-        coeffs = kernels.charpoly_coeffs(kernels.expm(t0 * a))
-        poly = IntPoly(tuple(int(round(x)) for x in coeffs))
+        poly = IntPoly(tuple(int(round(x)) for x in kernels.exp_charpoly(ev, t0)))
         if abs(poly.constant_term()) != 1:
             continue
         if any(abs(t0 - prev.t0) < 1e-6 for prev in out):
@@ -263,7 +263,7 @@ def _merge_components(a: np.ndarray, t0: float, comps: list) -> Optional[list]:
     for comp in comps:
         acc = sorted(acc + comp)
         sub = a[np.ix_(acc, acc)]
-        if kernels.integer_defect(kernels.charpoly_coeffs(kernels.expm(t0 * sub))) < 1e-7:
+        if kernels.integer_defect(kernels.exp_charpoly(kernels.spectrum(sub), t0)) < 1e-7:
             groups.append(acc)
             acc = []
     if acc:
@@ -289,7 +289,7 @@ def certify_witness_blocked(c, t0: float, tol: float = 1e-8, seed: int = 0, bloc
             z[i, j] = 0
     for comp in blocks:
         sub = a[np.ix_(comp, comp)]
-        coeffs = kernels.charpoly_coeffs(kernels.expm(t0 * sub))
+        coeffs = kernels.exp_charpoly(kernels.spectrum(sub), t0)
         if kernels.integer_defect(coeffs) > 1e-7:
             return None
         psub = IntPoly(tuple(int(round(x)) for x in coeffs))

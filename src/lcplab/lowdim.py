@@ -4,11 +4,12 @@ lattice verdicts.
 
 Each catalog row stores the bracket template, the admissible parameter
 range, the set of flat dimensions realised over all structures, and the
-printed lattice status.  Witness metrics and Lee forms per sampled
-parameter realise every flat dimension of the row; rows whose smaller
-flat dimensions are swallowed by eigenvalue coincidences under the
-identity metric carry explicitly chosen non-diagonal metrics (the flat
-space depends on the metric, not just the algebra).
+printed lattice status.  The witness metrics and Lee forms per sampled
+parameter are the fixture corpus (``lcplab.fixtures``); they realise
+every flat dimension of the row, and rows whose smaller flat dimensions
+are swallowed by eigenvalue coincidences under the identity metric carry
+explicitly chosen non-diagonal metrics (the flat space depends on the
+metric, not just the algebra).
 
 Isomorphism is never decided in general: rows are matched by invariant
 fingerprints plus explicit basis-change witnesses.
@@ -26,12 +27,12 @@ from . import exact as ex
 from .algebra import (
     LieAlgebra,
     Metric,
-    OneForm,
     almost_abelian_presentation,
     audit_algebra,
 )
 from .detect import LCPStructure, classify, maximal_flat_parallel, structural_audit, verify_lcp
 from .errors import ParamOutOfRange, SingularMatrix, UnknownName
+from .fixtures import _params_str, witness_specs_from_fixtures
 from .lattice import cited_certificate, lattice_verdict
 
 F = Fraction
@@ -434,183 +435,44 @@ def check_isomorphism_witness(L1: LieAlgebra, L2: LieAlgebra, P: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------------
-# witness corpus: sampled parameters with (metric, theta) per flat dim
+# sampled parameters; their witnesses are the fixture corpus
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WitnessSpec:
-    """gram_pairs lists symmetric (i, j) positions set to 1/2 on top of
-    the identity Gram matrix; None keeps the identity metric."""
-
-    gram_pairs: Optional[tuple]
-    theta: tuple
-    expected_dim: int
-
-    def metric(self, n: int) -> Metric:
-        g = ex.reye(n)
-        for (i, j) in self.gram_pairs or ():
-            g[i, j] = F(1, 2)
-            g[j, i] = F(1, 2)
-        return Metric(g)
-
-    def one_form(self) -> OneForm:
-        return OneForm(ex.rvec([_f(x) for x in self.theta]))
-
 
 @dataclass(frozen=True)
 class SampleSpec:
     name: str
     params: dict
-    witnesses: tuple
     lattice_cited: Optional[tuple] = None  # (status, reference) overrides
 
 
 SAMPLES = [
-    SampleSpec("e(1,1)", {}, (WitnessSpec(None, (-1, 0, 0), 1),)),
-    SampleSpec("e(1,1)+R", {}, (WitnessSpec(None, (-1, 0, 0, 0), 1),)),
-    SampleSpec("g_{4.2}^{-2}", {}, (WitnessSpec(None, (-2, 0, 0, 0), 1),)),
-    SampleSpec(
-        "g_{4.5}^{p,-p-1}",
-        {"p": F(-1, 4)},
-        (WitnessSpec(None, (1, 0, 0, 0), 1),),
-    ),
-    SampleSpec(
-        "g_{4.5}^{p,-p-1}",
-        {"p": F(-1, 2)},
-        (
-            WitnessSpec(None, (1, 0, 0, 0), 1),
-            WitnessSpec(None, (F(-1, 2), 0, 0, 0), 2),
-        ),
-    ),
-    SampleSpec(
-        "g_{4.6}^{-2p,p}",
-        {"p": 1},
-        (
-            WitnessSpec(None, (-2, 0, 0, 0), 1),
-            WitnessSpec(None, (1, 0, 0, 0), 2),
-        ),
-    ),
-    SampleSpec("e(1,1)+R2", {}, (WitnessSpec(None, (-1, 0, 0, 0, 0), 1),)),
-    SampleSpec("g_{4.2}^{-2}+R", {}, (WitnessSpec(None, (-2, 0, 0, 0, 0), 1),)),
-    SampleSpec(
-        "g_{4.5}^{p,-p-1}+R",
-        {"p": F(-1, 4)},
-        (WitnessSpec(None, (1, 0, 0, 0, 0), 1),),
-    ),
-    SampleSpec(
-        "g_{4.5}^{p,-p-1}+R",
-        {"p": F(-1, 2)},
-        (
-            WitnessSpec(None, (1, 0, 0, 0, 0), 1),
-            WitnessSpec(None, (F(-1, 2), 0, 0, 0, 0), 2),
-        ),
-    ),
-    SampleSpec(
-        "g_{4.6}^{-2p,p}+R",
-        {"p": 1},
-        (
-            WitnessSpec(None, (-2, 0, 0, 0, 0), 1),
-            WitnessSpec(None, (1, 0, 0, 0, 0), 2),
-        ),
-    ),
-    SampleSpec(
-        "g_{5.7}^{p,q,r}",
-        {"p": F(1, 6), "q": F(1, 3), "r": F(1, 2)},
-        (WitnessSpec(None, (0, 0, 0, 0, -1), 1),),
-    ),
-    SampleSpec(
-        "g_{5.7}^{p,q,r}",
-        {"p": F(1, 4), "q": F(1, 4), "r": F(1, 2)},
-        (
-            WitnessSpec(None, (0, 0, 0, 0, F(1, 2)), 1),
-            WitnessSpec(None, (0, 0, 0, 0, F(1, 4)), 2),
-        ),
-    ),
-    SampleSpec(
-        "g_{5.7}^{p,q,r}",
-        {"p": F(1, 3), "q": F(1, 3), "r": F(1, 3)},
-        (
-            WitnessSpec(None, (0, 0, 0, 0, -1), 1),
-            WitnessSpec(None, (0, 0, 0, 0, F(1, 3)), 3),
-        ),
-    ),
-    SampleSpec("g_{5.8}^{-1}", {}, (WitnessSpec(None, (0, 0, 0, 0, -1), 1),)),
-    SampleSpec(
-        "g_{5.9}^{p,-2-p}",
-        {"p": 1},
-        (WitnessSpec(None, (0, 0, 0, 0, -3), 1),),
-    ),
-    SampleSpec(
-        "g_{5.9}^{p,-2-p}",
-        {"p": -1},
-        (
-            WitnessSpec(((1, 3),), (0, 0, 0, 0, -1), 1),
-            WitnessSpec(None, (0, 0, 0, 0, -1), 2),
-        ),
-        lattice_cited=("no", "Bock16 Thm 7.2.3"),
-    ),
-    SampleSpec("g_{5.11}^{-3}", {}, (WitnessSpec(None, (0, 0, 0, 0, -3), 1),)),
-    SampleSpec(
-        "g_{5.13}^{-1-2q,q,r}",
-        {"q": F(-1, 4), "r": 1},
-        (
-            WitnessSpec(None, (0, 0, 0, 0, F(-1, 2)), 1),
-            WitnessSpec(None, (0, 0, 0, 0, F(-1, 4)), 2),
-        ),
-    ),
-    SampleSpec(
-        "g_{5.13}^{-1-2q,q,r}",
-        {"q": F(-1, 3), "r": 1},
-        (
-            WitnessSpec(((0, 1),), (0, 0, 0, 0, F(-1, 3)), 1),
-            WitnessSpec(((0, 3),), (0, 0, 0, 0, F(-1, 3)), 2),
-            WitnessSpec(None, (0, 0, 0, 0, F(-1, 3)), 3),
-        ),
-    ),
-    SampleSpec(
-        "g_{5.16}^{-1,q}",
-        {"q": 1},
-        (WitnessSpec(None, (0, 0, 0, 0, -1), 2),),
-        lattice_cited=("no", "Bock16 Thm 7.2.10"),
-    ),
-    SampleSpec(
-        "g_{5.17}^{p,-p,r}",
-        {"p": 1, "r": 1},
-        (WitnessSpec(None, (0, 0, 0, 0, -1), 2),),
-    ),
-    SampleSpec(
-        "g_{5.19}^{p,-2p-2}",
-        {"p": 1},
-        (WitnessSpec(None, (0, 0, 0, 0, -4), 1),),
-        lattice_cited=("no", "Bock16 Thm 7.2.16"),
-    ),
-    SampleSpec(
-        "g_{5.23}^{-4}",
-        {},
-        (WitnessSpec(None, (0, 0, 0, 0, -4), 1),),
-        lattice_cited=("no", "Bock16 Thm 7.2.16"),
-    ),
-    SampleSpec(
-        "g_{5.25}^{p,4p}",
-        {"p": 1},
-        (WitnessSpec(None, (0, 0, 0, 0, -4), 1),),
-        lattice_cited=("no", "Bock16 Thm 7.2.16"),
-    ),
-    SampleSpec(
-        "g_{5.33}^{-1,-1}",
-        {},
-        (WitnessSpec(None, (-1, 0, 0, 0, 1), 1),),
-        lattice_cited=("yes", "Bock16 Prop 7.2.20"),
-    ),
-    SampleSpec(
-        "g_{5.35}^{-2,0}",
-        {},
-        (
-            WitnessSpec(None, (0, 0, 0, 0, -2), 1),
-            WitnessSpec(None, (0, 0, 0, 0, 1), 2),
-        ),
-        lattice_cited=("yes", "Bock16 Prop 7.2.21"),
-    ),
+    SampleSpec("e(1,1)", {}),
+    SampleSpec("e(1,1)+R", {}),
+    SampleSpec("g_{4.2}^{-2}", {}),
+    SampleSpec("g_{4.5}^{p,-p-1}", {"p": F(-1, 4)}),
+    SampleSpec("g_{4.5}^{p,-p-1}", {"p": F(-1, 2)}),
+    SampleSpec("g_{4.6}^{-2p,p}", {"p": 1}),
+    SampleSpec("e(1,1)+R2", {}),
+    SampleSpec("g_{4.2}^{-2}+R", {}),
+    SampleSpec("g_{4.5}^{p,-p-1}+R", {"p": F(-1, 4)}),
+    SampleSpec("g_{4.5}^{p,-p-1}+R", {"p": F(-1, 2)}),
+    SampleSpec("g_{4.6}^{-2p,p}+R", {"p": 1}),
+    SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 6), "q": F(1, 3), "r": F(1, 2)}),
+    SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 4), "q": F(1, 4), "r": F(1, 2)}),
+    SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 3), "q": F(1, 3), "r": F(1, 3)}),
+    SampleSpec("g_{5.8}^{-1}", {}),
+    SampleSpec("g_{5.9}^{p,-2-p}", {"p": 1}),
+    SampleSpec("g_{5.9}^{p,-2-p}", {"p": -1}, ("no", "Bock16 Thm 7.2.3")),
+    SampleSpec("g_{5.11}^{-3}", {}),
+    SampleSpec("g_{5.13}^{-1-2q,q,r}", {"q": F(-1, 4), "r": 1}),
+    SampleSpec("g_{5.13}^{-1-2q,q,r}", {"q": F(-1, 3), "r": 1}),
+    SampleSpec("g_{5.16}^{-1,q}", {"q": 1}, ("no", "Bock16 Thm 7.2.10")),
+    SampleSpec("g_{5.17}^{p,-p,r}", {"p": 1, "r": 1}),
+    SampleSpec("g_{5.19}^{p,-2p-2}", {"p": 1}, ("no", "Bock16 Thm 7.2.16")),
+    SampleSpec("g_{5.23}^{-4}", {}, ("no", "Bock16 Thm 7.2.16")),
+    SampleSpec("g_{5.25}^{p,4p}", {"p": 1}, ("no", "Bock16 Thm 7.2.16")),
+    SampleSpec("g_{5.33}^{-1,-1}", {}, ("yes", "Bock16 Prop 7.2.20")),
+    SampleSpec("g_{5.35}^{-2,0}", {}, ("yes", "Bock16 Prop 7.2.21")),
 ]
 
 
@@ -647,24 +509,21 @@ class TableVerification:
 
 
 def verify_table(name: str, params=None, witnesses=None) -> TableVerification:
-    """Classify the row under each shipped witness, check the result
-    verifies and audits, and compare the realised flat-dimension set with
-    the catalog."""
+    """Classify the row under each witness (default: the row's fixtures),
+    check the result verifies and audits, and compare the realised
+    flat-dimension set with the catalog."""
     row = ROWS[name]
     params = {k: _f(v) for k, v in (params or {}).items()}
     L = table_algebra(name, params)
     if witnesses is None:
-        witnesses = _witnesses_for(name, params)
+        witnesses = witness_specs_from_fixtures(_sample_for(name, params))
     results = []
     for w in witnesses:
-        G = w.metric(L.dim)
-        theta = w.one_form()
-        cls = classify(L, G, theta)
-        flat = maximal_flat_parallel(L, G, theta)
-        ver = verify_lcp(L, G, theta, flat).passed
+        cls = classify(L, w.metric, w.theta)
+        ver = verify_lcp(L, w.metric, w.theta, cls.flat).passed
         audited = False
-        if ver and flat.dim >= 1:
-            audited = structural_audit(LCPStructure(L, G, theta, flat)).passed
+        if ver and cls.flat_dim >= 1:
+            audited = structural_audit(LCPStructure(L, w.metric, w.theta, cls.flat)).passed
         results.append(
             WitnessResult(w.expected_dim, cls.flat_dim, cls.kind, ver, audited)
         )
@@ -677,10 +536,10 @@ def verify_table(name: str, params=None, witnesses=None) -> TableVerification:
     )
 
 
-def _witnesses_for(name, params):
+def _sample_for(name, params) -> SampleSpec:
     for s in SAMPLES:
         if s.name == name and {k: _f(v) for k, v in s.params.items()} == params:
-            return s.witnesses
+            return s
     raise UnknownName(f"no shipped witnesses for {name} at {params}")
 
 
@@ -714,11 +573,10 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
             }
         return {"status": "inconclusive", "evidence": "not almost abelian", "witnesses": 0}
     structure = None
-    best = max(sample.witnesses, key=lambda w: w.expected_dim)
+    best = max(witness_specs_from_fixtures(sample), key=lambda w: w.expected_dim)
     if best.expected_dim == L.dim - 2:
-        theta = best.one_form()
-        gm = best.metric(L.dim)
-        structure = LCPStructure(L, gm, theta, maximal_flat_parallel(L, gm, theta))
+        flat = maximal_flat_parallel(L, best.metric, best.theta)
+        structure = LCPStructure(L, best.metric, best.theta, flat)
     verdict = lattice_verdict(
         pres.matrix,
         label=sample.name,
@@ -741,26 +599,13 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
             "witnesses": len(verdict.witnesses)}
 
 
-def _params_str(params: dict) -> str:
-    if not params:
-        return "-"
-    return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-
-
-def reproduce_tables(t_range=(0.0, 3.0), seed: int = 0, use_fixtures: bool = False) -> list:
+def reproduce_tables(t_range=(0.0, 3.0), seed: int = 0) -> list:
     """Re-derive the catalog: every sampled row's realised flat dimension
-    set and lattice verdict, in table order.  With ``use_fixtures`` the
-    witnesses are read from the on-disk corpus instead of the embedded
-    specifications."""
+    set and lattice verdict, in table order."""
     out = []
     for sample in SAMPLES:
         row = ROWS[sample.name]
-        witnesses = None
-        if use_fixtures:
-            from .fixtures import witness_specs_from_fixtures
-
-            witnesses = witness_specs_from_fixtures(sample)
-        tv = verify_table(sample.name, sample.params, witnesses=witnesses)
+        tv = verify_table(sample.name, sample.params)
         lat = sample_lattice_verdict(sample, t_range=t_range, seed=seed)
         out.append(
             {

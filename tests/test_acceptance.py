@@ -238,7 +238,7 @@ def test_criterion_5_codim_bounds(construction_pool):
 # -- criterion 6 -------------------------------------------------------------
 
 def test_criterion_6_tables_reproduction():
-    rows = reproduce_tables(use_fixtures=True)
+    rows = reproduce_tables()
     ok = all(r["witnesses_ok"] and r["dims_found"] == r["dims_expected"] for r in rows)
     text = render_tables_text(rows)
     ok = ok and text == GOLDEN.read_text(encoding="utf-8")

@@ -99,6 +99,14 @@ def test_oversized_dim_exit_code(tmp_path):
     assert "envelope" in out.stderr
 
 
+def test_hostile_number_exit_code(tmp_path):
+    p = tmp_path / "hostile.lcp"
+    p.write_text("dim 3\nbracket 1 2 : 0 \u00b2 0\n", encoding="utf-8")
+    out = run_cli("check", "--input", str(p))
+    assert out.returncode == 2
+    assert "line 2" in out.stderr
+
+
 def test_missing_file():
     assert run_cli("check", "--input", "/nonexistent.lcp").returncode == 2
 
@@ -158,12 +166,13 @@ def test_tables_machine_deterministic():
 
 def test_fixture_dir_override(tmp_path):
     import os
+    import shutil
 
     # a populated override works; an empty one is an input error
-    from lcplab.fixtures import write_fixture_corpus
+    from lcplab.fixtures import fixture_dir
 
     alt = tmp_path / "corpus"
-    write_fixture_corpus(alt)
+    shutil.copytree(fixture_dir(), alt)
     env = dict(os.environ, LCPLAB_FIXTURES=str(alt))
     out = subprocess.run(
         [sys.executable, "-m", "lcplab.cli", "tables"],

@@ -58,6 +58,8 @@ def test_metric_and_blocks():
         ("dim 2000", "envelope"),
         ("dim 3\nbracket 1 2 : 0 1", "expected 3"),
         ("dim 2\nmetric : 1 0", "2 rows"),
+        ("dim 3\nbracket 1 2 : 0 \u00b2 0", "malformed"),
+        ("dim 3\nbracket 1 2 : 0 " + "7" * 5000 + " 0", "too long"),
     ],
 )
 def test_parse_errors(text, frag):

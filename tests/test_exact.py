@@ -92,6 +92,9 @@ def test_rational_roots():
     assert ex.rational_roots([1, F(3, 2), -1, 0]) == [F(-2), F(0), F(1, 2)]
     # x^2 + 1 has none
     assert ex.rational_roots([1, 0, 1]) == []
+    # a large prime constant term: no search over its divisors
+    p = 1000000007
+    assert ex.rational_roots([1, 0, -p * p]) == [F(-p), F(p)]
 
 
 def test_solve_inconsistent():

@@ -1,40 +1,66 @@
-"""The committed fixture corpus must be exactly reproducible from the
-embedded witness specifications (no drift between the two sources)."""
+"""The fixture corpus is the catalog's witness data: every file belongs to
+a sampled row, serialises that row's algebra with its maximal flat
+space, and realises the flat dimension its label names."""
 
+import shutil
 from pathlib import Path
 
-from lcplab.detect import classify
+import pytest
+
+from lcplab.detect import classify, maximal_flat_parallel
+from lcplab.docfmt import parse_file
+from lcplab.errors import DocumentError
 from lcplab.fixtures import (
+    _params_str,
     fixture_dir,
     fixture_name,
-    load_witnesses,
-    write_fixture_corpus,
+    parse_label,
+    witness_specs_from_fixtures,
 )
 from lcplab.lowdim import SAMPLES, table_algebra
 
 COMMITTED = Path(__file__).parent.parent / "src" / "lcplab" / "fixtures"
 
 
-def test_corpus_regenerates_identically(tmp_path):
-    files = write_fixture_corpus(tmp_path)
-    assert len(files) == sum(len(s.witnesses) for s in SAMPLES)
-    for name in files:
-        assert (COMMITTED / name).read_text() == (tmp_path / name).read_text()
+def test_every_fixture_matches_its_row():
+    rows = {(s.name, _params_str(s.params)): s for s in SAMPLES}
+    seen = set()
+    for path in sorted(COMMITTED.glob("*.lcp")):
+        doc = parse_file(path)
+        name, params, expected = parse_label(doc.label)
+        assert (name, params) in rows, path.name
+        sample = rows[(name, params)]
+        k = int(path.stem.rsplit("_w", 1)[1])
+        assert path.name == fixture_name(sample, k)
+        L = table_algebra(sample.name, sample.params)
+        G, theta = doc.metric(), doc.one_form()
+        assert doc.algebra() == L, path.name
+        assert doc.flat() == maximal_flat_parallel(L, G, theta), path.name
+        assert classify(L, G, theta).flat_dim == expected, path.name
+        seen.add((name, params))
+    assert seen == set(rows)
 
 
 def test_committed_corpus_is_complete():
-    for sample in SAMPLES:
-        for k in range(len(sample.witnesses)):
-            assert (COMMITTED / fixture_name(sample, k)).exists()
+    loaded = sum(len(witness_specs_from_fixtures(s, COMMITTED)) for s in SAMPLES)
+    assert loaded == len(list(COMMITTED.glob("*.lcp")))
 
 
 def test_loaded_witnesses_classify_as_labelled():
-    # spot-check a couple of rows through the file path end to end
+    # spot-check a couple of rows through the loader end to end
     for sample in SAMPLES[:3]:
         L = table_algebra(sample.name, sample.params)
-        for metric, theta, expected, doc in load_witnesses(sample, COMMITTED):
-            assert classify(L, metric, theta).flat_dim == expected
-            assert doc.algebra() == L
+        for w in witness_specs_from_fixtures(sample, COMMITTED):
+            assert classify(L, w.metric, w.theta).flat_dim == w.expected_dim
+
+
+def test_loader_rejects_missing_and_mislabelled(tmp_path):
+    with pytest.raises(DocumentError):
+        witness_specs_from_fixtures(SAMPLES[0], tmp_path)
+    # the first row's witness stored under the second row's name
+    shutil.copy(COMMITTED / fixture_name(SAMPLES[0], 0), tmp_path / fixture_name(SAMPLES[1], 0))
+    with pytest.raises(DocumentError):
+        witness_specs_from_fixtures(SAMPLES[1], tmp_path)
 
 
 def test_fixture_dir_default_is_packaged():

@@ -33,6 +33,11 @@ def test_scan_defects_matches_pointwise_reference(c, t_max):
     got = kernels.scan_defects(c, ts)
     assert got.shape == ts.shape
     assert np.abs(got - ref).max() <= SCAN_ATOL
+    # one t at a time, as refinement and blockwise certification ask
+    k = len(ts) // 2
+    one = kernels.exp_charpoly(kernels.spectrum(c), ts[k])
+    assert one.shape == coeffs[k].shape
+    assert np.abs(one - coeffs[k]).max() <= SCAN_ATOL
 
 
 def test_expm_against_series():

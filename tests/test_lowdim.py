@@ -126,30 +126,34 @@ def test_verify_table_rows():
     assert tv.passed and 3 in tv.dims_found
 
 
-def test_whole_corpus_passes():
-    for sample in SAMPLES:
-        tv = verify_table(sample.name, sample.params)
+@pytest.fixture(scope="module")
+def catalog():
+    """(sample, its algebra, verify_table result) for every sampled row."""
+    return [
+        (s, table_algebra(s.name, s.params), verify_table(s.name, s.params))
+        for s in SAMPLES
+    ]
+
+
+def test_whole_corpus_passes(catalog):
+    for sample, _, tv in catalog:
         assert tv.passed, (sample.name, sample.params)
 
 
-def test_codim_bounds_across_corpus():
+def test_codim_bounds_across_corpus(catalog):
     # flat_dim <= n-2 everywhere; flat_dim == n-2 forces almost abelian
-    for sample in SAMPLES:
-        L = table_algebra(sample.name, sample.params)
-        tv = verify_table(sample.name, sample.params)
+    for sample, L, tv in catalog:
         for d in tv.dims_found:
             assert d <= L.dim - 2
         if (L.dim - 2) in tv.dims_found:
             assert almost_abelian_presentation(L, Metric.identity(L.dim)) is not None
 
 
-def test_dim3_witnesses_only_for_two_rows():
+def test_dim3_witnesses_only_for_two_rows(catalog):
     allowed = {"g_{5.13}^{-1-2q,q,r}", "g_{5.7}^{p,q,r}"}
-    for sample in SAMPLES:
-        L = table_algebra(sample.name, sample.params)
+    for sample, L, tv in catalog:
         if L.dim != 5:
             continue
-        tv = verify_table(sample.name, sample.params)
         if 3 in tv.dims_found:
             assert sample.name in allowed
             if sample.name == "g_{5.7}^{p,q,r}":
