@@ -40,7 +40,7 @@ from .errors import (
     PreconditionViolated,
     ZeroLeeForm,
 )
-from .weyl import curvature, is_g_skew, weyl_connection
+from .weyl import is_g_skew, weyl_geometry
 
 DEGENERATE = "degenerate"
 ADAPTED = "adapted"
@@ -111,51 +111,26 @@ def verify_lcp(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verific
     if not cond1:
         witnesses.append(Witness(1, (), ex.ONE))
 
+    # (2) for each basis vector v of one block, on basis pairs of the other:
+    # S = P^T (G ad_v + ad_v^T G) P - 2 theta(v) P^T G P, upper triangle
     cond2 = True
-    for a in range(ub.shape[1]):
-        ad_u = L.ad(ub[:, a])
-        tu = theta(ub[:, a])
-        for i in range(pb.shape[1]):
-            for j in range(i, pb.shape[1]):
-                x, y = pb[:, i], pb[:, j]
-                d = (
-                    G.inner(ad_u.dot(x), y)
-                    + G.inner(ad_u.dot(y), x)
-                    - 2 * tu * G.inner(x, y)
-                )
-                if d != 0:
-                    cond2 = False
-                    witnesses.append(Witness(2, ("u", a, "x", i, "x", j), d))
-    for i in range(pb.shape[1]):
-        ad_x = L.ad(pb[:, i])
-        tx = theta(pb[:, i])
-        for a in range(ub.shape[1]):
-            for b in range(a, ub.shape[1]):
-                u, v = ub[:, a], ub[:, b]
-                d = (
-                    G.inner(ad_x.dot(u), v)
-                    + G.inner(ad_x.dot(v), u)
-                    - 2 * tx * G.inner(u, v)
-                )
-                if d != 0:
-                    cond2 = False
-                    witnesses.append(Witness(2, ("x", i, "u", a, "u", b), d))
+    for vl, vb, wl, wb in (("u", ub, "x", pb), ("x", pb, "u", ub)):
+        gram = wb.T.dot(G.gram).dot(wb)
+        for a in range(vb.shape[1]):
+            gad = G.gram.dot(L.ad(vb[:, a]))
+            s = wb.T.dot(gad + gad.T).dot(wb) - 2 * theta(vb[:, a]) * gram
+            for i in range(wb.shape[1]):
+                for j in range(i, wb.shape[1]):
+                    if s[i, j] != 0:
+                        cond2 = False
+                        witnesses.append(Witness(2, (vl, a, wl, i, wl, j), s[i, j]))
 
-    # curvature annihilation checked columnwise: R_{ij} u as nested
-    # matrix-vector products, avoiding the full endomorphism table
-    conn = weyl_connection(L, G, theta)
+    _, curv = weyl_geometry(L, G, theta)
     cond3 = True
     n = L.dim
-    gu = [g.dot(ub) for g in conn.gamma]
     for i in range(n):
-        gi = conn.gamma[i]
         for j in range(i + 1, n):
-            gj = conn.gamma[j]
-            w = gi.dot(gu[j]) - gj.dot(gu[i])
-            for k in range(n):
-                ck = L.c[i, j, k]
-                if ck != 0:
-                    w = w - ck * gu[k]
+            w = curv.r[i][j].dot(ub)
             if not ex.is_zero(w):
                 cond3 = False
                 for a in range(ub.shape[1]):
@@ -175,8 +150,7 @@ def maximal_flat_parallel(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
     """
     _guard(L, theta)
     n = L.dim
-    conn = weyl_connection(L, G, theta)
-    curv = curvature(L, conn)
+    conn, curv = weyl_geometry(L, G, theta)
     blocks = [curv.r[i][j] for i in range(n) for j in range(i + 1, n)]
     u = ex.nullspace(np.concatenate(blocks, axis=0)) if blocks else ex.reye(n)
     while u.shape[1] > 0:
@@ -337,12 +311,10 @@ def _codim3_normal_form(L, G, theta, U) -> bool:
     return ex.is_zero(b1.dot(ad_y_u) - ad_y_u.dot(b1))
 
 
-def structural_audit(S: LCPStructure, check_verified: bool = True) -> StructuralAuditReport:
+def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     """Run the exact structural consequences for solvable unimodular
-    non-degenerate LCP structures, each reported individually.
-
-    ``check_verified=False`` skips re-running the three-condition
-    verification for structures already verified at construction."""
+    non-degenerate LCP structures, each reported individually, after
+    verifying the structure (on the shared Weyl connection and curvature)."""
     L, G, theta, U = S.algebra, S.metric, S.theta, S.flat
     audit = audit_algebra(L)
     if not audit.solvable:
@@ -351,7 +323,7 @@ def structural_audit(S: LCPStructure, check_verified: bool = True) -> Structural
         raise PreconditionViolated("algebra is not unimodular")
     if U.dim < 1:
         raise PreconditionViolated("flat subspace is zero")
-    if check_verified and not S.verify().passed:
+    if not S.verify().passed:
         raise PreconditionViolated("structure does not verify as LCP")
     n, q = L.dim, U.dim
     ub = U.basis
@@ -363,7 +335,7 @@ def structural_audit(S: LCPStructure, check_verified: bool = True) -> Structural
         and ex.span_contains(L.centre_of_derived(), ub)
     )
 
-    conn = weyl_connection(L, G, theta)
+    conn, _ = weyl_geometry(L, G, theta)
     nabla_ad = all(
         ex.is_zero(conn.gamma[i].dot(ub[:, a]) - L.ad_basis[i].dot(ub[:, a]))
         for i in range(n)

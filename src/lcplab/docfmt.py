@@ -15,8 +15,9 @@ Grammar (UTF-8, '#' starts a comment, blank lines ignored)::
 
 Scalars are integers or reduced fractions ``p/q`` with positive
 denominator; anything else (including non-reduced fractions like 2/4)
-is rejected with a line/column-tagged error.  Omitted bracket pairs are
-zero brackets.
+is rejected with a line/column-tagged error.  Every integer, in a
+scalar, the dimension or a bracket index, is a run of ASCII digits.
+Omitted bracket pairs are zero brackets.
 """
 
 from __future__ import annotations
@@ -66,19 +67,27 @@ class Document:
         return ex.rmat(self.blocks[name])
 
 
+def _parse_natural(tok: str, line: int, col: int, what: str) -> int:
+    """A run of ASCII digits: the one integer grammar of documents, so no
+    sign, no underscores and no non-ASCII digits."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise DocumentError(f"malformed {what} {tok!r}", line, col)
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise DocumentError(f"{what} of {len(tok)} digits is too long", line, col) from None
+
+
 def _parse_rational(tok: str, line: int, col: int) -> Fraction:
     s = tok
     neg = s.startswith("-")
     if neg or s.startswith("+"):
         s = s[1:]
     parts = s.split("/")
-    if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
+    if len(parts) > 2:
         raise DocumentError(f"malformed rational {tok!r}", line, col)
-    try:
-        num = int(parts[0])
-        den = int(parts[1]) if len(parts) == 2 else 1
-    except ValueError:  # more digits than int() converts
-        raise DocumentError(f"rational of {len(s)} digits is too long", line, col) from None
+    num = _parse_natural(parts[0], line, col, "rational")
+    den = _parse_natural(parts[1], line, col, "rational") if len(parts) == 2 else 1
     if den == 0:
         raise DocumentError(f"zero denominator in {tok!r}", line, col)
     if gcd(num, den) != 1:
@@ -128,10 +137,7 @@ def parse_document(text: str) -> Document:
         if key == "dim":
             if doc is not None:
                 raise DocumentError("duplicate dim directive", lineno, 1)
-            try:
-                dim = int(rest.strip())
-            except ValueError:
-                raise DocumentError(f"bad dimension {rest.strip()!r}", lineno, indent + 5)
+            dim = _parse_natural(rest.strip(), lineno, indent + 5, "dimension")
             if dim <= 0:
                 raise DocumentError("dimension must be positive", lineno, indent + 5)
             if dim > MAX_DIM:
@@ -151,10 +157,7 @@ def parse_document(text: str) -> Document:
             idx = head.split()
             if len(idx) != 2 or not sep:
                 raise DocumentError("bracket needs 'bracket i j : coeffs'", lineno, indent + 1)
-            try:
-                i, j = int(idx[0]), int(idx[1])
-            except ValueError:
-                raise DocumentError(f"bad bracket indices {head.strip()!r}", lineno, indent + 9)
+            i, j = (_parse_natural(t, lineno, indent + 9, "bracket index") for t in idx)
             if not (1 <= i < j <= doc.dim):
                 raise DocumentError(
                     f"bracket indices must satisfy 1 <= i < j <= {doc.dim}", lineno, indent + 9

@@ -1,17 +1,12 @@
-"""Integer polynomials, their squarefree/irreducibility diagnostics, and
-Smith normal form for abelianisation reports.
+"""Integer polynomials, integer companion matrices and characteristic
+polynomials, and Smith normal form for abelianisation reports.
 
-Polynomials are stored by descending-degree integer coefficients.  The
-gcd with the derivative is computed by a primitive polynomial remainder
-sequence over Z[X]; irreducibility uses the rational-root test for
-degree <= 3 and exact factorisation (sympy) for degrees 4..8.
+Polynomials are stored by descending-degree integer coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd as int_gcd
-from typing import Optional
 
 import numpy as np
 
@@ -74,121 +69,6 @@ class IntPoly:
                     terms.append(f"{c:+d}{xs}")
         s = " ".join(terms) if terms else "0"
         return s.lstrip("+").replace("+", "+ ").replace("-", "- ").strip()
-
-
-def _content(c) -> int:
-    g = 0
-    for x in c:
-        g = int_gcd(g, abs(int(x)))
-    return g or 1
-
-
-def _primitive(c):
-    g = _content(c)
-    c = [int(x) // g for x in c]
-    if c[0] < 0:
-        c = [-x for x in c]
-    return c
-
-
-def _pseudo_rem(a, b):
-    """Pseudo-remainder of integer coefficient lists (descending):
-    repeatedly a <- lb*a - la*x^shift*b until deg(a) < deg(b)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[0]
-    while len(a) - 1 >= db and any(a):
-        la = a[0]
-        a = [lb * x for x in a]
-        for i in range(len(b)):
-            a[i] -= la * b[i]
-        a = a[1:] if len(a) > 1 else [0]
-        while len(a) > 1 and a[0] == 0:
-            a = a[1:]
-    return a
-
-
-def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[X] via a primitive remainder sequence."""
-    a = _primitive(list(p.coeffs))
-    b = _primitive(list(q.coeffs))
-    if len(a) < len(b):
-        a, b = b, a
-    while any(b) and len(b) > 1:
-        r = _pseudo_rem(a, b)
-        if not any(r):
-            a, b = b, [0]
-            break
-        a, b = b, _primitive(r)
-    if any(b) and len(b) == 1:
-        return IntPoly((1,))
-    return IntPoly(tuple(a))
-
-
-def is_squarefree(p: IntPoly) -> bool:
-    return poly_gcd(p, p.derivative()).degree == 0
-
-
-def is_irreducible(p: IntPoly) -> Optional[bool]:
-    """Exact over Z[X] for degree <= 8; None beyond that."""
-    d = p.degree
-    if d == 0:
-        return False
-    if _content(p.coeffs) != 1:
-        return False
-    if d == 1:
-        return True
-    if ex.rational_roots([ex.rat(c) for c in p.coeffs]):
-        return False
-    if d <= 3:
-        return True
-    if d <= 8:
-        import sympy
-
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(list(p.coeffs), x)
-        _, factors = poly.factor_list()
-        return len(factors) == 1 and factors[0][1] == 1
-    return None
-
-
-@dataclass(frozen=True)
-class PolyDiagnostics:
-    squarefree: bool
-    irreducible: Optional[bool]
-    gcd_with_derivative: IntPoly
-    double_roots: tuple
-    at_least_two_double_roots: bool
-
-    def as_dict(self):
-        return {
-            "squarefree": self.squarefree,
-            "irreducible": self.irreducible,
-            "gcd_with_derivative": list(self.gcd_with_derivative.coeffs),
-            "double_roots": [complex(r) for r in self.double_roots],
-            "at_least_two_double_roots": self.at_least_two_double_roots,
-        }
-
-
-def int_poly_diagnostics(p: IntPoly, tol: float = 1e-8) -> PolyDiagnostics:
-    """Squarefree/irreducibility report, plus the multiple-root dichotomy:
-    a monic integer polynomial with |P(0)| = 1 and a double root other
-    than +-1 necessarily has at least two double roots (its minimal
-    polynomial divides twice)."""
-    g = poly_gcd(p, p.derivative())
-    squarefree = g.degree == 0
-    irr = is_irreducible(p)
-    # irreducible integer polynomials have simple roots; the two
-    # independent computations must agree
-    assert not irr or squarefree
-    double_roots = tuple(g.roots()) if g.degree > 0 else ()
-    two_doubles = False
-    if (
-        p.monic
-        and abs(p.constant_term()) == 1
-        and any(min(abs(r - 1), abs(r + 1)) > tol for r in double_roots)
-    ):
-        two_doubles = True
-    return PolyDiagnostics(squarefree, irr, g, double_roots, two_doubles)
 
 
 def companion(p: IntPoly) -> np.ndarray:

@@ -60,21 +60,12 @@ def _check_dim(n: int):
 
 
 def levi_civita(L: LieAlgebra, G: Metric) -> Connection:
-    """Connection matrices from the Koszul identity, solved exactly."""
-    n = L.dim
-    _check_dim(n)
-    gc = [[G.gram.dot(L.c[i, j, :]) for j in range(n)] for i in range(n)]
-    ginv = G.inverse
-    gammas = []
-    for i in range(n):
-        m = ex.rzeros((n, n))
-        for j in range(n):
-            rhs = ex.rzeros(n)
-            for k in range(n):
-                rhs[k] = (gc[i][j][k] - gc[i][k][j] - gc[j][k][i]) / 2
-            m[:, j] = ginv.dot(rhs)
-        gammas.append(m)
-    return Connection(tuple(gammas))
+    """Connection matrices from the Koszul identity, solved exactly:
+    K[i, j, k] = g(nabla_{e_i} e_j, e_k), so gamma[i] = G^-1 K[i]^T."""
+    _check_dim(L.dim)
+    gc = np.tensordot(L.c, G.gram, ([2], [0]))  # gc[i, j, k] = g([e_i, e_j], e_k)
+    k = (gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)) / 2
+    return Connection(tuple(G.inverse.dot(k[i].T) for i in range(L.dim)))
 
 
 def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
@@ -85,17 +76,16 @@ def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
     """
     if not is_closed(L, theta):
         raise NonClosedLeeForm("theta does not vanish on the derived algebra")
-    n = L.dim
     lc = levi_civita(L, G)
     sharp = G.sharp(theta)
-    eye = ex.reye(n)
-    gammas = []
-    for i in range(n):
-        m = lc.gamma[i] + theta.coeffs[i] * eye
-        for j in range(n):
-            m[:, j] = m[:, j] + theta.coeffs[j] * eye[:, i] - G.gram[i, j] * sharp
-        gammas.append(m)
-    return Connection(tuple(gammas))
+    t = theta.coeffs
+    eye = ex.reye(L.dim)
+    return Connection(
+        tuple(
+            lc.gamma[i] + t[i] * eye + np.outer(eye[:, i], t) - np.outer(sharp, G.gram[i])
+            for i in range(L.dim)
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -139,6 +129,26 @@ def curvature(L: LieAlgebra, conn: Connection) -> Curvature:
             table[i][j] = m
             table[j][i] = -m
     return Curvature(tuple(tuple(row) for row in table))
+
+
+def weyl_geometry(L: LieAlgebra, G: Metric, theta: OneForm) -> tuple[Connection, Curvature]:
+    """The Weyl connection of theta and its curvature, built once per
+    (L, G, theta) and kept with L.
+
+    The memo is keyed by the exact entries of the Gram matrix and of
+    theta, so equal metrics built separately share one entry; it lives in
+    the instance dictionary of L, as ``ad_basis`` does, and goes with it.
+    The shared matrices are read-only.
+    """
+    memo = vars(L).setdefault("_weyl_geometry", {})
+    key = (tuple(G.gram.flat), tuple(theta.coeffs.flat))
+    if key not in memo:
+        conn = weyl_connection(L, G, theta)
+        curv = curvature(L, conn)
+        for m in conn.gamma + sum(curv.r, ()):
+            m.setflags(write=False)
+        memo[key] = (conn, curv)
+    return memo[key]
 
 
 def skew_defect(G: Metric, m: np.ndarray):

@@ -192,7 +192,7 @@ def test_criterion_4_construction_roundtrip(construction_pool):
     ok = True
     for h, beta, s in construction_pool:
         rep = s.verify()
-        aud = structural_audit(s, check_verified=False)
+        aud = structural_audit(s)
         ok = ok and rep.passed and aud.passed
         dec = decompose(s)
         ok = ok and dec.h == h and dec.h_metric == Metric.identity(4)
@@ -230,7 +230,7 @@ def test_criterion_5_codim_bounds(construction_pool):
     for s in flag_cases:
         # codim-3 non-almost-abelian instances match the normal form
         ok = ok and almost_abelian_presentation(s.algebra, s.metric) is None
-        aud = structural_audit(s, check_verified=False)
+        aud = structural_audit(s)
         ok = ok and s.algebra.dim >= 5 and aud.codim3_normal_form is True
     _report(5, "codimension bounds across fixtures and constructions", ok)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -165,7 +166,6 @@ def test_tables_machine_deterministic():
 
 
 def test_fixture_dir_override(tmp_path):
-    import os
     import shutil
 
     # a populated override works; an empty one is an input error
@@ -186,3 +186,14 @@ def test_fixture_dir_override(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert out2.returncode == 2
+
+
+def test_import_does_not_load_sympy():
+    # sympy costs about half a second to import; lcplab imports it only
+    # inside the functions that use it
+    src = Path(__file__).parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import lcplab, sys; assert 'sympy' not in sys.modules"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.returncode == 0, out.stderr

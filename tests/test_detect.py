@@ -3,8 +3,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lcplab import exact as ex
+from lcplab import weyl
 from lcplab.algebra import LieAlgebra, Metric, OneForm, Subspace
 from lcplab.construct import almab_lcp, metric_modification, semidirect_lcp, OrthoRep
 from lcplab.detect import (
@@ -22,7 +24,7 @@ from lcplab.errors import (
     PreconditionViolated,
     ZeroLeeForm,
 )
-from lcplab.randgen import random_closed_form, rng
+from lcplab.randgen import random_algebra, random_closed_form, random_metric, rng, small_fraction
 
 
 def e11():
@@ -207,7 +209,7 @@ def test_random_solvable_unimodular_detection_consistency():
         nonzero += 1
         assert verify_lcp(L, G, theta, u).passed
         s = LCPStructure(L, G, theta, u)
-        rep = structural_audit(s, check_verified=False)
+        rep = structural_audit(s)
         assert rep.abelian_ideal_in_centre
         assert rep.nabla_equals_ad_on_flat
         assert rep.theta_vanishes_on_flat
@@ -229,3 +231,85 @@ def test_randomised_constructions_verify_and_audit():
         assert mx.contains_space(s.flat)
         assert verify_lcp(s.algebra, s.metric, s.theta, mx).passed
         assert structural_audit(LCPStructure(s.algebra, s.metric, s.theta, mx)).passed
+
+
+def test_one_weyl_connection_per_structure(monkeypatch):
+    # construction, classification, the flat search, verification and the
+    # audit of one (L, G, theta) all read a single connection
+    calls = []
+    build = weyl.weyl_connection
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(weyl, "weyl_connection", counted)
+    s = almab_lcp([[1]], [[0, -1], [1, 0]])
+    L, G, theta = s.algebra, s.metric, s.theta
+    cls = classify(L, G, theta)
+    flat = maximal_flat_parallel(L, G, theta)
+    assert cls.flat == flat and flat.contains_space(s.flat)
+    assert verify_lcp(L, G, theta, flat).passed
+    assert structural_audit(LCPStructure(L, G, theta, flat)).passed
+    assert len(calls) == 1
+
+
+def reference_verify(L, G, theta, U):
+    """Conditions (1)-(3) pairwise on basis vectors, with R_ij u from a
+    fresh connection: the witness list verify_lcp has to reproduce."""
+    if U.dim == 0:
+        return {"subalgebras_ok": True, "bilinear_ok": True, "curvature_ok": True,
+                "passed": True, "witnesses": []}
+    ub, pb = U.basis, U.orthogonal_complement(G).basis
+    witnesses = []
+    cond1 = ex.span_contains(ub, L.bracket_span(ub, ub)) and ex.span_contains(
+        pb, L.bracket_span(pb, pb)
+    )
+    if not cond1:
+        witnesses.append({"condition": 1, "indices": [], "defect": "1"})
+    cond2 = True
+    for vl, vb, wl, wb in (("u", ub, "x", pb), ("x", pb, "u", ub)):
+        for a in range(vb.shape[1]):
+            ad = L.ad(vb[:, a])
+            tv = theta(vb[:, a])
+            for i in range(wb.shape[1]):
+                for j in range(i, wb.shape[1]):
+                    x, y = wb[:, i], wb[:, j]
+                    d = G.inner(ad.dot(x), y) + G.inner(ad.dot(y), x) - 2 * tv * G.inner(x, y)
+                    if d != 0:
+                        cond2 = False
+                        witnesses.append(
+                            {"condition": 2, "indices": [vl, a, wl, i, wl, j], "defect": str(d)}
+                        )
+    gamma = weyl.weyl_connection(L, G, theta).gamma
+    cond3 = True
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            for a in range(ub.shape[1]):
+                u = ub[:, a]
+                w = gamma[i].dot(gamma[j].dot(u)) - gamma[j].dot(gamma[i].dot(u))
+                for k in range(L.dim):
+                    w = w - L.c[i, j, k] * gamma[k].dot(u)
+                if not ex.is_zero(w):
+                    cond3 = False
+                    witnesses.append(
+                        {"condition": 3, "indices": [i, j, "u", a], "defect": str(tuple(w))}
+                    )
+    return {"subalgebras_ok": cond1, "bilinear_ok": cond2, "curvature_ok": cond3,
+            "passed": cond1 and cond2 and cond3, "witnesses": witnesses}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 6), k=st.integers(0, 2))
+def test_verify_matches_pairwise_reference(seed, n, k):
+    # k = 0 checks the maximal flat parallel subspace, k = 1, 2 a random one
+    r = rng(seed)
+    L = random_algebra(r, n)
+    G = random_metric(r, n)
+    theta = random_closed_form(r, L)
+    assume(theta is not None)
+    if k == 0:
+        U = maximal_flat_parallel(L, G, theta)
+    else:
+        U = Subspace(ex.rmat([[small_fraction(r) for _ in range(k)] for _ in range(n)]))
+    assert verify_lcp(L, G, theta, U).as_dict() == reference_verify(L, G, theta, U)

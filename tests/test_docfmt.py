@@ -60,6 +60,10 @@ def test_metric_and_blocks():
         ("dim 2\nmetric : 1 0", "2 rows"),
         ("dim 3\nbracket 1 2 : 0 \u00b2 0", "malformed"),
         ("dim 3\nbracket 1 2 : 0 " + "7" * 5000 + " 0", "too long"),
+        ("dim 1_0", "malformed dimension"),
+        ("dim \u0663", "malformed dimension"),
+        ("dim +3", "malformed dimension"),
+        ("dim 3\nbracket \u0661 2 : 0 1 0", "malformed bracket index"),
     ],
 )
 def test_parse_errors(text, frag):

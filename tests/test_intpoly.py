@@ -7,10 +7,6 @@ from lcplab.intpoly import (
     companion,
     int_charpoly,
     int_det,
-    int_poly_diagnostics,
-    is_irreducible,
-    is_squarefree,
-    poly_gcd,
     smith_normal_form,
 )
 
@@ -21,40 +17,6 @@ def test_intpoly_basics():
     assert p(0) == 1 and p(3) == 1
     assert p.derivative().coeffs == (2, -3)
     assert str(IntPoly((1, -3, 1))) == "x^2 - 3x + 1"
-
-
-def test_gcd_squarefree():
-    p = IntPoly((1, -3, 1))
-    assert poly_gcd(p, p.derivative()).degree == 0
-    assert is_squarefree(p)
-    sq = IntPoly((1, -6, 11, -6, 1))  # (x^2-3x+1)^2
-    g = poly_gcd(sq, sq.derivative())
-    assert g.coeffs == (1, -3, 1)
-    assert not is_squarefree(sq)
-
-
-def test_gcd_of_coprime():
-    assert poly_gcd(IntPoly((1, 0, -2)), IntPoly((1, 0, -3))).degree == 0
-
-
-def test_irreducibility():
-    assert is_irreducible(IntPoly((1, -3, 1)))
-    assert not is_irreducible(IntPoly((1, -2, 1)))  # (x-1)^2
-    assert not is_irreducible(IntPoly((1, -6, 11, -6, 1)))
-    # degree 4 irreducible: x^4 + x + 1 over Z
-    assert is_irreducible(IntPoly((1, 0, 0, 1, 1)))
-
-
-def test_diagnostics_double_root_dichotomy():
-    d = int_poly_diagnostics(IntPoly((1, -6, 11, -6, 1)))
-    assert not d.squarefree and d.at_least_two_double_roots
-    roots = sorted(r.real for r in d.double_roots)
-    assert np.isclose(roots[0] * roots[1], 1, atol=1e-9)
-    # (x-1)^3: double root at +1, no dichotomy claim
-    d3 = int_poly_diagnostics(IntPoly((1, -3, 3, -1)))
-    assert not d3.squarefree and not d3.at_least_two_double_roots
-    d1 = int_poly_diagnostics(IntPoly((1, -3, 1)))
-    assert d1.squarefree and d1.irreducible
 
 
 def test_companion():

@@ -14,6 +14,7 @@ from lcplab.weyl import (
     levi_civita,
     skew_defect,
     weyl_connection,
+    weyl_geometry,
 )
 
 
@@ -207,3 +208,23 @@ def test_levi_civita_metric_compatible():
         lc = levi_civita(L, G)
         for i in range(3):
             assert ex.is_zero(skew_defect(G, lc.gamma[i]))
+
+
+def test_weyl_geometry_is_keyed_by_content():
+    # two non-proportional metrics on one algebra get their own entries,
+    # and an equal metric built separately reads the first one
+    L, theta = e11(), OneForm.dual(3, 0, -1)
+    metrics = [Metric.identity(3), Metric(ex.rmat([[2, 1, 0], [1, 2, 0], [0, 0, 1]]))]
+    shared = [weyl_geometry(L, G, theta) for G in metrics]
+    for G, (conn, curv) in zip(metrics, shared):
+        fresh = weyl_connection(L, G, theta)
+        assert all(np.array_equal(a, b) for a, b in zip(conn.gamma, fresh.gamma))
+        assert all(
+            np.array_equal(a, b)
+            for ra, rb in zip(curv.r, curvature(L, fresh).r)
+            for a, b in zip(ra, rb)
+        )
+    assert not np.array_equal(shared[0][0].gamma[0], shared[1][0].gamma[0])
+    assert weyl_geometry(L, Metric.identity(3), OneForm.dual(3, 0, -1)) is shared[0]
+    with pytest.raises(ValueError):
+        shared[0][0].gamma[0][0, 0] = F(1)
