@@ -87,18 +87,21 @@ class LieAlgebra:
         return None
 
     def jacobi_defect(self):
-        """First basis triple violating Jacobi, or None."""
+        """First basis triple violating Jacobi, or None.
+
+        A zero test, so it runs on the integer numerators of c alone:
+        t[i, j, k] = [e_i, [e_j, e_k]] for every triple in one product.
+        """
         n = self.dim
-        ad = self.ad_basis
-        for i in range(n):
-            for j in range(i + 1, n):
-                cij = self.c[i, j, :]
-                for k in range(j + 1, n):
-                    s = ad[i].dot(self.c[j, k, :])
-                    s = s + ad[j].dot(self.c[k, i, :])
-                    s = s + ad[k].dot(cij)
-                    if not ex.is_zero(s):
-                        return (i, j, k)
+        cc, _ = ex.scaled(self.c)
+        # sum_l cc[j, k, l] cc[i, l, :], moved to t[i, j, k]
+        t = cc.reshape(n * n, n).dot(cc.transpose(1, 0, 2).reshape(n, n * n))
+        t = t.reshape(n, n, n, n).transpose(2, 0, 1, 3)
+        jac = t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)
+        bad = (jac != 0).any(axis=3)
+        for i, j, k in np.argwhere(bad):
+            if i < j < k:
+                return (int(i), int(j), int(k))
         return None
 
     @cached_property
@@ -107,30 +110,34 @@ class LieAlgebra:
         return [self.c[i, :, :].T.copy() for i in range(self.dim)]
 
     def ad(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=object)
-        m = ex.rzeros((self.dim, self.dim))
-        for i in range(self.dim):
-            if x[i] != 0:
-                m = m + x[i] * self.ad_basis[i]
-        return m
+        """ad_x by linearity: one contraction of x with c."""
+        n = self.dim
+        return ex.dot(x, self.c.reshape(n, n * n)).reshape(n, n).T
 
     def bracket(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=object)
         y = np.asarray(y, dtype=object)
         if x.shape[0] != self.dim or y.shape[0] != self.dim:
             raise DimensionMismatch("bracket operands must have length n")
-        return self.ad(x).dot(y)
+        return ex.dot(self.ad(x), y)
+
+    def _ad_stack(self, u_basis: np.ndarray) -> np.ndarray:
+        """ad_{u_a} for every column u_a, stacked along the first axis."""
+        n, p = self.dim, u_basis.shape[1]
+        return ex.dot(u_basis.T, self.c.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
+
+    def brackets(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
+        """Matrix whose column a * v_basis.shape[1] + b is [u_a, v_b], from
+        two contractions."""
+        n, p, q = self.dim, u_basis.shape[1], v_basis.shape[1]
+        w = ex.dot(self._ad_stack(u_basis).reshape(p * n, n), v_basis)
+        return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q)
 
     def bracket_span(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
         """Canonical basis of span{[u, v]} over basis columns."""
-        vecs = []
-        for a in range(u_basis.shape[1]):
-            ad_u = self.ad(u_basis[:, a])
-            for b in range(v_basis.shape[1]):
-                vecs.append(ad_u.dot(v_basis[:, b]))
-        if not vecs:
+        if u_basis.shape[1] == 0 or v_basis.shape[1] == 0:
             return ex.rzeros((self.dim, 0))
-        return ex.column_space(np.stack(vecs, axis=1))
+        return ex.column_space(self.brackets(u_basis, v_basis))
 
     @cached_property
     def derived_algebra(self) -> np.ndarray:
@@ -169,12 +176,10 @@ class LieAlgebra:
 
     def centraliser(self, u_basis: np.ndarray) -> np.ndarray:
         """{x in g : [x, u] = 0 for all u in span(u_basis)}."""
-        if u_basis.shape[1] == 0:
-            return ex.reye(self.dim)
-        rows = np.concatenate(
-            [self.ad(u_basis[:, a]) for a in range(u_basis.shape[1])], axis=0
-        )
-        return ex.nullspace(rows)
+        n, p = self.dim, u_basis.shape[1]
+        if p == 0:
+            return ex.reye(n)
+        return ex.nullspace(self._ad_stack(u_basis).reshape(p * n, n))
 
     def centre_of_derived(self) -> np.ndarray:
         """z(g') as a canonical column basis."""
@@ -184,16 +189,10 @@ class LieAlgebra:
     def restrict(self, basis: np.ndarray) -> "LieAlgebra":
         """Subalgebra on the given column basis, with exact coordinates."""
         k = basis.shape[1]
-        c = ex.rzeros((k, k, k))
-        for a in range(k):
-            ad_a = self.ad(basis[:, a])
-            for b in range(k):
-                w = ad_a.dot(basis[:, b])
-                coords = ex.solve(basis, w)
-                if coords is None:
-                    raise InvalidStructure("basis does not span a subalgebra")
-                c[a, b, :] = coords
-        return LieAlgebra(c, check=False)
+        coords = ex.solve(basis, self.brackets(basis, basis))
+        if coords is None:
+            raise InvalidStructure("basis does not span a subalgebra")
+        return LieAlgebra(coords.T.reshape(k, k, k), check=False)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
         n, m = self.dim, other.dim
@@ -237,21 +236,21 @@ class Metric:
         return ex.inv(self.gram)
 
     def inner(self, x, y) -> Fraction:
-        return np.asarray(x, dtype=object).dot(self.gram).dot(np.asarray(y, dtype=object))
+        return ex.dot(ex.dot(x, self.gram), y)
 
     def norm_sq(self, x) -> Fraction:
         return self.inner(x, x)
 
     def sharp(self, theta: "OneForm") -> np.ndarray:
         """Metric dual vector of a 1-form."""
-        return self.inverse.dot(theta.coeffs)
+        return ex.dot(self.inverse, theta.coeffs)
 
     def scaled(self, lam) -> "Metric":
         lam = ex.rat(lam)
         return Metric(lam * self.gram)
 
     def restrict(self, basis: np.ndarray) -> "Metric":
-        return Metric(basis.T.dot(self.gram).dot(basis))
+        return Metric(ex.dot(ex.dot(basis.T, self.gram), basis))
 
     def __eq__(self, other):
         return isinstance(other, Metric) and np.array_equal(self.gram, other.gram)
@@ -279,7 +278,7 @@ class OneForm:
         return cls(ex.rzeros(n))
 
     def __call__(self, x) -> Fraction:
-        return self.coeffs.dot(np.asarray(x, dtype=object))
+        return ex.dot(self.coeffs, x)
 
     def is_zero(self) -> bool:
         return ex.is_zero(self.coeffs)
@@ -345,7 +344,7 @@ class Subspace:
         """G-orthogonal complement; kernel of (basis^T G)."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
-        return Subspace(ex.nullspace(self.basis.T.dot(metric.gram)))
+        return Subspace(ex.nullspace(ex.dot(self.basis.T, metric.gram)))
 
     def __eq__(self, other):
         return (
@@ -496,8 +495,7 @@ def _presentation_from_ideal(L, G, ideal_basis) -> AlmostAbelianPresentation:
     if unit and nsq != 1:
         b = b / _sqrt_fraction(nsq)
         nsq = ex.ONE
-    ad_b = L.ad(b)
-    mat = ex.solve(ideal.basis, ad_b.dot(ideal.basis))
+    mat = ex.solve(ideal.basis, ex.dot(L.ad(b), ideal.basis))
     return AlmostAbelianPresentation(b, nsq, unit, ideal, mat)
 
 
@@ -543,20 +541,12 @@ def almost_abelian_presentation(
     # C = g: g' is central.  Work on a complement of g' in g; columns of
     # `lift` map to the standard basis of g/g' under the quotient rows q.
     q = ex.left_nullspace(der)
-    lift = q.T.dot(ex.inv(q.dot(q.T)))
+    lift = ex.dot(q.T, ex.inv(ex.dot(q, q.T)))
     m = q.shape[0]
     dg = der.shape[1]
     # s[k] = skew m x m matrix of the g'_k component of the bracket on g/g'
-    svals = []
-    for k in range(dg):
-        sk = ex.rzeros((m, m))
-        for a in range(m):
-            ada = L.ad(lift[:, a])
-            for bcol in range(m):
-                w = ada.dot(lift[:, bcol])
-                coords = ex.solve(der, w)
-                sk[a, bcol] = coords[k]
-        svals.append(sk)
+    coords = ex.solve(der, L.brackets(lift, lift))
+    svals = [coords[k].reshape(m, m) for k in range(dg)]
     nonzero = [s for s in svals if not ex.is_zero(s)]
     if not nonzero:
         # bracket vanishes identically on the complement: cannot happen
@@ -574,7 +564,7 @@ def almost_abelian_presentation(
         # single candidate; check total isotropy
         h = ksum
         for s in nonzero:
-            if not ex.is_zero(h.T.dot(s).dot(h)):
+            if not ex.is_zero(ex.dot(ex.dot(h.T, s), h)):
                 return None
     else:
         # all kernels coincide (dim m-2); any line in a complement works
@@ -586,5 +576,5 @@ def almost_abelian_presentation(
                 extra = ej
                 break
         h = np.concatenate([ksum, extra.reshape(-1, 1)], axis=1)
-    ideal_basis = np.concatenate([der, lift.dot(h)], axis=1)
+    ideal_basis = np.concatenate([der, ex.dot(lift, h)], axis=1)
     return _presentation_from_ideal(L, G, ideal_basis)

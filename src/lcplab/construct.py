@@ -57,7 +57,7 @@ def _as_rmat(a) -> np.ndarray:
 def _is_skew(m: np.ndarray, gram: Optional[np.ndarray] = None) -> bool:
     if gram is None:
         return ex.is_zero(m + m.T)
-    gm = gram.dot(m)
+    gm = ex.dot(gram, m)
     return ex.is_zero(gm + gm.T)
 
 
@@ -83,11 +83,9 @@ class OrthoRep:
         return cls(q, tuple(ex.rzeros((q, q)) for _ in range(h_dim)))
 
     def of(self, x: np.ndarray) -> np.ndarray:
-        m = ex.rzeros((self.dim_target, self.dim_target))
-        for i, xi in enumerate(np.asarray(x, dtype=object)):
-            if xi != 0:
-                m = m + xi * self.images[i]
-        return m
+        """beta(x) by linearity: one contraction with the stacked images."""
+        q = self.dim_target
+        return ex.dot(x, np.stack(self.images).reshape(-1, q * q)).reshape(q, q)
 
     def validate(self, h: LieAlgebra, gram: Optional[np.ndarray] = None):
         if len(self.images) != h.dim:
@@ -104,7 +102,7 @@ class OrthoRep:
         for i in range(len(self.images)):
             for j in range(i + 1, len(self.images)):
                 a, b = self.images[i], self.images[j]
-                if not ex.is_zero(a.dot(b) - b.dot(a)):
+                if not ex.is_zero(ex.dot(a, b) - ex.dot(b, a)):
                     raise NonCommutingPair("images must pairwise commute")
 
 
@@ -182,7 +180,7 @@ def flag_lcp(A, B1, B2, v) -> LCPStructure:
         raise NotSkew("B1, B2 must be skew-symmetric")
     if ex.is_zero(B2):
         raise B2Zero("B2 must be nonzero")
-    if not ex.is_zero(B1.dot(B2) - B2.dot(B1)):
+    if not ex.is_zero(ex.dot(B1, B2) - ex.dot(B2, B1)):
         raise NonCommutingPair("[B1, B2] must vanish")
     # h basis: b, y, x_1..x_p
     brackets = {(0, 1): np.concatenate([ex.rzeros(2), v])}
@@ -246,20 +244,12 @@ def amalgamated_product(S1: LCPStructure, S2: LCPStructure) -> LCPStructure:
         axis=1,
     )
     m = basis.shape[1]
-    c = ex.rzeros((m, m, m))
-    for a in range(m):
-        ad_a = L12.ad(basis[:, a])
-        for b in range(a + 1, m):
-            w = ad_a.dot(basis[:, b])
-            coords = ex.solve(basis, w)
-            if coords is None:
-                raise LcpError("kernel is not a subalgebra")  # cannot happen
-            c[a, b, :] = coords
-            c[b, a, :] = -coords
-    L = LieAlgebra(c)
-    gram = basis.T.dot(gram12).dot(basis)
-    theta12 = np.concatenate([S1.theta.coeffs, ex.rzeros(n2)])
-    theta = OneForm(ex.rvec([theta12.dot(basis[:, a]) for a in range(m)]))
+    coords = ex.solve(basis, L12.brackets(basis, basis))
+    if coords is None:
+        raise LcpError("kernel is not a subalgebra")  # cannot happen
+    L = LieAlgebra(coords.T.reshape(m, m, m))
+    gram = ex.dot(basis.T, ex.dot(gram12, basis))
+    theta = OneForm(ex.dot(np.concatenate([S1.theta.coeffs, ex.rzeros(n2)]), basis))
     u12 = np.concatenate(
         [
             np.concatenate([S1.flat.basis, ex.rzeros((n2, S1.flat.dim))], axis=0),
@@ -311,15 +301,14 @@ def decompose(S: LCPStructure) -> Decomposition:
     hb, ub = perp.basis, U.basis
     h = L.restrict(hb)
     h_metric = G.restrict(hb)
-    u_gram = ub.T.dot(G.gram).dot(ub)
+    u_gram = ex.dot(ub.T, ex.dot(G.gram, ub))
     q = U.dim
-    images = []
-    for a in range(perp.dim):
-        x = hb[:, a]
-        ad_u = ex.solve(ub, L.ad(x).dot(ub))
-        if ad_u is None:
-            raise LcpError("flat space is not ad-invariant")
-        images.append(ad_u - theta(x) * ex.reye(q))
-    beta = OrthoRep(q, tuple(images))
+    # ad_x|_u for every basis vector x of h, from one bracket matrix and one solve
+    ad_u = ex.solve(ub, L.brackets(hb, ub))
+    if ad_u is None:
+        raise LcpError("flat space is not ad-invariant")
+    ad_u = ad_u.reshape(q, perp.dim, q)
+    images = tuple(ad_u[:, a, :] - theta(hb[:, a]) * ex.reye(q) for a in range(perp.dim))
+    beta = OrthoRep(q, images)
     beta.validate(h, gram=u_gram)
     return Decomposition(h, h_metric, beta, hb, ub, u_gram)

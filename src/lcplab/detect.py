@@ -112,30 +112,34 @@ def verify_lcp(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verific
         witnesses.append(Witness(1, (), ex.ONE))
 
     # (2) for each basis vector v of one block, on basis pairs of the other:
-    # S = P^T (G ad_v + ad_v^T G) P - 2 theta(v) P^T G P, upper triangle
+    # S = P^T (G ad_v + ad_v^T G) P - 2 theta(v) P^T G P, upper triangle;
+    # the products P^T G ad_v P for every v come from one contraction
     cond2 = True
     for vl, vb, wl, wb in (("u", ub, "x", pb), ("x", pb, "u", ub)):
-        gram = wb.T.dot(G.gram).dot(wb)
-        for a in range(vb.shape[1]):
-            gad = G.gram.dot(L.ad(vb[:, a]))
-            s = wb.T.dot(gad + gad.T).dot(wb) - 2 * theta(vb[:, a]) * gram
-            for i in range(wb.shape[1]):
-                for j in range(i, wb.shape[1]):
+        p, k = vb.shape[1], wb.shape[1]
+        gw = ex.dot(G.gram, wb)
+        gram = ex.dot(wb.T, gw)
+        gad = ex.dot(gw.T, L.brackets(vb, wb)).reshape(k, p, k)
+        for a in range(p):
+            s = gad[:, a, :] + gad[:, a, :].T - 2 * theta(vb[:, a]) * gram
+            for i in range(k):
+                for j in range(i, k):
                     if s[i, j] != 0:
                         cond2 = False
                         witnesses.append(Witness(2, (vl, a, wl, i, wl, j), s[i, j]))
 
+    # (3) R_ij U for every pair i < j, stacked into one product
     _, curv = weyl_geometry(L, G, theta)
-    cond3 = True
     n = L.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = curv.r[i][j].dot(ub)
-            if not ex.is_zero(w):
-                cond3 = False
-                for a in range(ub.shape[1]):
-                    if not ex.is_zero(w[:, a]):
-                        witnesses.append(Witness(3, (i, j, "u", a), tuple(w[:, a])))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ru = ex.dot(np.concatenate([curv.r[i][j] for i, j in pairs]), ub)
+    cond3 = True
+    for (i, j), w in zip(pairs, ru.reshape(len(pairs), n, ub.shape[1])):
+        if not ex.is_zero(w):
+            cond3 = False
+            for a in range(ub.shape[1]):
+                if not ex.is_zero(w[:, a]):
+                    witnesses.append(Witness(3, (i, j, "u", a), tuple(w[:, a])))
     return VerificationReport(cond1, cond2, cond3, tuple(witnesses))
 
 
@@ -153,15 +157,19 @@ def maximal_flat_parallel(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
     conn, curv = weyl_geometry(L, G, theta)
     blocks = [curv.r[i][j] for i in range(n) for j in range(i + 1, n)]
     u = ex.nullspace(np.concatenate(blocks, axis=0)) if blocks else ex.reye(n)
+    gammas = np.stack(conn.gamma)
     while u.shape[1] > 0:
         q = ex.left_nullspace(u)
         if q.shape[0] == 0:
             break
-        rows = np.concatenate([q.dot(g).dot(u) for g in conn.gamma], axis=0)
-        w = ex.nullspace(rows)
-        if w.shape[1] == u.shape[1]:
+        # the blocks q gamma[i] u for every i, stacked row-wise: two products
+        m, k = q.shape[0], u.shape[1]
+        gu = ex.dot(gammas.reshape(n * n, n), u).reshape(n, n, k)
+        rows = ex.dot(q, gu.transpose(1, 0, 2).reshape(n, n * k))
+        w = ex.nullspace(rows.reshape(m, n, k).transpose(1, 0, 2).reshape(n * m, k))
+        if w.shape[1] == k:
             break
-        u = u.dot(w)
+        u = ex.dot(u, w)
     return Subspace(u, ambient_dim=n)
 
 
@@ -292,8 +300,8 @@ def _codim3_normal_form(L, G, theta, U) -> bool:
         return False
     y = y_space.basis[:, 0]
     ub = U.basis
-    gu = Metric(ub.T.dot(G.gram).dot(ub))
-    ad_y_u = ex.solve(ub, L.ad(y).dot(ub))
+    gu = Metric(ex.dot(ub.T, ex.dot(G.gram, ub)))
+    ad_y_u = ex.solve(ub, ex.dot(L.ad(y), ub))
     if ad_y_u is None or ex.is_zero(ad_y_u):
         return False
     if not is_g_skew(gu, ad_y_u):
@@ -305,10 +313,10 @@ def _codim3_normal_form(L, G, theta, U) -> bool:
     b = b_space.basis[:, 0]
     # ad_b|u - theta(b) Id must be skew; the condition is linear in b, so
     # no normalisation of b is needed
-    b1 = ex.solve(ub, L.ad(b).dot(ub)) - theta(b) * ex.reye(U.dim)
+    b1 = ex.solve(ub, ex.dot(L.ad(b), ub)) - theta(b) * ex.reye(U.dim)
     if not is_g_skew(gu, b1):
         return False
-    return ex.is_zero(b1.dot(ad_y_u) - ad_y_u.dot(b1))
+    return ex.is_zero(ex.dot(b1, ad_y_u) - ex.dot(ad_y_u, b1))
 
 
 def structural_audit(S: LCPStructure) -> StructuralAuditReport:
@@ -335,21 +343,15 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
         and ex.span_contains(L.centre_of_derived(), ub)
     )
 
+    # nabla_{e_i} u_a and [e_i, u_a] for every i and a, one product each
     conn, _ = weyl_geometry(L, G, theta)
-    nabla_ad = all(
-        ex.is_zero(conn.gamma[i].dot(ub[:, a]) - L.ad_basis[i].dot(ub[:, a]))
-        for i in range(n)
-        for a in range(q)
-    )
+    nabla_u = ex.dot(np.stack(conn.gamma).reshape(n * n, n), ub)
+    nabla_ad = np.array_equal(nabla_u, ex.dot(np.stack(L.ad_basis).reshape(n * n, n), ub))
 
     theta_flat = all(theta(ub[:, a]) == 0 for a in range(q))
 
     der = L.derived_algebra
-    nabla_der = all(
-        ex.is_zero(conn.of(der[:, j]).dot(ub[:, a]))
-        for j in range(der.shape[1])
-        for a in range(q)
-    )
+    nabla_der = ex.is_zero(ex.dot(der.T, nabla_u.reshape(n, n * q)))
 
     # trace forms of u and u-perp against theta
     perp = U.orthogonal_complement(G)

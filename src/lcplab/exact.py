@@ -6,13 +6,22 @@ throughout the package), so dense fraction arithmetic is exact and fast
 enough; nothing in this module ever touches floating point.
 
 Conventions: vectors are 1-d arrays, matrices 2-d; a subspace is
-represented by a matrix whose *columns* form a basis.  ``np.dot`` works
-on object arrays and is used for all products.
+represented by a matrix whose *columns* form a basis.
+
+Products go through :func:`dot`, a common-denominator kernel: each
+operand is scaled to Python integers over the lcm of its denominators
+(:func:`scaled`), the product is taken on integers, and each entry of
+the result becomes a ``Fraction`` once.  A ``Fraction`` product would
+normalise every partial sum by a gcd; this one normalises each result
+entry once.  Callers that only test for zero, or that combine several
+products before dividing, work on :func:`scaled` integers directly and
+convert back with :func:`unscaled`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -67,6 +76,46 @@ def reye(n: int) -> np.ndarray:
 
 def is_zero(a) -> bool:
     return all(x == 0 for x in np.asarray(a, dtype=object).flat)
+
+
+def scaled(a) -> tuple[np.ndarray, int]:
+    """Integer numerators over one common denominator: ``a == ints / den``.
+
+    Entries are ``Fraction`` or ``int``; ``ints`` holds Python ints and
+    ``den`` is the lcm of the denominators.  Floats raise ``TypeError``.
+    """
+    a = np.asarray(a, dtype=object)
+    flat = a.ravel().tolist()
+    try:
+        dens = [x.denominator for x in flat]
+    except AttributeError:
+        bad = next(x for x in flat if not hasattr(x, "denominator"))
+        raise TypeError(f"exact products take Fractions and ints, not {bad!r}") from None
+    den = lcm(*dens)
+    ints = np.empty(a.shape, dtype=object)
+    ints.ravel()[:] = [int(x.numerator) * (den // d) for x, d in zip(flat, dens)]
+    return ints, den
+
+
+def unscaled(ints, den: int):
+    """The ``Fraction`` array ``ints / den`` (a scalar for a 0-d input)."""
+    if np.ndim(ints) == 0:
+        return Fraction(ints, den)
+    ints = np.asarray(ints, dtype=object)
+    out = np.empty(ints.shape, dtype=object)
+    out.ravel()[:] = [Fraction(x, den) for x in ints.ravel().tolist()]
+    return out
+
+
+def dot(a, b):
+    """Exact product of 1-d or 2-d rational arrays, as ``a.dot(b)``.
+
+    One integer product over the two common denominators, then one
+    ``Fraction`` per result entry; a 1-d by 1-d product is a scalar.
+    """
+    ia, da = scaled(a)
+    ib, db = scaled(b)
+    return unscaled(ia.dot(ib), da * db)
 
 
 def to_float(a) -> np.ndarray:
@@ -213,7 +262,7 @@ def intersect_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ker = nullspace(stacked)
     if ker.shape[1] == 0:
         return rzeros((a.shape[0], 0))
-    return column_space(a.dot(ker[: a.shape[1], :]))
+    return column_space(dot(a, ker[: a.shape[1], :]))
 
 
 def is_symmetric(g: np.ndarray) -> bool:

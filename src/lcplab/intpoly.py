@@ -38,17 +38,8 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPoly":
-        n = self.degree
-        if n == 0:
-            return IntPoly((0,))
-        return IntPoly(tuple(c * (n - i) for i, c in enumerate(self.coeffs[:-1])))
-
     def constant_term(self) -> int:
         return self.coeffs[-1]
-
-    def roots(self) -> np.ndarray:
-        return np.roots(np.array(self.coeffs, dtype=float))
 
     def __str__(self):
         terms = []

@@ -32,16 +32,13 @@ class Connection:
         return self.gamma[0].shape[0]
 
     def of(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of nabla_x by linearity in x."""
-        x = np.asarray(x, dtype=object)
-        m = ex.rzeros((self.dim, self.dim))
-        for i, xi in enumerate(x):
-            if xi != 0:
-                m = m + xi * self.gamma[i]
-        return m
+        """Matrix of nabla_x by linearity in x: one contraction with the
+        stacked gamma."""
+        n = self.dim
+        return ex.dot(x, np.stack(self.gamma).reshape(n, n * n)).reshape(n, n)
 
     def nabla(self, x, y) -> np.ndarray:
-        return self.of(x).dot(np.asarray(y, dtype=object))
+        return ex.dot(self.of(x), y)
 
     def torsion_defect(self, L: LieAlgebra):
         """First basis pair where nabla_x y - nabla_y x != [x, y]."""
@@ -63,9 +60,13 @@ def levi_civita(L: LieAlgebra, G: Metric) -> Connection:
     """Connection matrices from the Koszul identity, solved exactly:
     K[i, j, k] = g(nabla_{e_i} e_j, e_k), so gamma[i] = G^-1 K[i]^T."""
     _check_dim(L.dim)
-    gc = np.tensordot(L.c, G.gram, ([2], [0]))  # gc[i, j, k] = g([e_i, e_j], e_k)
+    n = L.dim
+    # gc[i, j, k] = g([e_i, e_j], e_k)
+    gc = ex.dot(L.c.reshape(n * n, n), G.gram).reshape(n, n, n)
     k = (gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)) / 2
-    return Connection(tuple(G.inverse.dot(k[i].T) for i in range(L.dim)))
+    # every gamma[i] = G^-1 K[i]^T in one product: column (i, j) is K[i, j, :]
+    gam = ex.dot(G.inverse, k.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
+    return Connection(tuple(np.ascontiguousarray(gam.transpose(1, 0, 2))))
 
 
 def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
@@ -99,35 +100,36 @@ class Curvature:
         return len(self.r)
 
     def at(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=object)
-        y = np.asarray(y, dtype=object)
+        """R_{x,y} by bilinearity: one contraction of x (x) y with the table."""
         n = self.dim
-        m = ex.rzeros((n, n))
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                if y[j] != 0:
-                    m = m + (x[i] * y[j]) * self.r[i][j]
-        return m
+        xy = np.outer(np.asarray(x, dtype=object), np.asarray(y, dtype=object))
+        table = np.stack(sum(self.r, ())).reshape(n * n, n * n)
+        return ex.dot(xy.ravel(), table).reshape(n, n)
 
 
 def curvature(L: LieAlgebra, conn: Connection) -> Curvature:
-    """R_{x,y} = [nabla_x, nabla_y] - nabla_{[x,y]}, on basis pairs."""
+    """R_{x,y} = [nabla_x, nabla_y] - nabla_{[x,y]}, on basis pairs.
+
+    One pass on integers: with gamma = g / d and c = cc / e over common
+    denominators, e d^2 R_ij = e (g_i g_j - g_j g_i) - d sum_k cc_ijk g_k,
+    and each entry of R is divided out once.
+    """
     n = L.dim
+    g, d = ex.scaled(np.stack(conn.gamma))  # g[i] = d gamma[i]
+    cc, e = ex.scaled(L.c)
+    # prod[i, j] = g_i g_j and lin[i, j] = sum_k cc_ijk g_k, for all pairs
+    prod = g.reshape(n * n, n).dot(g.transpose(1, 0, 2).reshape(n, n * n))
+    prod = prod.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    lin = cc.reshape(n * n, n).dot(g.reshape(n, n * n)).reshape(n, n, n, n)
+    iu, ju = np.triu_indices(n, 1)
+    num = e * (prod[iu, ju] - prod[ju, iu]) - d * lin[iu, ju]
+    den = e * d * d
     zero = ex.rzeros((n, n))
     table = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        gi = conn.gamma[i]
-        for j in range(i + 1, n):
-            gj = conn.gamma[j]
-            m = gi.dot(gj) - gj.dot(gi)
-            for k in range(n):
-                ck = L.c[i, j, k]
-                if ck != 0:
-                    m = m - ck * conn.gamma[k]
-            table[i][j] = m
-            table[j][i] = -m
+    for i, j, m in zip(iu, ju, num):
+        m = ex.unscaled(m, den)
+        table[i][j] = m
+        table[j][i] = -m
     return Curvature(tuple(tuple(row) for row in table))
 
 
@@ -153,7 +155,7 @@ def weyl_geometry(L: LieAlgebra, G: Metric, theta: OneForm) -> tuple[Connection,
 
 def skew_defect(G: Metric, m: np.ndarray):
     """G m + m^T G, the obstruction to m being G-skew-symmetric."""
-    gm = G.gram.dot(m)
+    gm = ex.dot(G.gram, m)
     return gm + gm.T
 
 

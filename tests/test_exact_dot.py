@@ -1,0 +1,178 @@
+"""The common-denominator product kernel and the integer passes built on it.
+
+``ex.dot`` must agree entrywise with a plain ``Fraction`` product, and
+curvature, ad, bracket spans and the Jacobi test must agree with the
+``Fraction`` loops kept below as references.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lcplab import exact as ex
+from lcplab.algebra import LieAlgebra
+from lcplab.randgen import (
+    random_algebra,
+    random_closed_form,
+    random_metric,
+    rng,
+    small_fraction,
+)
+from lcplab.weyl import curvature, levi_civita, weyl_connection
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+entries = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.integers(-(10**6), 10**6),
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**6)),
+    st.builds(F, st.integers(-50, 50), st.sampled_from(PRIMES)),
+)
+
+
+@st.composite
+def operands(draw):
+    """A pair of object arrays whose product is defined: 2-d by 2-d,
+    1-d by 2-d, 2-d by 1-d or 1-d by 1-d, each dimension 0..16."""
+    m, k, p = (draw(st.integers(0, 16)) for _ in range(3))
+    shape_a, shape_b = draw(
+        st.sampled_from([((m, k), (k, p)), ((k,), (k, p)), ((m, k), (k,)), ((k,), (k,))])
+    )
+
+    def array(shape):
+        vals = draw(st.lists(entries, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        a = np.empty(shape, dtype=object)
+        a.ravel()[:] = vals
+        return a
+
+    return array(shape_a), array(shape_b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(operands())
+def test_dot_matches_fraction_product(ab):
+    a, b = ab
+    got, want = ex.dot(a, b), a.dot(b)
+    assert np.shape(got) == np.shape(want)
+    if np.ndim(got) == 0:
+        assert isinstance(got, F) and got == want
+    else:
+        assert all(isinstance(x, F) for x in got.flat)
+        assert all(x == y for x, y in zip(got.flat, want.flat))
+
+
+def test_scaled_round_trip():
+    a = ex.rmat([["1/6", 4], ["-3/10", "7/15"]])
+    ints, den = ex.scaled(a)
+    assert den == 30 and all(type(x) is int for x in ints.flat)
+    assert np.array_equal(ex.unscaled(ints, den), a)
+
+
+def test_dot_rejects_floats():
+    v = np.array([F(1), 0.5], dtype=object)
+    with pytest.raises(TypeError):
+        ex.dot(v, ex.rvec([1, 2]))
+    with pytest.raises(TypeError):
+        ex.dot(ex.rmat([[1, 2], [3, 4]]), v)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: the loops the integer passes replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_ad(L, x):
+    m = ex.rzeros((L.dim, L.dim))
+    for i in range(L.dim):
+        if x[i] != 0:
+            m = m + x[i] * L.c[i, :, :].T
+    return m
+
+
+def ref_bracket_span(L, u_basis, v_basis):
+    vecs = [
+        ref_ad(L, u_basis[:, a]).dot(v_basis[:, b])
+        for a in range(u_basis.shape[1])
+        for b in range(v_basis.shape[1])
+    ]
+    if not vecs:
+        return ex.rzeros((L.dim, 0))
+    return ex.column_space(np.stack(vecs, axis=1))
+
+
+def ref_jacobi_defect(L):
+    n = L.dim
+    ad = [L.c[i, :, :].T for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                s = ad[i].dot(L.c[j, k, :]) + ad[j].dot(L.c[k, i, :]) + ad[k].dot(L.c[i, j, :])
+                if not ex.is_zero(s):
+                    return (i, j, k)
+    return None
+
+
+def ref_curvature(L, conn):
+    n = L.dim
+    table = [[ex.rzeros((n, n)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            gi, gj = conn.gamma[i], conn.gamma[j]
+            m = gi.dot(gj) - gj.dot(gi)
+            for k in range(n):
+                if L.c[i, j, k] != 0:
+                    m = m - L.c[i, j, k] * conn.gamma[k]
+            table[i][j], table[j][i] = m, -m
+    return table
+
+
+def _random_matrix(r, rows, cols):
+    return ex.rmat([[small_fraction(r) for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_ad_and_bracket_span_match_references(n):
+    r = rng(100 + n)
+    L = random_algebra(r, n)
+    for _ in range(3):
+        x = _random_matrix(r, n, 1)[:, 0]
+        assert np.array_equal(L.ad(x), ref_ad(L, x))
+        u = _random_matrix(r, n, r.randint(0, 3))
+        v = _random_matrix(r, n, r.randint(1, 3))
+        assert np.array_equal(L.bracket_span(u, v), ref_bracket_span(L, u, v))
+    full = ex.reye(n)
+    assert np.array_equal(L.bracket_span(full, full), ref_bracket_span(L, full, full))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_curvature_matches_reference(n):
+    r = rng(200 + n)
+    L = random_algebra(r, n)
+    G = random_metric(r, n)
+    theta = random_closed_form(r, L)
+    conn = levi_civita(L, G) if theta is None else weyl_connection(L, G, theta)
+    want = ref_curvature(L, conn)
+    got = curvature(L, conn)
+    assert all(np.array_equal(got.r[i][j], want[i][j]) for i in range(n) for j in range(n))
+
+
+def test_jacobi_defect_matches_reference_on_perturbed_constants():
+    found = []
+    for n in range(3, 11):
+        r = rng(300 + n)
+        L = random_algebra(r, n)
+        assert L.jacobi_defect() is None
+        for _ in range(4):
+            c = L.c.copy()
+            for _ in range(3):
+                i, j, k = (r.randrange(n) for _ in range(3))
+                c[i, j, k] += small_fraction(r) or 1
+                if r.random() < 0.5:
+                    c[j, i, k] = -c[i, j, k]  # antisymmetric for about half
+            bad = LieAlgebra(c, check=False)
+            found.append(bad.jacobi_defect())
+            assert found[-1] == ref_jacobi_defect(bad)
+    # the draws reach failing triples, some of them past e_1
+    assert any(t is not None and t[0] > 0 for t in found)
