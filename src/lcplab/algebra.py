@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, isqrt
 from typing import Optional
 
 import numpy as np
@@ -452,28 +453,21 @@ class AlmostAbelianPresentation:
 
 
 def _primitive(v: np.ndarray) -> np.ndarray:
-    den = 1
-    for x in v:
-        den = den * x.denominator // np.gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = np.gcd(g, abs(x))
+    """The primitive integer vector on the line of ``v``, first nonzero
+    entry positive."""
+    ints, _ = ex.scaled(v)
+    ints = ints.tolist()
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
+    if next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
     return ex.rvec(ints)
 
 
 def _is_square(q: Fraction) -> bool:
     if q < 0:
         return False
-    from math import isqrt
-
     return (
         isqrt(q.numerator) ** 2 == q.numerator
         and isqrt(q.denominator) ** 2 == q.denominator
@@ -481,8 +475,6 @@ def _is_square(q: Fraction) -> bool:
 
 
 def _sqrt_fraction(q: Fraction) -> Fraction:
-    from math import isqrt
-
     return Fraction(isqrt(q.numerator), isqrt(q.denominator))
 
 

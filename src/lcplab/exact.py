@@ -16,6 +16,10 @@ normalise every partial sum by a gcd; this one normalises each result
 entry once.  Callers that only test for zero, or that combine several
 products before dividing, work on :func:`scaled` integers directly and
 convert back with :func:`unscaled`.
+
+Eliminations run on the same integers: :func:`rref` and :func:`det` read
+one fraction-free Gauss-Jordan pass (Bareiss), and every nullspace,
+solve, inverse and span test goes through :func:`rref`.
 """
 
 from __future__ import annotations
@@ -126,44 +130,56 @@ def from_int_matrix(a) -> np.ndarray:
     return rmat([[int(x) for x in row] for row in a])
 
 
-def rref(m: np.ndarray):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = m.copy()
-    rows, cols = r.shape
+def _eliminate(m: np.ndarray):
+    """Fraction-free Gauss-Jordan on ``scaled(m) == (ints, den)``.
+
+    Returns ``(rows, pivots, d, sign, den)``: the RREF of ``m`` is
+    ``rows[:rank] / d`` and ``det(ints) == sign * d`` when every column
+    pivots.  Each pivot ``p`` replaces every other row by
+    ``(p * row - row[pc] * pivot_row) // d``, ``d`` the previous pivot;
+    every entry is a minor of ``ints`` (Bareiss), so the division is exact.
+    """
+    ints, den = scaled(m)
+    rows = ints.tolist()
     pivots = []
-    pr = 0
-    for pc in range(cols):
-        pivot = None
-        for i in range(pr, rows):
-            if r[i, pc] != 0:
-                pivot = i
-                break
+    d, sign, pr = 1, 1, 0
+    for pc in range(m.shape[1]):
+        if pr == len(rows):
+            break
+        pivot = next((i for i in range(pr, len(rows)) if rows[i][pc]), None)
         if pivot is None:
             continue
         if pivot != pr:
-            r[[pivot, pr]] = r[[pr, pivot]]
-        r[pr] = r[pr] / r[pr, pc]
-        for i in range(rows):
-            if i != pr and r[i, pc] != 0:
-                r[i] = r[i] - r[i, pc] * r[pr]
+            rows[pivot], rows[pr] = rows[pr], rows[pivot]
+            sign = -sign
+        prow = rows[pr]
+        p = prow[pc]
+        for i, row in enumerate(rows):
+            if i != pr:
+                a = row[pc]
+                rows[i] = [(p * x - a * y) // d for x, y in zip(row, prow)]
         pivots.append(pc)
+        d = p
         pr += 1
-        if pr == rows:
-            break
+    return rows, pivots, d, sign, den
+
+
+def rref(m: np.ndarray):
+    """Reduced row echelon form.  Returns (R, pivot_columns)."""
+    rows, pivots, d, _, _ = _eliminate(m)
+    r = rzeros(m.shape)
+    for i in range(len(pivots)):
+        r[i] = [Fraction(x, d) for x in rows[i]]
     return r, pivots
 
 
 def rank(m: np.ndarray) -> int:
-    if m.size == 0:
-        return 0
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def nullspace(m: np.ndarray) -> np.ndarray:
     """Basis (columns) of the right kernel, canonical given the RREF."""
-    rows, cols = m.shape
-    if rows == 0:
-        return reye(cols)
+    cols = m.shape[1]
     r, pivots = rref(m)
     free = [j for j in range(cols) if j not in pivots]
     basis = rzeros((cols, len(free)))
@@ -215,25 +231,8 @@ def det(a: np.ndarray) -> Fraction:
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionMismatch("det: not square")
-    m = a.copy()
-    d = ONE
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i, c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[[pivot, c]] = m[[c, pivot]]
-            d = -d
-        d *= m[c, c]
-        m[c] = m[c] / m[c, c]
-        for i in range(c + 1, n):
-            if m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[c]
-    return d
+    _, pivots, d, sign, den = _eliminate(a)
+    return Fraction(sign * d, den**n) if len(pivots) == n else ZERO
 
 
 def column_space(m: np.ndarray) -> np.ndarray:
@@ -244,14 +243,14 @@ def column_space(m: np.ndarray) -> np.ndarray:
 
 def in_span(basis: np.ndarray, v: np.ndarray) -> bool:
     """Is v in the column span of basis?"""
-    if basis.shape[1] == 0:
-        return is_zero(v)
-    return solve(basis, v) is not None
+    return span_contains(basis, v.reshape(-1, 1))
 
 
 def span_contains(basis: np.ndarray, other: np.ndarray) -> bool:
     """Are all columns of ``other`` inside the column span of ``basis``?"""
-    return all(in_span(basis, other[:, j]) for j in range(other.shape[1]))
+    if basis.shape[1] == 0:
+        return is_zero(other)
+    return solve(basis, other) is not None
 
 
 def intersect_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,12 +284,12 @@ def charpoly(a: np.ndarray) -> list:
     coeffs = [ONE]
     m = a.copy()
     for k in range(1, n + 1):
-        c = -sum(m[i, i] for i in range(n)) / k
+        c = -sum((m[i, i] for i in range(n)), ZERO) / k
         coeffs.append(c)
         if k < n:
             for i in range(n):
                 m[i, i] = m[i, i] + c
-            m = a.dot(m)
+            m = dot(a, m)
     return coeffs
 
 

@@ -41,6 +41,11 @@ from .errors import (
 from .intpoly import IntPoly, companion, int_charpoly, int_det, smith_normal_form
 
 MAX_SPECTRAL = 50.0
+# the witness scan (see integer_charpoly_scan)
+SCAN_STEP = 1e-3
+SCAN_FLAG_TOL = 0.05
+SCAN_TOL = 1e-9
+GOLDEN_ITERS = 130
 
 
 def _as_float_matrix(c) -> np.ndarray:
@@ -64,7 +69,7 @@ def exp_ad(c, t: float) -> np.ndarray:
     return kernels.expm(t * a)
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 130):
+def _golden_min(f, lo: float, hi: float):
     """Golden-section minimisation; localises the (V-shaped) defect
     minimum to machine precision, which generic quadratic-interpolation
     minimisers cannot do on non-smooth objectives."""
@@ -73,7 +78,7 @@ def _golden_min(f, lo: float, hi: float, iters: int = 130):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -109,18 +114,14 @@ def _scanned_range(c, t_range) -> tuple:
     return lo, hi
 
 
-def integer_charpoly_scan(
-    c,
-    t_range=(0.0, 20.0),
-    step: float = 1e-3,
-    tol: float = 1e-9,
-    flag_tol: float = 0.05,
-) -> list:
+def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     """Scan t for integer characteristic polynomials of exp(t C).
 
-    Flags interior local minima of the coefficient integer-defect below
-    ``flag_tol``, refines each by bounded 1-d minimisation down to
-    ``tol``, and deduplicates candidates closer than 1e-6.  A (near)
+    Evaluates the coefficient integer-defect on a grid of step
+    ``SCAN_STEP``, flags interior local minima below ``SCAN_FLAG_TOL``,
+    refines each by ``GOLDEN_ITERS`` golden-section steps down to
+    ``SCAN_TOL`` (also the relative trace-free tolerance), and
+    deduplicates candidates closer than 1e-6.  A (near)
     nilpotent C has integer coefficients for every t and is reported as
     the single degenerate candidate t = 1.
     """
@@ -128,10 +129,10 @@ def integer_charpoly_scan(
     n = a.shape[0]
     if n > MAX_DIM:
         raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
-    if abs(np.trace(a)) > tol * max(1.0, np.abs(a).max()):
+    if abs(np.trace(a)) > SCAN_TOL * max(1.0, np.abs(a).max()):
         raise NonTraceFree("Bock scan requires a trace-free matrix")
     lo, hi = _scanned_range(a, t_range)
-    ts = np.arange(lo + step, hi + step / 2, step)
+    ts = np.arange(lo + SCAN_STEP, hi + SCAN_STEP / 2, SCAN_STEP)
     if ts.size == 0:
         return []
     defects = kernels.scan_defects(a, ts)
@@ -140,7 +141,7 @@ def integer_charpoly_scan(
     def defect_at(t):
         return float(kernels.integer_defect(kernels.exp_charpoly(ev, t)))
 
-    if defects.max() <= tol:
+    if defects.max() <= SCAN_TOL:
         # unipotent exponential: every t works, report t = 1
         poly = IntPoly(tuple(int(round(x)) for x in kernels.exp_charpoly(ev, 1.0)))
         return [ScanCandidate(1.0, poly, defect_at(1.0))]
@@ -149,12 +150,12 @@ def integer_charpoly_scan(
         for i in range(1, len(ts) - 1)
         if defects[i] <= defects[i - 1]
         and defects[i] <= defects[i + 1]
-        and defects[i] < flag_tol
+        and defects[i] < SCAN_FLAG_TOL
     ]
     out = []
     for i in flagged:
         t0, d0 = _golden_min(defect_at, ts[i - 1], ts[i + 1])
-        if d0 > tol:
+        if d0 > SCAN_TOL:
             continue
         poly = IntPoly(tuple(int(round(x)) for x in kernels.exp_charpoly(ev, t0)))
         if abs(poly.constant_term()) != 1:
@@ -456,7 +457,6 @@ def lattice_verdict(
     c,
     label: str = "",
     t_range=(0.0, 20.0),
-    step: float = 1e-3,
     tol: float = 1e-8,
     seed: int = 0,
     structure: Optional[LCPStructure] = None,
@@ -465,11 +465,12 @@ def lattice_verdict(
     """Combine certificate rules and the scan into a single verdict.
 
     Certificates are decisive, so when one fires no witness search runs
-    (a sound witness could never coexist with one)."""
+    (a sound witness could never coexist with one).  ``tol`` bounds only
+    the certification residual: it cannot loosen the double-root rule."""
     certs = []
     if cited is not None:
         certs.append(cited)
-    dr = no_lattice_double_root(c, tol=tol)
+    dr = no_lattice_double_root(c)
     if dr is not None:
         certs.append(dr)
     if structure is not None:
@@ -479,7 +480,7 @@ def lattice_verdict(
     if certs:
         return LatticeVerdict(label, (), tuple(certs), ())
     witnesses = []
-    for cand in integer_charpoly_scan(c, t_range=t_range, step=step):
+    for cand in integer_charpoly_scan(c, t_range=t_range):
         w = certify_witness(c, cand.t0, cand.poly, tol=tol, seed=seed)
         if w is None:
             w = certify_witness_blocked(c, cand.t0, tol=tol, seed=seed)

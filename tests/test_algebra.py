@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +8,7 @@ import sympy
 from lcplab import exact as ex
 from lcplab.algebra import (
     LieAlgebra,
+    _primitive,
     Metric,
     OneForm,
     Subspace,
@@ -162,6 +164,21 @@ def test_almost_abelian_heisenberg():
     # the found ideal is abelian and an ideal
     rep = subspace_predicates(L, Metric.identity(3), p.ideal)
     assert rep.is_ideal and rep.is_abelian
+
+
+def test_primitive_big_denominators():
+    v = ex.rvec([F(3, 10**40 + 7), F(-6, 10**39 + 1), 0, F(9, 7 * (10**40 + 7))])
+    # Fraction reference: clear denominators, divide by the content, and
+    # make the first nonzero entry positive
+    den = 1
+    for x in v:
+        den = den * x.denominator // math.gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = math.gcd(*ints)
+    want = [F(x // g) for x in ints]
+    assert list(_primitive(v)) == want
+    assert list(_primitive(-v)) == want
+    assert list(_primitive(ex.rvec([0, 0]))) == [0, 0]
 
 
 def test_metric_validation():

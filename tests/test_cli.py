@@ -108,6 +108,21 @@ def test_hostile_number_exit_code(tmp_path):
     assert "line 2" in out.stderr
 
 
+def test_lattice_search_big_denominator_metric(tmp_path):
+    # a metric entry past int64: the presentation's primitive vector is
+    # computed on Python integers, so the search ends with a verdict
+    q = "1/36472996377170786403"
+    p = tmp_path / "e11_big.lcp"
+    p.write_text(
+        "dim 3\nbracket 1 2 : 0 1 0\nbracket 1 3 : 0 0 -1\n"
+        f"metric : 1 {q} 0 ; {q} 1 0 ; 0 0 1\n"
+    )
+    out = run_cli("lattice", "search", "--input", str(p), "--t-range", "0:2", "--format", "machine")
+    assert "Traceback" not in out.stderr
+    status = json.loads(out.stdout)["status"]
+    assert out.returncode == (1 if status == "inconclusive" else 0)
+
+
 def test_missing_file():
     assert run_cli("check", "--input", "/nonexistent.lcp").returncode == 2
 

@@ -1,3 +1,7 @@
+"""Exact linear algebra.  ``rref`` and ``det`` must agree with the
+``Fraction`` Gaussian eliminations kept below as references.
+"""
+
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +12,121 @@ from lcplab import exact as ex
 from lcplab.errors import SingularMatrix
 
 small = st.fractions(max_denominator=4, min_value=-3, max_value=3)
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+entries = st.one_of(
+    st.just(F(0)),
+    small,
+    st.integers(-(10**6), 10**6),
+    st.builds(F, st.integers(-(10**30), 10**30), st.sampled_from(PRIMES)),
+)
+
+
+def ref_rref(m):
+    """Gauss-Jordan elimination in ``Fraction`` arithmetic."""
+    r = m.copy()
+    rows, cols = r.shape
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        pivot = None
+        for i in range(pr, rows):
+            if r[i, pc] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != pr:
+            r[[pivot, pr]] = r[[pr, pivot]]
+        r[pr] = r[pr] / r[pr, pc]
+        for i in range(rows):
+            if i != pr and r[i, pc] != 0:
+                r[i] = r[i] - r[i, pc] * r[pr]
+        pivots.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    return r, pivots
+
+
+def ref_det(a):
+    """Gaussian elimination in ``Fraction`` arithmetic, product of pivots."""
+    n = a.shape[0]
+    m = a.copy()
+    d = F(1)
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if m[i, c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            m[[pivot, c]] = m[[c, pivot]]
+            d = -d
+        d *= m[c, c]
+        m[c] = m[c] / m[c, c]
+        for i in range(c + 1, n):
+            if m[i, c] != 0:
+                m[i] = m[i] - m[i, c] * m[c]
+    return d
+
+
+@st.composite
+def rational_matrices(draw):
+    """Shapes 0..12 x 0..14 with mixed entries, some rows combinations of
+    others and some columns zero; the reference runs on ``Fraction``s, so
+    ``int`` entries are kept only in the matrix handed to lcplab."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 14))
+    vals = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    m = np.empty((rows, cols), dtype=object)
+    m.ravel()[:] = vals
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            a, b = draw(small), draw(small)
+            m[i] = [a * x + b * y for x, y in zip(m[draw(st.integers(0, i - 1))], m[0])]
+    if cols:
+        for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+            m[:, j] = 0
+    return m
+
+
+def as_fractions(m):
+    return np.vectorize(F, otypes=[object])(m) if m.size else m.copy()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_elimination_matches_fraction_reference(m):
+    ref = as_fractions(m)
+    r, pivots = ex.rref(m)
+    want, want_pivots = ref_rref(ref)
+    assert pivots == want_pivots
+    assert r.shape == m.shape
+    assert all(isinstance(x, F) for x in r.flat)
+    assert np.array_equal(r, want)
+    assert ex.rank(m) == len(want_pivots)
+    # the canonical kernel basis: identity on the free columns
+    ns = ex.nullspace(m)
+    free = [j for j in range(m.shape[1]) if j not in want_pivots]
+    assert np.array_equal(ns[free], ex.reye(len(free)))
+    assert ex.is_zero(ex.dot(ref, ns))
+    k = min(m.shape)
+    assert ex.det(m[:k, :k]) == ref_det(ref[:k, :k])
+    half = m.shape[1] // 2
+    inside = len(ref_rref(ref)[1]) == len(ref_rref(ref[:, :half])[1])
+    assert ex.span_contains(m[:, :half], m[:, half:]) == inside
+    assert ex.span_contains(m[:, :half], ref[:, :half] + ref[:, :half][:, ::-1])
+
+
+def test_elimination_rejects_floats():
+    m = ex.rmat([[1, 2], [3, 4]])
+    m[1, 0] = 0.5
+    for fn in (ex.rref, ex.det, ex.rank, ex.nullspace):
+        with pytest.raises(TypeError):
+            fn(m)
 
 
 def mat_strategy(n):
@@ -71,6 +190,8 @@ def test_pos_def():
     assert ex.is_pos_def(ex.rmat([[2, 1], [1, 2]]))
     assert not ex.is_pos_def(ex.rmat([[1, 2], [2, 1]]))
     assert not ex.is_pos_def(ex.rmat([[0, 0], [0, 1]]))
+    # pivots 1, 1 after a row swap, but the determinant is -1
+    assert not ex.is_pos_def(ex.rmat([[0, 1], [1, 0]]))
 
 
 def test_charpoly_companion():

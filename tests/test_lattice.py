@@ -142,6 +142,16 @@ def test_double_root_certificates():
     assert no_lattice_double_root(rot) is None
 
 
+def test_verdict_tol_does_not_loosen_double_root():
+    # eigenvalues 1e-6 apart: the double-root rule keeps its own 1e-8
+    # clustering, whatever certification tolerance the caller passes
+    c = np.diag([1.0, 1 + 1e-6, -2 - 1e-6])
+    for tol in (1e-8, 1e-3):
+        v = lattice_verdict(c, t_range=(0, 3), tol=tol)
+        assert v.status == "inconclusive"
+        assert v.certificates == ()
+
+
 def test_codim2_certificate():
     s3 = almab_lcp([[1]], ex.rzeros((3, 3)))  # dim 5, flat 3 = n - 2
     cert = no_lattice_codim2(s3)
