@@ -46,6 +46,8 @@ SCAN_STEP = 1e-3
 SCAN_FLAG_TOL = 0.05
 SCAN_TOL = 1e-9
 GOLDEN_ITERS = 130
+# eigenvalue clustering of the double-root rule (see no_lattice_double_root)
+DOUBLE_ROOT_TOL = 1e-8
 
 
 def _as_float_matrix(c) -> np.ndarray:
@@ -315,28 +317,29 @@ class NoLatticeCertificate:
         return {"rule": self.rule, "data": self.data, "reference": self.reference}
 
 
-def no_lattice_double_root(c, tol: float = 1e-8) -> Optional[NoLatticeCertificate]:
+def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     """Certificate when all eigenvalues of C are real and exactly one is
     multiple and nonzero: any integer characteristic polynomial of
     exp(t C) would then have exactly one double root away from +-1,
     which is impossible for a monic integer polynomial with unit
-    constant term."""
+    constant term.  Eigenvalues within ``DOUBLE_ROOT_TOL`` of each other
+    count as one root; no caller can widen that."""
     a = _as_float_matrix(c)
     if a.shape[0] == 0:
         return None
     ev = np.linalg.eigvals(a)
-    if np.max(np.abs(ev.imag)) > tol:
+    if np.max(np.abs(ev.imag)) > DOUBLE_ROOT_TOL:
         return None
     ev = sorted(ev.real)
     clusters = []
     for lam in ev:
-        if clusters and abs(lam - clusters[-1][0]) <= tol:
+        if clusters and abs(lam - clusters[-1][0]) <= DOUBLE_ROOT_TOL:
             clusters[-1][1] += 1
             clusters[-1][0] = (clusters[-1][0] * (clusters[-1][1] - 1) + lam) / clusters[-1][1]
         else:
             clusters.append([lam, 1])
     multiple = [cl for cl in clusters if cl[1] >= 2]
-    if len(multiple) == 1 and abs(multiple[0][0]) > tol:
+    if len(multiple) == 1 and abs(multiple[0][0]) > DOUBLE_ROOT_TOL:
         return NoLatticeCertificate(
             "double_root",
             data={
