@@ -79,12 +79,22 @@ class LieAlgebra:
     def abelian(cls, dim: int):
         return cls(ex.rzeros((dim, dim, dim)), check=False)
 
+    @cached_property
+    def scaled_c(self) -> tuple:
+        """``(cc, e)`` with ``c == cc / e``: the structure constants as
+        integers over one common denominator, made once (c is read-only)
+        and read by every contraction with c."""
+        cc, e = ex.scaled(self.c)
+        cc.setflags(write=False)
+        return cc, e
+
     def antisymmetry_defect(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(i, n):
-                if any(self.c[i, j, k] != -self.c[j, i, k] for k in range(n)):
-                    return (i, j)
+        """First pair (i, j), i <= j, with c[i, j] != -c[j, i], or None."""
+        cc, _ = self.scaled_c
+        bad = (cc + cc.transpose(1, 0, 2) != 0).any(axis=2)
+        for i, j in np.argwhere(bad):
+            if i <= j:
+                return (int(i), int(j))
         return None
 
     def jacobi_defect(self):
@@ -94,7 +104,7 @@ class LieAlgebra:
         t[i, j, k] = [e_i, [e_j, e_k]] for every triple in one product.
         """
         n = self.dim
-        cc, _ = ex.scaled(self.c)
+        cc, _ = self.scaled_c
         # sum_l cc[j, k, l] cc[i, l, :], moved to t[i, j, k]
         t = cc.reshape(n * n, n).dot(cc.transpose(1, 0, 2).reshape(n, n * n))
         t = t.reshape(n, n, n, n).transpose(2, 0, 1, 3)
@@ -113,7 +123,9 @@ class LieAlgebra:
     def ad(self, x: np.ndarray) -> np.ndarray:
         """ad_x by linearity: one contraction of x with c."""
         n = self.dim
-        return ex.dot(x, self.c.reshape(n, n * n)).reshape(n, n).T
+        cc, e = self.scaled_c
+        ix, dx = ex.scaled(x)
+        return ex.unscaled(ix.dot(cc.reshape(n, n * n)), dx * e).reshape(n, n).T
 
     def bracket(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=object)
@@ -122,23 +134,34 @@ class LieAlgebra:
             raise DimensionMismatch("bracket operands must have length n")
         return ex.dot(self.ad(x), y)
 
-    def _ad_stack(self, u_basis: np.ndarray) -> np.ndarray:
-        """ad_{u_a} for every column u_a, stacked along the first axis."""
+    def _ad_stack(self, u_basis: np.ndarray) -> tuple:
+        """ad_{u_a} for every column u_a, stacked along the first axis, as
+        integers over one denominator: ``(a, den)`` with ad_{u_a} = a[a] / den."""
         n, p = self.dim, u_basis.shape[1]
-        return ex.dot(u_basis.T, self.c.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
+        cc, e = self.scaled_c
+        iu, du = ex.scaled(u_basis)
+        a = iu.T.dot(cc.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
+        return a, du * e
+
+    def _brackets_scaled(self, u_basis: np.ndarray, v_basis: np.ndarray) -> tuple:
+        """:meth:`brackets` as integers over one denominator."""
+        n, p, q = self.dim, u_basis.shape[1], v_basis.shape[1]
+        a, da = self._ad_stack(u_basis)
+        iv, dv = ex.scaled(v_basis)
+        w = a.reshape(p * n, n).dot(iv)
+        return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q), da * dv
 
     def brackets(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
         """Matrix whose column a * v_basis.shape[1] + b is [u_a, v_b], from
         two contractions."""
-        n, p, q = self.dim, u_basis.shape[1], v_basis.shape[1]
-        w = ex.dot(self._ad_stack(u_basis).reshape(p * n, n), v_basis)
-        return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q)
+        return ex.unscaled(*self._brackets_scaled(u_basis, v_basis))
 
     def bracket_span(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
-        """Canonical basis of span{[u, v]} over basis columns."""
+        """Canonical basis of span{[u, v]} over basis columns; the span of
+        the integer bracket matrix is the same."""
         if u_basis.shape[1] == 0 or v_basis.shape[1] == 0:
             return ex.rzeros((self.dim, 0))
-        return ex.column_space(self.brackets(u_basis, v_basis))
+        return ex.column_space(self._brackets_scaled(u_basis, v_basis)[0])
 
     @cached_property
     def derived_algebra(self) -> np.ndarray:
@@ -171,16 +194,17 @@ class LieAlgebra:
         return self.lower_central_series()[-1].shape[1] == 0
 
     def centre(self) -> np.ndarray:
-        """Canonical basis of {x : [x, .] = 0}."""
-        rows = np.concatenate(self.ad_basis, axis=0)
-        return ex.nullspace(rows)
+        """Canonical basis of {x : [x, .] = 0}: the kernel of every ad_{e_i}."""
+        n = self.dim
+        cc, _ = self.scaled_c
+        return ex.nullspace(cc.transpose(0, 2, 1).reshape(n * n, n))
 
     def centraliser(self, u_basis: np.ndarray) -> np.ndarray:
         """{x in g : [x, u] = 0 for all u in span(u_basis)}."""
         n, p = self.dim, u_basis.shape[1]
         if p == 0:
             return ex.reye(n)
-        return ex.nullspace(self._ad_stack(u_basis).reshape(p * n, n))
+        return ex.nullspace(self._ad_stack(u_basis)[0].reshape(p * n, n))
 
     def centre_of_derived(self) -> np.ndarray:
         """z(g') as a canonical column basis."""
@@ -407,8 +431,7 @@ def audit_algebra(L: LieAlgebra) -> AuditReport:
 
 def is_closed(L: LieAlgebra, theta: OneForm) -> bool:
     """A left-invariant 1-form is closed iff it vanishes on g'."""
-    der = L.derived_algebra
-    return all(theta(der[:, j]) == 0 for j in range(der.shape[1]))
+    return ex.is_zero(ex.dot(theta.coeffs, L.derived_algebra))
 
 
 @dataclass(frozen=True)

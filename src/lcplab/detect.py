@@ -96,10 +96,25 @@ class VerificationReport:
 
 
 def verify_lcp(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> VerificationReport:
-    """Exact check of conditions (1)-(3); a zero subspace passes vacuously."""
+    """Exact check of conditions (1)-(3); a zero subspace passes vacuously.
+
+    The report is made once per (L, G, theta, U) and kept with L, as
+    ``weyl.weyl_geometry`` keeps the connection: the memo is keyed by the
+    exact entries of the Gram matrix, of theta and of the canonical basis
+    of U, and the frozen report is shared.
+    """
     _guard(L, theta)
     if U.dim == 0:
         return VerificationReport(True, True, True)
+    memo = vars(L).setdefault("_verify_lcp", {})
+    key = (tuple(G.gram.flat), tuple(theta.coeffs.flat), tuple(U.basis.flat))
+    if key not in memo:
+        memo[key] = _verify(L, G, theta, U)
+    return memo[key]
+
+
+def _verify(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> VerificationReport:
+    """The body of :func:`verify_lcp` for a nonzero U."""
     witnesses = []
     ub = U.basis
     perp = U.orthogonal_complement(G)
@@ -128,18 +143,21 @@ def verify_lcp(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verific
                         cond2 = False
                         witnesses.append(Witness(2, (vl, a, wl, i, wl, j), s[i, j]))
 
-    # (3) R_ij U for every pair i < j, stacked into one product
+    # (3) R_ij U for every pair i < j, stacked into one integer product;
+    # only a failing column becomes Fractions
     _, curv = weyl_geometry(L, G, theta)
-    n = L.dim
+    n, k = L.dim, ub.shape[1]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ru = ex.dot(np.concatenate([curv.r[i][j] for i, j in pairs]), ub)
+    iu, du = ex.scaled(ub)
+    ru = curv.num.reshape(len(pairs) * n, n).dot(iu).reshape(len(pairs), n, k)
     cond3 = True
-    for (i, j), w in zip(pairs, ru.reshape(len(pairs), n, ub.shape[1])):
+    for (i, j), w in zip(pairs, ru):
         if not ex.is_zero(w):
             cond3 = False
-            for a in range(ub.shape[1]):
+            for a in range(k):
                 if not ex.is_zero(w[:, a]):
-                    witnesses.append(Witness(3, (i, j, "u", a), tuple(w[:, a])))
+                    defect = tuple(ex.unscaled(w[:, a], curv.den * du))
+                    witnesses.append(Witness(3, (i, j, "u", a), defect))
     return VerificationReport(cond1, cond2, cond3, tuple(witnesses))
 
 
@@ -155,17 +173,17 @@ def maximal_flat_parallel(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
     _guard(L, theta)
     n = L.dim
     conn, curv = weyl_geometry(L, G, theta)
-    blocks = [curv.r[i][j] for i in range(n) for j in range(i + 1, n)]
-    u = ex.nullspace(np.concatenate(blocks, axis=0)) if blocks else ex.reye(n)
-    gammas = np.stack(conn.gamma)
+    # kernels do not depend on scale, so both steps eliminate the integer
+    # tables of R and gamma as they are
+    u = ex.nullspace(curv.num.reshape(-1, n))
     while u.shape[1] > 0:
         q = ex.left_nullspace(u)
         if q.shape[0] == 0:
             break
         # the blocks q gamma[i] u for every i, stacked row-wise: two products
         m, k = q.shape[0], u.shape[1]
-        gu = ex.dot(gammas.reshape(n * n, n), u).reshape(n, n, k)
-        rows = ex.dot(q, gu.transpose(1, 0, 2).reshape(n, n * k))
+        gu = conn.g.reshape(n * n, n).dot(ex.scaled(u)[0]).reshape(n, n, k)
+        rows = ex.scaled(q)[0].dot(gu.transpose(1, 0, 2).reshape(n, n * k))
         w = ex.nullspace(rows.reshape(m, n, k).transpose(1, 0, 2).reshape(n * m, k))
         if w.shape[1] == k:
             break
@@ -192,7 +210,7 @@ def classify(L: LieAlgebra, G: Metric, theta: OneForm) -> LCPClass:
         return LCPClass(DEGENERATE, u)
     if u.dim == L.dim:
         return LCPClass(CONFORMALLY_FLAT, u)
-    adapted = all(theta(u.basis[:, a]) == 0 for a in range(u.dim))
+    adapted = ex.is_zero(ex.dot(theta.coeffs, u.basis))
     return LCPClass(ADAPTED if adapted else NON_ADAPTED, u)
 
 
@@ -213,9 +231,7 @@ class LCPStructure:
         return self.flat.dim
 
     def is_adapted(self) -> bool:
-        return all(
-            self.theta(self.flat.basis[:, a]) == 0 for a in range(self.flat.dim)
-        )
+        return ex.is_zero(ex.dot(self.theta.coeffs, self.flat.basis))
 
     def verify(self) -> VerificationReport:
         return verify_lcp(self.algebra, self.metric, self.theta, self.flat)
@@ -269,9 +285,7 @@ class StructuralAuditReport:
 
 def _subalgebra_trace_form(L: LieAlgebra, basis: np.ndarray) -> list:
     """tr(ad_y restricted to the subalgebra) for each basis column y."""
-    sub = L.restrict(basis)
-    tf = trace_form(sub)
-    return [tf(ex.reye(sub.dim)[:, a]) for a in range(sub.dim)]
+    return list(trace_form(L.restrict(basis)).coeffs)
 
 
 def _codim3_normal_form(L, G, theta, U) -> bool:
@@ -343,24 +357,28 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
         and ex.span_contains(L.centre_of_derived(), ub)
     )
 
-    # nabla_{e_i} u_a and [e_i, u_a] for every i and a, one product each
+    # nabla_{e_i} u_a and [e_i, u_a] for every i and a, one integer product
+    # each: gamma = g / d and ad_{e_i} = cc[i]^T / e, compared cross-multiplied
     conn, _ = weyl_geometry(L, G, theta)
-    nabla_u = ex.dot(np.stack(conn.gamma).reshape(n * n, n), ub)
-    nabla_ad = np.array_equal(nabla_u, ex.dot(np.stack(L.ad_basis).reshape(n * n, n), ub))
+    cc, e = L.scaled_c
+    iu, _ = ex.scaled(ub)
+    nabla_u = conn.g.reshape(n * n, n).dot(iu)
+    ad_u = cc.transpose(0, 2, 1).reshape(n * n, n).dot(iu)
+    nabla_ad = np.array_equal(nabla_u * e, ad_u * conn.d)
 
-    theta_flat = all(theta(ub[:, a]) == 0 for a in range(q))
+    theta_u = ex.dot(theta.coeffs, ub)
+    theta_flat = ex.is_zero(theta_u)
 
     der = L.derived_algebra
-    nabla_der = ex.is_zero(ex.dot(der.T, nabla_u.reshape(n, n * q)))
+    nabla_der = ex.is_zero(ex.scaled(der)[0].T.dot(nabla_u.reshape(n, n * q)))
 
     # trace forms of u and u-perp against theta
     perp = U.orthogonal_complement(G)
     hu = _subalgebra_trace_form(L, ub) if q else []
     hperp = _subalgebra_trace_form(L, perp.basis)
-    trace_rel = all(
-        hu[a] == -(n - q) * theta(ub[:, a]) for a in range(q)
-    ) and all(
-        hperp[i] == -q * theta(perp.basis[:, i]) for i in range(perp.dim)
+    theta_perp = ex.dot(theta.coeffs, perp.basis)
+    trace_rel = all(hu[a] == -(n - q) * theta_u[a] for a in range(q)) and all(
+        hperp[i] == -q * theta_perp[i] for i in range(perp.dim)
     )
 
     codim_ok = q <= n - 2

@@ -13,19 +13,33 @@ operand is scaled to Python integers over the lcm of its denominators
 (:func:`scaled`), the product is taken on integers, and each entry of
 the result becomes a ``Fraction`` once.  A ``Fraction`` product would
 normalise every partial sum by a gcd; this one normalises each result
-entry once.  Callers that only test for zero, or that combine several
-products before dividing, work on :func:`scaled` integers directly and
-convert back with :func:`unscaled`.
+entry once, and a zero entry is the shared :data:`ZERO`.
+
+Between kernels, exact data stays in that integer form, ``ints / den``,
+and Fractions are made only where a caller reads entries
+(:func:`unscaled`).  Three objects keep it: a ``LieAlgebra`` its
+structure constants (``LieAlgebra.scaled_c``), and a ``weyl.Connection``
+and ``weyl.Curvature`` their whole tables, which the Koszul solve, the
+conformal correction and the curvature pass build on integers alone;
+:func:`reduced` divides out a common factor so that the form is the one
+:func:`scaled` gives for the same values.  Bracket spans and
+centralisers eliminate integer bracket matrices and ad stacks, and the
+flat search, the curvature condition of verification and the structural
+audit multiply the integer tables of the connection and curvature; none
+of these make a Fraction unless it is returned.
 
 Eliminations run on the same integers: :func:`rref` and :func:`det` read
 one fraction-free Gauss-Jordan pass (Bareiss), and every nullspace,
-solve, inverse and span test goes through :func:`rref`.
+solve, inverse and span test goes through :func:`rref`.  An echelon form
+and a kernel do not depend on the scale of the matrix, so
+:func:`rref`, :func:`nullspace` and :func:`column_space` take integer
+arrays as they are; their results are Fractions either way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -102,13 +116,22 @@ def scaled(a) -> tuple[np.ndarray, int]:
 
 
 def unscaled(ints, den: int):
-    """The ``Fraction`` array ``ints / den`` (a scalar for a 0-d input)."""
+    """The ``Fraction`` array ``ints / den`` (a scalar for a 0-d input);
+    zero entries are the shared :data:`ZERO`."""
     if np.ndim(ints) == 0:
-        return Fraction(ints, den)
+        return Fraction(ints, den) if ints else ZERO
     ints = np.asarray(ints, dtype=object)
     out = np.empty(ints.shape, dtype=object)
-    out.ravel()[:] = [Fraction(x, den) for x in ints.ravel().tolist()]
+    out.ravel()[:] = [Fraction(x, den) if x else ZERO for x in ints.ravel().tolist()]
     return out
+
+
+def reduced(ints, den: int):
+    """``(ints, den)`` with the common factor of every entry and ``den``
+    divided out: the smallest common denominator of the values, which is
+    the one :func:`scaled` gives for them."""
+    g = gcd(den, *ints.ravel().tolist())
+    return (ints // g, den // g) if g > 1 else (ints, den)
 
 
 def dot(a, b):

@@ -6,13 +6,15 @@ The Levi-Civita connection is determined by the Koszul identity
 
 and the Weyl connection of a closed 1-form theta adds the conformal
 correction theta(x) y + theta(y) x - g(x, y) theta^sharp.  Connections
-are stored densely as one matrix per basis direction; the supported
-envelope is dim <= 16.
+and curvatures are stored densely, as integer tables over one common
+denominator from which the solve, the correction and the curvature pass
+are computed; the ``Fraction`` matrices, one per basis direction or
+pair, are made when first read.  The supported envelope is dim <= 16.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,21 +23,34 @@ from .algebra import MAX_DIM, LieAlgebra, Metric, OneForm, is_closed
 from .errors import EnvelopeExceeded, NonClosedLeeForm
 
 
-@dataclass(frozen=True)
 class Connection:
-    """gamma[i] is the matrix of nabla_{e_i}; columns are nabla_{e_i} e_j."""
+    """gamma[i] is the matrix of nabla_{e_i}; columns are nabla_{e_i} e_j.
 
-    gamma: tuple
+    Held as integers over one common denominator, gamma[i] == g[i] / d
+    (``ex.reduced``); the read-only ``Fraction`` matrices are made on
+    first read of ``gamma``.
+    """
+
+    def __init__(self, g: np.ndarray, d: int):
+        self.g, self.d = ex.reduced(g, d)
+        self.g.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.gamma[0].shape[0]
+        return self.g.shape[0]
+
+    @cached_property
+    def gamma(self) -> tuple:
+        gam = ex.unscaled(self.g, self.d)
+        gam.setflags(write=False)
+        return tuple(gam)
 
     def of(self, x: np.ndarray) -> np.ndarray:
         """Matrix of nabla_x by linearity in x: one contraction with the
         stacked gamma."""
         n = self.dim
-        return ex.dot(x, np.stack(self.gamma).reshape(n, n * n)).reshape(n, n)
+        ix, dx = ex.scaled(x)
+        return ex.unscaled(ix.dot(self.g.reshape(n, n * n)), dx * self.d).reshape(n, n)
 
     def nabla(self, x, y) -> np.ndarray:
         return ex.dot(self.of(x), y)
@@ -58,15 +73,22 @@ def _check_dim(n: int):
 
 def levi_civita(L: LieAlgebra, G: Metric) -> Connection:
     """Connection matrices from the Koszul identity, solved exactly:
-    K[i, j, k] = g(nabla_{e_i} e_j, e_k), so gamma[i] = G^-1 K[i]^T."""
+    K[i, j, k] = g(nabla_{e_i} e_j, e_k), so gamma[i] = G^-1 K[i]^T.
+
+    On integers: with c = cc / e, G = gg / dg and G^-1 = gi / di, 2 e dg K
+    is an integer table and 2 e dg di gamma[i] = gi (2 e dg K[i])^T.
+    """
     _check_dim(L.dim)
     n = L.dim
-    # gc[i, j, k] = g([e_i, e_j], e_k)
-    gc = ex.dot(L.c.reshape(n * n, n), G.gram).reshape(n, n, n)
-    k = (gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)) / 2
-    # every gamma[i] = G^-1 K[i]^T in one product: column (i, j) is K[i, j, :]
-    gam = ex.dot(G.inverse, k.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
-    return Connection(tuple(np.ascontiguousarray(gam.transpose(1, 0, 2))))
+    cc, e = L.scaled_c
+    gg, dg = ex.scaled(G.gram)
+    gi, di = ex.scaled(G.inverse)
+    # gc[i, j, k] = e dg g([e_i, e_j], e_k), and k2 = 2 e dg K
+    gc = cc.reshape(n * n, n).dot(gg).reshape(n, n, n)
+    k2 = gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)
+    # every gamma[i] in one product: column (i, j) is K[i, j, :]
+    gam = gi.dot(k2.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
+    return Connection(np.ascontiguousarray(gam.transpose(1, 0, 2)), 2 * e * dg * di)
 
 
 def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
@@ -74,63 +96,83 @@ def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
 
     Requires theta closed (theta vanishing on g'); the resulting
     connection satisfies gamma[i] - theta(e_i) Id in so(g, G) for all i.
+    The correction is added on integers: with theta = t / dt, G = gg / dg
+    and G^-1 = gi / di, dt dg di times the correction for e_i is
+    dg di (t_i Id + e_i t^T) - (gi t) gg_i^T.
     """
     if not is_closed(L, theta):
         raise NonClosedLeeForm("theta does not vanish on the derived algebra")
     lc = levi_civita(L, G)
-    sharp = G.sharp(theta)
-    t = theta.coeffs
-    eye = ex.reye(L.dim)
-    return Connection(
-        tuple(
-            lc.gamma[i] + t[i] * eye + np.outer(eye[:, i], t) - np.outer(sharp, G.gram[i])
-            for i in range(L.dim)
-        )
-    )
+    n = L.dim
+    t, dt = ex.scaled(theta.coeffs)
+    gg, dg = ex.scaled(G.gram)
+    gi, di = ex.scaled(G.inverse)
+    k = dg * di
+    # corr[i, a, b] = -(gi t)_a gg[i, b], then the two theta terms
+    corr = -np.multiply.outer(gi.dot(t), gg).transpose(1, 0, 2)
+    idx = np.arange(n)
+    corr[idx, idx, :] += k * t
+    corr[:, idx, idx] += (k * t)[:, None]
+    den = dt * dg * di
+    return Connection(lc.g * den + corr * lc.d, lc.d * den)
 
 
-@dataclass(frozen=True)
 class Curvature:
-    """r[i][j] is the endomorphism R_{e_i, e_j}; antisymmetric in (i, j)."""
+    """r[i][j] is the endomorphism R_{e_i, e_j}; antisymmetric in (i, j).
 
-    r: tuple
+    Held as the integer table ``num`` over one denominator ``den``:
+    R_{e_i, e_j} == num[p] / den for the p-th pair i < j of
+    ``np.triu_indices(n, 1)``; the read-only ``Fraction`` table is made
+    on first read of ``r``.
+    """
+
+    def __init__(self, num: np.ndarray, den: int):
+        self.num, self.den = ex.reduced(num, den)
+        self.num.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return len(self.r)
+        return self.num.shape[1]
+
+    @cached_property
+    def r(self) -> tuple:
+        n = self.dim
+        pos = ex.unscaled(self.num, self.den)
+        neg = ex.unscaled(-self.num, self.den)
+        zero = ex.rzeros((n, n))
+        for m in (pos, neg, zero):
+            m.setflags(write=False)
+        table = [[zero for _ in range(n)] for _ in range(n)]
+        for p, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+            table[i][j], table[j][i] = pos[p], neg[p]
+        return tuple(tuple(row) for row in table)
 
     def at(self, x, y) -> np.ndarray:
-        """R_{x,y} by bilinearity: one contraction of x (x) y with the table."""
+        """R_{x,y} by bilinearity: sum over pairs i < j of
+        (x_i y_j - x_j y_i) R_ij, one contraction with the table."""
         n = self.dim
         xy = np.outer(np.asarray(x, dtype=object), np.asarray(y, dtype=object))
-        table = np.stack(sum(self.r, ())).reshape(n * n, n * n)
-        return ex.dot(xy.ravel(), table).reshape(n, n)
+        iu, ju = np.triu_indices(n, 1)
+        w, dw = ex.scaled(xy[iu, ju] - xy[ju, iu])
+        return ex.unscaled(w.dot(self.num.reshape(len(iu), n * n)), dw * self.den).reshape(n, n)
 
 
 def curvature(L: LieAlgebra, conn: Connection) -> Curvature:
     """R_{x,y} = [nabla_x, nabla_y] - nabla_{[x,y]}, on basis pairs.
 
     One pass on integers: with gamma = g / d and c = cc / e over common
-    denominators, e d^2 R_ij = e (g_i g_j - g_j g_i) - d sum_k cc_ijk g_k,
-    and each entry of R is divided out once.
+    denominators, e d^2 R_ij = e (g_i g_j - g_j g_i) - d sum_k cc_ijk g_k.
     """
     n = L.dim
-    g, d = ex.scaled(np.stack(conn.gamma))  # g[i] = d gamma[i]
-    cc, e = ex.scaled(L.c)
+    g, d = conn.g, conn.d
+    cc, e = L.scaled_c
     # prod[i, j] = g_i g_j and lin[i, j] = sum_k cc_ijk g_k, for all pairs
     prod = g.reshape(n * n, n).dot(g.transpose(1, 0, 2).reshape(n, n * n))
     prod = prod.reshape(n, n, n, n).transpose(0, 2, 1, 3)
     lin = cc.reshape(n * n, n).dot(g.reshape(n, n * n)).reshape(n, n, n, n)
     iu, ju = np.triu_indices(n, 1)
     num = e * (prod[iu, ju] - prod[ju, iu]) - d * lin[iu, ju]
-    den = e * d * d
-    zero = ex.rzeros((n, n))
-    table = [[zero for _ in range(n)] for _ in range(n)]
-    for i, j, m in zip(iu, ju, num):
-        m = ex.unscaled(m, den)
-        table[i][j] = m
-        table[j][i] = -m
-    return Curvature(tuple(tuple(row) for row in table))
+    return Curvature(num, e * d * d)
 
 
 def weyl_geometry(L: LieAlgebra, G: Metric, theta: OneForm) -> tuple[Connection, Curvature]:
@@ -140,16 +182,13 @@ def weyl_geometry(L: LieAlgebra, G: Metric, theta: OneForm) -> tuple[Connection,
     The memo is keyed by the exact entries of the Gram matrix and of
     theta, so equal metrics built separately share one entry; it lives in
     the instance dictionary of L, as ``ad_basis`` does, and goes with it.
-    The shared matrices are read-only.
+    Both are read-only.
     """
     memo = vars(L).setdefault("_weyl_geometry", {})
     key = (tuple(G.gram.flat), tuple(theta.coeffs.flat))
     if key not in memo:
         conn = weyl_connection(L, G, theta)
-        curv = curvature(L, conn)
-        for m in conn.gamma + sum(curv.r, ()):
-            m.setflags(write=False)
-        memo[key] = (conn, curv)
+        memo[key] = (conn, curvature(L, conn))
     return memo[key]
 
 

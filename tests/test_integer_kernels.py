@@ -1,0 +1,162 @@
+"""The integer forms between kernels against plain ``Fraction`` code.
+
+Brackets, ad stacks, the Koszul solve, the conformal correction and the
+curvature pass run on integers over one common denominator.  The
+references below are the same formulas evaluated entry by entry in
+``Fraction`` arithmetic (numpy object products, no ``exact`` kernel), on
+random algebras, metrics and closed forms at n = 3..10.  Every returned
+entry must be a ``Fraction``, also where an elimination was handed an
+integer array.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from lcplab import detect
+from lcplab import exact as ex
+from lcplab.algebra import Metric, Subspace
+from lcplab.construct import almab_lcp, metric_modification
+from lcplab.detect import LCPStructure, maximal_flat_parallel, structural_audit, verify_lcp
+from lcplab.randgen import random_algebra, random_closed_form, random_metric, rng, small_fraction
+from lcplab.weyl import curvature, levi_civita, weyl_connection
+
+
+def ref_ad_stack(L, u):
+    n, p = L.dim, u.shape[1]
+    return u.T.dot(L.c.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
+
+
+def ref_brackets(L, u, v):
+    n, p, q = L.dim, u.shape[1], v.shape[1]
+    w = ref_ad_stack(L, u).reshape(p * n, n).dot(v)
+    return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q)
+
+
+def ref_levi_civita(L, G):
+    n = L.dim
+    gc = L.c.reshape(n * n, n).dot(G.gram).reshape(n, n, n)
+    k = (gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)) / 2
+    gam = G.inverse.dot(k.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
+    return list(gam.transpose(1, 0, 2))
+
+
+def ref_weyl_connection(L, G, theta):
+    t = theta.coeffs
+    sharp = G.inverse.dot(t)
+    eye = ex.reye(L.dim)
+    return [
+        g + t[i] * eye + np.outer(eye[:, i], t) - np.outer(sharp, G.gram[i])
+        for i, g in enumerate(ref_levi_civita(L, G))
+    ]
+
+
+def ref_curvature(L, gamma):
+    n = L.dim
+    r = {}
+    for i in range(n):
+        for j in range(n):
+            m = gamma[i].dot(gamma[j]) - gamma[j].dot(gamma[i])
+            for k in range(n):
+                m = m - L.c[i, j, k] * gamma[k]
+            r[i, j] = m
+    return r
+
+
+def all_fractions(a) -> bool:
+    return all(type(x) is F for x in np.asarray(a, dtype=object).flat)
+
+
+def same(a, b) -> bool:
+    return all_fractions(a) and np.array_equal(a, b)
+
+
+def _matrix(r, rows, cols):
+    return ex.rmat([[small_fraction(r) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 10))
+def test_brackets_and_spans_match_fraction_code(seed, n):
+    r = rng(seed)
+    L = random_algebra(r, n)
+    u = _matrix(r, n, r.randint(1, 3))
+    v = _matrix(r, n, r.randint(1, 3))
+    want = ref_brackets(L, u, v)
+    assert same(L.brackets(u, v), want)
+    assert same(L.bracket_span(u, v), ex.column_space(want))
+    p = u.shape[1]
+    assert same(L.centraliser(u), ex.nullspace(ref_ad_stack(L, u).reshape(p * n, n)))
+    x = u[:, 0]
+    assert same(L.ad(x), ref_ad_stack(L, u[:, :1])[0])
+    assert same(L.bracket(x, v[:, 0]), want[:, 0])
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 10))
+def test_connections_and_curvature_match_fraction_code(seed, n):
+    r = rng(seed)
+    L = random_algebra(r, n)
+    G = random_metric(r, n)
+    theta = random_closed_form(r, L)
+    lc = levi_civita(L, G)
+    assert all(same(a, b) for a, b in zip(lc.gamma, ref_levi_civita(L, G)))
+    conn = lc
+    if theta is not None:
+        conn = weyl_connection(L, G, theta)
+        assert all(same(a, b) for a, b in zip(conn.gamma, ref_weyl_connection(L, G, theta)))
+    want = ref_curvature(L, conn.gamma)
+    curv = curvature(L, conn)
+    assert all(same(curv.r[i][j], want[i, j]) for i in range(n) for j in range(n))
+    x, y = _matrix(r, n, 2).T
+    at = sum((x[i] * y[j] * want[i, j] for i in range(n) for j in range(n)), ex.rzeros((n, n)))
+    assert same(curv.at(x, y), at)
+    assert same(conn.of(x), sum((x[i] * conn.gamma[i] for i in range(n)), ex.rzeros((n, n))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(0, 6),
+    cols=st.integers(1, 6),
+    data=st.data(),
+)
+def test_eliminations_of_integer_arrays_return_fractions(rows, cols, data):
+    vals = data.draw(st.lists(st.integers(-9, 9), min_size=rows * cols, max_size=rows * cols))
+    ints = np.empty((rows, cols), dtype=object)
+    ints.ravel()[:] = vals
+    fracs = ex.unscaled(ints, 6)
+    r, pivots = ex.rref(ints)
+    rf, pf = ex.rref(fracs)
+    assert pivots == pf and same(r, rf)
+    assert same(ex.nullspace(ints), ex.nullspace(fracs))
+    assert same(ex.column_space(ints), ex.column_space(fracs))
+
+
+def test_unscaled_shares_zero():
+    out = ex.unscaled(np.array([0, 3, 0], dtype=object), 6)
+    assert out[0] is ex.ZERO and out[2] is ex.ZERO and out[1] == F(1, 2)
+    assert ex.unscaled(0, 5) is ex.ZERO
+
+
+def test_verification_body_runs_once_per_flat(monkeypatch):
+    # constructing verifies the recipe's flat space, the pipeline verifies
+    # the maximal one and the audit verifies again: one body run per flat
+    ran = []
+    body = detect._verify
+    monkeypatch.setattr(detect, "_verify", lambda L, G, theta, U: ran.append(U) or body(L, G, theta, U))
+    A = ex.rmat([[2, F(1, 2)], [0, -1]])
+    B = ex.rmat([[0, 1, 0], [-1, 0, F(1, 3)], [0, F(-1, 3), 0]])
+    s = almab_lcp(A, B, Metric(ex.rmat([[2, 1, 0], [1, 2, 0], [0, 0, 1]])))
+    L, G, theta = s.algebra, s.metric, s.theta
+    flat = maximal_flat_parallel(L, G, theta)
+    report = verify_lcp(L, G, theta, flat)
+    assert structural_audit(LCPStructure(L, G, theta, flat)).passed
+    assert s.verify() is verify_lcp(L, G, theta, s.flat)
+    assert report.passed and len(ran) == len(set(ran)) == len({s.flat, flat})
+    # another metric on the same algebra is another verification
+    metric_modification(s, 2)
+    line = Subspace.spanned_by([[1] + [0] * (L.dim - 1)])
+    assert not verify_lcp(L, G, theta, line).passed
+    verify_lcp(L, G, theta, line)
+    assert len(ran) == len(set(ran)) + 1 == len({s.flat, flat}) + 2
