@@ -33,7 +33,10 @@ one fraction-free Gauss-Jordan pass (Bareiss), and every nullspace,
 solve, inverse and span test goes through :func:`rref`.  An echelon form
 and a kernel do not depend on the scale of the matrix, so
 :func:`rref`, :func:`nullspace` and :func:`column_space` take integer
-arrays as they are; their results are Fractions either way.
+arrays as they are; their results are Fractions either way.  The
+characteristic polynomial is one Faddeev-LeVerrier pass on the same
+integers (:func:`int_charpoly_coeffs`), which ``intpoly`` shares for
+integer matrices.
 """
 
 from __future__ import annotations
@@ -147,10 +150,6 @@ def dot(a, b):
 
 def to_float(a) -> np.ndarray:
     return np.asarray(a, dtype=object).astype(np.float64)
-
-
-def from_int_matrix(a) -> np.ndarray:
-    return rmat([[int(x) for x in row] for row in a])
 
 
 def _eliminate(m: np.ndarray):
@@ -300,20 +299,36 @@ def is_pos_def(g: np.ndarray) -> bool:
     return all(det(g[: k + 1, : k + 1]) > 0 for k in range(n))
 
 
-def charpoly(a: np.ndarray) -> list:
-    """Exact characteristic polynomial det(xI - a), coefficients
-    [1, c1, ..., cn] by descending degree (Faddeev-LeVerrier)."""
+def int_charpoly_coeffs(ints) -> list:
+    """Characteristic polynomial det(xI - a) of an integer matrix, as
+    Python ints [1, c1, ..., cn] by descending degree.
+
+    Faddeev-LeVerrier on integers: with M_1 = a, c_k = -tr(M_k) / k and
+    M_{k+1} = a (M_k + c_k I).  Every c_k is a coefficient of the integer
+    polynomial det(xI - a), so each division by k is exact.
+    """
+    a = np.asarray(ints, dtype=object)
     n = a.shape[0]
-    coeffs = [ONE]
-    m = a.copy()
+    coeffs = [1]
+    m = a
     for k in range(1, n + 1):
-        c = -sum((m[i, i] for i in range(n)), ZERO) / k
+        c, r = divmod(-sum(m[i, i] for i in range(n)), k)
+        assert r == 0, "Faddeev-LeVerrier division is exact on integers"
         coeffs.append(c)
         if k < n:
+            m = m.copy()
             for i in range(n):
-                m[i, i] = m[i, i] + c
-            m = dot(a, m)
+                m[i, i] += c
+            m = a.dot(m)
     return coeffs
+
+
+def charpoly(a: np.ndarray) -> list:
+    """Exact characteristic polynomial det(xI - a), coefficients
+    [1, c1, ..., cn] by descending degree: :func:`int_charpoly_coeffs` on
+    ``scaled(a) == (ints, d)``, whose k-th coefficient is d^k c_k."""
+    ints, d = scaled(a)
+    return [Fraction(c, d**k) for k, c in enumerate(int_charpoly_coeffs(ints))]
 
 
 def rational_roots(coeffs) -> list:

@@ -80,11 +80,17 @@ def companion(p: IntPoly) -> np.ndarray:
 
 
 def int_det(a: np.ndarray) -> int:
-    return int(ex.det(ex.from_int_matrix(a)))
+    """Determinant of an integer matrix, read as (-1)^n c_n from
+    :func:`int_charpoly`."""
+    p = int_charpoly(a)
+    return (-1) ** p.degree * p.constant_term()
 
 
 def int_charpoly(a: np.ndarray) -> IntPoly:
-    return IntPoly(tuple(int(c) for c in ex.charpoly(ex.from_int_matrix(a))))
+    """Characteristic polynomial of an integer matrix, computed on Python
+    ints (``exact.int_charpoly_coeffs``)."""
+    ints = np.array([[int(x) for x in row] for row in a], dtype=object)
+    return IntPoly(tuple(ex.int_charpoly_coeffs(ints)))
 
 
 def smith_normal_form(a: np.ndarray) -> list:

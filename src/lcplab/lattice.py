@@ -10,7 +10,8 @@ implements two certificate rules:
 
 * double_root: all eigenvalues of ad_b real with exactly one multiple
   root, which is nonzero (then no power of the exponential can have an
-  integer characteristic polynomial);
+  integer characteristic polynomial); proposed in floats and, for
+  rational input, confirmed exactly;
 * codim2_highdim: a verified LCP structure of flat codimension 2 in
   dimension >= 5;
 
@@ -38,7 +39,7 @@ from .errors import (
     NonTraceFree,
     PreconditionViolated,
 )
-from .intpoly import IntPoly, companion, int_charpoly, int_det, smith_normal_form
+from .intpoly import IntPoly, companion, int_charpoly, smith_normal_form
 
 MAX_SPECTRAL = 50.0
 # the witness scan (see integer_charpoly_scan)
@@ -71,28 +72,46 @@ def exp_ad(c, t: float) -> np.ndarray:
     return kernels.expm(t * a)
 
 
-def _golden_min(f, lo: float, hi: float):
-    """Golden-section minimisation; localises the (V-shaped) defect
-    minimum to machine precision, which generic quadratic-interpolation
-    minimisers cannot do on non-smooth objectives."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Golden-section minimisation of the integer defect of
+    charpoly(exp(t C)) on every bracket [lo_i, hi_i] at once, from the
+    eigenvalues ``ev`` of C; localises each (V-shaped) defect minimum to
+    machine precision, which generic quadratic-interpolation minimisers
+    cannot do on non-smooth objectives.
+
+    Each of the ``GOLDEN_ITERS`` steps evaluates the defect of every live
+    bracket in one ``exp_charpoly`` call; a bracket stops once
+    b - a < 1e-15 max(1, |a|).  Returns the midpoints and their defects.
+    """
+
+    def defect(ts):
+        return kernels.integer_defect(kernels.exp_charpoly(ev, ts))
+
+    a, b = lo.astype(np.float64), hi.astype(np.float64)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = defect(c), defect(d)
+    live = np.arange(a.size)
     for _ in range(GOLDEN_ITERS):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-15 * max(1.0, abs(a)):
+        if live.size == 0:
             break
+        la, lb, lc, ld, lfc, lfd = a[live], b[live], c[live], d[live], fc[live], fd[live]
+        left = lfc <= lfd
+        # left: b, d, fd = d, c, fc and a new c; right: a, c, fc = c, d, fd and a new d
+        na = np.where(left, la, lc)
+        nb = np.where(left, ld, lb)
+        nc = np.where(left, nb - _INVPHI * (nb - na), ld)
+        nd = np.where(left, lc, na + _INVPHI * (nb - na))
+        fx = defect(np.where(left, nc, nd))
+        a[live], b[live], c[live], d[live] = na, nb, nc, nd
+        fc[live] = np.where(left, fx, lfd)
+        fd[live] = np.where(left, lfc, fx)
+        live = live[~(nb - na < 1e-15 * np.maximum(1.0, np.abs(na)))]
     x = (a + b) / 2.0
-    return x, f(x)
+    return x, defect(x)
 
 
 @dataclass(frozen=True)
@@ -121,8 +140,9 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
 
     Evaluates the coefficient integer-defect on a grid of step
     ``SCAN_STEP``, flags interior local minima below ``SCAN_FLAG_TOL``,
-    refines each by ``GOLDEN_ITERS`` golden-section steps down to
-    ``SCAN_TOL`` (also the relative trace-free tolerance), and
+    refines all flags together by ``GOLDEN_ITERS`` golden-section steps
+    (``_refine``), keeps minima down to ``SCAN_TOL`` (also the relative
+    trace-free tolerance), and
     deduplicates candidates closer than 1e-6.  A (near)
     nilpotent C has integer coefficients for every t and is reported as
     the single degenerate candidate t = 1.
@@ -139,27 +159,22 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
         return []
     defects = kernels.scan_defects(a, ts)
     ev = kernels.spectrum(a)
-
-    def defect_at(t):
-        return float(kernels.integer_defect(kernels.exp_charpoly(ev, t)))
-
     if defects.max() <= SCAN_TOL:
         # unipotent exponential: every t works, report t = 1
-        poly = IntPoly(tuple(int(round(x)) for x in kernels.exp_charpoly(ev, 1.0)))
-        return [ScanCandidate(1.0, poly, defect_at(1.0))]
-    flagged = [
-        i
-        for i in range(1, len(ts) - 1)
-        if defects[i] <= defects[i - 1]
-        and defects[i] <= defects[i + 1]
-        and defects[i] < SCAN_FLAG_TOL
-    ]
+        coeffs = kernels.exp_charpoly(ev, 1.0)
+        poly = IntPoly(tuple(int(round(x)) for x in coeffs))
+        return [ScanCandidate(1.0, poly, float(kernels.integer_defect(coeffs)))]
+    inner = defects[1:-1]
+    flagged = 1 + np.flatnonzero(
+        (inner <= defects[:-2]) & (inner <= defects[2:]) & (inner < SCAN_FLAG_TOL)
+    )
+    t0s, d0s = _refine(ev, ts[flagged - 1], ts[flagged + 1])
+    coeffs = kernels.exp_charpoly(ev, t0s)
     out = []
-    for i in flagged:
-        t0, d0 = _golden_min(defect_at, ts[i - 1], ts[i + 1])
+    for t0, d0, row in zip(t0s.tolist(), d0s.tolist(), coeffs):
         if d0 > SCAN_TOL:
             continue
-        poly = IntPoly(tuple(int(round(x)) for x in kernels.exp_charpoly(ev, t0)))
+        poly = IntPoly(tuple(int(round(x)) for x in row))
         if abs(poly.constant_term()) != 1:
             continue
         if any(abs(t0 - prev.t0) < 1e-6 for prev in out):
@@ -196,9 +211,10 @@ def _krylov(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _witness_from_conjugacy(t0, m, z, q, tol) -> Optional[LatticeWitness]:
-    if int_det(z) != 1:
-        return None
+    # one exact pass: det Z = (-1)^n c_n of the characteristic polynomial
     poly = int_charpoly(z)
+    if (-1) ** poly.degree * poly.constant_term() != 1:
+        return None
     zf = np.array([[float(x) for x in row] for row in z])
     residual = float(np.abs(q.dot(m).dot(np.linalg.inv(q)) - zf).max())
     if residual > tol:
@@ -206,7 +222,7 @@ def _witness_from_conjugacy(t0, m, z, q, tol) -> Optional[LatticeWitness]:
     return LatticeWitness(t0, z, q, residual, poly)
 
 
-def certify_witness(c, t0: float, poly: IntPoly, tol: float = 1e-8, seed: int = 0):
+def certify_witness(c, t0: float, poly: IntPoly, tol: float = 1e-8, seed: int = 0, m=None):
     """Certify a scan candidate through companion-matrix conjugacy.
 
     A non-derogatory matrix is conjugate to the companion matrix of its
@@ -215,9 +231,11 @@ def certify_witness(c, t0: float, poly: IntPoly, tol: float = 1e-8, seed: int = 
     with determinant +-1.  Up to four random Krylov probes are tried, and
     the first whose conjugation passes the residual check is returned.
     Returns None (inconclusive) for derogatory exponentials, determinant
-    -1, or when no probe passes.
+    -1, or when no probe passes.  ``m`` is exp(t0 C) when the caller has
+    it already.
     """
-    m = exp_ad(c, t0)
+    if m is None:
+        m = exp_ad(c, t0)
     n = m.shape[0]
     if not poly.monic or abs(poly.constant_term()) != 1 or poly.degree != n:
         return None
@@ -274,11 +292,14 @@ def _merge_components(a: np.ndarray, t0: float, comps: list) -> Optional[list]:
     return groups
 
 
-def certify_witness_blocked(c, t0: float, tol: float = 1e-8, seed: int = 0, blocks=None):
+def certify_witness_blocked(
+    c, t0: float, tol: float = 1e-8, seed: int = 0, blocks=None, m=None
+):
     """Blockwise certification for derogatory exponentials of
     block-diagonal C (e.g. repeated blocks of amalgamated products):
     each diagonal block is certified on its own and the integer matrices
-    are reassembled.  ``blocks`` overrides the automatic grouping."""
+    are reassembled.  ``blocks`` overrides the automatic grouping; ``m``
+    is exp(t0 C) when the caller has it already."""
     a = _as_float_matrix(c)
     if blocks is None:
         blocks = _merge_components(a, t0, _blocks_of(a))
@@ -303,7 +324,8 @@ def certify_witness_blocked(c, t0: float, tol: float = 1e-8, seed: int = 0, bloc
             for bj, gj in enumerate(comp):
                 z[gi, gj] = wsub.integral_matrix[bi, bj]
             q[gi, np.array(comp)] = wsub.conjugator[bi, :]
-    m = exp_ad(a, t0)
+    if m is None:
+        m = exp_ad(a, t0)
     return _witness_from_conjugacy(t0, m, z, q, tol)
 
 
@@ -317,13 +339,65 @@ class NoLatticeCertificate:
         return {"rule": self.rule, "data": self.data, "reference": self.reference}
 
 
+def _poly_rem(a: list, b: list) -> list:
+    """Remainder of a by b (descending ``Fraction`` coefficients, b with a
+    nonzero leading one); the zero polynomial is []."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[0] / b[0]
+        a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b) :]
+        while a and a[0] == 0:
+            a = a[1:]
+    return a
+
+
+def _double_root_exact(c) -> bool:
+    """The hypothesis of the double-root rule, decided exactly for a
+    rational C: every root of p = charpoly(C) is real and
+    gcd(p, p') = (x - lam)^k with k >= 1 and lam != 0.
+
+    One Euclidean chain p, p', -rem, ... gives both: it ends at
+    gcd(p, p'), and as a Sturm sequence its sign changes at -inf and
+    +inf differ by the number of distinct real roots, which must be
+    n - k."""
+    p = ex.charpoly(c)
+    n = len(p) - 1
+    chain = [p, [x * (n - i) for i, x in enumerate(p[:-1])]]
+    while True:
+        r = _poly_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-x for x in r])
+    g = chain[-1]
+    k = len(g) - 1
+    if k == 0:
+        return False
+
+    def sign_changes(signs):
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    at_pos = [q[0] > 0 for q in chain]
+    at_neg = [(q[0] > 0) == (len(q) % 2 == 1) for q in chain]
+    if sign_changes(at_neg) - sign_changes(at_pos) != n - k:
+        return False
+    g = [x / g[0] for x in g]
+    lam = -g[1] / k
+    return lam != 0 and g == [math.comb(k, i) * (-lam) ** i for i in range(k + 1)]
+
+
 def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     """Certificate when all eigenvalues of C are real and exactly one is
     multiple and nonzero: any integer characteristic polynomial of
     exp(t C) would then have exactly one double root away from +-1,
     which is impossible for a monic integer polynomial with unit
-    constant term.  Eigenvalues within ``DOUBLE_ROOT_TOL`` of each other
-    count as one root; no caller can widen that."""
+    constant term.
+
+    The rule is proposed in floats: eigenvalues within
+    ``DOUBLE_ROOT_TOL`` of each other count as one root, and no caller
+    can widen that.  On exact input (int or ``Fraction`` entries) a
+    proposal becomes a certificate only once ``_double_root_exact``
+    confirms the hypothesis on the rational characteristic polynomial,
+    so there the verdict rests on no tolerance."""
     a = _as_float_matrix(c)
     if a.shape[0] == 0:
         return None
@@ -339,16 +413,20 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
         else:
             clusters.append([lam, 1])
     multiple = [cl for cl in clusters if cl[1] >= 2]
-    if len(multiple) == 1 and abs(multiple[0][0]) > DOUBLE_ROOT_TOL:
-        return NoLatticeCertificate(
-            "double_root",
-            data={
-                "eigenvalues": [float(x) for x in ev],
-                "multiple_root": float(multiple[0][0]),
-                "multiplicity": int(multiple[0][1]),
-            },
-        )
-    return None
+    if len(multiple) != 1 or abs(multiple[0][0]) <= DOUBLE_ROOT_TOL:
+        return None
+    # exact input: every entry an int or a Fraction, as exact.scaled takes
+    exact_input = all(hasattr(x, "denominator") for x in np.asarray(c, dtype=object).flat)
+    if exact_input and not _double_root_exact(c):
+        return None
+    return NoLatticeCertificate(
+        "double_root",
+        data={
+            "eigenvalues": [float(x) for x in ev],
+            "multiple_root": float(multiple[0][0]),
+            "multiplicity": int(multiple[0][1]),
+        },
+    )
 
 
 def no_lattice_codim2(s: LCPStructure) -> Optional[NoLatticeCertificate]:
@@ -484,9 +562,10 @@ def lattice_verdict(
         return LatticeVerdict(label, (), tuple(certs), ())
     witnesses = []
     for cand in integer_charpoly_scan(c, t_range=t_range):
-        w = certify_witness(c, cand.t0, cand.poly, tol=tol, seed=seed)
+        m = exp_ad(c, cand.t0)
+        w = certify_witness(c, cand.t0, cand.poly, tol=tol, seed=seed, m=m)
         if w is None:
-            w = certify_witness_blocked(c, cand.t0, tol=tol, seed=seed)
+            w = certify_witness_blocked(c, cand.t0, tol=tol, seed=seed, m=m)
         if w is not None:
             witnesses.append(w)
     inconclusive = () if witnesses else (_scanned_range(c, t_range),)

@@ -214,3 +214,30 @@ def test_verdict_reports_clamped_range():
     ((lo, hi),) = v.inconclusive_ranges
     assert lo == 0.0
     assert abs(hi - 100 / math.sqrt(37)) < 1e-9
+
+
+def test_double_root_on_rationals_needs_an_exact_multiple_root():
+    # distinct exact eigenvalues 1e-9 apart: the float clustering proposes
+    # the rule, the exact check on the characteristic polynomial refuses it
+    e = Fraction(1, 10**9)
+    c = ex.rmat([[1, 0, 0], [0, 1 + e, 0], [0, 0, -2 - e]])
+    assert no_lattice_double_root(c.astype(np.float64)) is not None
+    assert no_lattice_double_root(c) is None
+    assert lattice_verdict(c, t_range=(0, 3)).status != "no"
+    # an exact double root (diagonal or a Jordan block) keeps its certificate
+    for rows in ([[Fraction(1, 4), 0, 0, 0], [0, Fraction(1, 4), 0, 0],
+                  [0, 0, Fraction(1, 2), 0], [0, 0, 0, -1]],
+                 [[1, 1, 0], [0, 1, 0], [0, 0, -2]]):
+        for c in (ex.rmat(rows), np.array(rows, dtype=object).astype(np.float64)):
+            cert = no_lattice_double_root(c)
+            assert cert is not None and cert.rule == "double_root"
+
+
+def test_double_root_on_rationals_needs_real_eigenvalues():
+    # eigenvalues 1, 1, 1 +- 1e-10 i, -4: gcd(p, p') = x - 1, but two roots
+    # are not real, which only the exact Sturm count sees
+    e = Fraction(1, 10**10)
+    c = ex.rmat([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, -e, 0],
+                 [0, 0, e, 1, 0], [0, 0, 0, 0, -4]])
+    assert no_lattice_double_root(c.astype(np.float64)) is not None
+    assert no_lattice_double_root(c) is None
