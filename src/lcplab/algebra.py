@@ -134,64 +134,94 @@ class LieAlgebra:
             raise DimensionMismatch("bracket operands must have length n")
         return ex.dot(self.ad(x), y)
 
-    def _ad_stack(self, u_basis: np.ndarray) -> tuple:
-        """ad_{u_a} for every column u_a, stacked along the first axis, as
-        integers over one denominator: ``(a, den)`` with ad_{u_a} = a[a] / den."""
-        n, p = self.dim, u_basis.shape[1]
-        cc, e = self.scaled_c
-        iu, du = ex.scaled(u_basis)
-        a = iu.T.dot(cc.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
-        return a, du * e
+    def _ad_stack(self, iu: np.ndarray) -> np.ndarray:
+        """ad_{u_a} for every column u_a of the integer matrix ``iu``,
+        stacked along the first axis: a[a] = e ad_{u_a}, with c = cc / e."""
+        n, p = self.dim, iu.shape[1]
+        cc, _ = self.scaled_c
+        return iu.T.dot(cc.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
 
-    def _brackets_scaled(self, u_basis: np.ndarray, v_basis: np.ndarray) -> tuple:
-        """:meth:`brackets` as integers over one denominator."""
-        n, p, q = self.dim, u_basis.shape[1], v_basis.shape[1]
-        a, da = self._ad_stack(u_basis)
-        iv, dv = ex.scaled(v_basis)
-        w = a.reshape(p * n, n).dot(iv)
-        return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q), da * dv
+    def int_brackets(self, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+        """:meth:`brackets` of the columns of two integer matrices, times
+        the denominator e of c: an integer matrix."""
+        n, p, q = self.dim, iu.shape[1], iv.shape[1]
+        w = self._ad_stack(iu).reshape(p * n, n).dot(iv)
+        return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q)
 
     def brackets(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
         """Matrix whose column a * v_basis.shape[1] + b is [u_a, v_b], from
         two contractions."""
-        return ex.unscaled(*self._brackets_scaled(u_basis, v_basis))
+        iu, du = ex.scaled(u_basis)
+        iv, dv = ex.scaled(v_basis)
+        return ex.unscaled(self.int_brackets(iu, iv), du * dv * self.scaled_c[1])
+
+    def int_bracket_span(self, iu: np.ndarray, iv: np.ndarray) -> tuple:
+        """:meth:`bracket_span` of the columns of two integer matrices, as
+        the reduced integer form of its canonical basis; spans do not
+        depend on scale, so the integer bracket matrix is eliminated as
+        it is."""
+        if iu.shape[1] == 0 or iv.shape[1] == 0:
+            return np.zeros((self.dim, 0), dtype=object), 1
+        return ex.int_column_space(self.int_brackets(iu, iv))
 
     def bracket_span(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
-        """Canonical basis of span{[u, v]} over basis columns; the span of
-        the integer bracket matrix is the same."""
-        if u_basis.shape[1] == 0 or v_basis.shape[1] == 0:
-            return ex.rzeros((self.dim, 0))
-        return ex.column_space(self._brackets_scaled(u_basis, v_basis)[0])
+        """Canonical basis of span{[u, v]} over basis columns."""
+        return ex.unscaled(
+            *self.int_bracket_span(ex.scaled(u_basis)[0], ex.scaled(v_basis)[0])
+        )
+
+    @cached_property
+    def int_eye(self) -> np.ndarray:
+        """The identity as an integer matrix: the basis of g."""
+        eye = np.zeros((self.dim, self.dim), dtype=object)
+        np.fill_diagonal(eye, 1)
+        eye.setflags(write=False)
+        return eye
+
+    @cached_property
+    def scaled_derived(self) -> tuple:
+        """The reduced integer form of :attr:`derived_algebra`, made once
+        and read by every closedness test."""
+        der, den = self.int_bracket_span(self.int_eye, self.int_eye)
+        der.setflags(write=False)
+        return der, den
 
     @cached_property
     def derived_algebra(self) -> np.ndarray:
-        full = ex.reye(self.dim)
-        return self.bracket_span(full, full)
+        der = ex.unscaled(*self.scaled_derived)
+        der.setflags(write=False)
+        return der
+
+    def _series(self, step) -> list:
+        """Reduced integer forms of the series that starts at g and goes on
+        by ``step`` (an integer basis to a form) until it stops shrinking."""
+        terms = [(self.int_eye, 1)]
+        while terms[-1][0].shape[1] > 0:
+            nxt = step(terms[-1][0])
+            if nxt[0].shape[1] == terms[-1][0].shape[1]:
+                break
+            terms.append(nxt)
+        return terms
+
+    def scaled_derived_series(self) -> list:
+        """:meth:`derived_series` as reduced integer forms."""
+        return self._series(lambda t: self.int_bracket_span(t, t))
+
+    def scaled_lower_central_series(self) -> list:
+        """:meth:`lower_central_series` as reduced integer forms."""
+        return self._series(lambda t: self.int_bracket_span(self.int_eye, t))
 
     def derived_series(self) -> list:
-        terms = [ex.reye(self.dim)]
-        while terms[-1].shape[1] > 0:
-            nxt = self.bracket_span(terms[-1], terms[-1])
-            if nxt.shape[1] == terms[-1].shape[1]:
-                break
-            terms.append(nxt)
-        return terms
+        return [ex.unscaled(*t) for t in self.scaled_derived_series()]
 
     def lower_central_series(self) -> list:
-        full = ex.reye(self.dim)
-        terms = [full]
-        while terms[-1].shape[1] > 0:
-            nxt = self.bracket_span(full, terms[-1])
-            if nxt.shape[1] == terms[-1].shape[1]:
-                break
-            terms.append(nxt)
-        return terms
+        return [ex.unscaled(*t) for t in self.scaled_lower_central_series()]
 
     def is_solvable(self) -> bool:
-        return self.derived_series()[-1].shape[1] == 0
+        return self.scaled_derived_series()[-1][0].shape[1] == 0
 
     def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1].shape[1] == 0
+        return self.scaled_lower_central_series()[-1][0].shape[1] == 0
 
     def centre(self) -> np.ndarray:
         """Canonical basis of {x : [x, .] = 0}: the kernel of every ad_{e_i}."""
@@ -199,17 +229,29 @@ class LieAlgebra:
         cc, _ = self.scaled_c
         return ex.nullspace(cc.transpose(0, 2, 1).reshape(n * n, n))
 
+    def int_centraliser(self, iu: np.ndarray) -> tuple:
+        """:meth:`centraliser` of the columns of an integer matrix, as a
+        reduced integer form."""
+        n, p = self.dim, iu.shape[1]
+        if p == 0:
+            return self.int_eye, 1
+        return ex.int_nullspace(self._ad_stack(iu).reshape(p * n, n))
+
     def centraliser(self, u_basis: np.ndarray) -> np.ndarray:
         """{x in g : [x, u] = 0 for all u in span(u_basis)}."""
-        n, p = self.dim, u_basis.shape[1]
-        if p == 0:
-            return ex.reye(n)
-        return ex.nullspace(self._ad_stack(u_basis)[0].reshape(p * n, n))
+        return ex.unscaled(*self.int_centraliser(ex.scaled(u_basis)[0]))
+
+    @cached_property
+    def scaled_centre_of_derived(self) -> tuple:
+        """The reduced integer form of :meth:`centre_of_derived`."""
+        der, _ = self.scaled_derived
+        zd, den = ex.int_intersect_columns(der, self.int_centraliser(der)[0])
+        zd.setflags(write=False)
+        return zd, den
 
     def centre_of_derived(self) -> np.ndarray:
         """z(g') as a canonical column basis."""
-        der = self.derived_algebra
-        return ex.intersect_columns(der, self.centraliser(der))
+        return ex.unscaled(*self.scaled_centre_of_derived)
 
     def restrict(self, basis: np.ndarray) -> "LieAlgebra":
         """Subalgebra on the given column basis, with exact coordinates."""
@@ -238,7 +280,12 @@ class LieAlgebra:
 
 
 class Metric:
-    """Exact positive-definite scalar product given by its Gram matrix."""
+    """Exact positive-definite scalar product given by its Gram matrix.
+
+    The Gram matrix and its inverse are also held as reduced integer
+    forms, made once on first use, and ``key`` is the content key of the
+    Gram matrix that memo tables of connections and reports look up.
+    """
 
     def __init__(self, gram):
         gram = np.asarray(gram, dtype=object) if not isinstance(gram, np.ndarray) else gram
@@ -257,8 +304,31 @@ class Metric:
         return cls(ex.reye(n))
 
     @cached_property
+    def scaled_gram(self) -> tuple:
+        """``(gg, dg)`` with ``gram == gg / dg``, reduced."""
+        gg, dg = ex.scaled(self.gram)
+        gg.setflags(write=False)
+        return gg, dg
+
+    @cached_property
+    def scaled_inverse(self) -> tuple:
+        """``(gi, di)`` with ``inverse == gi / di``, reduced: G^-1 = dg gg^-1
+        from one integer elimination."""
+        gg, dg = self.scaled_gram
+        gi, di = ex.int_inv(gg)
+        gi, di = ex.reduced(gi * dg, di)
+        gi.setflags(write=False)
+        return gi, di
+
+    @cached_property
+    def key(self) -> tuple:
+        return ex.content_key(*self.scaled_gram)
+
+    @cached_property
     def inverse(self) -> np.ndarray:
-        return ex.inv(self.gram)
+        inverse = ex.unscaled(*self.scaled_inverse)
+        inverse.setflags(write=False)
+        return inverse
 
     def inner(self, x, y) -> Fraction:
         return ex.dot(ex.dot(x, self.gram), y)
@@ -278,19 +348,32 @@ class Metric:
         return Metric(ex.dot(ex.dot(basis.T, self.gram), basis))
 
     def __eq__(self, other):
-        return isinstance(other, Metric) and np.array_equal(self.gram, other.gram)
+        return isinstance(other, Metric) and self.key == other.key
 
     def __repr__(self):
         return f"Metric(dim={self.dim})"
 
 
 class OneForm:
-    """Left-invariant 1-form: a coefficient row in the dual basis."""
+    """Left-invariant 1-form: a coefficient row in the dual basis, also
+    held as a reduced integer form with its content key, made on first
+    use."""
 
     def __init__(self, coeffs):
         self.coeffs = coeffs if isinstance(coeffs, np.ndarray) else ex.rvec(coeffs)
         self.coeffs.setflags(write=False)
         self.dim = self.coeffs.shape[0]
+
+    @cached_property
+    def scaled_coeffs(self) -> tuple:
+        """``(t, dt)`` with ``coeffs == t / dt``, reduced."""
+        t, dt = ex.scaled(self.coeffs)
+        t.setflags(write=False)
+        return t, dt
+
+    @cached_property
+    def key(self) -> tuple:
+        return ex.content_key(*self.scaled_coeffs)
 
     @classmethod
     def dual(cls, n: int, i: int, scale=1) -> "OneForm":
@@ -320,7 +403,7 @@ class OneForm:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, OneForm) and np.array_equal(self.coeffs, other.coeffs)
+        return isinstance(other, OneForm) and self.key == other.key
 
     def __repr__(self):
         return f"OneForm({[str(c) for c in self.coeffs]})"
@@ -328,15 +411,32 @@ class OneForm:
 
 class Subspace:
     """Subspace of Q^n identified by the reduced column echelon form of
-    any basis matrix, so two Subspaces are equal iff their spans are."""
+    any basis matrix, so two Subspaces are equal iff their spans are.
+
+    The basis matrix may hold Fractions or integers; a span does not
+    depend on scale.  The canonical basis is held as its reduced integer
+    form ``scaled_basis``, which the spans, tests and memo keys read; the
+    ``Fraction`` matrix ``basis`` is made on first read.
+    """
 
     def __init__(self, basis_matrix: np.ndarray, ambient_dim: Optional[int] = None):
         if basis_matrix.size == 0 and ambient_dim is not None:
             basis_matrix = ex.rzeros((ambient_dim, 0))
-        self.basis = ex.column_space(basis_matrix)
-        self.basis.setflags(write=False)
+        ub, du = ex.int_column_space(ex.scaled(basis_matrix)[0])
+        ub.setflags(write=False)
+        self.scaled_basis = (ub, du)
         self.ambient_dim = basis_matrix.shape[0]
-        self.dim = self.basis.shape[1]
+        self.dim = ub.shape[1]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        basis = ex.unscaled(*self.scaled_basis)
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
+    def key(self) -> tuple:
+        return ex.content_key(*self.scaled_basis)
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -354,35 +454,37 @@ class Subspace:
         return cls(np.stack(vectors, axis=1))
 
     def contains(self, v) -> bool:
-        return ex.in_span(self.basis, np.asarray(v, dtype=object))
+        iv, _ = ex.scaled(np.asarray(v, dtype=object).reshape(-1, 1))
+        return ex.int_span_contains(self.scaled_basis[0], iv)
 
     def contains_space(self, other: "Subspace") -> bool:
-        return ex.span_contains(self.basis, other.basis)
+        return ex.int_span_contains(self.scaled_basis[0], other.scaled_basis[0])
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        return Subspace(ex.intersect_columns(self.basis, other.basis))
+        a, b = self.scaled_basis[0], other.scaled_basis[0]
+        return Subspace(ex.int_intersect_columns(a, b)[0])
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(np.concatenate([self.basis, other.basis], axis=1))
+        return Subspace(np.concatenate([self.scaled_basis[0], other.scaled_basis[0]], axis=1))
 
     def orthogonal_complement(self, metric: Metric) -> "Subspace":
-        """G-orthogonal complement; kernel of (basis^T G)."""
+        """G-orthogonal complement; kernel of (basis^T G), eliminated on
+        integers."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
-        return Subspace(ex.nullspace(ex.dot(self.basis.T, metric.gram)))
+        ub, gg = self.scaled_basis[0], metric.scaled_gram[0]
+        return Subspace(ex.int_nullspace(ub.T.dot(gg))[0])
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
             and self.dim == other.dim
-            and np.array_equal(self.basis, other.basis)
+            and self.key == other.key
         )
 
     def __hash__(self):
-        return hash(
-            (self.ambient_dim, tuple(tuple(row) for row in self.basis.tolist()))
-        )
+        return hash((self.ambient_dim, self.key))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"
@@ -416,22 +518,22 @@ def is_unimodular(L: LieAlgebra) -> bool:
 
 def audit_algebra(L: LieAlgebra) -> AuditReport:
     jac = L.jacobi_defect()
-    ds = L.derived_series()
-    lcs = L.lower_central_series()
+    ds = tuple(t.shape[1] for t, _ in L.scaled_derived_series())
+    lcs = tuple(t.shape[1] for t, _ in L.scaled_lower_central_series())
     return AuditReport(
         jacobi_ok=jac is None and L.antisymmetry_defect() is None,
-        solvable=ds[-1].shape[1] == 0,
-        nilpotent=lcs[-1].shape[1] == 0,
+        solvable=ds[-1] == 0,
+        nilpotent=lcs[-1] == 0,
         unimodular=is_unimodular(L),
-        derived_series_dims=tuple(t.shape[1] for t in ds),
-        lower_central_dims=tuple(t.shape[1] for t in lcs),
+        derived_series_dims=ds,
+        lower_central_dims=lcs,
         jacobi_witness=jac,
     )
 
 
 def is_closed(L: LieAlgebra, theta: OneForm) -> bool:
     """A left-invariant 1-form is closed iff it vanishes on g'."""
-    return ex.is_zero(ex.dot(theta.coeffs, L.derived_algebra))
+    return ex.is_zero(theta.scaled_coeffs[0].dot(L.scaled_derived[0]))
 
 
 @dataclass(frozen=True)
@@ -444,17 +546,16 @@ class SubspaceReport:
 
 
 def subspace_predicates(L: LieAlgebra, G: Metric, U: Subspace) -> SubspaceReport:
-    b = U.basis
-    full = ex.reye(L.dim)
-    uu = L.bracket_span(b, b)
-    gu = L.bracket_span(full, b)
-    zd = L.centre_of_derived()
+    b = U.scaled_basis[0]
+    uu, _ = L.int_bracket_span(b, b)
+    gu, _ = L.int_bracket_span(L.int_eye, b)
+    zd, _ = L.scaled_centre_of_derived
     return SubspaceReport(
-        is_subalgebra=ex.span_contains(b, uu),
-        is_ideal=ex.span_contains(b, gu),
+        is_subalgebra=ex.int_span_contains(b, uu),
+        is_ideal=ex.int_span_contains(b, gu),
         is_abelian=uu.shape[1] == 0,
         orthogonal_complement=U.orthogonal_complement(G),
-        in_centre_of_derived=ex.span_contains(zd, b),
+        in_centre_of_derived=ex.int_span_contains(zd, b),
     )
 
 
@@ -535,22 +636,23 @@ def almost_abelian_presentation(
     """
     n = L.dim
     der = L.derived_algebra
-    if der.shape[1] == 0:
+    dd, _ = L.scaled_derived
+    if dd.shape[1] == 0:
         # abelian: deterministic first choice, the G-orthocomplement of e1
         e1 = ex.rzeros(n)
         e1[0] = ex.ONE
         ideal = Subspace.spanned_by([e1], n).orthogonal_complement(G)
         return _presentation_from_ideal(L, G, ideal.basis)
-    if L.bracket_span(der, der).shape[1] != 0:
+    if L.int_bracket_span(dd, dd)[0].shape[1] != 0:
         return None  # g' not abelian
-    cent = L.centraliser(der)
+    cent, _ = L.int_centraliser(dd)
     dc = cent.shape[1]
     if dc < n - 1:
         return None
     if dc == n - 1:
-        if not ex.span_contains(cent, der):
+        if not ex.int_span_contains(cent, dd):
             return None
-        if L.bracket_span(cent, cent).shape[1] != 0:
+        if L.int_bracket_span(cent, cent)[0].shape[1] != 0:
             return None
         return _presentation_from_ideal(L, G, cent)
     # C = g: g' is central.  Work on a complement of g' in g; columns of

@@ -100,55 +100,65 @@ def verify_lcp(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verific
 
     The report is made once per (L, G, theta, U) and kept with L, as
     ``weyl.weyl_geometry`` keeps the connection: the memo is keyed by the
-    exact entries of the Gram matrix, of theta and of the canonical basis
+    content keys of the Gram matrix, of theta and of the canonical basis
     of U, and the frozen report is shared.
     """
     _guard(L, theta)
     if U.dim == 0:
         return VerificationReport(True, True, True)
     memo = vars(L).setdefault("_verify_lcp", {})
-    key = (tuple(G.gram.flat), tuple(theta.coeffs.flat), tuple(U.basis.flat))
+    key = (G.key, theta.key, U.key)
     if key not in memo:
         memo[key] = _verify(L, G, theta, U)
     return memo[key]
 
 
 def _verify(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> VerificationReport:
-    """The body of :func:`verify_lcp` for a nonzero U."""
+    """The body of :func:`verify_lcp` for a nonzero U, on the integer
+    forms of U, its complement, G, theta and c; only a failing identity
+    makes a Fraction."""
     witnesses = []
-    ub = U.basis
-    perp = U.orthogonal_complement(G)
-    pb = perp.basis
+    iu, du = U.scaled_basis
+    ip, dp = U.orthogonal_complement(G).scaled_basis
 
-    cond1 = ex.span_contains(ub, L.bracket_span(ub, ub)) and ex.span_contains(
-        pb, L.bracket_span(pb, pb)
+    cond1 = ex.int_span_contains(iu, L.int_bracket_span(iu, iu)[0]) and ex.int_span_contains(
+        ip, L.int_bracket_span(ip, ip)[0]
     )
     if not cond1:
         witnesses.append(Witness(1, (), ex.ONE))
 
     # (2) for each basis vector v of one block, on basis pairs of the other:
     # S = P^T (G ad_v + ad_v^T G) P - 2 theta(v) P^T G P, upper triangle;
-    # the products P^T G ad_v P for every v come from one contraction
+    # the products P^T G ad_v P for every v come from one contraction.
+    # With V = iv / dv, P = iw / dw, G = gg / dg, theta = t / dt and
+    # c = cc / e, S = (dt (A + A^T) - 2 e (t . iv) iw^T gg iw) / D for
+    # A = (gg iw)^T [iv, iw]_int and D = e dt dg dv dw^2.
+    gg, dg = G.scaled_gram
+    t, dt = theta.scaled_coeffs
+    e = L.scaled_c[1]
     cond2 = True
-    for vl, vb, wl, wb in (("u", ub, "x", pb), ("x", pb, "u", ub)):
-        p, k = vb.shape[1], wb.shape[1]
-        gw = ex.dot(G.gram, wb)
-        gram = ex.dot(wb.T, gw)
-        gad = ex.dot(gw.T, L.brackets(vb, wb)).reshape(k, p, k)
+    for vl, iv, dv, wl, iw, dw in (("u", iu, du, "x", ip, dp), ("x", ip, dp, "u", iu, du)):
+        p, k = iv.shape[1], iw.shape[1]
+        gw = gg.dot(iw)
+        gram = iw.T.dot(gw)
+        gad = gw.T.dot(L.int_brackets(iv, iw)).reshape(k, p, k)
+        tv = t.dot(iv)
+        den = e * dt * dg * dv * dw * dw
         for a in range(p):
-            s = gad[:, a, :] + gad[:, a, :].T - 2 * theta(vb[:, a]) * gram
+            s = dt * (gad[:, a, :] + gad[:, a, :].T) - 2 * e * tv[a] * gram
             for i in range(k):
                 for j in range(i, k):
                     if s[i, j] != 0:
                         cond2 = False
-                        witnesses.append(Witness(2, (vl, a, wl, i, wl, j), s[i, j]))
+                        witnesses.append(
+                            Witness(2, (vl, a, wl, i, wl, j), ex.unscaled(s[i, j], den))
+                        )
 
     # (3) R_ij U for every pair i < j, stacked into one integer product;
     # only a failing column becomes Fractions
     _, curv = weyl_geometry(L, G, theta)
-    n, k = L.dim, ub.shape[1]
+    n, k = L.dim, iu.shape[1]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    iu, du = ex.scaled(ub)
     ru = curv.num.reshape(len(pairs) * n, n).dot(iu).reshape(len(pairs), n, k)
     cond3 = True
     for (i, j), w in zip(pairs, ru):
@@ -169,25 +179,37 @@ def maximal_flat_parallel(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
     Start from the common kernel of the curvature operators and shrink to
     the largest invariant subspace inside it; this stabilises in at most
     n steps.
+
+    The search runs once per (L, G, theta) and its Subspace is kept with
+    L, keyed as ``weyl.weyl_geometry`` keys the connection.
     """
     _guard(L, theta)
+    memo = vars(L).setdefault("_maximal_flat_parallel", {})
+    key = (G.key, theta.key)
+    if key not in memo:
+        memo[key] = _flat_search(L, G, theta)
+    return memo[key]
+
+
+def _flat_search(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
+    """The body of :func:`maximal_flat_parallel`.  Kernels do not depend
+    on scale, so every step eliminates integer matrices as they are: the
+    tables of R and gamma, and integer bases of u and its annihilator."""
     n = L.dim
     conn, curv = weyl_geometry(L, G, theta)
-    # kernels do not depend on scale, so both steps eliminate the integer
-    # tables of R and gamma as they are
-    u = ex.nullspace(curv.num.reshape(-1, n))
+    u, _ = ex.int_nullspace(curv.num.reshape(-1, n))
     while u.shape[1] > 0:
-        q = ex.left_nullspace(u)
+        q = ex.int_nullspace(u.T)[0].T
         if q.shape[0] == 0:
             break
         # the blocks q gamma[i] u for every i, stacked row-wise: two products
         m, k = q.shape[0], u.shape[1]
-        gu = conn.g.reshape(n * n, n).dot(ex.scaled(u)[0]).reshape(n, n, k)
-        rows = ex.scaled(q)[0].dot(gu.transpose(1, 0, 2).reshape(n, n * k))
-        w = ex.nullspace(rows.reshape(m, n, k).transpose(1, 0, 2).reshape(n * m, k))
+        gu = conn.g.reshape(n * n, n).dot(u).reshape(n, n, k)
+        rows = q.dot(gu.transpose(1, 0, 2).reshape(n, n * k))
+        w, _ = ex.int_nullspace(rows.reshape(m, n, k).transpose(1, 0, 2).reshape(n * m, k))
         if w.shape[1] == k:
             break
-        u = ex.dot(u, w)
+        u = u.dot(w)
     return Subspace(u, ambient_dim=n)
 
 
@@ -210,7 +232,7 @@ def classify(L: LieAlgebra, G: Metric, theta: OneForm) -> LCPClass:
         return LCPClass(DEGENERATE, u)
     if u.dim == L.dim:
         return LCPClass(CONFORMALLY_FLAT, u)
-    adapted = ex.is_zero(ex.dot(theta.coeffs, u.basis))
+    adapted = ex.is_zero(theta.scaled_coeffs[0].dot(u.scaled_basis[0]))
     return LCPClass(ADAPTED if adapted else NON_ADAPTED, u)
 
 
@@ -231,7 +253,7 @@ class LCPStructure:
         return self.flat.dim
 
     def is_adapted(self) -> bool:
-        return ex.is_zero(ex.dot(self.theta.coeffs, self.flat.basis))
+        return ex.is_zero(self.theta.scaled_coeffs[0].dot(self.flat.scaled_basis[0]))
 
     def verify(self) -> VerificationReport:
         return verify_lcp(self.algebra, self.metric, self.theta, self.flat)
@@ -348,33 +370,32 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     if not S.verify().passed:
         raise PreconditionViolated("structure does not verify as LCP")
     n, q = L.dim, U.dim
-    ub = U.basis
-    full = ex.reye(n)
+    iu, du = U.scaled_basis
 
     in_centre = (
-        ex.span_contains(ub, L.bracket_span(full, ub))
-        and L.bracket_span(ub, ub).shape[1] == 0
-        and ex.span_contains(L.centre_of_derived(), ub)
+        ex.int_span_contains(iu, L.int_bracket_span(L.int_eye, iu)[0])
+        and L.int_bracket_span(iu, iu)[0].shape[1] == 0
+        and ex.int_span_contains(L.scaled_centre_of_derived[0], iu)
     )
 
     # nabla_{e_i} u_a and [e_i, u_a] for every i and a, one integer product
     # each: gamma = g / d and ad_{e_i} = cc[i]^T / e, compared cross-multiplied
     conn, _ = weyl_geometry(L, G, theta)
     cc, e = L.scaled_c
-    iu, _ = ex.scaled(ub)
     nabla_u = conn.g.reshape(n * n, n).dot(iu)
     ad_u = cc.transpose(0, 2, 1).reshape(n * n, n).dot(iu)
     nabla_ad = np.array_equal(nabla_u * e, ad_u * conn.d)
 
-    theta_u = ex.dot(theta.coeffs, ub)
+    t, dt = theta.scaled_coeffs
+    theta_u = ex.unscaled(t.dot(iu), dt * du)
     theta_flat = ex.is_zero(theta_u)
 
-    der = L.derived_algebra
-    nabla_der = ex.is_zero(ex.scaled(der)[0].T.dot(nabla_u.reshape(n, n * q)))
+    der, _ = L.scaled_derived
+    nabla_der = ex.is_zero(der.T.dot(nabla_u.reshape(n, n * q)))
 
     # trace forms of u and u-perp against theta
     perp = U.orthogonal_complement(G)
-    hu = _subalgebra_trace_form(L, ub) if q else []
+    hu = _subalgebra_trace_form(L, U.basis) if q else []
     hperp = _subalgebra_trace_form(L, perp.basis)
     theta_perp = ex.dot(theta.coeffs, perp.basis)
     trace_rel = all(hu[a] == -(n - q) * theta_u[a] for a in range(q)) and all(

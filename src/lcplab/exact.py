@@ -17,23 +17,29 @@ entry once, and a zero entry is the shared :data:`ZERO`.
 
 Between kernels, exact data stays in that integer form, ``ints / den``,
 and Fractions are made only where a caller reads entries
-(:func:`unscaled`).  Three objects keep it: a ``LieAlgebra`` its
-structure constants (``LieAlgebra.scaled_c``), and a ``weyl.Connection``
-and ``weyl.Curvature`` their whole tables, which the Koszul solve, the
-conformal correction and the curvature pass build on integers alone;
-:func:`reduced` divides out a common factor so that the form is the one
-:func:`scaled` gives for the same values.  Bracket spans and
-centralisers eliminate integer bracket matrices and ad stacks, and the
-flat search, the curvature condition of verification and the structural
-audit multiply the integer tables of the connection and curvature; none
-of these make a Fraction unless it is returned.
+(:func:`unscaled`).  The objects that carry exact data keep it: a
+``LieAlgebra`` its structure constants (``scaled_c``) and derived
+algebra (``scaled_derived``), a ``Metric`` its Gram matrix and inverse,
+a ``OneForm`` its coefficients, a ``Subspace`` its canonical basis, and
+a ``weyl.Connection`` and ``weyl.Curvature`` their whole tables.  Each
+form is reduced (:func:`reduced`): it is the one :func:`scaled` gives
+for the same values, so :func:`content_key` of it identifies the values
+and memo lookups hash Python ints only.  Bracket spans, centralisers,
+the flat search, verification and the structural audit eliminate and
+multiply these integers; none of them make a Fraction unless it is
+returned.
 
-Eliminations run on the same integers: :func:`rref` and :func:`det` read
-one fraction-free Gauss-Jordan pass (Bareiss), and every nullspace,
-solve, inverse and span test goes through :func:`rref`.  An echelon form
-and a kernel do not depend on the scale of the matrix, so
-:func:`rref`, :func:`nullspace` and :func:`column_space` take integer
-arrays as they are; their results are Fractions either way.  The
+Eliminations run on the same integers: one fraction-free Gauss-Jordan
+pass (Bareiss, :func:`_eliminate`) sits under :func:`rref`, :func:`det`,
+:func:`rank`, every kernel, column span, inverse and span test, and zero rows
+are dropped before it.  An echelon form, a kernel and a span do not
+depend on the scale of the matrix, so the ``int_`` kernels
+(:func:`int_nullspace`, :func:`int_column_space`, :func:`int_inv`,
+:func:`int_span_contains`, :func:`int_intersect_columns`) take integer
+matrices as they are and hand their result on as a reduced integer
+form; the public functions of the same name scale Fractions in and
+unscale the result.  A span test is one elimination of
+``[basis | other]`` that checks that no pivot lands in ``other``.  The
 characteristic polynomial is one Faddeev-LeVerrier pass on the same
 integers (:func:`int_charpoly_coeffs`), which ``intpoly`` shares for
 integer matrices.
@@ -131,10 +137,19 @@ def unscaled(ints, den: int):
 
 def reduced(ints, den: int):
     """``(ints, den)`` with the common factor of every entry and ``den``
-    divided out: the smallest common denominator of the values, which is
-    the one :func:`scaled` gives for them."""
+    divided out and ``den > 0``: the smallest common denominator of the
+    values, which is the one :func:`scaled` gives for them."""
     g = gcd(den, *ints.ravel().tolist())
-    return (ints // g, den // g) if g > 1 else (ints, den)
+    if den < 0:
+        g = -g
+    return (ints // g, den // g) if g != 1 else (ints, den)
+
+
+def content_key(ints, den: int) -> tuple:
+    """Hashable key of the array ``ints / den`` given as a reduced form:
+    equal arrays, however built, give equal keys, and a lookup hashes
+    Python ints only."""
+    return (ints.shape, den, *ints.ravel().tolist())
 
 
 def dot(a, b):
@@ -152,20 +167,29 @@ def to_float(a) -> np.ndarray:
     return np.asarray(a, dtype=object).astype(np.float64)
 
 
-def _eliminate(m: np.ndarray):
-    """Fraction-free Gauss-Jordan on ``scaled(m) == (ints, den)``.
+def _int_rows(rows, ncols: int) -> np.ndarray:
+    """Object array of Python ints from a list of equal-length int lists."""
+    out = np.empty((len(rows), ncols), dtype=object)
+    for i, row in enumerate(rows):
+        out[i] = row
+    return out
 
-    Returns ``(rows, pivots, d, sign, den)``: the RREF of ``m`` is
-    ``rows[:rank] / d`` and ``det(ints) == sign * d`` when every column
-    pivots.  Each pivot ``p`` replaces every other row by
+
+def _eliminate(ints: np.ndarray):
+    """Fraction-free Gauss-Jordan on an integer matrix.
+
+    Returns ``(rows, pivots, d, sign)``: the RREF of ``ints`` is
+    ``rows[:rank] / d``, and ``det(ints) == sign * d`` when every column
+    pivots.  Zero rows are dropped first: they change neither the RREF
+    nor the pivots, and a square matrix with one has no full rank.  Each
+    pivot ``p`` replaces every other row by
     ``(p * row - row[pc] * pivot_row) // d``, ``d`` the previous pivot;
     every entry is a minor of ``ints`` (Bareiss), so the division is exact.
     """
-    ints, den = scaled(m)
-    rows = ints.tolist()
+    rows = [row for row in ints.tolist() if any(row)]
     pivots = []
     d, sign, pr = 1, 1, 0
-    for pc in range(m.shape[1]):
+    for pc in range(ints.shape[1]):
         if pr == len(rows):
             break
         pivot = next((i for i in range(pr, len(rows)) if rows[i][pc]), None)
@@ -183,12 +207,12 @@ def _eliminate(m: np.ndarray):
         pivots.append(pc)
         d = p
         pr += 1
-    return rows, pivots, d, sign, den
+    return rows, pivots, d, sign
 
 
 def rref(m: np.ndarray):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    rows, pivots, d, _, _ = _eliminate(m)
+    rows, pivots, d, _ = _eliminate(scaled(m)[0])
     r = rzeros(m.shape)
     for i in range(len(pivots)):
         r[i] = [Fraction(x, d) for x in rows[i]]
@@ -196,20 +220,26 @@ def rref(m: np.ndarray):
 
 
 def rank(m: np.ndarray) -> int:
-    return len(_eliminate(m)[1])
+    return len(_eliminate(scaled(m)[0])[1])
+
+
+def int_nullspace(ints: np.ndarray) -> tuple:
+    """:func:`nullspace` of an integer matrix, as its reduced integer form
+    ``(basis, den)``; the kernel does not depend on the scale of ``ints``."""
+    cols = ints.shape[1]
+    rows, pivots, d, _ = _eliminate(ints)
+    free = [j for j in range(cols) if j not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=object)
+    for k, j in enumerate(free):
+        basis[j, k] = d
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = -rows[i][j]
+    return reduced(basis, d)
 
 
 def nullspace(m: np.ndarray) -> np.ndarray:
     """Basis (columns) of the right kernel, canonical given the RREF."""
-    cols = m.shape[1]
-    r, pivots = rref(m)
-    free = [j for j in range(cols) if j not in pivots]
-    basis = rzeros((cols, len(free)))
-    for k, j in enumerate(free):
-        basis[j, k] = ONE
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = -r[i, j]
-    return basis
+    return unscaled(*int_nullspace(scaled(m)[0]))
 
 
 def left_nullspace(m: np.ndarray) -> np.ndarray:
@@ -238,29 +268,46 @@ def solve(a: np.ndarray, b: np.ndarray):
     return x[:, 0] if vec else x
 
 
-def inv(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if a.shape[1] != n:
+def int_inv(ints: np.ndarray) -> tuple:
+    """Inverse of a square integer matrix as a reduced integer form
+    ``(inverse_ints, den)``, from one elimination of ``[ints | I]``."""
+    n = ints.shape[0]
+    if ints.shape[1] != n:
         raise DimensionMismatch("inv: not square")
-    aug = np.concatenate([a, reye(n)], axis=1)
-    r, pivots = rref(aug)
+    eye = np.zeros((n, n), dtype=object)
+    np.fill_diagonal(eye, 1)
+    rows, pivots, d, _ = _eliminate(np.concatenate([ints, eye], axis=1))
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return r[:, n:]
+    return reduced(_int_rows([row[n:] for row in rows], n), d)
+
+
+def inv(a: np.ndarray) -> np.ndarray:
+    ints, den = scaled(a)
+    inv_ints, d = int_inv(ints)
+    return unscaled(inv_ints * den, d)
 
 
 def det(a: np.ndarray) -> Fraction:
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionMismatch("det: not square")
-    _, pivots, d, sign, den = _eliminate(a)
+    ints, den = scaled(a)
+    _, pivots, d, sign = _eliminate(ints)
     return Fraction(sign * d, den**n) if len(pivots) == n else ZERO
+
+
+def int_column_space(ints: np.ndarray) -> tuple:
+    """:func:`column_space` of an integer matrix, as its reduced integer
+    form ``(basis, den)``; the span does not depend on the scale of
+    ``ints``, nor on that of any one column."""
+    rows, pivots, d, _ = _eliminate(ints.T)
+    return reduced(_int_rows(rows[: len(pivots)], ints.shape[0]).T, d)
 
 
 def column_space(m: np.ndarray) -> np.ndarray:
     """Canonical basis of the column span: reduced column echelon form."""
-    r, pivots = rref(m.T)
-    return r[: len(pivots)].T
+    return unscaled(*int_column_space(scaled(m)[0]))
 
 
 def in_span(basis: np.ndarray, v: np.ndarray) -> bool:
@@ -268,22 +315,32 @@ def in_span(basis: np.ndarray, v: np.ndarray) -> bool:
     return span_contains(basis, v.reshape(-1, 1))
 
 
+def int_span_contains(basis: np.ndarray, other: np.ndarray) -> bool:
+    """:func:`span_contains` on integer matrices: one elimination of
+    ``[basis | other]``, and ``other`` lies in the span of ``basis`` iff
+    no pivot lands in its columns.  Scale-free, column by column."""
+    k = basis.shape[1]
+    pivots = _eliminate(np.concatenate([basis, other], axis=1))[1]
+    return all(p < k for p in pivots)
+
+
 def span_contains(basis: np.ndarray, other: np.ndarray) -> bool:
     """Are all columns of ``other`` inside the column span of ``basis``?"""
-    if basis.shape[1] == 0:
-        return is_zero(other)
-    return solve(basis, other) is not None
+    return int_span_contains(scaled(basis)[0], scaled(other)[0])
+
+
+def int_intersect_columns(a: np.ndarray, b: np.ndarray) -> tuple:
+    """:func:`intersect_columns` of two integer matrices, as the reduced
+    integer form of its canonical basis."""
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return np.zeros((a.shape[0], 0), dtype=object), 1
+    ker, _ = int_nullspace(np.concatenate([a, -b], axis=1))
+    return int_column_space(a.dot(ker[: a.shape[1], :]))
 
 
 def intersect_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Canonical basis of the intersection of two column spans."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return rzeros((a.shape[0], 0))
-    stacked = np.concatenate([a, -b], axis=1)
-    ker = nullspace(stacked)
-    if ker.shape[1] == 0:
-        return rzeros((a.shape[0], 0))
-    return column_space(dot(a, ker[: a.shape[1], :]))
+    return unscaled(*int_intersect_columns(scaled(a)[0], scaled(b)[0]))
 
 
 def is_symmetric(g: np.ndarray) -> bool:
@@ -294,9 +351,24 @@ def is_symmetric(g: np.ndarray) -> bool:
 
 
 def is_pos_def(g: np.ndarray) -> bool:
-    """Sylvester criterion: all leading principal minors positive."""
-    n = g.shape[0]
-    return all(det(g[: k + 1, : k + 1]) > 0 for k in range(n))
+    """Sylvester's criterion in one fraction-free pass.
+
+    Without row swaps, the k-th Bareiss pivot of ``scaled(g) == (ints,
+    den)`` is the k-th leading principal minor of ``ints``, that is den^k
+    times the minor of g; so g is positive definite iff every pivot is
+    positive, and the pass stops at the first that is not.
+    """
+    rows = scaled(g)[0].tolist()
+    d = 1
+    for k, prow in enumerate(rows):
+        p = prow[k]
+        if p <= 0:
+            return False
+        for i in range(k + 1, len(rows)):
+            a = rows[i][k]
+            rows[i] = [(p * x - a * y) // d for x, y in zip(rows[i], prow)]
+        d = p
+    return True
 
 
 def int_charpoly_coeffs(ints) -> list:

@@ -252,6 +252,26 @@ def certify_witness(c, t0: float, poly: IntPoly, tol: float = 1e-8, seed: int = 
     return None  # derogatory or no probe passed: inconclusive on this path
 
 
+def _is_exact(c) -> bool:
+    """Every entry an int or a ``Fraction``, as :func:`exact.scaled` takes."""
+    return all(hasattr(x, "denominator") for x in np.asarray(c, dtype=object).flat)
+
+
+def _is_derogatory(c) -> bool:
+    """Is the rational matrix C derogatory, that is, is its minimal
+    polynomial of degree < n?  One exact rank of the n^2 x n matrix
+    [vec I, vec C, ..., vec C^(n-1)], taken on the powers of the integer
+    form C = ints / d (C^k = ints^k / d^k, and column scales do not change
+    the rank).  exp(t C) is a polynomial in C, so it is then derogatory
+    for every t."""
+    ints, _ = ex.scaled(c)
+    n = ints.shape[0]
+    powers = [np.eye(n, dtype=int).astype(object)]
+    for _ in range(n - 1):
+        powers.append(ints.dot(powers[-1]))
+    return ex.rank(np.stack([p.ravel() for p in powers], axis=1)) < n
+
+
 def _blocks_of(c: np.ndarray) -> list:
     """Connected components of the nonzero pattern (invariant blocks of a
     block-diagonal matrix)."""
@@ -415,9 +435,7 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     multiple = [cl for cl in clusters if cl[1] >= 2]
     if len(multiple) != 1 or abs(multiple[0][0]) <= DOUBLE_ROOT_TOL:
         return None
-    # exact input: every entry an int or a Fraction, as exact.scaled takes
-    exact_input = all(hasattr(x, "denominator") for x in np.asarray(c, dtype=object).flat)
-    if exact_input and not _double_root_exact(c):
+    if _is_exact(c) and not _double_root_exact(c):
         return None
     return NoLatticeCertificate(
         "double_root",
@@ -547,7 +565,9 @@ def lattice_verdict(
 
     Certificates are decisive, so when one fires no witness search runs
     (a sound witness could never coexist with one).  ``tol`` bounds only
-    the certification residual: it cannot loosen the double-root rule."""
+    the certification residual: it cannot loosen the double-root rule.
+    An exact C that is derogatory has only derogatory exponentials, so
+    its candidates go straight to blockwise certification."""
     certs = []
     if cited is not None:
         certs.append(cited)
@@ -561,9 +581,13 @@ def lattice_verdict(
     if certs:
         return LatticeVerdict(label, (), tuple(certs), ())
     witnesses = []
-    for cand in integer_charpoly_scan(c, t_range=t_range):
+    candidates = integer_charpoly_scan(c, t_range=t_range)
+    derogatory = bool(candidates) and _is_exact(c) and _is_derogatory(c)
+    for cand in candidates:
         m = exp_ad(c, cand.t0)
-        w = certify_witness(c, cand.t0, cand.poly, tol=tol, seed=seed, m=m)
+        w = None
+        if not derogatory:
+            w = certify_witness(c, cand.t0, cand.poly, tol=tol, seed=seed, m=m)
         if w is None:
             w = certify_witness_blocked(c, cand.t0, tol=tol, seed=seed, m=m)
         if w is not None:

@@ -81,8 +81,8 @@ def levi_civita(L: LieAlgebra, G: Metric) -> Connection:
     _check_dim(L.dim)
     n = L.dim
     cc, e = L.scaled_c
-    gg, dg = ex.scaled(G.gram)
-    gi, di = ex.scaled(G.inverse)
+    gg, dg = G.scaled_gram
+    gi, di = G.scaled_inverse
     # gc[i, j, k] = e dg g([e_i, e_j], e_k), and k2 = 2 e dg K
     gc = cc.reshape(n * n, n).dot(gg).reshape(n, n, n)
     k2 = gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)
@@ -104,9 +104,9 @@ def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
         raise NonClosedLeeForm("theta does not vanish on the derived algebra")
     lc = levi_civita(L, G)
     n = L.dim
-    t, dt = ex.scaled(theta.coeffs)
-    gg, dg = ex.scaled(G.gram)
-    gi, di = ex.scaled(G.inverse)
+    t, dt = theta.scaled_coeffs
+    gg, dg = G.scaled_gram
+    gi, di = G.scaled_inverse
     k = dg * di
     # corr[i, a, b] = -(gi t)_a gg[i, b], then the two theta terms
     corr = -np.multiply.outer(gi.dot(t), gg).transpose(1, 0, 2)
@@ -179,13 +179,13 @@ def weyl_geometry(L: LieAlgebra, G: Metric, theta: OneForm) -> tuple[Connection,
     """The Weyl connection of theta and its curvature, built once per
     (L, G, theta) and kept with L.
 
-    The memo is keyed by the exact entries of the Gram matrix and of
+    The memo is keyed by the content keys of the Gram matrix and of
     theta, so equal metrics built separately share one entry; it lives in
     the instance dictionary of L, as ``ad_basis`` does, and goes with it.
     Both are read-only.
     """
     memo = vars(L).setdefault("_weyl_geometry", {})
-    key = (tuple(G.gram.flat), tuple(theta.coeffs.flat))
+    key = (G.key, theta.key)
     if key not in memo:
         conn = weyl_connection(L, G, theta)
         memo[key] = (conn, curvature(L, conn))

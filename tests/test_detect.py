@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lcplab import exact as ex
-from lcplab import weyl
+from lcplab import detect, weyl
 from lcplab.algebra import LieAlgebra, Metric, OneForm, Subspace
 from lcplab.construct import almab_lcp, metric_modification, semidirect_lcp, OrthoRep
 from lcplab.detect import (
@@ -252,6 +252,25 @@ def test_one_weyl_connection_per_structure(monkeypatch):
     assert verify_lcp(L, G, theta, flat).passed
     assert structural_audit(LCPStructure(L, G, theta, flat)).passed
     assert len(calls) == 1
+
+
+def test_one_flat_search_per_structure(monkeypatch):
+    # classify, the flat search and detection of one (L, G, theta) share
+    # one search, also through an equal metric and form built separately
+    calls = []
+    search = detect._flat_search
+    monkeypatch.setattr(detect, "_flat_search", lambda *args: calls.append(args) or search(*args))
+    s = almab_lcp([[1]], [[0, -1], [1, 0]])
+    L, G, theta = s.algebra, s.metric, s.theta
+    cls = classify(L, G, theta)
+    flat = maximal_flat_parallel(L, G, theta)
+    G2 = Metric(ex.rmat([[str(x) for x in row] for row in G.gram]))
+    theta2 = OneForm([str(x) for x in theta.coeffs])
+    assert cls.flat is flat is LCPStructure.detected(L, G2, theta2).flat
+    assert flat.contains_space(s.flat) and len(calls) == 1
+    # another metric is another search
+    maximal_flat_parallel(L, G.scaled(2), theta)
+    assert len(calls) == 2
 
 
 def reference_verify(L, G, theta, U):

@@ -1,5 +1,7 @@
 """Exact linear algebra.  ``rref`` and ``det`` must agree with the
-``Fraction`` Gaussian eliminations kept below as references.
+``Fraction`` Gaussian eliminations kept below as references, the span
+test with the ``solve``-based one it replaced, and ``is_pos_def`` with
+Sylvester's criterion evaluated one determinant per leading minor.
 """
 
 from fractions import Fraction as F
@@ -93,12 +95,36 @@ def rational_matrices(draw):
     return m
 
 
+@st.composite
+def tall_mostly_zero_matrices(draw):
+    """Up to 30 rows over 0..6 columns, most rows zero, as bracket
+    matrices and curvature tables are when they are eliminated."""
+    rows, cols = draw(st.integers(0, 30)), draw(st.integers(0, 6))
+    m = np.empty((rows, cols), dtype=object)
+    m[...] = 0
+    for i in range(rows):
+        if draw(st.integers(0, 9)) < 3:
+            m[i] = draw(st.lists(entries, min_size=cols, max_size=cols))
+    return m
+
+
 def as_fractions(m):
     return np.vectorize(F, otypes=[object])(m) if m.size else m.copy()
 
 
-@settings(max_examples=60, deadline=None)
-@given(rational_matrices())
+def same_form(form, want) -> bool:
+    """Integer forms agree: the same Python ints over the same denominator."""
+    (ints, den), (want_ints, want_den) = form, want
+    return (
+        den == want_den
+        and ints.shape == want_ints.shape
+        and all(type(x) is int for x in ints.flat)
+        and np.array_equal(ints, want_ints)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_matrices(), tall_mostly_zero_matrices()))
 def test_elimination_matches_fraction_reference(m):
     ref = as_fractions(m)
     r, pivots = ex.rref(m)
@@ -119,6 +145,57 @@ def test_elimination_matches_fraction_reference(m):
     inside = len(ref_rref(ref)[1]) == len(ref_rref(ref[:, :half])[1])
     assert ex.span_contains(m[:, :half], m[:, half:]) == inside
     assert ex.span_contains(m[:, :half], ref[:, :half] + ref[:, :half][:, ::-1])
+    # the integer kernels hand on the form scaled() gives for the result
+    ints, _ = ex.scaled(m)
+    assert same_form(ex.int_nullspace(ints), ex.scaled(ns))
+    assert same_form(ex.int_column_space(ints), ex.scaled(ex.column_space(m)))
+
+
+def ref_span_contains(basis, other):
+    """The span test as it was: a full ``Fraction`` RREF of
+    [basis | other] and a solution, of which only existence is read."""
+    if basis.shape[1] == 0:
+        return ex.is_zero(other)
+    return ex.solve(basis, other) is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_matrices(), tall_mostly_zero_matrices()), st.data())
+def test_span_contains_matches_solve_reference(m, data):
+    half = data.draw(st.integers(0, m.shape[1]))
+    basis, other = m[:, :half], m[:, half:]
+    assert ex.span_contains(basis, other) == ref_span_contains(basis, other)
+    # combinations of the basis columns always lie inside
+    inside = ex.dot(basis, ex.rmat([[1] * 2] * half)) if half else ex.rzeros((m.shape[0], 2))
+    assert ex.span_contains(basis, inside) and ref_span_contains(basis, inside)
+
+
+def ref_is_pos_def(g):
+    """Sylvester's criterion with one ``Fraction`` determinant per
+    leading principal minor."""
+    return all(ref_det(as_fractions(g[: k + 1, : k + 1])) > 0 for k in range(g.shape[0]))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """B^T B (positive semi-definite, definite iff B is invertible), a
+    shifted one, or B + B^T, at n = 0..7."""
+    n = draw(st.integers(0, 7))
+    b = ex.rzeros((n, n))
+    b.ravel()[:] = draw(st.lists(small, min_size=n * n, max_size=n * n))
+    kind = draw(st.sampled_from(["gram", "shifted", "sum"]))
+    if kind == "sum":
+        return b + b.T
+    g = b.T.dot(b)
+    if kind == "shifted":
+        g = g + draw(small) * ex.reye(n)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_pos_def_matches_sylvester_reference(g):
+    assert ex.is_pos_def(g) == ref_is_pos_def(g)
 
 
 def test_elimination_rejects_floats():

@@ -6,7 +6,10 @@ references below are the same formulas evaluated entry by entry in
 ``Fraction`` arithmetic (numpy object products, no ``exact`` kernel), on
 random algebras, metrics and closed forms at n = 3..10.  Every returned
 entry must be a ``Fraction``, also where an elimination was handed an
-integer array.
+integer array.  The value objects keep integer forms of their arrays and
+content keys built from them: each form must be the one ``ex.scaled``
+gives for the ``Fraction`` array, and equal values built separately must
+give equal keys.
 """
 
 from fractions import Fraction as F
@@ -16,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from lcplab import detect
 from lcplab import exact as ex
-from lcplab.algebra import Metric, Subspace
+from lcplab.algebra import Metric, OneForm, Subspace
 from lcplab.construct import almab_lcp, metric_modification
 from lcplab.detect import LCPStructure, maximal_flat_parallel, structural_audit, verify_lcp
 from lcplab.randgen import random_algebra, random_closed_form, random_metric, rng, small_fraction
-from lcplab.weyl import curvature, levi_civita, weyl_connection
+from lcplab.weyl import curvature, levi_civita, weyl_connection, weyl_geometry
 
 
 def ref_ad_stack(L, u):
@@ -160,3 +163,77 @@ def test_verification_body_runs_once_per_flat(monkeypatch):
     assert not verify_lcp(L, G, theta, line).passed
     verify_lcp(L, G, theta, line)
     assert len(ran) == len(set(ran)) + 1 == len({s.flat, flat}) + 2
+
+
+def same_form(form, arr) -> bool:
+    """``form`` is the integer form ``ex.scaled`` gives for the
+    ``Fraction`` array ``arr``: Python ints over the same denominator."""
+    ints, den = form
+    want_ints, want_den = ex.scaled(arr)
+    return (
+        all_fractions(arr)
+        and den == want_den
+        and ints.shape == want_ints.shape
+        and all(type(x) is int for x in ints.flat)
+        and np.array_equal(ints, want_ints)
+    )
+
+
+def _invertible(r, k):
+    """A random invertible k x k rational matrix."""
+    while True:
+        t = _matrix(r, k, k)
+        if ex.rank(t) == k:
+            return t
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 9))
+def test_value_objects_hold_the_scaled_forms_of_their_arrays(seed, n):
+    r = rng(seed)
+    L = random_algebra(r, n)
+    G = random_metric(r, n)
+    assert same_form(G.scaled_gram, G.gram)
+    assert same_form(G.scaled_inverse, G.inverse)
+    assert np.array_equal(G.gram.dot(G.inverse), ex.reye(n))
+    assert same_form(L.scaled_derived, L.derived_algebra)
+    assert same_form(L.scaled_centre_of_derived, L.centre_of_derived())
+    U = Subspace(_matrix(r, n, r.randint(0, n)))
+    for V in (U, U.orthogonal_complement(G)):
+        assert same_form(V.scaled_basis, V.basis)
+        assert np.array_equal(V.basis, ex.column_space(V.basis))
+    theta = random_closed_form(r, L)
+    if theta is not None:
+        assert same_form(theta.scaled_coeffs, theta.coeffs)
+        if n >= 3:
+            flat = maximal_flat_parallel(L, G, theta)
+            assert same_form(flat.scaled_basis, flat.basis)
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 9))
+def test_equal_values_built_separately_give_equal_keys(seed, n):
+    r = rng(seed)
+    L = random_algebra(r, n)
+    G = random_metric(r, n)
+    # the same Gram matrix from strings, and through a rescaling
+    G2 = Metric(ex.rmat([[str(x) for x in row] for row in G.gram]))
+    G3 = G.scaled(3).scaled(F(1, 3))
+    assert G.key == G2.key == G3.key and G == G2 == G3
+    assert G.scaled(2).key != G.key and G.scaled(2) != G
+    # the same span from another basis
+    k = r.randint(0, n)
+    b = _matrix(r, n, k)
+    U = Subspace(b)
+    V = Subspace(ex.dot(b, _invertible(r, k)) if k else b)
+    assert U.key == V.key and U == V and hash(U) == hash(V)
+    theta = random_closed_form(r, L)
+    if theta is None:
+        return
+    theta2 = OneForm([str(x) for x in theta.coeffs])
+    theta3 = (theta * 2) * F(1, 2)
+    assert theta.key == theta2.key == theta3.key and theta == theta2 == theta3
+    assert (theta * 2).key != theta.key
+    # so the memo tables find the connection and the flat space again
+    assert weyl_geometry(L, G2, theta2) is weyl_geometry(L, G, theta)
+    assert maximal_flat_parallel(L, G3, theta3) is maximal_flat_parallel(L, G, theta)

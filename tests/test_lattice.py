@@ -11,6 +11,7 @@ from lcplab.detect import LCPStructure, maximal_flat_parallel
 from lcplab.errors import EnvelopeExceeded, MTooSmall, NonPositiveInput, NonTraceFree
 from lcplab.intpoly import IntPoly, int_charpoly, int_det
 from lcplab.lattice import (
+    _is_derogatory,
     amalgam_lattice,
     certify_witness,
     certify_witness_blocked,
@@ -241,3 +242,44 @@ def test_double_root_on_rationals_needs_real_eigenvalues():
                  [0, 0, e, 1, 0], [0, 0, 0, 0, -4]])
     assert no_lattice_double_root(c.astype(np.float64)) is not None
     assert no_lattice_double_root(c) is None
+
+
+def _conjugated_hyperbolic(n):
+    """P diag(1, -1, 0, ...) P^-1 on Fractions, P a near-identity basis."""
+    d = ex.rzeros((n, n))
+    d[0, 0], d[1, 1] = ex.ONE, -ex.ONE
+    p = ex.reye(n)
+    p[0, 1], p[1, 2], p[2, 0] = Fraction(1, 4), Fraction(1, 8), Fraction(-1, 16)
+    return ex.dot(ex.dot(p, d), ex.inv(p))
+
+
+def test_is_derogatory_exactly():
+    assert _is_derogatory(_conjugated_hyperbolic(4))  # 0 twice
+    assert not _is_derogatory(_conjugated_hyperbolic(3))
+    assert _is_derogatory(ex.rzeros((2, 2)))
+    assert not _is_derogatory(ex.rmat([[0, 1], [0, 0]]))  # one Jordan block
+    assert not _is_derogatory(ex.rmat([[0, 0, Fraction(1, 3)], [1, 0, 0], [0, 1, 0]]))
+    assert _is_derogatory(ex.rmat([[2, 0, 0], [0, Fraction(4, 2), 0], [0, 0, 1]]))
+
+
+def test_derogatory_exact_input_skips_the_krylov_probes(monkeypatch):
+    # every exp(t C) of a derogatory C is derogatory, so on exact input no
+    # candidate runs the full-size probes; blockwise certification still
+    # finds the witnesses, and float input keeps the probes
+    import lcplab.lattice as lattice
+
+    sizes = []
+    probe = lattice.certify_witness
+
+    def counted(c, *args, **kwargs):
+        sizes.append(len(c))
+        return probe(c, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "certify_witness", counted)
+    c = _conjugated_hyperbolic(4)
+    exact = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert exact.status == "yes" and 4 not in sizes
+    sizes.clear()
+    floats = lattice_verdict(ex.to_float(c), t_range=(0.0, 3.0))
+    assert 4 in sizes
+    assert [w.t0 for w in floats.witnesses] == [w.t0 for w in exact.witnesses]
