@@ -32,10 +32,10 @@ from .algebra import (
     almost_abelian_presentation,
     audit_algebra,
     is_closed,
-    trace_form,
 )
 from .errors import (
     DimensionTooSmall,
+    InvalidStructure,
     NonClosedLeeForm,
     PreconditionViolated,
     ZeroLeeForm,
@@ -305,9 +305,21 @@ class StructuralAuditReport:
         }
 
 
-def _subalgebra_trace_form(L: LieAlgebra, basis: np.ndarray) -> list:
-    """tr(ad_y restricted to the subalgebra) for each basis column y."""
-    return list(trace_form(L.restrict(basis)).coeffs)
+def _subalgebra_trace_form(L: LieAlgebra, U: Subspace) -> list:
+    """tr(ad_y restricted to the subalgebra U) for each basis column y.
+
+    With U = iu / du and c = cc / e, the brackets of the columns are
+    ``int_brackets(iu, iu) / (du^2 e)``; one integer solve iu X = that
+    integer matrix gives their coordinates X / (du e), and the trace for
+    column a is the sum of X[b, a k + b] over b."""
+    iu, du = U.scaled_basis
+    k = iu.shape[1]
+    sol = ex.int_solve(iu, L.int_brackets(iu, iu))
+    if sol is None:
+        raise InvalidStructure("basis does not span a subalgebra")
+    x, d = sol
+    den = d * du * L.scaled_c[1]
+    return [ex.unscaled(sum(x[b, a * k + b] for b in range(k)), den) for a in range(k)]
 
 
 def _codim3_normal_form(L, G, theta, U) -> bool:
@@ -395,8 +407,8 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
 
     # trace forms of u and u-perp against theta
     perp = U.orthogonal_complement(G)
-    hu = _subalgebra_trace_form(L, U.basis) if q else []
-    hperp = _subalgebra_trace_form(L, perp.basis)
+    hu = _subalgebra_trace_form(L, U)
+    hperp = _subalgebra_trace_form(L, perp)
     theta_perp = ex.dot(theta.coeffs, perp.basis)
     trace_rel = all(hu[a] == -(n - q) * theta_u[a] for a in range(q)) and all(
         hperp[i] == -q * theta_perp[i] for i in range(perp.dim)

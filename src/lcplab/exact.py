@@ -247,6 +247,20 @@ def left_nullspace(m: np.ndarray) -> np.ndarray:
     return nullspace(m.T).T
 
 
+def int_solve(a: np.ndarray, b: np.ndarray):
+    """Solve ``a x = b`` for integer matrices ``a`` and ``b``, from one
+    elimination of ``[a | b]``: the reduced integer form ``(x, den)`` of
+    the solution, or None when inconsistent.  Free variables are 0."""
+    ncols = a.shape[1]
+    rows, pivots, d, _ = _eliminate(np.concatenate([a, b], axis=1))
+    if any(p >= ncols for p in pivots):
+        return None
+    x = np.zeros((ncols, b.shape[1]), dtype=object)
+    for i, pc in enumerate(pivots):
+        x[pc, :] = rows[i][ncols:]
+    return reduced(x, d)
+
+
 def solve(a: np.ndarray, b: np.ndarray):
     """Solve a x = b exactly; returns None when inconsistent.
 
@@ -257,14 +271,12 @@ def solve(a: np.ndarray, b: np.ndarray):
     rhs = b.reshape(-1, 1) if vec else b
     if a.shape[0] != rhs.shape[0]:
         raise DimensionMismatch("solve: shape mismatch")
-    aug = np.concatenate([a, rhs], axis=1)
-    r, pivots = rref(aug)
     ncols = a.shape[1]
-    if any(p >= ncols for p in pivots):
+    ints, _ = scaled(np.concatenate([a, rhs], axis=1))
+    sol = int_solve(ints[:, :ncols], ints[:, ncols:])
+    if sol is None:
         return None
-    x = rzeros((ncols, rhs.shape[1]))
-    for i, pc in enumerate(pivots):
-        x[pc, :] = r[i, ncols:]
+    x = unscaled(*sol)
     return x[:, 0] if vec else x
 
 

@@ -69,9 +69,6 @@ def companion(p: IntPoly) -> np.ndarray:
         raise DimensionMismatch("companion matrix needs a monic polynomial")
     d = p.degree
     m = np.zeros((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            m[i, j] = 0
     for i in range(1, d):
         m[i, i - 1] = 1
     for i in range(d):

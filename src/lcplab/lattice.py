@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -124,12 +125,23 @@ class ScanCandidate:
         return {"t0": self.t0, "poly": list(self.poly.coeffs), "defect": self.defect}
 
 
+def _spectral_radius(a: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(a)))) if a.shape[0] else 0.0
+
+
+def _check_spectral_envelope(t: float, rho: float) -> None:
+    """Raise unless |t| times the spectral radius ``rho`` of C is within
+    MAX_SPECTRAL: the envelope check of :func:`exp_ad`, from a radius
+    taken once."""
+    if abs(t) * rho > MAX_SPECTRAL:
+        raise EnvelopeExceeded("spectral radius of t*C exceeds the envelope")
+
+
 def _scanned_range(c, t_range) -> tuple:
     """The t-range the scan covers: ``t_range`` with its upper end clamped
     so that the spectral radius of t C stays within MAX_SPECTRAL."""
-    a = _as_float_matrix(c)
     lo, hi = float(t_range[0]), float(t_range[1])
-    rho = float(np.max(np.abs(np.linalg.eigvals(a)))) if a.shape[0] else 0.0
+    rho = _spectral_radius(_as_float_matrix(c))
     if hi * rho > MAX_SPECTRAL:
         hi = MAX_SPECTRAL / rho
     return lo, hi
@@ -295,58 +307,96 @@ def _blocks_of(c: np.ndarray) -> list:
     return comps
 
 
-def _merge_components(a: np.ndarray, t0: float, comps: list) -> Optional[list]:
+class _Plan:
+    """What certifying the candidates of one C shares: the float matrix,
+    its spectral radius and invariant components, and per group of
+    indices its sub-matrix, spectrum and spectral radius, each made on
+    first use.  Block certifications are kept too: ``expm`` is a function
+    of its argument, so the Z and Q that ``certify_witness`` finds for a
+    block depend only on t0 sub and the polynomial (``tol`` and ``seed``
+    are the plan's), and a block whose t0 sub repeats, such as a zero
+    block, is certified once per plan."""
+
+    def __init__(self, c, tol: float, seed: int):
+        self.a = _as_float_matrix(c)
+        self.tol, self.seed = tol, seed
+        self._groups = {}
+        self._certified = {}
+
+    @cached_property
+    def rho(self) -> float:
+        return _spectral_radius(self.a)
+
+    @cached_property
+    def components(self) -> list:
+        return _blocks_of(self.a)
+
+    def group(self, idx: list) -> tuple:
+        """``(sub, spectrum, rho)`` of the group on the indices ``idx``."""
+        key = tuple(idx)
+        if key not in self._groups:
+            sub = self.a[np.ix_(idx, idx)]
+            ev = kernels.spectrum(sub)
+            self._groups[key] = (sub, ev, float(np.max(np.abs(ev))))
+        return self._groups[key]
+
+    def certify_block(self, idx: list, t0: float, poly: IntPoly):
+        sub, _, rho = self.group(idx)
+        _check_spectral_envelope(t0, rho)
+        ta = t0 * sub
+        key = (tuple(idx), ta.tobytes(), poly.coeffs)
+        if key not in self._certified:
+            self._certified[key] = certify_witness(
+                sub, t0, poly, tol=self.tol, seed=self.seed, m=kernels.expm(ta)
+            )
+        return self._certified[key]
+
+
+def _merge_components(plan: _Plan, t0: float) -> Optional[list]:
     """Greedily merge consecutive invariant components until each merged
     group has an integer characteristic polynomial of its exponential
-    (repeated eigenvalue pairs of amalgams sit in consecutive blocks)."""
+    (repeated eigenvalue pairs of amalgams sit in consecutive blocks).
+    Returns ``(group, coefficients of that polynomial)`` per group."""
     groups = []
     acc = []
-    for comp in comps:
+    for comp in plan.components:
         acc = sorted(acc + comp)
-        sub = a[np.ix_(acc, acc)]
-        if kernels.integer_defect(kernels.exp_charpoly(kernels.spectrum(sub), t0)) < 1e-7:
-            groups.append(acc)
+        _, ev, _ = plan.group(acc)
+        coeffs = kernels.exp_charpoly(ev, t0)
+        if kernels.integer_defect(coeffs) < 1e-7:
+            groups.append((acc, coeffs))
             acc = []
     if acc:
         return None
     return groups
 
 
-def certify_witness_blocked(
-    c, t0: float, tol: float = 1e-8, seed: int = 0, blocks=None, m=None
-):
+def _certify_blocked(plan: _Plan, t0: float, m=None):
+    """:func:`certify_witness_blocked` on the plan of C."""
+    groups = _merge_components(plan, t0)
+    if groups is None or len(groups) <= 1:
+        return None
+    n = plan.a.shape[0]
+    z = np.zeros((n, n), dtype=object)
+    q = np.zeros((n, n))
+    for comp, coeffs in groups:
+        psub = IntPoly(tuple(int(round(x)) for x in coeffs))
+        wsub = plan.certify_block(comp, t0, psub)
+        if wsub is None:
+            return None
+        z[np.ix_(comp, comp)] = wsub.integral_matrix
+        q[np.ix_(comp, comp)] = wsub.conjugator
+    if m is None:
+        m = exp_ad(plan.a, t0)
+    return _witness_from_conjugacy(t0, m, z, q, plan.tol)
+
+
+def certify_witness_blocked(c, t0: float, tol: float = 1e-8, seed: int = 0, m=None):
     """Blockwise certification for derogatory exponentials of
     block-diagonal C (e.g. repeated blocks of amalgamated products):
     each diagonal block is certified on its own and the integer matrices
-    are reassembled.  ``blocks`` overrides the automatic grouping; ``m``
-    is exp(t0 C) when the caller has it already."""
-    a = _as_float_matrix(c)
-    if blocks is None:
-        blocks = _merge_components(a, t0, _blocks_of(a))
-        if blocks is None or len(blocks) <= 1:
-            return None
-    n = a.shape[0]
-    z = np.zeros((n, n), dtype=object)
-    q = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            z[i, j] = 0
-    for comp in blocks:
-        sub = a[np.ix_(comp, comp)]
-        coeffs = kernels.exp_charpoly(kernels.spectrum(sub), t0)
-        if kernels.integer_defect(coeffs) > 1e-7:
-            return None
-        psub = IntPoly(tuple(int(round(x)) for x in coeffs))
-        wsub = certify_witness(sub, t0, psub, tol=tol, seed=seed)
-        if wsub is None:
-            return None
-        for bi, gi in enumerate(comp):
-            for bj, gj in enumerate(comp):
-                z[gi, gj] = wsub.integral_matrix[bi, bj]
-            q[gi, np.array(comp)] = wsub.conjugator[bi, :]
-    if m is None:
-        m = exp_ad(a, t0)
-    return _witness_from_conjugacy(t0, m, z, q, tol)
+    are reassembled.  ``m`` is exp(t0 C) when the caller has it already."""
+    return _certify_blocked(_Plan(c, tol, seed), t0, m)
 
 
 @dataclass(frozen=True)
@@ -567,7 +617,8 @@ def lattice_verdict(
     (a sound witness could never coexist with one).  ``tol`` bounds only
     the certification residual: it cannot loosen the double-root rule.
     An exact C that is derogatory has only derogatory exponentials, so
-    its candidates go straight to blockwise certification."""
+    its candidates go straight to blockwise certification.  One
+    certification plan (``_Plan``) serves every candidate."""
     certs = []
     if cited is not None:
         certs.append(cited)
@@ -583,13 +634,16 @@ def lattice_verdict(
     witnesses = []
     candidates = integer_charpoly_scan(c, t_range=t_range)
     derogatory = bool(candidates) and _is_exact(c) and _is_derogatory(c)
+    plan = _Plan(c, tol, seed)
     for cand in candidates:
-        m = exp_ad(c, cand.t0)
+        # the scan clamps its range to |t| rho(C) <= MAX_SPECTRAL
+        _check_spectral_envelope(cand.t0, plan.rho)
+        m = kernels.expm(cand.t0 * plan.a)
         w = None
         if not derogatory:
             w = certify_witness(c, cand.t0, cand.poly, tol=tol, seed=seed, m=m)
         if w is None:
-            w = certify_witness_blocked(c, cand.t0, tol=tol, seed=seed, m=m)
+            w = _certify_blocked(plan, cand.t0, m)
         if w is not None:
             witnesses.append(w)
     inconclusive = () if witnesses else (_scanned_range(c, t_range),)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab import detect, weyl
-from lcplab.algebra import LieAlgebra, Metric, OneForm, Subspace
+from lcplab.algebra import LieAlgebra, Metric, OneForm, Subspace, trace_form
 from lcplab.construct import almab_lcp, metric_modification, semidirect_lcp, OrthoRep
 from lcplab.detect import (
     ADAPTED,
@@ -20,6 +20,7 @@ from lcplab.detect import (
 )
 from lcplab.errors import (
     DimensionTooSmall,
+    InvalidStructure,
     NonClosedLeeForm,
     PreconditionViolated,
     ZeroLeeForm,
@@ -332,3 +333,41 @@ def test_verify_matches_pairwise_reference(seed, n, k):
     else:
         U = Subspace(ex.rmat([[small_fraction(r) for _ in range(k)] for _ in range(n)]))
     assert verify_lcp(L, G, theta, U).as_dict() == reference_verify(L, G, theta, U)
+
+
+def restricted_trace_form(L, U):
+    """Reference: the trace form of the subalgebra ``L.restrict(U.basis)``,
+    built as a new LieAlgebra on Fraction coordinates."""
+    return list(trace_form(L.restrict(U.basis)).coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_subalgebra_trace_form_matches_restrict_reference(seed):
+    # L is a random algebra of dimension m plus an abelian R^(n-m), in a
+    # unipotent rational basis so that c and the subspace bases have
+    # denominators.  A subspace containing g' is an ideal, often proper
+    # with a nonzero trace form; a span of random vectors may not be a
+    # subalgebra, and then both must refuse it
+    r = rng(seed)
+    n = r.randint(2, 6)
+    m, extra, ideal = r.randint(2, n), r.randint(0, 2), r.random() < 0.8
+    p = ex.reye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p[i, j] = small_fraction(r, 2, 3)
+    L = random_algebra(r, m)
+    if m < n:
+        L = L.direct_sum(LieAlgebra.abelian(n - m))
+    L = L.restrict(p)
+    cols = [L.derived_algebra] if ideal else []
+    if extra:
+        cols.append(ex.rmat([[small_fraction(r) for _ in range(n)] for _ in range(extra)]).T)
+    U = Subspace(np.concatenate(cols, axis=1) if cols else ex.rzeros((n, 0)), n)
+    try:
+        expected = restricted_trace_form(L, U)
+    except InvalidStructure:
+        with pytest.raises(InvalidStructure):
+            detect._subalgebra_trace_form(L, U)
+        return
+    assert detect._subalgebra_trace_form(L, U) == expected

@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
+from lcplab import kernels
 from lcplab.algebra import LieAlgebra, Metric, OneForm
 from lcplab.construct import almab_lcp
 from lcplab.detect import LCPStructure, maximal_flat_parallel
 from lcplab.errors import EnvelopeExceeded, MTooSmall, NonPositiveInput, NonTraceFree
 from lcplab.intpoly import IntPoly, int_charpoly, int_det
 from lcplab.lattice import (
+    MAX_SPECTRAL,
     _is_derogatory,
+    _is_exact,
+    _scanned_range,
     amalgam_lattice,
     certify_witness,
     certify_witness_blocked,
@@ -283,3 +288,91 @@ def test_derogatory_exact_input_skips_the_krylov_probes(monkeypatch):
     floats = lattice_verdict(ex.to_float(c), t_range=(0.0, 3.0))
     assert 4 in sizes
     assert [w.t0 for w in floats.witnesses] == [w.t0 for w in exact.witnesses]
+
+
+# trace-free diagonal blocks: diag(a, -a), rotations by w, zero singletons
+_BLOCKS = st.one_of(
+    st.sampled_from([1, 2, Fraction(1, 2)]).map(lambda a: [[a, 0], [0, -a]]),
+    st.sampled_from([1, 2]).map(lambda w: [[0, -w], [w, 0]]),
+    st.just([[0]]),
+)
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    blocks = draw(st.lists(_BLOCKS, min_size=2, max_size=3))
+    n = sum(len(b) for b in blocks)
+    d = [[0] * n for _ in range(n)]
+    i = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            d[i + r][i : i + len(b)] = row
+        i += len(b)
+    perm = draw(st.permutations(range(n)))
+    c = ex.rmat([[d[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    return c if draw(st.booleans()) else ex.to_float(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(permuted_block_diagonal())
+def test_verdict_plan_matches_one_shot_certification(c):
+    # one plan serves every candidate of a verdict; each witness must be
+    # the one a fresh one-shot certification of its candidate gives
+    t_range = (0.0, 3.0)
+    v = lattice_verdict(c, t_range=t_range)
+    if v.certificates:
+        return
+    a = np.asarray(c, dtype=object).astype(np.float64)
+    candidates = integer_charpoly_scan(c, t_range=t_range)
+    derogatory = bool(candidates) and _is_exact(c) and _is_derogatory(c)
+    expected = []
+    for cand in candidates:
+        m = kernels.expm(cand.t0 * a)
+        w = None if derogatory else certify_witness(c, cand.t0, cand.poly, m=m)
+        if w is None:
+            w = certify_witness_blocked(c, cand.t0, m=m)
+        if w is not None:
+            expected.append(w.as_dict())
+    assert [w.as_dict() for w in v.witnesses] == expected
+
+
+def test_one_plan_per_verdict(monkeypatch):
+    # the spectra of C and of its blocks are taken once per verdict, and
+    # each distinct block (here the three zero singletons) is certified
+    # once, not once per candidate
+    import lcplab.lattice as lattice
+    from test_golden_lattice import hyperbolic
+
+    c = hyperbolic(6)
+    candidates = integer_charpoly_scan(c, t_range=(0.0, 3.0))
+    blocks = lattice._blocks_of(ex.to_float(c))
+    assert len(candidates) == 18 and len(blocks) == 4
+    counts = {"eigvals": 0, "certify": 0}
+    eigvals, certify = np.linalg.eigvals, lattice.certify_witness
+
+    def counted_eigvals(*args, **kwargs):
+        counts["eigvals"] += 1
+        return eigvals(*args, **kwargs)
+
+    def counted_certify(*args, **kwargs):
+        counts["certify"] += 1
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(lattice, "certify_witness", counted_certify)
+    v = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert len(v.witnesses) == 18
+    assert counts["eigvals"] <= 10
+    assert counts["certify"] <= len(candidates) + len(blocks)
+
+
+def test_clamped_range_keeps_candidates_in_the_envelope():
+    # rho(C) = 20 clamps 0:3 to 0:2.5; no candidate leaves the envelope,
+    # so the verdict's envelope check never raises EnvelopeExceeded
+    for c in (np.diag([20.0, -20.0]), np.diag([20.0, -20.0, 0.0])):
+        lo, hi = _scanned_range(c, (0.0, 3.0))
+        assert hi == MAX_SPECTRAL / 20.0
+        candidates = integer_charpoly_scan(c, t_range=(0.0, 3.0))
+        assert candidates and all(abs(x.t0) * 20.0 <= MAX_SPECTRAL for x in candidates)
+        v = lattice_verdict(c, t_range=(0.0, 3.0))
+        assert v.status == "yes"
