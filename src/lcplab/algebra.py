@@ -6,7 +6,10 @@ the Jacobi identity are verified exactly at construction (this can be
 switched off to audit broken input).  Metrics are exact positive-definite
 Gram matrices, 1-forms are coefficient rows in the dual basis, and
 subspaces are canonicalised by reduced column echelon form so that equal
-spans compare equal.
+spans compare equal.  Every span is a :class:`Subspace`: bracket spans,
+centralisers, the centre, the derived and lower central series, g' and
+z(g') take and return them, each wrapped once from the integer
+elimination that made it.
 """
 
 from __future__ import annotations
@@ -155,103 +158,59 @@ class LieAlgebra:
         iv, dv = ex.scaled(v_basis)
         return ex.unscaled(self.int_brackets(iu, iv), du * dv * self.scaled_c[1])
 
-    def int_bracket_span(self, iu: np.ndarray, iv: np.ndarray) -> tuple:
-        """:meth:`bracket_span` of the columns of two integer matrices, as
-        the reduced integer form of its canonical basis; spans do not
-        depend on scale, so the integer bracket matrix is eliminated as
-        it is."""
-        if iu.shape[1] == 0 or iv.shape[1] == 0:
-            return np.zeros((self.dim, 0), dtype=object), 1
-        return ex.int_column_space(self.int_brackets(iu, iv))
-
-    def bracket_span(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
-        """Canonical basis of span{[u, v]} over basis columns."""
-        return ex.unscaled(
-            *self.int_bracket_span(ex.scaled(u_basis)[0], ex.scaled(v_basis)[0])
-        )
+    def bracket_span(self, U: "Subspace", V: "Subspace") -> "Subspace":
+        """span{[u, v] : u in U, v in V}: the integer bracket matrix of the
+        two canonical bases, eliminated once as it is (a span does not
+        depend on scale)."""
+        w = self.int_brackets(U.scaled_basis[0], V.scaled_basis[0])
+        return Subspace._canonical(ex.int_column_space(w))
 
     @cached_property
-    def int_eye(self) -> np.ndarray:
-        """The identity as an integer matrix: the basis of g."""
-        eye = np.zeros((self.dim, self.dim), dtype=object)
-        np.fill_diagonal(eye, 1)
-        eye.setflags(write=False)
-        return eye
-
-    @cached_property
-    def scaled_derived(self) -> tuple:
-        """The reduced integer form of :attr:`derived_algebra`, made once
-        and read by every closedness test."""
-        der, den = self.int_bracket_span(self.int_eye, self.int_eye)
-        der.setflags(write=False)
-        return der, den
-
-    @cached_property
-    def derived_algebra(self) -> np.ndarray:
-        der = ex.unscaled(*self.scaled_derived)
-        der.setflags(write=False)
-        return der
+    def derived_algebra(self) -> "Subspace":
+        """g' = [g, g], made once and read by every closedness test."""
+        g = Subspace.full(self.dim)
+        return self.bracket_span(g, g)
 
     def _series(self, step) -> list:
-        """Reduced integer forms of the series that starts at g and goes on
-        by ``step`` (an integer basis to a form) until it stops shrinking."""
-        terms = [(self.int_eye, 1)]
-        while terms[-1][0].shape[1] > 0:
-            nxt = step(terms[-1][0])
-            if nxt[0].shape[1] == terms[-1][0].shape[1]:
+        """The series that starts at g and goes on by ``step`` (a Subspace
+        to the next) until it stops shrinking."""
+        terms = [Subspace.full(self.dim)]
+        while terms[-1].dim > 0:
+            nxt = step(terms[-1])
+            if nxt.dim == terms[-1].dim:
                 break
             terms.append(nxt)
         return terms
 
-    def scaled_derived_series(self) -> list:
-        """:meth:`derived_series` as reduced integer forms."""
-        return self._series(lambda t: self.int_bracket_span(t, t))
-
-    def scaled_lower_central_series(self) -> list:
-        """:meth:`lower_central_series` as reduced integer forms."""
-        return self._series(lambda t: self.int_bracket_span(self.int_eye, t))
-
     def derived_series(self) -> list:
-        return [ex.unscaled(*t) for t in self.scaled_derived_series()]
+        return self._series(lambda t: self.bracket_span(t, t))
 
     def lower_central_series(self) -> list:
-        return [ex.unscaled(*t) for t in self.scaled_lower_central_series()]
+        g = Subspace.full(self.dim)
+        return self._series(lambda t: self.bracket_span(g, t))
 
     def is_solvable(self) -> bool:
-        return self.scaled_derived_series()[-1][0].shape[1] == 0
+        return self.derived_series()[-1].dim == 0
 
     def is_nilpotent(self) -> bool:
-        return self.scaled_lower_central_series()[-1][0].shape[1] == 0
+        return self.lower_central_series()[-1].dim == 0
 
-    def centre(self) -> np.ndarray:
-        """Canonical basis of {x : [x, .] = 0}: the kernel of every ad_{e_i}."""
-        n = self.dim
-        cc, _ = self.scaled_c
-        return ex.nullspace(cc.transpose(0, 2, 1).reshape(n * n, n))
+    def centraliser(self, U: "Subspace") -> "Subspace":
+        """{x in g : [x, u] = 0 for all u in U}: the common kernel of the
+        ad_u, eliminated on integers."""
+        n, p = self.dim, U.dim
+        ker, _ = ex.int_nullspace(self._ad_stack(U.scaled_basis[0]).reshape(p * n, n))
+        return Subspace._canonical(ex.int_column_space(ker))
 
-    def int_centraliser(self, iu: np.ndarray) -> tuple:
-        """:meth:`centraliser` of the columns of an integer matrix, as a
-        reduced integer form."""
-        n, p = self.dim, iu.shape[1]
-        if p == 0:
-            return self.int_eye, 1
-        return ex.int_nullspace(self._ad_stack(iu).reshape(p * n, n))
-
-    def centraliser(self, u_basis: np.ndarray) -> np.ndarray:
-        """{x in g : [x, u] = 0 for all u in span(u_basis)}."""
-        return ex.unscaled(*self.int_centraliser(ex.scaled(u_basis)[0]))
+    def centre(self) -> "Subspace":
+        """{x : [x, .] = 0}: the kernel of every ad_{e_i}."""
+        return self.centraliser(Subspace.full(self.dim))
 
     @cached_property
-    def scaled_centre_of_derived(self) -> tuple:
-        """The reduced integer form of :meth:`centre_of_derived`."""
-        der, _ = self.scaled_derived
-        zd, den = ex.int_intersect_columns(der, self.int_centraliser(der)[0])
-        zd.setflags(write=False)
-        return zd, den
-
-    def centre_of_derived(self) -> np.ndarray:
-        """z(g') as a canonical column basis."""
-        return ex.unscaled(*self.scaled_centre_of_derived)
+    def centre_of_derived(self) -> "Subspace":
+        """z(g'), made once."""
+        der = self.derived_algebra
+        return der.intersect(self.centraliser(der))
 
     def restrict(self, basis: np.ndarray) -> "LieAlgebra":
         """Subalgebra on the given column basis, with exact coordinates."""
@@ -416,7 +375,9 @@ class Subspace:
     The basis matrix may hold Fractions or integers; a span does not
     depend on scale.  The canonical basis is held as its reduced integer
     form ``scaled_basis``, which the spans, tests and memo keys read; the
-    ``Fraction`` matrix ``basis`` is made on first read.
+    ``Fraction`` matrix ``basis`` is made on first read.  Spans computed
+    inside the package are wrapped by :meth:`_canonical` straight from
+    the elimination that made them.
     """
 
     def __init__(self, basis_matrix: np.ndarray, ambient_dim: Optional[int] = None):
@@ -425,8 +386,19 @@ class Subspace:
         ub, du = ex.int_column_space(ex.scaled(basis_matrix)[0])
         ub.setflags(write=False)
         self.scaled_basis = (ub, du)
-        self.ambient_dim = basis_matrix.shape[0]
-        self.dim = ub.shape[1]
+        self.ambient_dim, self.dim = ub.shape
+
+    @classmethod
+    def _canonical(cls, form: tuple) -> "Subspace":
+        """The Subspace whose canonical basis has the reduced integer form
+        ``form``, as ``ex.int_column_space`` and ``ex.int_intersect_columns``
+        return it: nothing is eliminated again."""
+        s = cls.__new__(cls)
+        ub, _ = form
+        ub.setflags(write=False)
+        s.scaled_basis = form
+        s.ambient_dim, s.dim = ub.shape
+        return s
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -440,11 +412,13 @@ class Subspace:
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(ex.rzeros((n, 0)))
+        return cls._canonical((np.zeros((n, 0), dtype=object), 1))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(ex.reye(n))
+        eye = np.zeros((n, n), dtype=object)
+        np.fill_diagonal(eye, 1)
+        return cls._canonical((eye, 1))
 
     @classmethod
     def spanned_by(cls, vectors, ambient_dim=None) -> "Subspace":
@@ -462,10 +436,11 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         a, b = self.scaled_basis[0], other.scaled_basis[0]
-        return Subspace(ex.int_intersect_columns(a, b)[0])
+        return Subspace._canonical(ex.int_intersect_columns(a, b))
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(np.concatenate([self.scaled_basis[0], other.scaled_basis[0]], axis=1))
+        both = np.concatenate([self.scaled_basis[0], other.scaled_basis[0]], axis=1)
+        return Subspace._canonical(ex.int_column_space(both))
 
     def orthogonal_complement(self, metric: Metric) -> "Subspace":
         """G-orthogonal complement; kernel of (basis^T G), eliminated on
@@ -473,7 +448,7 @@ class Subspace:
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
         ub, gg = self.scaled_basis[0], metric.scaled_gram[0]
-        return Subspace(ex.int_nullspace(ub.T.dot(gg))[0])
+        return Subspace._canonical(ex.int_column_space(ex.int_nullspace(ub.T.dot(gg))[0]))
 
     def __eq__(self, other):
         return (
@@ -518,8 +493,8 @@ def is_unimodular(L: LieAlgebra) -> bool:
 
 def audit_algebra(L: LieAlgebra) -> AuditReport:
     jac = L.jacobi_defect()
-    ds = tuple(t.shape[1] for t, _ in L.scaled_derived_series())
-    lcs = tuple(t.shape[1] for t, _ in L.scaled_lower_central_series())
+    ds = tuple(t.dim for t in L.derived_series())
+    lcs = tuple(t.dim for t in L.lower_central_series())
     return AuditReport(
         jacobi_ok=jac is None and L.antisymmetry_defect() is None,
         solvable=ds[-1] == 0,
@@ -533,7 +508,7 @@ def audit_algebra(L: LieAlgebra) -> AuditReport:
 
 def is_closed(L: LieAlgebra, theta: OneForm) -> bool:
     """A left-invariant 1-form is closed iff it vanishes on g'."""
-    return ex.is_zero(theta.scaled_coeffs[0].dot(L.scaled_derived[0]))
+    return ex.is_zero(theta.scaled_coeffs[0].dot(L.derived_algebra.scaled_basis[0]))
 
 
 @dataclass(frozen=True)
@@ -546,16 +521,13 @@ class SubspaceReport:
 
 
 def subspace_predicates(L: LieAlgebra, G: Metric, U: Subspace) -> SubspaceReport:
-    b = U.scaled_basis[0]
-    uu, _ = L.int_bracket_span(b, b)
-    gu, _ = L.int_bracket_span(L.int_eye, b)
-    zd, _ = L.scaled_centre_of_derived
+    uu = L.bracket_span(U, U)
     return SubspaceReport(
-        is_subalgebra=ex.int_span_contains(b, uu),
-        is_ideal=ex.int_span_contains(b, gu),
-        is_abelian=uu.shape[1] == 0,
+        is_subalgebra=U.contains_space(uu),
+        is_ideal=U.contains_space(L.bracket_span(Subspace.full(L.dim), U)),
+        is_abelian=uu.dim == 0,
         orthogonal_complement=U.orthogonal_complement(G),
-        in_centre_of_derived=ex.int_span_contains(zd, b),
+        in_centre_of_derived=L.centre_of_derived.contains_space(U),
     )
 
 
@@ -602,8 +574,7 @@ def _sqrt_fraction(q: Fraction) -> Fraction:
     return Fraction(isqrt(q.numerator), isqrt(q.denominator))
 
 
-def _presentation_from_ideal(L, G, ideal_basis) -> AlmostAbelianPresentation:
-    ideal = Subspace(ideal_basis)
+def _presentation_from_ideal(L, G, ideal: Subspace) -> AlmostAbelianPresentation:
     comp = ideal.orthogonal_complement(G)
     b = _primitive(comp.basis[:, 0])
     nsq = G.norm_sq(b)
@@ -636,34 +607,31 @@ def almost_abelian_presentation(
     """
     n = L.dim
     der = L.derived_algebra
-    dd, _ = L.scaled_derived
-    if dd.shape[1] == 0:
+    if der.dim == 0:
         # abelian: deterministic first choice, the G-orthocomplement of e1
         e1 = ex.rzeros(n)
         e1[0] = ex.ONE
         ideal = Subspace.spanned_by([e1], n).orthogonal_complement(G)
-        return _presentation_from_ideal(L, G, ideal.basis)
-    if L.int_bracket_span(dd, dd)[0].shape[1] != 0:
+        return _presentation_from_ideal(L, G, ideal)
+    if L.bracket_span(der, der).dim != 0:
         return None  # g' not abelian
-    cent, _ = L.int_centraliser(dd)
-    dc = cent.shape[1]
-    if dc < n - 1:
+    cent = L.centraliser(der)
+    if cent.dim < n - 1:
         return None
-    if dc == n - 1:
-        if not ex.int_span_contains(cent, dd):
+    if cent.dim == n - 1:
+        if not cent.contains_space(der):
             return None
-        if L.int_bracket_span(cent, cent)[0].shape[1] != 0:
+        if L.bracket_span(cent, cent).dim != 0:
             return None
         return _presentation_from_ideal(L, G, cent)
     # C = g: g' is central.  Work on a complement of g' in g; columns of
     # `lift` map to the standard basis of g/g' under the quotient rows q.
-    q = ex.left_nullspace(der)
+    q = ex.left_nullspace(der.basis)
     lift = ex.dot(q.T, ex.inv(ex.dot(q, q.T)))
     m = q.shape[0]
-    dg = der.shape[1]
     # s[k] = skew m x m matrix of the g'_k component of the bracket on g/g'
-    coords = ex.solve(der, L.brackets(lift, lift))
-    svals = [coords[k].reshape(m, m) for k in range(dg)]
+    coords = ex.solve(der.basis, L.brackets(lift, lift))
+    svals = [coords[k].reshape(m, m) for k in range(der.dim)]
     nonzero = [s for s in svals if not ex.is_zero(s)]
     if not nonzero:
         # bracket vanishes identically on the complement: cannot happen
@@ -674,24 +642,19 @@ def almost_abelian_presentation(
         if ex.rank(s) > 2:
             return None
         kernels.append(ex.nullspace(s))
-    ksum = ex.column_space(np.concatenate(kernels, axis=1))
-    if ksum.shape[1] >= m:
+    # the hyperplane of g/g' must contain the sum of the kernels
+    ksum = Subspace(np.concatenate(kernels, axis=1))
+    if ksum.dim >= m:
         return None
-    if ksum.shape[1] == m - 1:
+    h = ksum.basis
+    if ksum.dim == m - 1:
         # single candidate; check total isotropy
-        h = ksum
         for s in nonzero:
             if not ex.is_zero(ex.dot(ex.dot(h.T, s), h)):
                 return None
     else:
         # all kernels coincide (dim m-2); any line in a complement works
-        extra = None
-        for j in range(m):
-            ej = ex.rzeros(m)
-            ej[j] = ex.ONE
-            if not ex.in_span(ksum, ej):
-                extra = ej
-                break
-        h = np.concatenate([ksum, extra.reshape(-1, 1)], axis=1)
-    ideal_basis = np.concatenate([der, ex.dot(lift, h)], axis=1)
-    return _presentation_from_ideal(L, G, ideal_basis)
+        extra = next(e for e in ex.reye(m) if not ksum.contains(e))
+        h = np.concatenate([h, extra.reshape(-1, 1)], axis=1)
+    ideal = Subspace(np.concatenate([der.basis, ex.dot(lift, h)], axis=1))
+    return _presentation_from_ideal(L, G, ideal)

@@ -64,8 +64,15 @@ def _emit(payload, fmt: str, text_render):
 
 
 def _t_range(spec: str):
-    lo, _, hi = spec.partition(":")
-    return (float(lo), float(hi))
+    """The scan range ``A:B``, numbers with A < B."""
+    lo, sep, hi = spec.partition(":")
+    try:
+        t = (float(lo), float(hi))
+    except ValueError:
+        t = None
+    if not sep or t is None or not t[0] < t[1]:
+        raise DocumentError(f"--t-range must be A:B with numbers A < B, not {spec!r}")
+    return t
 
 
 def _load(path):
@@ -220,7 +227,6 @@ def cmd_lattice(args) -> int:
             pres.matrix,
             label=doc.label or "input",
             t_range=_t_range(args.t_range),
-            tol=args.tol,
             seed=args.seed,
             structure=structure,
         )
@@ -239,9 +245,9 @@ def cmd_lattice(args) -> int:
     if args.t0 is None or args.poly is None:
         raise DocumentError("lattice certify needs --t0 and --poly")
     poly = IntPoly(tuple(int(x) for x in args.poly.split(",")))
-    w = certify_witness(pres.matrix, args.t0, poly, tol=args.tol, seed=args.seed)
+    w = certify_witness(pres.matrix, args.t0, poly, seed=args.seed)
     if w is None:
-        w = certify_witness_blocked(pres.matrix, args.t0, tol=args.tol, seed=args.seed)
+        w = certify_witness_blocked(pres.matrix, args.t0, seed=args.seed)
     if w is None:
         _emit({"certified": False}, args.format, "not certified (inconclusive)")
         return EXIT_FAIL
@@ -266,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             sp.add_argument("--input", required=True, help="definition document path")
         sp.add_argument("--format", choices=("text", "machine"), default="text")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomised steps")
 
     sp = sub.add_parser("check", help="algebraic audit")
     common(sp)
@@ -289,14 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tables", help="reproduce the low-dimensional catalog")
     common(sp, needs_input=False)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the Krylov probes")
     sp.add_argument("--t-range", default="0:3", help="lattice scan range A:B")
     sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("lattice", help="lattice search / certification")
     sp.add_argument("action", choices=("search", "certify"))
     common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the Krylov probes")
     sp.add_argument("--t-range", default="0:20", help="scan range A:B")
-    sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--t0", type=float, help="candidate parameter (certify)")
     sp.add_argument("--poly", help="comma-separated descending integer coefficients")
     sp.set_defaults(func=cmd_lattice)
@@ -309,9 +315,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DocumentError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except LcpError as e:

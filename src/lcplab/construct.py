@@ -95,7 +95,7 @@ class OrthoRep:
                 raise DimensionMismatch("image has wrong shape")
             if not _is_skew(m, gram):
                 raise RepNotSkew("images must be skew-symmetric")
-        der = h.derived_algebra
+        der = h.derived_algebra.basis
         for j in range(der.shape[1]):
             if not ex.is_zero(self.of(der[:, j])):
                 raise RepNotVanishingOnDerived("beta must vanish on h'")

@@ -118,11 +118,12 @@ def _verify(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verificati
     forms of U, its complement, G, theta and c; only a failing identity
     makes a Fraction."""
     witnesses = []
+    perp = U.orthogonal_complement(G)
     iu, du = U.scaled_basis
-    ip, dp = U.orthogonal_complement(G).scaled_basis
+    ip, dp = perp.scaled_basis
 
-    cond1 = ex.int_span_contains(iu, L.int_bracket_span(iu, iu)[0]) and ex.int_span_contains(
-        ip, L.int_bracket_span(ip, ip)[0]
+    cond1 = U.contains_space(L.bracket_span(U, U)) and perp.contains_space(
+        L.bracket_span(perp, perp)
     )
     if not cond1:
         witnesses.append(Witness(1, (), ex.ONE))
@@ -210,7 +211,7 @@ def _flat_search(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
         if w.shape[1] == k:
             break
         u = u.dot(w)
-    return Subspace(u, ambient_dim=n)
+    return Subspace._canonical(ex.int_column_space(u))
 
 
 @dataclass(frozen=True)
@@ -333,17 +334,18 @@ def _codim3_normal_form(L, G, theta, U) -> bool:
     perp = U.orthogonal_complement(G)
     if perp.dim != 3:
         return False
-    pb = perp.basis
-    w = perp.intersect(Subspace(ex.nullspace(theta.coeffs.reshape(1, -1))))
+    # ker(theta): the complement of theta's coefficient line for the dot product
+    ker_theta = Subspace.spanned_by([theta.coeffs]).orthogonal_complement(Metric.identity(n))
+    w = perp.intersect(ker_theta)
     if w.dim != 2:
         return False
-    if L.bracket_span(w.basis, w.basis).shape[1] != 0:
+    if L.bracket_span(w, w).dim != 0:
         return False
-    hprime = L.bracket_span(pb, pb)
-    if hprime.shape[1] != 1 or not ex.in_span(w.basis, hprime[:, 0]):
+    hprime = L.bracket_span(perp, perp)
+    if hprime.dim != 1 or not w.contains_space(hprime):
         return False
     # y: W-direction G-orthogonal to [u-perp, u-perp]
-    y_space = w.intersect(Subspace(hprime).orthogonal_complement(G))
+    y_space = w.intersect(hprime.orthogonal_complement(G))
     if y_space.dim != 1:
         return False
     y = y_space.basis[:, 0]
@@ -385,9 +387,9 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     iu, du = U.scaled_basis
 
     in_centre = (
-        ex.int_span_contains(iu, L.int_bracket_span(L.int_eye, iu)[0])
-        and L.int_bracket_span(iu, iu)[0].shape[1] == 0
-        and ex.int_span_contains(L.scaled_centre_of_derived[0], iu)
+        U.contains_space(L.bracket_span(Subspace.full(n), U))
+        and L.bracket_span(U, U).dim == 0
+        and L.centre_of_derived.contains_space(U)
     )
 
     # nabla_{e_i} u_a and [e_i, u_a] for every i and a, one integer product
@@ -402,7 +404,7 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     theta_u = ex.unscaled(t.dot(iu), dt * du)
     theta_flat = ex.is_zero(theta_u)
 
-    der, _ = L.scaled_derived
+    der = L.derived_algebra.scaled_basis[0]
     nabla_der = ex.is_zero(der.T.dot(nabla_u.reshape(n, n * q)))
 
     # trace forms of u and u-perp against theta

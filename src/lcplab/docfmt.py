@@ -197,8 +197,14 @@ def parse_document(text: str) -> Document:
 
 
 def parse_file(path) -> Document:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+    """Parse the document at ``path``; a path that cannot be read as UTF-8
+    text raises DocumentError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DocumentError(f"cannot read {path}: {e}") from None
+    return parse_document(text)
 
 
 def _fmt(x: Fraction) -> str:

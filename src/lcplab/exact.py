@@ -5,8 +5,9 @@ Matrices and vectors are numpy arrays with ``dtype=object`` holding
 throughout the package), so dense fraction arithmetic is exact and fast
 enough; nothing in this module ever touches floating point.
 
-Conventions: vectors are 1-d arrays, matrices 2-d; a subspace is
-represented by a matrix whose *columns* form a basis.
+Conventions: vectors are 1-d arrays, matrices 2-d; the kernels below
+take and return a subspace as a matrix whose *columns* form a basis,
+and the rest of the package holds spans as ``algebra.Subspace``.
 
 Products go through :func:`dot`, a common-denominator kernel: each
 operand is scaled to Python integers over the lcm of its denominators
@@ -18,10 +19,10 @@ entry once, and a zero entry is the shared :data:`ZERO`.
 Between kernels, exact data stays in that integer form, ``ints / den``,
 and Fractions are made only where a caller reads entries
 (:func:`unscaled`).  The objects that carry exact data keep it: a
-``LieAlgebra`` its structure constants (``scaled_c``) and derived
-algebra (``scaled_derived``), a ``Metric`` its Gram matrix and inverse,
-a ``OneForm`` its coefficients, a ``Subspace`` its canonical basis, and
-a ``weyl.Connection`` and ``weyl.Curvature`` their whole tables.  Each
+``LieAlgebra`` its structure constants (``scaled_c``), a ``Metric`` its
+Gram matrix and inverse, a ``OneForm`` its coefficients, a ``Subspace``
+(every span, the derived algebra included) its canonical basis, and a
+``weyl.Connection`` and ``weyl.Curvature`` their whole tables.  Each
 form is reduced (:func:`reduced`): it is the one :func:`scaled` gives
 for the same values, so :func:`content_key` of it identifies the values
 and memo lookups hash Python ints only.  Bracket spans, centralisers,
@@ -37,8 +38,9 @@ depend on the scale of the matrix, so the ``int_`` kernels
 (:func:`int_nullspace`, :func:`int_column_space`, :func:`int_inv`,
 :func:`int_span_contains`, :func:`int_intersect_columns`) take integer
 matrices as they are and hand their result on as a reduced integer
-form; the public functions of the same name scale Fractions in and
-unscale the result.  A span test is one elimination of
+form; :func:`nullspace`, :func:`solve` and :func:`inv` scale Fractions
+in and unscale the result, and ``Subspace`` wraps the column spans and
+intersections as they come.  A span test is one elimination of
 ``[basis | other]`` that checks that no pivot lands in ``other``.  The
 characteristic polynomial is one Faddeev-LeVerrier pass on the same
 integers (:func:`int_charpoly_coeffs`), which ``intpoly`` shares for
@@ -310,49 +312,30 @@ def det(a: np.ndarray) -> Fraction:
 
 
 def int_column_space(ints: np.ndarray) -> tuple:
-    """:func:`column_space` of an integer matrix, as its reduced integer
-    form ``(basis, den)``; the span does not depend on the scale of
-    ``ints``, nor on that of any one column."""
+    """Canonical basis of the column span of an integer matrix, its reduced
+    column echelon form, as a reduced integer form ``(basis, den)``; the
+    span does not depend on the scale of ``ints``, nor on that of any one
+    column."""
     rows, pivots, d, _ = _eliminate(ints.T)
     return reduced(_int_rows(rows[: len(pivots)], ints.shape[0]).T, d)
 
 
-def column_space(m: np.ndarray) -> np.ndarray:
-    """Canonical basis of the column span: reduced column echelon form."""
-    return unscaled(*int_column_space(scaled(m)[0]))
-
-
-def in_span(basis: np.ndarray, v: np.ndarray) -> bool:
-    """Is v in the column span of basis?"""
-    return span_contains(basis, v.reshape(-1, 1))
-
-
 def int_span_contains(basis: np.ndarray, other: np.ndarray) -> bool:
-    """:func:`span_contains` on integer matrices: one elimination of
-    ``[basis | other]``, and ``other`` lies in the span of ``basis`` iff
-    no pivot lands in its columns.  Scale-free, column by column."""
+    """Are all columns of the integer matrix ``other`` inside the column
+    span of ``basis``?  One elimination of ``[basis | other]``: no pivot
+    may land in the columns of ``other``.  Scale-free, column by column."""
     k = basis.shape[1]
     pivots = _eliminate(np.concatenate([basis, other], axis=1))[1]
     return all(p < k for p in pivots)
 
 
-def span_contains(basis: np.ndarray, other: np.ndarray) -> bool:
-    """Are all columns of ``other`` inside the column span of ``basis``?"""
-    return int_span_contains(scaled(basis)[0], scaled(other)[0])
-
-
 def int_intersect_columns(a: np.ndarray, b: np.ndarray) -> tuple:
-    """:func:`intersect_columns` of two integer matrices, as the reduced
-    integer form of its canonical basis."""
+    """Canonical basis of the intersection of the column spans of two
+    integer matrices, as its reduced integer form."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=object), 1
     ker, _ = int_nullspace(np.concatenate([a, -b], axis=1))
     return int_column_space(a.dot(ker[: a.shape[1], :]))
-
-
-def intersect_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical basis of the intersection of two column spans."""
-    return unscaled(*int_intersect_columns(scaled(a)[0], scaled(b)[0]))
 
 
 def is_symmetric(g: np.ndarray) -> bool:

@@ -48,6 +48,10 @@ SCAN_STEP = 1e-3
 SCAN_FLAG_TOL = 0.05
 SCAN_TOL = 1e-9
 GOLDEN_ITERS = 130
+# largest grid the scan allocates: (hi - lo) / SCAN_STEP points
+MAX_SCAN_POINTS = 10**6
+# residual bound max|Q exp(t0 C) Q^-1 - Z| of a certified witness
+CERTIFY_TOL = 1e-8
 # eigenvalue clustering of the double-root rule (see no_lattice_double_root)
 DOUBLE_ROOT_TOL = 1e-8
 
@@ -157,7 +161,9 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     trace-free tolerance), and
     deduplicates candidates closer than 1e-6.  A (near)
     nilpotent C has integer coefficients for every t and is reported as
-    the single degenerate candidate t = 1.
+    the single degenerate candidate t = 1.  A clamped range that needs
+    more than ``MAX_SCAN_POINTS`` grid points raises EnvelopeExceeded
+    before the grid is allocated.
     """
     a = _as_float_matrix(c)
     n = a.shape[0]
@@ -166,6 +172,10 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     if abs(np.trace(a)) > SCAN_TOL * max(1.0, np.abs(a).max()):
         raise NonTraceFree("Bock scan requires a trace-free matrix")
     lo, hi = _scanned_range(a, t_range)
+    if not hi - lo <= MAX_SCAN_POINTS * SCAN_STEP:
+        raise EnvelopeExceeded(
+            f"t-range ({lo}, {hi}) needs more than {MAX_SCAN_POINTS} scan points"
+        )
     ts = np.arange(lo + SCAN_STEP, hi + SCAN_STEP / 2, SCAN_STEP)
     if ts.size == 0:
         return []
@@ -198,7 +208,7 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
 @dataclass(frozen=True)
 class LatticeWitness:
     """Certified witness: exp(t0 C) is conjugate (by Q) to the integer
-    unimodular matrix Z, with max-entry residual below tolerance."""
+    unimodular matrix Z, with max-entry residual below CERTIFY_TOL."""
 
     t0: float
     integral_matrix: np.ndarray
@@ -222,19 +232,19 @@ def _krylov(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _witness_from_conjugacy(t0, m, z, q, tol) -> Optional[LatticeWitness]:
+def _witness_from_conjugacy(t0, m, z, q) -> Optional[LatticeWitness]:
     # one exact pass: det Z = (-1)^n c_n of the characteristic polynomial
     poly = int_charpoly(z)
     if (-1) ** poly.degree * poly.constant_term() != 1:
         return None
     zf = np.array([[float(x) for x in row] for row in z])
     residual = float(np.abs(q.dot(m).dot(np.linalg.inv(q)) - zf).max())
-    if residual > tol:
+    if residual > CERTIFY_TOL:
         return None
     return LatticeWitness(t0, z, q, residual, poly)
 
 
-def certify_witness(c, t0: float, poly: IntPoly, tol: float = 1e-8, seed: int = 0, m=None):
+def certify_witness(c, t0: float, poly: IntPoly, seed: int = 0, m=None):
     """Certify a scan candidate through companion-matrix conjugacy.
 
     A non-derogatory matrix is conjugate to the companion matrix of its
@@ -258,7 +268,7 @@ def certify_witness(c, t0: float, poly: IntPoly, tol: float = 1e-8, seed: int = 
         k = _krylov(m, v)
         sv = np.linalg.svd(k, compute_uv=False)
         if sv[-1] > 1e-8 * sv[0]:
-            w = _witness_from_conjugacy(t0, m, z, np.linalg.inv(k), tol)
+            w = _witness_from_conjugacy(t0, m, z, np.linalg.inv(k))
             if w is not None:
                 return w
     return None  # derogatory or no probe passed: inconclusive on this path
@@ -313,13 +323,13 @@ class _Plan:
     indices its sub-matrix, spectrum and spectral radius, each made on
     first use.  Block certifications are kept too: ``expm`` is a function
     of its argument, so the Z and Q that ``certify_witness`` finds for a
-    block depend only on t0 sub and the polynomial (``tol`` and ``seed``
-    are the plan's), and a block whose t0 sub repeats, such as a zero
-    block, is certified once per plan."""
+    block depend only on t0 sub and the polynomial (``seed`` is the
+    plan's), and a block whose t0 sub repeats, such as a zero block, is
+    certified once per plan."""
 
-    def __init__(self, c, tol: float, seed: int):
+    def __init__(self, c, seed: int):
         self.a = _as_float_matrix(c)
-        self.tol, self.seed = tol, seed
+        self.seed = seed
         self._groups = {}
         self._certified = {}
 
@@ -347,7 +357,7 @@ class _Plan:
         key = (tuple(idx), ta.tobytes(), poly.coeffs)
         if key not in self._certified:
             self._certified[key] = certify_witness(
-                sub, t0, poly, tol=self.tol, seed=self.seed, m=kernels.expm(ta)
+                sub, t0, poly, seed=self.seed, m=kernels.expm(ta)
             )
         return self._certified[key]
 
@@ -388,15 +398,15 @@ def _certify_blocked(plan: _Plan, t0: float, m=None):
         q[np.ix_(comp, comp)] = wsub.conjugator
     if m is None:
         m = exp_ad(plan.a, t0)
-    return _witness_from_conjugacy(t0, m, z, q, plan.tol)
+    return _witness_from_conjugacy(t0, m, z, q)
 
 
-def certify_witness_blocked(c, t0: float, tol: float = 1e-8, seed: int = 0, m=None):
+def certify_witness_blocked(c, t0: float, seed: int = 0, m=None):
     """Blockwise certification for derogatory exponentials of
     block-diagonal C (e.g. repeated blocks of amalgamated products):
     each diagonal block is certified on its own and the integer matrices
     are reassembled.  ``m`` is exp(t0 C) when the caller has it already."""
-    return _certify_blocked(_Plan(c, tol, seed), t0, m)
+    return _certify_blocked(_Plan(c, seed), t0, m)
 
 
 @dataclass(frozen=True)
@@ -540,7 +550,7 @@ def e11_lattice(m: int):
     # E_m has eigenvector (1, -lam) for lam, so V diag(lam, mu) V^-1 = E_m
     vmat = np.array([[1.0, 1.0], [-lam, -mu]])
     c = np.array([[1.0, 0.0], [0.0, -1.0]])
-    witness = _witness_from_conjugacy(t_m, exp_ad(c, t_m), z, vmat, 1e-8)
+    witness = _witness_from_conjugacy(t_m, exp_ad(c, t_m), z, vmat)
     if witness is None:  # pragma: no cover
         raise AssertionError("closed-form witness failed its residual check")
     em_minus_i = np.array([[0 - 1, -1], [1, m - 1]])
@@ -606,7 +616,6 @@ def lattice_verdict(
     c,
     label: str = "",
     t_range=(0.0, 20.0),
-    tol: float = 1e-8,
     seed: int = 0,
     structure: Optional[LCPStructure] = None,
     cited: Optional[NoLatticeCertificate] = None,
@@ -614,9 +623,7 @@ def lattice_verdict(
     """Combine certificate rules and the scan into a single verdict.
 
     Certificates are decisive, so when one fires no witness search runs
-    (a sound witness could never coexist with one).  ``tol`` bounds only
-    the certification residual: it cannot loosen the double-root rule.
-    An exact C that is derogatory has only derogatory exponentials, so
+    (a sound witness could never coexist with one).  An exact C that is derogatory has only derogatory exponentials, so
     its candidates go straight to blockwise certification.  One
     certification plan (``_Plan``) serves every candidate."""
     certs = []
@@ -634,14 +641,14 @@ def lattice_verdict(
     witnesses = []
     candidates = integer_charpoly_scan(c, t_range=t_range)
     derogatory = bool(candidates) and _is_exact(c) and _is_derogatory(c)
-    plan = _Plan(c, tol, seed)
+    plan = _Plan(c, seed)
     for cand in candidates:
         # the scan clamps its range to |t| rho(C) <= MAX_SPECTRAL
         _check_spectral_envelope(cand.t0, plan.rho)
         m = kernels.expm(cand.t0 * plan.a)
         w = None
         if not derogatory:
-            w = certify_witness(c, cand.t0, cand.poly, tol=tol, seed=seed, m=m)
+            w = certify_witness(c, cand.t0, cand.poly, seed=seed, m=m)
         if w is None:
             w = _certify_blocked(plan, cand.t0, m)
         if w is not None:

@@ -400,17 +400,17 @@ def fingerprint(L: LieAlgebra, G: Optional[Metric] = None) -> Fingerprint:
     lcs = L.lower_central_series()
     max_nil = 0
     for term in ds:
-        if term.shape[1] == 0:
+        if term.dim == 0:
             break
-        sub = L.restrict(term)
+        sub = L.restrict(term.basis)
         if sub.is_nilpotent():
-            max_nil = max(max_nil, term.shape[1])
+            max_nil = max(max_nil, term.dim)
     pres = almost_abelian_presentation(L, G)
     return Fingerprint(
         dim=L.dim,
-        derived_dims=tuple(t.shape[1] for t in ds),
-        lower_central_dims=tuple(t.shape[1] for t in lcs),
-        centre_dim=L.centre().shape[1],
+        derived_dims=tuple(t.dim for t in ds),
+        lower_central_dims=tuple(t.dim for t in lcs),
+        centre_dim=L.centre().dim,
         max_nilpotent_derived_dim=max_nil,
         unimodular=audit_algebra(L).unimodular,
         almost_abelian=pres is not None,

@@ -82,7 +82,7 @@ def random_algebra(r: random.Random, n: int) -> LieAlgebra:
 def random_closed_form(r: random.Random, L: LieAlgebra) -> OneForm:
     """Random nonzero 1-form vanishing on g' (hence closed); None when g'
     is the whole algebra."""
-    ann = ex.left_nullspace(L.derived_algebra)
+    ann = ex.left_nullspace(L.derived_algebra.basis)
     if ann.shape[0] == 0:
         return None
     for _ in range(64):

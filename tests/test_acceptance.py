@@ -105,7 +105,7 @@ def _random_beta(r, h, q):
     images = []
     e = ex.reye(h.dim)
     for i in range(h.dim):
-        if ex.in_span(der, e[:, i]):
+        if der.contains(e[:, i]):
             images.append(ex.rzeros((q, q)))
         else:
             images.append(F(r.randint(-2, 2), r.randint(1, 2)) * skew)

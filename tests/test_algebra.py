@@ -194,6 +194,6 @@ def test_derived_series_decreasing():
     r = rng(11)
     for _ in range(15):
         L = random_algebra(r, 5)
-        dims = [t.shape[1] for t in L.derived_series()]
+        dims = [t.dim for t in L.derived_series()]
         assert all(a > b for a, b in zip(dims, dims[1:]))
         assert L.is_solvable() == (dims[-1] == 0)

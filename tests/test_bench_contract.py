@@ -1,0 +1,31 @@
+"""The benchmark imports lcplab names and reads attributes of what they
+return.  Each workload of ``lcpbench/workloads.py`` is built here at
+seed 1, round 0, and its first two inputs are run and checked by
+``lcpbench/checks.py``, so an API change that would break a benchmark
+run fails this test first."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+LCPBENCH = Path(__file__).parent.parent / "lcpbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"lcpbench_{name}", LCPBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_and_passes_its_checks(name):
+    checks, paper_rows = _load("checks"), _load("paper_tables").rows()
+    wround = workloads.WORKLOADS[name](1, 0)
+    for inp in wround.inputs[:2]:
+        wround.key(inp)
+        wround.check(inp, wround.run(inp), checks, paper_rows)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -26,10 +27,23 @@ block B : 0 -1 ; 1 0
 """
 
 
-def run_cli(*args):
+def run_cli(*args, max_bytes=None):
+    """Run the CLI; ``max_bytes`` caps the child's address space, so a
+    command that tried to allocate past it fails instead of swapping."""
+    limit = None
+    if max_bytes is not None:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
     return subprocess.run(
-        [sys.executable, "-m", "lcplab.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "lcplab.cli", *args], capture_output=True, text=True, preexec_fn=limit
     )
+
+
+def assert_input_error(out, *words):
+    """Exit code 2 with a one-line error naming ``words``, no traceback."""
+    assert out.returncode == 2
+    assert len(out.stderr.strip().splitlines()) == 1 and "Traceback" not in out.stderr
+    assert all(w in out.stderr for w in words)
 
 
 @pytest.fixture()
@@ -98,6 +112,38 @@ def test_oversized_dim_exit_code(tmp_path):
     out = run_cli("check", "--input", str(p))
     assert out.returncode == 2
     assert "envelope" in out.stderr
+
+
+@pytest.mark.parametrize("spec", ["3", "a:b", "nan:nan", "5:1"])
+def test_bad_t_range_exit_code(e11_doc, spec):
+    # not A:B, not numbers, or an empty range
+    assert_input_error(run_cli("lattice", "search", "--input", e11_doc, "--t-range", spec), "t-range")
+    assert_input_error(run_cli("tables", "--t-range", spec), "t-range")
+
+
+def test_unreadable_input_exit_code(tmp_path):
+    latin1 = tmp_path / "latin1.lcp"
+    latin1.write_bytes(b"dim 3\nlabel caf\xe9\n")
+    for path in (tmp_path, latin1):  # a directory, a file that is not UTF-8
+        assert_input_error(run_cli("check", "--input", str(path)), "cannot read")
+
+
+def test_oversized_scan_grid_exit_code(tmp_path):
+    # C nilpotent (rho = 0), so the range is not clamped: 0:1e6 at step
+    # 1e-3 is a 7.45 GiB grid, refused before it is allocated (the cap
+    # makes an attempt fail at once instead)
+    p = tmp_path / "heisenberg.lcp"
+    p.write_text("dim 3\nbracket 1 2 : 0 0 1\n")
+    out = run_cli(
+        "lattice", "search", "--input", str(p), "--t-range", "0:1e6", max_bytes=4 * 2**30
+    )
+    assert_input_error(out, "EnvelopeExceeded", "scan points")
+
+
+def test_dropped_flags_are_refused(e11_doc):
+    # --seed is read by tables and lattice only, and --tol is gone
+    assert run_cli("check", "--input", e11_doc, "--seed", "1").returncode == 2
+    assert run_cli("lattice", "search", "--input", e11_doc, "--tol", "1e-6").returncode == 2
 
 
 def test_hostile_number_exit_code(tmp_path):

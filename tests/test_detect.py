@@ -280,10 +280,11 @@ def reference_verify(L, G, theta, U):
     if U.dim == 0:
         return {"subalgebras_ok": True, "bilinear_ok": True, "curvature_ok": True,
                 "passed": True, "witnesses": []}
-    ub, pb = U.basis, U.orthogonal_complement(G).basis
+    perp = U.orthogonal_complement(G)
+    ub, pb = U.basis, perp.basis
     witnesses = []
-    cond1 = ex.span_contains(ub, L.bracket_span(ub, ub)) and ex.span_contains(
-        pb, L.bracket_span(pb, pb)
+    cond1 = U.contains_space(L.bracket_span(U, U)) and perp.contains_space(
+        L.bracket_span(perp, perp)
     )
     if not cond1:
         witnesses.append({"condition": 1, "indices": [], "defect": "1"})
@@ -360,7 +361,7 @@ def test_subalgebra_trace_form_matches_restrict_reference(seed):
     if m < n:
         L = L.direct_sum(LieAlgebra.abelian(n - m))
     L = L.restrict(p)
-    cols = [L.derived_algebra] if ideal else []
+    cols = [L.derived_algebra.basis] if ideal else []
     if extra:
         cols.append(ex.rmat([[small_fraction(r) for _ in range(n)] for _ in range(extra)]).T)
     U = Subspace(np.concatenate(cols, axis=1) if cols else ex.rzeros((n, 0)), n)

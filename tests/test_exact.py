@@ -1,7 +1,8 @@
 """Exact linear algebra.  ``rref`` and ``det`` must agree with the
 ``Fraction`` Gaussian eliminations kept below as references, the span
-test with the ``solve``-based one it replaced, and ``is_pos_def`` with
-Sylvester's criterion evaluated one determinant per leading minor.
+test of ``Subspace`` (on the ``int_`` kernels) with the ``solve``-based
+one it replaced, and ``is_pos_def`` with Sylvester's criterion evaluated
+one determinant per leading minor.
 """
 
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
+from lcplab.algebra import Subspace
 from lcplab.errors import SingularMatrix
 
 small = st.fractions(max_denominator=4, min_value=-3, max_value=3)
@@ -143,12 +145,15 @@ def test_elimination_matches_fraction_reference(m):
     assert ex.det(m[:k, :k]) == ref_det(ref[:k, :k])
     half = m.shape[1] // 2
     inside = len(ref_rref(ref)[1]) == len(ref_rref(ref[:, :half])[1])
-    assert ex.span_contains(m[:, :half], m[:, half:]) == inside
-    assert ex.span_contains(m[:, :half], ref[:, :half] + ref[:, :half][:, ::-1])
-    # the integer kernels hand on the form scaled() gives for the result
+    span = Subspace(m[:, :half])
+    assert span.contains_space(Subspace(m[:, half:])) == inside
+    assert span.contains_space(Subspace(ref[:, :half] + ref[:, :half][:, ::-1]))
+    # the integer kernels hand on the form scaled() gives for the result;
+    # the canonical column basis is the RREF of the transpose, transposed
     ints, _ = ex.scaled(m)
     assert same_form(ex.int_nullspace(ints), ex.scaled(ns))
-    assert same_form(ex.int_column_space(ints), ex.scaled(ex.column_space(m)))
+    rt, pt = ref_rref(as_fractions(m.T))
+    assert same_form(ex.int_column_space(ints), ex.scaled(rt[: len(pt)].T))
 
 
 def ref_span_contains(basis, other):
@@ -164,10 +169,12 @@ def ref_span_contains(basis, other):
 def test_span_contains_matches_solve_reference(m, data):
     half = data.draw(st.integers(0, m.shape[1]))
     basis, other = m[:, :half], m[:, half:]
-    assert ex.span_contains(basis, other) == ref_span_contains(basis, other)
+    span = Subspace(basis)
+    assert span.contains_space(Subspace(other)) == ref_span_contains(basis, other)
+    assert all(span.contains(v) == ref_span_contains(basis, v.reshape(-1, 1)) for v in other.T)
     # combinations of the basis columns always lie inside
     inside = ex.dot(basis, ex.rmat([[1] * 2] * half)) if half else ex.rzeros((m.shape[0], 2))
-    assert ex.span_contains(basis, inside) and ref_span_contains(basis, inside)
+    assert span.contains_space(Subspace(inside)) and ref_span_contains(basis, inside)
 
 
 def ref_is_pos_def(g):
@@ -252,15 +259,17 @@ def test_det_multiplicative(r1, r2):
 def test_column_space_canonical():
     a = ex.rmat([[1, 2], [0, 0], [1, 2]])
     b = ex.rmat([[2], [0], [2]])
-    assert np.array_equal(ex.column_space(a), ex.column_space(b))
+    assert np.array_equal(Subspace(a).basis, Subspace(b).basis)
+    assert np.array_equal(Subspace(b).basis, ex.rmat([[1], [0], [1]]))
 
 
 def test_intersection():
     a = ex.rmat([[1, 0], [0, 1], [0, 0]])
     b = ex.rmat([[0, 0], [1, 0], [0, 1]])
-    inter = ex.intersect_columns(a, b)
-    assert inter.shape[1] == 1
-    assert inter[1, 0] == 1
+    inter = Subspace(a).intersect(Subspace(b))
+    assert inter.dim == 1
+    assert inter.basis[1, 0] == 1
+    assert inter == Subspace(inter.basis)
 
 
 def test_pos_def():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
-from lcplab.algebra import LieAlgebra
+from lcplab.algebra import LieAlgebra, Subspace
 from lcplab.randgen import (
     random_algebra,
     random_closed_form,
@@ -92,14 +92,13 @@ def ref_ad(L, x):
 
 
 def ref_bracket_span(L, u_basis, v_basis):
+    """The Subspace spanned by the ``Fraction`` brackets of the columns."""
     vecs = [
         ref_ad(L, u_basis[:, a]).dot(v_basis[:, b])
         for a in range(u_basis.shape[1])
         for b in range(v_basis.shape[1])
     ]
-    if not vecs:
-        return ex.rzeros((L.dim, 0))
-    return ex.column_space(np.stack(vecs, axis=1))
+    return Subspace.spanned_by(vecs, L.dim)
 
 
 def ref_jacobi_defect(L):
@@ -141,9 +140,11 @@ def test_ad_and_bracket_span_match_references(n):
         assert np.array_equal(L.ad(x), ref_ad(L, x))
         u = _random_matrix(r, n, r.randint(0, 3))
         v = _random_matrix(r, n, r.randint(1, 3))
-        assert np.array_equal(L.bracket_span(u, v), ref_bracket_span(L, u, v))
-    full = ex.reye(n)
-    assert np.array_equal(L.bracket_span(full, full), ref_bracket_span(L, full, full))
+        want = ref_bracket_span(L, u, v)
+        got = L.bracket_span(Subspace(u, n), Subspace(v))
+        assert got == want and np.array_equal(got.basis, want.basis)
+    full = Subspace.full(n)
+    assert L.bracket_span(full, full) == ref_bracket_span(L, ex.reye(n), ex.reye(n))
 
 
 @pytest.mark.parametrize("n", range(3, 11))

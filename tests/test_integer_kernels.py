@@ -9,7 +9,9 @@ entry must be a ``Fraction``, also where an elimination was handed an
 integer array.  The value objects keep integer forms of their arrays and
 content keys built from them: each form must be the one ``ex.scaled``
 gives for the ``Fraction`` array, and equal values built separately must
-give equal keys.
+give equal keys.  Spans are ``Subspace``s: each span of the algebra must
+equal the ``Subspace`` of its ``Fraction`` reference, and a ``Subspace``
+wrapped straight from a kernel must be the one its basis gives.
 """
 
 from fractions import Fraction as F
@@ -24,6 +26,7 @@ from lcplab.construct import almab_lcp, metric_modification
 from lcplab.detect import LCPStructure, maximal_flat_parallel, structural_audit, verify_lcp
 from lcplab.randgen import random_algebra, random_closed_form, random_metric, rng, small_fraction
 from lcplab.weyl import curvature, levi_civita, weyl_connection, weyl_geometry
+from test_exact_dot import ref_bracket_span
 
 
 def ref_ad_stack(L, u):
@@ -79,8 +82,39 @@ def _matrix(r, rows, cols):
     return ex.rmat([[small_fraction(r) for _ in range(cols)] for _ in range(rows)])
 
 
+def ref_centraliser(L, u):
+    """The Subspace of x with [x, u_a] = 0 for every column u_a."""
+    n, p = L.dim, u.shape[1]
+    return Subspace(ex.nullspace(ref_ad_stack(L, u).reshape(p * n, n)), n)
+
+
+def ref_series(L, step):
+    terms = [ex.reye(L.dim)]
+    while terms[-1].shape[1] > 0:
+        nxt = step(terms[-1]).basis
+        if nxt.shape[1] == terms[-1].shape[1]:
+            break
+        terms.append(nxt)
+    return [Subspace(t, L.dim) for t in terms]
+
+
+def ref_centre_of_derived(L):
+    """z(g') as d y with sum_j [d_j, d y] = 0: the kernel of the ad stack
+    of the derived basis d, restricted to d."""
+    n = L.dim
+    d = ref_bracket_span(L, ex.reye(n), ex.reye(n)).basis
+    k = d.shape[1]
+    if k == 0:
+        return Subspace.zero(n)
+    return Subspace(d.dot(ex.nullspace(ref_ad_stack(L, d).reshape(k * n, n).dot(d))), n)
+
+
+def same_span(got, want) -> bool:
+    return got == want and same(got.basis, want.basis)
+
+
 @settings(max_examples=24, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(3, 10))
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 6))
 def test_brackets_and_spans_match_fraction_code(seed, n):
     r = rng(seed)
     L = random_algebra(r, n)
@@ -88,9 +122,17 @@ def test_brackets_and_spans_match_fraction_code(seed, n):
     v = _matrix(r, n, r.randint(1, 3))
     want = ref_brackets(L, u, v)
     assert same(L.brackets(u, v), want)
-    assert same(L.bracket_span(u, v), ex.column_space(want))
-    p = u.shape[1]
-    assert same(L.centraliser(u), ex.nullspace(ref_ad_stack(L, u).reshape(p * n, n)))
+    U, V, eye = Subspace(u), Subspace(v), ex.reye(n)
+    assert same_span(L.bracket_span(U, V), ref_bracket_span(L, u, v))
+    assert same_span(L.centraliser(U), ref_centraliser(L, u))
+    assert same_span(L.centre(), ref_centraliser(L, eye))
+    assert same_span(L.derived_algebra, ref_bracket_span(L, eye, eye))
+    assert same_span(L.centre_of_derived, ref_centre_of_derived(L))
+    for series, ref in (
+        (L.derived_series(), ref_series(L, lambda t: ref_bracket_span(L, t, t))),
+        (L.lower_central_series(), ref_series(L, lambda t: ref_bracket_span(L, eye, t))),
+    ):
+        assert len(series) == len(ref) and all(map(same_span, series, ref))
     x = u[:, 0]
     assert same(L.ad(x), ref_ad_stack(L, u[:, :1])[0])
     assert same(L.bracket(x, v[:, 0]), want[:, 0])
@@ -133,7 +175,7 @@ def test_eliminations_of_integer_arrays_return_fractions(rows, cols, data):
     rf, pf = ex.rref(fracs)
     assert pivots == pf and same(r, rf)
     assert same(ex.nullspace(ints), ex.nullspace(fracs))
-    assert same(ex.column_space(ints), ex.column_space(fracs))
+    assert same_span(Subspace(ints), Subspace(fracs))
 
 
 def test_unscaled_shares_zero():
@@ -196,12 +238,9 @@ def test_value_objects_hold_the_scaled_forms_of_their_arrays(seed, n):
     assert same_form(G.scaled_gram, G.gram)
     assert same_form(G.scaled_inverse, G.inverse)
     assert np.array_equal(G.gram.dot(G.inverse), ex.reye(n))
-    assert same_form(L.scaled_derived, L.derived_algebra)
-    assert same_form(L.scaled_centre_of_derived, L.centre_of_derived())
     U = Subspace(_matrix(r, n, r.randint(0, n)))
     for V in (U, U.orthogonal_complement(G)):
         assert same_form(V.scaled_basis, V.basis)
-        assert np.array_equal(V.basis, ex.column_space(V.basis))
     theta = random_closed_form(r, L)
     if theta is not None:
         assert same_form(theta.scaled_coeffs, theta.coeffs)
@@ -237,3 +276,56 @@ def test_equal_values_built_separately_give_equal_keys(seed, n):
     # so the memo tables find the connection and the flat space again
     assert weyl_geometry(L, G2, theta2) is weyl_geometry(L, G, theta)
     assert maximal_flat_parallel(L, G3, theta3) is maximal_flat_parallel(L, G, theta)
+
+
+def _kernel_made_spans(r, n):
+    """Every way the package makes a Subspace without the public
+    constructor, on one random algebra, metric and closed form."""
+    L = random_algebra(r, n)
+    G = random_metric(r, n)
+    U = Subspace(_matrix(r, n, r.randint(0, n)))
+    V = Subspace(_matrix(r, n, r.randint(0, n)))
+    g = Subspace.full(n)
+    spans = [g, Subspace.zero(n), L.derived_algebra, L.centre(), L.centre_of_derived]
+    spans += L.derived_series() + L.lower_central_series()
+    spans += [L.bracket_span(U, V), L.bracket_span(g, U), L.centraliser(U)]
+    spans += [U.intersect(V), U.add(V), U.orthogonal_complement(G)]
+    theta = random_closed_form(r, L)
+    if theta is not None:
+        spans.append(maximal_flat_parallel(L, G, theta))
+    return spans
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 7))
+def test_kernel_made_subspaces_equal_the_subspace_of_their_basis(seed, n):
+    # Subspace._canonical skips the elimination: what it wraps must be
+    # the canonical form the public constructor makes of the same basis
+    for s in _kernel_made_spans(rng(seed), n):
+        again = Subspace(s.basis, n)
+        assert s.key == again.key and s == again and hash(s) == hash(again)
+        assert same_form(s.scaled_basis, s.basis)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(ex, name)
+    monkeypatch.setattr(ex, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_spans_eliminate_once_and_never_rescale(monkeypatch):
+    r = rng(5)
+    L, G = random_algebra(r, 6), random_metric(r, 6)
+    while (theta := random_closed_form(r, L)) is None:
+        L = random_algebra(r, 6)
+    U, V = Subspace(_matrix(r, 6, 2)), Subspace(_matrix(r, 6, 3))
+    weyl_geometry(L, G, theta)  # the connection and curvature tables
+    G.scaled_gram
+    eliminations = _counting(monkeypatch, "_eliminate")
+    L.bracket_span(U, V)
+    assert len(eliminations) == 1
+    scalings = _counting(monkeypatch, "scaled")
+    U.orthogonal_complement(G)
+    detect._flat_search(L, G, theta)
+    assert scalings == []
