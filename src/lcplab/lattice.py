@@ -2,11 +2,24 @@
 
 A unimodular almost abelian group R |x_rho R^{n-1} has a lattice iff
 some rho(t0) = exp(t0 ad_b) is conjugate to an integer unimodular
-matrix.  The search side scans t for integer characteristic polynomials
-and certifies candidates through companion-matrix conjugacy (sound but
-sufficient-only: it needs a non-derogatory exponential; block-diagonal
-inputs fall back to blockwise certification).  The no-lattice side
-implements two certificate rules:
+matrix.  The search side has two paths:
+
+* exact, for a rational C whose spectrum is rational and real: a lattice
+  exists iff the Jordan types of C at lam and -lam agree (Bock16 with
+  Gelfond-Schneider), and then the witnesses are exactly
+  t = +-arccosh(m/2) / lam0 for the integers m >= 3, lam0 the smallest
+  positive eigenvalue ratio.  Each is listed with an integer block
+  companion matrix, up to MAX_LISTED_WITNESSES in the t-range; the
+  search is complete by trace level and uses no float tolerance;
+* the scan, for everything else (float input, complex or irrational
+  spectra, derogatory exponent groups, longer lists): it scans t for
+  integer characteristic polynomials and certifies candidates through
+  companion-matrix conjugacy (sound but sufficient-only: it needs a
+  non-derogatory exponential; block-diagonal inputs fall back to
+  blockwise certification).  A witness the grid does not flag is
+  missing from its result.
+
+The no-lattice side implements two certificate rules:
 
 * double_root: all eigenvalues of ad_b real with exactly one multiple
   root, which is nonzero (then no power of the exponential can have an
@@ -54,6 +67,8 @@ MAX_SCAN_POINTS = 10**6
 CERTIFY_TOL = 1e-8
 # eigenvalue clustering of the double-root rule (see no_lattice_double_root)
 DOUBLE_ROOT_TOL = 1e-8
+# most witnesses the exact step lists; past it the scan runs
+MAX_LISTED_WITNESSES = 10**4
 
 
 def _as_float_matrix(c) -> np.ndarray:
@@ -207,14 +222,22 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
 
 @dataclass(frozen=True)
 class LatticeWitness:
-    """Certified witness: exp(t0 C) is conjugate (by Q) to the integer
-    unimodular matrix Z, with max-entry residual below CERTIFY_TOL."""
+    """Witness: exp(t0 C) is conjugate to the integer matrix Z of
+    determinant 1, whose characteristic polynomial is ``poly``.
+
+    A scan witness (``exact`` false) is certified in floats: Q conjugates
+    exp(t0 C) to Z with max-entry residual below CERTIFY_TOL.  An exact
+    witness of a rational real spectrum has ``conjugator`` and
+    ``residual`` None: Z and exp(t0 C) are both non-derogatory per block
+    with equal characteristic polynomials, so they are conjugate, and
+    only t0 is a float."""
 
     t0: float
     integral_matrix: np.ndarray
-    conjugator: np.ndarray
-    residual: float
+    conjugator: Optional[np.ndarray]
+    residual: Optional[float]
     poly: IntPoly
+    exact: bool = False
 
     def as_dict(self):
         return {
@@ -222,6 +245,7 @@ class LatticeWitness:
             "integral_matrix": [[int(x) for x in row] for row in self.integral_matrix],
             "poly": list(self.poly.coeffs),
             "residual": self.residual,
+            "exact": self.exact,
         }
 
 
@@ -407,6 +431,170 @@ def certify_witness_blocked(c, t0: float, seed: int = 0, m=None):
     each diagonal block is certified on its own and the integer matrices
     are reassembled.  ``m`` is exp(t0 C) when the caller has it already."""
     return _certify_blocked(_Plan(c, seed), t0, m)
+
+
+def _integer_eigenvalues(ints) -> Optional[list]:
+    """The eigenvalues of an integer matrix with multiplicity, when every
+    one is an integer: the float eigenvalues rounded, and accepted only
+    if exact synthetic division of the integer characteristic polynomial
+    by x - k, once per k, leaves 1."""
+    try:
+        ev = np.linalg.eigvals(ex.to_float(ints)).real
+    except OverflowError:  # an entry past the float range
+        return None
+    if not np.isfinite(ev).all():
+        return None
+    ks = sorted(int(round(x)) for x in ev)
+    p = ex.int_charpoly_coeffs(ints)
+    for k in ks:
+        q = [p[0]]
+        for x in p[1:]:
+            q.append(x + k * q[-1])
+        if q.pop():
+            return None
+        p = q
+    return ks
+
+
+def _jordan_types_symmetric(ints, ks: list) -> bool:
+    """Do the Jordan types of the integer matrix at k and -k agree for
+    every eigenvalue k: rank (ints - k)^j == rank (ints + k)^j for j up
+    to the larger multiplicity of k and -k (past it both ranks are
+    constant)?"""
+    n = ints.shape[0]
+    eye = np.eye(n, dtype=int).astype(object)
+    for a in sorted({abs(k) for k in ks if k}):
+        minus, plus = ints - a * eye, ints + a * eye
+        pm, pp = eye, eye
+        for _ in range(max(ks.count(a), ks.count(-a))):
+            pm, pp = minus.dot(pm), plus.dot(pp)
+            if ex.rank(pm) != ex.rank(pp):
+                return False
+    return True
+
+
+def _exponent_groups(ints, ks: list, g: int) -> Optional[list]:
+    """The indices and exponents k / g of each companion block of the
+    exact witnesses, from the integer eigenvalues ``ks`` of ``ints``: all
+    of C when it is not derogatory; otherwise consecutive invariant
+    components merged until the exponents of a group are symmetric under
+    e -> -e, as blockwise certification merges them.  None when a group
+    is derogatory (its companion block would not be conjugate to it)."""
+    if not _is_derogatory(ints):
+        return [(list(range(ints.shape[0])), [k // g for k in ks])]
+    groups, acc, acc_e = [], [], []
+    for comp in _blocks_of(ints):
+        sub = _integer_eigenvalues(ints[np.ix_(comp, comp)])
+        if sub is None:
+            return None
+        acc, acc_e = sorted(acc + comp), acc_e + [k // g for k in sub]
+        if sorted(acc_e) == sorted(-e for e in acc_e):
+            if _is_derogatory(ints[np.ix_(acc, acc)]):
+                return None
+            groups.append((acc, acc_e))
+            acc, acc_e = [], []
+    # the whole spectrum is symmetric, so the last group closes
+    return groups
+
+
+def _trace_levels(lam0: float, lo: float, hi: float) -> Optional[list]:
+    """``(t, m)`` for every t = +-arccosh(m/2) / lam0 in (lo, hi] with
+    integer m >= 3, by increasing t; None when there are more than
+    MAX_LISTED_WITNESSES.  The count comes first, from the traces
+    2 cosh(lam0 t) at the ends of the range, so nothing is enumerated
+    past the limit."""
+
+    def trace(t):
+        return 2.0 * math.cosh(lam0 * t)
+
+    try:
+        pos = (max(3, math.floor(trace(max(lo, 0.0))) + 1), math.floor(trace(hi)) + 1)
+        neg = (max(3, math.ceil(trace(min(hi, 0.0)))), math.ceil(trace(lo)))
+    except OverflowError:  # a trace past the float range: the scan decides
+        return None
+    if hi <= 0:
+        pos = (3, 3)
+    if lo >= 0:
+        neg = (3, 3)
+    if sum(max(0, b - a) for a, b in (pos, neg)) > MAX_LISTED_WITNESSES:
+        return None
+    return [(-math.acosh(m / 2) / lam0, m) for m in reversed(range(*neg))] + [
+        (math.acosh(m / 2) / lam0, m) for m in range(*pos)
+    ]
+
+
+def _lucas(m: int, top: int) -> list:
+    """L_e(m) = trace of A^e for A = companion(x^2 - m x + 1), e = 0..top."""
+    out = [2, m]
+    while len(out) <= top:
+        out.append(m * out[-1] - out[-2])
+    return out
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _exact_witnesses(c, t_range) -> Optional[list]:
+    """Every witness in the clamped t-range, decided exactly, for a
+    rational C whose spectrum is rational and real; None where the step
+    does not apply and the scan decides.
+
+    With C = ints / d, the eigenvalues of ints are integers k (rounded
+    float eigenvalues, confirmed by exact synthetic division).  Put
+    lam0 = gcd(k) / d.  A lattice exists iff the Jordan types of C at
+    lam and -lam agree for every lam (Bock16 with Gelfond-Schneider): if
+    they differ, the list is empty.  If they agree, the witnesses are
+    exactly t = +-arccosh(m/2) / lam0 for integers m >= 3, and Z is built
+    per exponent group: the companion of the product of one x - 1 per
+    zero exponent and one x^2 - L_e(m) x + 1 per pair (e, -e).
+
+    Declines (None) on a trace or spectrum the scan must judge (nonzero
+    trace, non-integer or complex eigenvalues, nilpotent C), on a
+    derogatory exponent group, and past MAX_LISTED_WITNESSES witnesses."""
+    ints, d = ex.scaled(c)
+    n = ints.shape[0]
+    if not 0 < n <= MAX_DIM or sum(ints[i, i] for i in range(n)) != 0:
+        return None
+    ks = _integer_eigenvalues(ints)
+    if ks is None:
+        return None
+    g = math.gcd(*ks)
+    if g == 0:
+        return None
+    if not _jordan_types_symmetric(ints, ks):
+        return []
+    groups = _exponent_groups(ints, ks, g)
+    if groups is None:
+        return None
+    lo, hi = _scanned_range(c, t_range)
+    levels = _trace_levels(float(Fraction(g, d)), lo, hi)
+    if levels is None:
+        return None
+    # per group: its index grid, (x - 1)^(zero exponents), positive exponents
+    blocks = []
+    for idx, exps in groups:
+        unipotent = [1]
+        for _ in range(exps.count(0)):
+            unipotent = _poly_mul(unipotent, [1, -1])
+        blocks.append((np.ix_(idx, idx), unipotent, [e for e in exps if e > 0]))
+    top = max(ks) // g
+    out = []
+    for t0, m in levels:
+        lucas = _lucas(m, top)
+        z = np.zeros((n, n), dtype=object)
+        poly = [1]
+        for ix, p, pairs in blocks:
+            for e in pairs:
+                p = _poly_mul(p, [1, -lucas[e], 1])
+            z[ix] = companion(IntPoly(tuple(p)))
+            poly = _poly_mul(poly, p)
+        out.append(LatticeWitness(t0, z, None, None, IntPoly(tuple(poly)), exact=True))
+    return out
 
 
 @dataclass(frozen=True)
@@ -620,11 +808,15 @@ def lattice_verdict(
     structure: Optional[LCPStructure] = None,
     cited: Optional[NoLatticeCertificate] = None,
 ) -> LatticeVerdict:
-    """Combine certificate rules and the scan into a single verdict.
+    """Combine certificate rules, the exact step and the scan into a
+    single verdict.
 
     Certificates are decisive, so when one fires no witness search runs
-    (a sound witness could never coexist with one).  An exact C that is derogatory has only derogatory exponentials, so
-    its candidates go straight to blockwise certification.  One
+    (a sound witness could never coexist with one).  An exact C with a
+    rational real spectrum is then decided by trace level
+    (``_exact_witnesses``); everything else goes to the scan.  There, an
+    exact C that is derogatory has only derogatory exponentials, so its
+    candidates go straight to blockwise certification, and one
     certification plan (``_Plan``) serves every candidate."""
     certs = []
     if cited is not None:
@@ -638,6 +830,10 @@ def lattice_verdict(
             certs.append(c2)
     if certs:
         return LatticeVerdict(label, (), tuple(certs), ())
+    listed = _exact_witnesses(c, t_range) if _is_exact(c) else None
+    if listed is not None:
+        inconclusive = () if listed else (_scanned_range(c, t_range),)
+        return LatticeVerdict(label, tuple(listed), (), inconclusive)
     witnesses = []
     candidates = integer_charpoly_scan(c, t_range=t_range)
     derogatory = bool(candidates) and _is_exact(c) and _is_derogatory(c)

@@ -547,10 +547,11 @@ def _sample_for(name, params) -> SampleSpec:
 # lattice verdict per sampled row and full catalog reproduction
 # ---------------------------------------------------------------------------
 
-def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0):
+def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0, witnesses=None):
     """Verdict for one sampled row: cited where the literature decides,
-    computed certificates/witness scan otherwise (Bock scan requires an
-    almost abelian algebra)."""
+    computed certificates/witness search otherwise (it requires an almost
+    abelian algebra).  ``witnesses`` are the row's fixture witnesses when
+    the caller has parsed them already."""
     L = table_algebra(sample.name, sample.params)
     G = Metric.identity(L.dim)
     pres = almost_abelian_presentation(L, G)
@@ -573,7 +574,9 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
             }
         return {"status": "inconclusive", "evidence": "not almost abelian", "witnesses": 0}
     structure = None
-    best = max(witness_specs_from_fixtures(sample), key=lambda w: w.expected_dim)
+    if witnesses is None:
+        witnesses = witness_specs_from_fixtures(sample)
+    best = max(witnesses, key=lambda w: w.expected_dim)
     if best.expected_dim == L.dim - 2:
         flat = maximal_flat_parallel(L, best.metric, best.theta)
         structure = LCPStructure(L, best.metric, best.theta, flat)
@@ -605,8 +608,9 @@ def reproduce_tables(t_range=(0.0, 3.0), seed: int = 0) -> list:
     out = []
     for sample in SAMPLES:
         row = ROWS[sample.name]
-        tv = verify_table(sample.name, sample.params)
-        lat = sample_lattice_verdict(sample, t_range=t_range, seed=seed)
+        witnesses = witness_specs_from_fixtures(sample)
+        tv = verify_table(sample.name, sample.params, witnesses=witnesses)
+        lat = sample_lattice_verdict(sample, t_range=t_range, seed=seed, witnesses=witnesses)
         out.append(
             {
                 "table": row.table,

@@ -195,6 +195,7 @@ def test_lattice_search_machine_roundtrip(e11_doc):
     payload = json.loads(out.stdout)
     assert payload["status"] == "yes"
     assert payload["witnesses"][0]["integral_matrix"] == [[0, -1], [1, 3]]
+    assert payload["witnesses"][0]["exact"] is True
     # determinism: a second run yields the identical report
     out2 = run_cli(
         "lattice", "search", "--input", e11_doc, "--t-range", "0:2", "--format", "machine"

@@ -5,9 +5,10 @@ input: diag(1, -1) + 0 at n = 2..6 under a fixed rational basis on 0:3,
 the five complex spectra of the benchmark's lattice-search slots under a
 fixed rational basis on 0:2, and the amalgam block matrix
 diag(1, -1, 1, -1)/sqrt(2) on 0:3.  Every witness t0, integer matrix,
-polynomial and residual is recorded at full float precision, so a change
-in the scan, its refinement or the certification that moves a t0 or
-drops a witness changes the text.
+polynomial, residual and ``exact`` flag is recorded at full float
+precision, so a change in the exact step (the hyperbolic lines), the
+scan, its refinement or the certification that moves a t0 or drops a
+witness changes the text.
 
 Regenerate (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden_lattice.py --write``.

@@ -14,6 +14,7 @@ from lcplab.errors import EnvelopeExceeded, MTooSmall, NonPositiveInput, NonTrac
 from lcplab.intpoly import IntPoly, int_charpoly, int_det
 from lcplab.lattice import (
     MAX_SPECTRAL,
+    _exact_witnesses,
     _is_derogatory,
     _is_exact,
     _scanned_range,
@@ -205,6 +206,9 @@ def test_certify_tries_further_probes():
         dtype=object,
     )
     assert sum(c[i, i] for i in range(4)) == 0
+    # the exact step decides the rational input without probes; its float
+    # twin goes through the scan and certification
+    c = ex.to_float(c)
     assert len(integer_charpoly_scan(c, t_range=(0, 3))) == 18
     v = lattice_verdict(c, t_range=(0, 3))
     # trace of exp(t C) is m + 2 for the 2x2 witness E_m, m = 3..20
@@ -257,6 +261,17 @@ def _conjugated_hyperbolic(n):
     return ex.dot(ex.dot(p, d), ex.inv(p))
 
 
+def _conjugated_irrational(n, b=2):
+    """P ([[0, 1], [b, 0]] + 0) P^-1 on Fractions, P as above: eigenvalues
+    +-sqrt(b) and zeros, a rational C that the exact step leaves to the
+    scan when sqrt(b) is irrational."""
+    d = ex.rzeros((n, n))
+    d[0, 1], d[1, 0] = ex.ONE, ex.rat(b)
+    p = ex.reye(n)
+    p[0, 1], p[1, 2], p[2, 0] = Fraction(1, 4), Fraction(1, 8), Fraction(-1, 16)
+    return ex.dot(ex.dot(p, d), ex.inv(p))
+
+
 def test_is_derogatory_exactly():
     assert _is_derogatory(_conjugated_hyperbolic(4))  # 0 twice
     assert not _is_derogatory(_conjugated_hyperbolic(3))
@@ -280,7 +295,7 @@ def test_derogatory_exact_input_skips_the_krylov_probes(monkeypatch):
         return probe(c, *args, **kwargs)
 
     monkeypatch.setattr(lattice, "certify_witness", counted)
-    c = _conjugated_hyperbolic(4)
+    c = _conjugated_irrational(4)
     exact = lattice_verdict(c, t_range=(0.0, 3.0))
     assert exact.status == "yes" and 4 not in sizes
     sizes.clear()
@@ -318,6 +333,8 @@ def test_verdict_plan_matches_one_shot_certification(c):
     # one plan serves every candidate of a verdict; each witness must be
     # the one a fresh one-shot certification of its candidate gives
     t_range = (0.0, 3.0)
+    if _is_exact(c) and _exact_witnesses(c, t_range) is not None:
+        c = ex.to_float(c)  # the exact step would decide it without candidates
     v = lattice_verdict(c, t_range=t_range)
     if v.certificates:
         return
@@ -340,10 +357,12 @@ def test_one_plan_per_verdict(monkeypatch):
     # each distinct block (here the three zero singletons) is certified
     # once, not once per candidate
     import lcplab.lattice as lattice
-    from test_golden_lattice import hyperbolic
 
-    c = hyperbolic(6)
-    candidates = integer_charpoly_scan(c, t_range=(0.0, 3.0))
+    # eigenvalues +-1/sqrt(2), so that the exact step leaves C to the
+    # scan; 2 cosh(4.24 / sqrt 2) ~ 20.03 gives the traces 3..20
+    c = _conjugated_irrational(6, Fraction(1, 2))
+    t_range = (0.0, 4.24)
+    candidates = integer_charpoly_scan(c, t_range=t_range)
     blocks = lattice._blocks_of(ex.to_float(c))
     assert len(candidates) == 18 and len(blocks) == 4
     counts = {"eigvals": 0, "certify": 0}
@@ -359,7 +378,7 @@ def test_one_plan_per_verdict(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     monkeypatch.setattr(lattice, "certify_witness", counted_certify)
-    v = lattice_verdict(c, t_range=(0.0, 3.0))
+    v = lattice_verdict(c, t_range=t_range)
     assert len(v.witnesses) == 18
     assert counts["eigvals"] <= 10
     assert counts["certify"] <= len(candidates) + len(blocks)

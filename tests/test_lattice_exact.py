@@ -1,0 +1,257 @@
+"""The exact step of ``lattice_verdict``: a rational C whose spectrum is
+rational and real has witnesses exactly at t = +-arccosh(m/2) / lam0,
+m >= 3, when its Jordan types at lam and -lam agree, and none otherwise."""
+
+import math
+import subprocess
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lcplab import exact as ex
+from lcplab import kernels
+from lcplab.intpoly import int_charpoly, int_det
+from lcplab.lattice import (
+    MAX_LISTED_WITNESSES,
+    _exact_witnesses,
+    _is_derogatory,
+    _scanned_range,
+    lattice_verdict,
+)
+from test_golden_lattice import cases
+
+F = Fraction
+
+
+def jordan(k, a):
+    return [[a if i == j else int(j == i + 1) for j in range(k)] for i in range(k)]
+
+
+def direct_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    d = [[0] * n for _ in range(n)]
+    i = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            d[i + r][i : i + len(b)] = row
+        i += len(b)
+    return d
+
+
+@st.composite
+def unimodular_conjugate(draw, d):
+    """U d U^-1 on Fractions, U a product of elementary integer row
+    operations (so det U = 1)."""
+    n = len(d)
+    u = ex.reye(n)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+        if i != j:
+            u[i] = u[i] + draw(st.sampled_from([-1, 1])) * u[j]
+    return ex.dot(ex.dot(u, ex.rmat(d)), ex.inv(u))
+
+
+@st.composite
+def symmetric_jordan_data(draw):
+    """(C, lam_eff): pairs J_k(e lam0) + J_k(-e lam0) with distinct e and
+    at most one J_k(0) under a unimodular basis change, and the smallest
+    positive eigenvalue ratio lam_eff = gcd(e) lam0."""
+    lam0 = draw(st.sampled_from([1, F(1, 2), 3]))
+    es = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=2, unique=True))
+    blocks = []
+    for e in es:
+        k = draw(st.integers(1, 2))
+        blocks += [jordan(k, e * lam0), jordan(k, -e * lam0)]
+    z = draw(st.integers(0, 2))
+    if z:
+        blocks.append(jordan(z, 0))
+    blocks = draw(st.permutations(blocks))
+    c = draw(unimodular_conjugate(direct_sum(blocks)))
+    return c, F(lam0) * math.gcd(*es)
+
+
+@st.composite
+def broken_jordan_data(draw):
+    """A rational real trace-free spectrum whose Jordan types at lam and
+    -lam differ, with no single multiple root (so no certificate fires):
+    J_2(a) + J_1(-a) + J_1(-a), or the simple spectrum (e1 + e2, -e1, -e2)."""
+    lam0 = draw(st.sampled_from([1, F(1, 2), 3]))
+    if draw(st.booleans()):
+        a = draw(st.sampled_from([1, 2, 3])) * lam0
+        blocks = [jordan(2, a), jordan(1, -a), jordan(1, -a)]
+    else:
+        e1, e2 = draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+        blocks = [jordan(1, (e1 + e2) * lam0), jordan(1, -e1 * lam0), jordan(1, -e2 * lam0)]
+    return draw(unimodular_conjugate(direct_sum(draw(st.permutations(blocks)))))
+
+
+def closed_form(lam_eff, hi):
+    lam = float(lam_eff)
+    return [math.acosh(m / 2) / lam for m in range(3, math.floor(2 * math.cosh(lam * hi)) + 1)]
+
+
+def z_rows(w):
+    return [[int(x) for x in row] for row in w.integral_matrix]
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_jordan_data(), st.floats(1.0, 3.5))
+def test_witnesses_are_the_trace_levels(data, reach):
+    c, lam_eff = data
+    t_range = (0.0, reach / float(lam_eff))
+    v = lattice_verdict(c, t_range=t_range)
+    assert v.status == "yes" and all(w.exact for w in v.witnesses)
+    expected = closed_form(lam_eff, t_range[1])
+    assert len(v.witnesses) == len(expected)
+    assert all(abs(w.t0 - t) <= 1e-12 for w, t in zip(v.witnesses, expected))
+    cf = ex.to_float(c)
+    for w in v.witnesses:
+        assert w.conjugator is None and w.residual is None
+        assert int_det(w.integral_matrix) == 1
+        exact = int_charpoly(w.integral_matrix).coeffs
+        assert exact == w.poly.coeffs
+        # relative to the largest coefficient: the float eigenvalues of a
+        # Jordan block are only good to about the square root of eps
+        approx = np.real(np.poly(np.linalg.eigvals(kernels.expm(w.t0 * cf))))
+        err = max(abs(e - a) for e, a in zip(exact, approx))
+        assert err <= 1e-6 * max(abs(e) for e in exact)
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_jordan_data(), st.floats(1.0, 3.5))
+def test_scan_witnesses_of_the_float_twin_are_exact_witnesses(data, reach):
+    c, lam_eff = data
+    t_range = (0.0, reach / float(lam_eff))
+    exact = lattice_verdict(c, t_range=t_range).witnesses
+    for wf in lattice_verdict(ex.to_float(c), t_range=t_range).witnesses:
+        assert not wf.exact
+        match = [w for w in exact if abs(w.t0 - wf.t0) <= 1e-9]
+        assert len(match) == 1 and match[0].poly == wf.poly
+        if z_rows(match[0]) != z_rows(wf):
+            # on a non-derogatory C such as J_2(-1) + J_2(1) + J_2(0) the
+            # scan's full-size Krylov probes can fail, and blockwise
+            # certification finds another block form of the same polynomial
+            assert not _is_derogatory(c)
+            assert int_charpoly(wf.integral_matrix) == wf.poly
+
+
+@settings(max_examples=30, deadline=None)
+@given(broken_jordan_data())
+def test_broken_symmetry_is_inconclusive_without_a_scan(c):
+    import lcplab.lattice as lattice
+
+    calls = []
+    scan = lattice.integer_charpoly_scan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "integer_charpoly_scan", lambda *a, **k: calls.append(1) or scan(*a, **k))
+        v = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert v.status == "inconclusive" and not v.certificates
+    assert v.inconclusive_ranges == (_scanned_range(c, (0.0, 3.0)),)
+    assert calls == []
+
+
+def diag(*xs):
+    return ex.rmat([[xs[i] if i == j else 0 for j in range(len(xs))] for i in range(len(xs))])
+
+
+# a dense unimodular basis: U diag(1, 1, -1, -1) U^-1 is one derogatory group
+U4 = ex.rmat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+
+
+@pytest.mark.parametrize(
+    "c, t_hi, count",
+    [(diag(1, -1), 4.5, 88), (diag(1, -1), 5.9, 363), (diag(1, -1, 0, 0, 0), 4.0, 52)],
+)
+def test_no_trace_level_is_lost(c, t_hi, count):
+    # the grid scan lost m = 90 at 0:4.5, 126 witnesses at 0:5.9 and five
+    # of diag(1, -1, 0, 0, 0) at 0:4
+    v = lattice_verdict(c, t_range=(0.0, t_hi))
+    assert len(v.witnesses) == count and all(w.exact for w in v.witnesses)
+    assert all(abs(w.t0 - t) <= 1e-12 for w, t in zip(v.witnesses, closed_form(1, t_hi)))
+
+
+def test_negative_t_range():
+    # t in (lo, hi]: -t_m for m = 4..7 on (-2, -1], t_m mirrored on (-2, 2)
+    v = lattice_verdict(diag(1, -1), t_range=(-2.0, -1.0))
+    assert [-w.poly.coeffs[1] for w in v.witnesses] == [7, 6, 5, 4]
+    assert [w.t0 for w in v.witnesses] == [-math.acosh(m / 2) for m in (7, 6, 5, 4)]
+    v = lattice_verdict(diag(1, -1), t_range=(-2.0, 2.0))
+    assert [-w.poly.coeffs[1] for w in v.witnesses] == [7, 6, 5, 4, 3, 3, 4, 5, 6, 7]
+
+
+def test_listing_limit():
+    # 2 cosh(9.2) ~ 9897: 9895 witnesses are listed; 2 cosh(9.22) ~ 10096 is past the limit
+    assert len(_exact_witnesses(diag(1, -1), (0.0, 9.2))) == 9895 <= MAX_LISTED_WITNESSES
+    assert _exact_witnesses(diag(1, -1), (0.0, 9.22)) is None
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        ex.rmat([[F(1, 2), -1, 0], [1, F(1, 2), 0], [0, 0, -1]]),  # complex spectrum
+        ex.rmat([[0, 1], [2, 0]]),  # +-sqrt(2)
+        ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),  # nilpotent
+        ex.dot(ex.dot(U4, diag(1, 1, -1, -1)), ex.inv(U4)),
+        diag(1, 2),  # not trace-free: the scan raises NonTraceFree
+    ],
+    ids=["complex", "irrational", "nilpotent", "derogatory-group", "trace"],
+)
+def test_step_declines_where_the_scan_decides(c):
+    assert _exact_witnesses(c, (0.0, 3.0)) is None
+
+
+def _golden_hyperbolic():
+    return [(label, c, t) for label, c, t in cases() if label.startswith("hyperbolic")]
+
+
+@pytest.mark.parametrize("label, c, t_range", _golden_hyperbolic(), ids=lambda x: str(x)[:14])
+def test_golden_hyperbolic_matches_the_float_twin(label, c, t_range):
+    exact = lattice_verdict(c, t_range=t_range)
+    scan = lattice_verdict(ex.to_float(c), t_range=t_range)
+    assert all(w.exact for w in exact.witnesses) and not any(w.exact for w in scan.witnesses)
+    assert [(z_rows(w), w.poly) for w in exact.witnesses] == [
+        (z_rows(w), w.poly) for w in scan.witnesses
+    ]
+
+
+def _run_limited(code: str, max_bytes: int = 4 << 30) -> str:
+    """Run ``code`` in a child Python whose address space is capped at
+    ``max_bytes``, so that an allocation past it fails instead of
+    swapping; returns its stdout."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, preexec_fn=limit
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_past_the_listing_limit_the_scan_decides():
+    # 2 cosh(20 * 2.5) ~ 5e21 and 2 cosh(20) ~ 4.85e8 traces: the step
+    # counts before it enumerates, and the scan gives its verdicts
+    code = (
+        "from lcplab import exact as ex\n"
+        "from lcplab.lattice import lattice_verdict\n"
+        "for a, hi in ((20, 3.0), (1, 20.0)):\n"
+        "    v = lattice_verdict(ex.rmat([[a, 0], [0, -a]]), t_range=(0.0, hi))\n"
+        "    print(v.status, len(v.witnesses), any(w.exact for w in v.witnesses))\n"
+    )
+    assert _run_limited(code).split("\n")[:2] == ["yes 62 False", "yes 940 False"]
+
+
+def test_exact_step_imports_no_sympy():
+    code = (
+        "import sys\n"
+        "from lcplab import exact as ex\n"
+        "from lcplab.lattice import lattice_verdict\n"
+        "v = lattice_verdict(ex.rmat([[1, 0, 0], [0, -1, 0], [0, 0, 0]]), t_range=(0.0, 3.0))\n"
+        "print(len(v.witnesses), v.witnesses[0].exact, 'sympy' in sys.modules)\n"
+    )
+    assert _run_limited(code).strip() == "18 True False"
