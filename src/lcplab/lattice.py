@@ -8,11 +8,12 @@ matrix.  The search side has two paths:
   exists iff the Jordan types of C at lam and -lam agree (Bock16 with
   Gelfond-Schneider), and then the witnesses are exactly
   t = +-arccosh(m/2) / lam0 for the integers m >= 3, lam0 the smallest
-  positive eigenvalue ratio.  Each is listed with an integer block
-  companion matrix, up to MAX_LISTED_WITNESSES in the t-range; the
-  search is complete by trace level and uses no float tolerance;
+  positive eigenvalue ratio.  Each is listed with the Frobenius form of
+  the invariant factors of exp(t0 C), which are known from the Jordan
+  types of C, up to MAX_LISTED_WITNESSES in the t-range; the search is
+  complete by trace level and uses no float tolerance;
 * the scan, for everything else (float input, complex or irrational
-  spectra, derogatory exponent groups, longer lists): it scans t for
+  spectra, nilpotent C, longer lists): it scans t for
   integer characteristic polynomials and certifies candidates through
   companion-matrix conjugacy (sound but sufficient-only: it needs a
   non-derogatory exponential; block-diagonal inputs fall back to
@@ -174,11 +175,12 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     refines all flags together by ``GOLDEN_ITERS`` golden-section steps
     (``_refine``), keeps minima down to ``SCAN_TOL`` (also the relative
     trace-free tolerance), and
-    deduplicates candidates closer than 1e-6.  A (near)
-    nilpotent C has integer coefficients for every t and is reported as
-    the single degenerate candidate t = 1.  A clamped range that needs
-    more than ``MAX_SCAN_POINTS`` grid points raises EnvelopeExceeded
-    before the grid is allocated.
+    deduplicates candidates closer than 1e-6.  A refined minimum with a
+    coefficient of modulus 2^53 or more is dropped.  A (near) nilpotent C
+    has integer coefficients for every t and is reported as the single
+    degenerate candidate t = 1, or t = hi when 1 is outside (lo, hi].
+    A clamped range that needs more than ``MAX_SCAN_POINTS`` grid points
+    raises EnvelopeExceeded before the grid is allocated.
     """
     a = _as_float_matrix(c)
     n = a.shape[0]
@@ -197,10 +199,11 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     defects = kernels.scan_defects(a, ts)
     ev = kernels.spectrum(a)
     if defects.max() <= SCAN_TOL:
-        # unipotent exponential: every t works, report t = 1
-        coeffs = kernels.exp_charpoly(ev, 1.0)
+        # unipotent exponential: every t works, report t = 1 if in range
+        t = 1.0 if lo < 1.0 <= hi else hi
+        coeffs = kernels.exp_charpoly(ev, t)
         poly = IntPoly(tuple(int(round(x)) for x in coeffs))
-        return [ScanCandidate(1.0, poly, float(kernels.integer_defect(coeffs)))]
+        return [ScanCandidate(t, poly, float(kernels.integer_defect(coeffs)))]
     inner = defects[1:-1]
     flagged = 1 + np.flatnonzero(
         (inner <= defects[:-2]) & (inner <= defects[2:]) & (inner < SCAN_FLAG_TOL)
@@ -209,7 +212,8 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     coeffs = kernels.exp_charpoly(ev, t0s)
     out = []
     for t0, d0, row in zip(t0s.tolist(), d0s.tolist(), coeffs):
-        if d0 > SCAN_TOL:
+        # past 2^53 the float spacing is >= 1 and the defect says nothing
+        if d0 > SCAN_TOL or np.abs(row).max() >= 2.0**53:
             continue
         poly = IntPoly(tuple(int(round(x)) for x in row))
         if abs(poly.constant_term()) != 1:
@@ -228,9 +232,9 @@ class LatticeWitness:
     A scan witness (``exact`` false) is certified in floats: Q conjugates
     exp(t0 C) to Z with max-entry residual below CERTIFY_TOL.  An exact
     witness of a rational real spectrum has ``conjugator`` and
-    ``residual`` None: Z and exp(t0 C) are both non-derogatory per block
-    with equal characteristic polynomials, so they are conjugate, and
-    only t0 is a float."""
+    ``residual`` None: Z is the Frobenius form of the invariant factors
+    of exp(t0 C), so the two are conjugate over R, and only t0 is a
+    float."""
 
     t0: float
     integral_matrix: np.ndarray
@@ -456,45 +460,22 @@ def _integer_eigenvalues(ints) -> Optional[list]:
     return ks
 
 
-def _jordan_types_symmetric(ints, ks: list) -> bool:
-    """Do the Jordan types of the integer matrix at k and -k agree for
-    every eigenvalue k: rank (ints - k)^j == rank (ints + k)^j for j up
-    to the larger multiplicity of k and -k (past it both ranks are
-    constant)?"""
+def _jordan_types(ints, ks: list) -> dict:
+    """The Jordan block sizes of the integer matrix at each distinct
+    eigenvalue k of ``ks``, largest first.  With r_j = rank (ints - k)^j,
+    r_(j-1) - r_j blocks have size >= j; j runs until r_j = n - (the
+    multiplicity of k), which takes at most that multiplicity steps."""
     n = ints.shape[0]
     eye = np.eye(n, dtype=int).astype(object)
-    for a in sorted({abs(k) for k in ks if k}):
-        minus, plus = ints - a * eye, ints + a * eye
-        pm, pp = eye, eye
-        for _ in range(max(ks.count(a), ks.count(-a))):
-            pm, pp = minus.dot(pm), plus.dot(pp)
-            if ex.rank(pm) != ex.rank(pp):
-                return False
-    return True
-
-
-def _exponent_groups(ints, ks: list, g: int) -> Optional[list]:
-    """The indices and exponents k / g of each companion block of the
-    exact witnesses, from the integer eigenvalues ``ks`` of ``ints``: all
-    of C when it is not derogatory; otherwise consecutive invariant
-    components merged until the exponents of a group are symmetric under
-    e -> -e, as blockwise certification merges them.  None when a group
-    is derogatory (its companion block would not be conjugate to it)."""
-    if not _is_derogatory(ints):
-        return [(list(range(ints.shape[0])), [k // g for k in ks])]
-    groups, acc, acc_e = [], [], []
-    for comp in _blocks_of(ints):
-        sub = _integer_eigenvalues(ints[np.ix_(comp, comp)])
-        if sub is None:
-            return None
-        acc, acc_e = sorted(acc + comp), acc_e + [k // g for k in sub]
-        if sorted(acc_e) == sorted(-e for e in acc_e):
-            if _is_derogatory(ints[np.ix_(acc, acc)]):
-                return None
-            groups.append((acc, acc_e))
-            acc, acc_e = [], []
-    # the whole spectrum is symmetric, so the last group closes
-    return groups
+    types = {}
+    for k in set(ks):
+        shifted, power, ranks = ints - k * eye, eye, [n]
+        while ranks[-1] > n - ks.count(k):
+            power = shifted.dot(power)
+            ranks.append(ex.rank(power))
+        at_least = [a - b for a, b in zip(ranks, ranks[1:])]
+        types[k] = [sum(1 for c in at_least if c >= i) for i in range(1, at_least[0] + 1)]
+    return types
 
 
 def _trace_levels(lam0: float, lo: float, hi: float) -> Optional[list]:
@@ -549,13 +530,17 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     lam0 = gcd(k) / d.  A lattice exists iff the Jordan types of C at
     lam and -lam agree for every lam (Bock16 with Gelfond-Schneider): if
     they differ, the list is empty.  If they agree, the witnesses are
-    exactly t = +-arccosh(m/2) / lam0 for integers m >= 3, and Z is built
-    per exponent group: the companion of the product of one x - 1 per
-    zero exponent and one x^2 - L_e(m) x + 1 per pair (e, -e).
+    exactly t = +-arccosh(m/2) / lam0 for integers m >= 3.  exp(t0 C) has
+    the Jordan types of C, at 1 for k = 0 and at the roots of
+    q_e = x^2 - L_e(m) x + 1 for k = +-e gcd(k), so its i-th invariant
+    factor is (x - 1)^s_i(0) times q_e^s_i(e) over e > 0, s_i(e) the i-th
+    largest block at e gcd(k).  Z is their Frobenius form: the companion
+    matrices of the invariant factors, largest first, on consecutive
+    diagonal blocks.
 
     Declines (None) on a trace or spectrum the scan must judge (nonzero
-    trace, non-integer or complex eigenvalues, nilpotent C), on a
-    derogatory exponent group, and past MAX_LISTED_WITNESSES witnesses."""
+    trace, non-integer or complex eigenvalues, nilpotent C) and past
+    MAX_LISTED_WITNESSES witnesses."""
     ints, d = ex.scaled(c)
     n = ints.shape[0]
     if not 0 < n <= MAX_DIM or sum(ints[i, i] for i in range(n)) != 0:
@@ -566,33 +551,34 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     g = math.gcd(*ks)
     if g == 0:
         return None
-    if not _jordan_types_symmetric(ints, ks):
+    types = _jordan_types(ints, ks)
+    if any(sizes != types.get(-k) for k, sizes in types.items()):
         return []
-    groups = _exponent_groups(ints, ks, g)
-    if groups is None:
-        return None
     lo, hi = _scanned_range(c, t_range)
     levels = _trace_levels(float(Fraction(g, d)), lo, hi)
     if levels is None:
         return None
-    # per group: its index grid, (x - 1)^(zero exponents), positive exponents
-    blocks = []
-    for idx, exps in groups:
+    # per invariant factor: (x - 1)^s_i(0) and {e: s_i(e)} for e > 0
+    factors = []
+    for i in range(max(len(sizes) for sizes in types.values())):
+        powers = {k // g: sizes[i] for k, sizes in types.items() if k >= 0 and i < len(sizes)}
         unipotent = [1]
-        for _ in range(exps.count(0)):
+        for _ in range(powers.pop(0, 0)):
             unipotent = _poly_mul(unipotent, [1, -1])
-        blocks.append((np.ix_(idx, idx), unipotent, [e for e in exps if e > 0]))
+        factors.append((unipotent, powers))
     top = max(ks) // g
     out = []
     for t0, m in levels:
         lucas = _lucas(m, top)
         z = np.zeros((n, n), dtype=object)
-        poly = [1]
-        for ix, p, pairs in blocks:
-            for e in pairs:
-                p = _poly_mul(p, [1, -lucas[e], 1])
-            z[ix] = companion(IntPoly(tuple(p)))
-            poly = _poly_mul(poly, p)
+        poly, at = [1], 0
+        for p, powers in factors:
+            for e, s in powers.items():
+                for _ in range(s):
+                    p = _poly_mul(p, [1, -lucas[e], 1])
+            end = at + len(p) - 1
+            z[at:end, at:end] = companion(IntPoly(tuple(p)))
+            poly, at = _poly_mul(poly, p), end
         out.append(LatticeWitness(t0, z, None, None, IntPoly(tuple(poly)), exact=True))
     return out
 

@@ -97,6 +97,15 @@ def test_scan_degenerate_zero_matrix():
     assert cands[0].poly.coeffs == (1, -3, 3, -1)  # (x-1)^3
 
 
+def test_nilpotent_witness_stays_in_the_range():
+    # t = 1 when 1 is in (lo, hi], otherwise hi
+    j3 = ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    for t_range, t0 in (((0.0, 0.5), 0.5), ((0.0, 3.0), 1.0), ((-2.0, -1.0), -1.0)):
+        v = lattice_verdict(j3, t_range=t_range)
+        assert [w.t0 for w in v.witnesses] == [t0]
+        assert v.witnesses[0].poly.coeffs == (1, -3, 3, -1)
+
+
 def test_certify_e11():
     cands = integer_charpoly_scan(C_E11, t_range=(0, 1.4))
     w = certify_witness(C_E11, cands[0].t0, cands[0].poly)
@@ -394,3 +403,14 @@ def test_clamped_range_keeps_candidates_in_the_envelope():
         assert candidates and all(abs(x.t0) * 20.0 <= MAX_SPECTRAL for x in candidates)
         v = lattice_verdict(c, t_range=(0.0, 3.0))
         assert v.status == "yes"
+
+
+def test_scan_drops_candidates_past_two_to_the_53():
+    # past 2^53 the float spacing is >= 1, so a coefficient's integer
+    # defect is meaningless: such minima are not candidates, and the
+    # witnesses below it are all kept
+    c = np.diag([20.0, -20.0])
+    candidates = integer_charpoly_scan(c, t_range=(0.0, 3.0))
+    assert len(candidates) == 112
+    assert all(abs(x) < 2**53 for cand in candidates for x in cand.poly.coeffs)
+    assert len(lattice_verdict(c, t_range=(0.0, 3.0)).witnesses) == 62

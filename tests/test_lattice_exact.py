@@ -17,7 +17,6 @@ from lcplab.intpoly import int_charpoly, int_det
 from lcplab.lattice import (
     MAX_LISTED_WITNESSES,
     _exact_witnesses,
-    _is_derogatory,
     _scanned_range,
     lattice_verdict,
 )
@@ -56,21 +55,22 @@ def unimodular_conjugate(draw, d):
 
 @st.composite
 def symmetric_jordan_data(draw):
-    """(C, lam_eff): pairs J_k(e lam0) + J_k(-e lam0) with distinct e and
-    at most one J_k(0) under a unimodular basis change, and the smallest
-    positive eigenvalue ratio lam_eff = gcd(e) lam0."""
+    """(C, lam_eff, exps): pairs J_k(e lam0) + J_k(-e lam0), an exponent e
+    possibly repeated (J_2(a) + J_1(a) + J_2(-a) + J_1(-a) is derogatory),
+    and up to two J_k(0) under a unimodular basis change; the smallest
+    positive eigenvalue ratio lam_eff = gcd(e) lam0; and the distinct
+    exponents e / gcd(e) of the positive eigenvalues."""
     lam0 = draw(st.sampled_from([1, F(1, 2), 3]))
-    es = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=2, unique=True))
+    pair = st.tuples(st.sampled_from([1, 2, 3]), st.integers(1, 2))
+    pairs = draw(st.lists(pair, min_size=1, max_size=3))
     blocks = []
-    for e in es:
-        k = draw(st.integers(1, 2))
+    for e, k in pairs:
         blocks += [jordan(k, e * lam0), jordan(k, -e * lam0)]
-    z = draw(st.integers(0, 2))
-    if z:
-        blocks.append(jordan(z, 0))
+    blocks += [jordan(z, 0) for z in draw(st.lists(st.integers(1, 2), max_size=2))]
     blocks = draw(st.permutations(blocks))
     c = draw(unimodular_conjugate(direct_sum(blocks)))
-    return c, F(lam0) * math.gcd(*es)
+    g = math.gcd(*(e for e, _ in pairs))
+    return c, F(lam0) * g, sorted({e // g for e, _ in pairs})
 
 
 @st.composite
@@ -97,10 +97,42 @@ def z_rows(w):
     return [[int(x) for x in row] for row in w.integral_matrix]
 
 
+def lucas(m, e):
+    """The trace of A^e for A = companion(x^2 - m x + 1)."""
+    a, b = 2, m
+    for _ in range(e):
+        a, b = b, m * b - a
+    return a
+
+
+def assert_jordan_profile(c, z, lam_eff, exps, m, top=3):
+    """Z has the Jordan types of exp(t0 C) at 2 cosh(lam_eff t0) = m, by
+    exact ranks for j = 1..top (blocks of C have size <= 2, so the ranks
+    are constant from j = 2 on): rank (Z - I)^j = rank C^j, and with
+    q_e = x^2 - L_e(m) x + 1 and k = e lam_eff,
+    rank q_e(Z)^j = rank (C - k)^j + rank (C + k)^j - n."""
+    n = len(c)
+    eye, z = ex.reye(n), ex.rmat(z)
+
+    def ranks(a):
+        out, power = [], eye
+        for _ in range(top):
+            power = ex.dot(a, power)
+            out.append(ex.rank(power))
+        return out
+
+    assert ranks(z - eye) == ranks(c)
+    for e in exps:
+        k = e * lam_eff
+        q = ex.dot(z, z) - lucas(m, e) * z + eye
+        expected = [a + b - n for a, b in zip(ranks(c - k * eye), ranks(c + k * eye))]
+        assert ranks(q) == expected
+
+
 @settings(max_examples=30, deadline=None)
 @given(symmetric_jordan_data(), st.floats(1.0, 3.5))
 def test_witnesses_are_the_trace_levels(data, reach):
-    c, lam_eff = data
+    c, lam_eff, exps = data
     t_range = (0.0, reach / float(lam_eff))
     v = lattice_verdict(c, t_range=t_range)
     assert v.status == "yes" and all(w.exact for w in v.witnesses)
@@ -108,9 +140,10 @@ def test_witnesses_are_the_trace_levels(data, reach):
     assert len(v.witnesses) == len(expected)
     assert all(abs(w.t0 - t) <= 1e-12 for w, t in zip(v.witnesses, expected))
     cf = ex.to_float(c)
-    for w in v.witnesses:
+    for m, w in enumerate(v.witnesses, start=3):
         assert w.conjugator is None and w.residual is None
         assert int_det(w.integral_matrix) == 1
+        assert_jordan_profile(c, w.integral_matrix, lam_eff, exps, m)
         exact = int_charpoly(w.integral_matrix).coeffs
         assert exact == w.poly.coeffs
         # relative to the largest coefficient: the float eigenvalues of a
@@ -123,19 +156,18 @@ def test_witnesses_are_the_trace_levels(data, reach):
 @settings(max_examples=30, deadline=None)
 @given(symmetric_jordan_data(), st.floats(1.0, 3.5))
 def test_scan_witnesses_of_the_float_twin_are_exact_witnesses(data, reach):
-    c, lam_eff = data
+    c, lam_eff, exps = data
     t_range = (0.0, reach / float(lam_eff))
     exact = lattice_verdict(c, t_range=t_range).witnesses
     for wf in lattice_verdict(ex.to_float(c), t_range=t_range).witnesses:
         assert not wf.exact
-        match = [w for w in exact if abs(w.t0 - wf.t0) <= 1e-9]
-        assert len(match) == 1 and match[0].poly == wf.poly
-        if z_rows(match[0]) != z_rows(wf):
-            # on a non-derogatory C such as J_2(-1) + J_2(1) + J_2(0) the
-            # scan's full-size Krylov probes can fail, and blockwise
-            # certification finds another block form of the same polynomial
-            assert not _is_derogatory(c)
-            assert int_charpoly(wf.integral_matrix) == wf.poly
+        match = [(m, w) for m, w in enumerate(exact, start=3) if abs(w.t0 - wf.t0) <= 1e-9]
+        assert len(match) == 1
+        m, w = match[0]
+        assert w.poly == wf.poly
+        # the scan's Z may be another block form of the same polynomial
+        assert int_charpoly(wf.integral_matrix) == wf.poly
+        assert_jordan_profile(c, w.integral_matrix, lam_eff, exps, m)
 
 
 @settings(max_examples=30, deadline=None)
@@ -157,7 +189,8 @@ def diag(*xs):
     return ex.rmat([[xs[i] if i == j else 0 for j in range(len(xs))] for i in range(len(xs))])
 
 
-# a dense unimodular basis: U diag(1, 1, -1, -1) U^-1 is one derogatory group
+# a dense unimodular basis: U4 diag(1, 1, -1, -1) U4^-1 is derogatory with
+# no invariant coordinate blocks
 U4 = ex.rmat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
 
 
@@ -194,13 +227,39 @@ def test_listing_limit():
         ex.rmat([[F(1, 2), -1, 0], [1, F(1, 2), 0], [0, 0, -1]]),  # complex spectrum
         ex.rmat([[0, 1], [2, 0]]),  # +-sqrt(2)
         ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),  # nilpotent
-        ex.dot(ex.dot(U4, diag(1, 1, -1, -1)), ex.inv(U4)),
         diag(1, 2),  # not trace-free: the scan raises NonTraceFree
     ],
-    ids=["complex", "irrational", "nilpotent", "derogatory-group", "trace"],
+    ids=["complex", "irrational", "nilpotent", "trace"],
 )
 def test_step_declines_where_the_scan_decides(c):
     assert _exact_witnesses(c, (0.0, 3.0)) is None
+
+
+# a dense unimodular basis of R^6, det U6 = 1
+U6 = ex.rmat(
+    [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0],
+     [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1], [1, 0, 0, 0, 0, 2]]
+)
+J2J1 = ex.rmat(direct_sum([jordan(2, 1), jordan(1, 1), jordan(2, -1), jordan(1, -1)]))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        ex.dot(ex.dot(U4, diag(1, 1, -1, -1)), ex.inv(U4)),
+        ex.dot(ex.dot(U6, J2J1), ex.inv(U6)),
+    ],
+    ids=["derogatory-group", "jordan-group"],
+)
+def test_derogatory_groups_are_decided_exactly(c):
+    # the scan certifies neither dense derogatory input; the invariant
+    # factors of exp(t0 C) give an integer Z for each of m = 3..20
+    v = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert v.status == "yes" and len(v.witnesses) == 18
+    for m, w in enumerate(v.witnesses, start=3):
+        assert w.exact and int_det(w.integral_matrix) == 1
+        assert int_charpoly(w.integral_matrix) == w.poly
+        assert_jordan_profile(c, w.integral_matrix, 1, [1], m)
 
 
 def _golden_hyperbolic():
