@@ -92,7 +92,13 @@ class LieAlgebra:
         return cc, e
 
     def antisymmetry_defect(self):
-        """First pair (i, j), i <= j, with c[i, j] != -c[j, i], or None."""
+        """First pair (i, j), i <= j, with c[i, j] != -c[j, i], or None;
+        found once (c is read-only), so the check at construction and
+        ``audit_algebra`` read the same result."""
+        return self._antisymmetry_defect
+
+    @cached_property
+    def _antisymmetry_defect(self):
         cc, _ = self.scaled_c
         bad = (cc + cc.transpose(1, 0, 2) != 0).any(axis=2)
         for i, j in np.argwhere(bad):
@@ -101,15 +107,18 @@ class LieAlgebra:
         return None
 
     def jacobi_defect(self):
-        """First basis triple violating Jacobi, or None.
+        """First basis triple violating Jacobi, or None; found once, as
+        :meth:`antisymmetry_defect` is."""
+        return self._jacobi_defect
 
-        A zero test, so it runs on the integer numerators of c alone:
-        t[i, j, k] = [e_i, [e_j, e_k]] for every triple in one product.
-        """
+    @cached_property
+    def _jacobi_defect(self):
+        """A zero test, so it runs on the integer numerators of c alone:
+        t[i, j, k] = [e_i, [e_j, e_k]] for every triple in one product."""
         n = self.dim
         cc, _ = self.scaled_c
         # sum_l cc[j, k, l] cc[i, l, :], moved to t[i, j, k]
-        t = cc.reshape(n * n, n).dot(cc.transpose(1, 0, 2).reshape(n, n * n))
+        t = ex.int_dot(cc.reshape(n * n, n), cc.transpose(1, 0, 2).reshape(n, n * n))
         t = t.reshape(n, n, n, n).transpose(2, 0, 1, 3)
         jac = t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)
         bad = (jac != 0).any(axis=3)
@@ -142,13 +151,13 @@ class LieAlgebra:
         stacked along the first axis: a[a] = e ad_{u_a}, with c = cc / e."""
         n, p = self.dim, iu.shape[1]
         cc, _ = self.scaled_c
-        return iu.T.dot(cc.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
+        return ex.int_dot(iu.T, cc.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
 
     def int_brackets(self, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
         """:meth:`brackets` of the columns of two integer matrices, times
         the denominator e of c: an integer matrix."""
         n, p, q = self.dim, iu.shape[1], iv.shape[1]
-        w = self._ad_stack(iu).reshape(p * n, n).dot(iv)
+        w = ex.int_dot(self._ad_stack(iu).reshape(p * n, n), iv)
         return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q)
 
     def brackets(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
@@ -161,9 +170,17 @@ class LieAlgebra:
     def bracket_span(self, U: "Subspace", V: "Subspace") -> "Subspace":
         """span{[u, v] : u in U, v in V}: the integer bracket matrix of the
         two canonical bases, eliminated once as it is (a span does not
-        depend on scale)."""
-        w = self.int_brackets(U.scaled_basis[0], V.scaled_basis[0])
-        return Subspace._canonical(ex.int_column_space(w))
+        depend on scale).
+
+        Made once per pair of spans and kept with the algebra, keyed by
+        the content keys of U and V, so the derived algebra, the series
+        and the audits share their terms."""
+        memo = vars(self).setdefault("_bracket_span", {})
+        key = (U.key, V.key)
+        if key not in memo:
+            w = self.int_brackets(U.scaled_basis[0], V.scaled_basis[0])
+            memo[key] = Subspace._canonical(ex.int_column_space(w))
+        return memo[key]
 
     @cached_property
     def derived_algebra(self) -> "Subspace":
@@ -197,10 +214,13 @@ class LieAlgebra:
 
     def centraliser(self, U: "Subspace") -> "Subspace":
         """{x in g : [x, u] = 0 for all u in U}: the common kernel of the
-        ad_u, eliminated on integers."""
-        n, p = self.dim, U.dim
-        ker, _ = ex.int_nullspace(self._ad_stack(U.scaled_basis[0]).reshape(p * n, n))
-        return Subspace._canonical(ex.int_column_space(ker))
+        ad_u, eliminated on integers; made once per span, keyed by U.key."""
+        memo = vars(self).setdefault("_centraliser", {})
+        if U.key not in memo:
+            n, p = self.dim, U.dim
+            ker, _ = ex.int_nullspace(self._ad_stack(U.scaled_basis[0]).reshape(p * n, n))
+            memo[U.key] = Subspace._canonical(ex.int_column_space(ker))
+        return memo[U.key]
 
     def centre(self) -> "Subspace":
         """{x : [x, .] = 0}: the kernel of every ad_{e_i}."""
@@ -213,11 +233,18 @@ class LieAlgebra:
         return der.intersect(self.centraliser(der))
 
     def restrict(self, basis: np.ndarray) -> "LieAlgebra":
-        """Subalgebra on the given column basis, with exact coordinates."""
+        """Subalgebra on the given column basis, with exact coordinates.
+
+        With basis = ib / db and c = cc / e, the brackets of the columns
+        are ``int_brackets(ib, ib) / (db^2 e)``; one integer solve
+        ib X = that integer matrix gives their coordinates X / (db e)."""
         k = basis.shape[1]
-        coords = ex.solve(basis, self.brackets(basis, basis))
-        if coords is None:
+        ib, db = ex.scaled(basis)
+        sol = ex.int_solve(ib, self.int_brackets(ib, ib))
+        if sol is None:
             raise InvalidStructure("basis does not span a subalgebra")
+        x, d = sol
+        coords = ex.unscaled(x, d * db * self.scaled_c[1])
         return LieAlgebra(coords.T.reshape(k, k, k), check=False)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
@@ -444,11 +471,17 @@ class Subspace:
 
     def orthogonal_complement(self, metric: Metric) -> "Subspace":
         """G-orthogonal complement; kernel of (basis^T G), eliminated on
-        integers."""
+        integers.  Made once per span and kept with the metric, keyed by
+        the content key of the span, so a span built twice (the flat a
+        constructor verifies, the flat the search finds) shares one entry."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
-        ub, gg = self.scaled_basis[0], metric.scaled_gram[0]
-        return Subspace._canonical(ex.int_column_space(ex.int_nullspace(ub.T.dot(gg))[0]))
+        memo = vars(metric).setdefault("_orthogonal_complement", {})
+        if self.key not in memo:
+            ub, gg = self.scaled_basis[0], metric.scaled_gram[0]
+            ker, _ = ex.int_nullspace(ex.int_dot(ub.T, gg))
+            memo[self.key] = Subspace._canonical(ex.int_column_space(ker))
+        return memo[self.key]
 
     def __eq__(self, other):
         return (
@@ -481,10 +514,10 @@ def bracket(L: LieAlgebra, x, y) -> np.ndarray:
 
 
 def trace_form(L: LieAlgebra) -> OneForm:
-    """H(x) = tr(ad_x); vanishes on g' and detects unimodularity."""
-    return OneForm(
-        ex.rvec([sum(m[k, k] for k in range(L.dim)) for m in L.ad_basis])
-    )
+    """H(x) = tr(ad_x); vanishes on g' and detects unimodularity.
+    H(e_i) = sum_k c[i, k, k], summed on the integer form of c."""
+    cc, e = L.scaled_c
+    return OneForm(ex.unscaled(np.trace(cc, axis1=1, axis2=2), e))
 
 
 def is_unimodular(L: LieAlgebra) -> bool:
@@ -583,6 +616,8 @@ def _presentation_from_ideal(L, G, ideal: Subspace) -> AlmostAbelianPresentation
         b = b / _sqrt_fraction(nsq)
         nsq = ex.ONE
     mat = ex.solve(ideal.basis, ex.dot(L.ad(b), ideal.basis))
+    b.setflags(write=False)
+    mat.setflags(write=False)
     return AlmostAbelianPresentation(b, nsq, unit, ideal, mat)
 
 
@@ -590,6 +625,10 @@ def almost_abelian_presentation(
     L: LieAlgebra, G: Metric
 ) -> Optional[AlmostAbelianPresentation]:
     """Find a codimension-1 abelian ideal, if one exists.
+
+    The answer is made once per metric and kept with L, keyed by
+    ``G.key`` as ``weyl.weyl_geometry`` keys the connection; its arrays
+    are read-only, since every caller shares them.
 
     Any codimension-1 ideal contains g', so candidates are preimages of
     hyperplanes in g/g'.  A finite, complete case analysis (rather than a
@@ -605,6 +644,14 @@ def almost_abelian_presentation(
       to either a single candidate or a kernel plus an arbitrary line in
       a 2-plane (any line works; the first one is returned).
     """
+    memo = vars(L).setdefault("_almost_abelian_presentation", {})
+    if G.key not in memo:
+        memo[G.key] = _almost_abelian_presentation(L, G)
+    return memo[G.key]
+
+
+def _almost_abelian_presentation(L, G) -> Optional[AlmostAbelianPresentation]:
+    """The body of :func:`almost_abelian_presentation`."""
     n = L.dim
     der = L.derived_algebra
     if der.dim == 0:

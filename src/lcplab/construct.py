@@ -54,11 +54,8 @@ def _as_rmat(a) -> np.ndarray:
     return ex.rmat(np.atleast_2d(a).tolist())
 
 
-def _is_skew(m: np.ndarray, gram: Optional[np.ndarray] = None) -> bool:
-    if gram is None:
-        return ex.is_zero(m + m.T)
-    gm = ex.dot(gram, m)
-    return ex.is_zero(gm + gm.T)
+def _is_skew(m: np.ndarray) -> bool:
+    return ex.is_zero(m + m.T)
 
 
 @dataclass(frozen=True)
@@ -88,22 +85,32 @@ class OrthoRep:
         return ex.dot(x, np.stack(self.images).reshape(-1, q * q)).reshape(q, q)
 
     def validate(self, h: LieAlgebra, gram: Optional[np.ndarray] = None):
-        if len(self.images) != h.dim:
+        """Check the invariants on the stacked images m[a] = mm[a] / dm,
+        scaled once: each test is one integer contraction of mm."""
+        q, k = self.dim_target, len(self.images)
+        if k != h.dim:
             raise DimensionMismatch("one image per h basis vector required")
-        for m in self.images:
-            if m.shape != (self.dim_target, self.dim_target):
-                raise DimensionMismatch("image has wrong shape")
-            if not _is_skew(m, gram):
-                raise RepNotSkew("images must be skew-symmetric")
-        der = h.derived_algebra.basis
-        for j in range(der.shape[1]):
-            if not ex.is_zero(self.of(der[:, j])):
-                raise RepNotVanishingOnDerived("beta must vanish on h'")
-        for i in range(len(self.images)):
-            for j in range(i + 1, len(self.images)):
-                a, b = self.images[i], self.images[j]
-                if not ex.is_zero(ex.dot(a, b) - ex.dot(b, a)):
-                    raise NonCommutingPair("images must pairwise commute")
+        if any(m.shape != (q, q) for m in self.images):
+            raise DimensionMismatch("image has wrong shape")
+        mm, _ = ex.scaled(np.array(self.images, dtype=object).reshape(k, q, q))
+        # G m[a] for every a (m[a] itself for the identity); skew iff that
+        # plus its transpose vanishes, and the scales of G and m do not matter
+        gm = mm
+        if gram is not None:
+            gg, _ = ex.scaled(gram)
+            gm = ex.int_dot(gg, mm.transpose(1, 0, 2).reshape(q, k * q))
+            gm = gm.reshape(q, k, q).transpose(1, 0, 2)
+        if (gm + gm.transpose(0, 2, 1) != 0).any():
+            raise RepNotSkew("images must be skew-symmetric")
+        der = h.derived_algebra.scaled_basis[0]
+        if (ex.int_dot(der.T, mm.reshape(k, q * q)) != 0).any():
+            raise RepNotVanishingOnDerived("beta must vanish on h'")
+        # prod[a, :, b, :] = m[a] m[b]: the images commute iff prod is
+        # symmetric in (a, b)
+        prod = ex.int_dot(mm.reshape(k * q, q), mm.transpose(1, 0, 2).reshape(q, k * q))
+        prod = prod.reshape(k, q, k, q)
+        if (prod != prod.transpose(2, 1, 0, 3)).any():
+            raise NonCommutingPair("images must pairwise commute")
 
 
 def _verified(L, G, theta, flat) -> LCPStructure:
@@ -243,11 +250,7 @@ def amalgamated_product(S1: LCPStructure, S2: LCPStructure) -> LCPStructure:
         ],
         axis=1,
     )
-    m = basis.shape[1]
-    coords = ex.solve(basis, L12.brackets(basis, basis))
-    if coords is None:
-        raise LcpError("kernel is not a subalgebra")  # cannot happen
-    L = LieAlgebra(coords.T.reshape(m, m, m))
+    L = L12.restrict(basis)
     gram = ex.dot(basis.T, ex.dot(gram12, basis))
     theta = OneForm(ex.dot(np.concatenate([S1.theta.coeffs, ex.rzeros(n2)]), basis))
     u12 = np.concatenate(
@@ -272,10 +275,11 @@ def metric_modification(S: LCPStructure, lam) -> LCPStructure:
     if lam == 0:
         return S
     t = S.theta.coeffs
-    gram = S.metric.gram + lam * np.outer(t, t)
-    if not ex.is_pos_def(gram):
-        raise NotPositiveDefinite("1 + lam |theta|^2 must stay positive")
-    return _verified(S.algebra, Metric(gram), S.theta, S.flat)
+    try:
+        G = Metric(S.metric.gram + lam * np.outer(t, t))
+    except NotPositiveDefinite:
+        raise NotPositiveDefinite("1 + lam |theta|^2 must stay positive") from None
+    return _verified(S.algebra, G, S.theta, S.flat)
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ def _verify(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verificati
     _, curv = weyl_geometry(L, G, theta)
     n, k = L.dim, iu.shape[1]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ru = curv.num.reshape(len(pairs) * n, n).dot(iu).reshape(len(pairs), n, k)
+    ru = ex.int_dot(curv.num.reshape(len(pairs) * n, n), iu).reshape(len(pairs), n, k)
     cond3 = True
     for (i, j), w in zip(pairs, ru):
         if not ex.is_zero(w):
@@ -205,8 +205,8 @@ def _flat_search(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
             break
         # the blocks q gamma[i] u for every i, stacked row-wise: two products
         m, k = q.shape[0], u.shape[1]
-        gu = conn.g.reshape(n * n, n).dot(u).reshape(n, n, k)
-        rows = q.dot(gu.transpose(1, 0, 2).reshape(n, n * k))
+        gu = ex.int_dot(conn.g.reshape(n * n, n), u).reshape(n, n, k)
+        rows = ex.int_dot(q, gu.transpose(1, 0, 2).reshape(n, n * k))
         w, _ = ex.int_nullspace(rows.reshape(m, n, k).transpose(1, 0, 2).reshape(n * m, k))
         if w.shape[1] == k:
             break
@@ -396,8 +396,8 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     # each: gamma = g / d and ad_{e_i} = cc[i]^T / e, compared cross-multiplied
     conn, _ = weyl_geometry(L, G, theta)
     cc, e = L.scaled_c
-    nabla_u = conn.g.reshape(n * n, n).dot(iu)
-    ad_u = cc.transpose(0, 2, 1).reshape(n * n, n).dot(iu)
+    nabla_u = ex.int_dot(conn.g.reshape(n * n, n), iu)
+    ad_u = ex.int_dot(cc.transpose(0, 2, 1).reshape(n * n, n), iu)
     nabla_ad = np.array_equal(nabla_u * e, ad_u * conn.d)
 
     t, dt = theta.scaled_coeffs

@@ -16,6 +16,14 @@ the result becomes a ``Fraction`` once.  A ``Fraction`` product would
 normalise every partial sum by a gcd; this one normalises each result
 entry once, and a zero entry is the shared :data:`ZERO`.
 
+Products of integer forms go through :func:`int_dot`.  With k the inner
+length, no partial sum of ``a.dot(b)`` exceeds max|a| max|b| k in
+absolute value, so while that bound is below 2^63 the product is taken
+on int64 and is exact; above it, the object product of the Python ints
+is.  The Jacobi test, the ad and bracket stacks, the Levi-Civita solve,
+the curvature pass, the flat search, verification and the audit
+contract their integer tables this way.
+
 Between kernels, exact data stays in that integer form, ``ints / den``,
 and Fractions are made only where a caller reads entries
 (:func:`unscaled`).  The objects that carry exact data keep it: a
@@ -163,6 +171,36 @@ def dot(a, b):
     ia, da = scaled(a)
     ib, db = scaled(b)
     return unscaled(ia.dot(ib), da * db)
+
+
+# an int64 product is exact while every partial sum stays below this
+_INT64_BOUND = 2**63
+
+
+def int_dot(a, b):
+    """Exact product ``a.dot(b)`` of 1-d or 2-d object arrays of Python
+    ints, as an object array of Python ints (a Python int for 1-d by 1-d).
+
+    With k the inner length, every partial sum of the product is at most
+    max|a| max|b| k in absolute value; when both operands fit int64 and
+    that bound is below 2^63, the product is taken on int64, where
+    nothing can wrap.  Otherwise it is the object product.
+    An entry that is not a Python int (a ``Fraction``, a float, a numpy
+    scalar) raises ``TypeError`` rather than being truncated by the cast.
+    """
+    if not {*map(type, a.ravel().tolist()), *map(type, b.ravel().tolist())} <= {int}:
+        bad = next(x for x in [*a.flat, *b.flat] if type(x) is not int)
+        raise TypeError(f"int_dot takes Python ints, not {bad!r}")
+    try:
+        ia, ib = a.astype(np.int64), b.astype(np.int64)
+    except OverflowError:
+        return a.dot(b)
+    ma = max(int(ia.max(initial=0)), -int(ia.min(initial=0)))
+    mb = max(int(ib.max(initial=0)), -int(ib.min(initial=0)))
+    if ma * mb * a.shape[-1] >= _INT64_BOUND:
+        return a.dot(b)
+    out = ia.dot(ib)
+    return out.astype(object) if out.ndim else int(out)
 
 
 def to_float(a) -> np.ndarray:

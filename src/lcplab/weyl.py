@@ -84,10 +84,10 @@ def levi_civita(L: LieAlgebra, G: Metric) -> Connection:
     gg, dg = G.scaled_gram
     gi, di = G.scaled_inverse
     # gc[i, j, k] = e dg g([e_i, e_j], e_k), and k2 = 2 e dg K
-    gc = cc.reshape(n * n, n).dot(gg).reshape(n, n, n)
+    gc = ex.int_dot(cc.reshape(n * n, n), gg).reshape(n, n, n)
     k2 = gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)
     # every gamma[i] in one product: column (i, j) is K[i, j, :]
-    gam = gi.dot(k2.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
+    gam = ex.int_dot(gi, k2.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
     return Connection(np.ascontiguousarray(gam.transpose(1, 0, 2)), 2 * e * dg * di)
 
 
@@ -167,9 +167,9 @@ def curvature(L: LieAlgebra, conn: Connection) -> Curvature:
     g, d = conn.g, conn.d
     cc, e = L.scaled_c
     # prod[i, j] = g_i g_j and lin[i, j] = sum_k cc_ijk g_k, for all pairs
-    prod = g.reshape(n * n, n).dot(g.transpose(1, 0, 2).reshape(n, n * n))
+    prod = ex.int_dot(g.reshape(n * n, n), g.transpose(1, 0, 2).reshape(n, n * n))
     prod = prod.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    lin = cc.reshape(n * n, n).dot(g.reshape(n, n * n)).reshape(n, n, n, n)
+    lin = ex.int_dot(cc.reshape(n * n, n), g.reshape(n, n * n)).reshape(n, n, n, n)
     iu, ju = np.triu_indices(n, 1)
     num = e * (prod[iu, ju] - prod[ju, iu]) - d * lin[iu, ju]
     return Curvature(num, e * d * d)

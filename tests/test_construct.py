@@ -37,7 +37,13 @@ from lcplab.errors import (
     UnimodularInput,
 )
 from lcplab.lowdim import check_isomorphism_witness, table_algebra
-from lcplab.randgen import random_skew, rng
+from lcplab.randgen import (
+    random_almost_abelian,
+    random_metric,
+    random_skew,
+    rng,
+    small_fraction,
+)
 
 
 def h_line(lam=1):
@@ -85,6 +91,66 @@ def test_orthorep_validation():
     b = ex.rmat([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
     with pytest.raises(NonCommutingPair):
         OrthoRep.from_matrices(3, [a, b]).validate(h2)
+
+
+def ref_validate(beta, h, gram=None):
+    """The error :meth:`OrthoRep.validate` must raise, or None, from
+    ``Fraction`` products image by image and pair by pair."""
+    g = ex.reye(beta.dim_target) if gram is None else gram
+    for m in beta.images:
+        gm = g.dot(m)
+        if not ex.is_zero(gm + gm.T):
+            return RepNotSkew
+    der = h.derived_algebra.basis
+    for j in range(der.shape[1]):
+        if not ex.is_zero(sum(x * m for x, m in zip(der[:, j], beta.images))):
+            return RepNotVanishingOnDerived
+    for i, a in enumerate(beta.images):
+        for b in beta.images[i + 1 :]:
+            if not ex.is_zero(a.dot(b) - b.dot(a)):
+                return NonCommutingPair
+    return None
+
+
+def _random_rep(r, k, q, gram):
+    """k images on R^q: zero, multiples of one G-skew matrix (they
+    commute), other G-skew matrices, or matrices with no symmetry."""
+    ginv = ex.inv(gram)
+    base = ginv.dot(random_skew(r, q))
+    images = []
+    for _ in range(k):
+        kind = r.choice(["zero", "multiple", "multiple", "skew", "any"])
+        if kind == "zero":
+            images.append(ex.rzeros((q, q)))
+        elif kind == "multiple":
+            images.append(small_fraction(r) * base)
+        elif kind == "skew":
+            images.append(ginv.dot(random_skew(r, q)))
+        else:
+            images.append(ex.rmat([[small_fraction(r) for _ in range(q)] for _ in range(q)]))
+    return OrthoRep(q, tuple(images))
+
+
+def test_orthorep_validation_matches_image_by_image_checks():
+    seen = set()
+    for seed in range(120):
+        r = rng(seed)
+        k, q = r.randint(2, 5), r.randint(1, 4)
+        # h' lies in span(e_2, ..); with images past e_1 zero, beta vanishes on it
+        h = random_almost_abelian(r, k) if r.random() < 0.7 else LieAlgebra.abelian(k)
+        G = random_metric(r, q) if r.random() < 0.5 else None
+        beta = _random_rep(r, k, q, ex.reye(q) if G is None else G.gram)
+        if r.random() < 0.5:
+            beta = OrthoRep(q, beta.images[:1] + tuple(ex.rzeros((q, q)) for _ in range(k - 1)))
+        gram = None if G is None else G.gram
+        want = ref_validate(beta, h, gram)
+        seen.add(want)
+        if want is None:
+            beta.validate(h, gram=gram)
+        else:
+            with pytest.raises(want):
+                beta.validate(h, gram=gram)
+    assert seen == {None, RepNotSkew, RepNotVanishingOnDerived, NonCommutingPair}
 
 
 def test_almab_examples():

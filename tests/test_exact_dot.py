@@ -1,8 +1,9 @@
 """The common-denominator product kernel and the integer passes built on it.
 
 ``ex.dot`` must agree entrywise with a plain ``Fraction`` product, and
-curvature, ad, bracket spans and the Jacobi test must agree with the
-``Fraction`` loops kept below as references.
+``ex.int_dot`` with the object product of the same Python ints, on both
+sides of its int64 bound; curvature, ad, bracket spans and the Jacobi
+test must agree with the ``Fraction`` loops kept below as references.
 """
 
 from fractions import Fraction as F
@@ -76,6 +77,86 @@ def test_dot_rejects_floats():
         ex.dot(v, ex.rvec([1, 2]))
     with pytest.raises(TypeError):
         ex.dot(ex.rmat([[1, 2], [3, 4]]), v)
+
+
+# ---------------------------------------------------------------------------
+# int_dot: int64 below the bound, the object product above it
+# ---------------------------------------------------------------------------
+
+# the edges of int64 and just past them
+EDGES = [2**31, -(2**31), 2**62 - 1, -(2**62 - 1), -(2**63), 2**63 - 1, 2**63, -(2**63) - 1, 2**64]
+
+int_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**31), 2**31),
+    st.sampled_from(EDGES),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def int_operands(draw):
+    """A pair of object arrays of Python ints whose product is defined,
+    inner length 1..64; each array draws its entries from one pool, so
+    that small, edge and oversized arrays all meet."""
+    k = draw(st.integers(1, 64))
+    m, p = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    shape_a, shape_b = draw(
+        st.sampled_from([((m, k), (k, p)), ((k,), (k, p)), ((m, k), (k,)), ((k,), (k,))])
+    )
+
+    def array(shape):
+        pool = draw(st.sampled_from([st.integers(-3, 3), st.integers(-(2**31), 2**31), int_entries]))
+        size = int(np.prod(shape))
+        a = np.empty(shape, dtype=object)
+        a.ravel()[:] = draw(st.lists(pool, min_size=size, max_size=size))
+        return a
+
+    return array(shape_a), array(shape_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_operands())
+def test_int_dot_matches_object_product(ab):
+    a, b = ab
+    got, want = ex.int_dot(a, b), a.dot(b)
+    if np.ndim(want) == 0:
+        assert type(got) is int and got == want
+    else:
+        assert got.dtype == object and got.shape == want.shape
+        assert all(type(x) is int for x in got.flat)
+        assert got.tolist() == want.tolist()
+
+
+def test_int_dot_bound_edges():
+    ints = lambda *xs: np.array(xs, dtype=object)  # noqa: E731
+    # max|a| max|b| k = 2^63 - 2^32: int64 holds every partial sum
+    a = ints(2**31 - 1, 2**31 - 1)
+    assert ex.int_dot(a, ints(2**31, 2**31)) == 2**63 - 2**32
+    # max|a| max|b| k = 2^63: just over the bound, so the object product
+    # answers, and exactly; an int64 product would wrap to -2^63
+    a = ints(2**31, 2**31)
+    assert ex.int_dot(a, a) == 2**63
+    m = np.full((3, 2), 2**31, dtype=object)
+    assert ex.int_dot(m, m.T).tolist() == [[2**63] * 3] * 3
+    # negative entries count by their absolute value: -2^64 would wrap to 0
+    assert ex.int_dot(ints(-(2**32), -(2**32)), ints(2**31, 2**31)) == -(2**64)
+    # -2^63 fits int64 but its absolute value does not: object product
+    assert ex.int_dot(ints(-(2**63)), ints(1)) == -(2**63)
+    assert ex.int_dot(ints(-(2**63)), ints(0)) == 0
+    assert ex.int_dot(ints(2**64), ints(0)) == 0
+
+
+@pytest.mark.parametrize(
+    "bad", [F(7, 2), F(4, 1), 3.5, 2.0, np.int64(3)], ids=["half", "whole", "float", "whole-float", "np.int64"]
+)
+def test_int_dot_rejects_what_is_not_a_python_int(bad):
+    # the int64 cast would truncate F(7, 2) to 3 without a word
+    v = np.array([1, bad], dtype=object)
+    w = np.array([1, 1], dtype=object)
+    for a, b in ((v, w), (w, v), (v.reshape(1, 2), w.reshape(2, 1))):
+        with pytest.raises(TypeError):
+            ex.int_dot(a, b)
 
 
 # ---------------------------------------------------------------------------

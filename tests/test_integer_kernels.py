@@ -17,6 +17,7 @@ wrapped straight from a kernel must be the one its basis gives.
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcplab import detect
@@ -24,6 +25,7 @@ from lcplab import exact as ex
 from lcplab.algebra import Metric, OneForm, Subspace
 from lcplab.construct import almab_lcp, metric_modification
 from lcplab.detect import LCPStructure, maximal_flat_parallel, structural_audit, verify_lcp
+from lcplab.errors import InvalidStructure
 from lcplab.randgen import random_algebra, random_closed_form, random_metric, rng, small_fraction
 from lcplab.weyl import curvature, levi_civita, weyl_connection, weyl_geometry
 from test_exact_dot import ref_bracket_span
@@ -136,6 +138,16 @@ def test_brackets_and_spans_match_fraction_code(seed, n):
     x = u[:, 0]
     assert same(L.ad(x), ref_ad_stack(L, u[:, :1])[0])
     assert same(L.bracket(x, v[:, 0]), want[:, 0])
+    # restrictions to a line, to g' and to the centraliser of U (all
+    # subalgebras), and to the columns of u and v, which may not be one
+    for basis in (u[:, :1], L.derived_algebra.basis, L.centraliser(U).basis, u, v):
+        k = basis.shape[1]
+        coords = ex.solve(basis, ref_brackets(L, basis, basis))
+        if coords is None:
+            with pytest.raises(InvalidStructure):
+                L.restrict(basis)
+        else:
+            assert same(L.restrict(basis).c, coords.T.reshape(k, k, k))
 
 
 @settings(max_examples=16, deadline=None)
