@@ -92,13 +92,7 @@ class LieAlgebra:
         return cc, e
 
     def antisymmetry_defect(self):
-        """First pair (i, j), i <= j, with c[i, j] != -c[j, i], or None;
-        found once (c is read-only), so the check at construction and
-        ``audit_algebra`` read the same result."""
-        return self._antisymmetry_defect
-
-    @cached_property
-    def _antisymmetry_defect(self):
+        """First pair (i, j), i <= j, with c[i, j] != -c[j, i], or None."""
         cc, _ = self.scaled_c
         bad = (cc + cc.transpose(1, 0, 2) != 0).any(axis=2)
         for i, j in np.argwhere(bad):
@@ -107,8 +101,9 @@ class LieAlgebra:
         return None
 
     def jacobi_defect(self):
-        """First basis triple violating Jacobi, or None; found once, as
-        :meth:`antisymmetry_defect` is."""
+        """First basis triple violating Jacobi, or None; found once (c is
+        read-only), so the check at construction and ``audit_algebra``
+        read the same result."""
         return self._jacobi_defect
 
     @cached_property
@@ -151,13 +146,13 @@ class LieAlgebra:
         stacked along the first axis: a[a] = e ad_{u_a}, with c = cc / e."""
         n, p = self.dim, iu.shape[1]
         cc, _ = self.scaled_c
-        return ex.int_dot(iu.T, cc.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
+        return iu.T.dot(cc.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
 
     def int_brackets(self, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
         """:meth:`brackets` of the columns of two integer matrices, times
         the denominator e of c: an integer matrix."""
         n, p, q = self.dim, iu.shape[1], iv.shape[1]
-        w = ex.int_dot(self._ad_stack(iu).reshape(p * n, n), iv)
+        w = self._ad_stack(iu).reshape(p * n, n).dot(iv)
         return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q)
 
     def brackets(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
@@ -232,19 +227,25 @@ class LieAlgebra:
         der = self.derived_algebra
         return der.intersect(self.centraliser(der))
 
-    def restrict(self, basis: np.ndarray) -> "LieAlgebra":
-        """Subalgebra on the given column basis, with exact coordinates.
+    def _int_subalgebra_coords(self, ib: np.ndarray, db) -> tuple:
+        """Coordinates of the brackets of the columns of basis = ib / db
+        in that basis, as the integer form ``(x, den)``; column a k + b
+        holds [u_a, u_b].  Raises ``InvalidStructure`` when the columns
+        do not span a subalgebra.
 
-        With basis = ib / db and c = cc / e, the brackets of the columns
-        are ``int_brackets(ib, ib) / (db^2 e)``; one integer solve
-        ib X = that integer matrix gives their coordinates X / (db e)."""
-        k = basis.shape[1]
-        ib, db = ex.scaled(basis)
+        With c = cc / e, the brackets are ``int_brackets(ib, ib) /
+        (db^2 e)``; one integer solve ib X = that integer matrix gives
+        their coordinates X / (d db e)."""
         sol = ex.int_solve(ib, self.int_brackets(ib, ib))
         if sol is None:
             raise InvalidStructure("basis does not span a subalgebra")
         x, d = sol
-        coords = ex.unscaled(x, d * db * self.scaled_c[1])
+        return x, d * db * self.scaled_c[1]
+
+    def restrict(self, basis: np.ndarray) -> "LieAlgebra":
+        """Subalgebra on the given column basis, with exact coordinates."""
+        k = basis.shape[1]
+        coords = ex.unscaled(*self._int_subalgebra_coords(*ex.scaled(basis)))
         return LieAlgebra(coords.T.reshape(k, k, k), check=False)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
@@ -479,7 +480,7 @@ class Subspace:
         memo = vars(metric).setdefault("_orthogonal_complement", {})
         if self.key not in memo:
             ub, gg = self.scaled_basis[0], metric.scaled_gram[0]
-            ker, _ = ex.int_nullspace(ex.int_dot(ub.T, gg))
+            ker, _ = ex.int_nullspace(ub.T.dot(gg))
             memo[self.key] = Subspace._canonical(ex.int_column_space(ker))
         return memo[self.key]
 
@@ -616,8 +617,6 @@ def _presentation_from_ideal(L, G, ideal: Subspace) -> AlmostAbelianPresentation
         b = b / _sqrt_fraction(nsq)
         nsq = ex.ONE
     mat = ex.solve(ideal.basis, ex.dot(L.ad(b), ideal.basis))
-    b.setflags(write=False)
-    mat.setflags(write=False)
     return AlmostAbelianPresentation(b, nsq, unit, ideal, mat)
 
 
@@ -625,10 +624,6 @@ def almost_abelian_presentation(
     L: LieAlgebra, G: Metric
 ) -> Optional[AlmostAbelianPresentation]:
     """Find a codimension-1 abelian ideal, if one exists.
-
-    The answer is made once per metric and kept with L, keyed by
-    ``G.key`` as ``weyl.weyl_geometry`` keys the connection; its arrays
-    are read-only, since every caller shares them.
 
     Any codimension-1 ideal contains g', so candidates are preimages of
     hyperplanes in g/g'.  A finite, complete case analysis (rather than a
@@ -644,14 +639,6 @@ def almost_abelian_presentation(
       to either a single candidate or a kernel plus an arbitrary line in
       a 2-plane (any line works; the first one is returned).
     """
-    memo = vars(L).setdefault("_almost_abelian_presentation", {})
-    if G.key not in memo:
-        memo[G.key] = _almost_abelian_presentation(L, G)
-    return memo[G.key]
-
-
-def _almost_abelian_presentation(L, G) -> Optional[AlmostAbelianPresentation]:
-    """The body of :func:`almost_abelian_presentation`."""
     n = L.dim
     der = L.derived_algebra
     if der.dim == 0:

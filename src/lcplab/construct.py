@@ -98,16 +98,16 @@ class OrthoRep:
         gm = mm
         if gram is not None:
             gg, _ = ex.scaled(gram)
-            gm = ex.int_dot(gg, mm.transpose(1, 0, 2).reshape(q, k * q))
+            gm = gg.dot(mm.transpose(1, 0, 2).reshape(q, k * q))
             gm = gm.reshape(q, k, q).transpose(1, 0, 2)
         if (gm + gm.transpose(0, 2, 1) != 0).any():
             raise RepNotSkew("images must be skew-symmetric")
         der = h.derived_algebra.scaled_basis[0]
-        if (ex.int_dot(der.T, mm.reshape(k, q * q)) != 0).any():
+        if (der.T.dot(mm.reshape(k, q * q)) != 0).any():
             raise RepNotVanishingOnDerived("beta must vanish on h'")
         # prod[a, :, b, :] = m[a] m[b]: the images commute iff prod is
         # symmetric in (a, b)
-        prod = ex.int_dot(mm.reshape(k * q, q), mm.transpose(1, 0, 2).reshape(q, k * q))
+        prod = mm.reshape(k * q, q).dot(mm.transpose(1, 0, 2).reshape(q, k * q))
         prod = prod.reshape(k, q, k, q)
         if (prod != prod.transpose(2, 1, 0, 3)).any():
             raise NonCommutingPair("images must pairwise commute")

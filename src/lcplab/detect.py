@@ -35,7 +35,6 @@ from .algebra import (
 )
 from .errors import (
     DimensionTooSmall,
-    InvalidStructure,
     NonClosedLeeForm,
     PreconditionViolated,
     ZeroLeeForm,
@@ -205,8 +204,8 @@ def _flat_search(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
             break
         # the blocks q gamma[i] u for every i, stacked row-wise: two products
         m, k = q.shape[0], u.shape[1]
-        gu = ex.int_dot(conn.g.reshape(n * n, n), u).reshape(n, n, k)
-        rows = ex.int_dot(q, gu.transpose(1, 0, 2).reshape(n, n * k))
+        gu = conn.g.reshape(n * n, n).dot(u).reshape(n, n, k)
+        rows = q.dot(gu.transpose(1, 0, 2).reshape(n, n * k))
         w, _ = ex.int_nullspace(rows.reshape(m, n, k).transpose(1, 0, 2).reshape(n * m, k))
         if w.shape[1] == k:
             break
@@ -307,19 +306,11 @@ class StructuralAuditReport:
 
 
 def _subalgebra_trace_form(L: LieAlgebra, U: Subspace) -> list:
-    """tr(ad_y restricted to the subalgebra U) for each basis column y.
-
-    With U = iu / du and c = cc / e, the brackets of the columns are
-    ``int_brackets(iu, iu) / (du^2 e)``; one integer solve iu X = that
-    integer matrix gives their coordinates X / (du e), and the trace for
-    column a is the sum of X[b, a k + b] over b."""
-    iu, du = U.scaled_basis
-    k = iu.shape[1]
-    sol = ex.int_solve(iu, L.int_brackets(iu, iu))
-    if sol is None:
-        raise InvalidStructure("basis does not span a subalgebra")
-    x, d = sol
-    den = d * du * L.scaled_c[1]
+    """tr(ad_y restricted to the subalgebra U) for each basis column y:
+    with the bracket coordinates x / den of the columns, the trace for
+    column a is the sum of x[b, a k + b] over b."""
+    x, den = L._int_subalgebra_coords(*U.scaled_basis)
+    k = U.dim
     return [ex.unscaled(sum(x[b, a * k + b] for b in range(k)), den) for a in range(k)]
 
 

@@ -16,13 +16,15 @@ the result becomes a ``Fraction`` once.  A ``Fraction`` product would
 normalise every partial sum by a gcd; this one normalises each result
 entry once, and a zero entry is the shared :data:`ZERO`.
 
-Products of integer forms go through :func:`int_dot`.  With k the inner
-length, no partial sum of ``a.dot(b)`` exceeds max|a| max|b| k in
-absolute value, so while that bound is below 2^63 the product is taken
-on int64 and is exact; above it, the object product of the Python ints
-is.  The Jacobi test, the ad and bracket stacks, the Levi-Civita solve,
-the curvature pass, the flat search, verification and the audit
-contract their integer tables this way.
+The large contractions of integer forms go through :func:`int_dot`.
+With k the inner length, no partial sum of ``a.dot(b)`` exceeds
+max|a| max|b| k in absolute value, so while that bound is below 2^63
+the product is taken on int64 and is exact; above it, the object
+product of the Python ints is.  The Jacobi test, the Levi-Civita solve,
+the curvature pass, verification condition 3 and the audit's check
+nabla = ad contract their integer tables this way; small products stay
+on ``.dot`` of the Python ints, which costs less than the type test and
+casts of :func:`int_dot`.
 
 Between kernels, exact data stays in that integer form, ``ints / den``,
 and Fractions are made only where a caller reads entries

@@ -2,11 +2,10 @@
 
 Bracket spans and centralisers are kept with the algebra, keyed by the
 content keys of their spans; orthogonal complements with the metric,
-keyed by the span; the almost abelian presentation with the algebra,
-keyed by the metric; the antisymmetry and Jacobi defects with the
-algebra.  Equal contents built separately must find one entry, other
-contents must not collide, what is shared must be read-only, and the
-pipeline classify -> verify -> audit must compute each span once.
+keyed by the span; the Jacobi defect with the algebra.  Equal contents
+built separately must find one entry, other contents must not collide,
+what is shared must be read-only, and the pipeline classify -> verify
+-> audit must compute each span once.
 """
 
 from fractions import Fraction as F
@@ -20,13 +19,11 @@ from lcplab.algebra import (
     Metric,
     OneForm,
     Subspace,
-    almost_abelian_presentation,
     audit_algebra,
 )
 from lcplab.construct import almab_lcp
 from lcplab.detect import LCPStructure, classify, structural_audit, verify_lcp
 from lcplab.errors import InvalidStructure
-from lcplab.lowdim import table_algebra
 from lcplab.randgen import random_algebra, random_metric, rng, small_fraction
 from test_exact_dot import ref_bracket_span, ref_jacobi_defect
 from test_integer_kernels import _counting, _invertible, _matrix, ref_centraliser, same_span
@@ -83,29 +80,6 @@ def test_span_memos_share_equal_contents_and_keep_others_apart():
         assert _read_only(s)
 
 
-def test_presentation_is_shared_by_equal_metrics_and_read_only():
-    L = table_algebra("e(1,1)")
-    G1 = Metric(ex.rmat([[2, 1, 0], [1, 2, 0], [0, 0, 1]]))
-    G2 = Metric(ex.rmat([["4/2", 1, 0], [1, 2, 0], [0, 0, "3/3"]]))
-    pres = almost_abelian_presentation(L, G1)
-    assert pres is not None and almost_abelian_presentation(L, G2) is pres
-    other = almost_abelian_presentation(L, Metric.identity(3))
-    assert other is not pres and len(vars(L)["_almost_abelian_presentation"]) == 2
-    for p in (pres, other):
-        for a in (p.b, p.matrix):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 1
-        assert _read_only(p.ideal)
-    # the ideal is abelian, of codimension 1, and G-orthogonal to b
-    assert pres.ideal.dim == 2 and L.bracket_span(pres.ideal, pres.ideal).dim == 0
-    assert ex.is_zero(ex.dot(ex.dot(pres.b, G1.gram), pres.ideal.basis))
-    # no presentation is also an answer kept once
-    h = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0], (1, 2): [1, 0, 0]})
-    assert almost_abelian_presentation(h, G1) is None
-    assert vars(h)["_almost_abelian_presentation"] == {G1.key: None}
-
-
 def _broken_jacobi(r, n):
     """Antisymmetric structure constants that fail the Jacobi identity."""
     while True:
@@ -147,12 +121,14 @@ def _almab8():
 def test_pipeline_computes_each_span_once(monkeypatch):
     s = _almab8()
     assert s.algebra.dim == 8
-    # fresh objects of the same contents: no memo is filled yet
+    # fresh objects, no memo filled yet; the metric is doubled (an LCP
+    # structure still), so that flat^T G is not flat^T, whose kernel the
+    # flat search takes
     L = LieAlgebra(s.algebra.c)
-    G = Metric(s.metric.gram)
+    G = Metric(2 * s.metric.gram)
     theta = OneForm(s.theta.coeffs)
     eliminated = _counting(monkeypatch, "_eliminate")
-    products = _counting(monkeypatch, "int_dot")
+    kernels = _counting(monkeypatch, "int_nullspace")
 
     flat = classify(L, G, theta).flat
     assert verify_lcp(L, G, theta, flat).passed
@@ -168,10 +144,10 @@ def test_pipeline_computes_each_span_once(monkeypatch):
     assert L.derived_algebra.dim > 0
     assert times(eliminated, L.int_brackets(eye, eye).T) == 1
     # the complement of the flat space, read by verification and audit,
-    # starts from one product of its basis with the Gram matrix
+    # is one kernel of its basis times the Gram matrix
     perp = flat.orthogonal_complement(G)
     assert 0 < flat.dim < n and perp.dim == n - flat.dim
-    assert times(products, flat.scaled_basis[0].T, G.scaled_gram[0]) == 1
+    assert times(kernels, flat.scaled_basis[0].T.dot(G.scaled_gram[0])) == 1
     # the flat space a constructor verified is the span the search found:
     # its complement under the constructor's metric is one entry as well
     assert s.flat == flat
