@@ -75,5 +75,8 @@ def exp_charpoly(ev, t):
 
 
 def scan_defects(c, ts):
-    """defect(t) = integer distance of charpoly(exp(t C)) over the grid."""
-    return integer_defect(exp_charpoly(spectrum(c), ts))
+    """defect(t) = integer distance of charpoly(exp(t C)) over the grid.
+    ``c`` is C, or its spectrum (a 1-D array) when the caller has it
+    already."""
+    ev = c if np.ndim(c) == 1 else spectrum(c)
+    return integer_defect(exp_charpoly(ev, ts))

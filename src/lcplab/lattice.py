@@ -18,7 +18,13 @@ matrix.  The search side has two paths:
   companion-matrix conjugacy (sound but sufficient-only: it needs a
   non-derogatory exponential; block-diagonal inputs fall back to
   blockwise certification).  A witness the grid does not flag is
-  missing from its result.
+  missing from its result.  Refinement skips a flag whose coefficients
+  stay past 2^53 and stops a bracket once a Lipschitz bound keeps its
+  integer defect above SCAN_TOL: both results would be dropped, so
+  neither bound changes a candidate.
+
+One plan per verdict (``_Plan``) holds the float matrix and its spectra,
+so each spectrum of C is computed once per verdict.
 
 The no-lattice side implements two certificate rules:
 
@@ -96,7 +102,33 @@ def exp_ad(c, t: float) -> np.ndarray:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _coefficient_bounds(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Bounds over each bracket [lo_i, hi_i] on the coefficients
+    c_k(t) = (-1)^k e_k(x(t)) of charpoly(exp(t C)), x_j(t) = exp(t lam_j)
+    for the eigenvalues lam_j = ``ev`` of C.
+
+    With X_j = max(exp(lo_i Re lam_j), exp(hi_i Re lam_j)) >= |x_j(t)|
+    and rho = max |lam|, c_k' = sum_j lam_j x_j d e_k / d x_j gives
+    |c_k'(t)| <= rho k e_k(X).  Returns these Lipschitz constants, one row
+    per bracket (k = 1..n), and per bracket a bound on the float error of
+    one ``exp_charpoly`` evaluation of any c_k in it,
+    8 n (rho max(|lo|, |hi|) + 4) eps max_k e_k(X).  That bound is four
+    times the rounding of t lam, of exp, cos and sin, and of the n
+    complex multiply-adds of the product (each term of c_k has at most
+    n factors), so it also covers the rounding of the bounds themselves;
+    it bounds the error of the integer defect too, since the distance to
+    the nearest integer is 1-Lipschitz and computed exactly."""
+    n = ev.size
+    x = np.exp(np.maximum(np.multiply.outer(lo, ev.real), np.multiply.outer(hi, ev.real)))
+    e = kernels._poly_from_roots(-x).real  # [1, e_1(X), ..., e_n(X)] per bracket
+    rho = float(np.abs(ev).max())
+    lip = rho * np.arange(1, n + 1) * e[:, 1:]
+    reach = np.maximum(np.abs(lo), np.abs(hi))
+    err = 8.0 * n * (rho * reach + 4.0) * np.finfo(np.float64).eps * e.max(axis=1)
+    return lip, err
+
+
+def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray, lip: np.ndarray, err: np.ndarray):
     """Golden-section minimisation of the integer defect of
     charpoly(exp(t C)) on every bracket [lo_i, hi_i] at once, from the
     eigenvalues ``ev`` of C; localises each (V-shaped) defect minimum to
@@ -106,17 +138,32 @@ def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     Each of the ``GOLDEN_ITERS`` steps evaluates the defect of every live
     bracket in one ``exp_charpoly`` call; a bracket stops once
     b - a < 1e-15 max(1, |a|).  Returns the midpoints and their defects.
+
+    The defect D = max_k dist(c_k, Z) is ``lip_i``-Lipschitz on bracket i,
+    and one evaluation of it is off by at most ``err_i``
+    (``_coefficient_bounds``).  Every point the loop evaluates later, the
+    final midpoint included, lies in the current bracket [a, b], so once
+    max(D(c), D(d)) - lip_i (b - a) > SCAN_TOL + 2 err_i the bracket's
+    final defect would exceed SCAN_TOL and the scan would discard it.
+    Such a bracket stops there and is returned with defect inf.  Every
+    other bracket runs the same steps as without the bound, so its
+    midpoint and defect are unchanged.
     """
 
     def defect(ts):
         return kernels.integer_defect(kernels.exp_charpoly(ev, ts))
 
+    tol = SCAN_TOL + 2.0 * err
     a, b = lo.astype(np.float64), hi.astype(np.float64)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = defect(c), defect(d)
     live = np.arange(a.size)
+    stopped = np.zeros(a.size, dtype=bool)
     for _ in range(GOLDEN_ITERS):
+        gone = np.maximum(fc[live], fd[live]) - lip[live] * (b[live] - a[live]) > tol[live]
+        stopped[live[gone]] = True
+        live = live[~gone]
         if live.size == 0:
             break
         la, lb, lc, ld, lfc, lfd = a[live], b[live], c[live], d[live], fc[live], fd[live]
@@ -132,7 +179,9 @@ def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         fd[live] = np.where(left, lfc, fx)
         live = live[~(nb - na < 1e-15 * np.maximum(1.0, np.abs(na)))]
     x = (a + b) / 2.0
-    return x, defect(x)
+    fx = np.full(a.size, np.inf)
+    fx[~stopped] = defect(x[~stopped])
+    return x, fx
 
 
 @dataclass(frozen=True)
@@ -145,10 +194,6 @@ class ScanCandidate:
         return {"t0": self.t0, "poly": list(self.poly.coeffs), "defect": self.defect}
 
 
-def _spectral_radius(a: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(a)))) if a.shape[0] else 0.0
-
-
 def _check_spectral_envelope(t: float, rho: float) -> None:
     """Raise unless |t| times the spectral radius ``rho`` of C is within
     MAX_SPECTRAL: the envelope check of :func:`exp_ad`, from a radius
@@ -159,9 +204,10 @@ def _check_spectral_envelope(t: float, rho: float) -> None:
 
 def _scanned_range(c, t_range) -> tuple:
     """The t-range the scan covers: ``t_range`` with its upper end clamped
-    so that the spectral radius of t C stays within MAX_SPECTRAL."""
+    so that the spectral radius of t C stays within MAX_SPECTRAL.  ``c``
+    is C or its plan."""
     lo, hi = float(t_range[0]), float(t_range[1])
-    rho = _spectral_radius(_as_float_matrix(c))
+    rho = _plan_of(c).rho
     if hi * rho > MAX_SPECTRAL:
         hi = MAX_SPECTRAL / rho
     return lo, hi
@@ -172,23 +218,29 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
 
     Evaluates the coefficient integer-defect on a grid of step
     ``SCAN_STEP``, flags interior local minima below ``SCAN_FLAG_TOL``,
-    refines all flags together by ``GOLDEN_ITERS`` golden-section steps
-    (``_refine``), keeps minima down to ``SCAN_TOL`` (also the relative
-    trace-free tolerance), and
-    deduplicates candidates closer than 1e-6.  A refined minimum with a
-    coefficient of modulus 2^53 or more is dropped.  A (near) nilpotent C
-    has integer coefficients for every t and is reported as the single
-    degenerate candidate t = 1, or t = hi when 1 is outside (lo, hi].
-    A clamped range that needs more than ``MAX_SCAN_POINTS`` grid points
-    raises EnvelopeExceeded before the grid is allocated.
+    refines the flags together by up to ``GOLDEN_ITERS`` golden-section
+    steps (``_refine``), keeps minima down to ``SCAN_TOL`` (also the
+    relative trace-free tolerance), and deduplicates candidates closer
+    than 1e-6.  A refined minimum with a coefficient of modulus 2^53 or
+    more is dropped.  Two bounds from ``_coefficient_bounds`` skip work
+    whose result would be dropped, so they change no candidate: a flag
+    whose bracket keeps some |c_k| >= 2^53 throughout (from c_k at the
+    flag, its Lipschitz constant and the float error) is not refined,
+    and ``_refine`` stops a bracket once the defect's Lipschitz bound
+    keeps it above ``SCAN_TOL``.  A (near) nilpotent C has integer
+    coefficients for every t and is reported as the single degenerate
+    candidate t = 1, or t = hi when 1 is outside (lo, hi].  A clamped
+    range that needs more than ``MAX_SCAN_POINTS`` grid points raises
+    EnvelopeExceeded before the grid is allocated.
     """
-    a = _as_float_matrix(c)
+    plan = _plan_of(c)
+    a = plan.a
     n = a.shape[0]
     if n > MAX_DIM:
         raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
     if abs(np.trace(a)) > SCAN_TOL * max(1.0, np.abs(a).max()):
         raise NonTraceFree("Bock scan requires a trace-free matrix")
-    lo, hi = _scanned_range(a, t_range)
+    lo, hi = _scanned_range(plan, t_range)
     if not hi - lo <= MAX_SCAN_POINTS * SCAN_STEP:
         raise EnvelopeExceeded(
             f"t-range ({lo}, {hi}) needs more than {MAX_SCAN_POINTS} scan points"
@@ -196,8 +248,8 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     ts = np.arange(lo + SCAN_STEP, hi + SCAN_STEP / 2, SCAN_STEP)
     if ts.size == 0:
         return []
-    defects = kernels.scan_defects(a, ts)
-    ev = kernels.spectrum(a)
+    ev = plan.spectrum
+    defects = kernels.scan_defects(ev, ts)
     if defects.max() <= SCAN_TOL:
         # unipotent exponential: every t works, report t = 1 if in range
         t = 1.0 if lo < 1.0 <= hi else hi
@@ -208,12 +260,21 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     flagged = 1 + np.flatnonzero(
         (inner <= defects[:-2]) & (inner <= defects[2:]) & (inner < SCAN_FLAG_TOL)
     )
-    t0s, d0s = _refine(ev, ts[flagged - 1], ts[flagged + 1])
+    lo_f, hi_f = ts[flagged - 1], ts[flagged + 1]
+    lip, err = _coefficient_bounds(ev, lo_f, hi_f)
+    # past 2^53 the float spacing is >= 1 and the defect says nothing:
+    # |c_k(t)| >= |c_k(p)| - lip_k |t - p| on the bracket of the flag p,
+    # less the float error of the evaluations at p and at t
+    reach = np.maximum(ts[flagged] - lo_f, hi_f - ts[flagged])
+    at_flag = np.abs(kernels.exp_charpoly(ev, ts[flagged])[:, 1:])
+    huge = (at_flag - lip * reach[:, None] - 2.0 * err[:, None] >= 2.0**53).any(axis=1)
+    t0s, d0s = _refine(ev, lo_f[~huge], hi_f[~huge], lip[~huge].max(axis=1), err[~huge])
+    kept = d0s <= SCAN_TOL
+    t0s, d0s = t0s[kept], d0s[kept]
     coeffs = kernels.exp_charpoly(ev, t0s)
     out = []
     for t0, d0, row in zip(t0s.tolist(), d0s.tolist(), coeffs):
-        # past 2^53 the float spacing is >= 1 and the defect says nothing
-        if d0 > SCAN_TOL or np.abs(row).max() >= 2.0**53:
+        if np.abs(row).max() >= 2.0**53:
             continue
         poly = IntPoly(tuple(int(round(x)) for x in row))
         if abs(poly.constant_term()) != 1:
@@ -346,24 +407,37 @@ def _blocks_of(c: np.ndarray) -> list:
 
 
 class _Plan:
-    """What certifying the candidates of one C shares: the float matrix,
-    its spectral radius and invariant components, and per group of
-    indices its sub-matrix, spectrum and spectral radius, each made on
-    first use.  Block certifications are kept too: ``expm`` is a function
-    of its argument, so the Z and Q that ``certify_witness`` finds for a
-    block depend only on t0 sub and the polynomial (``seed`` is the
-    plan's), and a block whose t0 sub repeats, such as a zero block, is
-    certified once per plan."""
+    """What one verdict computes once about C: the float matrix, its
+    eigenvalues from the real-matrix solver (the double-root rule and the
+    spectral radius, so the t-range clamp and every envelope check) and
+    from the complex one (the scan), its invariant components, and per
+    group of indices its sub-matrix, spectrum and spectral radius, each
+    made on first use.  The public steps of a verdict take the plan in
+    place of C, so each spectrum is computed once per verdict, by the
+    LAPACK call that step would make on C.  Block certifications are kept too:
+    ``expm`` is a function of its argument, so the Z and Q that
+    ``certify_witness`` finds for a block depend only on t0 sub and the
+    polynomial (``seed`` is the plan's), and a block whose t0 sub
+    repeats, such as a zero block, is certified once per plan."""
 
-    def __init__(self, c, seed: int):
+    def __init__(self, c, seed: int = 0):
+        self.c = c
         self.a = _as_float_matrix(c)
         self.seed = seed
         self._groups = {}
         self._certified = {}
 
     @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvals(self.a)
+
+    @cached_property
     def rho(self) -> float:
-        return _spectral_radius(self.a)
+        return float(np.max(np.abs(self.eigenvalues))) if self.a.shape[0] else 0.0
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return kernels.spectrum(self.a)
 
     @cached_property
     def components(self) -> list:
@@ -388,6 +462,11 @@ class _Plan:
                 sub, t0, poly, seed=self.seed, m=kernels.expm(ta)
             )
         return self._certified[key]
+
+
+def _plan_of(c) -> _Plan:
+    """``c`` itself when it is a plan, else a new plan of C."""
+    return c if isinstance(c, _Plan) else _Plan(c)
 
 
 def _merge_components(plan: _Plan, t0: float) -> Optional[list]:
@@ -540,8 +619,9 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
 
     Declines (None) on a trace or spectrum the scan must judge (nonzero
     trace, non-integer or complex eigenvalues, nilpotent C) and past
-    MAX_LISTED_WITNESSES witnesses."""
-    ints, d = ex.scaled(c)
+    MAX_LISTED_WITNESSES witnesses.  ``c`` is C or its plan."""
+    plan = _plan_of(c)
+    ints, d = ex.scaled(plan.c)
     n = ints.shape[0]
     if not 0 < n <= MAX_DIM or sum(ints[i, i] for i in range(n)) != 0:
         return None
@@ -554,7 +634,7 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     types = _jordan_types(ints, ks)
     if any(sizes != types.get(-k) for k, sizes in types.items()):
         return []
-    lo, hi = _scanned_range(c, t_range)
+    lo, hi = _scanned_range(plan, t_range)
     levels = _trace_levels(float(Fraction(g, d)), lo, hi)
     if levels is None:
         return None
@@ -652,10 +732,10 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     proposal becomes a certificate only once ``_double_root_exact``
     confirms the hypothesis on the rational characteristic polynomial,
     so there the verdict rests on no tolerance."""
-    a = _as_float_matrix(c)
-    if a.shape[0] == 0:
+    plan = _plan_of(c)
+    if plan.a.shape[0] == 0:
         return None
-    ev = np.linalg.eigvals(a)
+    ev = plan.eigenvalues
     if np.max(np.abs(ev.imag)) > DOUBLE_ROOT_TOL:
         return None
     ev = sorted(ev.real)
@@ -669,7 +749,7 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     multiple = [cl for cl in clusters if cl[1] >= 2]
     if len(multiple) != 1 or abs(multiple[0][0]) <= DOUBLE_ROOT_TOL:
         return None
-    if _is_exact(c) and not _double_root_exact(c):
+    if _is_exact(plan.c) and not _double_root_exact(plan.c):
         return None
     return NoLatticeCertificate(
         "double_root",
@@ -803,11 +883,14 @@ def lattice_verdict(
     (``_exact_witnesses``); everything else goes to the scan.  There, an
     exact C that is derogatory has only derogatory exponentials, so its
     candidates go straight to blockwise certification, and one
-    certification plan (``_Plan``) serves every candidate."""
+    certification plan (``_Plan``) serves every candidate.  The plan is
+    made first and passed to each step in place of C, so the real and the
+    complex spectrum of C are each computed once per verdict."""
+    plan = _Plan(c, seed)
     certs = []
     if cited is not None:
         certs.append(cited)
-    dr = no_lattice_double_root(c)
+    dr = no_lattice_double_root(plan)
     if dr is not None:
         certs.append(dr)
     if structure is not None:
@@ -816,14 +899,13 @@ def lattice_verdict(
             certs.append(c2)
     if certs:
         return LatticeVerdict(label, (), tuple(certs), ())
-    listed = _exact_witnesses(c, t_range) if _is_exact(c) else None
+    listed = _exact_witnesses(plan, t_range) if _is_exact(c) else None
     if listed is not None:
-        inconclusive = () if listed else (_scanned_range(c, t_range),)
+        inconclusive = () if listed else (_scanned_range(plan, t_range),)
         return LatticeVerdict(label, tuple(listed), (), inconclusive)
     witnesses = []
-    candidates = integer_charpoly_scan(c, t_range=t_range)
+    candidates = integer_charpoly_scan(plan, t_range=t_range)
     derogatory = bool(candidates) and _is_exact(c) and _is_derogatory(c)
-    plan = _Plan(c, seed)
     for cand in candidates:
         # the scan clamps its range to |t| rho(C) <= MAX_SPECTRAL
         _check_spectral_envelope(cand.t0, plan.rho)
@@ -835,5 +917,5 @@ def lattice_verdict(
             w = _certify_blocked(plan, cand.t0, m)
         if w is not None:
             witnesses.append(w)
-    inconclusive = () if witnesses else (_scanned_range(c, t_range),)
+    inconclusive = () if witnesses else (_scanned_range(plan, t_range),)
     return LatticeVerdict(label, tuple(witnesses), (), inconclusive)

@@ -393,6 +393,40 @@ def test_one_plan_per_verdict(monkeypatch):
     assert counts["certify"] <= len(candidates) + len(blocks)
 
 
+def _conjugated_complex6():
+    """The spectrum 1/2 +- i, -1/4 +- 2i, -1/4 +- i/2 in rotation blocks,
+    under a rational basis change: a complex spectrum the exact step
+    declines, with no integer polynomial on 0:2."""
+    d = ex.rzeros((6, 6))
+    blocks = [(Fraction(1, 2), 1), (Fraction(-1, 4), 2), (Fraction(-1, 4), Fraction(1, 2))]
+    for i, (p, w) in enumerate(blocks):
+        d[2 * i, 2 * i] = d[2 * i + 1, 2 * i + 1] = p
+        d[2 * i, 2 * i + 1], d[2 * i + 1, 2 * i] = -ex.rat(w), ex.rat(w)
+    p = ex.reye(6)
+    p[0, 2], p[3, 1], p[4, 0], p[5, 3] = Fraction(1, 2), Fraction(-1, 3), ex.ONE, Fraction(1, 4)
+    return ex.dot(ex.dot(p, d), ex.inv(p))
+
+
+@pytest.mark.parametrize(
+    "make, t_range, status, spectra",
+    [
+        # the real-matrix and the complex-matrix spectrum of C (double-root
+        # rule and t-range clamp; the scan), and that of its integer form
+        (_conjugated_complex6, (0.0, 2.0), "inconclusive", 3),
+        # decided exactly: the real-matrix spectrum of C and that of its
+        # integer form
+        (lambda: _conjugated_hyperbolic(6), (0.0, 3.0), "yes", 2),
+    ],
+)
+def test_each_spectrum_once_per_verdict(monkeypatch, make, t_range, status, spectra):
+    c = make()
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a, **k: calls.append(1) or eigvals(*a, **k))
+    assert lattice_verdict(c, t_range=t_range).status == status
+    assert len(calls) == spectra
+
+
 def test_clamped_range_keeps_candidates_in_the_envelope():
     # rho(C) = 20 clamps 0:3 to 0:2.5; no candidate leaves the envelope,
     # so the verdict's envelope check never raises EnvelopeExceeded
@@ -405,12 +439,25 @@ def test_clamped_range_keeps_candidates_in_the_envelope():
         assert v.status == "yes"
 
 
-def test_scan_drops_candidates_past_two_to_the_53():
+def test_scan_drops_candidates_past_two_to_the_53(monkeypatch):
     # past 2^53 the float spacing is >= 1, so a coefficient's integer
     # defect is meaningless: such minima are not candidates, and the
-    # witnesses below it are all kept
+    # witnesses below it are all kept.  Flags whose bracket stays past
+    # 2^53 are dropped before refinement (709 brackets were refined when
+    # they were dropped after it)
+    import lcplab.lattice as lattice
+
+    brackets = []
+    refine = lattice._refine
+
+    def counted_refine(ev, lo, *rest):
+        brackets.append(lo.size)
+        return refine(ev, lo, *rest)
+
+    monkeypatch.setattr(lattice, "_refine", counted_refine)
     c = np.diag([20.0, -20.0])
     candidates = integer_charpoly_scan(c, t_range=(0.0, 3.0))
+    assert len(brackets) == 1 and brackets[0] < 709
     assert len(candidates) == 112
     assert all(abs(x) < 2**53 for cand in candidates for x in cand.poly.coeffs)
     assert len(lattice_verdict(c, t_range=(0.0, 3.0)).witnesses) == 62
