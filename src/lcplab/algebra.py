@@ -51,9 +51,9 @@ class LieAlgebra:
         self.c = c
         self.c.setflags(write=False)
         self.basis_labels = (
-            list(basis_labels)
+            tuple(basis_labels)
             if basis_labels is not None
-            else [f"e{i+1}" for i in range(self.dim)]
+            else tuple(f"e{i+1}" for i in range(self.dim))
         )
         if check:
             bad = self.antisymmetry_defect()
@@ -123,9 +123,9 @@ class LieAlgebra:
         return None
 
     @cached_property
-    def ad_basis(self) -> list:
-        """ad_{e_i} as matrices; column j is [e_i, e_j]."""
-        return [self.c[i, :, :].T.copy() for i in range(self.dim)]
+    def ad_basis(self) -> tuple:
+        """ad_{e_i} as read-only views of c; column j is [e_i, e_j]."""
+        return tuple(self.c[i, :, :].T for i in range(self.dim))
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """ad_x by linearity: one contraction of x with c."""
@@ -569,10 +569,11 @@ def subspace_predicates(L: LieAlgebra, G: Metric, U: Subspace) -> SubspaceReport
 class AlmostAbelianPresentation:
     """g = R b |x k with k a codimension-1 abelian ideal and b _|_ k.
 
-    ``b`` is a primitive rational vector orthogonal to the ideal; it is
-    rescaled to unit G-norm only when that norm is a rational square
-    (``unit`` records which), since exact arithmetic cannot normalise
-    otherwise.  ``matrix`` is ad_b on the canonical basis of the ideal.
+    ``b`` is the primitive integer vector G-orthogonal to the ideal, first
+    nonzero entry positive; it is rescaled to unit G-norm only when that
+    norm is a rational square (``unit`` records which), since exact
+    arithmetic cannot normalise otherwise.  ``matrix`` is ad_b on the
+    canonical basis of the ideal.
     """
 
     b: np.ndarray
@@ -580,19 +581,6 @@ class AlmostAbelianPresentation:
     unit: bool
     ideal: Subspace
     matrix: np.ndarray
-
-
-def _primitive(v: np.ndarray) -> np.ndarray:
-    """The primitive integer vector on the line of ``v``, first nonzero
-    entry positive."""
-    ints, _ = ex.scaled(v)
-    ints = ints.tolist()
-    g = gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    if next((x for x in ints if x), 0) < 0:
-        ints = [-x for x in ints]
-    return ex.rvec(ints)
 
 
 def _is_square(q: Fraction) -> bool:
@@ -609,25 +597,48 @@ def _sqrt_fraction(q: Fraction) -> Fraction:
 
 
 def _presentation_from_ideal(L, G, ideal: Subspace) -> AlmostAbelianPresentation:
-    comp = ideal.orthogonal_complement(G)
-    b = _primitive(comp.basis[:, 0])
-    nsq = G.norm_sq(b)
+    """The presentation on the integer forms of the complement, G and c:
+    b = v / s with v primitive and s = 1 or the rational square root of
+    v.G.v, and ad_b on the ideal from one integer solve."""
+    # the first nonzero entry of a canonical basis column is its pivot,
+    # which is positive (it is 1 in the reduced echelon form)
+    v = ideal.orthogonal_complement(G).scaled_basis[0][:, 0]
+    v = v // gcd(*v.tolist())
+    gg, dg = G.scaled_gram
+    nsq = Fraction(v.dot(gg).dot(v), dg)
     unit = _is_square(nsq)
+    s = ex.ONE
     if unit and nsq != 1:
-        b = b / _sqrt_fraction(nsq)
-        nsq = ex.ONE
-    mat = ex.solve(ideal.basis, ex.dot(L.ad(b), ideal.basis))
+        s, nsq = _sqrt_fraction(nsq), ex.ONE
+    b = ex.unscaled(v * s.denominator, s.numerator)
+    # ideal.basis X = [b, ideal.basis] with ideal.basis = iu / du and
+    # c = cc / e: iu X = int_brackets(v, iu) / (s e)
+    iu = ideal.scaled_basis[0]
+    x, d = ex.int_solve(iu, L.int_brackets(v.reshape(-1, 1), iu))
+    mat = ex.unscaled(x * s.denominator, d * s.numerator * L.scaled_c[1])
     return AlmostAbelianPresentation(b, nsq, unit, ideal, mat)
 
 
-def almost_abelian_presentation(
-    L: LieAlgebra, G: Metric
-) -> Optional[AlmostAbelianPresentation]:
-    """Find a codimension-1 abelian ideal, if one exists.
+# the ideal of an abelian algebra: every hyperplane is one, and the metric
+# picks it (the G-orthocomplement of e1)
+_ANY_HYPERPLANE = "any hyperplane"
 
+
+def _almost_abelian_ideal(L: LieAlgebra):
+    """A codimension-1 abelian ideal of L as a Subspace, ``_ANY_HYPERPLANE``
+    when L is abelian, or None when there is none.  It does not depend on
+    a metric, so it is found once per algebra and kept with it."""
+    memo = vars(L)
+    if "_almost_abelian_ideal" not in memo:
+        memo["_almost_abelian_ideal"] = _find_almost_abelian_ideal(L)
+    return memo["_almost_abelian_ideal"]
+
+
+def _find_almost_abelian_ideal(L: LieAlgebra):
+    """The body of :func:`_almost_abelian_ideal`: a finite, complete case
+    analysis (rather than a search over the infinitely many hyperplanes).
     Any codimension-1 ideal contains g', so candidates are preimages of
-    hyperplanes in g/g'.  A finite, complete case analysis (rather than a
-    search over the infinitely many hyperplanes):
+    hyperplanes in g/g'.
 
     * g' must be abelian, and any abelian codim-1 ideal lies in the
       centraliser C of g'.  If dim C = n-1 the only candidate is C
@@ -637,16 +648,12 @@ def almost_abelian_presentation(
       Each nonzero component of the form must have rank 2 and its kernel
       must be contained in the hyperplane, which pins the hyperplane down
       to either a single candidate or a kernel plus an arbitrary line in
-      a 2-plane (any line works; the first one is returned).
+      a 2-plane (any line works; the first one is taken).
     """
     n = L.dim
     der = L.derived_algebra
     if der.dim == 0:
-        # abelian: deterministic first choice, the G-orthocomplement of e1
-        e1 = ex.rzeros(n)
-        e1[0] = ex.ONE
-        ideal = Subspace.spanned_by([e1], n).orthogonal_complement(G)
-        return _presentation_from_ideal(L, G, ideal)
+        return _ANY_HYPERPLANE
     if L.bracket_span(der, der).dim != 0:
         return None  # g' not abelian
     cent = L.centraliser(der)
@@ -657,7 +664,7 @@ def almost_abelian_presentation(
             return None
         if L.bracket_span(cent, cent).dim != 0:
             return None
-        return _presentation_from_ideal(L, G, cent)
+        return cent
     # C = g: g' is central.  Work on a complement of g' in g; columns of
     # `lift` map to the standard basis of g/g' under the quotient rows q.
     q = ex.left_nullspace(der.basis)
@@ -690,5 +697,24 @@ def almost_abelian_presentation(
         # all kernels coincide (dim m-2); any line in a complement works
         extra = next(e for e in ex.reye(m) if not ksum.contains(e))
         h = np.concatenate([h, extra.reshape(-1, 1)], axis=1)
-    ideal = Subspace(np.concatenate([der.basis, ex.dot(lift, h)], axis=1))
+    return Subspace(np.concatenate([der.basis, ex.dot(lift, h)], axis=1))
+
+
+def almost_abelian_presentation(
+    L: LieAlgebra, G: Metric
+) -> Optional[AlmostAbelianPresentation]:
+    """g = R b |x k for a codimension-1 abelian ideal k, if one exists.
+
+    The ideal is found once per algebra, without the metric
+    (:func:`_almost_abelian_ideal`); for abelian L it is the
+    G-orthocomplement of e1.  G then fixes b, its norm and ad_b, made on
+    integers (:func:`_presentation_from_ideal`).
+    """
+    ideal = _almost_abelian_ideal(L)
+    if ideal is None:
+        return None
+    if ideal is _ANY_HYPERPLANE:
+        e1 = ex.rzeros(L.dim)
+        e1[0] = ex.ONE
+        ideal = Subspace.spanned_by([e1], L.dim).orthogonal_complement(G)
     return _presentation_from_ideal(L, G, ideal)

@@ -29,7 +29,7 @@ from .algebra import (
     Metric,
     OneForm,
     Subspace,
-    almost_abelian_presentation,
+    _almost_abelian_ideal,
     audit_algebra,
     is_closed,
 )
@@ -363,7 +363,9 @@ def _codim3_normal_form(L, G, theta, U) -> bool:
 def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     """Run the exact structural consequences for solvable unimodular
     non-degenerate LCP structures, each reported individually, after
-    verifying the structure (on the shared Weyl connection and curvature)."""
+    verifying the structure (on the shared Weyl connection and curvature).
+    (g) and (h) read only whether L has a codimension-1 abelian ideal,
+    which does not depend on G and is found once per algebra."""
     L, G, theta, U = S.algebra, S.metric, S.theta, S.flat
     audit = audit_algebra(L)
     if not audit.solvable:
@@ -410,9 +412,9 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     codim_ok = q <= n - 2
     codim2 = None
     if q == n - 2:
-        codim2 = almost_abelian_presentation(L, G) is not None
+        codim2 = _almost_abelian_ideal(L) is not None
     codim3 = None
-    if q == n - 3 and almost_abelian_presentation(L, G) is None:
+    if q == n - 3 and _almost_abelian_ideal(L) is None:
         codim3 = _codim3_normal_form(L, G, theta, U)
 
     return StructuralAuditReport(

@@ -520,7 +520,9 @@ def _integer_eigenvalues(ints) -> Optional[list]:
     """The eigenvalues of an integer matrix with multiplicity, when every
     one is an integer: the float eigenvalues rounded, and accepted only
     if exact synthetic division of the integer characteristic polynomial
-    by x - k, once per k, leaves 1."""
+    by x - k, once per k, leaves 1.  When it does, the eigenvalues are the
+    ks, so tr(ints^2) = sum k^2: a matrix that fails this (a complex
+    spectrum, say) is declined before its polynomial is built."""
     try:
         ev = np.linalg.eigvals(ex.to_float(ints)).real
     except OverflowError:  # an entry past the float range
@@ -528,6 +530,8 @@ def _integer_eigenvalues(ints) -> Optional[list]:
     if not np.isfinite(ev).all():
         return None
     ks = sorted(int(round(x)) for x in ev)
+    if (ints * ints.T).sum() != sum(k * k for k in ks):
+        return None
     p = ex.int_charpoly_coeffs(ints)
     for k in ks:
         q = [p[0]]

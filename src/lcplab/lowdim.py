@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -332,7 +333,12 @@ ROWS = {
 
 
 def table_algebra(name: str, params: Optional[dict] = None) -> LieAlgebra:
-    """Instantiate a catalog row at exact rational parameters."""
+    """Instantiate a catalog row at exact rational parameters.
+
+    The parameters are validated on every call.  The algebra itself is
+    shared: one ``LieAlgebra`` per row and parameter values, so every
+    caller reads the spans, flat spaces and reports kept with it (a
+    ``LieAlgebra`` is an immutable value)."""
     if name not in ROWS:
         raise UnknownName(f"unknown catalog row {name!r}")
     row = ROWS[name]
@@ -342,10 +348,7 @@ def table_algebra(name: str, params: Optional[dict] = None) -> LieAlgebra:
             f"row {name} takes parameters {row.param_names}, got {tuple(params)}"
         )
     row.validate(params)
-    brackets = {
-        k: [_f(x) for x in v] for k, v in row.brackets(row.dim, params).items()
-    }
-    return LieAlgebra.from_brackets(row.dim, brackets)
+    return _row_algebra(name, tuple(sorted(params.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +477,18 @@ SAMPLES = [
     SampleSpec("g_{5.33}^{-1,-1}", {}, ("yes", "Bock16 Prop 7.2.20")),
     SampleSpec("g_{5.35}^{-2,0}", {}, ("yes", "Bock16 Prop 7.2.21")),
 ]
+
+
+@lru_cache(maxsize=len(SAMPLES))
+def _row_algebra(name: str, params: tuple) -> LieAlgebra:
+    """The algebra of :func:`table_algebra` for validated parameters, given
+    as sorted (parameter, Fraction) pairs; the memo holds every sampled
+    row."""
+    row = ROWS[name]
+    brackets = {
+        k: [_f(x) for x in v] for k, v in row.brackets(row.dim, dict(params)).items()
+    }
+    return LieAlgebra.from_brackets(row.dim, brackets)
 
 
 # ---------------------------------------------------------------------------

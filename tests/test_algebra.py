@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab.algebra import (
+    AlmostAbelianPresentation,
     LieAlgebra,
-    _primitive,
     Metric,
     OneForm,
     Subspace,
@@ -19,8 +20,15 @@ from lcplab.algebra import (
     trace_form,
 )
 from lcplab.errors import InvalidStructure, NotPositiveDefinite
-from lcplab.lowdim import table_algebra
-from lcplab.randgen import random_algebra, random_metric, rng
+from lcplab.lowdim import SAMPLES, table_algebra
+from lcplab.randgen import (
+    random_algebra,
+    random_almost_abelian,
+    random_metric,
+    random_two_step_nilpotent,
+    rng,
+    small_fraction,
+)
 
 
 def e11():
@@ -166,19 +174,130 @@ def test_almost_abelian_heisenberg():
     assert rep.is_ideal and rep.is_abelian
 
 
-def test_primitive_big_denominators():
-    v = ex.rvec([F(3, 10**40 + 7), F(-6, 10**39 + 1), 0, F(9, 7 * (10**40 + 7))])
-    # Fraction reference: clear denominators, divide by the content, and
-    # make the first nonzero entry positive
+def reference_primitive(v):
+    """The primitive integer vector on the line of v, first nonzero entry
+    positive, in Fractions: clear denominators, divide by the content."""
     den = 1
     for x in v:
         den = den * x.denominator // math.gcd(den, x.denominator)
     ints = [int(x * den) for x in v]
     g = math.gcd(*ints)
-    want = [F(x // g) for x in ints]
-    assert list(_primitive(v)) == want
-    assert list(_primitive(-v)) == want
-    assert list(_primitive(ex.rvec([0, 0]))) == [0, 0]
+    if g:
+        ints = [x // g for x in ints]
+    if next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
+    return ex.rvec(ints)
+
+
+def reference_presentation(L, G, ideal):
+    """The presentation from its ideal, all in Fractions."""
+    b = reference_primitive(ideal.orthogonal_complement(G).basis[:, 0])
+    nsq = G.norm_sq(b)
+    root = F(math.isqrt(nsq.numerator), math.isqrt(nsq.denominator))
+    unit = root * root == nsq
+    if unit and nsq != 1:
+        b = b / root
+        nsq = ex.ONE
+    mat = ex.solve(ideal.basis, ex.dot(L.ad(b), ideal.basis))
+    return AlmostAbelianPresentation(b, nsq, unit, ideal, mat)
+
+
+def check_against_reference(L, G):
+    """The presentation of (L, G) equals the Fraction reference made from
+    its ideal, which is a codimension-1 abelian ideal (for abelian L, the
+    G-orthocomplement of e1)."""
+    p = almost_abelian_presentation(L, G)
+    if p is None:
+        return None
+    ideal = p.ideal
+    if L.derived_algebra.dim == 0:
+        e1 = ex.rzeros(L.dim)
+        e1[0] = ex.ONE
+        ideal = Subspace.spanned_by([e1], L.dim).orthogonal_complement(G)
+    rep = subspace_predicates(L, G, ideal)
+    assert ideal.dim == L.dim - 1 and rep.is_ideal and rep.is_abelian
+    q = reference_presentation(L, G, ideal)
+    assert list(p.b) == list(q.b)
+    assert p.b_norm_sq == q.b_norm_sq and type(p.b_norm_sq) is type(q.b_norm_sq)
+    assert p.unit == q.unit
+    assert p.ideal == q.ideal
+    assert p.matrix.shape == q.matrix.shape and list(p.matrix.flat) == list(q.matrix.flat)
+    return p
+
+
+def test_primitive_big_denominators():
+    v = ex.rvec([F(3, 10**40 + 7), F(-6, 10**39 + 1), 0, F(9, 7 * (10**40 + 7))])
+    want = reference_primitive(v)
+    # e(1,1)+R has the ideal span(e2, e3, e4); under G = P^-T D P^-1 with
+    # P = [v e2 e3 e4] and D = diag(d, 1, 1, 1), its G-orthogonal line is
+    # that of v, and b.G.b = d (b / v)^2
+    L = table_algebra("e(1,1)+R")
+    for d, unit, b in ((2, False, want), (F(4, 9), True, F(3, 2) * v), (1, True, v)):
+        D = ex.reye(4)
+        D[0, 0] = ex.rat(d)
+        for w in (v, -v):
+            P = ex.reye(4)
+            P[:, 0] = w
+            Pi = ex.inv(P)
+            p = check_against_reference(L, Metric(ex.dot(ex.dot(Pi.T, D), Pi)))
+            assert p.unit == unit and list(p.b) == list(b)
+
+
+def test_presentation_matches_reference_on_catalog():
+    for sample in SAMPLES:
+        L = table_algebra(sample.name, sample.params)
+        for G in (Metric.identity(L.dim), random_metric(rng(L.dim), L.dim)):
+            check_against_reference(L, G)
+
+
+def _drawn_algebra(seed, n, kind):
+    """An almost abelian, abelian or two-step nilpotent algebra, in a
+    random rational basis when ``kind`` says so."""
+    r = rng(seed)
+    if kind == "abelian":
+        return LieAlgebra.abelian(n)
+    L = random_almost_abelian(r, n) if kind.startswith("almab") else random_two_step_nilpotent(r, n)
+    if kind.endswith("basis"):
+        while True:
+            P = ex.rmat([[small_fraction(r) for _ in range(n)] for _ in range(n)])
+            if ex.det(P) != 0:
+                return L.restrict(P)
+    return L
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 5),
+    kind=st.sampled_from(["abelian", "almab", "almab-basis", "nilpotent", "nilpotent-basis"]),
+    square=st.fractions(min_value=F(1, 5), max_value=9, max_denominator=5),
+)
+def test_presentation_matches_fraction_reference(seed, n, kind, square):
+    L = _drawn_algebra(seed, n, kind)
+    G = random_metric(rng(seed + 1), n)
+    p = check_against_reference(L, G)
+    if p is None:
+        return
+    # rescale G so that the primitive b has norm square square^2: the
+    # complement, so b, does not change with the scale of G
+    b0 = reference_primitive(p.ideal.orthogonal_complement(G).basis[:, 0])
+    G2 = G.scaled(square * square / G.norm_sq(b0))
+    p2 = check_against_reference(L, G2)
+    assert p2.unit and p2.b_norm_sq == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(3, 5),
+    kind=st.sampled_from(["abelian", "almab-basis", "nilpotent-basis", "random"]),
+)
+def test_almost_abelian_does_not_depend_on_metric(seed, n, kind):
+    L = random_algebra(rng(seed), n) if kind == "random" else _drawn_algebra(seed, n, kind)
+    G1, G2 = random_metric(rng(seed + 1), n), random_metric(rng(seed + 2), n)
+    assert (almost_abelian_presentation(L, G1) is None) == (
+        almost_abelian_presentation(L, G2) is None
+    )
 
 
 def test_metric_validation():

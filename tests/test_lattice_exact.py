@@ -17,10 +17,11 @@ from lcplab.intpoly import int_charpoly, int_det
 from lcplab.lattice import (
     MAX_LISTED_WITNESSES,
     _exact_witnesses,
+    _integer_eigenvalues,
     _scanned_range,
     lattice_verdict,
 )
-from test_golden_lattice import cases
+from test_golden_lattice import COMPLEX_SPECTRA, cases, complex_spectrum
 
 F = Fraction
 
@@ -233,6 +234,60 @@ def test_listing_limit():
 )
 def test_step_declines_where_the_scan_decides(c):
     assert _exact_witnesses(c, (0.0, 3.0)) is None
+
+
+def reference_integer_eigenvalues(ints):
+    """``_integer_eigenvalues`` without the trace pre-check: synthetic
+    division of the integer characteristic polynomial decides alone."""
+    ev = np.linalg.eigvals(ex.to_float(ints)).real
+    ks = sorted(int(round(x)) for x in ev)
+    p = ex.int_charpoly_coeffs(ints)
+    for k in ks:
+        q = [p[0]]
+        for x in p[1:]:
+            q.append(x + k * q[-1])
+        if q.pop():
+            return None
+        p = q
+    return ks
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small random integer matrices (mostly irrational or complex
+    spectra), and integer spectra under a unimodular basis change."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        rows = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+        return np.array(rows, dtype=object)
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = draw(st.integers(-3, 3))
+        if i + 1 < n and draw(st.booleans()):
+            d[i][i + 1] = 1
+    return ex.scaled(draw(unimodular_conjugate(d)))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_trace_precheck_declines_only_what_division_declines(ints):
+    ks = sorted(int(round(x)) for x in np.linalg.eigvals(ex.to_float(ints)).real)
+    want = reference_integer_eigenvalues(ints)
+    if (ints * ints.T).sum() != sum(k * k for k in ks):
+        assert want is None
+    assert _integer_eigenvalues(ints) == want
+
+
+def test_complex_spectra_never_build_the_characteristic_polynomial(monkeypatch):
+    def refuse(ints):
+        raise AssertionError("integer characteristic polynomial built")
+
+    monkeypatch.setattr(ex, "int_charpoly_coeffs", refuse)
+    for blocks, reals in COMPLEX_SPECTRA.values():
+        c = complex_spectrum(blocks, reals)
+        u = U6[: len(c), : len(c)]
+        for m in (c, ex.dot(ex.dot(u, c), ex.inv(u))):
+            assert lattice_verdict(m, t_range=(0.0, 2.0)).status == "inconclusive"
 
 
 # a dense unimodular basis of R^6, det U6 = 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lcplab import exact as ex
+from lcplab import lowdim
 from lcplab.algebra import (
     LieAlgebra,
     Metric,
@@ -13,6 +14,7 @@ from lcplab.algebra import (
 )
 from lcplab.construct import OrthoRep, semidirect_lcp
 from lcplab.errors import ParamOutOfRange, SingularMatrix, UnknownName
+from lcplab.fixtures import witness_specs_from_fixtures
 from lcplab.lowdim import (
     NONUNIMODULAR_4D,
     ROWS,
@@ -46,6 +48,39 @@ def test_table_algebra_errors():
         table_algebra("g_{5.7}^{p,q,r}", {"p": F(1, 2), "q": F(1, 4), "r": F(1, 4)})
     with pytest.raises(ParamOutOfRange):
         table_algebra("e(1,1)", {"p": 1})
+
+
+def test_table_algebra_shared_per_row_and_params():
+    row = "g_{4.6}^{-2p,p}"
+    L = table_algebra(row, {"p": 1})
+    assert table_algebra(row, {"p": F(1)}) is L
+    assert table_algebra(row, {"p": "1"}) is L
+    assert table_algebra(row, {"p": 2}) is not L
+    assert isinstance(L.basis_labels, tuple)
+    # validation is not memoised: a bad value raises on every call
+    for _ in range(2):
+        with pytest.raises(ParamOutOfRange):
+            table_algebra(row, {"p": 0})
+        with pytest.raises(ParamOutOfRange):
+            table_algebra(row, {"p": 1, "q": 1})
+        with pytest.raises(UnknownName):
+            table_algebra("nope")
+
+
+def test_catalog_pass_builds_one_algebra_per_row(monkeypatch):
+    built = []
+    original = LieAlgebra.from_brackets.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args[0])
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(LieAlgebra, "from_brackets", classmethod(counting))
+    lowdim._row_algebra.cache_clear()
+    for sample in SAMPLES:
+        verify_table(sample.name, sample.params, witnesses=witness_specs_from_fixtures(sample))
+        sample_lattice_verdict(sample)
+    assert len(built) == len(SAMPLES)
 
 
 def test_all_rows_unimodular_solvable_at_random_params():
