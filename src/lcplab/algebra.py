@@ -41,7 +41,7 @@ class LieAlgebra:
     immutable values; all methods are pure.
     """
 
-    def __init__(self, c: np.ndarray, basis_labels=None, check: bool = True):
+    def __init__(self, c: np.ndarray, check: bool = True):
         c = np.asarray(c, dtype=object)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise DimensionMismatch("structure constants must be (n, n, n)")
@@ -50,11 +50,6 @@ class LieAlgebra:
         self.dim = c.shape[0]
         self.c = c
         self.c.setflags(write=False)
-        self.basis_labels = (
-            tuple(basis_labels)
-            if basis_labels is not None
-            else tuple(f"e{i+1}" for i in range(self.dim))
-        )
         if check:
             bad = self.antisymmetry_defect()
             if bad is not None:
@@ -64,7 +59,7 @@ class LieAlgebra:
                 raise InvalidStructure(f"Jacobi identity fails on triple {bad}")
 
     @classmethod
-    def from_brackets(cls, dim: int, brackets: dict, basis_labels=None, check=True):
+    def from_brackets(cls, dim: int, brackets: dict, check=True):
         """Build from a map {(i, j): coeffs} with i < j (0-indexed);
         omitted pairs are zero brackets."""
         c = ex.rzeros((dim, dim, dim))
@@ -76,7 +71,7 @@ class LieAlgebra:
                 raise DimensionMismatch("bracket coefficient count != dim")
             c[i, j, :] = v
             c[j, i, :] = -v
-        return cls(c, basis_labels=basis_labels, check=check)
+        return cls(c, check=check)
 
     @classmethod
     def abelian(cls, dim: int):

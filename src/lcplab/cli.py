@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,7 +50,7 @@ from .docfmt import parse_file, render_document
 from .errors import DocumentError, LcpError
 from .intpoly import IntPoly
 from .lattice import certify_witness, certify_witness_blocked, lattice_verdict
-from .lowdim import render_tables_text, reproduce_tables
+from .lowdim import fingerprint, render_tables_text, reproduce_tables
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,13 +76,8 @@ def _t_range(spec: str):
     return t
 
 
-def _load(path):
-    doc = parse_file(path)
-    return doc
-
-
 def cmd_check(args) -> int:
-    doc = _load(args.input)
+    doc = parse_file(args.input)
     L = doc.algebra(check=False)
     rep = audit_algebra(L)
     payload = {
@@ -100,7 +96,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    doc = _load(args.input)
+    doc = parse_file(args.input)
     L, G, theta = doc.algebra(), doc.metric(), doc.one_form()
     if theta is None:
         raise DocumentError("detect requires a theta directive")
@@ -120,7 +116,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = _load(args.input)
+    doc = parse_file(args.input)
     L, G, theta = doc.algebra(), doc.metric(), doc.one_form()
     if theta is None:
         raise DocumentError("verify requires a theta directive")
@@ -166,11 +162,14 @@ def _emit_structure(s: LCPStructure, fmt: str, label: str) -> int:
 
 
 def cmd_construct(args) -> int:
-    doc = _load(args.input)
+    doc = parse_file(args.input)
     recipe = args.recipe
     if recipe == "semidirect":
         h = doc.algebra()
-        q = int(doc.scalars.get("q", 1))
+        q = doc.scalars.get("q", 1)
+        if q.denominator != 1 or q < 1:
+            raise DocumentError(f"scalar q must be a positive integer, not {q}")
+        q = int(q)
         mats = []
         for i in range(h.dim):
             name = f"beta{i+1}"
@@ -185,16 +184,20 @@ def cmd_construct(args) -> int:
         if not args.with_input:
             raise DocumentError("construct direct needs --with")
         s1 = _structure_from_doc(doc)
-        kdoc = _load(args.with_input)
+        kdoc = parse_file(args.with_input)
         s = direct_product(s1, kdoc.algebra(), kdoc.metric())
     elif recipe == "amalgam":
         if not args.with_input:
             raise DocumentError("construct amalgam needs --with")
-        s = amalgamated_product(_structure_from_doc(doc), _structure_from_doc(_load(args.with_input)))
+        s = amalgamated_product(_structure_from_doc(doc), _structure_from_doc(parse_file(args.with_input)))
     elif recipe == "modify":
         if args.lam is None:
             raise DocumentError("construct modify needs --lam")
-        s = metric_modification(_structure_from_doc(doc), ex.rat(args.lam))
+        try:
+            lam = ex.rat(args.lam)
+        except (ValueError, ZeroDivisionError):
+            raise DocumentError(f"--lam must be a rational number, not {args.lam!r}") from None
+        s = metric_modification(_structure_from_doc(doc), lam)
     else:  # pragma: no cover
         raise DocumentError(f"unknown recipe {recipe!r}")
     return _emit_structure(s, args.format, f"constructed by {recipe}")
@@ -208,7 +211,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    doc = _load(args.input)
+    doc = parse_file(args.input)
     L, G = doc.algebra(), doc.metric()
     pres = almost_abelian_presentation(L, G)
     if pres is None:
@@ -230,10 +233,9 @@ def cmd_lattice(args) -> int:
             seed=args.seed,
             structure=structure,
         )
-        from .lowdim import fingerprint
-
         payload = verdict.as_dict()
-        payload["input_fingerprint"] = fingerprint(L, G).as_dict()
+        if args.format == "machine":  # the fingerprint imports sympy
+            payload["input_fingerprint"] = fingerprint(L, G).as_dict()
         lines = [f"status: {verdict.status}"]
         for w in verdict.witnesses:
             how = "exact" if w.exact else f"residual {w.residual:.2e}"
@@ -245,7 +247,12 @@ def cmd_lattice(args) -> int:
     # certify
     if args.t0 is None or args.poly is None:
         raise DocumentError("lattice certify needs --t0 and --poly")
-    poly = IntPoly(tuple(int(x) for x in args.poly.split(",")))
+    if not math.isfinite(args.t0):
+        raise DocumentError(f"--t0 must be a finite number, not {args.t0}")
+    try:
+        poly = IntPoly(tuple(int(x) for x in args.poly.split(",")))
+    except ValueError:
+        raise DocumentError(f"--poly must be comma-separated integers, not {args.poly!r}") from None
     w = certify_witness(pres.matrix, args.t0, poly, seed=args.seed)
     if w is None:
         w = certify_witness_blocked(pres.matrix, args.t0, seed=args.seed)

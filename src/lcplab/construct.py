@@ -79,11 +79,6 @@ class OrthoRep:
     def zero(cls, q: int, h_dim: int) -> "OrthoRep":
         return cls(q, tuple(ex.rzeros((q, q)) for _ in range(h_dim)))
 
-    def of(self, x: np.ndarray) -> np.ndarray:
-        """beta(x) by linearity: one contraction with the stacked images."""
-        q = self.dim_target
-        return ex.dot(x, np.stack(self.images).reshape(-1, q * q)).reshape(q, q)
-
     def validate(self, h: LieAlgebra, gram: Optional[np.ndarray] = None):
         """Check the invariants on the stacked images m[a] = mm[a] / dm,
         scaled once: each test is one integer contraction of mm."""
@@ -124,6 +119,8 @@ def _verified(L, G, theta, flat) -> LCPStructure:
 def semidirect_lcp(h: LieAlgebra, h_metric: Metric, beta: OrthoRep) -> LCPStructure:
     """g = h |x_alpha R^q with the standard metric on R^q; the flat space
     is R^q and theta = -(1/q) H^h extended by zero."""
+    if beta.dim_target < 1:
+        raise DimensionMismatch("beta must act on R^q with q >= 1")
     H = trace_form(h)
     if H.is_zero():
         raise UnimodularInput("h must be non-unimodular")

@@ -64,6 +64,8 @@ class Document:
         return Subspace.spanned_by(self.flat_vectors, self.dim)
 
     def block(self, name: str) -> np.ndarray:
+        if name not in self.blocks:
+            raise DocumentError(f"document has no block {name!r}")
         return ex.rmat(self.blocks[name])
 
 

@@ -66,7 +66,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
 
-Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -63,11 +63,10 @@ def parse_label(label) -> tuple:
     return parts[0], parts[1], int(dim)
 
 
-def witness_specs_from_fixtures(sample, base: Path = None) -> list:
+def witness_specs_from_fixtures(sample) -> list:
     """The witnesses of one sampled row (anything with ``name`` and
-    ``params``), read from the corpus in ``base`` (default
-    ``fixture_dir()``)."""
-    base = base or fixture_dir()
+    ``params``), read from the corpus in ``fixture_dir()``."""
+    base = fixture_dir()
     out = []
     while (path := base / fixture_name(sample, len(out))).exists():
         doc = parse_file(path)

@@ -60,7 +60,7 @@ from .errors import (
     NonTraceFree,
     PreconditionViolated,
 )
-from .intpoly import IntPoly, companion, int_charpoly, smith_normal_form
+from .intpoly import IntPoly, companion, int_charpoly
 
 MAX_SPECTRAL = 50.0
 # the witness scan (see integer_charpoly_scan)
@@ -189,9 +189,6 @@ class ScanCandidate:
     t0: float
     poly: IntPoly
     defect: float
-
-    def as_dict(self):
-        return {"t0": self.t0, "poly": list(self.poly.coeffs), "defect": self.defect}
 
 
 def _check_spectral_envelope(t: float, rho: float) -> None:
@@ -464,9 +461,9 @@ class _Plan:
         return self._certified[key]
 
 
-def _plan_of(c) -> _Plan:
-    """``c`` itself when it is a plan, else a new plan of C."""
-    return c if isinstance(c, _Plan) else _Plan(c)
+def _plan_of(c, seed: int = 0) -> _Plan:
+    """``c`` itself when it is a plan, else a new plan of C with ``seed``."""
+    return c if isinstance(c, _Plan) else _Plan(c, seed)
 
 
 def _merge_components(plan: _Plan, t0: float) -> Optional[list]:
@@ -488,8 +485,13 @@ def _merge_components(plan: _Plan, t0: float) -> Optional[list]:
     return groups
 
 
-def _certify_blocked(plan: _Plan, t0: float, m=None):
-    """:func:`certify_witness_blocked` on the plan of C."""
+def certify_witness_blocked(c, t0: float, seed: int = 0, m=None):
+    """Blockwise certification for derogatory exponentials of
+    block-diagonal C (e.g. repeated blocks of amalgamated products):
+    each diagonal block is certified on its own and the integer matrices
+    are reassembled.  ``c`` is C or its plan (whose seed then serves);
+    ``m`` is exp(t0 C) when the caller has it already."""
+    plan = _plan_of(c, seed)
     groups = _merge_components(plan, t0)
     if groups is None or len(groups) <= 1:
         return None
@@ -506,14 +508,6 @@ def _certify_blocked(plan: _Plan, t0: float, m=None):
     if m is None:
         m = exp_ad(plan.a, t0)
     return _witness_from_conjugacy(t0, m, z, q)
-
-
-def certify_witness_blocked(c, t0: float, seed: int = 0, m=None):
-    """Blockwise certification for derogatory exponentials of
-    block-diagonal C (e.g. repeated blocks of amalgamated products):
-    each diagonal block is certified on its own and the integer matrices
-    are reassembled.  ``m`` is exp(t0 C) when the caller has it already."""
-    return _certify_blocked(_Plan(c, seed), t0, m)
 
 
 def _integer_eigenvalues(ints) -> Optional[list]:
@@ -797,8 +791,9 @@ class AbelianizationReport:
 def e11_lattice(m: int):
     """Closed-form lattice family for the hyperbolic 3-dimensional group:
     t_m = ln((m + sqrt(m^2-4))/2) conjugates exp(t_m diag(1,-1)) to
-    [[0,-1],[1,m]].  The abelianisation Z + Z_{m-2} (Smith form of
-    E_m - I) separates the lattices pairwise."""
+    E_m = [[0,-1],[1,m]].  The abelianisation Z + Z_{m-2} separates the
+    lattices pairwise: E_m - I = [[-1,-1],[1,m-1]] has entries of gcd 1
+    and determinant 2 - m, so its Smith form is diag(1, m - 2)."""
     if m <= 2:
         raise MTooSmall("need m >= 3")
     lam = (m + math.sqrt(m * m - 4)) / 2
@@ -811,10 +806,7 @@ def e11_lattice(m: int):
     witness = _witness_from_conjugacy(t_m, exp_ad(c, t_m), z, vmat)
     if witness is None:  # pragma: no cover
         raise AssertionError("closed-form witness failed its residual check")
-    em_minus_i = np.array([[0 - 1, -1], [1, m - 1]])
-    diag = smith_normal_form(em_minus_i)
-    torsion = diag[-1] if diag and diag[-1] != 1 else 1
-    return witness, AbelianizationReport(tuple(diag), torsion)
+    return witness, AbelianizationReport((1, m - 2), m - 2)
 
 
 def amalgam_lattice(t1: float, theta1_sq, t2: float, theta2_sq):
@@ -918,7 +910,7 @@ def lattice_verdict(
         if not derogatory:
             w = certify_witness(c, cand.t0, cand.poly, seed=seed, m=m)
         if w is None:
-            w = _certify_blocked(plan, cand.t0, m)
+            w = certify_witness_blocked(plan, cand.t0, m=m)
         if w is not None:
             witnesses.append(w)
     inconclusive = () if witnesses else (_scanned_range(plan, t_range),)

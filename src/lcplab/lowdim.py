@@ -39,10 +39,6 @@ from .lattice import cited_certificate, lattice_verdict
 F = Fraction
 
 
-def _f(x) -> Fraction:
-    return ex.rat(x)
-
-
 # ---------------------------------------------------------------------------
 # bracket templates (0-indexed pairs i < j, coefficients of [e_i, e_j])
 # ---------------------------------------------------------------------------
@@ -206,18 +202,18 @@ def _no_params(p):
 
 
 def _check_g45(p):
-    v = _f(p["p"])
+    v = ex.rat(p["p"])
     if not (F(-1, 2) <= v < 0):
         raise ParamOutOfRange("need -1/2 <= p < 0")
 
 
 def _check_g46(p):
-    if _f(p["p"]) <= 0:
+    if ex.rat(p["p"]) <= 0:
         raise ParamOutOfRange("need p > 0")
 
 
 def _check_g57(p):
-    a, b, c = _f(p["p"]), _f(p["q"]), _f(p["r"])
+    a, b, c = ex.rat(p["p"]), ex.rat(p["q"]), ex.rat(p["r"])
     if a * b * c == 0:
         raise ParamOutOfRange("need pqr != 0")
     if a + b + c != 1:
@@ -227,12 +223,12 @@ def _check_g57(p):
 
 
 def _check_g59(p):
-    if _f(p["p"]) < -1:
+    if ex.rat(p["p"]) < -1:
         raise ParamOutOfRange("need p >= -1")
 
 
 def _check_g513(p):
-    q, r = _f(p["q"]), _f(p["r"])
+    q, r = ex.rat(p["q"]), ex.rat(p["r"])
     if r <= 0:
         raise ParamOutOfRange("need r > 0")
     if not (-1 <= q <= 0) or q == F(-1, 2):
@@ -240,22 +236,22 @@ def _check_g513(p):
 
 
 def _check_g516(p):
-    if _f(p["q"]) <= 0:
+    if ex.rat(p["q"]) <= 0:
         raise ParamOutOfRange("need q > 0")
 
 
 def _check_g517(p):
-    if _f(p["p"]) < 0 or _f(p["r"]) <= 0:
+    if ex.rat(p["p"]) < 0 or ex.rat(p["r"]) <= 0:
         raise ParamOutOfRange("need p >= 0, r > 0")
 
 
 def _check_g519(p):
-    if _f(p["p"]) == -1:
+    if ex.rat(p["p"]) == -1:
         raise ParamOutOfRange("need p != -1")
 
 
 def _check_g525(p):
-    if _f(p["p"]) <= 0:
+    if ex.rat(p["p"]) <= 0:
         raise ParamOutOfRange("need p > 0")
 
 
@@ -264,11 +260,11 @@ def _dims_const(*dims):
 
 
 def _dims_g45(p):
-    return frozenset({1, 2}) if _f(p["p"]) == F(-1, 2) else frozenset({1})
+    return frozenset({1, 2}) if ex.rat(p["p"]) == F(-1, 2) else frozenset({1})
 
 
 def _dims_g57(p):
-    a, b, c = _f(p["p"]), _f(p["q"]), _f(p["r"])
+    a, b, c = ex.rat(p["p"]), ex.rat(p["q"]), ex.rat(p["r"])
     dims = {1}
     if a != c and (b == a or b == c):
         dims.add(2)
@@ -278,18 +274,18 @@ def _dims_g57(p):
 
 
 def _dims_g59(p):
-    return frozenset({1, 2}) if _f(p["p"]) == -1 else frozenset({1})
+    return frozenset({1, 2}) if ex.rat(p["p"]) == -1 else frozenset({1})
 
 
 def _dims_g513(p):
     dims = {1, 2}
-    if _f(p["q"]) == F(-1, 3):
+    if ex.rat(p["q"]) == F(-1, 3):
         dims.add(3)
     return frozenset(dims)
 
 
 def _dims_g517(p):
-    return frozenset({2}) if _f(p["p"]) != 0 else frozenset()
+    return frozenset({2}) if ex.rat(p["p"]) != 0 else frozenset()
 
 
 @dataclass(frozen=True)
@@ -342,7 +338,7 @@ def table_algebra(name: str, params: Optional[dict] = None) -> LieAlgebra:
     if name not in ROWS:
         raise UnknownName(f"unknown catalog row {name!r}")
     row = ROWS[name]
-    params = {k: _f(v) for k, v in (params or {}).items()}
+    params = {k: ex.rat(v) for k, v in (params or {}).items()}
     if set(params) != set(row.param_names):
         raise ParamOutOfRange(
             f"row {name} takes parameters {row.param_names}, got {tuple(params)}"
@@ -486,7 +482,7 @@ def _row_algebra(name: str, params: tuple) -> LieAlgebra:
     row."""
     row = ROWS[name]
     brackets = {
-        k: [_f(x) for x in v] for k, v in row.brackets(row.dim, dict(params)).items()
+        k: [ex.rat(x) for x in v] for k, v in row.brackets(row.dim, dict(params)).items()
     }
     return LieAlgebra.from_brackets(row.dim, brackets)
 
@@ -527,9 +523,9 @@ def verify_table(name: str, params=None, witnesses=None) -> TableVerification:
     """Classify the row under each witness (default: the row's fixtures),
     check the result verifies and audits, and compare the realised
     flat-dimension set with the catalog."""
+    params = {k: ex.rat(v) for k, v in (params or {}).items()}
+    L = table_algebra(name, params)  # validates the name and the parameters
     row = ROWS[name]
-    params = {k: _f(v) for k, v in (params or {}).items()}
-    L = table_algebra(name, params)
     if witnesses is None:
         witnesses = witness_specs_from_fixtures(_sample_for(name, params))
     results = []
@@ -553,7 +549,7 @@ def verify_table(name: str, params=None, witnesses=None) -> TableVerification:
 
 def _sample_for(name, params) -> SampleSpec:
     for s in SAMPLES:
-        if s.name == name and {k: _f(v) for k, v in s.params.items()} == params:
+        if s.name == name and {k: ex.rat(v) for k, v in s.params.items()} == params:
             return s
     raise UnknownName(f"no shipped witnesses for {name} at {params}")
 
@@ -767,11 +763,11 @@ def nonunimodular_4d(name: str, params: Optional[dict] = None) -> LieAlgebra:
     if name not in NONUNIMODULAR_4D:
         raise UnknownName(f"unknown 4-dimensional family {name!r}")
     builder, checks = NONUNIMODULAR_4D[name]
-    params = {k: _f(v) for k, v in (params or {}).items()}
+    params = {k: ex.rat(v) for k, v in (params or {}).items()}
     if set(params) != set(checks):
         raise ParamOutOfRange(f"family {name} takes parameters {tuple(checks)}")
     for k, ok in checks.items():
         if not ok(params[k]):
             raise ParamOutOfRange(f"parameter {k}={params[k]} out of range")
-    brackets = {k: [_f(x) for x in v] for k, v in builder(params).items()}
+    brackets = {k: [ex.rat(x) for x in v] for k, v in builder(params).items()}
     return LieAlgebra.from_brackets(4, brackets)

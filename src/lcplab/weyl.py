@@ -52,9 +52,6 @@ class Connection:
         ix, dx = ex.scaled(x)
         return ex.unscaled(ix.dot(self.g.reshape(n, n * n)), dx * self.d).reshape(n, n)
 
-    def nabla(self, x, y) -> np.ndarray:
-        return ex.dot(self.of(x), y)
-
     def torsion_defect(self, L: LieAlgebra):
         """First basis pair where nabla_x y - nabla_y x != [x, y]."""
         n = self.dim

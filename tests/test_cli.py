@@ -121,6 +121,32 @@ def test_bad_t_range_exit_code(e11_doc, spec):
     assert_input_error(run_cli("tables", "--t-range", spec), "t-range")
 
 
+NO_BLOCK_A = "dim 1\nblock B : 0 -1 ; 1 0\n"
+# a non-unimodular h for construct semidirect, with the size q of R^q
+SEMIDIRECT_Q = "dim 2\nbracket 1 2 : 0 1\nscalar q {}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, args, words",
+    [
+        (NO_BLOCK_A, ["construct", "almab"], ["block 'A'"]),
+        (NO_BLOCK_A, ["construct", "flag"], ["block 'A'"]),
+        (E11, ["construct", "modify", "--lam", "abc"], ["--lam"]),
+        (SEMIDIRECT_Q.format("0"), ["construct", "semidirect"], ["scalar q"]),
+        (SEMIDIRECT_Q.format("-2"), ["construct", "semidirect"], ["scalar q"]),
+        (SEMIDIRECT_Q.format("3/2"), ["construct", "semidirect"], ["scalar q"]),
+        (E11, ["lattice", "certify", "--t0", "0.96", "--poly", "1,x,1"], ["--poly"]),
+        (E11, ["lattice", "certify", "--t0", "0.96", "--poly", ","], ["--poly"]),
+        (E11, ["lattice", "certify", "--t0", "nan", "--poly", "1,-3,1"], ["--t0"]),
+    ],
+    ids=["almab-no-A", "flag-no-A", "lam-abc", "q-0", "q-neg", "q-3/2", "poly-x", "poly-comma", "t0-nan"],
+)
+def test_malformed_values_exit_code(tmp_path, doc, args, words):
+    p = tmp_path / "doc.lcp"
+    p.write_text(doc)
+    assert_input_error(run_cli(*args, "--input", str(p)), *words)
+
+
 def test_unreadable_input_exit_code(tmp_path):
     latin1 = tmp_path / "latin1.lcp"
     latin1.write_bytes(b"dim 3\nlabel caf\xe9\n")
@@ -196,6 +222,7 @@ def test_lattice_search_machine_roundtrip(e11_doc):
     assert payload["status"] == "yes"
     assert payload["witnesses"][0]["integral_matrix"] == [[0, -1], [1, 3]]
     assert payload["witnesses"][0]["exact"] is True
+    assert payload["input_fingerprint"]["almost_abelian"] is True
     # determinism: a second run yields the identical report
     out2 = run_cli(
         "lattice", "search", "--input", e11_doc, "--t-range", "0:2", "--format", "machine"
@@ -259,3 +286,20 @@ def test_import_does_not_load_sympy():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_text_lattice_search_does_not_load_sympy(e11_doc):
+    # the input fingerprint, which imports sympy, is printed in machine
+    # format only
+    src = Path(__file__).parent.parent / "src"
+    code = (
+        "import sys; from lcplab.cli import main; "
+        f"rc = main(['lattice', 'search', '--input', {e11_doc!r}, '--t-range', '0:2']); "
+        "assert 'sympy' not in sys.modules; sys.exit(rc)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("status: yes")

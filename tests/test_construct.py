@@ -27,6 +27,7 @@ from lcplab.construct import (
 from lcplab.detect import classify, structural_audit
 from lcplab.errors import (
     B2Zero,
+    DimensionMismatch,
     NonCommutingPair,
     NotAdapted,
     NotPositiveDefinite,
@@ -68,6 +69,12 @@ def test_semidirect_gives_e11():
 def test_semidirect_rejects_unimodular():
     with pytest.raises(UnimodularInput):
         semidirect_lcp(LieAlgebra.abelian(2), Metric.identity(2), OrthoRep.zero(1, 2))
+
+
+def test_semidirect_rejects_empty_target():
+    # R^0 has no flat space, and theta = -(1/q) H divides by q
+    with pytest.raises(DimensionMismatch):
+        semidirect_lcp(h_line(), Metric.identity(2), OrthoRep.zero(0, 2))
 
 
 def test_semidirect_rr30_bracket():

@@ -3,8 +3,12 @@
 Each line is the ``as_dict()`` JSON of ``lattice_verdict`` on a fixed
 input: diag(1, -1) + 0 at n = 2..6 under a fixed rational basis on 0:3,
 the five complex spectra of the benchmark's lattice-search slots under a
-fixed rational basis on 0:2, and the amalgam block matrix
-diag(1, -1, 1, -1)/sqrt(2) on 0:3.  Every witness t0, integer matrix,
+fixed rational basis on 0:2, the amalgam block matrix
+diag(1, -1, 1, -1)/sqrt(2) on 0:3, and three inputs whose candidates go
+to blockwise certification: the derogatory irrational spectrum
+[[0, 1], [2, 0]] + 0 (a 2x2 zero block) under the fixed basis on 0:3,
+the rotation blocks J(1) + J(1) on 0:20, both exact, and the float
+diag(20, -20, 0) on 0:3.  Every witness t0, integer matrix,
 polynomial, residual and ``exact`` flag is recorded at full float
 precision, so a change in the exact step (the hyperbolic lines), the
 scan, its refinement or the certification that moves a t0 or drops a
@@ -80,6 +84,11 @@ def cases():
     for name, (blocks, reals) in COMPLEX_SPECTRA.items():
         yield f"complex-{name}", complex_spectrum(blocks, reals), (0.0, 2.0)
     yield "amalgam-4", np.diag([1.0, -1.0, 1.0, -1.0]) / math.sqrt(2), (0.0, 3.0)
+    irrational = [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    yield "irrational-derogatory-4", conjugated(irrational, near_identity(4)), (0.0, 3.0)
+    rotations = ex.rmat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    yield "rotations-4", rotations, (0.0, 20.0)
+    yield "diag-20", np.diag([20.0, -20.0, 0.0]), (0.0, 3.0)
 
 
 def render() -> str:

@@ -18,7 +18,6 @@ from lcplab.intpoly import (
     companion,
     int_charpoly,
     int_det,
-    smith_normal_form,
 )
 
 
@@ -39,17 +38,23 @@ def test_companion():
         companion(IntPoly((2, 1)))
 
 
-def test_smith_normal_form():
-    for m in range(3, 11):
-        em_minus_i = np.array([[-1, -1], [1, m - 1]])
-        diag = smith_normal_form(em_minus_i)
-        assert diag == [1, m - 2] or (m == 3 and diag == [1, 1])
-    d = smith_normal_form(np.array([[2, 0], [0, 3]]))
-    assert d == [1, 6]
-    # divisibility chain
-    d2 = smith_normal_form(np.array([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
-    for a, b in zip(d2, d2[1:]):
-        assert b % a == 0
+def test_non_integral_entries_are_rejected():
+    # truncating them would give x^2 - 2x and det 0 for diag(1/2, 5/2)
+    for a in (
+        np.array([[F(1, 2), 0], [0, F(5, 2)]], dtype=object),
+        np.diag([1.7, 2.2]),
+    ):
+        with pytest.raises(TypeError):
+            int_charpoly(a)
+        with pytest.raises(TypeError):
+            int_det(a)
+    # integral values of any number type are integers
+    for a in (
+        np.array([[F(2), F(1)], [F(0), F(3)]], dtype=object),
+        np.array([[2, 1], [0, 3]], dtype=np.int64),
+    ):
+        assert int_charpoly(a).coeffs == (1, -5, 6)
+        assert int_det(a) == 6
 
 
 def ref_charpoly(rows):

@@ -133,15 +133,17 @@ def test_blocked_certification_for_amalgam_matrix():
 
 def test_e11_lattice_family():
     seen = set()
-    for m in range(3, 11):
+    for m in range(3, 61):
         w, ab = e11_lattice(m)
         assert [[int(x) for x in r] for r in w.integral_matrix] == [[0, -1], [1, m]]
         assert w.poly.coeffs == (1, -m, 1)
         assert w.residual <= 1e-8
         assert int_det(w.integral_matrix) == 1
-        assert ab.torsion == (m - 2 if m > 3 else 1)
+        # E_m - I = [[-1, -1], [1, m - 1]]: entries of gcd 1, determinant 2 - m
+        assert ab.snf_diagonal == (1, m - 2)
+        assert ab.torsion == m - 2
         seen.add(ab.torsion)
-    assert len(seen) == 8  # pairwise distinct abelianisations
+    assert len(seen) == 58  # pairwise distinct abelianisations
     with pytest.raises(MTooSmall):
         e11_lattice(2)
 
@@ -391,6 +393,29 @@ def test_one_plan_per_verdict(monkeypatch):
     assert len(v.witnesses) == 18
     assert counts["eigvals"] <= 10
     assert counts["certify"] <= len(candidates) + len(blocks)
+
+
+def test_verdict_certifies_blockwise_through_the_public_step(monkeypatch):
+    # the amalgam block matrix has a derogatory exponential at every
+    # candidate, so each one that companion conjugacy declines goes to
+    # certify_witness_blocked, on the verdict's plan
+    import lcplab.lattice as lattice
+
+    c = np.diag([1.0, -1.0, 1.0, -1.0]) / math.sqrt(2)
+    t_range = (0.0, 3.0)
+    candidates = integer_charpoly_scan(c, t_range=t_range)
+    plans = []
+    blocked = lattice.certify_witness_blocked
+
+    def counted_blocked(c, *args, **kwargs):
+        plans.append(c)
+        return blocked(c, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "certify_witness_blocked", counted_blocked)
+    v = lattice_verdict(c, t_range=t_range)
+    assert v.status == "yes"
+    assert len(plans) == len(candidates) > 0
+    assert all(p is plans[0] and isinstance(p, lattice._Plan) for p in plans)
 
 
 def _conjugated_complex6():
