@@ -244,11 +244,7 @@ class LieAlgebra:
         return LieAlgebra(coords.T.reshape(k, k, k), check=False)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
-        n, m = self.dim, other.dim
-        c = ex.rzeros((n + m, n + m, n + m))
-        c[:n, :n, :n] = self.c
-        c[n:, n:, n:] = other.c
-        return LieAlgebra(c, check=False)
+        return LieAlgebra(ex.block_diag(self.c, other.c), check=False)
 
     def __eq__(self, other):
         return (

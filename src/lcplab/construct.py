@@ -28,7 +28,6 @@ from .algebra import (
     Metric,
     OneForm,
     Subspace,
-    is_unimodular,
     trace_form,
 )
 from .detect import LCPStructure
@@ -116,6 +115,16 @@ def _verified(L, G, theta, flat) -> LCPStructure:
     return s
 
 
+def _semidirect_c(c_h: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Structure constants of h |x_alpha R^q on [h basis, R^q basis], with
+    alpha the (m, q, q) stack of the alpha_i: [x_i, e_j] = alpha_i e_j."""
+    m, q = alpha.shape[:2]
+    c = ex.block_diag(c_h, ex.rzeros((q, q, q)))
+    c[:m, m:, m:] = alpha.transpose(0, 2, 1)
+    c[m:, :m, m:] = -alpha.transpose(2, 0, 1)
+    return c
+
+
 def semidirect_lcp(h: LieAlgebra, h_metric: Metric, beta: OrthoRep) -> LCPStructure:
     """g = h |x_alpha R^q with the standard metric on R^q; the flat space
     is R^q and theta = -(1/q) H^h extended by zero."""
@@ -126,73 +135,65 @@ def semidirect_lcp(h: LieAlgebra, h_metric: Metric, beta: OrthoRep) -> LCPStruct
         raise UnimodularInput("h must be non-unimodular")
     beta.validate(h)
     m, q = h.dim, beta.dim_target
-    n = m + q
-    c = ex.rzeros((n, n, n))
-    c[:m, :m, :m] = h.c
-    for i in range(m):
-        alpha_i = -(H.coeffs[i] / q) * ex.reye(q) + beta.images[i]
-        for j in range(q):
-            c[i, m + j, m:] = alpha_i[:, j]
-            c[m + j, i, m:] = -alpha_i[:, j]
-    L = LieAlgebra(c)
-    gram = ex.rzeros((n, n))
-    gram[:m, :m] = h_metric.gram
-    gram[m:, m:] = ex.reye(q)
-    theta = OneForm(np.concatenate([-H.coeffs / q, ex.rzeros(q)]))
-    flat = Subspace(np.concatenate([ex.rzeros((m, q)), ex.reye(q)], axis=0))
+    images = np.array(beta.images, dtype=object).reshape(m, q, q)
+    alpha = -(H.coeffs / q)[:, None, None] * ex.reye(q) + images
+    L = LieAlgebra(_semidirect_c(h.c, alpha))
+    gram = ex.block_diag(h_metric.gram, ex.reye(q))
+    theta = OneForm(ex.block_diag(-H.coeffs / q, ex.rzeros(q)))
+    flat = Subspace(ex.block_diag(ex.rzeros((m, 0)), ex.reye(q)))
     return _verified(L, Metric(gram), theta, flat)
+
+
+def _check_blocks(A: np.ndarray, Bs: dict):
+    """The input check shared by :func:`almab_lcp` and :func:`flag_lcp`:
+    A and every named block B square, the B of one size, tr(A) != 0 and
+    every B skew-symmetric."""
+    p, q = A.shape[0], next(iter(Bs.values())).shape[0]
+    if A.shape != (p, p) or any(B.shape != (q, q) for B in Bs.values()):
+        raise DimensionMismatch(f"{' and '.join(['A', *Bs])} must be square")
+    if sum(A[i, i] for i in range(p)) == 0:
+        raise TraceZero("tr(A) must be nonzero")
+    if not all(_is_skew(B) for B in Bs.values()):
+        raise NotSkew(f"{', '.join(Bs)} must be skew-symmetric")
+
+
+def _line_lcp(M: np.ndarray, Bs: list, h_metric: Optional[Metric] = None) -> LCPStructure:
+    """:func:`semidirect_lcp` of h = R b |x_M R^r (ad_b acting as M on
+    R^r), with beta sending b, e_1, ... to the blocks Bs and the rest of
+    the basis to zero."""
+    r, q = M.shape[0], Bs[0].shape[0]
+    h = LieAlgebra(_semidirect_c(ex.rzeros((1, 1, 1)), M.reshape(1, r, r)))
+    hm = h_metric if h_metric is not None else Metric.identity(1 + r)
+    beta = list(Bs) + [ex.rzeros((q, q))] * (1 + r - len(Bs))
+    return semidirect_lcp(h, hm, OrthoRep.from_matrices(q, beta))
 
 
 def almab_lcp(A, B, h_metric: Optional[Metric] = None) -> LCPStructure:
     """Almost abelian structure: R b |x (R^p + R^q) with ad_b acting as
     blockdiag(A, B - tr(A)/q Id) and theta = -(1/q) tr(A) b*."""
-    A = _as_rmat(A)
-    B = _as_rmat(B)
-    p, q = A.shape[0], B.shape[0]
-    if A.shape != (p, p) or B.shape != (q, q):
-        raise DimensionMismatch("A and B must be square")
-    tr_a = sum(A[i, i] for i in range(p))
-    if tr_a == 0:
-        raise TraceZero("tr(A) must be nonzero")
-    if not _is_skew(B):
-        raise NotSkew("B must be skew-symmetric")
-    h = LieAlgebra.from_brackets(
-        1 + p,
-        {(0, 1 + j): np.concatenate([ex.rzeros(1), A[:, j]]) for j in range(p)},
-    )
-    hm = h_metric if h_metric is not None else Metric.identity(1 + p)
-    beta_mats = [B] + [ex.rzeros((q, q))] * p
-    return semidirect_lcp(h, hm, OrthoRep.from_matrices(q, beta_mats))
+    A, B = _as_rmat(A), _as_rmat(B)
+    _check_blocks(A, {"B": B})
+    return _line_lcp(A, [B], h_metric)
 
 
 def flag_lcp(A, B1, B2, v) -> LCPStructure:
     """Non-almost-abelian structure on R b |x (R y + R^p) |x R^q with
     [b, y] = v, ad_b = blockdiag(A, B1 - tr(A)/q Id), ad_y|R^q = B2."""
-    A = _as_rmat(A)
-    B1 = _as_rmat(B1)
-    B2 = _as_rmat(B2)
-    v = ex.rvec(v) if not isinstance(v, np.ndarray) else v
-    p, q = A.shape[0], B1.shape[0]
-    if B2.shape != (q, q):
+    A, B1, B2 = _as_rmat(A), _as_rmat(B1), _as_rmat(B2)
+    v = ex.rvec(v)
+    if B2.shape != (B1.shape[0],) * 2:
         raise DimensionMismatch("B1 and B2 must have the same size")
-    if v.shape[0] != p:
+    if v.shape[0] != A.shape[0]:
         raise DimensionMismatch("v must lie in R^p")
-    tr_a = sum(A[i, i] for i in range(p))
-    if tr_a == 0:
-        raise TraceZero("tr(A) must be nonzero")
-    if not (_is_skew(B1) and _is_skew(B2)):
-        raise NotSkew("B1, B2 must be skew-symmetric")
+    _check_blocks(A, {"B1": B1, "B2": B2})
     if ex.is_zero(B2):
         raise B2Zero("B2 must be nonzero")
     if not ex.is_zero(ex.dot(B1, B2) - ex.dot(B2, B1)):
         raise NonCommutingPair("[B1, B2] must vanish")
-    # h basis: b, y, x_1..x_p
-    brackets = {(0, 1): np.concatenate([ex.rzeros(2), v])}
-    for j in range(p):
-        brackets[(0, 2 + j)] = np.concatenate([ex.rzeros(2), A[:, j]])
-    h = LieAlgebra.from_brackets(2 + p, brackets)
-    beta_mats = [B1, B2] + [ex.rzeros((q, q))] * p
-    return semidirect_lcp(h, Metric.identity(2 + p), OrthoRep.from_matrices(q, beta_mats))
+    # ad_b on the basis y, x_1..x_p of R y + R^p
+    M = ex.block_diag(ex.rzeros((1, 1)), A)
+    M[1:, 0] = v
+    return _line_lcp(M, [B1, B2])
 
 
 def direct_product(S: LCPStructure, k: LieAlgebra, k_metric: Metric) -> LCPStructure:
@@ -202,15 +203,10 @@ def direct_product(S: LCPStructure, k: LieAlgebra, k_metric: Metric) -> LCPStruc
         raise NotAdapted("direct products require an adapted structure")
     if k.dim == 0:
         return S
-    n = S.algebra.dim
     L = S.algebra.direct_sum(k)
-    gram = ex.rzeros((L.dim, L.dim))
-    gram[:n, :n] = S.metric.gram
-    gram[n:, n:] = k_metric.gram
-    theta = OneForm(np.concatenate([S.theta.coeffs, ex.rzeros(k.dim)]))
-    flat = Subspace(
-        np.concatenate([S.flat.basis, ex.rzeros((k.dim, S.flat.dim))], axis=0)
-    )
+    gram = ex.block_diag(S.metric.gram, k_metric.gram)
+    theta = OneForm(ex.block_diag(S.theta.coeffs, ex.rzeros(k.dim)))
+    flat = Subspace(ex.block_diag(S.flat.basis, ex.rzeros((k.dim, 0))))
     return _verified(L, Metric(gram), theta, flat)
 
 
@@ -227,11 +223,8 @@ def amalgamated_product(S1: LCPStructure, S2: LCPStructure) -> LCPStructure:
             raise ZeroLeeForm("both factors need a nonzero Lee form")
         if not s.is_adapted():
             raise NotAdapted("amalgamated products require adapted factors")
-    n1, n2 = S1.algebra.dim, S2.algebra.dim
     L12 = S1.algebra.direct_sum(S2.algebra)
-    gram12 = ex.rzeros((n1 + n2, n1 + n2))
-    gram12[:n1, :n1] = S1.metric.gram
-    gram12[n1:, n1:] = S2.metric.gram
+    gram12 = ex.block_diag(S1.metric.gram, S2.metric.gram)
     t1s = S1.metric.sharp(S1.theta)
     t2s = S2.metric.sharp(S2.theta)
     n1sq = S1.theta(t1s)
@@ -239,25 +232,11 @@ def amalgamated_product(S1: LCPStructure, S2: LCPStructure) -> LCPStructure:
     v = np.concatenate([n2sq * t1s, n1sq * t2s])
     k1 = ex.nullspace(S1.theta.coeffs.reshape(1, -1))
     k2 = ex.nullspace(S2.theta.coeffs.reshape(1, -1))
-    basis = np.concatenate(
-        [
-            v.reshape(-1, 1),
-            np.concatenate([k1, ex.rzeros((n2, k1.shape[1]))], axis=0),
-            np.concatenate([ex.rzeros((n1, k2.shape[1])), k2], axis=0),
-        ],
-        axis=1,
-    )
+    basis = np.concatenate([v.reshape(-1, 1), ex.block_diag(k1, k2)], axis=1)
     L = L12.restrict(basis)
     gram = ex.dot(basis.T, ex.dot(gram12, basis))
-    theta = OneForm(ex.dot(np.concatenate([S1.theta.coeffs, ex.rzeros(n2)]), basis))
-    u12 = np.concatenate(
-        [
-            np.concatenate([S1.flat.basis, ex.rzeros((n2, S1.flat.dim))], axis=0),
-            np.concatenate([ex.rzeros((n1, S2.flat.dim)), S2.flat.basis], axis=0),
-        ],
-        axis=1,
-    )
-    flat_coords = ex.solve(basis, u12)
+    theta = OneForm(ex.dot(ex.block_diag(S1.theta.coeffs, ex.rzeros(S2.algebra.dim)), basis))
+    flat_coords = ex.solve(basis, ex.block_diag(S1.flat.basis, S2.flat.basis))
     if flat_coords is None:
         raise LcpError("flat space does not lie in the kernel")  # cannot happen
     return _verified(L, Metric(gram), theta, Subspace(flat_coords))

@@ -258,10 +258,6 @@ class LCPStructure:
     def verify(self) -> VerificationReport:
         return verify_lcp(self.algebra, self.metric, self.theta, self.flat)
 
-    @classmethod
-    def detected(cls, L: LieAlgebra, G: Metric, theta: OneForm) -> "LCPStructure":
-        return cls(L, G, theta, maximal_flat_parallel(L, G, theta))
-
 
 @dataclass(frozen=True)
 class StructuralAuditReport:

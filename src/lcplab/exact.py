@@ -112,6 +112,17 @@ def reye(n: int) -> np.ndarray:
     return m
 
 
+def block_diag(a, b) -> np.ndarray:
+    """The array with ``a`` in its leading corner, ``b`` in its trailing
+    one and :data:`ZERO` elsewhere, for arrays of one ndim: two vectors
+    concatenated, the block diagonal matrix of two matrices, the direct
+    sum of two tables of structure constants."""
+    out = rzeros(tuple(map(int.__add__, a.shape, b.shape)))
+    out[tuple(map(slice, a.shape))] = a
+    out[tuple(map(slice, a.shape, out.shape))] = b
+    return out
+
+
 def is_zero(a) -> bool:
     return all(x == 0 for x in np.asarray(a, dtype=object).flat)
 

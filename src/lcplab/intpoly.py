@@ -16,12 +16,14 @@ from .errors import DimensionMismatch
 
 @dataclass(frozen=True)
 class IntPoly:
-    """Integer polynomial; coeffs by descending degree, no leading zeros."""
+    """Integer polynomial; coeffs by descending degree, no leading zeros.
+    Coefficients may be any numbers of integral value; any other raises
+    TypeError."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+        c = tuple(_integral(x) for x in self.coeffs)
         while len(c) > 1 and c[0] == 0:
             c = c[1:]
         object.__setattr__(self, "coeffs", c)

@@ -393,8 +393,11 @@ def _eigen_ratios(mat: np.ndarray) -> Optional[tuple]:
     return tuple(sorted(r / ref for r in roots))
 
 
-def fingerprint(L: LieAlgebra, G: Optional[Metric] = None) -> Fingerprint:
-    G = G or Metric.identity(L.dim)
+def fingerprint(L: LieAlgebra) -> Fingerprint:
+    """Isomorphism invariants of L.  No metric enters: for k in the
+    abelian ideal ad_{b+k} = ad_b on it, so a metric only rescales the
+    ad-matrix of the almost abelian presentation, and the ratios of its
+    eigenvalues do not change."""
     ds = L.derived_series()
     lcs = L.lower_central_series()
     max_nil = 0
@@ -404,7 +407,7 @@ def fingerprint(L: LieAlgebra, G: Optional[Metric] = None) -> Fingerprint:
         sub = L.restrict(term.basis)
         if sub.is_nilpotent():
             max_nil = max(max_nil, term.dim)
-    pres = almost_abelian_presentation(L, G)
+    pres = almost_abelian_presentation(L, Metric.identity(L.dim))
     return Fingerprint(
         dim=L.dim,
         derived_dims=tuple(t.dim for t in ds),

@@ -90,6 +90,32 @@ def test_verify_explicit_flat_failure(tmp_path):
     assert "verification: FAIL" in out.stdout
 
 
+# an almost abelian structure whose maximal flat is span(e3, e4)
+HALVES = """dim 4
+bracket 1 2 : 0 1 0 0
+bracket 1 3 : 0 0 -1/2 0
+bracket 1 4 : 0 0 0 -1/2
+theta : -1/2 0 0 0
+"""
+
+
+def test_verify_reads_the_flat_directive(tmp_path):
+    # a line inside the maximal flat is verified as given, not replaced
+    p = tmp_path / "line.lcp"
+    p.write_text(HALVES + "flat : 0 0 1 0\n")
+    out = run_cli("verify", "--input", str(p))
+    assert out.returncode == 0
+    assert "verification: pass" in out.stdout and "flat_dim=1" in out.stdout
+    p.write_text(HALVES)
+    assert "flat_dim=2" in run_cli("verify", "--input", str(p)).stdout
+
+
+def test_verify_without_theta_exit_code(tmp_path):
+    p = tmp_path / "no_theta.lcp"
+    p.write_text(HALVES.replace("theta : -1/2 0 0 0\n", ""))
+    assert_input_error(run_cli("verify", "--input", str(p)), "theta")
+
+
 def test_construct_error_exit_code(tmp_path):
     p = tmp_path / "tz.lcp"
     p.write_text("dim 1\nblock A : 0\nblock B : 0\n")
@@ -122,6 +148,8 @@ def test_bad_t_range_exit_code(e11_doc, spec):
 
 
 NO_BLOCK_A = "dim 1\nblock B : 0 -1 ; 1 0\n"
+# construct flag with one block of the wrong shape
+FLAG = "dim 1\nblock A : {}\nblock B1 : {}\nblock B2 : 0 -1 ; 1 0\n"
 # a non-unimodular h for construct semidirect, with the size q of R^q
 SEMIDIRECT_Q = "dim 2\nbracket 1 2 : 0 1\nscalar q {}\n"
 
@@ -131,6 +159,9 @@ SEMIDIRECT_Q = "dim 2\nbracket 1 2 : 0 1\nscalar q {}\n"
     [
         (NO_BLOCK_A, ["construct", "almab"], ["block 'A'"]),
         (NO_BLOCK_A, ["construct", "flag"], ["block 'A'"]),
+        (FLAG.format("1 0 ; 0 1 ; 0 0", "0 0 ; 0 0"), ["construct", "flag"], ["DimensionMismatch"]),
+        (FLAG.format("1 0 0 ; 0 1 0", "0 0 ; 0 0"), ["construct", "flag"], ["DimensionMismatch"]),
+        (FLAG.format("2", "0 0 0 ; 0 0 0"), ["construct", "flag"], ["DimensionMismatch"]),
         (E11, ["construct", "modify", "--lam", "abc"], ["--lam"]),
         (SEMIDIRECT_Q.format("0"), ["construct", "semidirect"], ["scalar q"]),
         (SEMIDIRECT_Q.format("-2"), ["construct", "semidirect"], ["scalar q"]),
@@ -139,7 +170,10 @@ SEMIDIRECT_Q = "dim 2\nbracket 1 2 : 0 1\nscalar q {}\n"
         (E11, ["lattice", "certify", "--t0", "0.96", "--poly", ","], ["--poly"]),
         (E11, ["lattice", "certify", "--t0", "nan", "--poly", "1,-3,1"], ["--t0"]),
     ],
-    ids=["almab-no-A", "flag-no-A", "lam-abc", "q-0", "q-neg", "q-3/2", "poly-x", "poly-comma", "t0-nan"],
+    ids=[
+        "almab-no-A", "flag-no-A", "flag-A-3x2", "flag-A-2x3", "flag-B1-2x3", "lam-abc",
+        "q-0", "q-neg", "q-3/2", "poly-x", "poly-comma", "t0-nan",
+    ],
 )
 def test_malformed_values_exit_code(tmp_path, doc, args, words):
     p = tmp_path / "doc.lcp"

@@ -256,8 +256,8 @@ def test_one_weyl_connection_per_structure(monkeypatch):
 
 
 def test_one_flat_search_per_structure(monkeypatch):
-    # classify, the flat search and detection of one (L, G, theta) share
-    # one search, also through an equal metric and form built separately
+    # classify and the flat search of one (L, G, theta) share one search,
+    # also through an equal metric and form built separately
     calls = []
     search = detect._flat_search
     monkeypatch.setattr(detect, "_flat_search", lambda *args: calls.append(args) or search(*args))
@@ -267,7 +267,7 @@ def test_one_flat_search_per_structure(monkeypatch):
     flat = maximal_flat_parallel(L, G, theta)
     G2 = Metric(ex.rmat([[str(x) for x in row] for row in G.gram]))
     theta2 = OneForm([str(x) for x in theta.coeffs])
-    assert cls.flat is flat is LCPStructure.detected(L, G2, theta2).flat
+    assert cls.flat is flat is maximal_flat_parallel(L, G2, theta2)
     assert flat.contains_space(s.flat) and len(calls) == 1
     # another metric is another search
     maximal_flat_parallel(L, G.scaled(2), theta)

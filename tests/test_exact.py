@@ -309,3 +309,29 @@ def test_solve_inconsistent():
     assert ex.solve(a, ex.rvec([1, 2])) is None
     x = ex.solve(a, ex.rvec([1, 1]))
     assert x[0] == 1
+
+
+def ref_block_diag(a, b):
+    """``a`` and ``b`` on the diagonal of a zero array, entry by entry."""
+    out = ex.rzeros(tuple(i + j for i, j in zip(a.shape, b.shape)))
+    for idx in np.ndindex(a.shape):
+        out[idx] = a[idx]
+    for idx in np.ndindex(b.shape):
+        out[tuple(i + k for i, k in zip(idx, a.shape))] = b[idx]
+    return out
+
+
+def test_block_diag_matches_entry_by_entry_reference():
+    rng = np.random.default_rng(5)
+    for ndim in (1, 2, 3):
+        for _ in range(8):
+            a, b = (ex.rzeros(tuple(int(k) for k in rng.integers(0, 4, ndim))) for _ in range(2))
+            for m in (a, b):
+                nums = rng.integers((-3, 1), (4, 4), (m.size, 2))
+                m.ravel()[:] = [F(int(x), int(d)) for x, d in nums]
+            got = ex.block_diag(a, b)
+            want = ref_block_diag(a, b)
+            assert got.shape == want.shape and got.tolist() == want.tolist()
+            assert all(type(x) is F for x in got.flat)
+    # a zero-width block adds rows (or columns) of zeros only
+    assert ex.block_diag(ex.reye(2), ex.rzeros((1, 0))).tolist() == [[1, 0], [0, 1], [0, 0]]

@@ -57,6 +57,16 @@ def test_non_integral_entries_are_rejected():
         assert int_det(a) == 6
 
 
+
+def test_intpoly_rejects_non_integral_coefficients():
+    # truncating would turn 1 + 2.5x - 0.9x^2 into (1, 2, 0)
+    for coeffs in ((1, 2.5, -0.9), (1, F(1, 2)), (1, 0.5)):
+        with pytest.raises(TypeError):
+            IntPoly(coeffs)
+    # integral values of any number type are integers, and stay Python ints
+    p = IntPoly((np.int64(0), np.int64(1), 2.0, F(-3)))
+    assert p.coeffs == (1, 2, -3) and all(type(c) is int for c in p.coeffs)
+
 def ref_charpoly(rows):
     """Faddeev-LeVerrier with a ``Fraction`` per entry operation."""
     n = len(rows)
