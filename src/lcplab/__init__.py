@@ -63,56 +63,9 @@ from .lowdim import (
 )
 from .weyl import Connection, Curvature, curvature, levi_civita, weyl_connection, weyl_geometry
 
-__all__ = [
-    "AlmostAbelianPresentation",
-    "AuditReport",
-    "Connection",
-    "Curvature",
-    "Fingerprint",
-    "LCPClass",
-    "LCPStructure",
-    "LatticeWitness",
-    "LieAlgebra",
-    "Metric",
-    "NoLatticeCertificate",
-    "OneForm",
-    "OrthoRep",
-    "Subspace",
-    "VerificationReport",
-    "almab_lcp",
-    "almost_abelian_presentation",
-    "amalgam_lattice",
-    "amalgamated_product",
-    "audit_algebra",
-    "bracket",
-    "certify_witness",
-    "check_isomorphism_witness",
-    "classify",
-    "curvature",
-    "decompose",
-    "direct_product",
-    "e11_lattice",
-    "exp_ad",
-    "fingerprint",
-    "flag_lcp",
-    "integer_charpoly_scan",
-    "is_closed",
-    "is_unimodular",
-    "lattice_verdict",
-    "levi_civita",
-    "maximal_flat_parallel",
-    "metric_modification",
-    "no_lattice_codim2",
-    "no_lattice_double_root",
-    "nonunimodular_4d",
-    "reproduce_tables",
-    "semidirect_lcp",
-    "structural_audit",
-    "subspace_predicates",
-    "table_algebra",
-    "trace_form",
-    "verify_lcp",
-    "verify_table",
-    "weyl_connection",
-    "weyl_geometry",
-]
+# everything imported above, and no submodule
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and type(value).__name__ != "module"
+)

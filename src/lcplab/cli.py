@@ -221,7 +221,7 @@ def cmd_lattice(args) -> int:
             structure=structure,
         )
         payload = verdict.as_dict()
-        if args.format == "machine":  # the fingerprint imports sympy
+        if args.format == "machine":
             payload["input_fingerprint"] = fingerprint(L).as_dict()
         lines = [f"status: {verdict.status}"]
         for w in verdict.witnesses:

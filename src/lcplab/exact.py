@@ -447,19 +447,3 @@ def charpoly(a: np.ndarray) -> list:
     ints, d = scaled(a)
     return [Fraction(c, d**k) for k, c in enumerate(int_charpoly_coeffs(ints))]
 
-
-def rational_roots(coeffs) -> list:
-    """Rational roots (with multiplicity) of a polynomial given by
-    descending-degree Fraction coefficients."""
-    import sympy  # imported here: it is slow to import and rarely needed
-
-    coeffs = [rat(c) for c in coeffs]
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    if len(coeffs) <= 1:
-        return []
-    poly = sympy.Poly.from_list(coeffs, sympy.Symbol("x"), domain=sympy.QQ)
-    roots = []
-    for r, mult in poly.ground_roots().items():
-        roots += [Fraction(int(r.p), int(r.q))] * mult
-    return sorted(roots)

@@ -1,12 +1,14 @@
-"""Integer polynomials, integer companion matrices and characteristic
-polynomials.
+"""Integer polynomials, integer companion matrices, characteristic
+polynomials and their exact spectra.
 
 Polynomials are stored by descending-degree integer coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -37,10 +39,7 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        acc = 0
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def constant_term(self) -> int:
         return self.coeffs[-1]
@@ -64,6 +63,13 @@ class IntPoly:
                     terms.append(f"{c:+d}{xs}")
         s = " ".join(terms) if terms else "0"
         return s.lstrip("+").replace("+", "+ ").replace("-", "- ").strip()
+
+
+def _horner(p, x):
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
 
 
 def companion(p: IntPoly) -> np.ndarray:
@@ -100,3 +106,124 @@ def int_charpoly(a: np.ndarray) -> IntPoly:
     integral value; any other entry raises TypeError."""
     ints = np.array([[_integral(x) for x in row] for row in a], dtype=object)
     return IntPoly(tuple(ex.int_charpoly_coeffs(ints)))
+
+
+@dataclass(frozen=True)
+class IntSpectrum:
+    """What :func:`int_spectrum` finds of p: gcd(p, p') (primitive,
+    positive lead), the number of distinct real roots, and the integer
+    roots as ``(k, multiplicity in p)`` by increasing k."""
+
+    degree: int
+    repeated: tuple
+    real_roots: int
+    integer_roots: tuple
+
+    @property
+    def all_real(self) -> bool:
+        # p / gcd(p, p') has each distinct root of p once
+        return self.real_roots == self.degree + 1 - len(self.repeated)
+
+    def integer_eigenvalues(self) -> Optional[list]:
+        """Every root with its multiplicity, when all are integers."""
+        ks = [k for k, m in self.integer_roots for _ in range(m)]
+        return ks if len(ks) == self.degree else None
+
+
+def _divmod(a: list, b: list) -> tuple:
+    """Quotient and remainder of a by b when the quotient has integer
+    coefficients (b monic, b dividing a, or a pseudo-division)."""
+    q = []
+    while len(a) >= len(b):
+        q.append(a[0] // b[0])
+        a = [x - q[-1] * y for x, y in zip(a[1:], b[1:])] + a[len(b) :]
+    return q, a
+
+
+def _primitive(a: list) -> list:
+    """a without leading zeros, divided by its content."""
+    while a and a[0] == 0:
+        a = a[1:]
+    g = math.gcd(*a) or 1
+    return [x // g for x in a]
+
+
+def _guesses(r: list, c: int) -> set:
+    """Integers near the real parts of the roots of r, from the float
+    roots of t = r(x + c), which moves a cluster of roots near c to 0.
+    Past the float range the roots of t(2^e y) are taken, with 2^e past
+    max |t_i / t_0|^(1/i): then |y| < 2 (Fujiwara's bound)."""
+    t = list(r)
+    for i in range(len(t) - 1):  # Taylor shift by repeated synthetic division
+        for j in range(1, len(t) - i):
+            t[j] += c * t[j - 1]
+    try:
+        coeffs, e = [float(a) for a in t], 0
+    except OverflowError:
+        lead = abs(t[0]).bit_length()
+        e = max(0, *((abs(a).bit_length() - lead + i) // i for i, a in enumerate(t[1:], 1)))
+        coeffs = [a / (t[0] << (e * i)) for i, a in enumerate(t)]
+    xs = (math.ldexp(float(y.real), e) for y in np.roots(coeffs))
+    return {c + round(x) for x in xs if math.isfinite(x)}
+
+
+def _newton(r: list, guesses) -> set:
+    """The integer roots of r that up to 100 integer Newton steps reach
+    from the guesses, confirmed exactly; near a simple root each step is
+    x - root up to a quadratic term, and a step rounding to 0 stops."""
+    dr = [x * (len(r) - 1 - i) for i, x in enumerate(r[:-1])]
+    found = set()
+    for x in guesses:
+        for _ in range(100):
+            v, dv = _horner(r, x), _horner(dr, x)
+            if v == 0:
+                found.add(x)
+            step = (2 * v + dv) // (2 * dv) if v and dv else 0
+            if step == 0:
+                break
+            x -= step
+    return found
+
+
+def int_spectrum(p) -> IntSpectrum:
+    """The exact spectrum of an integer polynomial p (descending
+    coefficients).  The Euclid/Sturm chain p, p', -rem, ..., on primitive
+    pseudo-remainders with positive multipliers, ends at g = gcd(p, p'),
+    and its sign changes at -inf and +inf differ by the number of distinct
+    real roots.  Floats only propose roots of the square-free part p / g,
+    which are simple; each is confirmed exactly and divided out, and the
+    rest proposed again while a round finds one.  A missed proposal makes
+    callers that need every root decline; no listed root is wrong."""
+    p = [_integral(x) for x in p]
+    n = len(p) - 1
+    if n == 0:
+        return IntSpectrum(0, (1,), 0, ())
+    chain = [p, _primitive([x * (n - i) for i, x in enumerate(p[:-1])])]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2:]
+        r = _primitive(_divmod([x * abs(b[0]) ** (len(a) - len(b) + 1) for x in a], b)[1])
+        if not r:
+            break
+        chain.append([-x for x in r])
+    g = chain[-1] if chain[-1][0] > 0 else [-x for x in chain[-1]]
+
+    def sign_changes(x):  # along the chain at x = +inf (1) or -inf (-1)
+        s = [q[0] * x ** (len(q) - 1) > 0 for q in chain]
+        return sum(a != b for a, b in zip(s, s[1:]))
+
+    real = sign_changes(-1) - sign_changes(1)
+    roots, rest = set(), _divmod(p, g)[0] if len(g) > 1 else p
+    while len(roots) < real:
+        new = _newton(rest, _guesses(rest, -rest[1] // ((len(rest) - 1) * rest[0])))
+        roots |= new
+        if not new or len(roots) == real:
+            break
+        for k in new:
+            rest = _divmod(rest, [1, -k])[0]
+    mults = []
+    for k in sorted(roots):  # one more time in p than in g
+        q, r, m = g, [0], 0
+        while not any(r):
+            (q, r), m = _divmod(q, [1, -k]), m + 1
+        mults.append((k, m))
+    return IntSpectrum(n, tuple(g), real, tuple(mults))

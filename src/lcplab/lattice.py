@@ -4,34 +4,32 @@ A unimodular almost abelian group R |x_rho R^{n-1} has a lattice iff
 some rho(t0) = exp(t0 ad_b) is conjugate to an integer unimodular
 matrix.  The search side has two paths:
 
-* exact, for a rational C whose spectrum is rational and real: a lattice
-  exists iff the Jordan types of C at lam and -lam agree (Bock16 with
-  Gelfond-Schneider), and then the witnesses are exactly
+* exact, for a rational C whose spectrum is rational and real (read from
+  the exact spectrum of its integer form, ``intpoly.int_spectrum``): a
+  lattice exists iff the Jordan types of C at lam and -lam agree (Bock16
+  with Gelfond-Schneider), and then the witnesses are exactly
   t = +-arccosh(m/2) / lam0 for the integers m >= 3, lam0 the smallest
-  positive eigenvalue ratio.  Each is listed with the Frobenius form of
-  the invariant factors of exp(t0 C), which are known from the Jordan
-  types of C, up to MAX_LISTED_WITNESSES in the t-range; the search is
-  complete by trace level and uses no float tolerance;
+  positive eigenvalue ratio, each listed with the Frobenius form of the
+  invariant factors of exp(t0 C), up to MAX_LISTED_WITNESSES in the
+  t-range; complete by trace level, with no float tolerance;
 * the scan, for everything else (float input, complex or irrational
-  spectra, nilpotent C, longer lists): it scans t for
-  integer characteristic polynomials and certifies candidates through
+  spectra, nilpotent C, longer lists): it scans t for integer
+  characteristic polynomials and certifies candidates through
   companion-matrix conjugacy (sound but sufficient-only: it needs a
   non-derogatory exponential; block-diagonal inputs fall back to
   blockwise certification).  A witness the grid does not flag is
   missing from its result.  Refinement skips a flag whose coefficients
   stay past 2^53 and stops a bracket once a Lipschitz bound keeps its
-  integer defect above SCAN_TOL: both results would be dropped, so
-  neither bound changes a candidate.
+  integer defect above SCAN_TOL: neither changes a candidate.
 
-One plan per verdict (``_Plan``) holds the float matrix and its spectra,
-so each spectrum of C is computed once per verdict.
+One plan per verdict (``_Plan``) computes each spectrum of C once.
 
 The no-lattice side implements two certificate rules:
 
 * double_root: all eigenvalues of ad_b real with exactly one multiple
   root, which is nonzero (then no power of the exponential can have an
-  integer characteristic polynomial); proposed in floats and, for
-  rational input, confirmed exactly;
+  integer characteristic polynomial); read from the exact spectrum for
+  rational input, from clustered float eigenvalues otherwise;
 * codim2_highdim: a verified LCP structure of flat codimension 2 in
   dimension >= 5;
 
@@ -60,7 +58,7 @@ from .errors import (
     NonTraceFree,
     PreconditionViolated,
 )
-from .intpoly import IntPoly, companion, int_charpoly
+from .intpoly import IntPoly, IntSpectrum, companion, int_charpoly, int_spectrum
 
 MAX_SPECTRAL = 50.0
 # the witness scan (see integer_charpoly_scan)
@@ -72,7 +70,7 @@ GOLDEN_ITERS = 130
 MAX_SCAN_POINTS = 10**6
 # residual bound max|Q exp(t0 C) Q^-1 - Z| of a certified witness
 CERTIFY_TOL = 1e-8
-# eigenvalue clustering of the double-root rule (see no_lattice_double_root)
+# eigenvalue clustering of the double-root rule on float input
 DOUBLE_ROOT_TOL = 1e-8
 # most witnesses the exact step lists; past it the scan runs
 MAX_LISTED_WITNESSES = 10**4
@@ -404,14 +402,12 @@ def _blocks_of(c: np.ndarray) -> list:
 
 
 class _Plan:
-    """What one verdict computes once about C: the float matrix, its
-    eigenvalues from the real-matrix solver (the double-root rule and the
-    spectral radius, so the t-range clamp and every envelope check) and
-    from the complex one (the scan), its invariant components, and per
-    group of indices its sub-matrix, spectrum and spectral radius, each
-    made on first use.  The public steps of a verdict take the plan in
-    place of C, so each spectrum is computed once per verdict, by the
-    LAPACK call that step would make on C.  Block certifications are kept too:
+    """What one verdict computes once about C, each on first use: the
+    float matrix, its eigenvalues from the real-matrix solver (spectral
+    radius, double-root rule on float input) and from the complex one
+    (the scan), for exact C its integer form and exact spectrum, its
+    invariant components, and per group of indices its sub-matrix,
+    spectrum and spectral radius.  Block certifications are kept too:
     ``expm`` is a function of its argument, so the Z and Q that
     ``certify_witness`` finds for a block depend only on t0 sub and the
     polynomial (``seed`` is the plan's), and a block whose t0 sub
@@ -435,6 +431,21 @@ class _Plan:
     @cached_property
     def spectrum(self) -> np.ndarray:
         return kernels.spectrum(self.a)
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """``(ints, d)`` with C = ints / d, for exact C."""
+        return ex.scaled(self.c)
+
+    @cached_property
+    def int_spectrum(self) -> Optional[IntSpectrum]:
+        """The exact spectrum of ints = d C, for exact C with
+        tr(ints^2) > 0: on a real spectrum tr(ints^2) = sum k^2, 0 only
+        for nilpotent C, which both readers decline too."""
+        ints = self.scaled[0] if _is_exact(self.c) else None
+        if ints is None or (ints * ints.T).sum() <= 0:
+            return None
+        return int_spectrum(ex.int_charpoly_coeffs(ints))
 
     @cached_property
     def components(self) -> list:
@@ -510,44 +521,18 @@ def certify_witness_blocked(c, t0: float, seed: int = 0, m=None):
     return _witness_from_conjugacy(t0, m, z, q)
 
 
-def _integer_eigenvalues(ints) -> Optional[list]:
-    """The eigenvalues of an integer matrix with multiplicity, when every
-    one is an integer: the float eigenvalues rounded, and accepted only
-    if exact synthetic division of the integer characteristic polynomial
-    by x - k, once per k, leaves 1.  When it does, the eigenvalues are the
-    ks, so tr(ints^2) = sum k^2: a matrix that fails this (a complex
-    spectrum, say) is declined before its polynomial is built."""
-    try:
-        ev = np.linalg.eigvals(ex.to_float(ints)).real
-    except OverflowError:  # an entry past the float range
-        return None
-    if not np.isfinite(ev).all():
-        return None
-    ks = sorted(int(round(x)) for x in ev)
-    if (ints * ints.T).sum() != sum(k * k for k in ks):
-        return None
-    p = ex.int_charpoly_coeffs(ints)
-    for k in ks:
-        q = [p[0]]
-        for x in p[1:]:
-            q.append(x + k * q[-1])
-        if q.pop():
-            return None
-        p = q
-    return ks
-
-
-def _jordan_types(ints, ks: list) -> dict:
-    """The Jordan block sizes of the integer matrix at each distinct
-    eigenvalue k of ``ks``, largest first.  With r_j = rank (ints - k)^j,
-    r_(j-1) - r_j blocks have size >= j; j runs until r_j = n - (the
-    multiplicity of k), which takes at most that multiplicity steps."""
+def _jordan_types(ints, roots) -> dict:
+    """The Jordan block sizes of the integer matrix at each eigenvalue k
+    of ``roots`` (pairs ``(k, multiplicity)``), largest first.  With
+    r_j = rank (ints - k)^j, r_(j-1) - r_j blocks have size >= j; j runs
+    until r_j = n - (the multiplicity of k), which takes at most that
+    multiplicity steps."""
     n = ints.shape[0]
     eye = np.eye(n, dtype=int).astype(object)
     types = {}
-    for k in set(ks):
+    for k, mult in roots:
         shifted, power, ranks = ints - k * eye, eye, [n]
-        while ranks[-1] > n - ks.count(k):
+        while ranks[-1] > n - mult:
             power = shifted.dot(power)
             ranks.append(ex.rank(power))
         at_least = [a - b for a, b in zip(ranks, ranks[1:])]
@@ -602,12 +587,11 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     rational C whose spectrum is rational and real; None where the step
     does not apply and the scan decides.
 
-    With C = ints / d, the eigenvalues of ints are integers k (rounded
-    float eigenvalues, confirmed by exact synthetic division).  Put
-    lam0 = gcd(k) / d.  A lattice exists iff the Jordan types of C at
-    lam and -lam agree for every lam (Bock16 with Gelfond-Schneider): if
-    they differ, the list is empty.  If they agree, the witnesses are
-    exactly t = +-arccosh(m/2) / lam0 for integers m >= 3.  exp(t0 C) has
+    With C = ints / d, the eigenvalues k of ints are the integer roots of
+    the plan's exact spectrum.  Put lam0 = gcd(k) / d.  A lattice exists
+    iff the Jordan types of C at lam and -lam agree for every lam (Bock16
+    with Gelfond-Schneider): if they differ, the list is empty; else the
+    witnesses are exactly t = +-arccosh(m/2) / lam0, m >= 3.  exp(t0 C) has
     the Jordan types of C, at 1 for k = 0 and at the roots of
     q_e = x^2 - L_e(m) x + 1 for k = +-e gcd(k), so its i-th invariant
     factor is (x - 1)^s_i(0) times q_e^s_i(e) over e > 0, s_i(e) the i-th
@@ -617,19 +601,16 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
 
     Declines (None) on a trace or spectrum the scan must judge (nonzero
     trace, non-integer or complex eigenvalues, nilpotent C) and past
-    MAX_LISTED_WITNESSES witnesses.  ``c`` is C or its plan."""
+    MAX_LISTED_WITNESSES.  ``c`` is C or its plan."""
     plan = _plan_of(c)
-    ints, d = ex.scaled(plan.c)
-    n = ints.shape[0]
-    if not 0 < n <= MAX_DIM or sum(ints[i, i] for i in range(n)) != 0:
+    spec = plan.int_spectrum
+    ks = spec.integer_eigenvalues() if spec else None
+    if ks is None or sum(ks) != 0 or len(ks) > MAX_DIM:
         return None
-    ks = _integer_eigenvalues(ints)
-    if ks is None:
-        return None
-    g = math.gcd(*ks)
-    if g == 0:
-        return None
-    types = _jordan_types(ints, ks)
+    ints, d = plan.scaled
+    n = len(ks)
+    g = math.gcd(*ks)  # sum k^2 = tr(ints^2) > 0, so g > 0
+    types = _jordan_types(ints, spec.integer_roots)
     if any(sizes != types.get(-k) for k, sizes in types.items()):
         return []
     lo, hi = _scanned_range(plan, t_range)
@@ -671,52 +652,6 @@ class NoLatticeCertificate:
         return {"rule": self.rule, "data": self.data, "reference": self.reference}
 
 
-def _poly_rem(a: list, b: list) -> list:
-    """Remainder of a by b (descending ``Fraction`` coefficients, b with a
-    nonzero leading one); the zero polynomial is []."""
-    a = list(a)
-    while len(a) >= len(b):
-        q = a[0] / b[0]
-        a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b) :]
-        while a and a[0] == 0:
-            a = a[1:]
-    return a
-
-
-def _double_root_exact(c) -> bool:
-    """The hypothesis of the double-root rule, decided exactly for a
-    rational C: every root of p = charpoly(C) is real and
-    gcd(p, p') = (x - lam)^k with k >= 1 and lam != 0.
-
-    One Euclidean chain p, p', -rem, ... gives both: it ends at
-    gcd(p, p'), and as a Sturm sequence its sign changes at -inf and
-    +inf differ by the number of distinct real roots, which must be
-    n - k."""
-    p = ex.charpoly(c)
-    n = len(p) - 1
-    chain = [p, [x * (n - i) for i, x in enumerate(p[:-1])]]
-    while True:
-        r = _poly_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-x for x in r])
-    g = chain[-1]
-    k = len(g) - 1
-    if k == 0:
-        return False
-
-    def sign_changes(signs):
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    at_pos = [q[0] > 0 for q in chain]
-    at_neg = [(q[0] > 0) == (len(q) % 2 == 1) for q in chain]
-    if sign_changes(at_neg) - sign_changes(at_pos) != n - k:
-        return False
-    g = [x / g[0] for x in g]
-    lam = -g[1] / k
-    return lam != 0 and g == [math.comb(k, i) * (-lam) ** i for i in range(k + 1)]
-
-
 def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     """Certificate when all eigenvalues of C are real and exactly one is
     multiple and nonzero: any integer characteristic polynomial of
@@ -724,37 +659,43 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     which is impossible for a monic integer polynomial with unit
     constant term.
 
-    The rule is proposed in floats: eigenvalues within
-    ``DOUBLE_ROOT_TOL`` of each other count as one root, and no caller
-    can widen that.  On exact input (int or ``Fraction`` entries) a
-    proposal becomes a certificate only once ``_double_root_exact``
-    confirms the hypothesis on the rational characteristic polynomial,
-    so there the verdict rests on no tolerance."""
+    Exact input (int or ``Fraction`` entries) is decided from the plan's
+    exact spectrum alone: every root real, and gcd(p, p') = (x - k)^j,
+    k != 0, that is, k is a root of multiplicity j + 1 = deg gcd + 1.
+    Float input is clustered: eigenvalues within ``DOUBLE_ROOT_TOL`` of
+    each other count as one root, and no caller can widen that."""
     plan = _plan_of(c)
     if plan.a.shape[0] == 0:
         return None
     ev = plan.eigenvalues
-    if np.max(np.abs(ev.imag)) > DOUBLE_ROOT_TOL:
+    if _is_exact(plan.c):
+        spec = plan.int_spectrum
+        if spec is None or not spec.all_real:
+            return None
+        j, d = len(spec.repeated) - 1, plan.scaled[1]
+        found = [(Fraction(k, d), m) for k, m in spec.integer_roots if k and m == j + 1 > 1]
+    elif np.max(np.abs(ev.imag)) > DOUBLE_ROOT_TOL:
         return None
-    ev = sorted(ev.real)
-    clusters = []
-    for lam in ev:
-        if clusters and abs(lam - clusters[-1][0]) <= DOUBLE_ROOT_TOL:
-            clusters[-1][1] += 1
-            clusters[-1][0] = (clusters[-1][0] * (clusters[-1][1] - 1) + lam) / clusters[-1][1]
-        else:
-            clusters.append([lam, 1])
-    multiple = [cl for cl in clusters if cl[1] >= 2]
-    if len(multiple) != 1 or abs(multiple[0][0]) <= DOUBLE_ROOT_TOL:
+    else:
+        found = []
+        for lam in sorted(ev.real):
+            if found and abs(lam - found[-1][0]) <= DOUBLE_ROOT_TOL:
+                mean, m = found[-1]
+                found[-1] = ((mean * m + lam) / (m + 1), m + 1)
+            else:
+                found.append((lam, 1))
+        found = [cl for cl in found if cl[1] >= 2]
+        if found and abs(found[0][0]) <= DOUBLE_ROOT_TOL:
+            return None
+    if len(found) != 1:
         return None
-    if _is_exact(plan.c) and not _double_root_exact(plan.c):
-        return None
+    root, mult = found[0]
     return NoLatticeCertificate(
         "double_root",
         data={
-            "eigenvalues": [float(x) for x in ev],
-            "multiple_root": float(multiple[0][0]),
-            "multiplicity": int(multiple[0][1]),
+            "eigenvalues": sorted(float(x) for x in ev.real),
+            "multiple_root": float(root),
+            "multiplicity": int(mult),
         },
     )
 
@@ -878,10 +819,8 @@ def lattice_verdict(
     rational real spectrum is then decided by trace level
     (``_exact_witnesses``); everything else goes to the scan.  There, an
     exact C that is derogatory has only derogatory exponentials, so its
-    candidates go straight to blockwise certification, and one
-    certification plan (``_Plan``) serves every candidate.  The plan is
-    made first and passed to each step in place of C, so the real and the
-    complex spectrum of C are each computed once per verdict."""
+    candidates go straight to blockwise certification.  One plan
+    (``_Plan``), passed to each step in place of C, serves the verdict."""
     plan = _Plan(c, seed)
     certs = []
     if cited is not None:
@@ -895,7 +834,7 @@ def lattice_verdict(
             certs.append(c2)
     if certs:
         return LatticeVerdict(label, (), tuple(certs), ())
-    listed = _exact_witnesses(plan, t_range) if _is_exact(c) else None
+    listed = _exact_witnesses(plan, t_range)
     if listed is not None:
         inconclusive = () if listed else (_scanned_range(plan, t_range),)
         return LatticeVerdict(label, tuple(listed), (), inconclusive)

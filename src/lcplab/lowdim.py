@@ -34,6 +34,7 @@ from .algebra import (
 from .detect import LCPStructure, classify, maximal_flat_parallel, structural_audit, verify_lcp
 from .errors import ParamOutOfRange, SingularMatrix, UnknownName
 from .fixtures import _params_str, witness_specs_from_fixtures
+from .intpoly import int_spectrum
 from .lattice import cited_certificate, lattice_verdict
 
 F = Fraction
@@ -380,17 +381,18 @@ class Fingerprint:
 
 
 def _eigen_ratios(mat: np.ndarray) -> Optional[tuple]:
-    k = mat.shape[0]
-    if k == 0:
+    """The eigenvalues over the one of largest modulus (positive on a
+    tie), sorted, or None unless all are rational; read from the integer
+    form d mat, since d cancels."""
+    if mat.shape[0] == 0:
         return ()
-    roots = ex.rational_roots(ex.charpoly(mat))
-    if len(roots) != k:
+    ks = int_spectrum(ex.int_charpoly_coeffs(ex.scaled(mat)[0])).integer_eigenvalues()
+    if ks is None:
         return None  # irrational or non-real spectrum: not comparable here
-    nonzero = [r for r in roots if r != 0]
-    if not nonzero:
-        return tuple(roots)
-    ref = max(nonzero, key=lambda r: (abs(r), r))
-    return tuple(sorted(r / ref for r in roots))
+    ref = max(ks, key=lambda k: (abs(k), k))
+    if ref == 0:
+        return tuple(Fraction(k) for k in ks)
+    return tuple(sorted(Fraction(k, ref) for k in ks))
 
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:

@@ -312,8 +312,7 @@ def test_fixture_dir_override(tmp_path):
 
 
 def test_import_does_not_load_sympy():
-    # sympy costs about half a second to import; lcplab imports it only
-    # inside the functions that use it
+    # sympy costs about half a second to import, and lcplab does not use it
     src = Path(__file__).parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", "import lcplab, sys; assert 'sympy' not in sys.modules"],
@@ -323,8 +322,6 @@ def test_import_does_not_load_sympy():
 
 
 def test_text_lattice_search_does_not_load_sympy(e11_doc):
-    # the input fingerprint, which imports sympy, is printed in machine
-    # format only
     src = Path(__file__).parent.parent / "src"
     code = (
         "import sys; from lcplab.cli import main; "
@@ -337,3 +334,21 @@ def test_text_lattice_search_does_not_load_sympy(e11_doc):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("status: yes")
+
+
+def test_machine_lattice_search_runs_without_sympy(e11_doc):
+    # the input fingerprint reads the exact spectrum of lcplab.intpoly;
+    # with sympy made unimportable the machine output still carries it
+    src = Path(__file__).parent.parent / "src"
+    code = (
+        "import sys; sys.modules['sympy'] = None; from lcplab.cli import main; "
+        f"sys.exit(main(['lattice', 'search', '--input', {e11_doc!r}, '--t-range', '0:2', "
+        "'--format', 'machine']))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.returncode == 0, out.stderr
+    fp = json.loads(out.stdout)["input_fingerprint"]
+    assert fp["almost_abelian"] and fp["ad_eigen_ratios"] == ["-1", "1"]

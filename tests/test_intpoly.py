@@ -1,14 +1,18 @@
-"""Integer polynomials and the integer characteristic polynomial.
+"""Integer polynomials, the integer characteristic polynomial and its
+exact spectrum.
 
 ``int_charpoly`` and ``int_det`` run Faddeev-LeVerrier on Python ints;
 they must agree with the ``Fraction`` Faddeev-LeVerrier and elimination
 kept below as references, and so must ``exact.charpoly`` on rationals.
+``int_spectrum`` must agree with sympy's integer roots and real-root
+count.
 """
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
@@ -18,6 +22,7 @@ from lcplab.intpoly import (
     companion,
     int_charpoly,
     int_det,
+    int_spectrum,
 )
 
 
@@ -153,3 +158,84 @@ def test_charpoly_of_companion_is_the_polynomial(tail):
 )
 def test_exact_charpoly_matches_fraction_reference(rows):
     assert ex.charpoly(ex.rmat(rows)) == ref_charpoly(rows)
+
+
+X = sympy.Symbol("x")
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def from_roots(roots, cofactor=(1,)):
+    p = list(cofactor)
+    for k in roots:
+        p = poly_mul(p, [1, -k])
+    return p
+
+
+def assert_matches_sympy(p):
+    spec = int_spectrum(p)
+    poly = sympy.Poly(p, X)
+    want = sorted((int(k), m) for k, m in poly.ground_roots().items())
+    assert list(spec.integer_roots) == want
+    assert spec.real_roots == len(sympy.Poly(poly.sqf_part(), X).real_roots())
+    gcd = sympy.Poly(sympy.gcd(poly, poly.diff(X)), X)
+    assert list(spec.repeated) == [int(c) for c in gcd.monic().all_coeffs()]
+    assert spec.all_real == (len(poly.real_roots()) == poly.degree())
+    ks = [k for k, m in want for _ in range(m)]
+    assert spec.integer_eigenvalues() == (ks if len(ks) == poly.degree() else None)
+
+
+@st.composite
+def planted_polynomials(draw):
+    """Monic integer polynomials of degree <= 16: planted integer roots
+    |k| <= 10^6, some repeated, times small random monic cofactors (mostly
+    irrational or complex roots)."""
+    roots = draw(st.lists(st.integers(-(10**6), 10**6), max_size=8))
+    if roots:
+        roots += draw(st.lists(st.sampled_from(roots), max_size=4))
+    cofactor = [1]
+    for _ in range(draw(st.integers(0, 3))):
+        cofactor = poly_mul(cofactor, [1] + draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)))
+    if len(roots) + len(cofactor) - 1 > 16:
+        roots = roots[:4]
+    return from_roots(roots, cofactor)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_polynomials())
+def test_int_spectrum_matches_sympy(p):
+    assert_matches_sympy(p)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        # 16 distinct roots near +-10^20: the coefficients pass the float range
+        [(-1) ** j * (10**20 + j * 10**18 + j * j) for j in range(16)],
+        # 8 double roots near 10^20: p passes the float range, s does not
+        [10**20 + j * 10**18 + 7 * j for j in range(8)] * 2,
+    ],
+    ids=["simple", "double"],
+)
+def test_int_spectrum_past_the_float_range(roots):
+    p = from_roots(roots)
+    with pytest.raises(OverflowError):
+        [float(c) for c in p]
+    assert_matches_sympy(p)
+    assert int_spectrum(p).integer_eigenvalues() == sorted(roots)
+
+
+def test_int_spectrum_cases():
+    # x^2 + 1: no real root; (x - 1)^2 (x + 2): gcd x - 1; constants
+    spec = int_spectrum([1, 0, 1])
+    assert (spec.real_roots, spec.integer_roots, spec.all_real) == (0, (), False)
+    spec = int_spectrum(from_roots([1, 1, -2]))
+    assert spec.repeated == (1, -1) and spec.integer_roots == ((-2, 1), (1, 2))
+    assert int_spectrum([1]).integer_eigenvalues() == []
+    assert int_spectrum(from_roots([0, 0, 0])).integer_roots == ((0, 3),)

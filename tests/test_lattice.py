@@ -435,19 +435,20 @@ def _conjugated_complex6():
 @pytest.mark.parametrize(
     "make, t_range, status, spectra",
     [
-        # the real-matrix and the complex-matrix spectrum of C (double-root
-        # rule and t-range clamp; the scan), and that of its integer form
-        (_conjugated_complex6, (0.0, 2.0), "inconclusive", 3),
-        # decided exactly: the real-matrix spectrum of C and that of its
-        # integer form
+        # the real-matrix and the complex-matrix spectrum of C (t-range
+        # clamp; the scan); tr(C^2) < 0 declines the exact spectrum
+        (_conjugated_complex6, (0.0, 2.0), "inconclusive", 2),
+        # decided exactly: the real-matrix spectrum of C and the float
+        # roots that propose the integer roots of its integer form
         (lambda: _conjugated_hyperbolic(6), (0.0, 3.0), "yes", 2),
     ],
 )
 def test_each_spectrum_once_per_verdict(monkeypatch, make, t_range, status, spectra):
     c = make()
     calls = []
-    eigvals = np.linalg.eigvals
+    eigvals, roots = np.linalg.eigvals, np.roots
     monkeypatch.setattr(np.linalg, "eigvals", lambda *a, **k: calls.append(1) or eigvals(*a, **k))
+    monkeypatch.setattr(np, "roots", lambda *a, **k: calls.append(1) or roots(*a, **k))
     assert lattice_verdict(c, t_range=t_range).status == status
     assert len(calls) == spectra
 

@@ -3,12 +3,14 @@ rational and real has witnesses exactly at t = +-arccosh(m/2) / lam0,
 m >= 3, when its Jordan types at lam and -lam agree, and none otherwise."""
 
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
@@ -17,7 +19,7 @@ from lcplab.intpoly import int_charpoly, int_det
 from lcplab.lattice import (
     MAX_LISTED_WITNESSES,
     _exact_witnesses,
-    _integer_eigenvalues,
+    _Plan,
     _scanned_range,
     lattice_verdict,
 )
@@ -236,20 +238,16 @@ def test_step_declines_where_the_scan_decides(c):
     assert _exact_witnesses(c, (0.0, 3.0)) is None
 
 
-def reference_integer_eigenvalues(ints):
-    """``_integer_eigenvalues`` without the trace pre-check: synthetic
-    division of the integer characteristic polynomial decides alone."""
-    ev = np.linalg.eigvals(ex.to_float(ints)).real
-    ks = sorted(int(round(x)) for x in ev)
-    p = ex.int_charpoly_coeffs(ints)
-    for k in ks:
-        q = [p[0]]
-        for x in p[1:]:
-            q.append(x + k * q[-1])
-        if q.pop():
-            return None
-        p = q
-    return ks
+def reference_spectrum(ints):
+    """sympy's reading of the characteristic polynomial of an integer
+    matrix: (every root real and some root nonzero, the eigenvalues with
+    multiplicity when all are integers, else None)."""
+    x = sympy.Symbol("x")
+    poly = sympy.Matrix(ints.tolist()).charpoly(x)
+    n = poly.degree()
+    real_nonzero = len(poly.real_roots()) == n and poly != sympy.Poly(x**n, x)
+    ks = sorted(int(k) for k, m in poly.ground_roots().items() for _ in range(m))
+    return real_nonzero, ks if len(ks) == n else None
 
 
 @st.composite
@@ -271,11 +269,15 @@ def integer_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(integer_matrices())
 def test_trace_precheck_declines_only_what_division_declines(ints):
-    ks = sorted(int(round(x)) for x in np.linalg.eigvals(ex.to_float(ints)).real)
-    want = reference_integer_eigenvalues(ints)
-    if (ints * ints.T).sum() != sum(k * k for k in ks):
-        assert want is None
-    assert _integer_eigenvalues(ints) == want
+    # the plan declines exactly when tr(ints^2) <= 0, and then sympy finds
+    # no real spectrum with a nonzero root; otherwise the exact spectrum's
+    # integer eigenvalues are sympy's
+    real_nonzero, ks = reference_spectrum(ints)
+    spec = _Plan(ints).int_spectrum
+    if (ints * ints.T).sum() <= 0:
+        assert spec is None and not real_nonzero
+    else:
+        assert spec.integer_eigenvalues() == ks
 
 
 def test_complex_spectra_never_build_the_characteristic_polynomial(monkeypatch):
@@ -369,3 +371,77 @@ def test_exact_step_imports_no_sympy():
         "print(len(v.witnesses), v.witnesses[0].exact, 'sympy' in sys.modules)\n"
     )
     assert _run_limited(code).strip() == "18 True False"
+
+
+def _dense_rational(r, n, den):
+    """An invertible n x n matrix of entries (-9..9)/(1..den), all nonzero."""
+    while True:
+        p = ex.rmat(
+            [[F(r.choice([k for k in range(-9, 10) if k]), r.randint(1, den)) for _ in range(n)]
+             for _ in range(n)]
+        )
+        if ex.det(p) != 0:
+            return p
+
+
+def _integer_basis(r, n):
+    """An invertible integer matrix I + E, |E_ij| <= 9."""
+    while True:
+        p = ex.rmat([[int(i == j) + r.randint(-9, 9) for j in range(n)] for i in range(n)])
+        if ex.det(p) != 0:
+            return p
+
+
+def _conjugate(p, d):
+    return ex.dot(ex.dot(p, d), ex.inv(p))
+
+
+def test_dense_double_roots_are_certified():
+    # P (J_2(lam) + (-2 lam)) P^-1 under dense rational P: the rule reads
+    # the exact spectrum, so no float clustering can miss the double root
+    for seed in range(60):
+        r = random.Random(seed)
+        lam = r.choice([-1, 1]) * F(r.randint(1, 4), r.randint(1, 3))
+        d = ex.rmat([[lam, 1, 0], [0, lam, 0], [0, 0, -2 * lam]])
+        v = lattice_verdict(_conjugate(_dense_rational(r, 3, 9), d), t_range=(0.0, 3.0))
+        assert v.status == "no", seed
+        (cert,) = v.certificates
+        assert cert.rule == "double_root" and cert.data["multiplicity"] == 2
+        assert cert.data["multiple_root"] == float(lam)
+
+
+@pytest.mark.parametrize(
+    "d, basis",
+    [
+        (ex.rmat(direct_sum([jordan(3, 1), jordan(3, -1)])), _integer_basis),
+        (diag(1, 1, -1, -1, 0), lambda r, n: _dense_rational(r, n, 30)),
+    ],
+    ids=["jordan-integer-basis", "diagonal-rational-basis"],
+)
+def test_dense_rational_spectra_list_every_witness(d, basis):
+    # J_3(1) + J_3(-1) under P = I + E, and diag(1, 1, -1, -1, 0) under a
+    # rational P: rounding float eigenvalues of the integer form lost
+    # these integer spectra, the exact spectrum does not
+    for seed in range(20):
+        c = _conjugate(basis(random.Random(seed), len(d)), d)
+        v = lattice_verdict(c, t_range=(0.0, 3.0))
+        assert len(v.witnesses) == 18 and all(w.exact for w in v.witnesses), seed
+        for m, w in enumerate(v.witnesses, start=3):
+            assert int_charpoly(w.integral_matrix) == w.poly
+            assert abs(2 * math.cosh(w.t0) - m) <= 1e-9 * m
+
+
+@pytest.mark.parametrize(
+    "c, status",
+    [
+        (ex.rmat([[1, 1, 0], [0, 1, 0], [0, 0, -2]]), "no"),  # double root
+        (ex.dot(ex.dot(U6, J2J1), ex.inv(U6)), "yes"),  # hyperbolic
+    ],
+    ids=["double-root", "hyperbolic"],
+)
+def test_one_characteristic_polynomial_per_verdict(monkeypatch, c, status):
+    calls = []
+    charpoly = ex.int_charpoly_coeffs
+    monkeypatch.setattr(ex, "int_charpoly_coeffs", lambda a: calls.append(1) or charpoly(a))
+    assert lattice_verdict(c, t_range=(0.0, 3.0)).status == status
+    assert len(calls) == 1

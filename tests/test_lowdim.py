@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab import lowdim
@@ -134,6 +136,60 @@ def test_fingerprint_eigen_ratios():
     fp = fingerprint(L)
     assert fp.ad_eigen_ratios == (F(-1, 2), F(-1, 2), F(1))
     assert fp.almost_abelian
+
+
+def reference_eigen_ratios(mat):
+    """The eigenvalue ratios of ``_eigen_ratios`` from sympy's rational
+    roots of the characteristic polynomial."""
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in mat])
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(m.charpoly(x).as_expr(), x, domain=sympy.QQ)
+    roots = sorted(F(int(r.p), int(r.q)) for r, k in poly.ground_roots().items() for _ in range(k))
+    if len(roots) != mat.shape[0]:
+        return None
+    nonzero = [r for r in roots if r != 0]
+    if not nonzero:
+        return tuple(roots)
+    ref = max(nonzero, key=lambda r: (abs(r), r))
+    return tuple(sorted(r / ref for r in roots))
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def rational_presentations(draw):
+    """P B P^-1 for a random rational P and B block diagonal: Jordan blocks
+    at rational eigenvalues, rotation blocks (complex pairs) and
+    [[0, a], [1, 0]] (+-sqrt(a), irrational unless a is a square)."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["jordan", "jordan", "rotation", "root"]))
+        if kind == "jordan":
+            lam, k = draw(fractions), draw(st.integers(1, 2))
+            blocks.append([[lam if i == j else F(int(j == i + 1)) for j in range(k)] for i in range(k)])
+        elif kind == "rotation":
+            p, w = draw(fractions), draw(fractions.filter(bool))
+            blocks.append([[p, -w], [w, p]])
+        else:
+            blocks.append([[F(0), draw(st.sampled_from([F(2), F(3), F(4), F(1, 4), F(-1)]))], [F(1), F(0)]])
+    n = sum(len(b) for b in blocks)
+    b = ex.rzeros((n, n))
+    at = 0
+    for blk in blocks:
+        k = len(blk)
+        b[at : at + k, at : at + k] = ex.rmat(blk)
+        at += k
+    p = ex.rmat([[draw(fractions) for _ in range(n)] for _ in range(n)])
+    if ex.det(p) == 0:
+        return b
+    return ex.dot(ex.dot(p, b), ex.inv(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_presentations())
+def test_eigen_ratios_match_sympy(mat):
+    assert lowdim._eigen_ratios(mat) == reference_eigen_ratios(mat)
 
 
 def test_isomorphism_witness():
