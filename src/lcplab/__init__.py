@@ -15,7 +15,6 @@ from .algebra import (
     Subspace,
     almost_abelian_presentation,
     audit_algebra,
-    bracket,
     is_closed,
     is_unimodular,
     subspace_predicates,

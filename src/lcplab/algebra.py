@@ -501,10 +501,6 @@ class AuditReport:
     jacobi_witness: Optional[tuple] = None
 
 
-def bracket(L: LieAlgebra, x, y) -> np.ndarray:
-    return L.bracket(x, y)
-
-
 def trace_form(L: LieAlgebra) -> OneForm:
     """H(x) = tr(ad_x); vanishes on g' and detects unimodularity.
     H(e_i) = sum_k c[i, k, k], summed on the integer form of c."""

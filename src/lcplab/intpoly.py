@@ -111,23 +111,40 @@ def int_charpoly(a: np.ndarray) -> IntPoly:
 @dataclass(frozen=True)
 class IntSpectrum:
     """What :func:`int_spectrum` finds of p: gcd(p, p') (primitive,
-    positive lead), the number of distinct real roots, and the integer
-    roots as ``(k, multiplicity in p)`` by increasing k."""
+    positive lead), the square-free part p / gcd(p, p'), the number of
+    distinct real roots, and the integer roots as ``(k, multiplicity in
+    p)`` by increasing k."""
 
     degree: int
     repeated: tuple
+    square_free: tuple
     real_roots: int
     integer_roots: tuple
 
     @property
     def all_real(self) -> bool:
-        # p / gcd(p, p') has each distinct root of p once
-        return self.real_roots == self.degree + 1 - len(self.repeated)
+        # the square-free part has each distinct root of p once
+        return self.real_roots == len(self.square_free) - 1
 
     def integer_eigenvalues(self) -> Optional[list]:
         """Every root with its multiplicity, when all are integers."""
         ks = [k for k, m in self.integer_roots for _ in range(m)]
         return ks if len(ks) == self.degree else None
+
+    def off_axis(self) -> bool:
+        """Has p a root off both axes, neither real nor imaginary?  The
+        nonzero roots iy of the square-free part s are the nonzero real
+        roots of gcd(Re s(iy), Im s(iy)), counted by one more Sturm
+        chain; with the real roots they are all deg s roots of s unless
+        one is off both axes.  Integers only."""
+        s = self.square_free
+        n = len(s) - 1
+        # the coefficient a of x^k in s contributes a i^k y^k to s(iy)
+        re = _primitive([a * (1, 0, -1, 0)[(n - i) % 4] for i, a in enumerate(s)])
+        im = _primitive([a * (0, 1, 0, -1)[(n - i) % 4] for i, a in enumerate(s)])
+        a, b = sorted((re, im), key=len, reverse=True)
+        g = _euclid(a, b)[-1] if b else a
+        return self.real_roots + _sturm(g)[0] - (g[-1] == 0) < n
 
 
 def _divmod(a: list, b: list) -> tuple:
@@ -185,36 +202,56 @@ def _newton(r: list, guesses) -> set:
     return found
 
 
-def int_spectrum(p) -> IntSpectrum:
-    """The exact spectrum of an integer polynomial p (descending
-    coefficients).  The Euclid/Sturm chain p, p', -rem, ..., on primitive
-    pseudo-remainders with positive multipliers, ends at g = gcd(p, p'),
-    and its sign changes at -inf and +inf differ by the number of distinct
-    real roots.  Floats only propose roots of the square-free part p / g,
-    which are simple; each is confirmed exactly and divided out, and the
-    rest proposed again while a round finds one.  A missed proposal makes
-    callers that need every root decline; no listed root is wrong."""
-    p = [_integral(x) for x in p]
-    n = len(p) - 1
-    if n == 0:
-        return IntSpectrum(0, (1,), 0, ())
-    chain = [p, _primitive([x * (n - i) for i, x in enumerate(p[:-1])])]
+def _euclid(a: list, b: list) -> list:
+    """Euclid's chain a, b, -rem, ... on primitive pseudo-remainders with
+    positive multipliers (|lc b|^(deg a - deg b + 1) a divided by b, exact
+    on integers); it ends at gcd(a, b) up to sign."""
+    chain = [a, b]
     while len(chain[-1]) > 1:
         a, b = chain[-2:]
         r = _primitive(_divmod([x * abs(b[0]) ** (len(a) - len(b) + 1) for x in a], b)[1])
         if not r:
             break
         chain.append([-x for x in r])
+    return chain
+
+
+def _sturm(p: list) -> tuple:
+    """The number of distinct real roots of p, and g = gcd(p, p')
+    (primitive, positive lead): the chain of (p, p') is a Sturm chain, and
+    its sign changes at -inf and +inf differ by that number."""
+    n = len(p) - 1
+    if n == 0:
+        return 0, [1]
+    chain = _euclid(p, _primitive([x * (n - i) for i, x in enumerate(p[:-1])]))
     g = chain[-1] if chain[-1][0] > 0 else [-x for x in chain[-1]]
 
     def sign_changes(x):  # along the chain at x = +inf (1) or -inf (-1)
         s = [q[0] * x ** (len(q) - 1) > 0 for q in chain]
         return sum(a != b for a, b in zip(s, s[1:]))
 
-    real = sign_changes(-1) - sign_changes(1)
-    roots, rest = set(), _divmod(p, g)[0] if len(g) > 1 else p
+    return sign_changes(-1) - sign_changes(1), g
+
+
+def int_spectrum(p) -> IntSpectrum:
+    """The exact spectrum of an integer polynomial p (descending
+    coefficients).  The Sturm chain of (p, p') (``_sturm``) gives
+    g = gcd(p, p') and the number of distinct real roots.  Floats only
+    propose roots of the square-free part p / g, which are simple; each
+    is confirmed exactly and divided out, and the rest proposed again
+    while a round finds one.  A round that finds none proposes once more
+    from the rest shifted to each of its guesses, which separates
+    clusters of roots far apart.  A missed proposal makes callers that
+    need every root decline; no listed root is wrong."""
+    p = [_integral(x) for x in p]
+    real, g = _sturm(p)
+    s = _divmod(p, g)[0]
+    roots, rest = set(), s
     while len(roots) < real:
-        new = _newton(rest, _guesses(rest, -rest[1] // ((len(rest) - 1) * rest[0])))
+        guesses = _guesses(rest, -rest[1] // ((len(rest) - 1) * rest[0]))
+        new = _newton(rest, guesses)
+        if not new:
+            new = _newton(rest, {y for x in guesses for y in _guesses(rest, x)})
         roots |= new
         if not new or len(roots) == real:
             break
@@ -226,4 +263,4 @@ def int_spectrum(p) -> IntSpectrum:
         while not any(r):
             (q, r), m = _divmod(q, [1, -k]), m + 1
         mults.append((k, m))
-    return IntSpectrum(n, tuple(g), real, tuple(mults))
+    return IntSpectrum(len(p) - 1, tuple(g), tuple(s), real, tuple(mults))

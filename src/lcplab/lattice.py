@@ -2,7 +2,7 @@
 
 A unimodular almost abelian group R |x_rho R^{n-1} has a lattice iff
 some rho(t0) = exp(t0 ad_b) is conjugate to an integer unimodular
-matrix.  The search side has two paths:
+matrix.  The search side has three paths:
 
 * exact, for a rational C whose spectrum is rational and real (read from
   the exact spectrum of its integer form, ``intpoly.int_spectrum``): a
@@ -12,15 +12,17 @@ matrix.  The search side has two paths:
   positive eigenvalue ratio, each listed with the Frobenius form of the
   invariant factors of exp(t0 C), up to MAX_LISTED_WITNESSES in the
   t-range; complete by trace level, with no float tolerance;
-* the scan, for everything else (float input, complex or irrational
+* off-axis, for a rational C with an eigenvalue neither real nor
+  imaginary (``IntSpectrum.off_axis``, integer Sturm counts): no lattice
+  exists (Gelfond-Schneider / Baker), so the scan allocates no grid and
+  the verdict is inconclusive, with no certificate yet;
+* the scan, for everything else (float input, imaginary or irrational
   spectra, nilpotent C, longer lists): it scans t for integer
   characteristic polynomials and certifies candidates through
   companion-matrix conjugacy (sound but sufficient-only: it needs a
   non-derogatory exponential; block-diagonal inputs fall back to
   blockwise certification).  A witness the grid does not flag is
-  missing from its result.  Refinement skips a flag whose coefficients
-  stay past 2^53 and stops a bracket once a Lipschitz bound keeps its
-  integer defect above SCAN_TOL: neither changes a candidate.
+  missing from its result.
 
 One plan per verdict (``_Plan``) computes each spectrum of C once.
 
@@ -100,33 +102,7 @@ def exp_ad(c, t: float) -> np.ndarray:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _coefficient_bounds(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Bounds over each bracket [lo_i, hi_i] on the coefficients
-    c_k(t) = (-1)^k e_k(x(t)) of charpoly(exp(t C)), x_j(t) = exp(t lam_j)
-    for the eigenvalues lam_j = ``ev`` of C.
-
-    With X_j = max(exp(lo_i Re lam_j), exp(hi_i Re lam_j)) >= |x_j(t)|
-    and rho = max |lam|, c_k' = sum_j lam_j x_j d e_k / d x_j gives
-    |c_k'(t)| <= rho k e_k(X).  Returns these Lipschitz constants, one row
-    per bracket (k = 1..n), and per bracket a bound on the float error of
-    one ``exp_charpoly`` evaluation of any c_k in it,
-    8 n (rho max(|lo|, |hi|) + 4) eps max_k e_k(X).  That bound is four
-    times the rounding of t lam, of exp, cos and sin, and of the n
-    complex multiply-adds of the product (each term of c_k has at most
-    n factors), so it also covers the rounding of the bounds themselves;
-    it bounds the error of the integer defect too, since the distance to
-    the nearest integer is 1-Lipschitz and computed exactly."""
-    n = ev.size
-    x = np.exp(np.maximum(np.multiply.outer(lo, ev.real), np.multiply.outer(hi, ev.real)))
-    e = kernels._poly_from_roots(-x).real  # [1, e_1(X), ..., e_n(X)] per bracket
-    rho = float(np.abs(ev).max())
-    lip = rho * np.arange(1, n + 1) * e[:, 1:]
-    reach = np.maximum(np.abs(lo), np.abs(hi))
-    err = 8.0 * n * (rho * reach + 4.0) * np.finfo(np.float64).eps * e.max(axis=1)
-    return lip, err
-
-
-def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray, lip: np.ndarray, err: np.ndarray):
+def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Golden-section minimisation of the integer defect of
     charpoly(exp(t C)) on every bracket [lo_i, hi_i] at once, from the
     eigenvalues ``ev`` of C; localises each (V-shaped) defect minimum to
@@ -136,32 +112,17 @@ def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray, lip: np.ndarray, err
     Each of the ``GOLDEN_ITERS`` steps evaluates the defect of every live
     bracket in one ``exp_charpoly`` call; a bracket stops once
     b - a < 1e-15 max(1, |a|).  Returns the midpoints and their defects.
-
-    The defect D = max_k dist(c_k, Z) is ``lip_i``-Lipschitz on bracket i,
-    and one evaluation of it is off by at most ``err_i``
-    (``_coefficient_bounds``).  Every point the loop evaluates later, the
-    final midpoint included, lies in the current bracket [a, b], so once
-    max(D(c), D(d)) - lip_i (b - a) > SCAN_TOL + 2 err_i the bracket's
-    final defect would exceed SCAN_TOL and the scan would discard it.
-    Such a bracket stops there and is returned with defect inf.  Every
-    other bracket runs the same steps as without the bound, so its
-    midpoint and defect are unchanged.
     """
 
     def defect(ts):
         return kernels.integer_defect(kernels.exp_charpoly(ev, ts))
 
-    tol = SCAN_TOL + 2.0 * err
     a, b = lo.astype(np.float64), hi.astype(np.float64)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = defect(c), defect(d)
     live = np.arange(a.size)
-    stopped = np.zeros(a.size, dtype=bool)
     for _ in range(GOLDEN_ITERS):
-        gone = np.maximum(fc[live], fd[live]) - lip[live] * (b[live] - a[live]) > tol[live]
-        stopped[live[gone]] = True
-        live = live[~gone]
         if live.size == 0:
             break
         la, lb, lc, ld, lfc, lfd = a[live], b[live], c[live], d[live], fc[live], fd[live]
@@ -177,9 +138,7 @@ def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray, lip: np.ndarray, err
         fd[live] = np.where(left, lfc, fx)
         live = live[~(nb - na < 1e-15 * np.maximum(1.0, np.abs(na)))]
     x = (a + b) / 2.0
-    fx = np.full(a.size, np.inf)
-    fx[~stopped] = defect(x[~stopped])
-    return x, fx
+    return x, defect(x)
 
 
 @dataclass(frozen=True)
@@ -213,20 +172,17 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
 
     Evaluates the coefficient integer-defect on a grid of step
     ``SCAN_STEP``, flags interior local minima below ``SCAN_FLAG_TOL``,
-    refines the flags together by up to ``GOLDEN_ITERS`` golden-section
-    steps (``_refine``), keeps minima down to ``SCAN_TOL`` (also the
-    relative trace-free tolerance), and deduplicates candidates closer
-    than 1e-6.  A refined minimum with a coefficient of modulus 2^53 or
-    more is dropped.  Two bounds from ``_coefficient_bounds`` skip work
-    whose result would be dropped, so they change no candidate: a flag
-    whose bracket keeps some |c_k| >= 2^53 throughout (from c_k at the
-    flag, its Lipschitz constant and the float error) is not refined,
-    and ``_refine`` stops a bracket once the defect's Lipschitz bound
-    keeps it above ``SCAN_TOL``.  A (near) nilpotent C has integer
-    coefficients for every t and is reported as the single degenerate
-    candidate t = 1, or t = hi when 1 is outside (lo, hi].  A clamped
-    range that needs more than ``MAX_SCAN_POINTS`` grid points raises
-    EnvelopeExceeded before the grid is allocated.
+    refines the flags together by ``GOLDEN_ITERS`` golden-section steps
+    (``_refine``), keeps minima down to ``SCAN_TOL`` (also the relative
+    trace-free tolerance), and deduplicates candidates closer than 1e-6.
+    A refined minimum with a coefficient of modulus 2^53 or more is
+    dropped.  A (near) nilpotent C has integer coefficients for every t
+    and is reported as the single degenerate candidate t = 1, or t = hi
+    when 1 is outside (lo, hi].  A clamped range that needs more than
+    ``MAX_SCAN_POINTS`` grid points raises EnvelopeExceeded before the
+    grid is allocated.  After these checks, an exact C with a root off
+    both axes (``IntSpectrum.off_axis``) has no lattice
+    (Gelfond-Schneider / Baker), hence no candidate, and gets no grid.
     """
     plan = _plan_of(c)
     a = plan.a
@@ -240,6 +196,8 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
         raise EnvelopeExceeded(
             f"t-range ({lo}, {hi}) needs more than {MAX_SCAN_POINTS} scan points"
         )
+    if plan.int_spectrum is not None and plan.int_spectrum.off_axis():
+        return []
     ts = np.arange(lo + SCAN_STEP, hi + SCAN_STEP / 2, SCAN_STEP)
     if ts.size == 0:
         return []
@@ -255,15 +213,7 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     flagged = 1 + np.flatnonzero(
         (inner <= defects[:-2]) & (inner <= defects[2:]) & (inner < SCAN_FLAG_TOL)
     )
-    lo_f, hi_f = ts[flagged - 1], ts[flagged + 1]
-    lip, err = _coefficient_bounds(ev, lo_f, hi_f)
-    # past 2^53 the float spacing is >= 1 and the defect says nothing:
-    # |c_k(t)| >= |c_k(p)| - lip_k |t - p| on the bracket of the flag p,
-    # less the float error of the evaluations at p and at t
-    reach = np.maximum(ts[flagged] - lo_f, hi_f - ts[flagged])
-    at_flag = np.abs(kernels.exp_charpoly(ev, ts[flagged])[:, 1:])
-    huge = (at_flag - lip * reach[:, None] - 2.0 * err[:, None] >= 2.0**53).any(axis=1)
-    t0s, d0s = _refine(ev, lo_f[~huge], hi_f[~huge], lip[~huge].max(axis=1), err[~huge])
+    t0s, d0s = _refine(ev, ts[flagged - 1], ts[flagged + 1])
     kept = d0s <= SCAN_TOL
     t0s, d0s = t0s[kept], d0s[kept]
     coeffs = kernels.exp_charpoly(ev, t0s)
@@ -439,13 +389,10 @@ class _Plan:
 
     @cached_property
     def int_spectrum(self) -> Optional[IntSpectrum]:
-        """The exact spectrum of ints = d C, for exact C with
-        tr(ints^2) > 0: on a real spectrum tr(ints^2) = sum k^2, 0 only
-        for nilpotent C, which both readers decline too."""
-        ints = self.scaled[0] if _is_exact(self.c) else None
-        if ints is None or (ints * ints.T).sum() <= 0:
+        """The exact spectrum of ints = d C, for exact C."""
+        if not _is_exact(self.c):
             return None
-        return int_spectrum(ex.int_charpoly_coeffs(ints))
+        return int_spectrum(ex.int_charpoly_coeffs(self.scaled[0]))
 
     @cached_property
     def components(self) -> list:
@@ -605,11 +552,11 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     plan = _plan_of(c)
     spec = plan.int_spectrum
     ks = spec.integer_eigenvalues() if spec else None
-    if ks is None or sum(ks) != 0 or len(ks) > MAX_DIM:
+    if ks is None or not any(ks) or sum(ks) != 0 or len(ks) > MAX_DIM:
         return None
     ints, d = plan.scaled
     n = len(ks)
-    g = math.gcd(*ks)  # sum k^2 = tr(ints^2) > 0, so g > 0
+    g = math.gcd(*ks)
     types = _jordan_types(ints, spec.integer_roots)
     if any(sizes != types.get(-k) for k, sizes in types.items()):
         return []
@@ -817,7 +764,8 @@ def lattice_verdict(
     Certificates are decisive, so when one fires no witness search runs
     (a sound witness could never coexist with one).  An exact C with a
     rational real spectrum is then decided by trace level
-    (``_exact_witnesses``); everything else goes to the scan.  There, an
+    (``_exact_witnesses``); everything else goes to the scan, which
+    returns no candidate for an exact C with a root off both axes.  An
     exact C that is derogatory has only derogatory exponentials, so its
     candidates go straight to blockwise certification.  One plan
     (``_Plan``), passed to each step in place of C, serves the verdict."""

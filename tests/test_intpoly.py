@@ -231,6 +231,17 @@ def test_int_spectrum_past_the_float_range(roots):
     assert int_spectrum(p).integer_eigenvalues() == sorted(roots)
 
 
+def test_int_spectrum_two_clusters_far_apart():
+    # 10^6..10^6+7 and -10^6-7..-10^6: the float roots of the polynomial
+    # shifted to the centroid miss both clusters by about 10^4, so no
+    # Newton step reaches a root; shifted to each of those guesses, the
+    # float roots of the near cluster round to its integers
+    roots = [10**6 + j for j in range(8)] + [-(10**6) - j for j in range(8)]
+    p = from_roots(roots)
+    assert_matches_sympy(p)
+    assert int_spectrum(p).integer_eigenvalues() == sorted(roots)
+
+
 def test_int_spectrum_cases():
     # x^2 + 1: no real root; (x - 1)^2 (x + 2): gcd x - 1; constants
     spec = int_spectrum([1, 0, 1])

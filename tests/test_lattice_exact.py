@@ -15,12 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab import kernels
+from lcplab.errors import NonTraceFree
 from lcplab.intpoly import int_charpoly, int_det
 from lcplab.lattice import (
     MAX_LISTED_WITNESSES,
     _exact_witnesses,
     _Plan,
     _scanned_range,
+    integer_charpoly_scan,
     lattice_verdict,
 )
 from test_golden_lattice import COMPLEX_SPECTRA, cases, complex_spectrum
@@ -239,15 +241,17 @@ def test_step_declines_where_the_scan_decides(c):
 
 
 def reference_spectrum(ints):
-    """sympy's reading of the characteristic polynomial of an integer
-    matrix: (every root real and some root nonzero, the eigenvalues with
-    multiplicity when all are integers, else None)."""
+    """sympy's exact reading of an integer matrix: (the eigenvalues with
+    multiplicity when all are integers, else None; whether some root is
+    off both axes).  lam is real or imaginary exactly when lam^2 is real,
+    so a root is off both axes exactly when ints^2 has fewer real
+    eigenvalues, counted with multiplicity, than its size."""
     x = sympy.Symbol("x")
-    poly = sympy.Matrix(ints.tolist()).charpoly(x)
-    n = poly.degree()
-    real_nonzero = len(poly.real_roots()) == n and poly != sympy.Poly(x**n, x)
-    ks = sorted(int(k) for k, m in poly.ground_roots().items() for _ in range(m))
-    return real_nonzero, ks if len(ks) == n else None
+    m = sympy.Matrix(ints.tolist())
+    poly = m.charpoly(x)
+    ks = sorted(int(k) for k, mult in poly.ground_roots().items() for _ in range(mult))
+    off_axis = len((m * m).charpoly(x).real_roots()) < poly.degree()
+    return ks if len(ks) == poly.degree() else None, off_axis
 
 
 @st.composite
@@ -268,28 +272,112 @@ def integer_matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(integer_matrices())
-def test_trace_precheck_declines_only_what_division_declines(ints):
-    # the plan declines exactly when tr(ints^2) <= 0, and then sympy finds
-    # no real spectrum with a nonzero root; otherwise the exact spectrum's
-    # integer eigenvalues are sympy's
-    real_nonzero, ks = reference_spectrum(ints)
+def test_exact_spectrum_matches_sympy(ints):
+    # the integer eigenvalues and the off-axis reading of the exact
+    # spectrum are sympy's
+    ks, off_axis = reference_spectrum(ints)
     spec = _Plan(ints).int_spectrum
-    if (ints * ints.T).sum() <= 0:
-        assert spec is None and not real_nonzero
-    else:
-        assert spec.integer_eigenvalues() == ks
+    assert spec.integer_eigenvalues() == ks
+    assert spec.off_axis() == off_axis
 
 
-def test_complex_spectra_never_build_the_characteristic_polynomial(monkeypatch):
-    def refuse(ints):
-        raise AssertionError("integer characteristic polynomial built")
+@st.composite
+def rational_conjugate(draw, d):
+    """P d P^-1 on Fractions, P = L U for unitriangular L and U with small
+    rational entries (so det P = 1 and P is dense)."""
+    n = len(d)
+    q = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    low, up = ex.reye(n), ex.reye(n)
+    for i in range(n):
+        for j in range(i):
+            low[i, j], up[j, i] = draw(q), draw(q)
+    p = ex.dot(low, up)
+    return ex.dot(ex.dot(p, ex.rmat(d)), ex.inv(p))
 
-    monkeypatch.setattr(ex, "int_charpoly_coeffs", refuse)
+
+@st.composite
+def spectra_by_construction(draw):
+    """(C, whether C has a root off both axes): rotation blocks p +- iw
+    with p = 0 or p != 0, possibly one repeated, possibly a complex Jordan
+    pair [[R, I], [0, R]], real eigenvalues (0 among them), possibly
+    J_2(a), closed to trace zero by one more real eigenvalue, under a
+    unimodular or a dense rational basis."""
+    q = st.integers(-4, 4).map(lambda k: F(k, 2))
+    rotations = draw(st.lists(st.tuples(q, q.filter(bool)), max_size=2))
+    if rotations and draw(st.booleans()):
+        rotations.append(rotations[0])
+    blocks = [[[p, -w], [w, p]] for p, w in rotations]
+    if draw(st.booleans()):
+        p, w = draw(q), draw(q.filter(bool))
+        blocks.append([[p, -w, 1, 0], [w, p, 0, 1], [0, 0, p, -w], [0, 0, w, p]])
+        rotations.append((p, w))
+    blocks += [[[x]] for x in draw(st.lists(q, max_size=2))]
+    if draw(st.booleans()):
+        blocks.append(jordan(2, draw(q)))
+    blocks.append([[-sum(b[i][i] for b in blocks for i in range(len(b)))]])
+    d = direct_sum(blocks)
+    basis = unimodular_conjugate if draw(st.booleans()) else rational_conjugate
+    return draw(basis(d)), any(p for p, _ in rotations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectra_by_construction())
+def test_off_axis_reading_matches_the_construction(case):
+    c, off_axis = case
+    assert _Plan(c).int_spectrum.off_axis() == off_axis
+
+
+class Scanned(Exception):
+    pass
+
+
+def _refuse_scan(*args):
+    raise Scanned
+
+
+def test_complex_spectra_never_run_the_scan(monkeypatch):
+    # every spectrum of COMPLEX_SPECTRA has a root off both axes: no
+    # lattice, so no grid; the verdict stays inconclusive over the range,
+    # without a certificate
+    monkeypatch.setattr(kernels, "scan_defects", _refuse_scan)
     for blocks, reals in COMPLEX_SPECTRA.values():
         c = complex_spectrum(blocks, reals)
         u = U6[: len(c), : len(c)]
         for m in (c, ex.dot(ex.dot(u, c), ex.inv(u))):
-            assert lattice_verdict(m, t_range=(0.0, 2.0)).status == "inconclusive"
+            assert integer_charpoly_scan(m, t_range=(0.0, 2.0)) == []
+            v = lattice_verdict(m, t_range=(0.0, 2.0))
+            assert v.status == "inconclusive" and not v.certificates
+            assert v.inconclusive_ranges == (_scanned_range(m, (0.0, 2.0)),)
+
+
+def _golden_case(label):
+    return next((c, t_range) for name, c, t_range in cases() if name == label)
+
+
+@pytest.mark.parametrize(
+    "c, t_range",
+    [
+        _golden_case("rotations-4"),  # +-i twice: on the imaginary axis
+        _golden_case("irrational-derogatory-4"),
+        (ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (0.0, 3.0)),  # nilpotent
+        (ex.to_float(complex_spectrum(*COMPLEX_SPECTRA["c3"])), (0.0, 2.0)),  # float
+        (ex.rmat([[1, 0], [0, -1]]), (0.0, 20.0)),  # past the listing limit
+    ],
+    ids=["rotations", "irrational", "nilpotent", "float", "e11-20"],
+)
+def test_other_inputs_still_reach_the_scan(monkeypatch, c, t_range):
+    monkeypatch.setattr(kernels, "scan_defects", _refuse_scan)
+    with pytest.raises(Scanned):
+        lattice_verdict(c, t_range=t_range)
+
+
+def test_off_axis_without_trace_zero_still_raises():
+    c = ex.rmat([[1, -1, 0], [1, 1, 0], [0, 0, 1]])  # 1 +- i, 1
+    assert _Plan(c).int_spectrum.off_axis()
+    with pytest.raises(NonTraceFree):
+        integer_charpoly_scan(c)
+    with pytest.raises(NonTraceFree):
+        lattice_verdict(c)
 
 
 # a dense unimodular basis of R^6, det U6 = 1
