@@ -234,8 +234,8 @@ def cmd_lattice(args) -> int:
     # certify
     if args.t0 is None or args.poly is None:
         raise DocumentError("lattice certify needs --t0 and --poly")
-    if not math.isfinite(args.t0):
-        raise DocumentError(f"--t0 must be a finite number, not {args.t0}")
+    if not math.isfinite(args.t0) or args.t0 == 0:
+        raise DocumentError(f"--t0 must be a finite nonzero number, not {args.t0}")
     try:
         poly = IntPoly(tuple(int(x) for x in args.poly.split(",")))
     except ValueError:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -180,8 +181,8 @@ def _guesses(r: list, c: int) -> set:
         lead = abs(t[0]).bit_length()
         e = max(0, *((abs(a).bit_length() - lead + i) // i for i, a in enumerate(t[1:], 1)))
         coeffs = [a / (t[0] << (e * i)) for i, a in enumerate(t)]
-    xs = (math.ldexp(float(y.real), e) for y in np.roots(coeffs))
-    return {c + round(x) for x in xs if math.isfinite(x)}
+    xs = (float(y.real) for y in np.roots(coeffs))
+    return {c + round(Fraction(x) * 2**e) for x in xs if math.isfinite(x)}
 
 
 def _newton(r: list, guesses) -> set:

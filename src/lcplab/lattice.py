@@ -2,27 +2,33 @@
 
 A unimodular almost abelian group R |x_rho R^{n-1} has a lattice iff
 some rho(t0) = exp(t0 ad_b) is conjugate to an integer unimodular
-matrix.  The search side has three paths:
+matrix.  C is read as the exact rationals its entries are, a float
+entry as the dyadic rational it holds, so every rule below that reads
+the spectrum reads it exactly, whatever the input type.  The search
+side has three paths:
 
-* exact, for a rational C whose spectrum is rational and real (read from
-  the exact spectrum of its integer form, ``intpoly.int_spectrum``): a
+* exact, for a C whose spectrum is rational and real (read from the
+  exact spectrum of its integer form, ``intpoly.int_spectrum``): a
   lattice exists iff the Jordan types of C at lam and -lam agree (Bock16
   with Gelfond-Schneider), and then the witnesses are exactly
   t = +-arccosh(m/2) / lam0 for the integers m >= 3, lam0 the smallest
   positive eigenvalue ratio, each listed with the Frobenius form of the
   invariant factors of exp(t0 C), up to MAX_LISTED_WITNESSES in the
   t-range; complete by trace level, with no float tolerance;
-* off-axis, for a rational C with an eigenvalue neither real nor
-  imaginary (``IntSpectrum.off_axis``, integer Sturm counts): no lattice
-  exists (Gelfond-Schneider / Baker), so the scan allocates no grid and
-  the verdict is inconclusive, with no certificate yet;
-* the scan, for everything else (float input, imaginary or irrational
-  spectra, nilpotent C, longer lists): it scans t for integer
-  characteristic polynomials and certifies candidates through
-  companion-matrix conjugacy (sound but sufficient-only: it needs a
-  non-derogatory exponential; block-diagonal inputs fall back to
-  blockwise certification).  A witness the grid does not flag is
-  missing from its result.
+* off-axis, for a C with an eigenvalue neither real nor imaginary
+  (``IntSpectrum.off_axis``, integer Sturm counts): no lattice exists
+  (Gelfond-Schneider / Baker), so the scan allocates no grid and the
+  verdict is inconclusive, with no certificate yet; this holds for the
+  values a float input holds, also where rounding moved a root off the
+  imaginary axis;
+* the scan, for everything else (imaginary or irrational spectra, a
+  trace that is zero only up to rounding, the one allowance for
+  rounding in this module, nilpotent C, longer lists):
+  it scans t, in floats, for integer characteristic polynomials and
+  certifies candidates through companion-matrix conjugacy (sound but
+  sufficient-only: it needs a non-derogatory exponential;
+  block-diagonal inputs fall back to blockwise certification).  A
+  witness the grid does not flag is missing from its result.
 
 One plan per verdict (``_Plan``) computes each spectrum of C once.
 
@@ -30,8 +36,7 @@ The no-lattice side implements two certificate rules:
 
 * double_root: all eigenvalues of ad_b real with exactly one multiple
   root, which is nonzero (then no power of the exponential can have an
-  integer characteristic polynomial); read from the exact spectrum for
-  rational input, from clustered float eigenvalues otherwise;
+  integer characteristic polynomial); read from the exact spectrum;
 * codim2_highdim: a verified LCP structure of flat codimension 2 in
   dimension >= 5;
 
@@ -72,17 +77,27 @@ GOLDEN_ITERS = 130
 MAX_SCAN_POINTS = 10**6
 # residual bound max|Q exp(t0 C) Q^-1 - Z| of a certified witness
 CERTIFY_TOL = 1e-8
-# eigenvalue clustering of the double-root rule on float input
-DOUBLE_ROOT_TOL = 1e-8
 # most witnesses the exact step lists; past it the scan runs
 MAX_LISTED_WITNESSES = 10**4
 
 
 def _as_float_matrix(c) -> np.ndarray:
-    a = np.asarray(c)
-    if a.dtype == object:
-        a = a.astype(np.float64)
-    return np.ascontiguousarray(a, dtype=np.float64)
+    a = np.array(c, dtype=np.float64, order="C")
+    if not np.isfinite(a).all():
+        raise EnvelopeExceeded("matrix entries must be finite")
+    return a
+
+
+def _as_rationals(c) -> np.ndarray:
+    """C as the exact rationals its entries are: ints and ``Fraction``s as
+    they are, each float x as ``Fraction(x)`` (a finite float is a dyadic
+    rational, so nothing is rounded)."""
+    a = np.asarray(c, dtype=object)
+    out = np.empty(a.shape, dtype=object)
+    out.ravel()[:] = [
+        x if hasattr(x, "denominator") else Fraction(float(x)) for x in a.ravel().tolist()
+    ]
+    return out
 
 
 def exp_ad(c, t: float) -> np.ndarray:
@@ -178,11 +193,12 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     A refined minimum with a coefficient of modulus 2^53 or more is
     dropped.  A (near) nilpotent C has integer coefficients for every t
     and is reported as the single degenerate candidate t = 1, or t = hi
-    when 1 is outside (lo, hi].  A clamped range that needs more than
-    ``MAX_SCAN_POINTS`` grid points raises EnvelopeExceeded before the
-    grid is allocated.  After these checks, an exact C with a root off
-    both axes (``IntSpectrum.off_axis``) has no lattice
-    (Gelfond-Schneider / Baker), hence no candidate, and gets no grid.
+    when 1 is outside (lo, hi], or lo / 2 when hi = 0: never t = 0.  A
+    clamped range that needs more than ``MAX_SCAN_POINTS`` grid points
+    raises EnvelopeExceeded before the grid is allocated.  After these
+    checks, a C with a root off both axes (``IntSpectrum.off_axis``) has
+    no lattice (Gelfond-Schneider / Baker), hence no candidate, and gets
+    no grid.
     """
     plan = _plan_of(c)
     a = plan.a
@@ -196,7 +212,7 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
         raise EnvelopeExceeded(
             f"t-range ({lo}, {hi}) needs more than {MAX_SCAN_POINTS} scan points"
         )
-    if plan.int_spectrum is not None and plan.int_spectrum.off_axis():
+    if plan.int_spectrum.off_axis():
         return []
     ts = np.arange(lo + SCAN_STEP, hi + SCAN_STEP / 2, SCAN_STEP)
     if ts.size == 0:
@@ -204,8 +220,9 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     ev = plan.spectrum
     defects = kernels.scan_defects(ev, ts)
     if defects.max() <= SCAN_TOL:
-        # unipotent exponential: every t works, report t = 1 if in range
-        t = 1.0 if lo < 1.0 <= hi else hi
+        # unipotent exponential: every t != 0 works (exp(0 C) = I gives
+        # no lattice), report t = 1 if in range
+        t = 1.0 if lo < 1.0 <= hi else hi or lo / 2
         coeffs = kernels.exp_charpoly(ev, t)
         poly = IntPoly(tuple(int(round(x)) for x in coeffs))
         return [ScanCandidate(t, poly, float(kernels.integer_defect(coeffs)))]
@@ -287,9 +304,11 @@ def certify_witness(c, t0: float, poly: IntPoly, seed: int = 0, m=None):
     with determinant +-1.  Up to four random Krylov probes are tried, and
     the first whose conjugation passes the residual check is returned.
     Returns None (inconclusive) for derogatory exponentials, determinant
-    -1, or when no probe passes.  ``m`` is exp(t0 C) when the caller has
-    it already.
+    -1, t0 = 0 (exp(0 C) = I gives no lattice), or when no probe passes.
+    ``m`` is exp(t0 C) when the caller has it already.
     """
+    if t0 == 0:
+        return None
     if m is None:
         m = exp_ad(c, t0)
     n = m.shape[0]
@@ -308,19 +327,14 @@ def certify_witness(c, t0: float, poly: IntPoly, seed: int = 0, m=None):
     return None  # derogatory or no probe passed: inconclusive on this path
 
 
-def _is_exact(c) -> bool:
-    """Every entry an int or a ``Fraction``, as :func:`exact.scaled` takes."""
-    return all(hasattr(x, "denominator") for x in np.asarray(c, dtype=object).flat)
-
-
 def _is_derogatory(c) -> bool:
-    """Is the rational matrix C derogatory, that is, is its minimal
-    polynomial of degree < n?  One exact rank of the n^2 x n matrix
-    [vec I, vec C, ..., vec C^(n-1)], taken on the powers of the integer
-    form C = ints / d (C^k = ints^k / d^k, and column scales do not change
-    the rank).  exp(t C) is a polynomial in C, so it is then derogatory
-    for every t."""
-    ints, _ = ex.scaled(c)
+    """Is C derogatory, that is, is its minimal polynomial of degree < n?
+    One exact rank of the n^2 x n matrix [vec I, vec C, ..., vec C^(n-1)],
+    taken on the powers of the integer form C = ints / d (C^k = ints^k /
+    d^k, and column scales do not change the rank).  exp(t C) is a
+    polynomial in C, so it is then derogatory for every t.  ``c`` is C or
+    its plan."""
+    ints, _ = _plan_of(c).scaled
     n = ints.shape[0]
     powers = [np.eye(n, dtype=int).astype(object)]
     for _ in range(n - 1):
@@ -352,20 +366,21 @@ def _blocks_of(c: np.ndarray) -> list:
 
 
 class _Plan:
-    """What one verdict computes once about C, each on first use: the
-    float matrix, its eigenvalues from the real-matrix solver (spectral
-    radius, double-root rule on float input) and from the complex one
-    (the scan), for exact C its integer form and exact spectrum, its
-    invariant components, and per group of indices its sub-matrix,
-    spectrum and spectral radius.  Block certifications are kept too:
-    ``expm`` is a function of its argument, so the Z and Q that
+    """What one verdict computes once about C: C as the exact rationals
+    its entries are (``_as_rationals``) and as floats, and on first use
+    the eigenvalues of the floats from the real-matrix solver (spectral
+    radius, the data of a double-root certificate) and from the complex
+    one (the scan), the integer form C = ints / d and the exact spectrum
+    of ints, the invariant components, and per group of indices its
+    sub-matrix, spectrum and spectral radius.  Block certifications are
+    kept too: ``expm`` is a function of its argument, so the Z and Q that
     ``certify_witness`` finds for a block depend only on t0 sub and the
     polynomial (``seed`` is the plan's), and a block whose t0 sub
     repeats, such as a zero block, is certified once per plan."""
 
     def __init__(self, c, seed: int = 0):
-        self.c = c
         self.a = _as_float_matrix(c)
+        self.c = _as_rationals(c)
         self.seed = seed
         self._groups = {}
         self._certified = {}
@@ -384,14 +399,12 @@ class _Plan:
 
     @cached_property
     def scaled(self) -> tuple:
-        """``(ints, d)`` with C = ints / d, for exact C."""
+        """``(ints, d)`` with C = ints / d."""
         return ex.scaled(self.c)
 
     @cached_property
-    def int_spectrum(self) -> Optional[IntSpectrum]:
-        """The exact spectrum of ints = d C, for exact C."""
-        if not _is_exact(self.c):
-            return None
+    def int_spectrum(self) -> IntSpectrum:
+        """The exact spectrum of ints = d C."""
         return int_spectrum(ex.int_charpoly_coeffs(self.scaled[0]))
 
     @cached_property
@@ -530,9 +543,9 @@ def _poly_mul(p: list, q: list) -> list:
 
 
 def _exact_witnesses(c, t_range) -> Optional[list]:
-    """Every witness in the clamped t-range, decided exactly, for a
-    rational C whose spectrum is rational and real; None where the step
-    does not apply and the scan decides.
+    """Every witness in the clamped t-range, decided exactly, for a C
+    whose spectrum is rational and real; None where the step does not
+    apply and the scan decides.
 
     With C = ints / d, the eigenvalues k of ints are the integer roots of
     the plan's exact spectrum.  Put lam0 = gcd(k) / d.  A lattice exists
@@ -551,7 +564,7 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     MAX_LISTED_WITNESSES.  ``c`` is C or its plan."""
     plan = _plan_of(c)
     spec = plan.int_spectrum
-    ks = spec.integer_eigenvalues() if spec else None
+    ks = spec.integer_eigenvalues()
     if ks is None or not any(ks) or sum(ks) != 0 or len(ks) > MAX_DIM:
         return None
     ints, d = plan.scaled
@@ -606,41 +619,23 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     which is impossible for a monic integer polynomial with unit
     constant term.
 
-    Exact input (int or ``Fraction`` entries) is decided from the plan's
-    exact spectrum alone: every root real, and gcd(p, p') = (x - k)^j,
-    k != 0, that is, k is a root of multiplicity j + 1 = deg gcd + 1.
-    Float input is clustered: eigenvalues within ``DOUBLE_ROOT_TOL`` of
-    each other count as one root, and no caller can widen that."""
+    Decided from the plan's exact spectrum alone, for any input type (a
+    float entry is the rational it holds): every root real, and
+    gcd(p, p') = (x - k)^j, k != 0, that is, k is a root of multiplicity
+    j + 1 = deg gcd + 1.  No tolerance is involved."""
     plan = _plan_of(c)
-    if plan.a.shape[0] == 0:
+    spec = plan.int_spectrum
+    if not spec.all_real:
         return None
-    ev = plan.eigenvalues
-    if _is_exact(plan.c):
-        spec = plan.int_spectrum
-        if spec is None or not spec.all_real:
-            return None
-        j, d = len(spec.repeated) - 1, plan.scaled[1]
-        found = [(Fraction(k, d), m) for k, m in spec.integer_roots if k and m == j + 1 > 1]
-    elif np.max(np.abs(ev.imag)) > DOUBLE_ROOT_TOL:
-        return None
-    else:
-        found = []
-        for lam in sorted(ev.real):
-            if found and abs(lam - found[-1][0]) <= DOUBLE_ROOT_TOL:
-                mean, m = found[-1]
-                found[-1] = ((mean * m + lam) / (m + 1), m + 1)
-            else:
-                found.append((lam, 1))
-        found = [cl for cl in found if cl[1] >= 2]
-        if found and abs(found[0][0]) <= DOUBLE_ROOT_TOL:
-            return None
+    j, d = len(spec.repeated) - 1, plan.scaled[1]
+    found = [(Fraction(k, d), m) for k, m in spec.integer_roots if k and m == j + 1 > 1]
     if len(found) != 1:
         return None
     root, mult = found[0]
     return NoLatticeCertificate(
         "double_root",
         data={
-            "eigenvalues": sorted(float(x) for x in ev.real),
+            "eigenvalues": sorted(float(x) for x in plan.eigenvalues.real),
             "multiple_root": float(root),
             "multiplicity": int(mult),
         },
@@ -761,25 +756,20 @@ def lattice_verdict(
     """Combine certificate rules, the exact step and the scan into a
     single verdict.
 
-    Certificates are decisive, so when one fires no witness search runs
-    (a sound witness could never coexist with one).  An exact C with a
-    rational real spectrum is then decided by trace level
+    C is read exactly (``_Plan``): a float entry is the rational it
+    holds.  Certificates are decisive, so when one fires no witness
+    search runs (a sound witness could never coexist with one).  A C
+    with a rational real spectrum is then decided by trace level
     (``_exact_witnesses``); everything else goes to the scan, which
-    returns no candidate for an exact C with a root off both axes.  An
-    exact C that is derogatory has only derogatory exponentials, so its
-    candidates go straight to blockwise certification.  One plan
-    (``_Plan``), passed to each step in place of C, serves the verdict."""
+    returns no candidate for a C with a root off both axes.  A C that is
+    derogatory has only derogatory exponentials, so its candidates go
+    straight to blockwise certification.  One plan, passed to each step
+    in place of C, serves the verdict."""
     plan = _Plan(c, seed)
-    certs = []
-    if cited is not None:
-        certs.append(cited)
-    dr = no_lattice_double_root(plan)
-    if dr is not None:
-        certs.append(dr)
+    certs = [cited, no_lattice_double_root(plan)]
     if structure is not None:
-        c2 = no_lattice_codim2(structure)
-        if c2 is not None:
-            certs.append(c2)
+        certs.append(no_lattice_codim2(structure))
+    certs = [cert for cert in certs if cert is not None]
     if certs:
         return LatticeVerdict(label, (), tuple(certs), ())
     listed = _exact_witnesses(plan, t_range)
@@ -788,7 +778,7 @@ def lattice_verdict(
         return LatticeVerdict(label, tuple(listed), (), inconclusive)
     witnesses = []
     candidates = integer_charpoly_scan(plan, t_range=t_range)
-    derogatory = bool(candidates) and _is_exact(c) and _is_derogatory(c)
+    derogatory = bool(candidates) and _is_derogatory(plan)
     for cand in candidates:
         # the scan clamps its range to |t| rho(C) <= MAX_SPECTRAL
         _check_spectral_envelope(cand.t0, plan.rho)

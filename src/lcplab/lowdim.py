@@ -423,19 +423,14 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
 
 
 def check_isomorphism_witness(L1: LieAlgebra, L2: LieAlgebra, P: np.ndarray) -> bool:
-    """True iff P [x,y]_1 = [Px, Py]_2 on all basis pairs, exactly."""
+    """True iff P [x,y]_1 = [Px, Py]_2 on all basis pairs, exactly: column
+    i n + j of both contractions holds the two sides at (e_i, e_j)."""
     if L1.dim != L2.dim or P.shape != (L1.dim, L1.dim):
         raise SingularMatrix("witness must be square of matching size")
     if ex.det(P) == 0:
         raise SingularMatrix("witness matrix is singular")
     n = L1.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = P.dot(L1.c[i, j, :])
-            rhs = L2.ad(P[:, i]).dot(P[:, j])
-            if not ex.is_zero(lhs - rhs):
-                return False
-    return True
+    return bool((ex.dot(P, L1.c.reshape(n * n, n).T) == L2.brackets(P, P)).all())
 
 
 # ---------------------------------------------------------------------------

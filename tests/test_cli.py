@@ -169,10 +169,12 @@ SEMIDIRECT_Q = "dim 2\nbracket 1 2 : 0 1\nscalar q {}\n"
         (E11, ["lattice", "certify", "--t0", "0.96", "--poly", "1,x,1"], ["--poly"]),
         (E11, ["lattice", "certify", "--t0", "0.96", "--poly", ","], ["--poly"]),
         (E11, ["lattice", "certify", "--t0", "nan", "--poly", "1,-3,1"], ["--t0"]),
+        (E11, ["lattice", "certify", "--t0", "0", "--poly", "1,-2,1"], ["--t0"]),
     ],
     ids=[
         "almab-no-A", "flag-no-A", "flag-A-3x2", "flag-A-2x3", "flag-B1-2x3", "lam-abc",
         "q-0", "q-neg", "q-3/2", "poly-x", "poly-comma", "t0-nan",
+        "t0-zero",
     ],
 )
 def test_malformed_values_exit_code(tmp_path, doc, args, words):

@@ -3,16 +3,17 @@
 Each line is the ``as_dict()`` JSON of ``lattice_verdict`` on a fixed
 input: diag(1, -1) + 0 at n = 2..6 under a fixed rational basis on 0:3,
 the five complex spectra of the benchmark's lattice-search slots under a
-fixed rational basis on 0:2, the amalgam block matrix
-diag(1, -1, 1, -1)/sqrt(2) on 0:3, and three inputs whose candidates go
+fixed rational basis on 0:2, the float amalgam block matrix
+diag(1, -1, 1, -1)/sqrt(2) on 0:3 (read as the rationals its floats
+hold, so the exact step decides it), and three inputs whose candidates go
 to blockwise certification: the derogatory irrational spectrum
 [[0, 1], [2, 0]] + 0 (a 2x2 zero block) under the fixed basis on 0:3,
 the rotation blocks J(1) + J(1) on 0:20, both exact, and the float
 diag(20, -20, 0) on 0:3.  Every witness t0, integer matrix,
 polynomial, residual and ``exact`` flag is recorded at full float
-precision, so a change in the exact step (the hyperbolic lines), the
-scan, its refinement or the certification that moves a t0 or drops a
-witness changes the text.
+precision, so a change in the exact step (the hyperbolic and amalgam
+lines), the scan, its refinement or the certification that moves a t0
+or drops a witness changes the text.
 
 Regenerate (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden_lattice.py --write``.

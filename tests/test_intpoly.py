@@ -220,8 +220,11 @@ def test_int_spectrum_matches_sympy(p):
         [(-1) ** j * (10**20 + j * 10**18 + j * j) for j in range(16)],
         # 8 double roots near 10^20: p passes the float range, s does not
         [10**20 + j * 10**18 + 7 * j for j in range(8)] * 2,
+        # roots past the float range themselves: each guess y 2^e is
+        # rounded on integers, not through a float
+        [3 * 2**1100, -(2**1100) - 5],
     ],
-    ids=["simple", "double"],
+    ids=["simple", "double", "huge-roots"],
 )
 def test_int_spectrum_past_the_float_range(roots):
     p = from_roots(roots)

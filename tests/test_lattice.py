@@ -16,7 +16,6 @@ from lcplab.lattice import (
     MAX_SPECTRAL,
     _exact_witnesses,
     _is_derogatory,
-    _is_exact,
     _scanned_range,
     amalgam_lattice,
     certify_witness,
@@ -106,6 +105,50 @@ def test_nilpotent_witness_stays_in_the_range():
         assert v.witnesses[0].poly.coeffs == (1, -3, 3, -1)
 
 
+def test_nilpotent_witness_is_never_t0_zero():
+    # exp(0 C) = I gives no lattice: with 1 outside (-1, 0] and hi = 0
+    # the scan reports a t inside the range instead
+    v = lattice_verdict(ex.rzeros((2, 2)), t_range=(-1.0, 0.0))
+    assert v.status == "yes" and [w.t0 for w in v.witnesses] == [-0.5]
+
+
+def test_certification_refuses_t0_zero():
+    # at t0 = 0 every exponential is I, which both steps would conjugate
+    # to an integer matrix
+    assert certify_witness_blocked(np.diag([1.0, -1.0]), 0.0) is None
+    assert certify_witness(np.zeros((1, 1)), 0.0, IntPoly((1, -1))) is None
+    assert certify_witness(np.zeros((1, 1)), 0.5, IntPoly((1, -1))) is not None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lattice_verdict,
+        no_lattice_double_root,
+        integer_charpoly_scan,
+        lambda c: certify_witness(c, 1.0, IntPoly((1, -3, 1))),
+        lambda c: exp_ad(c, 1.0),
+    ],
+    ids=["verdict", "double-root", "scan", "certify", "exp-ad"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_entries_are_an_envelope_error(call, bad):
+    c = np.array([[bad, 0.0], [0.0, -1.0]])
+    with pytest.raises(EnvelopeExceeded, match="finite"):
+        call(c)
+
+
+def test_entries_across_the_float_range_are_read_exactly():
+    # with a subnormal entry next to 1e300, the integer form d C has
+    # eigenvalues past the float range (d = 2^1074); its exact spectrum
+    # still finds the double root 1e300
+    c = np.array([[1e300, 0.0, 5e-324], [0.0, 1e300, 0.0], [0.0, 0.0, -2e300]])
+    cert = no_lattice_double_root(c)
+    assert cert is not None and cert.data["multiple_root"] == 1e300
+    v = lattice_verdict(np.array([[1e308, 5e-324], [2.2e-310, -1e308]]))
+    assert v.status == "inconclusive" and v.inconclusive_ranges == ((0.0, 5e-307),)
+
+
 def test_certify_e11():
     cands = integer_charpoly_scan(C_E11, t_range=(0, 1.4))
     w = certify_witness(C_E11, cands[0].t0, cands[0].poly)
@@ -161,12 +204,13 @@ def test_double_root_certificates():
 
 
 def test_verdict_tol_does_not_loosen_double_root():
-    # eigenvalues 1e-6 apart: the double-root rule keeps its own 1e-8
-    # clustering, so it does not fire
-    c = np.diag([1.0, 1 + 1e-6, -2 - 1e-6])
-    v = lattice_verdict(c, t_range=(0, 3))
-    assert v.status == "inconclusive"
-    assert v.certificates == ()
+    # eigenvalues 1e-6 or 1e-9 apart are distinct floats, hence distinct
+    # rationals: the double-root rule reads them exactly and does not fire
+    for gap in (1e-6, 1e-9):
+        c = np.diag([1.0, 1 + gap, -2 - gap])
+        v = lattice_verdict(c, t_range=(0, 3))
+        assert v.status == "inconclusive"
+        assert v.certificates == ()
 
 
 def test_codim2_certificate():
@@ -237,11 +281,12 @@ def test_verdict_reports_clamped_range():
 
 
 def test_double_root_on_rationals_needs_an_exact_multiple_root():
-    # distinct exact eigenvalues 1e-9 apart: the float clustering proposes
-    # the rule, the exact check on the characteristic polynomial refuses it
+    # distinct eigenvalues 1e-9 apart: the rule reads the exact spectrum,
+    # so neither the rationals nor the floats nearest them get a
+    # certificate
     e = Fraction(1, 10**9)
     c = ex.rmat([[1, 0, 0], [0, 1 + e, 0], [0, 0, -2 - e]])
-    assert no_lattice_double_root(c.astype(np.float64)) is not None
+    assert no_lattice_double_root(c.astype(np.float64)) is None
     assert no_lattice_double_root(c) is None
     assert lattice_verdict(c, t_range=(0, 3)).status != "no"
     # an exact double root (diagonal or a Jordan block) keeps its certificate
@@ -255,11 +300,12 @@ def test_double_root_on_rationals_needs_an_exact_multiple_root():
 
 def test_double_root_on_rationals_needs_real_eigenvalues():
     # eigenvalues 1, 1, 1 +- 1e-10 i, -4: gcd(p, p') = x - 1, but two roots
-    # are not real, which only the exact Sturm count sees
+    # are not real, which the exact Sturm count sees, for the rationals
+    # and for the floats nearest them
     e = Fraction(1, 10**10)
     c = ex.rmat([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, -e, 0],
                  [0, 0, e, 1, 0], [0, 0, 0, 0, -4]])
-    assert no_lattice_double_root(c.astype(np.float64)) is not None
+    assert no_lattice_double_root(c.astype(np.float64)) is None
     assert no_lattice_double_root(c) is None
 
 
@@ -293,9 +339,10 @@ def test_is_derogatory_exactly():
 
 
 def test_derogatory_exact_input_skips_the_krylov_probes(monkeypatch):
-    # every exp(t C) of a derogatory C is derogatory, so on exact input no
-    # candidate runs the full-size probes; blockwise certification still
-    # finds the witnesses, and float input keeps the probes
+    # every exp(t C) of a derogatory C is derogatory, so no candidate runs
+    # the full-size probes, whether C is given as rationals or as floats
+    # (read as the rationals they hold); blockwise certification still
+    # finds the witnesses
     import lcplab.lattice as lattice
 
     sizes = []
@@ -311,7 +358,7 @@ def test_derogatory_exact_input_skips_the_krylov_probes(monkeypatch):
     assert exact.status == "yes" and 4 not in sizes
     sizes.clear()
     floats = lattice_verdict(ex.to_float(c), t_range=(0.0, 3.0))
-    assert 4 in sizes
+    assert floats.status == "yes" and 4 not in sizes
     assert [w.t0 for w in floats.witnesses] == [w.t0 for w in exact.witnesses]
 
 
@@ -334,8 +381,7 @@ def permuted_block_diagonal(draw):
             d[i + r][i : i + len(b)] = row
         i += len(b)
     perm = draw(st.permutations(range(n)))
-    c = ex.rmat([[d[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
-    return c if draw(st.booleans()) else ex.to_float(c)
+    return ex.rmat([[d[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,14 +390,14 @@ def test_verdict_plan_matches_one_shot_certification(c):
     # one plan serves every candidate of a verdict; each witness must be
     # the one a fresh one-shot certification of its candidate gives
     t_range = (0.0, 3.0)
-    if _is_exact(c) and _exact_witnesses(c, t_range) is not None:
-        c = ex.to_float(c)  # the exact step would decide it without candidates
+    if _exact_witnesses(c, t_range) is not None:
+        return  # the exact step decides it without candidates
     v = lattice_verdict(c, t_range=t_range)
     if v.certificates:
         return
     a = np.asarray(c, dtype=object).astype(np.float64)
     candidates = integer_charpoly_scan(c, t_range=t_range)
-    derogatory = bool(candidates) and _is_exact(c) and _is_derogatory(c)
+    derogatory = bool(candidates) and _is_derogatory(c)
     expected = []
     for cand in candidates:
         m = kernels.expm(cand.t0 * a)
@@ -396,13 +442,13 @@ def test_one_plan_per_verdict(monkeypatch):
 
 
 def test_verdict_certifies_blockwise_through_the_public_step(monkeypatch):
-    # the amalgam block matrix has a derogatory exponential at every
-    # candidate, so each one that companion conjugacy declines goes to
+    # the irrational spectrum +-sqrt(2), 0, 0 goes to the scan, and C is
+    # derogatory, so every candidate goes straight to
     # certify_witness_blocked, on the verdict's plan
     import lcplab.lattice as lattice
+    from test_golden_lattice import cases
 
-    c = np.diag([1.0, -1.0, 1.0, -1.0]) / math.sqrt(2)
-    t_range = (0.0, 3.0)
+    c, t_range = next((c, t) for name, c, t in cases() if name == "irrational-derogatory-4")
     candidates = integer_charpoly_scan(c, t_range=t_range)
     plans = []
     blocked = lattice.certify_witness_blocked

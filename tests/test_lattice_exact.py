@@ -22,6 +22,8 @@ from lcplab.lattice import (
     _exact_witnesses,
     _Plan,
     _scanned_range,
+    certify_witness,
+    certify_witness_blocked,
     integer_charpoly_scan,
     lattice_verdict,
 )
@@ -161,10 +163,17 @@ def test_witnesses_are_the_trace_levels(data, reach):
 @settings(max_examples=30, deadline=None)
 @given(symmetric_jordan_data(), st.floats(1.0, 3.5))
 def test_scan_witnesses_of_the_float_twin_are_exact_witnesses(data, reach):
+    # the verdict reads the float twin exactly, so the scan and the
+    # certification steps are called on it directly: each witness they
+    # give is one that the exact step lists
     c, lam_eff, exps = data
     t_range = (0.0, reach / float(lam_eff))
     exact = lattice_verdict(c, t_range=t_range).witnesses
-    for wf in lattice_verdict(ex.to_float(c), t_range=t_range).witnesses:
+    cf = ex.to_float(c)
+    for cand in integer_charpoly_scan(cf, t_range=t_range):
+        wf = certify_witness(cf, cand.t0, cand.poly) or certify_witness_blocked(cf, cand.t0)
+        if wf is None:
+            continue
         assert not wf.exact
         match = [(m, w) for m, w in enumerate(exact, start=3) if abs(w.t0 - wf.t0) <= 1e-9]
         assert len(match) == 1
@@ -338,12 +347,13 @@ def _refuse_scan(*args):
 def test_complex_spectra_never_run_the_scan(monkeypatch):
     # every spectrum of COMPLEX_SPECTRA has a root off both axes: no
     # lattice, so no grid; the verdict stays inconclusive over the range,
-    # without a certificate
+    # without a certificate.  The float twin, read as the rationals it
+    # holds, still has such a root
     monkeypatch.setattr(kernels, "scan_defects", _refuse_scan)
     for blocks, reals in COMPLEX_SPECTRA.values():
         c = complex_spectrum(blocks, reals)
         u = U6[: len(c), : len(c)]
-        for m in (c, ex.dot(ex.dot(u, c), ex.inv(u))):
+        for m in (c, ex.dot(ex.dot(u, c), ex.inv(u)), ex.to_float(c)):
             assert integer_charpoly_scan(m, t_range=(0.0, 2.0)) == []
             v = lattice_verdict(m, t_range=(0.0, 2.0))
             assert v.status == "inconclusive" and not v.certificates
@@ -360,7 +370,9 @@ def _golden_case(label):
         _golden_case("rotations-4"),  # +-i twice: on the imaginary axis
         _golden_case("irrational-derogatory-4"),
         (ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (0.0, 3.0)),  # nilpotent
-        (ex.to_float(complex_spectrum(*COMPLEX_SPECTRA["c3"])), (0.0, 2.0)),  # float
+        # float input is read as its rationals: the twin of an on-axis
+        # spectrum goes to the scan like the spectrum itself
+        (ex.to_float(_golden_case("rotations-4")[0]), (0.0, 20.0)),  # float
         (ex.rmat([[1, 0], [0, -1]]), (0.0, 20.0)),  # past the listing limit
     ],
     ids=["rotations", "irrational", "nilpotent", "float", "e11-20"],
@@ -369,6 +381,22 @@ def test_other_inputs_still_reach_the_scan(monkeypatch, c, t_range):
     monkeypatch.setattr(kernels, "scan_defects", _refuse_scan)
     with pytest.raises(Scanned):
         lattice_verdict(c, t_range=t_range)
+
+
+def test_float_rounding_off_the_axis_is_read_as_held(monkeypatch):
+    # a rotation block whose diagonal was summed in floats: 0.1 + 0.2 is
+    # not 0.3, so the floats hold trace 2^-54 and a root off both axes.
+    # Those values have no lattice, so no grid runs and the verdict is
+    # inconclusive, though the scan's trace check (relative 1e-9) would
+    # pass them.  With exact entries the block is on the imaginary axis
+    # and the scan certifies its witnesses
+    c = np.array([[0.1 + 0.2, -1.0], [1.0, -0.3]])
+    assert _Plan(c).int_spectrum.off_axis() and np.trace(c) == 2.0**-54
+    exact = lattice_verdict(ex.rmat([[F(3, 10), -1], [1, F(-3, 10)]]), t_range=(0.0, 7.0))
+    assert exact.status == "yes"
+    monkeypatch.setattr(kernels, "scan_defects", _refuse_scan)
+    v = lattice_verdict(c, t_range=(0.0, 7.0))
+    assert v.status == "inconclusive" and not v.certificates
 
 
 def test_off_axis_without_trace_zero_still_raises():
@@ -533,3 +561,69 @@ def test_one_characteristic_polynomial_per_verdict(monkeypatch, c, status):
     monkeypatch.setattr(ex, "int_charpoly_coeffs", lambda a: calls.append(1) or charpoly(a))
     assert lattice_verdict(c, t_range=(0.0, 3.0)).status == status
     assert len(calls) == 1
+
+
+# dyadic trace-free blocks, so that their float twins hold the same values:
+# hyperbolic and Jordan pairs, rotations p +- iw with p = 0 (closed by
+# nothing) and p != 0 (closed to trace zero by -2p), and zero blocks
+_DYADIC = [1, 2, F(1, 2), F(3, 4)]
+_FLOAT_TWIN_BLOCKS = st.one_of(
+    st.sampled_from(_DYADIC).map(lambda a: [jordan(1, a), jordan(1, -a)]),
+    st.tuples(st.sampled_from(_DYADIC), st.integers(2, 3)).map(
+        lambda ak: [jordan(ak[1], ak[0]), jordan(ak[1], -ak[0])]
+    ),
+    st.tuples(st.sampled_from([0, F(1, 2), F(-1, 4)]), st.sampled_from([1, 2, F(1, 2)])).map(
+        lambda pw: [[[pw[0], -pw[1]], [pw[1], pw[0]]]] + ([[[-2 * pw[0]]]] if pw[0] else [])
+    ),
+    st.integers(1, 2).map(lambda k: [jordan(k, 0)]),
+)
+
+
+@st.composite
+def float_twins(draw):
+    """(C on Fractions, its float twin) for a direct sum of the blocks
+    above, n <= 6, under a unimodular integer basis: every entry is a
+    dyadic rational of a few bits, so the twin holds C exactly."""
+    blocks = []
+    for group in draw(st.lists(_FLOAT_TWIN_BLOCKS, min_size=1, max_size=3)):
+        if sum(len(b) for b in blocks + group) <= 6:
+            blocks += group
+    c = draw(unimodular_conjugate(direct_sum(draw(st.permutations(blocks)))))
+    twin = ex.to_float(c)
+    assert all(F(x) == y for x, y in zip(twin.flat, c.flat))
+    return c, twin
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_twins(), st.sampled_from([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (0.5, 2.5)]))
+def test_float_twins_answer_as_their_rationals(twins, t_range):
+    # a float is the rational it holds: the verdict on the twin is the
+    # verdict on C, byte for byte, on every path
+    c, twin = twins
+    exact = lattice_verdict(c, t_range=t_range).as_dict()
+    assert lattice_verdict(twin, t_range=t_range).as_dict() == exact
+
+
+J2 = direct_sum([jordan(2, 1), jordan(2, -1)])
+J2_HALF = direct_sum([jordan(2, F(1, 2)), jordan(2, F(-1, 2)), [[0]]])
+
+
+@pytest.mark.parametrize(
+    "c, t_hi, count",
+    [
+        (J2, 3.0, 18),
+        (J2_HALF, 7.0, 31),
+        (ex.dot(ex.dot(U4, diag(1, 1, -1, -1)), ex.inv(U4)), 3.0, 18),
+    ],
+    ids=["jordan", "jordan-half", "derogatory-group"],
+)
+def test_float_input_lists_every_witness(c, t_hi, count):
+    # the scan found 8 of 18, 14 of 31 and none of 18 of these float
+    # inputs; read as the rationals they hold, the exact step lists all
+    exact = lattice_verdict(ex.rmat(c), t_range=(0.0, t_hi))
+    twin = ex.to_float(ex.rmat(c))
+    # in memory order C or Fortran (a transpose, say) alike
+    for a in (twin, np.asfortranarray(twin)):
+        v = lattice_verdict(a, t_range=(0.0, t_hi))
+        assert len(v.witnesses) == count and all(w.exact for w in v.witnesses)
+        assert [w.as_dict() for w in v.witnesses] == [w.as_dict() for w in exact.witnesses]

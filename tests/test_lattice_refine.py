@@ -4,9 +4,10 @@
 loop over arrays.  Every bracket must come out, bit for bit, as the
 scalar golden-section loop kept below returns it, and
 ``integer_charpoly_scan`` must return the candidates of the scalar scan
-kept below (flag selection included).  Rotation inputs are checked as
-float twins: an exact C with a root off both axes never reaches the
-scan.
+kept below (flag selection included).  A C with a root off both axes
+never reaches the scan's grid, float or not, so for such rotation
+inputs ``_refine`` is checked on the flags of the scalar scan, which
+finds no candidate either.
 """
 
 import math
@@ -149,7 +150,7 @@ def test_refine_matches_scalar_loop_hyperbolic(c):
 @settings(max_examples=15, deadline=None)
 @given(rotation_inputs())
 def test_refine_matches_scalar_loop_rotations(c):
-    check_against_reference(ex.to_float(c), (0.0, 2.0))
+    check_against_reference(c, (0.0, 2.0))
 
 
 def test_refine_reference_sees_flags():

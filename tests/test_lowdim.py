@@ -29,7 +29,7 @@ from lcplab.lowdim import (
     table_algebra,
     verify_table,
 )
-from lcplab.randgen import rng, small_fraction
+from lcplab.randgen import random_algebra, rng, small_fraction
 
 
 def test_table_algebra_basic_rows():
@@ -207,6 +207,56 @@ def test_isomorphism_witness():
     assert not check_isomorphism_witness(e11, LieAlgebra.abelian(3), ex.reye(3))
     with pytest.raises(SingularMatrix):
         check_isomorphism_witness(e11, e11, ex.rzeros((3, 3)))
+
+
+def _isomorphism_by_pairs(L1, L2, P):
+    """The per-pair loop that check_isomorphism_witness replaced."""
+    n = L1.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = P.dot(L1.c[i, j, :])
+            rhs = L2.ad(P[:, i]).dot(P[:, j])
+            if not ex.is_zero(lhs - rhs):
+                return False
+    return True
+
+
+@st.composite
+def transported(draw):
+    """(L1, L2, P): a random algebra L1, a unimodular integer P, and L2
+    with [u, v]_2 = P [P^-1 u, P^-1 v]_1, so that P is an isomorphism."""
+    n = draw(st.integers(2, 5))
+    L1 = random_algebra(rng(draw(st.integers(0, 10**6))), n)
+    p = ex.reye(n)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        p[i] = p[i] + draw(st.sampled_from([-1, 1])) * p[j]
+    pinv = ex.inv(p)
+    c = ex.rzeros((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            c[i, j, :] = p.dot(L1.bracket(pinv[:, i], pinv[:, j]))
+    return L1, LieAlgebra(c), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(transported(), st.data())
+def test_isomorphism_witness_matches_the_pairwise_check(case, data):
+    L1, L2, p = case
+    n = L1.dim
+    assert check_isomorphism_witness(L1, L2, p) and _isomorphism_by_pairs(L1, L2, p)
+    # 2P doubles the right side against the left: it fails unless L1 is
+    # abelian
+    abelian = ex.is_zero(L1.c)
+    assert check_isomorphism_witness(L1, L2, 2 * p) == abelian == _isomorphism_by_pairs(
+        L1, L2, 2 * p
+    )
+    # one entry moved by 1: the two checks agree
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    q = p.copy()
+    q[i, j] += 1
+    if ex.det(q) != 0:
+        assert check_isomorphism_witness(L1, L2, q) == _isomorphism_by_pairs(L1, L2, q)
 
 
 def test_verify_table_rows():
