@@ -59,6 +59,7 @@ from . import kernels
 from .algebra import MAX_DIM, audit_algebra
 from .detect import LCPStructure
 from .errors import (
+    DimensionMismatch,
     EnvelopeExceeded,
     MTooSmall,
     NonPositiveInput,
@@ -79,6 +80,10 @@ MAX_SCAN_POINTS = 10**6
 CERTIFY_TOL = 1e-8
 # most witnesses the exact step lists; past it the scan runs
 MAX_LISTED_WITNESSES = 10**4
+# largest n^2 b of the integer form d C the exact spectrum takes, b the
+# largest bit length of d and the entries of d C: a MAX_DIM x MAX_DIM C
+# with 128-bit entries
+MAX_INT_FORM_SIZE = MAX_DIM**2 * 128
 
 
 def _as_float_matrix(c) -> np.ndarray:
@@ -372,7 +377,10 @@ class _Plan:
     radius, the data of a double-root certificate) and from the complex
     one (the scan), the integer form C = ints / d and the exact spectrum
     of ints, the invariant components, and per group of indices its
-    sub-matrix, spectrum and spectral radius.  Block certifications are
+    sub-matrix, spectrum and spectral radius.  C must be a nonempty
+    square matrix (else DimensionMismatch), and its integer form within
+    MAX_INT_FORM_SIZE (else EnvelopeExceeded, before the characteristic
+    polynomial is built).  Block certifications are
     kept too: ``expm`` is a function of its argument, so the Z and Q that
     ``certify_witness`` finds for a block depend only on t0 sub and the
     polynomial (``seed`` is the plan's), and a block whose t0 sub
@@ -380,6 +388,8 @@ class _Plan:
 
     def __init__(self, c, seed: int = 0):
         self.a = _as_float_matrix(c)
+        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1] or not self.a.size:
+            raise DimensionMismatch(f"C must be a nonempty square matrix, not {self.a.shape}")
         self.c = _as_rationals(c)
         self.seed = seed
         self._groups = {}
@@ -399,8 +409,16 @@ class _Plan:
 
     @cached_property
     def scaled(self) -> tuple:
-        """``(ints, d)`` with C = ints / d."""
-        return ex.scaled(self.c)
+        """``(ints, d)`` with C = ints / d, if n^2 b <= MAX_INT_FORM_SIZE
+        for b the largest bit length of d and the entries of ints."""
+        ints, d = ex.scaled(self.c)
+        b = max(d.bit_length(), *(x.bit_length() for x in ints.ravel().tolist()))
+        if ints.shape[0] ** 2 * b > MAX_INT_FORM_SIZE:
+            raise EnvelopeExceeded(
+                f"the integer form of C has {b}-bit entries; n^2 b = {ints.shape[0] ** 2 * b}"
+                f" is past {MAX_INT_FORM_SIZE}"
+            )
+        return ints, d
 
     @cached_property
     def int_spectrum(self) -> IntSpectrum:
@@ -483,14 +501,18 @@ def certify_witness_blocked(c, t0: float, seed: int = 0, m=None):
 
 def _jordan_types(ints, roots) -> dict:
     """The Jordan block sizes of the integer matrix at each eigenvalue k
-    of ``roots`` (pairs ``(k, multiplicity)``), largest first.  With
-    r_j = rank (ints - k)^j, r_(j-1) - r_j blocks have size >= j; j runs
-    until r_j = n - (the multiplicity of k), which takes at most that
-    multiplicity steps."""
+    of ``roots`` (pairs ``(k, multiplicity)``), largest first.  A simple
+    root is one block of size 1, read off with no rank.  At a multiple
+    root, with r_j = rank (ints - k)^j, r_(j-1) - r_j blocks have size
+    >= j; j runs until r_j = n - (the multiplicity of k), which takes at
+    most that multiplicity steps."""
     n = ints.shape[0]
     eye = np.eye(n, dtype=int).astype(object)
     types = {}
     for k, mult in roots:
+        if mult == 1:
+            types[k] = [1]
+            continue
         shifted, power, ranks = ints - k * eye, eye, [n]
         while ranks[-1] > n - mult:
             power = shifted.dot(power)
@@ -526,15 +548,19 @@ def _trace_levels(lam0: float, lo: float, hi: float) -> Optional[list]:
     ]
 
 
-def _lucas(m: int, top: int) -> list:
-    """L_e(m) = trace of A^e for A = companion(x^2 - m x + 1), e = 0..top."""
-    out = [2, m]
+def _lucas(ms: np.ndarray, top: int) -> list:
+    """L_e(m) = trace of A^e for A = companion(x^2 - m x + 1), e = 0..top,
+    each one vector over the trace levels ``ms`` (Python ints):
+    L_0 = 2, L_1 = m and L_e = m L_(e-1) - L_(e-2)."""
+    out = [np.full(ms.shape, 2, dtype=object), ms]
     while len(out) <= top:
-        out.append(m * out[-1] - out[-2])
+        out.append(ms * out[-1] - out[-2])
     return out
 
 
 def _poly_mul(p: list, q: list) -> list:
+    """The product of two coefficient lists whose entries are ints or
+    vectors over the trace levels."""
     out = [0] * (len(p) + len(q) - 1)
     for i, x in enumerate(p):
         for j, y in enumerate(q):
@@ -559,6 +585,12 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     matrices of the invariant factors, largest first, on consecutive
     diagonal blocks.
 
+    Every trace level of the range is built in one pass: L_e(m) is one
+    vector over the levels, each invariant factor one polynomial whose
+    coefficients are such vectors, and its companion block is written
+    into one (levels, n, n) array, read-only, whose slices are the
+    witnesses' Z.
+
     Declines (None) on a trace or spectrum the scan must judge (nonzero
     trace, non-integer or complex eigenvalues, nilpotent C) and past
     MAX_LISTED_WITNESSES.  ``c`` is C or its plan."""
@@ -577,29 +609,32 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     levels = _trace_levels(float(Fraction(g, d)), lo, hi)
     if levels is None:
         return None
-    # per invariant factor: (x - 1)^s_i(0) and {e: s_i(e)} for e > 0
-    factors = []
+    lucas = _lucas(np.array([m for _, m in levels], dtype=object), max(ks) // g)
+    z = np.zeros((len(levels), n, n), dtype=object)
+    poly, at = [1], 0
     for i in range(max(len(sizes) for sizes in types.values())):
+        # the i-th invariant factor: (x - 1)^s_i(0), then q_e^s_i(e) for e > 0
         powers = {k // g: sizes[i] for k, sizes in types.items() if k >= 0 and i < len(sizes)}
-        unipotent = [1]
+        p = [1]
         for _ in range(powers.pop(0, 0)):
-            unipotent = _poly_mul(unipotent, [1, -1])
-        factors.append((unipotent, powers))
-    top = max(ks) // g
-    out = []
-    for t0, m in levels:
-        lucas = _lucas(m, top)
-        z = np.zeros((n, n), dtype=object)
-        poly, at = [1], 0
-        for p, powers in factors:
-            for e, s in powers.items():
-                for _ in range(s):
-                    p = _poly_mul(p, [1, -lucas[e], 1])
-            end = at + len(p) - 1
-            z[at:end, at:end] = companion(IntPoly(tuple(p)))
-            poly, at = _poly_mul(poly, p), end
-        out.append(LatticeWitness(t0, z, None, None, IntPoly(tuple(poly)), exact=True))
-    return out
+            p = _poly_mul(p, [1, -1])
+        for e, s in powers.items():
+            for _ in range(s):
+                p = _poly_mul(p, [1, -lucas[e], 1])
+        # its companion block: ones below the diagonal, -p reversed last
+        end = at + len(p) - 1
+        z[:, range(at + 1, end), range(at, end - 1)] = 1
+        for row, x in enumerate(reversed(p[1:]), start=at):
+            z[:, row, end - 1] = -x
+        poly, at = _poly_mul(poly, p), end
+    z.flags.writeable = False
+    coeffs = np.empty((n + 1, len(levels)), dtype=object)
+    for j, x in enumerate(poly):
+        coeffs[j] = x
+    return [
+        LatticeWitness(t0, zm, None, None, IntPoly(tuple(row)), exact=True)
+        for (t0, _), zm, row in zip(levels, z, coeffs.T.tolist())
+    ]
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,20 @@ from lcplab import kernels
 from lcplab.algebra import LieAlgebra, Metric, OneForm
 from lcplab.construct import almab_lcp
 from lcplab.detect import LCPStructure, maximal_flat_parallel
-from lcplab.errors import EnvelopeExceeded, MTooSmall, NonPositiveInput, NonTraceFree
+from lcplab.errors import (
+    DimensionMismatch,
+    EnvelopeExceeded,
+    MTooSmall,
+    NonPositiveInput,
+    NonTraceFree,
+)
 from lcplab.intpoly import IntPoly, int_charpoly, int_det
 from lcplab.lattice import (
+    MAX_INT_FORM_SIZE,
     MAX_SPECTRAL,
     _exact_witnesses,
     _is_derogatory,
+    _Plan,
     _scanned_range,
     amalgam_lattice,
     certify_witness,
@@ -147,6 +155,50 @@ def test_entries_across_the_float_range_are_read_exactly():
     assert cert is not None and cert.data["multiple_root"] == 1e300
     v = lattice_verdict(np.array([[1e308, 5e-324], [2.2e-310, -1e308]]))
     assert v.status == "inconclusive" and v.inconclusive_ranges == ((0.0, 5e-307),)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lattice_verdict, no_lattice_double_root, integer_charpoly_scan],
+    ids=["verdict", "double-root", "scan"],
+)
+@pytest.mark.parametrize(
+    "c", [np.zeros((0, 0)), [[1, 0, 0], [0, -1, 0]]], ids=["0x0", "2x3"]
+)
+def test_empty_or_non_square_input_is_a_dimension_error(call, c):
+    with pytest.raises(DimensionMismatch, match="nonempty square"):
+        call(c)
+
+
+def test_integer_form_bit_envelope():
+    # n^2 b, b the largest bit length of d and the entries of d C: at the
+    # limit a 16 x 16 C takes 128-bit entries, one bit more is refused
+    c = ex.rzeros((16, 16))
+    c[0, 0] = 2**127
+    assert 16**2 * 128 == MAX_INT_FORM_SIZE and _Plan(c).scaled[0][0, 0] == 2**127
+    c[0, 0] = 2**128
+    with pytest.raises(EnvelopeExceeded, match="integer form"):
+        _Plan(c).scaled
+    # a 16 x 16 standard-normal float C has b = 61
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((16, 16))
+    assert max(abs(x).bit_length() for x in _Plan(a).scaled[0].flat) <= 61
+    assert no_lattice_double_root(a) is None
+
+
+def test_huge_float_entries_are_refused_before_the_charpoly(monkeypatch):
+    # trace-free up to rounding and scaled by 1e300, each entry of d C has
+    # about 1000 bits: every call is refused before a characteristic
+    # polynomial is built
+    def refuse(ints):
+        raise AssertionError("characteristic polynomial built")
+
+    monkeypatch.setattr(ex, "int_charpoly_coeffs", refuse)
+    a = np.random.default_rng(0).standard_normal((16, 16))
+    a = (a - np.trace(a) / 16 * np.eye(16)) * 1e300
+    for call in (lattice_verdict, no_lattice_double_root, integer_charpoly_scan):
+        with pytest.raises(EnvelopeExceeded, match="integer form"):
+            call(a)
 
 
 def test_certify_e11():

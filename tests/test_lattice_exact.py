@@ -16,12 +16,16 @@ from hypothesis import given, settings, strategies as st
 from lcplab import exact as ex
 from lcplab import kernels
 from lcplab.errors import NonTraceFree
-from lcplab.intpoly import int_charpoly, int_det
+from lcplab import intpoly
+from lcplab import lattice
+from lcplab.intpoly import IntPoly, companion, int_charpoly, int_det
 from lcplab.lattice import (
     MAX_LISTED_WITNESSES,
     _exact_witnesses,
+    _jordan_types,
     _Plan,
     _scanned_range,
+    _trace_levels,
     certify_witness,
     certify_witness_blocked,
     integer_charpoly_scan,
@@ -627,3 +631,140 @@ def test_float_input_lists_every_witness(c, t_hi, count):
         v = lattice_verdict(a, t_range=(0.0, t_hi))
         assert len(v.witnesses) == count and all(w.exact for w in v.witnesses)
         assert [w.as_dict() for w in v.witnesses] == [w.as_dict() for w in exact.witnesses]
+
+
+def rank_types(ints, roots):
+    """The Jordan types of an integer matrix from exact ranks at every
+    root, simple ones included: r_(j-1) - r_j blocks of size >= j."""
+    n = len(ints)
+    eye = np.eye(n, dtype=int).astype(object)
+    types = {}
+    for k, mult in roots:
+        shifted, power, ranks = ints - k * eye, eye, [n]
+        while ranks[-1] > n - mult:
+            power = shifted.dot(power)
+            ranks.append(ex.rank(power))
+        at_least = [a - b for a, b in zip(ranks, ranks[1:])]
+        types[k] = [sum(1 for c in at_least if c >= i) for i in range(1, at_least[0] + 1)]
+    return types
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def per_level_witnesses(c, t_range):
+    """The exact witnesses built level by level: at each trace level m,
+    the invariant factors of exp(t0 C) from the Lucas numbers L_e(m), and
+    companion(IntPoly(p)) of each on consecutive diagonal blocks; as
+    (t0, Z rows, poly coefficients, exact)."""
+    plan = _Plan(c)
+    spec = plan.int_spectrum
+    ks = spec.integer_eigenvalues()
+    ints, d = plan.scaled
+    g = math.gcd(*ks)
+    types = rank_types(ints, spec.integer_roots)
+    out = []
+    for t0, m in _trace_levels(float(F(g, d)), *_scanned_range(plan, t_range)):
+        z = np.zeros((len(ks), len(ks)), dtype=object)
+        poly, at = [1], 0
+        for i in range(max(len(sizes) for sizes in types.values())):
+            p = [1]
+            for k, sizes in types.items():
+                if k >= 0 and i < len(sizes):
+                    q = [1, -1] if k == 0 else [1, -lucas(m, k // g), 1]
+                    for _ in range(sizes[i]):
+                        p = poly_mul(p, q)
+            end = at + len(p) - 1
+            z[at:end, at:end] = companion(IntPoly(tuple(p)))
+            poly, at = poly_mul(poly, p), end
+        out.append((t0, z.tolist(), tuple(poly), True))
+    return out
+
+
+def one_pass_witnesses(c, t_range):
+    return [
+        (w.t0, w.integral_matrix.tolist(), w.poly.coeffs, w.exact)
+        for w in _exact_witnesses(c, t_range)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_jordan_data(), st.floats(1.0, 3.5), st.sampled_from([0.0, -0.5]))
+def test_one_pass_matches_the_per_level_construction(data, reach, below):
+    # every witness of the one pass is the one the per-level loop builds:
+    # t0, Z, its characteristic polynomial and the exact flag, in order
+    c, lam_eff, _ = data
+    t_range = (below * reach / float(lam_eff), reach / float(lam_eff))
+    expected = per_level_witnesses(c, t_range)
+    assert expected and one_pass_witnesses(c, t_range) == expected
+
+
+@pytest.mark.parametrize(
+    "c, t_range, count",
+    [
+        (diag(1, -1), (1.0, 1.3), 0),  # between the levels m = 3 and 4
+        (diag(1, -1), (0.0, 3.0), 18),  # n = 2: no zero root
+        (ex.dot(ex.dot(U4, diag(1, 1, -1, -1)), ex.inv(U4)), (0.0, 3.0), 18),
+        (ex.dot(ex.dot(U6, J2J1), ex.inv(U6)), (-2.0, 2.0), 10),
+        (diag(1, -1), (0.0, 9.2), 9895),  # the listing limit's range
+    ],
+    ids=["no-level", "n2", "derogatory-group", "jordan-group", "listing-limit"],
+)
+def test_one_pass_edge_cases(c, t_range, count):
+    got = one_pass_witnesses(c, t_range)
+    assert len(got) == count and got == per_level_witnesses(c, t_range)
+
+
+@st.composite
+def integer_jordan_matrices(draw):
+    """(ints, its Jordan types): Jordan blocks at small integer
+    eigenvalues, simple and repeated roots mixed, under a unimodular
+    basis change (so the matrix stays integer)."""
+    block = st.tuples(st.integers(-3, 3), st.integers(1, 3))
+    blocks = draw(st.lists(block, min_size=1, max_size=4))
+    ints = ex.scaled(draw(unimodular_conjugate(direct_sum([jordan(k, a) for a, k in blocks]))))[0]
+    types = {}
+    for a, k in blocks:
+        types.setdefault(a, []).append(k)
+    return ints, {a: sorted(sizes, reverse=True) for a, sizes in types.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_jordan_matrices())
+def test_jordan_types_match_the_ranks(data):
+    ints, types = data
+    roots = _Plan(ints).int_spectrum.integer_roots
+    assert _jordan_types(ints, roots) == rank_types(ints, roots) == types
+
+
+def test_witness_matrices_are_read_only():
+    # the witnesses' Z are slices of one array: none can change another
+    first, second = _exact_witnesses(diag(1, -1), (0.0, 1.4))
+    with pytest.raises(ValueError):
+        first.integral_matrix[1, 1] = 4
+    assert z_rows(first) == [[0, -1], [1, 3]] and z_rows(second) == [[0, -1], [1, 4]]
+
+
+def test_one_rank_and_no_companion_matrix(monkeypatch):
+    # diag(1, -1, 0, 0): the simple roots +-1 take no rank, the double
+    # root 0 one, and no companion matrix is built level by level
+    calls = {"companion": 0, "rank": 0}
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return g
+
+    monkeypatch.setattr(lattice, "companion", counted("companion", companion))
+    monkeypatch.setattr(intpoly, "companion", counted("companion", companion))
+    monkeypatch.setattr(ex, "rank", counted("rank", ex.rank))
+    v = lattice_verdict(diag(1, -1, 0, 0), t_range=(0.0, 3.0))
+    assert len(v.witnesses) == 18 and all(w.exact for w in v.witnesses)
+    assert calls == {"companion": 0, "rank": 1}
