@@ -3,7 +3,10 @@ algebras, their low-dimensional classification, and lattice search for
 the associated simply connected solvable Lie groups.
 
 The exact layers (algebra, weyl, detect, construct, lowdim) run entirely
-over rational arithmetic; lattice search uses floats with numpy kernels.
+over rational arithmetic.  Lattice search decides rational real spectra
+exactly; for the rest it scans t in floats with numpy kernels and
+certifies each candidate by the Frobenius form of exp(t0 C), read from
+the exact Jordan data of C.
 """
 
 from .algebra import (

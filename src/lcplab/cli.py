@@ -41,7 +41,7 @@ from .detect import (
 from .docfmt import parse_file, render_document
 from .errors import DocumentError, LcpError
 from .intpoly import IntPoly
-from .lattice import certify_witness, certify_witness_blocked, lattice_verdict
+from .lattice import certify_witness, lattice_verdict
 from .lowdim import fingerprint, render_tables_text, reproduce_tables
 
 EXIT_OK = 0
@@ -191,7 +191,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    rows = reproduce_tables(t_range=_t_range(args.t_range), seed=args.seed)
+    rows = reproduce_tables(t_range=_t_range(args.t_range))
     ok = all(r["witnesses_ok"] for r in rows)
     _emit(rows, args.format, render_tables_text(rows).rstrip("\n"))
     return EXIT_OK if ok else EXIT_FAIL
@@ -217,7 +217,6 @@ def cmd_lattice(args) -> int:
             pres.matrix,
             label=doc.label or "input",
             t_range=_t_range(args.t_range),
-            seed=args.seed,
             structure=structure,
         )
         payload = verdict.as_dict()
@@ -240,16 +239,14 @@ def cmd_lattice(args) -> int:
         poly = IntPoly(tuple(int(x) for x in args.poly.split(",")))
     except ValueError:
         raise DocumentError(f"--poly must be comma-separated integers, not {args.poly!r}") from None
-    w = certify_witness(pres.matrix, args.t0, poly, seed=args.seed)
-    if w is None:
-        w = certify_witness_blocked(pres.matrix, args.t0, seed=args.seed)
+    w = certify_witness(pres.matrix, args.t0, poly)
     if w is None:
         _emit({"certified": False}, args.format, "not certified (inconclusive)")
         return EXIT_FAIL
     _emit(
         {"certified": True, "witness": w.as_dict()},
         args.format,
-        f"certified: Z={[list(map(int, r)) for r in w.integral_matrix]} residual {w.residual:.2e}",
+        f"certified: Z={[list(map(int, r)) for r in w.integral_matrix]} defect {w.residual:.2e}",
     )
     return EXIT_OK
 
@@ -289,14 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tables", help="reproduce the low-dimensional catalog")
     common(sp, needs_input=False)
-    sp.add_argument("--seed", type=int, default=0, help="seed of the Krylov probes")
     sp.add_argument("--t-range", default="0:3", help="lattice scan range A:B")
     sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("lattice", help="lattice search / certification")
     sp.add_argument("action", choices=("search", "certify"))
     common(sp)
-    sp.add_argument("--seed", type=int, default=0, help="seed of the Krylov probes")
     sp.add_argument("--t-range", default="0:20", help="scan range A:B")
     sp.add_argument("--t0", type=float, help="candidate parameter (certify)")
     sp.add_argument("--poly", help="comma-separated descending integer coefficients")

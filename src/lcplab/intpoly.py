@@ -143,8 +143,7 @@ class IntSpectrum:
         # the coefficient a of x^k in s contributes a i^k y^k to s(iy)
         re = _primitive([a * (1, 0, -1, 0)[(n - i) % 4] for i, a in enumerate(s)])
         im = _primitive([a * (0, 1, 0, -1)[(n - i) % 4] for i, a in enumerate(s)])
-        a, b = sorted((re, im), key=len, reverse=True)
-        g = _euclid(a, b)[-1] if b else a
+        g = _gcd(re, im) if re and im else re or im
         return self.real_roots + _sturm(g)[0] - (g[-1] == 0) < n
 
 
@@ -215,6 +214,32 @@ def _euclid(a: list, b: list) -> list:
             break
         chain.append([-x for x in r])
     return chain
+
+
+def _gcd(a: list, b: list) -> list:
+    """gcd(a, b) of nonzero a and b, primitive with positive lead."""
+    a, b = sorted((a, b), key=len, reverse=True)
+    g = _primitive(_euclid(a, b)[-1])
+    return g if g[0] > 0 else [-x for x in g]
+
+
+def square_free_factors(p: list) -> dict:
+    """``{m: P_m}`` for a monic integer polynomial p = prod P_m^m, P_m the
+    monic product of the roots of multiplicity m (Musser: from g =
+    gcd(p, p') and s = p / g, each round h = gcd(g, s) keeps the roots
+    still repeated, P_m = s / h, and g / h and h go on)."""
+    p = [_integral(x) for x in p]
+    if len(p) == 1:
+        return {}
+    g = _gcd(p, [x * (len(p) - 1 - i) for i, x in enumerate(p[:-1])])
+    s = _divmod(p, g)[0]
+    out, m = {}, 1
+    while len(s) > 1:
+        h = _gcd(g, s)
+        if len(s) > len(h):
+            out[m] = _divmod(s, h)[0]
+        g, s, m = _divmod(g, h)[0], h, m + 1
+    return out
 
 
 def _sturm(p: list) -> tuple:

@@ -5,7 +5,7 @@ No characteristic polynomial of exp(t C) needs a matrix exponential: the
 spectrum of exp(t C) is exp(t spec C), and the characteristic polynomial
 depends only on the spectrum (also for non-diagonalisable C), so one
 eigenvalue decomposition of C serves every t (``exp_charpoly``).
-``expm`` is kept for the conjugacy check of certification.
+``expm`` is kept for ``lattice.exp_ad``.
 """
 
 from __future__ import annotations

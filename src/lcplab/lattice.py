@@ -23,12 +23,11 @@ side has three paths:
   imaginary axis;
 * the scan, for everything else (imaginary or irrational spectra, a
   trace that is zero only up to rounding, the one allowance for
-  rounding in this module, nilpotent C, longer lists):
-  it scans t, in floats, for integer characteristic polynomials and
-  certifies candidates through companion-matrix conjugacy (sound but
-  sufficient-only: it needs a non-derogatory exponential;
-  block-diagonal inputs fall back to blockwise certification).  A
-  witness the grid does not flag is missing from its result.
+  rounding in this module, nilpotent C, longer lists): it scans t, in
+  floats, for integer characteristic polynomials and certifies each
+  candidate by the Frobenius form of exp(t0 C), from the exact Jordan
+  data of C (``certify_witness``).  A witness the grid does not flag is
+  missing from its result.
 
 One plan per verdict (``_Plan``) computes each spectrum of C once.
 
@@ -49,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, combinations_with_replacement
 from fractions import Fraction
 from typing import Optional
 
@@ -66,7 +66,7 @@ from .errors import (
     NonTraceFree,
     PreconditionViolated,
 )
-from .intpoly import IntPoly, IntSpectrum, companion, int_charpoly, int_spectrum
+from .intpoly import IntPoly, IntSpectrum, companion, int_spectrum, square_free_factors
 
 MAX_SPECTRAL = 50.0
 # the witness scan (see integer_charpoly_scan)
@@ -76,8 +76,6 @@ SCAN_TOL = 1e-9
 GOLDEN_ITERS = 130
 # largest grid the scan allocates: (hi - lo) / SCAN_STEP points
 MAX_SCAN_POINTS = 10**6
-# residual bound max|Q exp(t0 C) Q^-1 - Z| of a certified witness
-CERTIFY_TOL = 1e-8
 # most witnesses the exact step lists; past it the scan runs
 MAX_LISTED_WITNESSES = 10**4
 # largest n^2 b of the integer form d C the exact spectrum takes, b the
@@ -87,7 +85,10 @@ MAX_INT_FORM_SIZE = MAX_DIM**2 * 128
 
 
 def _as_float_matrix(c) -> np.ndarray:
-    a = np.array(c, dtype=np.float64, order="C")
+    try:
+        a = np.array(c, dtype=np.float64, order="C")
+    except OverflowError:
+        raise EnvelopeExceeded("matrix entries must be within the float range") from None
     if not np.isfinite(a).all():
         raise EnvelopeExceeded("matrix entries must be finite")
     return a
@@ -105,18 +106,20 @@ def _as_rationals(c) -> np.ndarray:
     return out
 
 
-def exp_ad(c, t: float) -> np.ndarray:
-    """exp(t C) by scaling and squaring; envelope n <= 16 and
-    spectral radius of t C at most 50."""
-    a = _as_float_matrix(c)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise EnvelopeExceeded("matrix must be square")
-    if n > MAX_DIM:
+def _in_envelope(c, t: float):
+    """The plan of C, once n <= MAX_DIM and the spectral radius of t C is
+    at most MAX_SPECTRAL (else EnvelopeExceeded)."""
+    plan = _plan_of(c)
+    if plan.a.shape[0] > MAX_DIM:
         raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
-    if n and np.max(np.abs(np.linalg.eigvals(t * a))) > MAX_SPECTRAL:
+    if abs(t) * plan.rho > MAX_SPECTRAL:
         raise EnvelopeExceeded("spectral radius of t*C exceeds the envelope")
-    return kernels.expm(t * a)
+    return plan
+
+
+def exp_ad(c, t: float) -> np.ndarray:
+    """exp(t C) by scaling and squaring, within the envelope."""
+    return kernels.expm(t * _in_envelope(c, t).a)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -166,14 +169,6 @@ class ScanCandidate:
     t0: float
     poly: IntPoly
     defect: float
-
-
-def _check_spectral_envelope(t: float, rho: float) -> None:
-    """Raise unless |t| times the spectral radius ``rho`` of C is within
-    MAX_SPECTRAL: the envelope check of :func:`exp_ad`, from a radius
-    taken once."""
-    if abs(t) * rho > MAX_SPECTRAL:
-        raise EnvelopeExceeded("spectral radius of t*C exceeds the envelope")
 
 
 def _scanned_range(c, t_range) -> tuple:
@@ -254,19 +249,15 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
 
 @dataclass(frozen=True)
 class LatticeWitness:
-    """Witness: exp(t0 C) is conjugate to the integer matrix Z of
-    determinant 1, whose characteristic polynomial is ``poly``.
-
-    A scan witness (``exact`` false) is certified in floats: Q conjugates
-    exp(t0 C) to Z with max-entry residual below CERTIFY_TOL.  An exact
-    witness of a rational real spectrum has ``conjugator`` and
-    ``residual`` None: Z is the Frobenius form of the invariant factors
-    of exp(t0 C), so the two are conjugate over R, and only t0 is a
-    float."""
+    """Witness: exp(t0 C) is conjugate to Z, the integer Frobenius form of
+    its invariant factors, of determinant 1 and characteristic polynomial
+    ``poly``.  An exact witness has ``residual`` None, and only t0 is a
+    float; a scan witness (``exact`` false) rests on one float step, and
+    ``residual`` is the distance of charpoly(exp(t0 C)), in floats, from
+    ``poly`` (at most SCAN_TOL)."""
 
     t0: float
     integral_matrix: np.ndarray
-    conjugator: Optional[np.ndarray]
     residual: Optional[float]
     poly: IntPoly
     exact: bool = False
@@ -281,119 +272,64 @@ class LatticeWitness:
         }
 
 
-def _krylov(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    cols = [v]
-    for _ in range(m.shape[0] - 1):
-        cols.append(m.dot(cols[-1]))
-    return np.stack(cols, axis=1)
-
-
-def _witness_from_conjugacy(t0, m, z, q) -> Optional[LatticeWitness]:
-    # one exact pass: det Z = (-1)^n c_n of the characteristic polynomial
-    poly = int_charpoly(z)
-    if (-1) ** poly.degree * poly.constant_term() != 1:
+def _shared_type(nullity: list, deg: int, mult: int) -> Optional[list]:
+    """The Jordan type, largest block first, of each of deg eigenvalues of
+    multiplicity ``mult``, from N_j, the sum over them of dim ker (A - k)^j
+    for j = 0, 1, ..., mult; None where the sums leave it open.  On average
+    (N_j - N_(j-1)) / deg blocks per eigenvalue have size >= j, which fixes
+    every type when deg = 1 or mult <= 3; for mult >= 4 only one block and
+    mult blocks do ((2, 2) and (1, 1, 1, 1) average to (2, 1, 1))."""
+    if any(x % deg for x in nullity):
         return None
-    zf = np.array([[float(x) for x in row] for row in z])
-    residual = float(np.abs(q.dot(m).dot(np.linalg.inv(q)) - zf).max())
-    if residual > CERTIFY_TOL:
+    at_least = [(b - a) // deg for a, b in zip(nullity, nullity[1:])]
+    sizes = [sum(1 for c in at_least if c >= i) for i in range(1, at_least[0] + 1)]
+    if deg > 1 and mult > 3 and len(sizes) not in (1, mult):
         return None
-    return LatticeWitness(t0, z, q, residual, poly)
+    return sizes
 
 
-def certify_witness(c, t0: float, poly: IntPoly, seed: int = 0, m=None):
-    """Certify a scan candidate through companion-matrix conjugacy.
-
-    A non-derogatory matrix is conjugate to the companion matrix of its
-    characteristic polynomial; when that polynomial is monic integral
-    with constant term of unit modulus, the companion matrix is integer
-    with determinant +-1.  Up to four random Krylov probes are tried, and
-    the first whose conjugation passes the residual check is returned.
-    Returns None (inconclusive) for derogatory exponentials, determinant
-    -1, t0 = 0 (exp(0 C) = I gives no lattice), or when no probe passes.
-    ``m`` is exp(t0 C) when the caller has it already.
-    """
-    if t0 == 0:
-        return None
-    if m is None:
-        m = exp_ad(c, t0)
-    n = m.shape[0]
-    if not poly.monic or abs(poly.constant_term()) != 1 or poly.degree != n:
-        return None
-    z = companion(poly)
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        v = rng.standard_normal(n)
-        k = _krylov(m, v)
-        sv = np.linalg.svd(k, compute_uv=False)
-        if sv[-1] > 1e-8 * sv[0]:
-            w = _witness_from_conjugacy(t0, m, z, np.linalg.inv(k))
-            if w is not None:
-                return w
-    return None  # derogatory or no probe passed: inconclusive on this path
+def _block_type(ints, q: list, mult: int) -> Optional[list]:
+    """The Jordan type of the integer matrix at each root of q, a
+    square-free polynomial whose roots are eigenvalues of multiplicity
+    ``mult`` (``_shared_type``): the nullity of q(ints)^j is the sum of
+    dim ker (ints - k)^j over the roots k of q.  A simple root is one
+    block of size 1, read off with no rank."""
+    if mult == 1:
+        return [1]
+    n, deg = ints.shape[0], len(q) - 1
+    eye = np.eye(n, dtype=int).astype(object)
+    base = q[0] * ints + q[1] * eye
+    for a in q[2:]:
+        base = ints.dot(base) + a * eye
+    power, nullity = eye, [0]
+    while nullity[-1] < mult * deg:
+        power = base.dot(power)
+        nullity.append(n - ex.rank(power))
+    return _shared_type(nullity, deg, mult)
 
 
-def _is_derogatory(c) -> bool:
-    """Is C derogatory, that is, is its minimal polynomial of degree < n?
-    One exact rank of the n^2 x n matrix [vec I, vec C, ..., vec C^(n-1)],
-    taken on the powers of the integer form C = ints / d (C^k = ints^k /
-    d^k, and column scales do not change the rank).  exp(t C) is a
-    polynomial in C, so it is then derogatory for every t.  ``c`` is C or
-    its plan."""
-    ints, _ = _plan_of(c).scaled
-    n = ints.shape[0]
-    powers = [np.eye(n, dtype=int).astype(object)]
-    for _ in range(n - 1):
-        powers.append(ints.dot(powers[-1]))
-    return ex.rank(np.stack([p.ravel() for p in powers], axis=1)) < n
-
-
-def _blocks_of(c: np.ndarray) -> list:
-    """Connected components of the nonzero pattern (invariant blocks of a
-    block-diagonal matrix)."""
-    n = c.shape[0]
-    adj = (np.abs(c) + np.abs(c.T)) > 0
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if adj[i, j] and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
+def _jordan_types(ints, roots) -> dict:
+    """The Jordan block sizes of the integer matrix at each eigenvalue k
+    of ``roots`` (pairs ``(k, multiplicity)``), largest first, from the
+    ranks of (ints - k)^j (``_block_type``)."""
+    return {k: _block_type(ints, [1, -k], mult) for k, mult in roots}
 
 
 class _Plan:
     """What one verdict computes once about C: C as the exact rationals
     its entries are (``_as_rationals``) and as floats, and on first use
     the eigenvalues of the floats from the real-matrix solver (spectral
-    radius, the data of a double-root certificate) and from the complex
-    one (the scan), the integer form C = ints / d and the exact spectrum
-    of ints, the invariant components, and per group of indices its
-    sub-matrix, spectrum and spectral radius.  C must be a nonempty
-    square matrix (else DimensionMismatch), and its integer form within
-    MAX_INT_FORM_SIZE (else EnvelopeExceeded, before the characteristic
-    polynomial is built).  Block certifications are
-    kept too: ``expm`` is a function of its argument, so the Z and Q that
-    ``certify_witness`` finds for a block depend only on t0 sub and the
-    polynomial (``seed`` is the plan's), and a block whose t0 sub
-    repeats, such as a zero block, is certified once per plan."""
+    radius, double-root data) and from the complex one (the scan), the
+    integer form C = ints / d, the characteristic polynomial, exact
+    spectrum and Jordan data of ints.  C must be a nonempty square matrix
+    (else DimensionMismatch), with entries within the float range and its
+    integer form within MAX_INT_FORM_SIZE (else EnvelopeExceeded)."""
 
-    def __init__(self, c, seed: int = 0):
+    def __init__(self, c):
         self.a = _as_float_matrix(c)
         if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1] or not self.a.size:
             raise DimensionMismatch(f"C must be a nonempty square matrix, not {self.a.shape}")
         self.c = _as_rationals(c)
-        self.seed = seed
-        self._groups = {}
-        self._certified = {}
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -421,105 +357,132 @@ class _Plan:
         return ints, d
 
     @cached_property
-    def int_spectrum(self) -> IntSpectrum:
-        """The exact spectrum of ints = d C."""
-        return int_spectrum(ex.int_charpoly_coeffs(self.scaled[0]))
+    def charpoly(self) -> list:
+        """The characteristic polynomial of ints = d C."""
+        return ex.int_charpoly_coeffs(self.scaled[0])
 
     @cached_property
-    def components(self) -> list:
-        return _blocks_of(self.a)
+    def int_spectrum(self) -> IntSpectrum:
+        """The exact spectrum of ints = d C."""
+        return int_spectrum(self.charpoly)
 
-    def group(self, idx: list) -> tuple:
-        """``(sub, spectrum, rho)`` of the group on the indices ``idx``."""
-        key = tuple(idx)
-        if key not in self._groups:
-            sub = self.a[np.ix_(idx, idx)]
-            ev = kernels.spectrum(sub)
-            self._groups[key] = (sub, ev, float(np.max(np.abs(ev))))
-        return self._groups[key]
-
-    def certify_block(self, idx: list, t0: float, poly: IntPoly):
-        sub, _, rho = self.group(idx)
-        _check_spectral_envelope(t0, rho)
-        ta = t0 * sub
-        key = (tuple(idx), ta.tobytes(), poly.coeffs)
-        if key not in self._certified:
-            self._certified[key] = certify_witness(
-                sub, t0, poly, seed=self.seed, m=kernels.expm(ta)
-            )
-        return self._certified[key]
-
-
-def _plan_of(c, seed: int = 0) -> _Plan:
-    """``c`` itself when it is a plan, else a new plan of C with ``seed``."""
-    return c if isinstance(c, _Plan) else _Plan(c, seed)
-
-
-def _merge_components(plan: _Plan, t0: float) -> Optional[list]:
-    """Greedily merge consecutive invariant components until each merged
-    group has an integer characteristic polynomial of its exponential
-    (repeated eigenvalue pairs of amalgams sit in consecutive blocks).
-    Returns ``(group, coefficients of that polynomial)`` per group."""
-    groups = []
-    acc = []
-    for comp in plan.components:
-        acc = sorted(acc + comp)
-        _, ev, _ = plan.group(acc)
-        coeffs = kernels.exp_charpoly(ev, t0)
-        if kernels.integer_defect(coeffs) < 1e-7:
-            groups.append((acc, coeffs))
-            acc = []
-    if acc:
-        return None
-    return groups
-
-
-def certify_witness_blocked(c, t0: float, seed: int = 0, m=None):
-    """Blockwise certification for derogatory exponentials of
-    block-diagonal C (e.g. repeated blocks of amalgamated products):
-    each diagonal block is certified on its own and the integer matrices
-    are reassembled.  ``c`` is C or its plan (whose seed then serves);
-    ``m`` is exp(t0 C) when the caller has it already."""
-    plan = _plan_of(c, seed)
-    groups = _merge_components(plan, t0)
-    if groups is None or len(groups) <= 1:
-        return None
-    n = plan.a.shape[0]
-    z = np.zeros((n, n), dtype=object)
-    q = np.zeros((n, n))
-    for comp, coeffs in groups:
-        psub = IntPoly(tuple(int(round(x)) for x in coeffs))
-        wsub = plan.certify_block(comp, t0, psub)
-        if wsub is None:
+    @cached_property
+    def jordan(self) -> Optional[tuple]:
+        """``(type at 0, [(m, deg q_m, type at the roots of q_m)])`` of ints,
+        q_m the product of the nonzero roots of multiplicity m; None where
+        the ranks leave a type open (``_block_type``)."""
+        ints, p = self.scaled[0], list(self.charpoly)
+        m0 = len(p) - len(np.trim_zeros(p, "b"))
+        zero = _block_type(ints, [1, 0], m0) if m0 else []
+        off = [(m, len(q) - 1, _block_type(ints, q, m))
+               for m, q in square_free_factors(p[: len(p) - m0]).items()]
+        if any(sizes is None for _, _, sizes in off):
             return None
-        z[np.ix_(comp, comp)] = wsub.integral_matrix
-        q[np.ix_(comp, comp)] = wsub.conjugator
-    if m is None:
-        m = exp_ad(plan.a, t0)
-    return _witness_from_conjugacy(t0, m, z, q)
+        return zero, off
 
 
-def _jordan_types(ints, roots) -> dict:
-    """The Jordan block sizes of the integer matrix at each eigenvalue k
-    of ``roots`` (pairs ``(k, multiplicity)``), largest first.  A simple
-    root is one block of size 1, read off with no rank.  At a multiple
-    root, with r_j = rank (ints - k)^j, r_(j-1) - r_j blocks have size
-    >= j; j runs until r_j = n - (the multiplicity of k), which takes at
-    most that multiplicity steps."""
-    n = ints.shape[0]
-    eye = np.eye(n, dtype=int).astype(object)
-    types = {}
-    for k, mult in roots:
-        if mult == 1:
-            types[k] = [1]
-            continue
-        shifted, power, ranks = ints - k * eye, eye, [n]
-        while ranks[-1] > n - mult:
-            power = shifted.dot(power)
-            ranks.append(ex.rank(power))
-        at_least = [a - b for a, b in zip(ranks, ranks[1:])]
-        types[k] = [sum(1 for c in at_least if c >= i) for i in range(1, at_least[0] + 1)]
-    return types
+def _plan_of(c) -> _Plan:
+    """``c`` itself when it is a plan, else a new plan of C."""
+    return c if isinstance(c, _Plan) else _Plan(c)
+
+
+def _frobenius(parts, shape) -> tuple:
+    """The Frobenius form Z (read-only, of ``shape``) and characteristic
+    polynomial of a matrix with Jordan type ``sizes`` (largest first) at
+    the roots of each b, for ``parts`` pairs ``(b, sizes)`` of coprime
+    square-free b: the i-th invariant factor is the product of
+    b^sizes[i], and Z has their companion matrices on consecutive
+    diagonal blocks.  Coefficients are ints, or vectors over trace levels
+    that make Z one array of every level's matrix."""
+    z = np.zeros(shape, dtype=object)
+    poly, at = [1], 0
+    for i in range(max(len(sizes) for _, sizes in parts)):
+        p = [1]
+        for b, sizes in parts:
+            for _ in range(sizes[i] if i < len(sizes) else 0):
+                p = _poly_mul(p, b)
+        end = at + len(p) - 1
+        z[..., range(at + 1, end), range(at, end - 1)] = 1
+        for row, x in enumerate(reversed(p[1:]), start=at):
+            z[..., row, end - 1] = -x
+        poly, at = _poly_mul(poly, p), end
+    z.flags.writeable = False
+    return z, poly
+
+
+def _landings(rows: list, cols: list) -> list:
+    """Every way the roots of C's square-free factors can land on those of
+    poly's: per row (m, deg), deg roots of multiplicity m, the count that
+    lands on each column (M, cap), roots of multiplicity M >= m, with the
+    multiplicities landing on each column adding up to its cap."""
+    if not rows:
+        return [[]] if all(cap == 0 for _, cap in cols) else []
+    (m, deg), out = rows[0], []
+    for picks in combinations_with_replacement(range(len(cols)), deg):
+        counts = [picks.count(k) for k in range(len(cols))]
+        left = [(mult, cap - m * x) for (mult, cap), x in zip(cols, counts)]
+        if all(cap >= 0 and m <= mult or not x for (mult, cap), x in zip(left, counts)):
+            out += [[counts] + tail for tail in _landings(rows[1:], left)]
+    return out
+
+
+def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
+    """Certify a scan candidate by the Frobenius form Z of exp(t0 C), from
+    the exact Jordan data of C (``_Plan.jordan``) and ``poly``, which the
+    one float step checks: charpoly(exp(t0 C)) from the plan's spectrum
+    must have every coefficient below 2^53 and within SCAN_TOL of poly's.
+    exp(t0 C), t0 != 0, has a block of size s at e^(t0 lam) for each one
+    of C at lam, so its type at a root of poly joins those of the roots of
+    C that land there: 0 on 1, the roots of C's factor q_m on 1 or on
+    roots of the square-free factors Q_M, M >= m, of poly / (x - 1)^a
+    (``_landings``; exp(t0 C) = +-I lands two rotations on one root).
+    Where every landing gives each factor the same kernel sums, and these
+    fix its type (``_shared_type``), Z follows.  None (inconclusive) for
+    t0 = 0 (exp(0 C) = I), a polynomial that fails the check or has
+    det -1, or a type left open.  ``c`` is C or its plan; n past MAX_DIM
+    or |t0| rho(C) past MAX_SPECTRAL raises EnvelopeExceeded."""
+    plan = _in_envelope(c, t0)
+    n = plan.a.shape[0]
+    if t0 == 0 or (-1) ** n * poly.constant_term() != 1:
+        return None
+    coeffs = kernels.exp_charpoly(plan.spectrum, t0)
+    if not np.abs(coeffs).max() < 2.0**53 or tuple(int(x) for x in np.rint(coeffs)) != poly.coeffs:
+        return None
+    residual = float(kernels.integer_defect(coeffs))
+    if residual > SCAN_TOL or plan.jordan is None:
+        return None
+    zero, off = plan.jordan
+    rest, a = list(poly.coeffs), 0
+    while sum(rest) == 0:  # x - 1 divides rest: divide by it
+        rest, a = list(accumulate(rest[:-1])), a + 1
+    # (base, multiplicity, what C's nonzero roots must fill): 1, then each Q_M
+    cols = [([1, -1], a, a - sum(zero))]
+    cols += [(q, m, m * (len(q) - 1)) for m, q in square_free_factors(rest).items()]
+    sums = set()  # per column, N_j = sum of dim ker (exp(t0 C) - mu)^j over its roots mu
+    for landing in _landings([(m, deg) for m, deg, _ in off], [col[1:] for col in cols]):
+        landed = [[(zero, 1)]] + [[] for _ in cols[1:]]  # (type, count) per column
+        for (_, _, sizes), counts in zip(off, landing):
+            for col, x in zip(landed, counts):
+                col.append((sizes, x))
+        sums.add(tuple(
+            tuple(sum(x * min(b, j) for sizes, x in col for b in sizes) for j in range(mult + 1))
+            for col, (_, mult, _) in zip(landed, cols)
+        ))
+    if len(sums) != 1:
+        return None
+    parts = []
+    for (base, mult, _), nullity in zip(cols, sums.pop()):
+        sizes = _shared_type(list(nullity), len(base) - 1, mult) if mult else []
+        if sizes is None:
+            return None
+        parts.append((base, sizes))
+    z, _ = _frobenius(parts, (n, n))
+    return LatticeWitness(t0, z, residual, poly)
+
+
+def certify_witness_blocked(c, t0: float, poly: IntPoly):
+    """The blockwise step's name: ``certify_witness`` certifies every candidate."""
+    return certify_witness(c, t0, poly)
 
 
 def _trace_levels(lam0: float, lo: float, hi: float) -> Optional[list]:
@@ -579,17 +542,10 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     with Gelfond-Schneider): if they differ, the list is empty; else the
     witnesses are exactly t = +-arccosh(m/2) / lam0, m >= 3.  exp(t0 C) has
     the Jordan types of C, at 1 for k = 0 and at the roots of
-    q_e = x^2 - L_e(m) x + 1 for k = +-e gcd(k), so its i-th invariant
-    factor is (x - 1)^s_i(0) times q_e^s_i(e) over e > 0, s_i(e) the i-th
-    largest block at e gcd(k).  Z is their Frobenius form: the companion
-    matrices of the invariant factors, largest first, on consecutive
-    diagonal blocks.
-
-    Every trace level of the range is built in one pass: L_e(m) is one
-    vector over the levels, each invariant factor one polynomial whose
-    coefficients are such vectors, and its companion block is written
-    into one (levels, n, n) array, read-only, whose slices are the
-    witnesses' Z.
+    q_e = x^2 - L_e(m) x + 1 for k = +-e gcd(k), and Z is their Frobenius
+    form (``_frobenius``), built for every trace level in one pass: L_e(m)
+    is one vector over the levels, and Z one (levels, n, n) array whose
+    slices are the witnesses' Z.
 
     Declines (None) on a trace or spectrum the scan must judge (nonzero
     trace, non-integer or complex eigenvalues, nilpotent C) and past
@@ -610,29 +566,15 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     if levels is None:
         return None
     lucas = _lucas(np.array([m for _, m in levels], dtype=object), max(ks) // g)
-    z = np.zeros((len(levels), n, n), dtype=object)
-    poly, at = [1], 0
-    for i in range(max(len(sizes) for sizes in types.values())):
-        # the i-th invariant factor: (x - 1)^s_i(0), then q_e^s_i(e) for e > 0
-        powers = {k // g: sizes[i] for k, sizes in types.items() if k >= 0 and i < len(sizes)}
-        p = [1]
-        for _ in range(powers.pop(0, 0)):
-            p = _poly_mul(p, [1, -1])
-        for e, s in powers.items():
-            for _ in range(s):
-                p = _poly_mul(p, [1, -lucas[e], 1])
-        # its companion block: ones below the diagonal, -p reversed last
-        end = at + len(p) - 1
-        z[:, range(at + 1, end), range(at, end - 1)] = 1
-        for row, x in enumerate(reversed(p[1:]), start=at):
-            z[:, row, end - 1] = -x
-        poly, at = _poly_mul(poly, p), end
-    z.flags.writeable = False
+    # at 1 for k = 0, at the roots of q_e = x^2 - L_e(m) x + 1 for k = e gcd(k)
+    parts = [([1, -1] if k == 0 else [1, -lucas[k // g], 1], sizes)
+             for k, sizes in types.items() if k >= 0]
+    z, poly = _frobenius(parts, (len(levels), n, n))
     coeffs = np.empty((n + 1, len(levels)), dtype=object)
     for j, x in enumerate(poly):
         coeffs[j] = x
     return [
-        LatticeWitness(t0, zm, None, None, IntPoly(tuple(row)), exact=True)
+        LatticeWitness(t0, zm, None, IntPoly(tuple(row)), exact=True)
         for (t0, _), zm, row in zip(levels, z, coeffs.T.tolist())
     ]
 
@@ -708,22 +650,17 @@ class AbelianizationReport:
 
 def e11_lattice(m: int):
     """Closed-form lattice family for the hyperbolic 3-dimensional group:
-    t_m = ln((m + sqrt(m^2-4))/2) conjugates exp(t_m diag(1,-1)) to
-    E_m = [[0,-1],[1,m]].  The abelianisation Z + Z_{m-2} separates the
-    lattices pairwise: E_m - I = [[-1,-1],[1,m-1]] has entries of gcd 1
-    and determinant 2 - m, so its Smith form is diag(1, m - 2)."""
+    t_m = ln((m + sqrt(m^2-4))/2) makes exp(t_m diag(1,-1)) conjugate to
+    E_m = [[0,-1],[1,m]] = companion(x^2 - m x + 1), its Frobenius form,
+    returned as an exact witness.  The abelianisation Z + Z_{m-2}
+    separates the lattices pairwise: E_m - I = [[-1,-1],[1,m-1]] has
+    entries of gcd 1 and determinant 2 - m, so its Smith form is
+    diag(1, m - 2)."""
     if m <= 2:
         raise MTooSmall("need m >= 3")
-    lam = (m + math.sqrt(m * m - 4)) / 2
-    t_m = math.log(lam)
-    z = np.array([[0, -1], [1, m]], dtype=object)
-    mu = 1.0 / lam
-    # E_m has eigenvector (1, -lam) for lam, so V diag(lam, mu) V^-1 = E_m
-    vmat = np.array([[1.0, 1.0], [-lam, -mu]])
-    c = np.array([[1.0, 0.0], [0.0, -1.0]])
-    witness = _witness_from_conjugacy(t_m, exp_ad(c, t_m), z, vmat)
-    if witness is None:  # pragma: no cover
-        raise AssertionError("closed-form witness failed its residual check")
+    t_m = math.log((m + math.sqrt(m * m - 4)) / 2)
+    poly = IntPoly((1, -m, 1))
+    witness = LatticeWitness(t_m, companion(poly), None, poly, exact=True)
     return witness, AbelianizationReport((1, m - 2), m - 2)
 
 
@@ -795,12 +732,10 @@ def lattice_verdict(
     holds.  Certificates are decisive, so when one fires no witness
     search runs (a sound witness could never coexist with one).  A C
     with a rational real spectrum is then decided by trace level
-    (``_exact_witnesses``); everything else goes to the scan, which
-    returns no candidate for a C with a root off both axes.  A C that is
-    derogatory has only derogatory exponentials, so its candidates go
-    straight to blockwise certification.  One plan, passed to each step
-    in place of C, serves the verdict."""
-    plan = _Plan(c, seed)
+    (``_exact_witnesses``); everything else goes to the scan, whose
+    candidates go to ``certify_witness``.  One plan, passed to each step
+    in place of C, serves the verdict.  ``seed`` is unused."""
+    plan = _Plan(c)
     certs = [cited, no_lattice_double_root(plan)]
     if structure is not None:
         certs.append(no_lattice_codim2(structure))
@@ -812,17 +747,8 @@ def lattice_verdict(
         inconclusive = () if listed else (_scanned_range(plan, t_range),)
         return LatticeVerdict(label, tuple(listed), (), inconclusive)
     witnesses = []
-    candidates = integer_charpoly_scan(plan, t_range=t_range)
-    derogatory = bool(candidates) and _is_derogatory(plan)
-    for cand in candidates:
-        # the scan clamps its range to |t| rho(C) <= MAX_SPECTRAL
-        _check_spectral_envelope(cand.t0, plan.rho)
-        m = kernels.expm(cand.t0 * plan.a)
-        w = None
-        if not derogatory:
-            w = certify_witness(c, cand.t0, cand.poly, seed=seed, m=m)
-        if w is None:
-            w = certify_witness_blocked(plan, cand.t0, m=m)
+    for cand in integer_charpoly_scan(plan, t_range=t_range):
+        w = certify_witness(plan, cand.t0, cand.poly)
         if w is not None:
             witnesses.append(w)
     inconclusive = () if witnesses else (_scanned_range(plan, t_range),)

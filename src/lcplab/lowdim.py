@@ -562,7 +562,7 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
     """Verdict for one sampled row: cited where the literature decides,
     computed certificates/witness search otherwise (it requires an almost
     abelian algebra).  ``witnesses`` are the row's fixture witnesses when
-    the caller has parsed them already."""
+    the caller has parsed them already; ``seed`` is accepted and unused."""
     L = table_algebra(sample.name, sample.params)
     G = Metric.identity(L.dim)
     pres = almost_abelian_presentation(L, G)
@@ -597,7 +597,6 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
         t_range=t_range,
         structure=structure,
         cited=cited,
-        seed=seed,
     )
     if verdict.witnesses:
         w0 = verdict.witnesses[0]
@@ -613,7 +612,7 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
             "witnesses": len(verdict.witnesses)}
 
 
-def reproduce_tables(t_range=(0.0, 3.0), seed: int = 0) -> list:
+def reproduce_tables(t_range=(0.0, 3.0)) -> list:
     """Re-derive the catalog: every sampled row's realised flat dimension
     set and lattice verdict, in table order."""
     out = []
@@ -621,7 +620,7 @@ def reproduce_tables(t_range=(0.0, 3.0), seed: int = 0) -> list:
         row = ROWS[sample.name]
         witnesses = witness_specs_from_fixtures(sample)
         tv = verify_table(sample.name, sample.params, witnesses=witnesses)
-        lat = sample_lattice_verdict(sample, t_range=t_range, seed=seed, witnesses=witnesses)
+        lat = sample_lattice_verdict(sample, t_range=t_range, witnesses=witnesses)
         out.append(
             {
                 "table": row.table,

@@ -255,7 +255,7 @@ def test_criterion_7_lattice_witness_family():
         z = [[int(x) for x in row] for row in w.integral_matrix]
         ok = ok and z == [[0, -1], [1, m]]
         ok = ok and w.poly.coeffs == (1, -m, 1)
-        ok = ok and w.residual <= 1e-8
+        ok = ok and w.exact
         from lcplab.intpoly import int_charpoly, int_det
 
         ok = ok and int_det(w.integral_matrix) == 1

@@ -203,9 +203,20 @@ def test_oversized_scan_grid_exit_code(tmp_path):
 
 
 def test_dropped_flags_are_refused(e11_doc):
-    # --seed is read by tables and lattice only, and --tol is gone
+    # --seed seeded only the Krylov probes, and --tol is gone
     assert run_cli("check", "--input", e11_doc, "--seed", "1").returncode == 2
+    assert run_cli("tables", "--seed", "1").returncode == 2
+    assert run_cli("lattice", "search", "--input", e11_doc, "--seed", "1").returncode == 2
     assert run_cli("lattice", "search", "--input", e11_doc, "--tol", "1e-6").returncode == 2
+
+
+def test_entries_past_the_float_range_exit_code(tmp_path):
+    # e(1,1) scaled by 2^1100: C holds integers no float can, refused
+    big = 2**1100
+    p = tmp_path / "e11_huge.lcp"
+    p.write_text(f"dim 3\nbracket 1 2 : 0 {big} 0\nbracket 1 3 : 0 0 -{big}\n")
+    out = run_cli("lattice", "search", "--input", str(p))
+    assert_input_error(out, "EnvelopeExceeded", "float range")
 
 
 def test_hostile_number_exit_code(tmp_path):
@@ -272,7 +283,17 @@ def test_lattice_certify(e11_doc):
         "--t0", "0.9624236501192069", "--poly", "1,-3,1",
     )
     assert out.returncode == 0
-    assert "certified" in out.stdout
+    assert out.stdout.startswith("certified: Z=[[0, -1], [1, 3]] defect ")
+
+
+def test_lattice_certify_refuses_a_polynomial_off_the_exponential(e11_doc):
+    # at the m = 3 level charpoly(exp(t0 C)) is x^2 - 3x + 1, not x^2 - 4x + 1
+    out = run_cli(
+        "lattice", "certify", "--input", e11_doc,
+        "--t0", "0.9624236501192069", "--poly", "1,-4,1", "--format", "machine",
+    )
+    assert out.returncode == 1
+    assert json.loads(out.stdout) == {"certified": False}
 
 
 def test_tables_matches_golden():

@@ -6,14 +6,15 @@ the five complex spectra of the benchmark's lattice-search slots under a
 fixed rational basis on 0:2, the float amalgam block matrix
 diag(1, -1, 1, -1)/sqrt(2) on 0:3 (read as the rationals its floats
 hold, so the exact step decides it), and three inputs whose candidates go
-to blockwise certification: the derogatory irrational spectrum
+to the scan's certification: the derogatory irrational spectrum
 [[0, 1], [2, 0]] + 0 (a 2x2 zero block) under the fixed basis on 0:3,
-the rotation blocks J(1) + J(1) on 0:20, both exact, and the float
-diag(20, -20, 0) on 0:3.  Every witness t0, integer matrix,
-polynomial, residual and ``exact`` flag is recorded at full float
-precision, so a change in the exact step (the hyperbolic and amalgam
-lines), the scan, its refinement or the certification that moves a t0
-or drops a witness changes the text.
+the rotation blocks J(1) + J(1) on 0:20 (exp(t0 C) = +-I at t0 = k pi),
+both exact, and the float diag(20, -20, 0) on 0:3, past the listing
+limit.  Every witness t0, integer matrix, polynomial, residual and
+``exact`` flag is recorded at full float precision, so a change in the
+exact step (the hyperbolic and amalgam lines), the scan, its refinement
+or the certification that moves a t0 or drops a witness changes the
+text.
 
 Regenerate (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden_lattice.py --write``.
@@ -33,7 +34,7 @@ from lcplab.lattice import lattice_verdict
 GOLDEN = Path(__file__).parent / "data" / "golden_lattice.txt"
 
 # a near-identity rational basis change, as the benchmark's hyperbolic
-# inputs use (certification is reliable near the eigenbasis)
+# inputs use
 P3 = [[1, F(1, 4), F(-1, 8)], [F(-3, 16), 1, F(1, 8)], [F(1, 16), F(-1, 4), 1]]
 # rotation blocks (p, w) = [[p, -w], [w, p]] and real eigenvalues
 COMPLEX_SPECTRA = {

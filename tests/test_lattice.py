@@ -21,8 +21,8 @@ from lcplab.intpoly import IntPoly, int_charpoly, int_det
 from lcplab.lattice import (
     MAX_INT_FORM_SIZE,
     MAX_SPECTRAL,
+    SCAN_TOL,
     _exact_witnesses,
-    _is_derogatory,
     _Plan,
     _scanned_range,
     amalgam_lattice,
@@ -121,9 +121,9 @@ def test_nilpotent_witness_is_never_t0_zero():
 
 
 def test_certification_refuses_t0_zero():
-    # at t0 = 0 every exponential is I, which both steps would conjugate
-    # to an integer matrix
-    assert certify_witness_blocked(np.diag([1.0, -1.0]), 0.0) is None
+    # at t0 = 0 every exponential is I, which certification would
+    # conjugate to an integer matrix
+    assert certify_witness_blocked(np.diag([1.0, -1.0]), 0.0, IntPoly((1, -2, 1))) is None
     assert certify_witness(np.zeros((1, 1)), 0.0, IntPoly((1, -1))) is None
     assert certify_witness(np.zeros((1, 1)), 0.5, IntPoly((1, -1))) is not None
 
@@ -144,6 +144,14 @@ def test_non_finite_entries_are_an_envelope_error(call, bad):
     c = np.array([[bad, 0.0], [0.0, -1.0]])
     with pytest.raises(EnvelopeExceeded, match="finite"):
         call(c)
+
+
+def test_entries_past_the_float_range_are_an_envelope_error():
+    # exact entries the floats cannot hold are refused, not an OverflowError
+    c = np.array([[2**1100, 0], [0, -(2**1100)]], dtype=object)
+    for call in (lattice_verdict, no_lattice_double_root, integer_charpoly_scan):
+        with pytest.raises(EnvelopeExceeded, match="float range"):
+            call(c)
 
 
 def test_entries_across_the_float_range_are_read_exactly():
@@ -205,7 +213,7 @@ def test_certify_e11():
     cands = integer_charpoly_scan(C_E11, t_range=(0, 1.4))
     w = certify_witness(C_E11, cands[0].t0, cands[0].poly)
     assert [[int(x) for x in r] for r in w.integral_matrix] == [[0, -1], [1, 3]]
-    assert w.residual <= 1e-8
+    assert w.residual <= SCAN_TOL and not w.exact
     assert int_det(w.integral_matrix) == 1
     assert int_charpoly(w.integral_matrix).coeffs == w.poly.coeffs
 
@@ -214,16 +222,31 @@ def test_certify_rejects_nonunit_constant():
     assert certify_witness(C_E11, 0.96, IntPoly((1, -3, 2))) is None
 
 
+def test_certify_rejects_a_polynomial_off_the_exponential():
+    # x^2 - 4x + 1 is integral with det 1, but at the m = 3 level of
+    # diag(1, -1) charpoly(exp(t0 C)) is x^2 - 3x + 1
+    t3 = math.acosh(1.5)
+    assert certify_witness(C_E11, t3, IntPoly((1, -3, 1))) is not None
+    assert certify_witness(C_E11, t3, IntPoly((1, -4, 1))) is None
+    assert certify_witness(C_E11, t3, IntPoly((1, -3, 1, 0))) is None  # degree
+    assert certify_witness(np.diag([1.0, -1.0, 0.0]), t3, IntPoly((1, -4, 4, -1))) is not None
+    # det Z = -1: (x + 1)(x - 1) is not the polynomial of a det-1 matrix
+    assert certify_witness(np.zeros((2, 2)), 1.0, IntPoly((1, 0, -1))) is None
+
+
 def test_blocked_certification_for_amalgam_matrix():
+    # exp(t C) of the amalgam is derogatory, with E_3 twice: its Frobenius
+    # form has two companion blocks, and the name kept for the blockwise
+    # step gives the same witness
     t3 = math.log((3 + math.sqrt(5)) / 2)
     c = np.diag([1.0, -1.0, 1.0, -1.0]) / math.sqrt(2)
     t = math.sqrt(2) * t3
-    assert certify_witness(c, t, IntPoly((1, -6, 11, -6, 1))) is None  # derogatory
-    w = certify_witness_blocked(c, t)
-    assert w is not None and w.residual <= 1e-8
+    w = certify_witness(c, t, IntPoly((1, -6, 11, -6, 1)))
+    assert w is not None and w.residual <= SCAN_TOL
     z = [[int(x) for x in row] for row in w.integral_matrix]
-    assert z[0][:2] == [0, -1] and z[1][:2] == [1, 3]
+    assert z == [[0, -1, 0, 0], [1, 3, 0, 0], [0, 0, 0, -1], [0, 0, 1, 3]]
     assert int_det(w.integral_matrix) == 1
+    assert certify_witness_blocked(c, t, w.poly).as_dict() == w.as_dict()
 
 
 def test_e11_lattice_family():
@@ -232,7 +255,7 @@ def test_e11_lattice_family():
         w, ab = e11_lattice(m)
         assert [[int(x) for x in r] for r in w.integral_matrix] == [[0, -1], [1, m]]
         assert w.poly.coeffs == (1, -m, 1)
-        assert w.residual <= 1e-8
+        assert w.exact and w.residual is None
         assert int_det(w.integral_matrix) == 1
         # E_m - I = [[-1, -1], [1, m - 1]]: entries of gcd 1, determinant 2 - m
         assert ab.snf_diagonal == (1, m - 2)
@@ -301,10 +324,10 @@ def test_verdict_exclusivity():
     assert not (v.witnesses and v.certificates)
 
 
-def test_certify_tries_further_probes():
-    # B + 0 with B a rational orthogonal conjugate of diag(1, -1, 0): the
-    # first well-conditioned Krylov probe fails the residual check for
-    # some m, and a later probe certifies it
+def test_far_basis_float_twin_certifies_every_candidate():
+    # B + 0 with B a rational orthogonal conjugate of diag(1, -1, 0), a
+    # basis far from the eigenbasis: the float twin goes through the scan,
+    # and every candidate certifies
     d, d3 = 34959639475, 1398385579
     b11, b12, b13 = Fraction(4568368896, d), Fraction(-4493798172, d), Fraction(450054396, d3)
     b22, b23, b33 = Fraction(-32191838371, d), Fraction(-514227672, d3), Fraction(1104938779, d3)
@@ -313,8 +336,8 @@ def test_certify_tries_further_probes():
         dtype=object,
     )
     assert sum(c[i, i] for i in range(4)) == 0
-    # the exact step decides the rational input without probes; its float
-    # twin goes through the scan and certification
+    # the exact step decides the rational input; its float twin goes
+    # through the scan and certification
     c = ex.to_float(c)
     assert len(integer_charpoly_scan(c, t_range=(0, 3))) == 18
     v = lattice_verdict(c, t_range=(0, 3))
@@ -381,50 +404,46 @@ def _conjugated_irrational(n, b=2):
     return ex.dot(ex.dot(p, d), ex.inv(p))
 
 
-def test_is_derogatory_exactly():
-    assert _is_derogatory(_conjugated_hyperbolic(4))  # 0 twice
-    assert not _is_derogatory(_conjugated_hyperbolic(3))
-    assert _is_derogatory(ex.rzeros((2, 2)))
-    assert not _is_derogatory(ex.rmat([[0, 1], [0, 0]]))  # one Jordan block
-    assert not _is_derogatory(ex.rmat([[0, 0, Fraction(1, 3)], [1, 0, 0], [0, 1, 0]]))
-    assert _is_derogatory(ex.rmat([[2, 0, 0], [0, Fraction(4, 2), 0], [0, 0, 1]]))
-
-
-def test_derogatory_exact_input_skips_the_krylov_probes(monkeypatch):
-    # every exp(t C) of a derogatory C is derogatory, so no candidate runs
-    # the full-size probes, whether C is given as rationals or as floats
-    # (read as the rationals they hold); blockwise certification still
-    # finds the witnesses
-    import lcplab.lattice as lattice
-
-    sizes = []
-    probe = lattice.certify_witness
-
-    def counted(c, *args, **kwargs):
-        sizes.append(len(c))
-        return probe(c, *args, **kwargs)
-
-    monkeypatch.setattr(lattice, "certify_witness", counted)
+def test_derogatory_irrational_input_certifies_every_candidate(monkeypatch):
+    # every exp(t C) of a derogatory C is derogatory; its Frobenius form
+    # comes from C's exact Jordan data, with no matrix exponential, for
+    # the rationals and for their float twin (read as the rationals it
+    # holds) alike
+    monkeypatch.setattr(kernels, "expm", lambda *a: pytest.fail("matrix exponential taken"))
     c = _conjugated_irrational(4)
     exact = lattice_verdict(c, t_range=(0.0, 3.0))
-    assert exact.status == "yes" and 4 not in sizes
-    sizes.clear()
     floats = lattice_verdict(ex.to_float(c), t_range=(0.0, 3.0))
-    assert floats.status == "yes" and 4 not in sizes
-    assert [w.t0 for w in floats.witnesses] == [w.t0 for w in exact.witnesses]
+    assert exact.status == "yes" and not any(w.exact for w in exact.witnesses)
+    assert len(exact.witnesses) == len(integer_charpoly_scan(c, t_range=(0.0, 3.0)))
+    assert [(w.t0, w.poly) for w in floats.witnesses] == [(w.t0, w.poly) for w in exact.witnesses]
+    for w in exact.witnesses + floats.witnesses:
+        assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
 
 
-# trace-free diagonal blocks: diag(a, -a), rotations by w, zero singletons
+# trace-free diagonal blocks: diag(a, -a), rotations by w, zero
+# singletons, J_2(0) and J_3(0), a rotation Jordan block [[R, I], [0, R]]
+# and [[0, 1], [2, 0]] (eigenvalues +-sqrt(2))
 _BLOCKS = st.one_of(
     st.sampled_from([1, 2, Fraction(1, 2)]).map(lambda a: [[a, 0], [0, -a]]),
     st.sampled_from([1, 2]).map(lambda w: [[0, -w], [w, 0]]),
     st.just([[0]]),
+    st.just([[0, 1], [0, 0]]),
+    st.just([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    st.sampled_from([1, 2]).map(
+        lambda w: [[0, -w, 1, 0], [w, 0, 0, 1], [0, 0, 0, -w], [0, 0, w, 0]]
+    ),
+    st.just([[0, 1], [2, 0]]),
 )
 
 
 @st.composite
-def permuted_block_diagonal(draw):
-    blocks = draw(st.lists(_BLOCKS, min_size=2, max_size=3))
+def permuted_block_diagonal(draw, max_size=3):
+    """(D, P D P^-1): 2 to ``max_size`` blocks above on a permuted
+    diagonal, n <= 7, and D under a random rational basis P = L U
+    (unitriangular L and U with entries in (-3..3)/(1..3))."""
+    blocks = draw(st.lists(_BLOCKS, min_size=2, max_size=max_size))
+    while sum(len(b) for b in blocks) > 7:
+        blocks.pop()
     n = sum(len(b) for b in blocks)
     d = [[0] * n for _ in range(n)]
     i = 0
@@ -433,38 +452,69 @@ def permuted_block_diagonal(draw):
             d[i + r][i : i + len(b)] = row
         i += len(b)
     perm = draw(st.permutations(range(n)))
-    return ex.rmat([[d[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    d = ex.rmat([[d[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    low, up = ex.reye(n), ex.reye(n)
+    for i in range(n):
+        for j in range(i):
+            low[i, j], up[j, i] = draw(q), draw(q)
+    p = ex.dot(low, up)
+    return d, ex.dot(ex.dot(p, d), ex.inv(p))
 
 
 @settings(max_examples=40, deadline=None)
-@given(permuted_block_diagonal())
-def test_verdict_plan_matches_one_shot_certification(c):
+@given(permuted_block_diagonal(), st.booleans())
+def test_verdict_plan_matches_one_shot_certification(cases, dense):
     # one plan serves every candidate of a verdict; each witness must be
-    # the one a fresh one-shot certification of its candidate gives
+    # the one a fresh one-shot certification of its candidate gives, an
+    # integer Z of det 1 with the candidate's polynomial
+    c = cases[dense]
     t_range = (0.0, 3.0)
     if _exact_witnesses(c, t_range) is not None:
         return  # the exact step decides it without candidates
     v = lattice_verdict(c, t_range=t_range)
     if v.certificates:
         return
-    a = np.asarray(c, dtype=object).astype(np.float64)
-    candidates = integer_charpoly_scan(c, t_range=t_range)
-    derogatory = bool(candidates) and _is_derogatory(c)
     expected = []
-    for cand in candidates:
-        m = kernels.expm(cand.t0 * a)
-        w = None if derogatory else certify_witness(c, cand.t0, cand.poly, m=m)
-        if w is None:
-            w = certify_witness_blocked(c, cand.t0, m=m)
+    for cand in integer_charpoly_scan(c, t_range=t_range):
+        w = certify_witness(c, cand.t0, cand.poly)
         if w is not None:
             expected.append(w.as_dict())
     assert [w.as_dict() for w in v.witnesses] == expected
+    for w in v.witnesses:
+        assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(permuted_block_diagonal())
+def test_certification_does_not_depend_on_the_basis(cases):
+    # certification reads exact Jordan data, which a basis change keeps:
+    # a candidate that both scans return (the same polynomial, t0 apart by
+    # the refinement's error, about 1e-6 where a defective float spectrum
+    # is off by a root of eps) is certified in both bases or in neither,
+    # with the same Z.  Which candidates the float scan returns may still
+    # depend on the basis.
+    d, c = cases
+    assert _Plan(d).jordan == _Plan(c).jordan
+    t_range = (0.0, 3.0)
+    if _exact_witnesses(d, t_range) is not None or no_lattice_double_root(d) is not None:
+        return
+    dense = integer_charpoly_scan(c, t_range=t_range)
+    for x in integer_charpoly_scan(d, t_range=t_range):
+        for y in dense:
+            if y.poly == x.poly and abs(y.t0 - x.t0) <= 1e-5:
+                a, b = certify_witness(d, x.t0, x.poly), certify_witness(c, y.t0, y.poly)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.integral_matrix.tolist() == b.integral_matrix.tolist()
+                    assert int_charpoly(b.integral_matrix) == b.poly
+                    assert int_det(b.integral_matrix) == 1
 
 
 def test_one_plan_per_verdict(monkeypatch):
-    # the spectra of C and of its blocks are taken once per verdict, and
-    # each distinct block (here the three zero singletons) is certified
-    # once, not once per candidate
+    # the spectra of C are taken once per verdict, and so are the exact
+    # Jordan data that certification reads: one rank (the zero block) for
+    # the 18 candidates
     import lcplab.lattice as lattice
 
     # eigenvalues +-1/sqrt(2), so that the exact step leaves C to the
@@ -472,48 +522,78 @@ def test_one_plan_per_verdict(monkeypatch):
     c = _conjugated_irrational(6, Fraction(1, 2))
     t_range = (0.0, 4.24)
     candidates = integer_charpoly_scan(c, t_range=t_range)
-    blocks = lattice._blocks_of(ex.to_float(c))
-    assert len(candidates) == 18 and len(blocks) == 4
-    counts = {"eigvals": 0, "certify": 0}
-    eigvals, certify = np.linalg.eigvals, lattice.certify_witness
+    assert len(candidates) == 18
+    counts = {"eigvals": 0, "certify": 0, "rank": 0}
 
-    def counted_eigvals(*args, **kwargs):
-        counts["eigvals"] += 1
-        return eigvals(*args, **kwargs)
+    def counted(name, f):
+        def g(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
 
-    def counted_certify(*args, **kwargs):
-        counts["certify"] += 1
-        return certify(*args, **kwargs)
+        return g
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
-    monkeypatch.setattr(lattice, "certify_witness", counted_certify)
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(lattice, "certify_witness", counted("certify", lattice.certify_witness))
+    monkeypatch.setattr(ex, "rank", counted("rank", ex.rank))
     v = lattice_verdict(c, t_range=t_range)
     assert len(v.witnesses) == 18
     assert counts["eigvals"] <= 10
-    assert counts["certify"] <= len(candidates) + len(blocks)
+    assert counts["certify"] == len(candidates) and counts["rank"] == 1
 
 
-def test_verdict_certifies_blockwise_through_the_public_step(monkeypatch):
-    # the irrational spectrum +-sqrt(2), 0, 0 goes to the scan, and C is
-    # derogatory, so every candidate goes straight to
-    # certify_witness_blocked, on the verdict's plan
+def test_verdict_certifies_through_the_public_step(monkeypatch):
+    # the irrational spectrum +-sqrt(2), 0, 0 goes to the scan, and every
+    # candidate goes to certify_witness by its module name, on the
+    # verdict's plan
     import lcplab.lattice as lattice
     from test_golden_lattice import cases
 
     c, t_range = next((c, t) for name, c, t in cases() if name == "irrational-derogatory-4")
     candidates = integer_charpoly_scan(c, t_range=t_range)
     plans = []
-    blocked = lattice.certify_witness_blocked
+    certify = lattice.certify_witness
 
-    def counted_blocked(c, *args, **kwargs):
+    def counted(c, *args, **kwargs):
         plans.append(c)
-        return blocked(c, *args, **kwargs)
+        return certify(c, *args, **kwargs)
 
-    monkeypatch.setattr(lattice, "certify_witness_blocked", counted_blocked)
+    monkeypatch.setattr(lattice, "certify_witness", counted)
     v = lattice_verdict(c, t_range=t_range)
-    assert v.status == "yes"
-    assert len(plans) == len(candidates) > 0
+    assert v.status == "yes" and len(v.witnesses) == len(candidates) == 54
+    assert len(plans) == len(candidates)
     assert all(p is plans[0] and isinstance(p, lattice._Plan) for p in plans)
+
+
+def test_rotations_one_to_two():
+    # frequencies 1 : 2 on 0:7: at t0 = pi/2, pi, 3 pi/2 and 2 pi the
+    # exponential merges eigenvalues (exp(2 pi C) = I), and certification
+    # still gives its Frobenius form; 12 witnesses in all
+    c = ex.rmat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]])
+    v = lattice_verdict(c, t_range=(0.0, 7.0))
+    assert len(v.witnesses) == 12
+    assert all(w.residual <= SCAN_TOL and not w.exact for w in v.witnesses)
+    # exp(k pi C / 2) has order 4 / gcd(k, 4): so has its Frobenius form Z
+    for k, order in ((1, 4), (2, 2), (3, 4), (4, 1)):
+        (w,) = [w for w in v.witnesses if abs(w.t0 - k * math.pi / 2) <= 1e-6]
+        z = ex.rmat(w.integral_matrix)
+        powers = [ex.reye(4)]
+        for _ in range(4):
+            powers.append(ex.dot(powers[-1], z))
+        assert [j for j in range(1, 5) if (powers[j] == ex.reye(4)).all()][0] == order
+    for w in v.witnesses:
+        assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
+
+
+def test_every_diag_20_candidate_is_certified():
+    # diag(20, -20) + 0 on 0:3: the 112 scan candidates below 2^53 have
+    # traces up to about 10^15, and each is certified
+    c = np.diag([20.0, -20.0, 0.0])
+    candidates = integer_charpoly_scan(c, t_range=(0.0, 3.0))
+    v = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert len(candidates) == len(v.witnesses) == 112
+    assert [w.poly for w in v.witnesses] == [cand.poly for cand in candidates]
+    for w in v.witnesses:
+        assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
 
 
 def _conjugated_complex6():
@@ -584,4 +664,4 @@ def test_scan_drops_candidates_past_two_to_the_53(monkeypatch):
     assert len(brackets) == 1
     assert len(candidates) == 112
     assert all(abs(x) < 2**53 for cand in candidates for x in cand.poly.coeffs)
-    assert len(lattice_verdict(c, t_range=(0.0, 3.0)).witnesses) == 62
+    assert len(lattice_verdict(c, t_range=(0.0, 3.0)).witnesses) == 112

@@ -27,7 +27,6 @@ from lcplab.lattice import (
     _scanned_range,
     _trace_levels,
     certify_witness,
-    certify_witness_blocked,
     integer_charpoly_scan,
     lattice_verdict,
 )
@@ -152,7 +151,7 @@ def test_witnesses_are_the_trace_levels(data, reach):
     assert all(abs(w.t0 - t) <= 1e-12 for w, t in zip(v.witnesses, expected))
     cf = ex.to_float(c)
     for m, w in enumerate(v.witnesses, start=3):
-        assert w.conjugator is None and w.residual is None
+        assert w.residual is None
         assert int_det(w.integral_matrix) == 1
         assert_jordan_profile(c, w.integral_matrix, lam_eff, exps, m)
         exact = int_charpoly(w.integral_matrix).coeffs
@@ -168,14 +167,14 @@ def test_witnesses_are_the_trace_levels(data, reach):
 @given(symmetric_jordan_data(), st.floats(1.0, 3.5))
 def test_scan_witnesses_of_the_float_twin_are_exact_witnesses(data, reach):
     # the verdict reads the float twin exactly, so the scan and the
-    # certification steps are called on it directly: each witness they
-    # give is one that the exact step lists
+    # certification are called on it directly: each witness they give is
+    # one that the exact step lists
     c, lam_eff, exps = data
     t_range = (0.0, reach / float(lam_eff))
     exact = lattice_verdict(c, t_range=t_range).witnesses
     cf = ex.to_float(c)
     for cand in integer_charpoly_scan(cf, t_range=t_range):
-        wf = certify_witness(cf, cand.t0, cand.poly) or certify_witness_blocked(cf, cand.t0)
+        wf = certify_witness(cf, cand.t0, cand.poly)
         if wf is None:
             continue
         assert not wf.exact
@@ -183,7 +182,7 @@ def test_scan_witnesses_of_the_float_twin_are_exact_witnesses(data, reach):
         assert len(match) == 1
         m, w = match[0]
         assert w.poly == wf.poly
-        # the scan's Z may be another block form of the same polynomial
+        # the twin's Jordan data may differ from C's, and with them Z
         assert int_charpoly(wf.integral_matrix) == wf.poly
         assert_jordan_profile(c, w.integral_matrix, lam_eff, exps, m)
 
@@ -429,8 +428,8 @@ J2J1 = ex.rmat(direct_sum([jordan(2, 1), jordan(1, 1), jordan(2, -1), jordan(1, 
     ids=["derogatory-group", "jordan-group"],
 )
 def test_derogatory_groups_are_decided_exactly(c):
-    # the scan certifies neither dense derogatory input; the invariant
-    # factors of exp(t0 C) give an integer Z for each of m = 3..20
+    # dense derogatory input: the invariant factors of exp(t0 C) give an
+    # integer Z for each of m = 3..20
     v = lattice_verdict(c, t_range=(0.0, 3.0))
     assert v.status == "yes" and len(v.witnesses) == 18
     for m, w in enumerate(v.witnesses, start=3):
@@ -479,7 +478,7 @@ def test_past_the_listing_limit_the_scan_decides():
         "    v = lattice_verdict(ex.rmat([[a, 0], [0, -a]]), t_range=(0.0, hi))\n"
         "    print(v.status, len(v.witnesses), any(w.exact for w in v.witnesses))\n"
     )
-    assert _run_limited(code).split("\n")[:2] == ["yes 62 False", "yes 940 False"]
+    assert _run_limited(code).split("\n")[:2] == ["yes 112 False", "yes 985 False"]
 
 
 def test_exact_step_imports_no_sympy():
