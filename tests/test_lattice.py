@@ -586,7 +586,7 @@ def test_rotations_one_to_two():
 
 def test_every_diag_20_candidate_is_certified():
     # diag(20, -20) + 0 on 0:3: the 112 scan candidates below 2^53 have
-    # traces up to about 10^15, and each is certified
+    # traces up to about 9e15, and each is certified
     c = np.diag([20.0, -20.0, 0.0])
     candidates = integer_charpoly_scan(c, t_range=(0.0, 3.0))
     v = lattice_verdict(c, t_range=(0.0, 3.0))
