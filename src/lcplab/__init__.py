@@ -6,7 +6,7 @@ The exact layers (algebra, weyl, detect, construct, lowdim) run entirely
 over rational arithmetic.  Lattice search decides rational real spectra
 exactly; for the rest it scans t in floats with numpy kernels and
 certifies each candidate by the Frobenius form of exp(t0 C), read from
-the exact Jordan data of C.
+the exact Jordan layers of C.
 """
 
 from .algebra import (

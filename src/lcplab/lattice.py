@@ -26,7 +26,7 @@ side has three paths:
   rounding in this module, nilpotent C, longer lists): it scans t, in
   floats, for integer characteristic polynomials and certifies each
   candidate by the Frobenius form of exp(t0 C), from the exact Jordan
-  data of C (``certify_witness``).  A witness the grid does not flag is
+  layers of C (``certify_witness``).  A witness the grid does not flag is
   missing from its result.
 
 One plan per verdict (``_Plan``) computes each spectrum of C once.
@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations_with_replacement
 from fractions import Fraction
 from typing import Optional
 
@@ -66,7 +65,14 @@ from .errors import (
     NonTraceFree,
     PreconditionViolated,
 )
-from .intpoly import IntPoly, IntSpectrum, companion, int_spectrum, square_free_factors
+from .intpoly import (
+    IntPoly,
+    IntSpectrum,
+    _divmod,
+    companion,
+    int_spectrum,
+    square_free_factors,
+)
 
 MAX_SPECTRAL = 50.0
 # the witness scan (see integer_charpoly_scan)
@@ -125,21 +131,16 @@ def exp_ad(c, t: float) -> np.ndarray:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine(ev: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Golden-section minimisation of the integer defect of
-    charpoly(exp(t C)) on every bracket [lo_i, hi_i] at once, from the
-    eigenvalues ``ev`` of C; localises each (V-shaped) defect minimum to
-    machine precision, which generic quadratic-interpolation minimisers
-    cannot do on non-smooth objectives.
+def _refine(defect, lo: np.ndarray, hi: np.ndarray):
+    """Golden-section minimisation of ``defect``, a vectorised integer
+    defect of t, on every bracket [lo_i, hi_i] at once; localises each
+    (V-shaped) defect minimum to machine precision, which generic
+    quadratic-interpolation minimisers cannot do on non-smooth objectives.
 
     Each of the ``GOLDEN_ITERS`` steps evaluates the defect of every live
-    bracket in one ``exp_charpoly`` call; a bracket stops once
-    b - a < 1e-15 max(1, |a|).  Returns the midpoints and their defects.
+    bracket in one call; a bracket stops once b - a < 1e-15 max(1, |a|).
+    Returns the midpoints and their defects.
     """
-
-    def defect(ts):
-        return kernels.integer_defect(kernels.exp_charpoly(ev, ts))
-
     a, b = lo.astype(np.float64), hi.astype(np.float64)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -230,7 +231,10 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     flagged = 1 + np.flatnonzero(
         (inner <= defects[:-2]) & (inner <= defects[2:]) & (inner < SCAN_FLAG_TOL)
     )
-    t0s, d0s = _refine(ev, ts[flagged - 1], ts[flagged + 1])
+    def defect(t):
+        return kernels.integer_defect(kernels.exp_charpoly(ev, t))
+
+    t0s, d0s = _refine(defect, ts[flagged - 1], ts[flagged + 1])
     kept = d0s <= SCAN_TOL
     t0s, d0s = t0s[kept], d0s[kept]
     coeffs = kernels.exp_charpoly(ev, t0s)
@@ -252,9 +256,10 @@ class LatticeWitness:
     """Witness: exp(t0 C) is conjugate to Z, the integer Frobenius form of
     its invariant factors, of determinant 1 and characteristic polynomial
     ``poly``.  An exact witness has ``residual`` None, and only t0 is a
-    float; a scan witness (``exact`` false) rests on one float step, and
-    ``residual`` is the distance of charpoly(exp(t0 C)), in floats, from
-    ``poly`` (at most SCAN_TOL)."""
+    float; a scan witness (``exact`` false) rests on the float step of
+    ``certify_witness``, and ``residual`` is the largest distance of a
+    coefficient of a Jordan layer of exp(t0 C), in floats, from the
+    integers (at most SCAN_TOL)."""
 
     t0: float
     integral_matrix: np.ndarray
@@ -272,47 +277,22 @@ class LatticeWitness:
         }
 
 
-def _shared_type(nullity: list, deg: int, mult: int) -> Optional[list]:
-    """The Jordan type, largest block first, of each of deg eigenvalues of
-    multiplicity ``mult``, from N_j, the sum over them of dim ker (A - k)^j
-    for j = 0, 1, ..., mult; None where the sums leave it open.  On average
-    (N_j - N_(j-1)) / deg blocks per eigenvalue have size >= j, which fixes
-    every type when deg = 1 or mult <= 3; for mult >= 4 only one block and
-    mult blocks do ((2, 2) and (1, 1, 1, 1) average to (2, 1, 1))."""
-    if any(x % deg for x in nullity):
-        return None
-    at_least = [(b - a) // deg for a, b in zip(nullity, nullity[1:])]
-    sizes = [sum(1 for c in at_least if c >= i) for i in range(1, at_least[0] + 1)]
-    if deg > 1 and mult > 3 and len(sizes) not in (1, mult):
-        return None
-    return sizes
-
-
-def _block_type(ints, q: list, mult: int) -> Optional[list]:
-    """The Jordan type of the integer matrix at each root of q, a
-    square-free polynomial whose roots are eigenvalues of multiplicity
-    ``mult`` (``_shared_type``): the nullity of q(ints)^j is the sum of
-    dim ker (ints - k)^j over the roots k of q.  A simple root is one
-    block of size 1, read off with no rank."""
-    if mult == 1:
-        return [1]
-    n, deg = ints.shape[0], len(q) - 1
-    eye = np.eye(n, dtype=int).astype(object)
-    base = q[0] * ints + q[1] * eye
-    for a in q[2:]:
-        base = ints.dot(base) + a * eye
-    power, nullity = eye, [0]
-    while nullity[-1] < mult * deg:
-        power = base.dot(power)
-        nullity.append(n - ex.rank(power))
-    return _shared_type(nullity, deg, mult)
-
-
 def _jordan_types(ints, roots) -> dict:
     """The Jordan block sizes of the integer matrix at each eigenvalue k
-    of ``roots`` (pairs ``(k, multiplicity)``), largest first, from the
-    ranks of (ints - k)^j (``_block_type``)."""
-    return {k: _block_type(ints, [1, -k], mult) for k, mult in roots}
+    of ``roots`` (pairs ``(k, multiplicity)``), largest first: with N_j the
+    nullity of (ints - k)^j, N_j - N_(j-1) blocks have size >= j.  A
+    simple root is one block of size 1, read off with no rank."""
+    n = ints.shape[0]
+    eye = np.eye(n, dtype=int).astype(object)
+    out = {}
+    for k, mult in roots:
+        power, nullity = eye, [0] if mult > 1 else [0, 1]
+        while nullity[-1] < mult:
+            power = (ints - k * eye).dot(power)
+            nullity.append(n - ex.rank(power))
+        at_least = [b - a for a, b in zip(nullity, nullity[1:])]
+        out[k] = [sum(1 for x in at_least if x >= i) for i in range(1, at_least[0] + 1)]
+    return out
 
 
 class _Plan:
@@ -320,10 +300,11 @@ class _Plan:
     its entries are (``_as_rationals``) and as floats, and on first use
     the eigenvalues of the floats from the real-matrix solver (spectral
     radius, double-root data) and from the complex one (the scan), the
-    integer form C = ints / d, the characteristic polynomial, exact
-    spectrum and Jordan data of ints.  C must be a nonempty square matrix
-    (else DimensionMismatch), with entries within the float range and its
-    integer form within MAX_INT_FORM_SIZE (else EnvelopeExceeded)."""
+    integer form C = ints / d, the characteristic polynomial and exact
+    spectrum of ints, and the Jordan layers of C.  C must be a nonempty
+    square matrix (else DimensionMismatch), with entries within the float
+    range and its integer form within MAX_INT_FORM_SIZE (else
+    EnvelopeExceeded)."""
 
     def __init__(self, c):
         self.a = _as_float_matrix(c)
@@ -367,18 +348,30 @@ class _Plan:
         return int_spectrum(self.charpoly)
 
     @cached_property
-    def jordan(self) -> Optional[tuple]:
-        """``(type at 0, [(m, deg q_m, type at the roots of q_m)])`` of ints,
-        q_m the product of the nonzero roots of multiplicity m; None where
-        the ranks leave a type open (``_block_type``)."""
-        ints, p = self.scaled[0], list(self.charpoly)
-        m0 = len(p) - len(np.trim_zeros(p, "b"))
-        zero = _block_type(ints, [1, 0], m0) if m0 else []
-        off = [(m, len(q) - 1, _block_type(ints, q, m))
-               for m, q in square_free_factors(p[: len(p) - m0]).items()]
-        if any(sizes is None for _, _, sizes in off):
-            return None
-        return zero, off
+    def layers(self) -> list:
+        """The Jordan layers of C: the j-th is ``{b: q}``, q the monic
+        product of x - lam over the eigenvalues lam of C with exactly b
+        Jordan blocks of size >= j, as Fractions.  Their product L_j is
+        the characteristic polynomial of C on ker s(C)^j over that on
+        ker s(C)^(j-1), s the square-free part of charpoly(C): each kernel
+        is invariant, and holds the first j columns of every block."""
+        ints, d = self.scaled
+        n = ints.shape[0]
+        eye = np.eye(n, dtype=int).astype(object)
+        s = self.int_spectrum.square_free
+        base = s[0] * ints + s[1] * eye
+        for a in s[2:]:
+            base = ints.dot(base) + a * eye
+        power, below, out = eye, [1], []
+        while len(below) <= n:  # until ker s(ints)^j is everything
+            power = base.dot(power)
+            basis, _ = ex.int_nullspace(power)
+            m, den = ex.int_solve(basis, ints.dot(basis))  # ints basis = basis m / den
+            upto = [x // den**i for i, x in enumerate(ex.int_charpoly_coeffs(m))]
+            out.append({b: [Fraction(x, d**i) for i, x in enumerate(q)]
+                        for b, q in square_free_factors(_divmod(upto, below)[0]).items()})
+            below = upto
+        return out
 
 
 def _plan_of(c) -> _Plan:
@@ -388,10 +381,10 @@ def _plan_of(c) -> _Plan:
 
 def _frobenius(parts, shape) -> tuple:
     """The Frobenius form Z (read-only, of ``shape``) and characteristic
-    polynomial of a matrix with Jordan type ``sizes`` (largest first) at
-    the roots of each b, for ``parts`` pairs ``(b, sizes)`` of coprime
-    square-free b: the i-th invariant factor is the product of
-    b^sizes[i], and Z has their companion matrices on consecutive
+    polynomial of the matrix whose i-th invariant factor is the product of
+    b^sizes[i] over the ``parts`` pairs ``(b, sizes)`` (for coprime
+    square-free b, one with Jordan type ``sizes``, largest first, at the
+    roots of each b): Z has their companion matrices on consecutive
     diagonal blocks.  Coefficients are ints, or vectors over trace levels
     that make Z one array of every level's matrix."""
     z = np.zeros(shape, dtype=object)
@@ -410,73 +403,56 @@ def _frobenius(parts, shape) -> tuple:
     return z, poly
 
 
-def _landings(rows: list, cols: list) -> list:
-    """Every way the roots of C's square-free factors can land on those of
-    poly's: per row (m, deg), deg roots of multiplicity m, the count that
-    lands on each column (M, cap), roots of multiplicity M >= m, with the
-    multiplicities landing on each column adding up to its cap."""
-    if not rows:
-        return [[]] if all(cap == 0 for _, cap in cols) else []
-    (m, deg), out = rows[0], []
-    for picks in combinations_with_replacement(range(len(cols)), deg):
-        counts = [picks.count(k) for k in range(len(cols))]
-        left = [(mult, cap - m * x) for (mult, cap), x in zip(cols, counts)]
-        if all(cap >= 0 and m <= mult or not x for (mult, cap), x in zip(left, counts)):
-            out += [[counts] + tail for tail in _landings(rows[1:], left)]
-    return out
-
-
 def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
     """Certify a scan candidate by the Frobenius form Z of exp(t0 C), from
-    the exact Jordan data of C (``_Plan.jordan``) and ``poly``, which the
-    one float step checks: charpoly(exp(t0 C)) from the plan's spectrum
-    must have every coefficient below 2^53 and within SCAN_TOL of poly's.
-    exp(t0 C), t0 != 0, has a block of size s at e^(t0 lam) for each one
-    of C at lam, so its type at a root of poly joins those of the roots of
-    C that land there: 0 on 1, the roots of C's factor q_m on 1 or on
-    roots of the square-free factors Q_M, M >= m, of poly / (x - 1)^a
-    (``_landings``; exp(t0 C) = +-I lands two rotations on one root).
-    Where every landing gives each factor the same kernel sums, and these
-    fix its type (``_shared_type``), Z follows.  None (inconclusive) for
-    t0 = 0 (exp(0 C) = I), a polynomial that fails the check or has
-    det -1, or a type left open.  ``c`` is C or its plan; n past MAX_DIM
+    the Jordan layers of C (``_Plan.layers``).
+
+    exp(t0 C), t0 != 0, has a block of size k at e^(t0 lam) for each one
+    of C at lam, so its j-th layer P_j is the product of x - e^(t0 lam)
+    over the roots lam of C's j-th layer; if exp(t0 C) is conjugate to an
+    integer matrix, every P_j is integral.  In floats, each P_j must have
+    every coefficient below 2^53 and within SCAN_TOL of an integer (the
+    largest distance is the residual), and the integer P_j must multiply
+    to ``poly``.  The roots of P_j with b blocks of size >= j go into the
+    first b invariant factors of Z, so types that differ within one
+    square-free factor, of charpoly(C) or of poly, are read root by root.
+
+    A semisimple C has one layer, charpoly(exp(t0 C)), taken from the
+    plan's spectrum as the scan took it.  Otherwise each layer takes the
+    float roots of its exact square-free factors, and t = u t0 is first
+    polished on their largest defect (``_refine`` within SCAN_STEP): the
+    float spectrum of a defective C, off by a root of eps, moves the
+    scan's t0, most where charpoly(exp(t C)) is flat in t.
+
+    None (inconclusive) for t0 = 0 (exp(0 C) = I), a polynomial of
+    det -1, or a check that fails.  ``c`` is C or its plan; n past MAX_DIM
     or |t0| rho(C) past MAX_SPECTRAL raises EnvelopeExceeded."""
     plan = _in_envelope(c, t0)
     n = plan.a.shape[0]
     if t0 == 0 or (-1) ** n * poly.constant_term() != 1:
         return None
-    coeffs = kernels.exp_charpoly(plan.spectrum, t0)
-    if not np.abs(coeffs).max() < 2.0**53 or tuple(int(x) for x in np.rint(coeffs)) != poly.coeffs:
-        return None
-    residual = float(kernels.integer_defect(coeffs))
-    if residual > SCAN_TOL or plan.jordan is None:
-        return None
-    zero, off = plan.jordan
-    rest, a = list(poly.coeffs), 0
-    while sum(rest) == 0:  # x - 1 divides rest: divide by it
-        rest, a = list(accumulate(rest[:-1])), a + 1
-    # (base, multiplicity, what C's nonzero roots must fill): 1, then each Q_M
-    cols = [([1, -1], a, a - sum(zero))]
-    cols += [(q, m, m * (len(q) - 1)) for m, q in square_free_factors(rest).items()]
-    sums = set()  # per column, N_j = sum of dim ker (exp(t0 C) - mu)^j over its roots mu
-    for landing in _landings([(m, deg) for m, deg, _ in off], [col[1:] for col in cols]):
-        landed = [[(zero, 1)]] + [[] for _ in cols[1:]]  # (type, count) per column
-        for (_, _, sizes), counts in zip(off, landing):
-            for col, x in zip(landed, counts):
-                col.append((sizes, x))
-        sums.add(tuple(
-            tuple(sum(x * min(b, j) for sizes, x in col for b in sizes) for j in range(mult + 1))
-            for col, (_, mult, _) in zip(landed, cols)
-        ))
-    if len(sums) != 1:
-        return None
-    parts = []
-    for (base, mult, _), nullity in zip(cols, sums.pop()):
-        sizes = _shared_type(list(nullity), len(base) - 1, mult) if mult else []
-        if sizes is None:
+    if len(plan.layers) == 1:
+        evs, u = [t0 * plan.spectrum], 1.0
+    else:  # roots of t0 C, which the envelope bounds, and u near 1
+        t = Fraction(t0)
+        evs = [np.concatenate([np.repeat(np.roots([float(x * t**i) for i, x in enumerate(q)]), b)
+                               for b, q in layer.items()]) for layer in plan.layers]
+        h = min(SCAN_STEP / abs(t0), 0.5)
+
+        def defect(us):
+            return np.max([kernels.integer_defect(kernels.exp_charpoly(ev, us)) for ev in evs], 0)
+
+        u = _refine(defect, np.array([1.0 - h]), np.array([1.0 + h]))[0][0]
+    parts, residual = [], 0.0
+    for ev in evs:
+        coeffs = kernels.exp_charpoly(ev, u)
+        residual = max(residual, float(kernels.integer_defect(coeffs)))
+        if not np.abs(coeffs).max() < 2.0**53 or residual > SCAN_TOL:
             return None
-        parts.append((base, sizes))
-    z, _ = _frobenius(parts, (n, n))
+        parts += [(q, [1] * b) for b, q in square_free_factors(np.rint(coeffs).tolist()).items()]
+    z, product = _frobenius(parts, (n, n))
+    if tuple(product) != poly.coeffs:
+        return None
     return LatticeWitness(t0, z, residual, poly)
 
 

@@ -256,6 +256,8 @@ def test_criterion_7_lattice_witness_family():
         ok = ok and z == [[0, -1], [1, m]]
         ok = ok and w.poly.coeffs == (1, -m, 1)
         ok = ok and w.exact
+        # t_m is right: exp(t_m diag(1, -1)) has trace m (and det 1)
+        ok = ok and abs(np.trace(exp_ad(np.diag([1.0, -1.0]), w.t0)) - m) <= 1e-12 * m
         from lcplab.intpoly import int_charpoly, int_det
 
         ok = ok and int_det(w.integral_matrix) == 1

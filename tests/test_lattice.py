@@ -257,6 +257,10 @@ def test_e11_lattice_family():
         assert w.poly.coeffs == (1, -m, 1)
         assert w.exact and w.residual is None
         assert int_det(w.integral_matrix) == 1
+        # t_m is right: 2 cosh(t_m) = m, and certification at t_m gives E_m
+        assert math.isclose(2 * math.cosh(w.t0), m, rel_tol=1e-13)
+        z = certify_witness(C_E11, w.t0, w.poly).integral_matrix
+        assert z.tolist() == w.integral_matrix.tolist()
         # E_m - I = [[-1, -1], [1, m - 1]]: entries of gcd 1, determinant 2 - m
         assert ab.snf_diagonal == (1, m - 2)
         assert ab.torsion == m - 2
@@ -488,14 +492,15 @@ def test_verdict_plan_matches_one_shot_certification(cases, dense):
 @settings(max_examples=40, deadline=None)
 @given(permuted_block_diagonal())
 def test_certification_does_not_depend_on_the_basis(cases):
-    # certification reads exact Jordan data, which a basis change keeps:
+    # certification reads the exact Jordan layers of C, which a basis
+    # change keeps:
     # a candidate that both scans return (the same polynomial, t0 apart by
     # the refinement's error, about 1e-6 where a defective float spectrum
     # is off by a root of eps) is certified in both bases or in neither,
     # with the same Z.  Which candidates the float scan returns may still
     # depend on the basis.
     d, c = cases
-    assert _Plan(d).jordan == _Plan(c).jordan
+    assert _Plan(d).layers == _Plan(c).layers
     t_range = (0.0, 3.0)
     if _exact_witnesses(d, t_range) is not None or no_lattice_double_root(d) is not None:
         return
@@ -513,8 +518,8 @@ def test_certification_does_not_depend_on_the_basis(cases):
 
 def test_one_plan_per_verdict(monkeypatch):
     # the spectra of C are taken once per verdict, and so are the exact
-    # Jordan data that certification reads: one rank (the zero block) for
-    # the 18 candidates
+    # Jordan layers that certification reads: C is semisimple, so one
+    # kernel serves the 18 candidates
     import lcplab.lattice as lattice
 
     # eigenvalues +-1/sqrt(2), so that the exact step leaves C to the
@@ -523,7 +528,7 @@ def test_one_plan_per_verdict(monkeypatch):
     t_range = (0.0, 4.24)
     candidates = integer_charpoly_scan(c, t_range=t_range)
     assert len(candidates) == 18
-    counts = {"eigvals": 0, "certify": 0, "rank": 0}
+    counts = {"eigvals": 0, "certify": 0, "kernel": 0}
 
     def counted(name, f):
         def g(*args, **kwargs):
@@ -534,11 +539,11 @@ def test_one_plan_per_verdict(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
     monkeypatch.setattr(lattice, "certify_witness", counted("certify", lattice.certify_witness))
-    monkeypatch.setattr(ex, "rank", counted("rank", ex.rank))
+    monkeypatch.setattr(ex, "int_nullspace", counted("kernel", ex.int_nullspace))
     v = lattice_verdict(c, t_range=t_range)
     assert len(v.witnesses) == 18
     assert counts["eigvals"] <= 10
-    assert counts["certify"] == len(candidates) and counts["rank"] == 1
+    assert counts["certify"] == len(candidates) and counts["kernel"] == 1
 
 
 def test_verdict_certifies_through_the_public_step(monkeypatch):
@@ -582,6 +587,57 @@ def test_rotations_one_to_two():
         assert [j for j in range(1, 5) if (powers[j] == ex.reye(4)).all()][0] == order
     for w in v.witnesses:
         assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
+
+
+def _rotation(w):
+    return ex.rmat([[0, -w], [w, 0]])
+
+
+def _rotation_jordan(w):
+    return ex.rmat([[0, -w, 1, 0], [w, 0, 0, 1], [0, 0, 0, -w], [0, 0, w, 0]])
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        # +-i of multiplicity 4, of type (2, 1, 1)
+        (_rotation_jordan(1), _rotation(1), _rotation(1)),
+        # type (2) at +-i and (1, 1) at +-2i: both of multiplicity 2
+        (_rotation_jordan(1), _rotation(2), _rotation(2)),
+        # at t0 = pi/2, type (2) at +-i and (1, 1) at -1, all three roots
+        # of multiplicity 2 in charpoly(exp(t0 C)) = ((x + 1)(x^2 + 1))^2
+        (_rotation_jordan(1), _rotation(2)),
+    ],
+    ids=["RJ1+R1+R1", "RJ1+R2+R2", "RJ1+R2"],
+)
+def test_rotation_jordan_block_next_to_rotations(blocks):
+    # Jordan types that differ within one square-free factor, of charpoly(C)
+    # or of charpoly(exp(t0 C)), are read root by root from the layers: on
+    # 0:7 the witnesses are t0 = k pi / 3 and k pi / 2 up to 2 pi, also
+    # where the float spectrum of the defective C moves the scan's t0
+    c = blocks[0]
+    for b in blocks[1:]:
+        c = ex.block_diag(c, b)
+    v = lattice_verdict(c, t_range=(0.0, 7.0))
+    expected = sorted({k * math.pi / 3 for k in range(1, 7)} | {k * math.pi / 2 for k in (1, 3)})
+    assert len(v.witnesses) == 8
+    assert all(abs(w.t0 - t) <= 1e-6 for w, t in zip(v.witnesses, expected))
+    for w in v.witnesses:
+        assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
+
+
+def test_types_that_differ_on_conjugate_roots_are_no_witness():
+    # RJ(1) + R(2) + R(2) at t0 = 2 k pi / 5, four candidates of the scan:
+    # charpoly(exp(t0 C)) is the square of the fifth cyclotomic polynomial,
+    # with type (2) at two of its roots and (1, 1) at the other two, so
+    # exp(t0 C) is conjugate to no rational matrix
+    c = ex.block_diag(ex.block_diag(_rotation_jordan(1), _rotation(2)), _rotation(2))
+    phi5_squared = IntPoly((1, 2, 3, 4, 5, 4, 3, 2, 1))
+    candidates = [cand for cand in integer_charpoly_scan(c, t_range=(0.0, 7.0))
+                  if cand.poly == phi5_squared]
+    assert [round(cand.t0 * 5 / (2 * math.pi), 6) for cand in candidates] == [1, 2, 3, 4]
+    for cand in candidates:
+        assert certify_witness(c, cand.t0, cand.poly) is None
 
 
 def test_every_diag_20_candidate_is_certified():

@@ -90,7 +90,10 @@ def check_against_reference(c, t_range):
     ts, ev, flagged, refined, cands = ref_scan(c, t_range)
     if flagged:
         idx = np.array(flagged)
-        t0s, d0s = _refine(ev, ts[idx - 1], ts[idx + 1])
+        def defect(t):
+            return kernels.integer_defect(kernels.exp_charpoly(ev, t))
+
+        t0s, d0s = _refine(defect, ts[idx - 1], ts[idx + 1])
         assert list(zip(t0s.tolist(), d0s.tolist())) == [(float(t), d) for t, d in refined]
     got = [(c.t0, c.poly.coeffs, c.defect) for c in integer_charpoly_scan(c, t_range=t_range)]
     assert got == cands
