@@ -224,7 +224,7 @@ def cmd_lattice(args) -> int:
             payload["input_fingerprint"] = fingerprint(L).as_dict()
         lines = [f"status: {verdict.status}"]
         for w in verdict.witnesses:
-            how = "exact" if w.exact else f"residual {w.residual:.2e}"
+            how = "exact" if w.exact else f"numerical (residual {w.residual:.2e})"
             lines.append(f"witness t0={w.t0:.6f} poly {w.poly} {how}")
         for cert in verdict.certificates:
             lines.append(f"certificate {cert.rule} {cert.reference}".rstrip())

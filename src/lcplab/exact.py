@@ -52,15 +52,17 @@ form; :func:`nullspace`, :func:`solve` and :func:`inv` scale Fractions
 in and unscale the result, and ``Subspace`` wraps the column spans and
 intersections as they come.  A span test is one elimination of
 ``[basis | other]`` that checks that no pivot lands in ``other``.  The
-characteristic polynomial is one Faddeev-LeVerrier pass on the same
-integers (:func:`int_charpoly_coeffs`), which ``intpoly`` shares for
-integer matrices.
+characteristic polynomial is one Berkowitz pass on the same integers
+(:func:`int_charpoly_coeffs`): division-free, so every coefficient is
+exact as computed and nothing is asserted of a quotient; ``intpoly`` and
+the lattice plan share it for integer matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -417,33 +419,39 @@ def is_pos_def(g: np.ndarray) -> bool:
 
 
 def int_charpoly_coeffs(ints) -> list:
-    """Characteristic polynomial det(xI - a) of an integer matrix, as
-    Python ints [1, c1, ..., cn] by descending degree.
+    """Characteristic polynomial det(xI - a) of a square integer matrix,
+    as Python ints [1, c1, ..., cn] by descending degree.
 
-    Faddeev-LeVerrier on integers: with M_1 = a, c_k = -tr(M_k) / k and
-    M_{k+1} = a (M_k + c_k I).  Every c_k is a coefficient of the integer
-    polynomial det(xI - a), so each division by k is exact.
+    Berkowitz's division-free recurrence, on lists of Python ints.  With
+    a_r the leading r x r block, S the column above a[r, r] and R the row
+    left of it, charpoly(a_(r+1)) is the lower triangular Toeplitz matrix
+    with first column (1, -a[r, r], -R S, -R a_r S, ..., -R a_r^(r-1) S)
+    times charpoly(a_r): one product of truncated polynomials per row,
+    after r - 1 matrix-vector products for the Krylov terms.  Only ints
+    are added and multiplied, so every coefficient is exact as computed.
     """
-    a = np.asarray(ints, dtype=object)
-    n = a.shape[0]
-    coeffs = [1]
-    m = a
-    for k in range(1, n + 1):
-        c, r = divmod(-sum(m[i, i] for i in range(n)), k)
-        assert r == 0, "Faddeev-LeVerrier division is exact on integers"
-        coeffs.append(c)
-        if k < n:
-            m = m.copy()
-            for i in range(n):
-                m[i, i] += c
-            m = a.dot(m)
-    return coeffs
+    rows = np.asarray(ints, dtype=object).tolist()
+    p = [1, -rows[0][0]] if rows else [1]
+    for r in range(1, len(rows)):
+        row, above = rows[r], rows[:r]
+        left = row[:r]
+        v = [x[r] for x in above]
+        t = [1, -row[r], -sum(map(mul, left, v))]
+        a = [x[:r] for x in above]
+        for _ in range(r - 1):
+            v = [sum(map(mul, x, v)) for x in a]
+            t.append(-sum(map(mul, left, v)))
+        # coefficient i of the product is the sum of t[i - j] p[j]
+        t.reverse()
+        p = [sum(map(mul, t[r + 1 - i :], p)) for i in range(r + 2)]
+    return p
 
 
 def charpoly(a: np.ndarray) -> list:
     """Exact characteristic polynomial det(xI - a), coefficients
-    [1, c1, ..., cn] by descending degree: :func:`int_charpoly_coeffs` on
-    ``scaled(a) == (ints, d)``, whose k-th coefficient is d^k c_k."""
+    [1, c1, ..., cn] by descending degree: the division-free Berkowitz
+    pass of :func:`int_charpoly_coeffs` on ``scaled(a) == (ints, d)``,
+    whose k-th coefficient is d^k c_k, so each c_k is one Fraction."""
     ints, d = scaled(a)
     return [Fraction(c, d**k) for k, c in enumerate(int_charpoly_coeffs(ints))]
 

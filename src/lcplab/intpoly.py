@@ -259,21 +259,48 @@ def _sturm(p: list) -> tuple:
     return sign_changes(-1) - sign_changes(1), g
 
 
+def _low_degree_roots(r: list) -> set:
+    """The integer roots of r of degree 1 or 2, on integers: -b / a for
+    a x + b, and for a x^2 + b x + c the (-b +- isqrt(D)) / 2a that divide
+    exactly when D = b^2 - 4 a c is a square."""
+    if len(r) == 2:
+        a, b = r
+        return {-b // a} if b % a == 0 else set()
+    a, b, c = r
+    disc = b * b - 4 * a * c
+    root = math.isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
+        return set()
+    return {x // (2 * a) for x in (-b + root, -b - root) if x % (2 * a) == 0}
+
+
 def int_spectrum(p) -> IntSpectrum:
     """The exact spectrum of an integer polynomial p (descending
     coefficients).  The Sturm chain of (p, p') (``_sturm``) gives
-    g = gcd(p, p') and the number of distinct real roots.  Floats only
-    propose roots of the square-free part p / g, which are simple; each
-    is confirmed exactly and divided out, and the rest proposed again
-    while a round finds one.  A round that finds none proposes once more
-    from the rest shifted to each of its guesses, which separates
-    clusters of roots far apart.  A missed proposal makes callers that
-    need every root decline; no listed root is wrong."""
+    g = gcd(p, p') and the number of distinct real roots.  The integer
+    roots are those of the square-free part p / g, whose roots are
+    simple; each round divides the roots it finds out of the rest.  A
+    rest with constant term 0 gives the root 0, and one of degree <= 2
+    gives its integer roots on integers (``_low_degree_roots``), so a
+    spectrum whose rest deflates that far needs no float.  Floats
+    propose roots only of a rest of degree >= 3; each is confirmed
+    exactly, and the rest proposed again while a round finds one.  A
+    round that finds none proposes once more from the rest shifted to
+    each of its guesses, which separates clusters of roots far apart.
+    A missed proposal makes callers that need every root decline; no
+    listed root is wrong."""
     p = [_integral(x) for x in p]
     real, g = _sturm(p)
     s = _divmod(p, g)[0]
     roots, rest = set(), s
     while len(roots) < real:
+        if rest[-1] == 0:
+            roots.add(0)
+            rest = rest[:-1]
+            continue
+        if len(rest) <= 3:
+            roots |= _low_degree_roots(rest)
+            break
         guesses = _guesses(rest, -rest[1] // ((len(rest) - 1) * rest[0]))
         new = _newton(rest, guesses)
         if not new:

@@ -22,7 +22,7 @@ side has three paths:
   values a float input holds, also where rounding moved a root off the
   imaginary axis;
 * the scan, for everything else (imaginary or irrational spectra, a
-  trace that is zero only up to rounding, the one allowance for
+  float trace that is zero only up to rounding, the one allowance for
   rounding in this module, nilpotent C, longer lists): it scans t, in
   floats, for integer characteristic polynomials and certifies each
   candidate by the Frobenius form of exp(t0 C), from the exact Jordan
@@ -100,16 +100,16 @@ def _as_float_matrix(c) -> np.ndarray:
     return a
 
 
-def _as_rationals(c) -> np.ndarray:
+def _as_rationals(c) -> tuple:
     """C as the exact rationals its entries are: ints and ``Fraction``s as
     they are, each float x as ``Fraction(x)`` (a finite float is a dyadic
-    rational, so nothing is rounded)."""
+    rational, so nothing is rounded); and whether every entry was exact,
+    an int or a ``Fraction``."""
     a = np.asarray(c, dtype=object)
+    entries = a.ravel().tolist()
     out = np.empty(a.shape, dtype=object)
-    out.ravel()[:] = [
-        x if hasattr(x, "denominator") else Fraction(float(x)) for x in a.ravel().tolist()
-    ]
-    return out
+    out.ravel()[:] = [x if hasattr(x, "denominator") else Fraction(float(x)) for x in entries]
+    return out, all(hasattr(x, "denominator") for x in entries)
 
 
 def _in_envelope(c, t: float):
@@ -189,8 +189,10 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     Evaluates the coefficient integer-defect on a grid of step
     ``SCAN_STEP``, flags interior local minima below ``SCAN_FLAG_TOL``,
     refines the flags together by ``GOLDEN_ITERS`` golden-section steps
-    (``_refine``), keeps minima down to ``SCAN_TOL`` (also the relative
-    trace-free tolerance), and deduplicates candidates closer than 1e-6.
+    (``_refine``), keeps minima down to ``SCAN_TOL``, and deduplicates
+    candidates closer than 1e-6.  Exact input (every entry an int or a
+    ``Fraction``) must have trace 0, and float input a trace within
+    ``SCAN_TOL`` max|C| of 0; else NonTraceFree.
     A refined minimum with a coefficient of modulus 2^53 or more is
     dropped.  A (near) nilpotent C has integer coefficients for every t
     and is reported as the single degenerate candidate t = 1, or t = hi
@@ -206,7 +208,11 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     n = a.shape[0]
     if n > MAX_DIM:
         raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
-    if abs(np.trace(a)) > SCAN_TOL * max(1.0, np.abs(a).max()):
+    if plan.exact:
+        nonzero_trace = np.trace(plan.scaled[0]) != 0  # d tr(C), on ints
+    else:
+        nonzero_trace = abs(np.trace(a)) > SCAN_TOL * max(1.0, np.abs(a).max())
+    if nonzero_trace:
         raise NonTraceFree("Bock scan requires a trace-free matrix")
     lo, hi = _scanned_range(plan, t_range)
     if not hi - lo <= MAX_SCAN_POINTS * SCAN_STEP:
@@ -297,7 +303,8 @@ def _jordan_types(ints, roots) -> dict:
 
 class _Plan:
     """What one verdict computes once about C: C as the exact rationals
-    its entries are (``_as_rationals``) and as floats, and on first use
+    its entries are (``_as_rationals``, with ``exact`` true when every
+    entry was an int or a ``Fraction``) and as floats, and on first use
     the eigenvalues of the floats from the real-matrix solver (spectral
     radius, double-root data) and from the complex one (the scan), the
     integer form C = ints / d, the characteristic polynomial and exact
@@ -310,7 +317,7 @@ class _Plan:
         self.a = _as_float_matrix(c)
         if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1] or not self.a.size:
             raise DimensionMismatch(f"C must be a nonempty square matrix, not {self.a.shape}")
-        self.c = _as_rationals(c)
+        self.c, self.exact = _as_rationals(c)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

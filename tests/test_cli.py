@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -19,6 +20,12 @@ theta : -1 0 0
 BROKEN = """dim 3
 bracket 1 2 : 0 0 1
 bracket 1 3 : 1 0 0
+"""
+
+ROTATION = """dim 3
+label rotation
+bracket 1 2 : 0 0 1
+bracket 1 3 : 0 -1 0
 """
 
 ALMAB = """dim 1
@@ -275,6 +282,35 @@ def test_lattice_search_machine_roundtrip(e11_doc):
         "lattice", "search", "--input", e11_doc, "--t-range", "0:2", "--format", "machine"
     )
     assert out2.stdout == out.stdout
+
+
+def test_text_lattice_search_says_how_each_witness_was_reached(tmp_path, e11_doc):
+    # e(1,1) is decided exactly; a rotation's witnesses come from the scan
+    # and read numerical, with their residual
+    out = run_cli("lattice", "search", "--input", e11_doc, "--t-range", "0:2")
+    assert out.returncode == 0
+    status, *witnesses = out.stdout.splitlines()
+    assert status == "status: yes" and witnesses
+    assert all(re.fullmatch(r"witness t0=\S+ poly .+ exact", line) for line in witnesses)
+    p = tmp_path / "rotation.lcp"
+    p.write_text(ROTATION)
+    out = run_cli("lattice", "search", "--input", str(p), "--t-range", "0:7")
+    assert out.returncode == 0
+    status, *witnesses = out.stdout.splitlines()
+    assert status == "status: yes" and len(witnesses) == 8
+    assert all(
+        re.fullmatch(r"witness t0=\S+ poly .+ numerical \(residual \S+\)", line) for line in witnesses
+    )
+    assert witnesses[1].startswith("witness t0=1.570796 poly x^2 + 1 numerical (residual ")
+
+
+def test_lattice_search_refuses_an_exact_nonzero_trace(tmp_path):
+    # C = diag(1, -1 + 10^-12) exactly: its trace is judged on the exact
+    # values, so the scan's float tolerance no longer lets it through
+    p = tmp_path / "near_e11.lcp"
+    p.write_text("dim 3\nbracket 1 2 : 0 1 0\nbracket 1 3 : 0 0 -999999999999/1000000000000\n")
+    out = run_cli("lattice", "search", "--input", str(p), "--t-range", "0:3")
+    assert_input_error(out, "NonTraceFree")
 
 
 def test_lattice_certify(e11_doc):

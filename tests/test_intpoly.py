@@ -1,21 +1,25 @@
 """Integer polynomials, the integer characteristic polynomial and its
 exact spectrum.
 
-``int_charpoly`` and ``int_det`` run Faddeev-LeVerrier on Python ints;
-they must agree with the ``Fraction`` Faddeev-LeVerrier and elimination
-kept below as references, and so must ``exact.charpoly`` on rationals.
-``int_spectrum`` must agree with sympy's integer roots and real-root
-count.
+``int_charpoly`` and ``int_det`` run Berkowitz's division-free
+recurrence on Python ints; they must agree with the ``Fraction``
+Faddeev-LeVerrier and elimination kept below as references, up to
+``MAX_DIM`` and entries of the size of the lattice search's integer
+forms, and so must ``exact.charpoly`` on rationals.  ``int_spectrum``
+must agree with sympy's integer roots and real-root count, and find the
+roots of a square-free part that deflates to degree <= 2 with no float.
 """
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcplab import exact as ex
+from lcplab.algebra import MAX_DIM
 from lcplab.errors import DimensionMismatch
 from lcplab.intpoly import (
     IntPoly,
@@ -107,10 +111,11 @@ def ref_det(rows):
 
 
 @st.composite
-def int_matrices(draw):
-    """Random integer matrices, n <= 8: plain, singular (a repeated row)
-    or of determinant -1 (elementary operations and one row swap)."""
-    n = draw(st.integers(1, 8))
+def int_matrices(draw, max_n=8, big=10**12):
+    """Random integer matrices, n <= ``max_n``: plain (entries up to
+    ``big``), singular (a repeated row) or of determinant -1 (elementary
+    operations and one row swap)."""
+    n = draw(st.integers(1, max_n))
     kind = draw(st.sampled_from(["plain", "singular", "det-1"]))
     if kind == "det-1":
         m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -123,8 +128,7 @@ def int_matrices(draw):
             return [[-1]]
         m[0], m[1] = m[1], m[0]
         return m
-    big = st.integers(-(10**12), 10**12)
-    m = [[draw(st.one_of(st.integers(-5, 5), big)) for _ in range(n)] for _ in range(n)]
+    m = [[draw(st.one_of(st.integers(-5, 5), st.integers(-big, big))) for _ in range(n)] for _ in range(n)]
     if kind == "singular":
         m[-1] = list(m[0]) if n > 1 else [0]
     return m
@@ -136,6 +140,22 @@ def test_int_charpoly_and_det_match_fraction_references(rows):
     a = np.array(rows, dtype=object)
     ref = ref_charpoly(rows)
     assert list(int_charpoly(a).coeffs) == ref
+    assert int_det(a) == ref_det(rows)
+
+
+# the lattice search's integer forms d C have entries of up to 310 bits;
+# a 16 x 16 reference takes about 0.7 s, so the examples are few, and one
+# of them is always a full MAX_DIM x MAX_DIM matrix of such entries
+_R = random.Random(MAX_DIM)
+_FULL = [[_R.randrange(-(2**310), 2**310) for _ in range(MAX_DIM)] for _ in range(MAX_DIM)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(int_matrices(max_n=MAX_DIM, big=2**310))
+@example(_FULL)
+def test_int_charpoly_and_det_match_fraction_references_up_to_max_dim(rows):
+    a = np.array(rows, dtype=object)
+    assert list(int_charpoly(a).coeffs) == ref_charpoly(rows)
     assert int_det(a) == ref_det(rows)
 
 
@@ -181,11 +201,12 @@ def from_roots(roots, cofactor=(1,)):
 def assert_matches_sympy(p):
     spec = int_spectrum(p)
     poly = sympy.Poly(p, X)
-    want = sorted((int(k), m) for k, m in poly.ground_roots().items())
+    # the rational roots of p; for monic p they are all integers
+    want = sorted((int(k), m) for k, m in poly.ground_roots().items() if k.is_integer)
     assert list(spec.integer_roots) == want
     assert spec.real_roots == len(sympy.Poly(poly.sqf_part(), X).real_roots())
-    gcd = sympy.Poly(sympy.gcd(poly, poly.diff(X)), X)
-    assert list(spec.repeated) == [int(c) for c in gcd.monic().all_coeffs()]
+    _, gcd = sympy.Poly(sympy.gcd(poly, poly.diff(X)), X).primitive()  # sympy: lead > 0
+    assert list(spec.repeated) == [int(c) for c in gcd.all_coeffs()]
     assert spec.all_real == (len(poly.real_roots()) == poly.degree())
     ks = [k for k, m in want for _ in range(m)]
     assert spec.integer_eigenvalues() == (ks if len(ks) == poly.degree() else None)
@@ -221,8 +242,9 @@ def test_int_spectrum_matches_sympy(p):
         # 8 double roots near 10^20: p passes the float range, s does not
         [10**20 + j * 10**18 + 7 * j for j in range(8)] * 2,
         # roots past the float range themselves: each guess y 2^e is
-        # rounded on integers, not through a float
-        [3 * 2**1100, -(2**1100) - 5],
+        # rounded on integers, not through a float (three roots, as a
+        # rest of degree <= 2 is solved with no guess)
+        [3 * 2**1100, -(2**1100) - 5, 5 * 2**1099 + 3],
     ],
     ids=["simple", "double", "huge-roots"],
 )
@@ -243,6 +265,35 @@ def test_int_spectrum_two_clusters_far_apart():
     p = from_roots(roots)
     assert_matches_sympy(p)
     assert int_spectrum(p).integer_eigenvalues() == sorted(roots)
+
+
+def _refuse_roots(*args, **kwargs):
+    raise AssertionError("np.roots proposed roots of a rest of degree <= 2")
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        from_roots([0, 7, -7]),  # x (x^2 - 49): the root 0, then a quadratic
+        from_roots([-5, 0, 0, 5, 5, 5]),  # repeated roots, 0 among them
+        [1, 0, -2],  # x^2 - 2: no integer root
+        [1, 0, 1],  # x^2 + 1: no real root
+        from_roots([0], [1, 0, -2]),  # x (x^2 - 2)
+        [-1, 0, 4],  # -x^2 + 4: negative lead
+        [-3, 6],  # -3x + 6: the root 2 of a linear rest
+        [2, -3, -2],  # (2x + 1)(x - 2): non-monic, one integer root
+        [6, -5, -6, 0],  # x (2x - 3)(3x + 2): non-monic, the root 0 only
+        poly_mul([2, -3, -2], [2, -3, -2]),  # non-monic and repeated
+        from_roots([0, 0, 0], [3, 0, -1]),  # x^3 (3x^2 - 1): non-monic, repeated 0
+    ],
+    ids=["0+-k", "repeated", "x2-2", "x2+1", "0-and-x2-2", "negative-lead", "linear",
+         "non-monic", "non-monic-0", "non-monic-repeated", "non-monic-repeated-0"],
+)
+def test_int_spectrum_of_a_low_degree_rest_needs_no_float(monkeypatch, p):
+    # the square-free part deflates to degree <= 2 by the root 0 alone, so
+    # every integer root is found on integers
+    monkeypatch.setattr(np, "roots", _refuse_roots)
+    assert_matches_sympy(p)
 
 
 def test_int_spectrum_cases():

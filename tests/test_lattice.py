@@ -673,9 +673,11 @@ def _conjugated_complex6():
         # spectrum has no real root to propose, and a root off both axes
         # keeps the verdict off the scan
         (_conjugated_complex6, (0.0, 2.0), "inconclusive", 1),
-        # decided exactly: the real-matrix spectrum of C and the float
-        # roots that propose the integer roots of its integer form
-        (lambda: _conjugated_hyperbolic(6), (0.0, 3.0), "yes", 2),
+        # decided exactly: the real-matrix spectrum of C (t-range clamp);
+        # the square-free part x(x^2 - d^2) of its integer form gives the
+        # root 0 and deflates to a quadratic solved on integers, so no
+        # float root proposal runs
+        (lambda: _conjugated_hyperbolic(6), (0.0, 3.0), "yes", 1),
     ],
 )
 def test_each_spectrum_once_per_verdict(monkeypatch, make, t_range, status, spectra):

@@ -402,6 +402,26 @@ def test_float_rounding_off_the_axis_is_read_as_held(monkeypatch):
     assert v.status == "inconclusive" and not v.certificates
 
 
+def test_exact_trace_is_judged_exactly():
+    # diag(1, -1 + 10^-12) is not unimodular, so it has no lattice; the
+    # exact matrix has a nonzero trace and raises, where the scan's
+    # relative tolerance used to give it 18 numerical witnesses.  Its
+    # float twin keeps that tolerance until floats leave the scan
+    c = ex.rmat([[1, 0], [0, F(-1) + F(1, 10**12)]])
+    with pytest.raises(NonTraceFree):
+        integer_charpoly_scan(c, t_range=(0.0, 3.0))
+    with pytest.raises(NonTraceFree):
+        lattice_verdict(c, t_range=(0.0, 3.0))
+    v = lattice_verdict(np.diag([1.0, -1.0 + 1e-12]), t_range=(0.0, 3.0))
+    assert v.status == "yes" and len(v.witnesses) == 18
+    assert not any(w.exact for w in v.witnesses)
+    # exact trace-free input, numpy ints or Fractions, still reaches the
+    # scan: the rotation by pi/2 is a candidate
+    for c in (np.array([[0, -1], [1, 0]]), ex.rmat([[0, -1], [1, 0]])):
+        assert _Plan(c).exact
+        assert [x.poly.coeffs for x in integer_charpoly_scan(c, t_range=(0.0, 2.0))] == [(1, -1, 1), (1, 0, 1)]
+
+
 def test_off_axis_without_trace_zero_still_raises():
     c = ex.rmat([[1, -1, 0], [1, 1, 0], [0, 0, 1]])  # 1 +- i, 1
     assert _Plan(c).int_spectrum.off_axis()
