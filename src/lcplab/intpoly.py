@@ -113,8 +113,8 @@ def int_charpoly(a: np.ndarray) -> IntPoly:
 class IntSpectrum:
     """What :func:`int_spectrum` finds of p: gcd(p, p') (primitive,
     positive lead), the square-free part p / gcd(p, p'), the number of
-    distinct real roots, and the integer roots as ``(k, multiplicity in
-    p)`` by increasing k."""
+    distinct real roots, and, if every root is real, the integer roots as
+    ``(k, multiplicity in p)`` by increasing k."""
 
     degree: int
     repeated: tuple
@@ -277,9 +277,10 @@ def _low_degree_roots(r: list) -> set:
 def int_spectrum(p) -> IntSpectrum:
     """The exact spectrum of an integer polynomial p (descending
     coefficients).  The Sturm chain of (p, p') (``_sturm``) gives
-    g = gcd(p, p') and the number of distinct real roots.  The integer
-    roots are those of the square-free part p / g, whose roots are
-    simple; each round divides the roots it finds out of the rest.  A
+    g = gcd(p, p') and the number of distinct real roots.  Only when every
+    root is real, the one case a caller reads them, come the integer
+    roots: those of the square-free part p / g, whose roots are simple;
+    each round divides the roots it finds out of the rest.  A
     rest with constant term 0 gives the root 0, and one of degree <= 2
     gives its integer roots on integers (``_low_degree_roots``), so a
     spectrum whose rest deflates that far needs no float.  Floats
@@ -293,7 +294,7 @@ def int_spectrum(p) -> IntSpectrum:
     real, g = _sturm(p)
     s = _divmod(p, g)[0]
     roots, rest = set(), s
-    while len(roots) < real:
+    while real == len(s) - 1 and len(roots) < real:
         if rest[-1] == 0:
             roots.add(0)
             rest = rest[:-1]

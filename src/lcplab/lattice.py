@@ -29,7 +29,8 @@ side has three paths:
   layers of C (``certify_witness``).  A witness the grid does not flag is
   missing from its result.
 
-One plan per verdict (``_Plan``) computes each spectrum of C once.
+One plan per verdict (``_Plan``) holds C once, as those rationals,
+checks the input once, and computes each spectrum of C once.
 
 The no-lattice side implements two certificate rules:
 
@@ -90,42 +91,20 @@ MAX_LISTED_WITNESSES = 10**4
 MAX_INT_FORM_SIZE = MAX_DIM**2 * 128
 
 
-def _as_float_matrix(c) -> np.ndarray:
-    try:
-        a = np.array(c, dtype=np.float64, order="C")
-    except OverflowError:
-        raise EnvelopeExceeded("matrix entries must be within the float range") from None
-    if not np.isfinite(a).all():
-        raise EnvelopeExceeded("matrix entries must be finite")
-    return a
-
-
-def _as_rationals(c) -> tuple:
-    """C as the exact rationals its entries are: ints and ``Fraction``s as
-    they are, each float x as ``Fraction(x)`` (a finite float is a dyadic
-    rational, so nothing is rounded); and whether every entry was exact,
-    an int or a ``Fraction``."""
-    a = np.asarray(c, dtype=object)
-    entries = a.ravel().tolist()
-    out = np.empty(a.shape, dtype=object)
-    out.ravel()[:] = [x if hasattr(x, "denominator") else Fraction(float(x)) for x in entries]
-    return out, all(hasattr(x, "denominator") for x in entries)
-
-
-def _in_envelope(c, t: float):
-    """The plan of C, once n <= MAX_DIM and the spectral radius of t C is
-    at most MAX_SPECTRAL (else EnvelopeExceeded)."""
-    plan = _plan_of(c)
-    if plan.a.shape[0] > MAX_DIM:
-        raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
-    if abs(t) * plan.rho > MAX_SPECTRAL:
+def _in_envelope(t: float, rho: float) -> None:
+    """EnvelopeExceeded unless the spectral radius |t| rho of t C is at
+    most MAX_SPECTRAL, rho that of C."""
+    if abs(t) * rho > MAX_SPECTRAL:
         raise EnvelopeExceeded("spectral radius of t*C exceeds the envelope")
-    return plan
 
 
 def exp_ad(c, t: float) -> np.ndarray:
-    """exp(t C) by scaling and squaring, within the envelope."""
-    return kernels.expm(t * _in_envelope(c, t).a)
+    """exp(t C) by scaling and squaring, in floats, once |t| rho(C) is
+    within MAX_SPECTRAL, rho from the plan's float spectrum: no exact
+    characteristic polynomial is computed.  ``c`` is C or its plan."""
+    plan = _plan_of(c)
+    _in_envelope(t, float(np.abs(plan.spectrum).max()))
+    return kernels.expm(t * plan.c.astype(np.float64))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -190,9 +169,10 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     ``SCAN_STEP``, flags interior local minima below ``SCAN_FLAG_TOL``,
     refines the flags together by ``GOLDEN_ITERS`` golden-section steps
     (``_refine``), keeps minima down to ``SCAN_TOL``, and deduplicates
-    candidates closer than 1e-6.  Exact input (every entry an int or a
-    ``Fraction``) must have trace 0, and float input a trace within
-    ``SCAN_TOL`` max|C| of 0; else NonTraceFree.
+    candidates closer than 1e-6.  The trace is read from the rationals of
+    C: exact input (every entry an int or a ``Fraction``) must have trace
+    0, and float input a trace within ``SCAN_TOL`` max(1, max|C|) of 0;
+    else NonTraceFree.
     A refined minimum with a coefficient of modulus 2^53 or more is
     dropped.  A (near) nilpotent C has integer coefficients for every t
     and is reported as the single degenerate candidate t = 1, or t = hi
@@ -204,15 +184,9 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     no grid.
     """
     plan = _plan_of(c)
-    a = plan.a
-    n = a.shape[0]
-    if n > MAX_DIM:
-        raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
-    if plan.exact:
-        nonzero_trace = np.trace(plan.scaled[0]) != 0  # d tr(C), on ints
-    else:
-        nonzero_trace = abs(np.trace(a)) > SCAN_TOL * max(1.0, np.abs(a).max())
-    if nonzero_trace:
+    ints, d = plan.scaled
+    tol = 0 if plan.exact else SCAN_TOL * max(1, np.abs(plan.c).max())
+    if abs(Fraction(np.trace(ints), d)) > tol:
         raise NonTraceFree("Bock scan requires a trace-free matrix")
     lo, hi = _scanned_range(plan, t_range)
     if not hi - lo <= MAX_SCAN_POINTS * SCAN_STEP:
@@ -302,34 +276,52 @@ def _jordan_types(ints, roots) -> dict:
 
 
 class _Plan:
-    """What one verdict computes once about C: C as the exact rationals
-    its entries are (``_as_rationals``, with ``exact`` true when every
-    entry was an int or a ``Fraction``) and as floats, and on first use
-    the eigenvalues of the floats from the real-matrix solver (spectral
-    radius, double-root data) and from the complex one (the scan), the
-    integer form C = ints / d, the characteristic polynomial and exact
-    spectrum of ints, and the Jordan layers of C.  C must be a nonempty
-    square matrix (else DimensionMismatch), with entries within the float
-    range and its integer form within MAX_INT_FORM_SIZE (else
+    """What one verdict computes once about C.  C is held once, as the
+    exact rationals its entries are (``c``): ints and ``Fraction``s as
+    they are, each float x as ``Fraction(x)`` (a finite float is a dyadic
+    rational, so nothing is rounded), with ``exact`` true when every entry
+    was an int or a ``Fraction``.  On first use come the integer form
+    C = ints / d, the characteristic polynomial and exact spectrum of
+    ints, the spectral radius, the Jordan layers of C, and ``spectrum``,
+    the one float eigen-solve, which only the steps that read floats
+    take.  Input is checked here, once: C must be a nonempty square matrix
+    (else DimensionMismatch), with n <= MAX_DIM, finite entries within the
+    float range and its integer form within MAX_INT_FORM_SIZE (else
     EnvelopeExceeded)."""
 
     def __init__(self, c):
-        self.a = _as_float_matrix(c)
-        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1] or not self.a.size:
-            raise DimensionMismatch(f"C must be a nonempty square matrix, not {self.a.shape}")
-        self.c, self.exact = _as_rationals(c)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.a)
-
-    @cached_property
-    def rho(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues))) if self.a.shape[0] else 0.0
+        a = np.asarray(c, dtype=object)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise DimensionMismatch(f"C must be a nonempty square matrix, not {a.shape}")
+        if a.shape[0] > MAX_DIM:
+            raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
+        self.c, self.exact = np.empty(a.shape, dtype=object), True
+        for i, x in enumerate(a.ravel().tolist()):
+            if not hasattr(x, "denominator"):
+                x, self.exact = float(x), False
+                if not math.isfinite(x):
+                    raise EnvelopeExceeded("matrix entries must be finite")
+                x = Fraction(x)
+            elif int(x.numerator).bit_length() - int(x.denominator).bit_length() > 1022:
+                try:  # below that |x| < 2^1023, and float(x) cannot overflow
+                    float(x)
+                except OverflowError:
+                    raise EnvelopeExceeded("matrix entries must be within the float range") from None
+            self.c.flat[i] = x
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        return kernels.spectrum(self.a)
+        """The complex eigenvalues of C in floats."""
+        return kernels.spectrum(self.c.astype(np.float64))
+
+    @cached_property
+    def rho(self) -> float:
+        """The spectral radius of C: max|k| / d when every eigenvalue k of
+        ints = d C is an integer, else from ``spectrum``."""
+        ks = self.int_spectrum.integer_eigenvalues()
+        if ks is None:
+            return float(np.abs(self.spectrum).max())
+        return float(Fraction(max(map(abs, ks)), self.scaled[1]))
 
     @cached_property
     def scaled(self) -> tuple:
@@ -432,10 +424,12 @@ def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
     scan's t0, most where charpoly(exp(t C)) is flat in t.
 
     None (inconclusive) for t0 = 0 (exp(0 C) = I), a polynomial of
-    det -1, or a check that fails.  ``c`` is C or its plan; n past MAX_DIM
-    or |t0| rho(C) past MAX_SPECTRAL raises EnvelopeExceeded."""
-    plan = _in_envelope(c, t0)
-    n = plan.a.shape[0]
+    det -1, or a check that fails.  ``c`` is C or its plan; |t0| rho(C)
+    past MAX_SPECTRAL raises EnvelopeExceeded, rho as the scan's t-range
+    clamp takes it (``_Plan.rho``)."""
+    plan = _plan_of(c)
+    _in_envelope(t0, plan.rho)
+    n = plan.c.shape[0]
     if t0 == 0 or (-1) ** n * poly.constant_term() != 1:
         return None
     if len(plan.layers) == 1:
@@ -536,7 +530,7 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     plan = _plan_of(c)
     spec = plan.int_spectrum
     ks = spec.integer_eigenvalues()
-    if ks is None or not any(ks) or sum(ks) != 0 or len(ks) > MAX_DIM:
+    if ks is None or not any(ks) or sum(ks) != 0:
         return None
     ints, d = plan.scaled
     n = len(ks)
@@ -595,7 +589,7 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     return NoLatticeCertificate(
         "double_root",
         data={
-            "eigenvalues": sorted(float(x) for x in plan.eigenvalues.real),
+            "eigenvalues": sorted(float(x) for x in plan.spectrum.real),
             "multiple_root": float(root),
             "multiplicity": int(mult),
         },

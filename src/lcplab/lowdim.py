@@ -564,14 +564,13 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
     abelian algebra).  ``witnesses`` are the row's fixture witnesses when
     the caller has parsed them already; ``seed`` is accepted and unused."""
     L = table_algebra(sample.name, sample.params)
-    G = Metric.identity(L.dim)
-    pres = almost_abelian_presentation(L, G)
     if sample.lattice_cited is not None and sample.lattice_cited[0] == "yes":
         return {
             "status": "yes",
             "evidence": f"cited[{sample.lattice_cited[1]}]",
             "witnesses": 0,
         }
+    pres = almost_abelian_presentation(L, Metric.identity(L.dim))
     cited = None
     if sample.lattice_cited is not None:
         cited = cited_certificate(sample.lattice_cited[1])

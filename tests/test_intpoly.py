@@ -6,8 +6,10 @@ recurrence on Python ints; they must agree with the ``Fraction``
 Faddeev-LeVerrier and elimination kept below as references, up to
 ``MAX_DIM`` and entries of the size of the lattice search's integer
 forms, and so must ``exact.charpoly`` on rationals.  ``int_spectrum``
-must agree with sympy's integer roots and real-root count, and find the
-roots of a square-free part that deflates to degree <= 2 with no float.
+must agree with sympy's real-root count, and with its integer roots
+where every root is real (elsewhere it lists none, and proposes none in
+floats), and find the roots of a square-free part that deflates to
+degree <= 2 with no float.
 """
 
 import random
@@ -201,13 +203,15 @@ def from_roots(roots, cofactor=(1,)):
 def assert_matches_sympy(p):
     spec = int_spectrum(p)
     poly = sympy.Poly(p, X)
-    # the rational roots of p; for monic p they are all integers
+    # the rational roots of p; for monic p they are all integers.  They are
+    # listed only when every root is real
+    all_real = len(poly.real_roots()) == poly.degree()
     want = sorted((int(k), m) for k, m in poly.ground_roots().items() if k.is_integer)
-    assert list(spec.integer_roots) == want
+    assert list(spec.integer_roots) == (want if all_real else [])
     assert spec.real_roots == len(sympy.Poly(poly.sqf_part(), X).real_roots())
     _, gcd = sympy.Poly(sympy.gcd(poly, poly.diff(X)), X).primitive()  # sympy: lead > 0
     assert list(spec.repeated) == [int(c) for c in gcd.all_coeffs()]
-    assert spec.all_real == (len(poly.real_roots()) == poly.degree())
+    assert spec.all_real == all_real
     ks = [k for k, m in want for _ in range(m)]
     assert spec.integer_eigenvalues() == (ks if len(ks) == poly.degree() else None)
 
@@ -294,6 +298,27 @@ def test_int_spectrum_of_a_low_degree_rest_needs_no_float(monkeypatch, p):
     # every integer root is found on integers
     monkeypatch.setattr(np, "roots", _refuse_roots)
     assert_matches_sympy(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # the integer forms of the benchmark's c3 and c5 spectra:
+        # 2 (1/2 +- i, -1) and 6 (1/3 +- i, 1/6 +- 3i/2, -1)
+        poly_mul([1, -2, 5], [1, 2]),
+        poly_mul(poly_mul([1, -4, 40], [1, -2, 82]), [1, 6]),
+        [1, 0, 0, -1],  # x^3 - 1: the integer root 1 next to complex ones
+    ],
+    ids=["c3", "c5", "x3-1"],
+)
+def test_int_spectrum_off_the_real_axis_looks_for_no_integer_root(monkeypatch, p):
+    # integer roots are read only where every root is real; with a root
+    # off the real axis none is looked for, and no float proposes one
+    monkeypatch.setattr(np, "roots", lambda *a: pytest.fail("np.roots proposed a root"))
+    spec = int_spectrum(p)
+    assert spec.integer_roots == () and spec.integer_eigenvalues() is None
+    assert spec.real_roots == 1 and spec.square_free == tuple(p)
+    assert spec.off_axis() and not spec.all_real
 
 
 def test_int_spectrum_cases():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab import kernels
-from lcplab.algebra import LieAlgebra, Metric, OneForm
+from lcplab.algebra import MAX_DIM, LieAlgebra, Metric, OneForm
 from lcplab.construct import almab_lcp
 from lcplab.detect import LCPStructure, maximal_flat_parallel
 from lcplab.errors import (
@@ -171,7 +171,7 @@ def test_entries_across_the_float_range_are_read_exactly():
     ids=["verdict", "double-root", "scan"],
 )
 @pytest.mark.parametrize(
-    "c", [np.zeros((0, 0)), [[1, 0, 0], [0, -1, 0]]], ids=["0x0", "2x3"]
+    "c", [np.zeros((0, 0)), [[1, 0, 0], [0, -1, 0]], [[1, 0], [0]]], ids=["0x0", "2x3", "ragged"]
 )
 def test_empty_or_non_square_input_is_a_dimension_error(call, c):
     with pytest.raises(DimensionMismatch, match="nonempty square"):
@@ -207,6 +207,35 @@ def test_huge_float_entries_are_refused_before_the_charpoly(monkeypatch):
     for call in (lattice_verdict, no_lattice_double_root, integer_charpoly_scan):
         with pytest.raises(EnvelopeExceeded, match="integer form"):
             call(a)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # one double root 2 among real simple ones: past MAX_DIM this is
+        # refused, not answered "no" by the double-root rule
+        lambda: np.diag([2, 2, -1, -3, 0] + [s * k for k in range(10, 16) for s in (1, -1)]),
+        lambda: _conjugated_hyperbolic(17),
+    ],
+    ids=["double-root-17", "hyperbolic-17"],
+)
+def test_past_max_dim_every_step_is_refused_before_a_spectrum(monkeypatch, make):
+    def refuse(ints):
+        raise AssertionError("characteristic polynomial built")
+
+    monkeypatch.setattr(ex, "int_charpoly_coeffs", refuse)
+    c = make()
+    assert c.shape == (MAX_DIM + 1, MAX_DIM + 1)
+    calls = [
+        lattice_verdict,
+        no_lattice_double_root,
+        integer_charpoly_scan,
+        lambda c: certify_witness(c, 1.0, IntPoly((1,) + (0,) * 16 + (-1,))),
+        lambda c: exp_ad(c, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(EnvelopeExceeded, match=f"n <= {MAX_DIM}"):
+            call(c)
 
 
 def test_certify_e11():
@@ -652,42 +681,58 @@ def test_every_diag_20_candidate_is_certified():
         assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
 
 
-def _conjugated_complex6():
-    """The spectrum 1/2 +- i, -1/4 +- 2i, -1/4 +- i/2 in rotation blocks,
-    under a rational basis change: a complex spectrum the exact step
-    declines, with no integer polynomial on 0:2."""
-    d = ex.rzeros((6, 6))
-    blocks = [(Fraction(1, 2), 1), (Fraction(-1, 4), 2), (Fraction(-1, 4), Fraction(1, 2))]
+def _conjugated_blocks(blocks, reals=()):
+    """Rotation blocks p +- iw for the pairs (p, w) of ``blocks``, then the
+    real eigenvalues ``reals``, under a rational basis change."""
+    n = 2 * len(blocks) + len(reals)
+    d = ex.rzeros((n, n))
     for i, (p, w) in enumerate(blocks):
         d[2 * i, 2 * i] = d[2 * i + 1, 2 * i + 1] = p
         d[2 * i, 2 * i + 1], d[2 * i + 1, 2 * i] = -ex.rat(w), ex.rat(w)
-    p = ex.reye(6)
-    p[0, 2], p[3, 1], p[4, 0], p[5, 3] = Fraction(1, 2), Fraction(-1, 3), ex.ONE, Fraction(1, 4)
+    for i, x in enumerate(reals, start=2 * len(blocks)):
+        d[i, i] = ex.rat(x)
+    p = ex.reye(n)
+    p[0, 2], p[3, 1], p[4, 0], p[n - 1, 3] = Fraction(1, 2), Fraction(-1, 3), ex.ONE, Fraction(1, 4)
     return ex.dot(ex.dot(p, d), ex.inv(p))
+
+
+def _conjugated_complex6():
+    """The spectrum 1/2 +- i, -1/4 +- 2i, -1/4 +- i/2: a complex spectrum
+    the exact step declines, with no integer polynomial on 0:2."""
+    return _conjugated_blocks([(Fraction(1, 2), 1), (Fraction(-1, 4), 2),
+                               (Fraction(-1, 4), Fraction(1, 2))])
+
+
+def _conjugated_complex5():
+    """The spectrum 1/3 +- i, 1/6 +- 3i/2 and the real root -1."""
+    return _conjugated_blocks([(Fraction(1, 3), 1), (Fraction(1, 6), Fraction(3, 2))], [-1])
 
 
 @pytest.mark.parametrize(
     "make, t_range, status, spectra",
     [
-        # the real-matrix spectrum of C (t-range clamp); the exact
-        # spectrum has no real root to propose, and a root off both axes
-        # keeps the verdict off the scan
+        # the float spectrum of C (t-range clamp); the exact spectrum has a
+        # root off the real axis, so no integer root is proposed, and a
+        # root off both axes keeps the verdict off the scan
         (_conjugated_complex6, (0.0, 2.0), "inconclusive", 1),
-        # decided exactly: the real-matrix spectrum of C (t-range clamp);
-        # the square-free part x(x^2 - d^2) of its integer form gives the
-        # root 0 and deflates to a quadratic solved on integers, so no
-        # float root proposal runs
-        (lambda: _conjugated_hyperbolic(6), (0.0, 3.0), "yes", 1),
+        # decided exactly, with no float: the square-free part x(x^2 - d^2)
+        # of its integer form gives the root 0 and deflates to a quadratic
+        # solved on integers, and the t-range clamp reads the spectral
+        # radius from those integer eigenvalues
+        (lambda: _conjugated_hyperbolic(6), (0.0, 3.0), "yes", 0),
+        # one real root among complex ones: the float spectrum of C only,
+        # and no float root proposal for the integer roots no step reads
+        (_conjugated_complex5, (0.0, 2.0), "inconclusive", 1),
     ],
 )
 def test_each_spectrum_once_per_verdict(monkeypatch, make, t_range, status, spectra):
     c = make()
     calls = []
     eigvals, roots = np.linalg.eigvals, np.roots
-    monkeypatch.setattr(np.linalg, "eigvals", lambda *a, **k: calls.append(1) or eigvals(*a, **k))
-    monkeypatch.setattr(np, "roots", lambda *a, **k: calls.append(1) or roots(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a, **k: calls.append("eigvals") or eigvals(*a, **k))
+    monkeypatch.setattr(np, "roots", lambda *a, **k: calls.append("roots") or roots(*a, **k))
     assert lattice_verdict(c, t_range=t_range).status == status
-    assert len(calls) == spectra
+    assert calls == ["eigvals"] * spectra
 
 
 def test_clamped_range_keeps_candidates_in_the_envelope():

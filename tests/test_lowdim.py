@@ -304,6 +304,16 @@ def test_dim3_witnesses_only_for_two_rows(catalog):
                 assert sample.params["q"] == F(-1, 3)
 
 
+def test_cited_yes_rows_build_no_presentation(monkeypatch):
+    # a cited "yes" is returned before anything reads the presentation
+    monkeypatch.setattr(lowdim, "almost_abelian_presentation",
+                        lambda *a: pytest.fail("presentation built"))
+    cited = [s for s in SAMPLES if s.lattice_cited and s.lattice_cited[0] == "yes"]
+    assert [s.name for s in cited] == ["g_{5.33}^{-1,-1}", "g_{5.35}^{-2,0}"]
+    for sample in cited:
+        assert sample_lattice_verdict(sample)["status"] == "yes"
+
+
 def test_lattice_verdicts_match_catalog():
     for sample in SAMPLES:
         row = ROWS[sample.name]
