@@ -1,12 +1,17 @@
 """Metric Lie algebras over the rationals and their algebraic predicates.
 
 A Lie algebra is stored through its structure constants ``c[i,j,k]`` on a
-fixed basis, with ``[e_i, e_j] = sum_k c[i,j,k] e_k``.  Antisymmetry and
-the Jacobi identity are verified exactly at construction (this can be
-switched off to audit broken input).  Metrics are exact positive-definite
-Gram matrices, 1-forms are coefficient rows in the dual basis, and
-subspaces are canonicalised by reduced column echelon form so that equal
-spans compare equal.  Every span is a :class:`Subspace`: bracket spans,
+fixed basis, with ``[e_i, e_j] = sum_k c[i,j,k] e_k``.  Metrics are exact
+positive-definite Gram matrices, 1-forms are coefficient rows in the
+dual basis, and subspaces are canonicalised by reduced column echelon
+form so that equal spans compare equal.  Each holds its array as a
+reduced integer form ``(ints, den)`` (``exact.reduced``); algebras,
+metrics and 1-forms are built from entries or from such a form, as the
+constructors build structures.  The ``Fraction`` arrays ``c``,
+``gram``, ``coeffs`` and ``basis`` are read-only views made on first
+read.  Antisymmetry and the Jacobi identity (this can be switched off
+to audit broken input), symmetry and definiteness are verified exactly
+at construction, once, on the integers.  Every span is a :class:`Subspace`: bracket spans,
 centralisers, the centre, the derived and lower central series, g' and
 z(g') take and return them, each wrapped once from the integer
 elimination that made it.
@@ -37,19 +42,26 @@ MAX_DIM = 16
 class LieAlgebra:
     """Exact Lie algebra on a fixed basis.
 
-    ``c`` is an (n, n, n) object array of Fractions.  Instances are
-    immutable values; all methods are pure.
+    The structure constants are held as their reduced integer form
+    ``scaled_c == (cc, e)``, c == cc / e, which every contraction with c
+    reads; ``c``, the (n, n, n) object array of Fractions, is a read-only
+    view made on first read.  Instances are immutable values; all
+    methods are pure.
     """
 
-    def __init__(self, c: np.ndarray, check: bool = True):
-        c = np.asarray(c, dtype=object)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
+    def __init__(self, c, check: bool = True):
+        """``c`` holds the structure constants as an (n, n, n) array of
+        Fractions and ints, or as its integer form ``(cc, e)``, an object
+        array of Python ints and their common denominator (as the
+        constructors build them)."""
+        cc, e = ex.reduced(*c) if ex.is_form(c) else ex.scaled(c)
+        if cc.ndim != 3 or len(set(cc.shape)) != 1:
             raise DimensionMismatch("structure constants must be (n, n, n)")
         # n = 0 is tolerated here as the identity of direct products; the
         # document parser is where degenerate input gets rejected
-        self.dim = c.shape[0]
-        self.c = c
-        self.c.setflags(write=False)
+        self.dim = cc.shape[0]
+        cc.setflags(write=False)
+        self.scaled_c = (cc, e)
         if check:
             bad = self.antisymmetry_defect()
             if bad is not None:
@@ -75,16 +87,13 @@ class LieAlgebra:
 
     @classmethod
     def abelian(cls, dim: int):
-        return cls(ex.rzeros((dim, dim, dim)), check=False)
+        return cls((np.zeros((dim, dim, dim), dtype=object), 1), check=False)
 
     @cached_property
-    def scaled_c(self) -> tuple:
-        """``(cc, e)`` with ``c == cc / e``: the structure constants as
-        integers over one common denominator, made once (c is read-only)
-        and read by every contraction with c."""
-        cc, e = ex.scaled(self.c)
-        cc.setflags(write=False)
-        return cc, e
+    def c(self) -> np.ndarray:
+        c = ex.unscaled(*self.scaled_c)
+        c.setflags(write=False)
+        return c
 
     def antisymmetry_defect(self):
         """First pair (i, j), i <= j, with c[i, j] != -c[j, i], or None."""
@@ -104,11 +113,15 @@ class LieAlgebra:
     @cached_property
     def _jacobi_defect(self):
         """A zero test, so it runs on the integer numerators of c alone:
-        t[i, j, k] = [e_i, [e_j, e_k]] for every triple in one product."""
+        t[i, j, k] = [e_i, [e_j, e_k]] for every triple in one product.
+        Each entry of t sums n products of two entries of cc, and the
+        Jacobi sum adds three of them, so the table is taken on int64
+        while 3 n max|cc|^2 is below 2^63."""
         n = self.dim
-        cc, _ = self.scaled_c
+        m = ex.int_max(self.scaled_c[0])
+        (cc,) = ex.int64_within(max(m, 3 * n * m * m), self.scaled_c[0])
         # sum_l cc[j, k, l] cc[i, l, :], moved to t[i, j, k]
-        t = ex.int_dot(cc.reshape(n * n, n), cc.transpose(1, 0, 2).reshape(n, n * n))
+        t = cc.reshape(n * n, n).dot(cc.transpose(1, 0, 2).reshape(n, n * n))
         t = t.reshape(n, n, n, n).transpose(2, 0, 1, 3)
         jac = t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)
         bad = (jac != 0).any(axis=3)
@@ -218,9 +231,12 @@ class LieAlgebra:
 
     @cached_property
     def centre_of_derived(self) -> "Subspace":
-        """z(g'), made once."""
-        der = self.derived_algebra
-        return der.intersect(self.centraliser(der))
+        """z(g') = {D y : [D y, u] = 0 for u in g'}, D the integer basis of
+        g': one kernel of the stacked ad_u D, made once."""
+        d = self.derived_algebra.scaled_basis[0]
+        n, p = d.shape
+        ker, _ = ex.int_nullspace(self._ad_stack(d).reshape(p * n, n).dot(d))
+        return Subspace._canonical(ex.int_column_space(d.dot(ker)))
 
     def _int_subalgebra_coords(self, ib: np.ndarray, db) -> tuple:
         """Coordinates of the brackets of the columns of basis = ib / db
@@ -237,20 +253,22 @@ class LieAlgebra:
         x, d = sol
         return x, d * db * self.scaled_c[1]
 
-    def restrict(self, basis: np.ndarray) -> "LieAlgebra":
-        """Subalgebra on the given column basis, with exact coordinates."""
-        k = basis.shape[1]
-        coords = ex.unscaled(*self._int_subalgebra_coords(*ex.scaled(basis)))
-        return LieAlgebra(coords.T.reshape(k, k, k), check=False)
+    def restrict(self, basis) -> "LieAlgebra":
+        """Subalgebra on the given column basis, with exact coordinates;
+        the basis is a matrix of Fractions and ints or its integer form."""
+        ib, db = basis if ex.is_form(basis) else ex.scaled(basis)
+        k = ib.shape[1]
+        x, den = self._int_subalgebra_coords(ib, db)
+        return LieAlgebra((x.T.reshape(k, k, k), den), check=False)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
-        return LieAlgebra(ex.block_diag(self.c, other.c), check=False)
+        return LieAlgebra(ex.form_block_diag(self.scaled_c, other.scaled_c), check=False)
 
     def __eq__(self, other):
         return (
             isinstance(other, LieAlgebra)
-            and self.dim == other.dim
-            and all(a == b for a, b in zip(self.c.flat, other.c.flat))
+            and self.scaled_c[1] == other.scaled_c[1]
+            and np.array_equal(self.scaled_c[0], other.scaled_c[0])
         )
 
     def __repr__(self):
@@ -260,33 +278,41 @@ class LieAlgebra:
 class Metric:
     """Exact positive-definite scalar product given by its Gram matrix.
 
-    The Gram matrix and its inverse are also held as reduced integer
-    forms, made once on first use, and ``key`` is the content key of the
-    Gram matrix that memo tables of connections and reports look up.
+    The Gram matrix is held as its reduced integer form ``scaled_gram ==
+    (gg, dg)``, gram == gg / dg, on which symmetry and definiteness are
+    checked; the ``Fraction`` matrix ``gram`` is a read-only view made on
+    first read.  The inverse is held the same way, made once on first
+    use, and ``key`` is the content key of the Gram matrix that memo
+    tables of connections and reports look up.
     """
 
     def __init__(self, gram):
-        gram = np.asarray(gram, dtype=object) if not isinstance(gram, np.ndarray) else gram
-        if gram.size and not isinstance(gram[0, 0], Fraction):
-            gram = ex.rmat(gram.tolist())
-        if not ex.is_symmetric(gram):
+        """``gram`` is the Gram matrix (entries that ``exact.rat`` takes)
+        or its integer form ``(gg, dg)``."""
+        if ex.is_form(gram):
+            gg, dg = ex.reduced(*gram)
+        else:
+            gram = np.asarray(gram, dtype=object) if not isinstance(gram, np.ndarray) else gram
+            if gram.size and not isinstance(gram[0, 0], Fraction):
+                gram = ex.rmat(gram.tolist())
+            gg, dg = ex.scaled(gram)
+        if not ex.is_symmetric(gg):
             raise NotSymmetric("Gram matrix must be symmetric")
-        if not ex.is_pos_def(gram):
+        if not ex.int_is_pos_def(gg):
             raise NotPositiveDefinite("Gram matrix must be positive definite")
-        self.gram = gram
-        self.gram.setflags(write=False)
-        self.dim = gram.shape[0]
+        gg.setflags(write=False)
+        self.scaled_gram = (gg, dg)
+        self.dim = gg.shape[0]
 
     @classmethod
     def identity(cls, n: int) -> "Metric":
-        return cls(ex.reye(n))
+        return cls((np.eye(n, dtype=object), 1))
 
     @cached_property
-    def scaled_gram(self) -> tuple:
-        """``(gg, dg)`` with ``gram == gg / dg``, reduced."""
-        gg, dg = ex.scaled(self.gram)
-        gg.setflags(write=False)
-        return gg, dg
+    def gram(self) -> np.ndarray:
+        gram = ex.unscaled(*self.scaled_gram)
+        gram.setflags(write=False)
+        return gram
 
     @cached_property
     def scaled_inverse(self) -> tuple:
@@ -320,10 +346,13 @@ class Metric:
 
     def scaled(self, lam) -> "Metric":
         lam = ex.rat(lam)
-        return Metric(lam * self.gram)
+        gg, dg = self.scaled_gram
+        return Metric((gg * lam.numerator, dg * lam.denominator))
 
     def restrict(self, basis: np.ndarray) -> "Metric":
-        return Metric(ex.dot(ex.dot(basis.T, self.gram), basis))
+        ib, db = ex.scaled(basis)
+        gg, dg = self.scaled_gram
+        return Metric((ib.T.dot(gg).dot(ib), dg * db * db))
 
     def __eq__(self, other):
         return isinstance(other, Metric) and self.key == other.key
@@ -333,21 +362,27 @@ class Metric:
 
 
 class OneForm:
-    """Left-invariant 1-form: a coefficient row in the dual basis, also
-    held as a reduced integer form with its content key, made on first
-    use."""
+    """Left-invariant 1-form: a coefficient row in the dual basis, held as
+    its reduced integer form ``scaled_coeffs == (t, dt)``, coeffs == t /
+    dt; the ``Fraction`` row ``coeffs`` is a read-only view made on first
+    read, and ``key`` is the content key of the form."""
 
     def __init__(self, coeffs):
-        self.coeffs = coeffs if isinstance(coeffs, np.ndarray) else ex.rvec(coeffs)
-        self.coeffs.setflags(write=False)
-        self.dim = self.coeffs.shape[0]
+        """``coeffs`` is the coefficient row (entries that ``exact.rat``
+        takes) or its integer form ``(t, dt)``."""
+        if ex.is_form(coeffs):
+            t, dt = ex.reduced(*coeffs)
+        else:
+            t, dt = ex.scaled(coeffs if isinstance(coeffs, np.ndarray) else ex.rvec(coeffs))
+        t.setflags(write=False)
+        self.scaled_coeffs = (t, dt)
+        self.dim = t.shape[0]
 
     @cached_property
-    def scaled_coeffs(self) -> tuple:
-        """``(t, dt)`` with ``coeffs == t / dt``, reduced."""
-        t, dt = ex.scaled(self.coeffs)
-        t.setflags(write=False)
-        return t, dt
+    def coeffs(self) -> np.ndarray:
+        coeffs = ex.unscaled(*self.scaled_coeffs)
+        coeffs.setflags(write=False)
+        return coeffs
 
     @cached_property
     def key(self) -> tuple:
@@ -355,19 +390,20 @@ class OneForm:
 
     @classmethod
     def dual(cls, n: int, i: int, scale=1) -> "OneForm":
-        v = ex.rzeros(n)
-        v[i] = ex.rat(scale)
-        return cls(v)
+        s = ex.rat(scale)
+        v = np.zeros(n, dtype=object)
+        v[i] = s.numerator
+        return cls((v, s.denominator))
 
     @classmethod
     def zero(cls, n: int) -> "OneForm":
-        return cls(ex.rzeros(n))
+        return cls((np.zeros(n, dtype=object), 1))
 
     def __call__(self, x) -> Fraction:
         return ex.dot(self.coeffs, x)
 
     def is_zero(self) -> bool:
-        return ex.is_zero(self.coeffs)
+        return not self.scaled_coeffs[0].any()
 
     def __add__(self, other):
         return OneForm(self.coeffs + other.coeffs)
@@ -505,7 +541,7 @@ def trace_form(L: LieAlgebra) -> OneForm:
     """H(x) = tr(ad_x); vanishes on g' and detects unimodularity.
     H(e_i) = sum_k c[i, k, k], summed on the integer form of c."""
     cc, e = L.scaled_c
-    return OneForm(ex.unscaled(np.trace(cc, axis1=1, axis2=2), e))
+    return OneForm((np.trace(cc, axis1=1, axis2=2), e))
 
 
 def is_unimodular(L: LieAlgebra) -> bool:

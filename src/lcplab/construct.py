@@ -18,6 +18,8 @@ squared quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 import numpy as np
@@ -116,10 +118,11 @@ def _verified(L, G, theta, flat) -> LCPStructure:
 
 
 def _semidirect_c(c_h: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Structure constants of h |x_alpha R^q on [h basis, R^q basis], with
-    alpha the (m, q, q) stack of the alpha_i: [x_i, e_j] = alpha_i e_j."""
+    """Integer structure constants of h |x_alpha R^q on [h basis, R^q
+    basis], from those of h and the (m, q, q) stack of the alpha_i over
+    one denominator: [x_i, e_j] = alpha_i e_j."""
     m, q = alpha.shape[:2]
-    c = ex.block_diag(c_h, ex.rzeros((q, q, q)))
+    c = ex.block_diag(c_h, np.zeros((q, q, q), dtype=object))
     c[:m, m:, m:] = alpha.transpose(0, 2, 1)
     c[m:, :m, m:] = -alpha.transpose(2, 0, 1)
     return c
@@ -127,21 +130,29 @@ def _semidirect_c(c_h: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 def semidirect_lcp(h: LieAlgebra, h_metric: Metric, beta: OrthoRep) -> LCPStructure:
     """g = h |x_alpha R^q with the standard metric on R^q; the flat space
-    is R^q and theta = -(1/q) H^h extended by zero."""
+    is R^q and theta = -(1/q) H^h extended by zero.
+
+    Built on integer forms: with c_h = cc / e, H = hh / dh (dh divides e)
+    and beta_i = mm_i / dm, everything is over e q dm, where alpha_i is
+    -(hh_i e / dh) dm Id + e q mm_i."""
     if beta.dim_target < 1:
         raise DimensionMismatch("beta must act on R^q with q >= 1")
-    H = trace_form(h)
-    if H.is_zero():
+    hh, dh = trace_form(h).scaled_coeffs
+    if not hh.any():
         raise UnimodularInput("h must be non-unimodular")
     beta.validate(h)
     m, q = h.dim, beta.dim_target
-    images = np.array(beta.images, dtype=object).reshape(m, q, q)
-    alpha = -(H.coeffs / q)[:, None, None] * ex.reye(q) + images
-    L = LieAlgebra(_semidirect_c(h.c, alpha))
-    gram = ex.block_diag(h_metric.gram, ex.reye(q))
-    theta = OneForm(ex.block_diag(-H.coeffs / q, ex.rzeros(q)))
-    flat = Subspace(ex.block_diag(ex.rzeros((m, 0)), ex.reye(q)))
-    return _verified(L, Metric(gram), theta, flat)
+    cc, e = h.scaled_c
+    mm, dm = ex.scaled(np.array(beta.images, dtype=object).reshape(m, q, q))
+    eye = np.eye(q, dtype=object)
+    alpha = -(hh * (e // dh * dm))[:, None, None] * eye + mm * (e * q)
+    L = LieAlgebra((_semidirect_c(cc * (q * dm), alpha), e * q * dm))
+    gg, dg = h_metric.scaled_gram
+    G = Metric((ex.block_diag(gg, eye * dg), dg))
+    theta = OneForm((ex.block_diag(-hh, np.zeros(q, dtype=object)), dh * q))
+    # the unit columns of R^q are their own reduced column echelon form
+    flat = Subspace._canonical((ex.block_diag(np.zeros((m, 0), dtype=object), eye), 1))
+    return _verified(L, G, theta, flat)
 
 
 def _check_blocks(A: np.ndarray, Bs: dict):
@@ -162,7 +173,8 @@ def _line_lcp(M: np.ndarray, Bs: list, h_metric: Optional[Metric] = None) -> LCP
     R^r), with beta sending b, e_1, ... to the blocks Bs and the rest of
     the basis to zero."""
     r, q = M.shape[0], Bs[0].shape[0]
-    h = LieAlgebra(_semidirect_c(ex.rzeros((1, 1, 1)), M.reshape(1, r, r)))
+    mi, dm = ex.scaled(M)
+    h = LieAlgebra((_semidirect_c(np.zeros((1, 1, 1), dtype=object), mi.reshape(1, r, r)), dm))
     hm = h_metric if h_metric is not None else Metric.identity(1 + r)
     beta = list(Bs) + [ex.rzeros((q, q))] * (1 + r - len(Bs))
     return semidirect_lcp(h, hm, OrthoRep.from_matrices(q, beta))
@@ -204,10 +216,12 @@ def direct_product(S: LCPStructure, k: LieAlgebra, k_metric: Metric) -> LCPStruc
     if k.dim == 0:
         return S
     L = S.algebra.direct_sum(k)
-    gram = ex.block_diag(S.metric.gram, k_metric.gram)
-    theta = OneForm(ex.block_diag(S.theta.coeffs, ex.rzeros(k.dim)))
-    flat = Subspace(ex.block_diag(S.flat.basis, ex.rzeros((k.dim, 0))))
-    return _verified(L, Metric(gram), theta, flat)
+    G = Metric(ex.form_block_diag(S.metric.scaled_gram, k_metric.scaled_gram))
+    theta = OneForm(ex.form_block_diag(S.theta.scaled_coeffs, (np.zeros(k.dim, dtype=object), 1)))
+    # zero rows below a reduced column echelon form leave it canonical
+    ub, du = S.flat.scaled_basis
+    flat = Subspace._canonical((ex.block_diag(ub, np.zeros((k.dim, 0), dtype=object)), du))
+    return _verified(L, G, theta, flat)
 
 
 def amalgamated_product(S1: LCPStructure, S2: LCPStructure) -> LCPStructure:
@@ -223,23 +237,36 @@ def amalgamated_product(S1: LCPStructure, S2: LCPStructure) -> LCPStructure:
             raise ZeroLeeForm("both factors need a nonzero Lee form")
         if not s.is_adapted():
             raise NotAdapted("amalgamated products require adapted factors")
-    L12 = S1.algebra.direct_sum(S2.algebra)
-    gram12 = ex.block_diag(S1.metric.gram, S2.metric.gram)
-    t1s = S1.metric.sharp(S1.theta)
-    t2s = S2.metric.sharp(S2.theta)
-    n1sq = S1.theta(t1s)
-    n2sq = S2.theta(t2s)
-    v = np.concatenate([n2sq * t1s, n1sq * t2s])
-    k1 = ex.nullspace(S1.theta.coeffs.reshape(1, -1))
-    k2 = ex.nullspace(S2.theta.coeffs.reshape(1, -1))
-    basis = np.concatenate([v.reshape(-1, 1), ex.block_diag(k1, k2)], axis=1)
-    L = L12.restrict(basis)
-    gram = ex.dot(basis.T, ex.dot(gram12, basis))
-    theta = OneForm(ex.dot(ex.block_diag(S1.theta.coeffs, ex.rzeros(S2.algebra.dim)), basis))
-    flat_coords = ex.solve(basis, ex.block_diag(S1.flat.basis, S2.flat.basis))
+    # on integer forms: theta_s = t_s / dt_s and G_s^-1 = gi_s / di_s give
+    # theta_s^sharp = a_s / (di_s dt_s) with a_s = gi_s t_s, and |theta_s|^2
+    sharps, norms = [], []
+    for s in (S1, S2):
+        t, dt = s.theta.scaled_coeffs
+        gi, di = s.metric.scaled_inverse
+        a = gi.dot(t)
+        sharps.append((a, di * dt))
+        norms.append(Fraction(t.dot(a), di * dt * dt))
+    (a1, d1), (a2, d2) = sharps
+    n1sq, n2sq = norms
+    v, dv = ex.form_block_diag(
+        (a1 * n2sq.numerator, d1 * n2sq.denominator), (a2 * n1sq.numerator, d2 * n1sq.denominator)
+    )
+    kers, dk = ex.form_block_diag(
+        *(ex.int_nullspace(s.theta.scaled_coeffs[0].reshape(1, -1)) for s in (S1, S2))
+    )
+    db = lcm(dv, dk)
+    ib = np.concatenate([(v * (db // dv)).reshape(-1, 1), kers * (db // dk)], axis=1)
+    L = S1.algebra.direct_sum(S2.algebra).restrict((ib, db))
+    gg, dg = ex.form_block_diag(S1.metric.scaled_gram, S2.metric.scaled_gram)
+    G = Metric((ib.T.dot(gg).dot(ib), dg * db * db))
+    t, dt = ex.form_block_diag(S1.theta.scaled_coeffs, (np.zeros(S2.algebra.dim, dtype=object), 1))
+    theta = OneForm((t.dot(ib), dt * db))
+    # the flat columns in the basis: a span, so their scales do not matter
+    flats = ex.block_diag(S1.flat.scaled_basis[0], S2.flat.scaled_basis[0])
+    flat_coords = ex.int_solve(ib, flats)
     if flat_coords is None:
         raise LcpError("flat space does not lie in the kernel")  # cannot happen
-    return _verified(L, Metric(gram), theta, Subspace(flat_coords))
+    return _verified(L, G, theta, Subspace(flat_coords[0]))
 
 
 def metric_modification(S: LCPStructure, lam) -> LCPStructure:
@@ -250,9 +277,14 @@ def metric_modification(S: LCPStructure, lam) -> LCPStructure:
         raise NotAdapted("metric modification requires an adapted structure")
     if lam == 0:
         return S
-    t = S.theta.coeffs
+    # g + lam theta (x) theta over dg dl dt^2, with G = gg / dg, lam = nl / dl
+    # and theta = t / dt
+    t, dt = S.theta.scaled_coeffs
+    gg, dg = S.metric.scaled_gram
+    den = lam.denominator * dt * dt
+    gram = gg * den + np.multiply.outer(t, t) * (lam.numerator * dg)
     try:
-        G = Metric(S.metric.gram + lam * np.outer(t, t))
+        G = Metric((gram, dg * den))
     except NotPositiveDefinite:
         raise NotPositiveDefinite("1 + lam |theta|^2 must stay positive") from None
     return _verified(S.algebra, G, S.theta, S.flat)

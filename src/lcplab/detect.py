@@ -30,8 +30,8 @@ from .algebra import (
     OneForm,
     Subspace,
     _almost_abelian_ideal,
-    audit_algebra,
     is_closed,
+    is_unimodular,
 )
 from .errors import (
     DimensionTooSmall,
@@ -39,7 +39,7 @@ from .errors import (
     PreconditionViolated,
     ZeroLeeForm,
 )
-from .weyl import is_g_skew, weyl_geometry
+from .weyl import weyl_geometry
 
 DEGENERATE = "degenerate"
 ADAPTED = "adapted"
@@ -310,6 +310,15 @@ def _subalgebra_trace_form(L: LieAlgebra, U: Subspace) -> list:
     return [ex.unscaled(sum(x[b, a * k + b] for b in range(k)), den) for a in range(k)]
 
 
+def _trace_relation(L: LieAlgebra, U: Subspace, t: np.ndarray, dt: int, c: int) -> bool:
+    """tr(ad_y restricted to the subalgebra U) == c theta(y) for each basis
+    column y, with theta = t / dt and U = iu / du, so that theta(u_a) =
+    (t iu)_a / (dt du)."""
+    iu, du = U.scaled_basis
+    tu = t.dot(iu)
+    return all(h == c * ex.unscaled(x, dt * du) for h, x in zip(_subalgebra_trace_form(L, U), tu))
+
+
 def _codim3_normal_form(L, G, theta, U) -> bool:
     """Match the codimension-3 shape: u-perp has an orthonormal-style
     splitting R b + W with W = ker(theta) cap u-perp abelian of dim 2,
@@ -321,8 +330,8 @@ def _codim3_normal_form(L, G, theta, U) -> bool:
     perp = U.orthogonal_complement(G)
     if perp.dim != 3:
         return False
-    # ker(theta): the complement of theta's coefficient line for the dot product
-    ker_theta = Subspace.spanned_by([theta.coeffs]).orthogonal_complement(Metric.identity(n))
+    t, dt = theta.scaled_coeffs
+    ker_theta = Subspace._canonical(ex.int_column_space(ex.int_nullspace(t.reshape(1, -1))[0]))
     w = perp.intersect(ker_theta)
     if w.dim != 2:
         return False
@@ -335,25 +344,41 @@ def _codim3_normal_form(L, G, theta, U) -> bool:
     y_space = w.intersect(hprime.orthogonal_complement(G))
     if y_space.dim != 1:
         return False
-    y = y_space.basis[:, 0]
-    ub = U.basis
-    gu = Metric(ex.dot(ub.T, ex.dot(G.gram, ub)))
-    ad_y_u = ex.solve(ub, ex.dot(L.ad(y), ub))
-    if ad_y_u is None or ex.is_zero(ad_y_u):
+    # Every test below is homogeneous in each matrix, so it runs on
+    # positive multiples: the integer columns y, b and the basis iu of u,
+    # gu = iu^T gg iu for the Gram matrix of u, and the integer solutions
+    # of iu X = [y, iu] and iu X = [b, iu] times e.
+    iu = U.scaled_basis[0]
+    gu = iu.T.dot(G.scaled_gram[0]).dot(iu)
+
+    def ad_on_u(v):
+        return ex.int_solve(iu, L.int_brackets(v.reshape(-1, 1), iu))
+
+    def g_skew(m):
+        gm = gu.dot(m)
+        return not (gm + gm.T).any()
+
+    sol = ad_on_u(y_space.scaled_basis[0][:, 0])
+    if sol is None or not sol[0].any() or not g_skew(sol[0]):
         return False
-    if not is_g_skew(gu, ad_y_u):
-        return False
+    ad_y_u = sol[0]
     # b-direction: G-orthogonal complement of W in u-perp
     b_space = perp.intersect(w.orthogonal_complement(G))
     if b_space.dim != 1:
         return False
-    b = b_space.basis[:, 0]
+    b = b_space.scaled_basis[0][:, 0]
     # ad_b|u - theta(b) Id must be skew; the condition is linear in b, so
-    # no normalisation of b is needed
-    b1 = ex.solve(ub, ex.dot(L.ad(b), ub)) - theta(b) * ex.reye(U.dim)
-    if not is_g_skew(gu, b1):
+    # no normalisation of b is needed.  With ad_b|u = xb / (dxb e) and
+    # theta(b) = t.b / dt, this is dt dxb e times it.
+    sol = ad_on_u(b)
+    if sol is None:
         return False
-    return ex.is_zero(ex.dot(b1, ad_y_u) - ex.dot(ad_y_u, b1))
+    xb, dxb = sol
+    b1 = xb * dt
+    b1[np.diag_indices(U.dim)] -= t.dot(b) * dxb * L.scaled_c[1]
+    if not g_skew(b1):
+        return False
+    return not (b1.dot(ad_y_u) - ad_y_u.dot(b1)).any()
 
 
 def structural_audit(S: LCPStructure) -> StructuralAuditReport:
@@ -363,22 +388,20 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     (g) and (h) read only whether L has a codimension-1 abelian ideal,
     which does not depend on G and is found once per algebra."""
     L, G, theta, U = S.algebra, S.metric, S.theta, S.flat
-    audit = audit_algebra(L)
-    if not audit.solvable:
+    if not L.is_solvable():
         raise PreconditionViolated("algebra is not solvable")
-    if not audit.unimodular:
+    if not is_unimodular(L):
         raise PreconditionViolated("algebra is not unimodular")
     if U.dim < 1:
         raise PreconditionViolated("flat subspace is zero")
     if not S.verify().passed:
         raise PreconditionViolated("structure does not verify as LCP")
     n, q = L.dim, U.dim
-    iu, du = U.scaled_basis
+    iu = U.scaled_basis[0]
 
-    in_centre = (
-        U.contains_space(L.bracket_span(Subspace.full(n), U))
-        and L.bracket_span(U, U).dim == 0
-        and L.centre_of_derived.contains_space(U)
+    # U inside z(g') is abelian, as [U, U] lies in [U, g'] = 0
+    in_centre = L.centre_of_derived.contains_space(U) and U.contains_space(
+        L.bracket_span(Subspace.full(n), U)
     )
 
     # nabla_{e_i} u_a and [e_i, u_a] for every i and a, one integer product
@@ -390,20 +413,14 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     nabla_ad = np.array_equal(nabla_u * e, ad_u * conn.d)
 
     t, dt = theta.scaled_coeffs
-    theta_u = ex.unscaled(t.dot(iu), dt * du)
-    theta_flat = ex.is_zero(theta_u)
+    theta_flat = ex.is_zero(t.dot(iu))
 
     der = L.derived_algebra.scaled_basis[0]
     nabla_der = ex.is_zero(der.T.dot(nabla_u.reshape(n, n * q)))
 
     # trace forms of u and u-perp against theta
     perp = U.orthogonal_complement(G)
-    hu = _subalgebra_trace_form(L, U)
-    hperp = _subalgebra_trace_form(L, perp)
-    theta_perp = ex.dot(theta.coeffs, perp.basis)
-    trace_rel = all(hu[a] == -(n - q) * theta_u[a] for a in range(q)) and all(
-        hperp[i] == -q * theta_perp[i] for i in range(perp.dim)
-    )
+    trace_rel = _trace_relation(L, U, t, dt, -(n - q)) and _trace_relation(L, perp, t, dt, -q)
 
     codim_ok = q <= n - 2
     codim2 = None

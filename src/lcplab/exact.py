@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices and vectors are numpy arrays with ``dtype=object`` holding
-:class:`fractions.Fraction` entries.  Dimensions stay small (n <= 16
-throughout the package), so dense fraction arithmetic is exact and fast
-enough; nothing in this module ever touches floating point.
+:class:`fractions.Fraction` entries, or Python ints over one common
+denominator.  Dimensions stay small (n <= 16 throughout the package);
+nothing in this module ever touches floating point.
 
 Conventions: vectors are 1-d arrays, matrices 2-d; the kernels below
 take and return a subspace as a matrix whose *columns* form a basis,
@@ -16,29 +16,37 @@ the result becomes a ``Fraction`` once.  A ``Fraction`` product would
 normalise every partial sum by a gcd; this one normalises each result
 entry once, and a zero entry is the shared :data:`ZERO`.
 
-The large contractions of integer forms go through :func:`int_dot`.
-With k the inner length, no partial sum of ``a.dot(b)`` exceeds
-max|a| max|b| k in absolute value, so while that bound is below 2^63
-the product is taken on int64 and is exact; above it, the object
-product of the Python ints is.  The Jacobi test, the Levi-Civita solve,
-the curvature pass, verification condition 3 and the audit's check
-nabla = ad contract their integer tables this way; small products stay
-on ``.dot`` of the Python ints, which costs less than the type test and
-casts of :func:`int_dot`.
+The large integer tables are each one numpy expression on int64 while
+a bound proves it exact.  The caller bounds every intermediate of its
+expression from the largest entry of each input (:func:`int_max`) and
+the scalars it multiplies by: a product with inner length k has no
+partial sum beyond max|a| max|b| k.  Below 2^63 :func:`int64_within`
+hands it the inputs as int64, where nothing can wrap; above it, the
+Python ints as they are, and the same expression runs on objects.
+:func:`python_ints` hands the result on as Python ints.  The Jacobi
+test, the Levi-Civita solve, the Weyl correction and the curvature pass
+run this way, and :func:`int_dot`, the plain product, is the same rule
+for verification condition 3 and the audit's check nabla = ad; small
+products stay on ``.dot`` of the Python ints, which costs less than the
+type test and casts.
 
 Between kernels, exact data stays in that integer form, ``ints / den``,
 and Fractions are made only where a caller reads entries
-(:func:`unscaled`).  The objects that carry exact data keep it: a
-``LieAlgebra`` its structure constants (``scaled_c``), a ``Metric`` its
-Gram matrix and inverse, a ``OneForm`` its coefficients, a ``Subspace``
-(every span, the derived algebra included) its canonical basis, and a
-``weyl.Connection`` and ``weyl.Curvature`` their whole tables.  Each
-form is reduced (:func:`reduced`): it is the one :func:`scaled` gives
-for the same values, so :func:`content_key` of it identifies the values
-and memo lookups hash Python ints only.  Bracket spans, centralisers,
-the flat search, verification and the structural audit eliminate and
-multiply these integers; none of them make a Fraction unless it is
-returned.
+(:func:`unscaled`).  The objects that carry exact data hold it as their
+primary data: a ``LieAlgebra`` its structure constants (``scaled_c``),
+a ``Metric`` its Gram matrix (``scaled_gram``) and inverse, a
+``OneForm`` its coefficients (``scaled_coeffs``), a ``Subspace`` (every
+span, the derived algebra included) its canonical basis, and a
+``weyl.Connection`` and ``weyl.Curvature`` their whole tables; each
+makes its ``Fraction`` array a read-only view on first read.  The first
+three are built from entries or from an integer form (:func:`is_form`),
+and the constructors of ``construct`` build every structure from
+integer forms, padded by :func:`form_block_diag`.  Each form is reduced
+(:func:`reduced`): it is the one :func:`scaled` gives for the same
+values, so :func:`content_key` of it identifies the values and memo
+lookups hash Python ints only.  Bracket spans, centralisers, the flat
+search, verification and the structural audit eliminate and multiply
+these integers; none of them make a Fraction unless it is returned.
 
 Eliminations run on the same integers: one fraction-free Gauss-Jordan
 pass (Bareiss, :func:`_eliminate`) sits under :func:`rref`, :func:`det`,
@@ -116,13 +124,24 @@ def reye(n: int) -> np.ndarray:
 
 def block_diag(a, b) -> np.ndarray:
     """The array with ``a`` in its leading corner, ``b`` in its trailing
-    one and :data:`ZERO` elsewhere, for arrays of one ndim: two vectors
+    one and zeros elsewhere, for arrays of one ndim: two vectors
     concatenated, the block diagonal matrix of two matrices, the direct
-    sum of two tables of structure constants."""
-    out = rzeros(tuple(map(int.__add__, a.shape, b.shape)))
+    sum of two tables of structure constants.  The zeros are of the type
+    of the first entry: :data:`ZERO` beside Fractions, the int 0 beside
+    the Python ints of an integer form."""
+    first = a.ravel()[:1].tolist() or b.ravel()[:1].tolist() or [ZERO]
+    out = np.full(tuple(map(int.__add__, a.shape, b.shape)), first[0] * 0, dtype=object)
     out[tuple(map(slice, a.shape))] = a
     out[tuple(map(slice, a.shape, out.shape))] = b
     return out
+
+
+def form_block_diag(f, g) -> tuple:
+    """:func:`block_diag` of the values of two integer forms ``(ints,
+    den)``, as the integer form over the lcm of their denominators."""
+    (a, da), (b, db) = f, g
+    den = lcm(da, db)
+    return block_diag(a * (den // da), b * (den // db)), den
 
 
 def is_zero(a) -> bool:
@@ -159,6 +178,12 @@ def unscaled(ints, den: int):
     return out
 
 
+def is_form(a) -> bool:
+    """Is ``a`` an integer form ``(ints, den)``: an array of Python ints
+    and an int, rather than an array (or nested sequence) of entries?"""
+    return type(a) is tuple and len(a) == 2 and isinstance(a[0], np.ndarray) and type(a[1]) is int
+
+
 def reduced(ints, den: int):
     """``(ints, den)`` with the common factor of every entry and ``den``
     divided out and ``den > 0``: the smallest common denominator of the
@@ -187,8 +212,44 @@ def dot(a, b):
     return unscaled(ia.dot(ib), da * db)
 
 
-# an int64 product is exact while every partial sum stays below this
+# an int64 expression is exact while every intermediate stays below this
 _INT64_BOUND = 2**63
+
+
+def int_max(a) -> int:
+    """max |entry| of an object array of Python ints, 0 when it is empty.
+    An entry that is not a Python int (a ``Fraction``, a float, a numpy
+    scalar) raises ``TypeError``: an int64 cast would truncate it
+    without a word."""
+    vals = a.ravel().tolist()
+    if not set(map(type, vals)) <= {int}:
+        bad = next(x for x in vals if type(x) is not int)
+        raise TypeError(f"integer kernels take Python ints, not {bad!r}")
+    return max(max(vals, default=0), -min(vals, default=0))
+
+
+def int64_within(bound: int, *arrays) -> tuple:
+    """The object arrays of Python ints ``arrays`` as int64 when ``bound``
+    is below 2^63, else as they are.
+
+    The caller evaluates one numpy expression on what this returns, and
+    ``bound`` bounds the absolute value of every intermediate of that
+    expression, the operands and scalars included, from their
+    :func:`int_max`.  Below 2^63 nothing can wrap, so the int64 result is
+    exact; above it the same expression runs on the Python ints.  Either
+    way :func:`python_ints` hands the result on.
+    """
+    if bound < _INT64_BOUND:
+        return tuple(a.astype(np.int64) for a in arrays)
+    return arrays
+
+
+def python_ints(a):
+    """The result of an :func:`int64_within` expression as an object array
+    of Python ints (a Python int for a scalar)."""
+    if type(a) is int or a.dtype == object:
+        return a
+    return a.astype(object) if a.ndim else int(a)
 
 
 def int_dot(a, b):
@@ -196,25 +257,14 @@ def int_dot(a, b):
     ints, as an object array of Python ints (a Python int for 1-d by 1-d).
 
     With k the inner length, every partial sum of the product is at most
-    max|a| max|b| k in absolute value; when both operands fit int64 and
-    that bound is below 2^63, the product is taken on int64, where
-    nothing can wrap.  Otherwise it is the object product.
-    An entry that is not a Python int (a ``Fraction``, a float, a numpy
-    scalar) raises ``TypeError`` rather than being truncated by the cast.
+    max|a| max|b| k in absolute value, so the product is taken on int64
+    while that bound and the operands are below 2^63 (:func:`int64_within`),
+    and on the Python ints otherwise.  Entries that are not Python ints
+    raise ``TypeError`` (:func:`int_max`).
     """
-    if not {*map(type, a.ravel().tolist()), *map(type, b.ravel().tolist())} <= {int}:
-        bad = next(x for x in [*a.flat, *b.flat] if type(x) is not int)
-        raise TypeError(f"int_dot takes Python ints, not {bad!r}")
-    try:
-        ia, ib = a.astype(np.int64), b.astype(np.int64)
-    except OverflowError:
-        return a.dot(b)
-    ma = max(int(ia.max(initial=0)), -int(ia.min(initial=0)))
-    mb = max(int(ib.max(initial=0)), -int(ib.min(initial=0)))
-    if ma * mb * a.shape[-1] >= _INT64_BOUND:
-        return a.dot(b)
-    out = ia.dot(ib)
-    return out.astype(object) if out.ndim else int(out)
+    ma, mb = int_max(a), int_max(b)
+    ia, ib = int64_within(max(ma, mb, ma * mb * a.shape[-1]), a, b)
+    return python_ints(ia.dot(ib))
 
 
 def to_float(a) -> np.ndarray:
@@ -239,6 +289,8 @@ def _eliminate(ints: np.ndarray):
     pivot ``p`` replaces every other row by
     ``(p * row - row[pc] * pivot_row) // d``, ``d`` the previous pivot;
     every entry is a minor of ``ints`` (Bareiss), so the division is exact.
+    A row with ``row[pc] == 0`` is only rescaled by ``p / d``, and kept as
+    it is when ``p == d``.
     """
     rows = [row for row in ints.tolist() if any(row)]
     pivots = []
@@ -257,7 +309,10 @@ def _eliminate(ints: np.ndarray):
         for i, row in enumerate(rows):
             if i != pr:
                 a = row[pc]
-                rows[i] = [(p * x - a * y) // d for x, y in zip(row, prow)]
+                if a:
+                    rows[i] = [(p * x - a * y) // d for x, y in zip(row, prow)]
+                elif p != d:
+                    rows[i] = [p * x // d for x in row]
         pivots.append(pc)
         d = p
         pr += 1
@@ -397,15 +452,16 @@ def is_symmetric(g: np.ndarray) -> bool:
     )
 
 
-def is_pos_def(g: np.ndarray) -> bool:
-    """Sylvester's criterion in one fraction-free pass.
+def int_is_pos_def(ints) -> bool:
+    """Sylvester's criterion for a symmetric integer matrix, in one
+    fraction-free pass.
 
-    Without row swaps, the k-th Bareiss pivot of ``scaled(g) == (ints,
-    den)`` is the k-th leading principal minor of ``ints``, that is den^k
-    times the minor of g; so g is positive definite iff every pivot is
-    positive, and the pass stops at the first that is not.
+    Without row swaps, the k-th Bareiss pivot is the k-th leading
+    principal minor, so the matrix is positive definite iff every pivot
+    is positive, and the pass stops at the first that is not.  Positive
+    scaling changes no sign, so this decides it for ``ints / den`` too.
     """
-    rows = scaled(g)[0].tolist()
+    rows = ints.tolist()
     d = 1
     for k, prow in enumerate(rows):
         p = prow[k]
@@ -416,6 +472,12 @@ def is_pos_def(g: np.ndarray) -> bool:
             rows[i] = [(p * x - a * y) // d for x, y in zip(rows[i], prow)]
         d = p
     return True
+
+
+def is_pos_def(g: np.ndarray) -> bool:
+    """Sylvester's criterion for a symmetric rational matrix: the pass of
+    :func:`int_is_pos_def` on its integer numerators."""
+    return int_is_pos_def(scaled(g)[0])
 
 
 def int_charpoly_coeffs(ints) -> list:

@@ -73,19 +73,23 @@ def levi_civita(L: LieAlgebra, G: Metric) -> Connection:
     K[i, j, k] = g(nabla_{e_i} e_j, e_k), so gamma[i] = G^-1 K[i]^T.
 
     On integers: with c = cc / e, G = gg / dg and G^-1 = gi / di, 2 e dg K
-    is an integer table and 2 e dg di gamma[i] = gi (2 e dg K[i])^T.
+    is an integer table and 2 e dg di gamma[i] = gi (2 e dg K[i])^T.  Its
+    entries are at most 3 n max|cc| max|gg| and those of the product n
+    max|gi| times that, so the tables are taken on int64 below 2^63.
     """
     _check_dim(L.dim)
     n = L.dim
-    cc, e = L.scaled_c
-    gg, dg = G.scaled_gram
-    gi, di = G.scaled_inverse
+    (cc, e), (gg, dg), (gi, di) = L.scaled_c, G.scaled_gram, G.scaled_inverse
+    mc, mg, mi = ex.int_max(cc), ex.int_max(gg), ex.int_max(gi)
+    bound = max(mc, mg, mi, 3 * n * mc * mg * max(1, n * mi))
+    cc, gg, gi = ex.int64_within(bound, cc, gg, gi)
     # gc[i, j, k] = e dg g([e_i, e_j], e_k), and k2 = 2 e dg K
-    gc = ex.int_dot(cc.reshape(n * n, n), gg).reshape(n, n, n)
+    gc = cc.reshape(n * n, n).dot(gg).reshape(n, n, n)
     k2 = gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)
     # every gamma[i] in one product: column (i, j) is K[i, j, :]
-    gam = ex.int_dot(gi, k2.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
-    return Connection(np.ascontiguousarray(gam.transpose(1, 0, 2)), 2 * e * dg * di)
+    gam = gi.dot(k2.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
+    gam = np.ascontiguousarray(ex.python_ints(gam.transpose(1, 0, 2)))
+    return Connection(gam, 2 * e * dg * di)
 
 
 def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
@@ -95,23 +99,26 @@ def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
     connection satisfies gamma[i] - theta(e_i) Id in so(g, G) for all i.
     The correction is added on integers: with theta = t / dt, G = gg / dg
     and G^-1 = gi / di, dt dg di times the correction for e_i is
-    dg di (t_i Id + e_i t^T) - (gi t) gg_i^T.
+    dg di (t_i Id + e_i t^T) - (gi t) gg_i^T, at most n max|gi| max|t|
+    max|gg| + 2 dg di max|t| in absolute value; with the Levi-Civita
+    table g / d the sum is on int64 while its bound is below 2^63.
     """
     if not is_closed(L, theta):
         raise NonClosedLeeForm("theta does not vanish on the derived algebra")
     lc = levi_civita(L, G)
     n = L.dim
-    t, dt = theta.scaled_coeffs
-    gg, dg = G.scaled_gram
-    gi, di = G.scaled_inverse
-    k = dg * di
+    (t, dt), (gg, dg), (gi, di) = theta.scaled_coeffs, G.scaled_gram, G.scaled_inverse
+    k, den = dg * di, dt * dg * di
+    mt, mg, mi, ml = ex.int_max(t), ex.int_max(gg), ex.int_max(gi), ex.int_max(lc.g)
+    mcorr = n * mi * mt * mg + 2 * k * mt
+    bound = max(mt, mg, mi, ml, k, den, lc.d, ml * den + mcorr * lc.d)
+    t, gg, gi, g = ex.int64_within(bound, t, gg, gi, lc.g)
     # corr[i, a, b] = -(gi t)_a gg[i, b], then the two theta terms
     corr = -np.multiply.outer(gi.dot(t), gg).transpose(1, 0, 2)
     idx = np.arange(n)
     corr[idx, idx, :] += k * t
     corr[:, idx, idx] += (k * t)[:, None]
-    den = dt * dg * di
-    return Connection(lc.g * den + corr * lc.d, lc.d * den)
+    return Connection(ex.python_ints(g * den + corr * lc.d), lc.d * den)
 
 
 class Curvature:
@@ -158,18 +165,22 @@ def curvature(L: LieAlgebra, conn: Connection) -> Curvature:
     """R_{x,y} = [nabla_x, nabla_y] - nabla_{[x,y]}, on basis pairs.
 
     One pass on integers: with gamma = g / d and c = cc / e over common
-    denominators, e d^2 R_ij = e (g_i g_j - g_j g_i) - d sum_k cc_ijk g_k.
+    denominators, e d^2 R_ij = e (g_i g_j - g_j g_i) - d sum_k cc_ijk g_k,
+    at most n max|g| (2 e max|g| + d max|cc|) in absolute value, so the
+    pass is on int64 while that is below 2^63.
     """
     n = L.dim
-    g, d = conn.g, conn.d
-    cc, e = L.scaled_c
+    (g, d), (cc, e) = (conn.g, conn.d), L.scaled_c
+    mg, mc = ex.int_max(g), ex.int_max(cc)
+    bound = max(mg, mc, e, d, n * mg * (2 * e * mg + d * mc))
+    g, cc = ex.int64_within(bound, g, cc)
     # prod[i, j] = g_i g_j and lin[i, j] = sum_k cc_ijk g_k, for all pairs
-    prod = ex.int_dot(g.reshape(n * n, n), g.transpose(1, 0, 2).reshape(n, n * n))
+    prod = g.reshape(n * n, n).dot(g.transpose(1, 0, 2).reshape(n, n * n))
     prod = prod.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    lin = ex.int_dot(cc.reshape(n * n, n), g.reshape(n, n * n)).reshape(n, n, n, n)
+    lin = cc.reshape(n * n, n).dot(g.reshape(n, n * n)).reshape(n, n, n, n)
     iu, ju = np.triu_indices(n, 1)
     num = e * (prod[iu, ju] - prod[ju, iu]) - d * lin[iu, ju]
-    return Curvature(num, e * d * d)
+    return Curvature(ex.python_ints(num), e * d * d)
 
 
 def weyl_geometry(L: LieAlgebra, G: Metric, theta: OneForm) -> tuple[Connection, Curvature]:

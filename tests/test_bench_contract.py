@@ -1,7 +1,9 @@
 """The benchmark imports lcplab names and reads attributes of what they
 return.  Each workload of ``lcpbench/workloads.py`` is built here at
 seed 1, round 0 (lattice-search also at rounds 1 and 2, whose fresh
-random bases reach more of the lattice code), and every one of its
+random bases reach more of the lattice code, and structures at rounds
+1 and 2, whose 78 fresh structures the checks recompute in plain
+Fractions apart from the constructors' integer forms), and every one of its
 inputs is run and checked by ``lcpbench/checks.py``, so an API change
 that would break a benchmark run fails this test first."""
 
@@ -39,3 +41,8 @@ def test_workload_runs_and_passes_its_checks(name):
 @pytest.mark.parametrize("rnd", [1, 2])
 def test_lattice_search_later_rounds_pass_their_checks(rnd):
     _run_and_check("lattice-search", rnd)
+
+
+@pytest.mark.parametrize("rnd", [1, 2])
+def test_structures_later_rounds_pass_their_checks(rnd):
+    _run_and_check("structures", rnd)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab.algebra import (
@@ -517,15 +518,32 @@ def _random_case(r, recipe):
     return metric_modification(S, lam), want
 
 
-@pytest.mark.parametrize("recipe", ["semidirect", "almab", "flag", "direct", "amalgam", "modify"])
+RECIPES = ["semidirect", "almab", "flag", "direct", "amalgam", "modify"]
+
+
+def _assert_matches_assembly(s, want, recipe):
+    c, gram, theta, flat = want
+    for got, want in (
+        (s.algebra.c, c),
+        (s.metric.gram, gram),
+        (s.theta.coeffs, theta),
+        (s.flat.basis, Subspace(flat).basis),
+    ):
+        assert got.shape == want.shape and got.tolist() == want.tolist(), recipe
+        assert all(type(x) is F for x in got.flat)
+
+
+@pytest.mark.parametrize("recipe", RECIPES)
 def test_constructors_match_entry_by_entry_assembly(recipe):
     for seed in range(8):
-        s, (c, gram, theta, flat) = _random_case(rng(1000 * len(recipe) + seed), recipe)
-        for got, want in (
-            (s.algebra.c, c),
-            (s.metric.gram, gram),
-            (s.theta.coeffs, theta),
-            (s.flat.basis, Subspace(flat).basis),
-        ):
-            assert got.shape == want.shape and got.tolist() == want.tolist(), recipe
-            assert all(type(x) is F for x in got.flat)
+        s, want = _random_case(rng(1000 * len(recipe) + seed), recipe)
+        _assert_matches_assembly(s, want, recipe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), recipe=st.sampled_from(RECIPES))
+def test_integer_constructors_match_the_fraction_recipe_formulas(seed, recipe):
+    # the constructors compute on integer forms; the references above
+    # evaluate each recipe's formulas in Fractions
+    s, want = _random_case(rng(seed), recipe)
+    _assert_matches_assembly(s, want, recipe)

@@ -15,20 +15,23 @@ wrapped straight from a kernel must be the one its basis gives.
 """
 
 from fractions import Fraction as F
+from math import isqrt
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from lcplab import detect
 from lcplab import exact as ex
-from lcplab.algebra import Metric, OneForm, Subspace
+from lcplab.algebra import LieAlgebra, Metric, OneForm, Subspace
 from lcplab.construct import almab_lcp, metric_modification
 from lcplab.detect import LCPStructure, maximal_flat_parallel, structural_audit, verify_lcp
 from lcplab.errors import InvalidStructure
 from lcplab.randgen import random_algebra, random_closed_form, random_metric, rng, small_fraction
-from lcplab.weyl import curvature, levi_civita, weyl_connection, weyl_geometry
-from test_exact_dot import ref_bracket_span
+from lcplab.weyl import Connection, curvature, levi_civita, weyl_connection, weyl_geometry
+from test_exact_dot import ref_bracket_span, ref_jacobi_defect
+from test_weyl import koszul_oracle
 
 
 def ref_ad_stack(L, u):
@@ -341,3 +344,126 @@ def test_spans_eliminate_once_and_never_rescale(monkeypatch):
     U.orthogonal_complement(G)
     detect._flat_search(L, G, theta)
     assert scalings == []
+
+
+# ---------------------------------------------------------------------------
+# the int64 tables at and past their bounds, and the value views
+# ---------------------------------------------------------------------------
+
+
+def _int64_runs(monkeypatch) -> list:
+    """Whether each ``ex.int64_within`` expression ran on int64, in order."""
+    runs = []
+    within = ex.int64_within
+
+    def spy(bound, *arrays):
+        out = within(bound, *arrays)
+        runs.append(out[0].dtype == np.int64)
+        return out
+
+    monkeypatch.setattr(ex, "int64_within", spy)
+    return runs
+
+
+def _e11_sum_line(m):
+    """e(1,1) + R with its constants times m, and a copy whose [e2, e4]
+    = m e1 breaks the Jacobi identity; every entry is 0 or +-m."""
+    good = LieAlgebra.from_brackets(4, {(0, 1): [0, m, 0, 0], (0, 2): [0, 0, -m, 0]})
+    c = good.c.copy()
+    c[1, 3, 0], c[3, 1, 0] = m, -m
+    return good, LieAlgebra(c, check=False)
+
+
+# 3 n m^2 < 2^63 at n = 4 exactly up to this m
+JACOBI_EDGE = isqrt((2**63 - 1) // 12)
+
+
+@pytest.mark.parametrize(
+    "m, on_int64", [(JACOBI_EDGE, True), (JACOBI_EDGE + 1, False), (2**40, False), (3, True)]
+)
+def test_jacobi_defect_at_and_past_the_int64_bound(monkeypatch, m, on_int64):
+    runs = _int64_runs(monkeypatch)
+    good, bad = _e11_sum_line(m)
+    assert good.jacobi_defect() is None is ref_jacobi_defect(good)
+    assert bad.jacobi_defect() == ref_jacobi_defect(bad) is not None
+    assert runs == [on_int64, on_int64]
+
+
+# 3 n^2 m < 2^63 at n = 3 exactly up to this m: the Koszul bound for the
+# identity metric (max|gg| = max|gi| = 1)
+KOSZUL_EDGE = (2**63 - 1) // 27
+
+
+@pytest.mark.parametrize(
+    "m, gram, on_int64",
+    [
+        (KOSZUL_EDGE, None, True),
+        (KOSZUL_EDGE + 1, None, False),
+        (2**40, [[2**40, 1, 0], [1, 2, 0], [0, 0, 1]], False),
+        (2**20, [[3, 1, 0], [1, 2, 0], [0, 0, 5]], True),
+    ],
+)
+def test_koszul_solve_at_and_past_the_int64_bound(monkeypatch, m, gram, on_int64):
+    L = LieAlgebra.from_brackets(3, {(0, 1): [0, m, 0], (0, 2): [0, 0, -m]})
+    G = Metric.identity(3) if gram is None else Metric(ex.rmat(gram))
+    G.scaled_inverse
+    runs = _int64_runs(monkeypatch)
+    lc = levi_civita(L, G)
+    assert runs == [on_int64]
+    for got, want in zip(lc.gamma, koszul_oracle(L, G)):
+        assert all_fractions(got)
+        assert sympy.Matrix(got.tolist()) == want
+    theta = OneForm.dual(3, 0, m)
+    for got, want in zip(weyl_connection(L, G, theta).gamma, ref_weyl_connection(L, G, theta)):
+        assert same(got, want)
+
+
+def _curvature_edge(n, e, d, mc) -> int:
+    """The largest max|g| with n max|g| (2 e max|g| + d mc) < 2^63."""
+    lo, hi = 1, 2**32
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if n * mid * (2 * e * mid + d * mc) < 2**63:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("shift, on_int64", [(0, True), (1, False), (2**40, False)])
+def test_curvature_at_and_past_the_int64_bound(monkeypatch, shift, on_int64):
+    L = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, -1]})
+    m = _curvature_edge(3, 1, 1, 1) + shift
+    r = rng(9)
+    g = np.array([r.randint(-m, m) for _ in range(27)], dtype=object).reshape(3, 3, 3)
+    g[0, 0, 0], g[2, 1, 0] = m, -m
+    conn = Connection(g, 1)
+    runs = _int64_runs(monkeypatch)
+    got = curvature(L, conn)
+    assert runs == [on_int64]
+    want = ref_curvature(L, conn.gamma)
+    assert all(same(got.r[i][j], want[i, j]) for i in range(3) for j in range(3))
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 8))
+def test_views_are_read_only_and_unscale_the_held_forms(seed, n):
+    r = rng(seed)
+    L, G = random_algebra(r, n), random_metric(r, n)
+    theta = OneForm(_matrix(r, 1, n)[0])
+    views = ((L.c, L.scaled_c), (G.gram, G.scaled_gram), (theta.coeffs, theta.scaled_coeffs))
+    for view, form in views:
+        assert not view.flags.writeable and not form[0].flags.writeable
+        assert same(view, ex.unscaled(*form)) and same_form(form, view)
+        with pytest.raises(ValueError):
+            view[(0,) * view.ndim] = 1
+    # built from an unreduced integer form, from ints, or from Fractions:
+    # one value, with one reduced form
+    cc, e = L.scaled_c
+    assert LieAlgebra((cc * 6, e * 6)) == L == LieAlgebra(L.c)
+    assert LieAlgebra(cc) == LieAlgebra(ex.unscaled(cc, 1))
+    assert same_form(LieAlgebra((cc * 6, e * 6)).scaled_c, L.c)
+    gg, dg = G.scaled_gram
+    assert Metric((gg * 5, dg * 5)) == G == Metric(G.gram)
+    t, dt = theta.scaled_coeffs
+    assert OneForm((-t, -dt)) == theta == OneForm(theta.coeffs)
