@@ -187,9 +187,18 @@ class LieAlgebra:
 
     @cached_property
     def derived_algebra(self) -> "Subspace":
-        """g' = [g, g], made once and read by every closedness test."""
-        g = Subspace.full(self.dim)
-        return self.bracket_span(g, g)
+        """g' = [g, g], made once and read by every closedness test.  The
+        brackets of the standard basis are the rows cc[i, j] of the
+        constants, so their span takes no product; it is kept as the
+        bracket span of g with itself."""
+        n = self.dim
+        g = Subspace.full(n)
+        memo = vars(self).setdefault("_bracket_span", {})
+        key = (g.key, g.key)
+        if key not in memo:
+            rows = self.scaled_c[0].reshape(n * n, n)
+            memo[key] = Subspace._canonical(ex.int_column_space(rows.T))
+        return memo[key]
 
     def _series(self, step) -> list:
         """The series that starts at g and goes on by ``step`` (a Subspace
