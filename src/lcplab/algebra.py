@@ -54,7 +54,7 @@ class LieAlgebra:
         Fractions and ints, or as its integer form ``(cc, e)``, an object
         array of Python ints and their common denominator (as the
         constructors build them)."""
-        cc, e = ex.reduced(*c) if ex.is_form(c) else ex.scaled(c)
+        cc, e = ex.as_form(c)
         if cc.ndim != 3 or len(set(cc.shape)) != 1:
             raise DimensionMismatch("structure constants must be (n, n, n)")
         # n = 0 is tolerated here as the identity of direct products; the
@@ -265,7 +265,7 @@ class LieAlgebra:
     def restrict(self, basis) -> "LieAlgebra":
         """Subalgebra on the given column basis, with exact coordinates;
         the basis is a matrix of Fractions and ints or its integer form."""
-        ib, db = basis if ex.is_form(basis) else ex.scaled(basis)
+        ib, db = ex.as_form(basis)
         k = ib.shape[1]
         x, den = self._int_subalgebra_coords(ib, db)
         return LieAlgebra((x.T.reshape(k, k, k), den), check=False)
@@ -298,13 +298,11 @@ class Metric:
     def __init__(self, gram):
         """``gram`` is the Gram matrix (entries that ``exact.rat`` takes)
         or its integer form ``(gg, dg)``."""
-        if ex.is_form(gram):
-            gg, dg = ex.reduced(*gram)
-        else:
+        if not ex.is_form(gram):
             gram = np.asarray(gram, dtype=object) if not isinstance(gram, np.ndarray) else gram
             if gram.size and not isinstance(gram[0, 0], Fraction):
                 gram = ex.rmat(gram.tolist())
-            gg, dg = ex.scaled(gram)
+        gg, dg = ex.as_form(gram)
         if not ex.is_symmetric(gg):
             raise NotSymmetric("Gram matrix must be symmetric")
         if not ex.int_is_pos_def(gg):
@@ -379,10 +377,9 @@ class OneForm:
     def __init__(self, coeffs):
         """``coeffs`` is the coefficient row (entries that ``exact.rat``
         takes) or its integer form ``(t, dt)``."""
-        if ex.is_form(coeffs):
-            t, dt = ex.reduced(*coeffs)
-        else:
-            t, dt = ex.scaled(coeffs if isinstance(coeffs, np.ndarray) else ex.rvec(coeffs))
+        if not (ex.is_form(coeffs) or isinstance(coeffs, np.ndarray)):
+            coeffs = ex.rvec(coeffs)
+        t, dt = ex.as_form(coeffs)
         t.setflags(write=False)
         self.scaled_coeffs = (t, dt)
         self.dim = t.shape[0]

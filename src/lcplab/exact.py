@@ -39,7 +39,7 @@ a ``Metric`` its Gram matrix (``scaled_gram``) and inverse, a
 span, the derived algebra included) its canonical basis, and a
 ``weyl.Connection`` and ``weyl.Curvature`` their whole tables; each
 makes its ``Fraction`` array a read-only view on first read.  The first
-three are built from entries or from an integer form (:func:`is_form`),
+three are built from entries or from an integer form (:func:`as_form`),
 and the constructors of ``construct`` build every structure from
 integer forms, padded by :func:`form_block_diag`.  Each form is reduced
 (:func:`reduced`): it is the one :func:`scaled` gives for the same
@@ -179,9 +179,25 @@ def unscaled(ints, den: int):
 
 
 def is_form(a) -> bool:
-    """Is ``a`` an integer form ``(ints, den)``: an array of Python ints
-    and an int, rather than an array (or nested sequence) of entries?"""
+    """Is ``a`` an integer form ``(ints, den)``, an array and an int,
+    rather than an array (or nested sequence) of entries?"""
     return type(a) is tuple and len(a) == 2 and isinstance(a[0], np.ndarray) and type(a[1]) is int
+
+
+def as_form(a) -> tuple:
+    """The reduced integer form of exact data given as entries (Fractions
+    and ints, :func:`scaled`) or as an integer form ``(ints, den)``, whose
+    ``ints`` must be an object array of Python ints (:func:`int_max`)
+    and ``den`` nonzero."""
+    if not is_form(a):
+        return scaled(a)
+    ints, den = a
+    if ints.dtype != object:
+        raise TypeError(f"an integer form holds Python ints, not {ints.dtype}")
+    int_max(ints)
+    if den == 0:
+        raise ZeroDivisionError("an integer form needs a nonzero denominator")
+    return reduced(ints, den)
 
 
 def reduced(ints, den: int):

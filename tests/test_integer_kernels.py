@@ -467,3 +467,18 @@ def test_views_are_read_only_and_unscale_the_held_forms(seed, n):
     assert Metric((gg * 5, dg * 5)) == G == Metric(G.gram)
     t, dt = theta.scaled_coeffs
     assert OneForm((-t, -dt)) == theta == OneForm(theta.coeffs)
+
+
+def test_integer_forms_given_from_outside_hold_python_ints():
+    # an int64 array would wrap in the object products, and a Fraction
+    # would be truncated by an int64 cast
+    with pytest.raises(TypeError):
+        Metric((np.eye(2, dtype=np.int64), 1))
+    with pytest.raises(TypeError):
+        OneForm((np.array([F(1, 2), 1], dtype=object), 1))
+    with pytest.raises(TypeError):
+        LieAlgebra.abelian(2).restrict((np.array([[1.0], [0.0]], dtype=object), 1))
+    with pytest.raises(ZeroDivisionError):
+        Metric((np.eye(2, dtype=object), 0))
+    # a negative denominator is reduced away: -I / -2 is I / 2
+    assert Metric((-np.eye(2, dtype=object), -2)).scaled_gram[1] == 2
