@@ -30,6 +30,7 @@ import numpy as np
 from . import exact as ex
 from .errors import (
     DimensionMismatch,
+    EnvelopeExceeded,
     InvalidStructure,
     NotPositiveDefinite,
     NotSymmetric,
@@ -37,6 +38,23 @@ from .errors import (
 
 # dimension envelope of the package: documents, connections and the lattice scan
 MAX_DIM = 16
+
+
+def check_envelope(n: int):
+    """Refuse dimension ``n`` past ``MAX_DIM``, before anything is built."""
+    if n > MAX_DIM:
+        raise EnvelopeExceeded(f"the supported envelope is dim <= {MAX_DIM}, got {n}")
+
+
+def memoised(obj, table: str, key, make):
+    """``make()``, made on the first lookup of ``key`` and kept with ``obj``
+    in its instance dictionary, under ``table``: the one home of every
+    per-object result that depends on other values too.  Keys are content
+    keys, so equal values built separately share one entry."""
+    memo = vars(obj).setdefault(table, {})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 class LieAlgebra:
@@ -53,10 +71,12 @@ class LieAlgebra:
         """``c`` holds the structure constants as an (n, n, n) array of
         Fractions and ints, or as its integer form ``(cc, e)``, an object
         array of Python ints and their common denominator (as the
-        constructors build them)."""
+        constructors build them).  n > ``MAX_DIM`` is refused, also with
+        ``check=False``."""
         cc, e = ex.as_form(c)
         if cc.ndim != 3 or len(set(cc.shape)) != 1:
             raise DimensionMismatch("structure constants must be (n, n, n)")
+        check_envelope(cc.shape[0])
         # n = 0 is tolerated here as the identity of direct products; the
         # document parser is where degenerate input gets rejected
         self.dim = cc.shape[0]
@@ -178,12 +198,8 @@ class LieAlgebra:
         Made once per pair of spans and kept with the algebra, keyed by
         the content keys of U and V, so the derived algebra, the series
         and the audits share their terms."""
-        memo = vars(self).setdefault("_bracket_span", {})
-        key = (U.key, V.key)
-        if key not in memo:
-            w = self.int_brackets(U.scaled_basis[0], V.scaled_basis[0])
-            memo[key] = Subspace._canonical(ex.int_column_space(w))
-        return memo[key]
+        iu, iv = U.scaled_basis[0], V.scaled_basis[0]
+        return memoised(self, "_bracket_span", (U.key, V.key), lambda: Subspace.of_columns(self.int_brackets(iu, iv)))
 
     @cached_property
     def derived_algebra(self) -> "Subspace":
@@ -193,12 +209,8 @@ class LieAlgebra:
         bracket span of g with itself."""
         n = self.dim
         g = Subspace.full(n)
-        memo = vars(self).setdefault("_bracket_span", {})
-        key = (g.key, g.key)
-        if key not in memo:
-            rows = self.scaled_c[0].reshape(n * n, n)
-            memo[key] = Subspace._canonical(ex.int_column_space(rows.T))
-        return memo[key]
+        rows = self.scaled_c[0].reshape(n * n, n)
+        return memoised(self, "_bracket_span", (g.key, g.key), lambda: Subspace.of_columns(rows.T))
 
     def _series(self, step) -> list:
         """The series that starts at g and goes on by ``step`` (a Subspace
@@ -227,12 +239,13 @@ class LieAlgebra:
     def centraliser(self, U: "Subspace") -> "Subspace":
         """{x in g : [x, u] = 0 for all u in U}: the common kernel of the
         ad_u, eliminated on integers; made once per span, keyed by U.key."""
-        memo = vars(self).setdefault("_centraliser", {})
-        if U.key not in memo:
-            n, p = self.dim, U.dim
-            ker, _ = ex.int_nullspace(self._ad_stack(U.scaled_basis[0]).reshape(p * n, n))
-            memo[U.key] = Subspace._canonical(ex.int_column_space(ker))
-        return memo[U.key]
+        n, p = self.dim, U.dim
+
+        def kernel():
+            ad_u = self._ad_stack(U.scaled_basis[0]).reshape(p * n, n)
+            return Subspace.of_columns(ex.int_nullspace(ad_u)[0])
+
+        return memoised(self, "_centraliser", U.key, kernel)
 
     def centre(self) -> "Subspace":
         """{x : [x, .] = 0}: the kernel of every ad_{e_i}."""
@@ -245,7 +258,7 @@ class LieAlgebra:
         d = self.derived_algebra.scaled_basis[0]
         n, p = d.shape
         ker, _ = ex.int_nullspace(self._ad_stack(d).reshape(p * n, n).dot(d))
-        return Subspace._canonical(ex.int_column_space(d.dot(ker)))
+        return Subspace.of_columns(d.dot(ker))
 
     def _int_subalgebra_coords(self, ib: np.ndarray, db) -> tuple:
         """Coordinates of the brackets of the columns of basis = ib / db
@@ -461,6 +474,11 @@ class Subspace:
         s.ambient_dim, s.dim = ub.shape
         return s
 
+    @classmethod
+    def of_columns(cls, ints: np.ndarray) -> "Subspace":
+        """The span of the columns of an integer matrix."""
+        return cls._canonical(ex.int_column_space(ints))
+
     @cached_property
     def basis(self) -> np.ndarray:
         basis = ex.unscaled(*self.scaled_basis)
@@ -501,7 +519,7 @@ class Subspace:
 
     def add(self, other: "Subspace") -> "Subspace":
         both = np.concatenate([self.scaled_basis[0], other.scaled_basis[0]], axis=1)
-        return Subspace._canonical(ex.int_column_space(both))
+        return Subspace.of_columns(both)
 
     def orthogonal_complement(self, metric: Metric) -> "Subspace":
         """G-orthogonal complement; kernel of (basis^T G), eliminated on
@@ -510,12 +528,10 @@ class Subspace:
         constructor verifies, the flat the search finds) shares one entry."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
-        memo = vars(metric).setdefault("_orthogonal_complement", {})
-        if self.key not in memo:
-            ub, gg = self.scaled_basis[0], metric.scaled_gram[0]
-            ker, _ = ex.int_nullspace(ub.T.dot(gg))
-            memo[self.key] = Subspace._canonical(ex.int_column_space(ker))
-        return memo[self.key]
+        ub, gg = self.scaled_basis[0], metric.scaled_gram[0]
+        return memoised(
+            metric, "_orthogonal_complement", self.key, lambda: Subspace.of_columns(ex.int_nullspace(ub.T.dot(gg))[0])
+        )
 
     def __eq__(self, other):
         return (
@@ -657,10 +673,7 @@ def _almost_abelian_ideal(L: LieAlgebra):
     """A codimension-1 abelian ideal of L as a Subspace, ``_ANY_HYPERPLANE``
     when L is abelian, or None when there is none.  It does not depend on
     a metric, so it is found once per algebra and kept with it."""
-    memo = vars(L)
-    if "_almost_abelian_ideal" not in memo:
-        memo["_almost_abelian_ideal"] = _find_almost_abelian_ideal(L)
-    return memo["_almost_abelian_ideal"]
+    return memoised(L, "_almost_abelian_ideal", None, lambda: _find_almost_abelian_ideal(L))
 
 
 def _find_almost_abelian_ideal(L: LieAlgebra):

@@ -21,7 +21,7 @@ import math
 import sys
 
 from . import exact as ex
-from .algebra import almost_abelian_presentation, audit_algebra, is_closed
+from .algebra import almost_abelian_presentation, audit_algebra, check_envelope, is_closed
 from .construct import (
     OrthoRep,
     almab_lcp,
@@ -157,6 +157,7 @@ def cmd_construct(args) -> int:
         if q.denominator != 1 or q < 1:
             raise DocumentError(f"scalar q must be a positive integer, not {q}")
         q = int(q)
+        check_envelope(h.dim + q)
         mats = []
         for i in range(h.dim):
             name = f"beta{i+1}"

@@ -30,6 +30,7 @@ from .algebra import (
     Metric,
     OneForm,
     Subspace,
+    check_envelope,
     trace_form,
 )
 from .detect import LCPStructure
@@ -137,6 +138,7 @@ def semidirect_lcp(h: LieAlgebra, h_metric: Metric, beta: OrthoRep) -> LCPStruct
     -(hh_i e / dh) dm Id + e q mm_i."""
     if beta.dim_target < 1:
         raise DimensionMismatch("beta must act on R^q with q >= 1")
+    check_envelope(h.dim + beta.dim_target)
     hh, dh = trace_form(h).scaled_coeffs
     if not hh.any():
         raise UnimodularInput("h must be non-unimodular")
@@ -155,13 +157,15 @@ def semidirect_lcp(h: LieAlgebra, h_metric: Metric, beta: OrthoRep) -> LCPStruct
     return _verified(L, G, theta, flat)
 
 
-def _check_blocks(A: np.ndarray, Bs: dict):
+def _check_blocks(A: np.ndarray, Bs: dict, lines: int):
     """The input check shared by :func:`almab_lcp` and :func:`flag_lcp`:
-    A and every named block B square, the B of one size, tr(A) != 0 and
-    every B skew-symmetric."""
+    A and every named block B square, the B of one size, the structure
+    on ``lines`` basis vectors besides R^p and R^q within the envelope,
+    tr(A) != 0 and every B skew-symmetric."""
     p, q = A.shape[0], next(iter(Bs.values())).shape[0]
     if A.shape != (p, p) or any(B.shape != (q, q) for B in Bs.values()):
         raise DimensionMismatch(f"{' and '.join(['A', *Bs])} must be square")
+    check_envelope(lines + p + q)
     if sum(A[i, i] for i in range(p)) == 0:
         raise TraceZero("tr(A) must be nonzero")
     if not all(_is_skew(B) for B in Bs.values()):
@@ -184,7 +188,7 @@ def almab_lcp(A, B, h_metric: Optional[Metric] = None) -> LCPStructure:
     """Almost abelian structure: R b |x (R^p + R^q) with ad_b acting as
     blockdiag(A, B - tr(A)/q Id) and theta = -(1/q) tr(A) b*."""
     A, B = _as_rmat(A), _as_rmat(B)
-    _check_blocks(A, {"B": B})
+    _check_blocks(A, {"B": B}, 1)
     return _line_lcp(A, [B], h_metric)
 
 
@@ -197,7 +201,7 @@ def flag_lcp(A, B1, B2, v) -> LCPStructure:
         raise DimensionMismatch("B1 and B2 must have the same size")
     if v.shape[0] != A.shape[0]:
         raise DimensionMismatch("v must lie in R^p")
-    _check_blocks(A, {"B1": B1, "B2": B2})
+    _check_blocks(A, {"B1": B1, "B2": B2}, 2)
     if ex.is_zero(B2):
         raise B2Zero("B2 must be nonzero")
     if not ex.is_zero(ex.dot(B1, B2) - ex.dot(B2, B1)):

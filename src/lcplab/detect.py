@@ -32,6 +32,7 @@ from .algebra import (
     _almost_abelian_ideal,
     is_closed,
     is_unimodular,
+    memoised,
 )
 from .errors import (
     DimensionTooSmall,
@@ -105,11 +106,7 @@ def verify_lcp(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verific
     _guard(L, theta)
     if U.dim == 0:
         return VerificationReport(True, True, True)
-    memo = vars(L).setdefault("_verify_lcp", {})
-    key = (G.key, theta.key, U.key)
-    if key not in memo:
-        memo[key] = _verify(L, G, theta, U)
-    return memo[key]
+    return memoised(L, "_verify_lcp", (G.key, theta.key, U.key), lambda: _verify(L, G, theta, U))
 
 
 def _verify(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> VerificationReport:
@@ -184,11 +181,7 @@ def maximal_flat_parallel(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
     L, keyed as ``weyl.weyl_geometry`` keys the connection.
     """
     _guard(L, theta)
-    memo = vars(L).setdefault("_maximal_flat_parallel", {})
-    key = (G.key, theta.key)
-    if key not in memo:
-        memo[key] = _flat_search(L, G, theta)
-    return memo[key]
+    return memoised(L, "_maximal_flat_parallel", (G.key, theta.key), lambda: _flat_search(L, G, theta))
 
 
 def _flat_search(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
@@ -210,7 +203,7 @@ def _flat_search(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
         if w.shape[1] == k:
             break
         u = u.dot(w)
-    return Subspace._canonical(ex.int_column_space(u))
+    return Subspace.of_columns(u)
 
 
 @dataclass(frozen=True)
@@ -331,7 +324,7 @@ def _codim3_normal_form(L, G, theta, U) -> bool:
     if perp.dim != 3:
         return False
     t, dt = theta.scaled_coeffs
-    ker_theta = Subspace._canonical(ex.int_column_space(ex.int_nullspace(t.reshape(1, -1))[0]))
+    ker_theta = Subspace.of_columns(ex.int_nullspace(t.reshape(1, -1))[0])
     w = perp.intersect(ker_theta)
     if w.dim != 2:
         return False

@@ -126,7 +126,7 @@ def _parse_rows(body: str, lineno: int, offset: int, want: Optional[int]) -> lis
 
 def parse_document(text: str) -> Document:
     doc = None
-    pending = []  # directives seen before dim
+    seen = set()  # the metric, theta and flat directives read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -152,6 +152,10 @@ def parse_document(text: str) -> Document:
             continue
         if doc is None:
             raise DocumentError("the dim directive must come first", lineno, 1)
+        if key in ("metric", "theta", "flat"):
+            if key in seen:
+                raise DocumentError(f"duplicate {key} directive", lineno, indent + 1)
+            seen.add(key)
         if key == "label":
             doc.label = rest.strip()
         elif key == "bracket":
@@ -185,11 +189,15 @@ def parse_document(text: str) -> Document:
             name = head.strip()
             if not name or not sep:
                 raise DocumentError("block needs 'block NAME : rows'", lineno, indent + 1)
+            if name in doc.blocks:
+                raise DocumentError(f"duplicate block {name}", lineno, indent + 7)
             doc.blocks[name] = _parse_rows(body, lineno, indent, None)
         elif key == "scalar":
             toks = rest.split()
             if len(toks) != 2:
                 raise DocumentError("scalar needs 'scalar NAME value'", lineno, indent + 1)
+            if toks[0] in doc.scalars:
+                raise DocumentError(f"duplicate scalar {toks[0]}", lineno, indent + 8)
             doc.scalars[toks[0]] = _parse_rational(toks[1], lineno, indent + 8 + len(toks[0]))
         else:
             raise DocumentError(f"unknown directive {key!r}", lineno, indent + 1)

@@ -24,11 +24,12 @@ partial sum beyond max|a| max|b| k.  Below 2^63 :func:`int64_within`
 hands it the inputs as int64, where nothing can wrap; above it, the
 Python ints as they are, and the same expression runs on objects.
 :func:`python_ints` hands the result on as Python ints.  The Jacobi
-test, the Levi-Civita solve, the Weyl correction and the curvature pass
-run this way, and :func:`int_dot`, the plain product, is the same rule
-for verification condition 3 and the audit's check nabla = ad; small
-products stay on ``.dot`` of the Python ints, which costs less than the
-type test and casts.
+test, the Weyl connection (the Koszul solve and the conformal
+correction in one pass, Levi-Civita its theta = 0 case) and the
+curvature pass run this way, and :func:`int_dot`, the plain product, is
+the same rule for verification condition 3 and the audit's check
+nabla = ad; small products stay on ``.dot`` of the Python ints, which
+costs less than the type test and casts.
 
 Between kernels, exact data stays in that integer form, ``ints / den``,
 and Fractions are made only where a caller reads entries

@@ -5,11 +5,13 @@ The Levi-Civita connection is determined by the Koszul identity
     g(nabla_x y, z) = (g([x,y],z) - g([x,z],y) - g([y,z],x)) / 2,
 
 and the Weyl connection of a closed 1-form theta adds the conformal
-correction theta(x) y + theta(y) x - g(x, y) theta^sharp.  Connections
-and curvatures are stored densely, as integer tables over one common
-denominator from which the solve, the correction and the curvature pass
-are computed; the ``Fraction`` matrices, one per basis direction or
-pair, are made when first read.  The supported envelope is dim <= 16.
+correction theta(x) y + theta(y) x - g(x, y) theta^sharp.  Both terms
+are one integer pass over one denominator (:func:`weyl_connection`),
+and the Levi-Civita connection is its theta = 0 case.  Connections and
+curvatures are stored densely, as integer tables over one common
+denominator, reduced once; the ``Fraction`` matrices, one per basis
+direction or pair, are made when first read.  Algebras past the
+supported envelope, dim <= 16, are refused when they are built.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exact as ex
-from .algebra import MAX_DIM, LieAlgebra, Metric, OneForm, is_closed
-from .errors import EnvelopeExceeded, NonClosedLeeForm
+from .algebra import LieAlgebra, Metric, OneForm, is_closed, memoised
+from .errors import NonClosedLeeForm
 
 
 class Connection:
@@ -63,62 +65,46 @@ class Connection:
         return None
 
 
-def _check_dim(n: int):
-    if n > MAX_DIM:
-        raise EnvelopeExceeded(f"connections support dim <= {MAX_DIM}, got {n}")
-
-
 def levi_civita(L: LieAlgebra, G: Metric) -> Connection:
-    """Connection matrices from the Koszul identity, solved exactly:
-    K[i, j, k] = g(nabla_{e_i} e_j, e_k), so gamma[i] = G^-1 K[i]^T.
-
-    On integers: with c = cc / e, G = gg / dg and G^-1 = gi / di, 2 e dg K
-    is an integer table and 2 e dg di gamma[i] = gi (2 e dg K[i])^T.  Its
-    entries are at most 3 n max|cc| max|gg| and those of the product n
-    max|gi| times that, so the tables are taken on int64 below 2^63.
-    """
-    _check_dim(L.dim)
-    n = L.dim
-    (cc, e), (gg, dg), (gi, di) = L.scaled_c, G.scaled_gram, G.scaled_inverse
-    mc, mg, mi = ex.int_max(cc), ex.int_max(gg), ex.int_max(gi)
-    bound = max(mc, mg, mi, 3 * n * mc * mg * max(1, n * mi))
-    cc, gg, gi = ex.int64_within(bound, cc, gg, gi)
-    # gc[i, j, k] = e dg g([e_i, e_j], e_k), and k2 = 2 e dg K
-    gc = cc.reshape(n * n, n).dot(gg).reshape(n, n, n)
-    k2 = gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)
-    # every gamma[i] in one product: column (i, j) is K[i, j, :]
-    gam = gi.dot(k2.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
-    gam = np.ascontiguousarray(ex.python_ints(gam.transpose(1, 0, 2)))
-    return Connection(gam, 2 * e * dg * di)
+    """The Levi-Civita connection: the Weyl connection of theta = 0."""
+    return weyl_connection(L, G, OneForm.zero(L.dim))
 
 
 def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
-    """nabla^theta = nabla^g + theta(x) y + theta(y) x - g(x,y) theta^sharp.
+    """nabla^theta = nabla^g + theta(x) y + theta(y) x - g(x,y) theta^sharp,
+    with nabla^g_{e_i} = G^-1 K[i]^T, K[i, j, k] = g(nabla^g_{e_i} e_j, e_k)
+    from the Koszul identity.  Requires theta closed (vanishing on g');
+    then gamma[i] - theta(e_i) Id is in so(g, G) for all i.
 
-    Requires theta closed (theta vanishing on g'); the resulting
-    connection satisfies gamma[i] - theta(e_i) Id in so(g, G) for all i.
-    The correction is added on integers: with theta = t / dt, G = gg / dg
-    and G^-1 = gi / di, dt dg di times the correction for e_i is
-    dg di (t_i Id + e_i t^T) - (gi t) gg_i^T, at most n max|gi| max|t|
-    max|gg| + 2 dg di max|t| in absolute value; with the Levi-Civita
-    table g / d the sum is on int64 while its bound is below 2^63.
+    One pass on integers: with c = cc / e, G = gg / dg, G^-1 = gi / di,
+    theta = t / dt and u = 2 e t, k2 = 2 e dg K is an integer table, and
+    2 e dt dg di gamma[i] = dt gi k2[i]^T + dg di (u_i Id + e_i u^T) -
+    (gi u) gg_i^T.  Its first term is at most 3 n^2 dt max|cc| max|gg|
+    max|gi|, the rest n max|gi| max|u| max|gg| + 2 dg di max|u|, so the
+    table is taken on int64 while their sum is below 2^63.
     """
     if not is_closed(L, theta):
         raise NonClosedLeeForm("theta does not vanish on the derived algebra")
-    lc = levi_civita(L, G)
     n = L.dim
-    (t, dt), (gg, dg), (gi, di) = theta.scaled_coeffs, G.scaled_gram, G.scaled_inverse
-    k, den = dg * di, dt * dg * di
-    mt, mg, mi, ml = ex.int_max(t), ex.int_max(gg), ex.int_max(gi), ex.int_max(lc.g)
-    mcorr = n * mi * mt * mg + 2 * k * mt
-    bound = max(mt, mg, mi, ml, k, den, lc.d, ml * den + mcorr * lc.d)
-    t, gg, gi, g = ex.int64_within(bound, t, gg, gi, lc.g)
-    # corr[i, a, b] = -(gi t)_a gg[i, b], then the two theta terms
-    corr = -np.multiply.outer(gi.dot(t), gg).transpose(1, 0, 2)
+    (cc, e), (gg, dg), (gi, di) = L.scaled_c, G.scaled_gram, G.scaled_inverse
+    t, dt = theta.scaled_coeffs
+    mc, mg, mi, mu = ex.int_max(cc), ex.int_max(gg), ex.int_max(gi), 2 * e * ex.int_max(t)
+    k = dg * di
+    bound = max(mc, mg, mi, dt, k * mu, 3 * n * n * dt * mc * mg * mi + n * mi * mu * mg + 2 * k * mu)
+    # the correction's scalars go into u while it is Python ints, so theta
+    # = 0 takes the int64 path whenever the Koszul table alone can
+    u = t * (2 * e)
+    cc, gg, gi, u, ku = ex.int64_within(bound, cc, gg, gi, u, u * k)
+    # gc[i, j, k] = e dg g([e_i, e_j], e_k), and k2 = 2 e dg K
+    gc = cc.reshape(n * n, n).dot(gg).reshape(n, n, n)
+    k2 = gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)
+    # every gi k2[i]^T in one product: column (i, j) is K[i, j, :]
+    gam = gi.dot(k2.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
+    num = np.ascontiguousarray((gam * dt - np.multiply.outer(gi.dot(u), gg)).transpose(1, 0, 2))
     idx = np.arange(n)
-    corr[idx, idx, :] += k * t
-    corr[:, idx, idx] += (k * t)[:, None]
-    return Connection(ex.python_ints(g * den + corr * lc.d), lc.d * den)
+    num[idx, idx, :] += ku
+    num[:, idx, idx] += ku[:, None]
+    return Connection(ex.python_ints(num), 2 * e * dt * k)
 
 
 class Curvature:
@@ -187,17 +173,16 @@ def weyl_geometry(L: LieAlgebra, G: Metric, theta: OneForm) -> tuple[Connection,
     """The Weyl connection of theta and its curvature, built once per
     (L, G, theta) and kept with L.
 
-    The memo is keyed by the content keys of the Gram matrix and of
-    theta, so equal metrics built separately share one entry; it lives in
-    the instance dictionary of L, as ``ad_basis`` does, and goes with it.
-    Both are read-only.
+    The memo (``algebra.memoised``) is keyed by the content keys of the
+    Gram matrix and of theta, so equal metrics built separately share one
+    entry.  Both are read-only.
     """
-    memo = vars(L).setdefault("_weyl_geometry", {})
-    key = (G.key, theta.key)
-    if key not in memo:
+
+    def make():
         conn = weyl_connection(L, G, theta)
-        memo[key] = (conn, curvature(L, conn))
-    return memo[key]
+        return conn, curvature(L, conn)
+
+    return memoised(L, "_weyl_geometry", (G.key, theta.key), make)
 
 
 def skew_defect(G: Metric, m: np.ndarray):

@@ -131,6 +131,28 @@ def test_construct_error_exit_code(tmp_path):
     assert "TraceZero" in out.stderr
 
 
+def test_oversized_construct_exit_code(tmp_path):
+    # h + R^q past the envelope is refused before any q x q block is
+    # made; the cap makes an attempt fail at once instead
+    p = tmp_path / "huge_q.lcp"
+    p.write_text("dim 2\nbracket 1 2 : 0 1\nscalar q 1000000000\n")
+    out = run_cli("construct", "semidirect", "--input", str(p), max_bytes=4 * 2**30)
+    assert_input_error(out, "EnvelopeExceeded", "dim <= 16")
+
+
+def test_construct_past_the_envelope_is_refused_first(tmp_path, monkeypatch, capsys):
+    from lcplab import cli, construct
+
+    def no_assembly(*args):
+        raise AssertionError("assembled past the envelope")
+
+    monkeypatch.setattr(construct, "_semidirect_c", no_assembly)
+    p = tmp_path / "q15.lcp"
+    p.write_text("dim 2\nbracket 1 2 : 0 1\nscalar q 15\n")
+    assert cli.main(["construct", "semidirect", "--input", str(p)]) == 2
+    assert "EnvelopeExceeded" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path):
     p = tmp_path / "bad.lcp"
     p.write_text("dim 3\nbracket 1 2 : 0 2/4 0\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcplab import exact as ex
+from lcplab import construct, exact as ex
 from lcplab.algebra import (
     LieAlgebra,
     Metric,
@@ -29,6 +29,7 @@ from lcplab.detect import classify, structural_audit
 from lcplab.errors import (
     B2Zero,
     DimensionMismatch,
+    EnvelopeExceeded,
     NonCommutingPair,
     NotAdapted,
     NotPositiveDefinite,
@@ -382,6 +383,30 @@ def test_block_checks_keep_their_messages():
         flag_lcp([[1]], ex.rzeros((2, 2)), rot, [0, 0])
     with pytest.raises(NotSkew, match="^B1, B2 must be skew-symmetric$"):
         flag_lcp([[1]], ex.reye(2), rot, [0])
+
+
+def test_structures_past_the_envelope_are_refused_before_assembly(monkeypatch):
+    # 1 + 9 + 9 = 19 > MAX_DIM: refused by the block check, so no structure
+    # constants are assembled
+    def no_assembly(*args):
+        raise AssertionError("assembled past the envelope")
+
+    monkeypatch.setattr(construct, "_semidirect_c", no_assembly)
+    A, B = ex.reye(9), ex.rzeros((9, 9))
+    with pytest.raises(EnvelopeExceeded, match="dim <= 16, got 19"):
+        almab_lcp(A, B)
+    with pytest.raises(EnvelopeExceeded, match="got 20"):
+        flag_lcp(A, B, B, [0] * 9)
+    h = LieAlgebra.from_brackets(2, {(0, 1): [0, 1]})
+    with pytest.raises(EnvelopeExceeded, match="got 17"):
+        semidirect_lcp(h, Metric.identity(2), OrthoRep.zero(15, 2))
+    # every algebra is refused past the envelope, unchecked ones too,
+    # before its Jacobi table
+    monkeypatch.setattr(LieAlgebra, "_jacobi_defect", property(no_assembly))
+    with pytest.raises(EnvelopeExceeded, match="got 17"):
+        LieAlgebra.abelian(17)
+    with pytest.raises(EnvelopeExceeded, match="got 17"):
+        LieAlgebra(ex.rzeros((17, 17, 17)))
 
 
 # ---------------------------------------------------------------------------

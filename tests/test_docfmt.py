@@ -72,6 +72,35 @@ def test_parse_errors(text, frag):
     assert frag in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "second, frag",
+    [
+        ("theta : 2 0 0", "duplicate theta directive"),
+        ("metric : 2 0 0 ; 0 1 0 ; 0 0 1", "duplicate metric directive"),
+        ("flat : 0 1 0", "duplicate flat directive"),
+        ("block A : 2", "duplicate block A"),
+        ("scalar q 3", "duplicate scalar q"),
+    ],
+    ids=["theta", "metric", "flat", "block", "scalar"],
+)
+def test_a_second_directive_is_refused(second, frag):
+    # the first of each is read, and a second is a line-tagged error, as a
+    # second dim or bracket i j is, rather than a silent overwrite
+    first = {
+        "theta": "theta : 1 0 0",
+        "metric": "metric : 1 0 0 ; 0 1 0 ; 0 0 1",
+        "flat": "flat : 0 0 1",
+        "block": "block A : 1",
+        "scalar": "scalar q 2",
+    }[second.split()[0]]
+    # another block or scalar name is not a duplicate
+    other = "block B : 1\nscalar p 1\n"
+    assert parse_document(f"dim 3\n{first}\n{other}")
+    with pytest.raises(DocumentError) as err:
+        parse_document(f"dim 3\n{first}\n{other}{second}\n")
+    assert frag in str(err.value) and err.value.line == 5
+
+
 def test_error_position_tagged():
     with pytest.raises(DocumentError) as err:
         parse_document("dim 3\nbracket 1 2 : 0 2/4 0")

@@ -418,6 +418,34 @@ def test_koszul_solve_at_and_past_the_int64_bound(monkeypatch, m, gram, on_int64
         assert same(got, want)
 
 
+# the Weyl connection of theta = s e1* on that algebra, constants m = 2^20,
+# identity metric: its one bound is 3 n^2 m + 10 s at n = 3 (2 s = max|u|,
+# u = 2 e t, enters n max|u| + 2 max|u|), below 2^63 exactly up to this s
+WEYL_M = 2**20
+WEYL_EDGE = (2**63 - 1 - 27 * WEYL_M) // 10
+
+
+@pytest.mark.parametrize(
+    "s, gram, on_int64",
+    [
+        (WEYL_EDGE, None, True),
+        (WEYL_EDGE + 1, None, False),
+        (2**80, None, False),
+        (F(7, 3), [[3, 1, 0], [1, 2, 0], [0, 0, 5]], True),
+    ],
+    ids=["at", "just-past", "well-past", "small"],
+)
+def test_weyl_connection_at_and_past_its_int64_bound(monkeypatch, s, gram, on_int64):
+    L = LieAlgebra.from_brackets(3, {(0, 1): [0, WEYL_M, 0], (0, 2): [0, 0, -WEYL_M]})
+    G = Metric.identity(3) if gram is None else Metric(ex.rmat(gram))
+    G.scaled_inverse
+    theta = OneForm.dual(3, 0, s)
+    runs = _int64_runs(monkeypatch)
+    conn = weyl_connection(L, G, theta)
+    assert runs == [on_int64]
+    assert all(same(got, want) for got, want in zip(conn.gamma, ref_weyl_connection(L, G, theta)))
+
+
 def _curvature_edge(n, e, d, mc) -> int:
     """The largest max|g| with n max|g| (2 e max|g| + d mc) < 2^63."""
     lo, hi = 1, 2**32
