@@ -150,11 +150,6 @@ class LieAlgebra:
                 return (int(i), int(j), int(k))
         return None
 
-    @cached_property
-    def ad_basis(self) -> tuple:
-        """ad_{e_i} as read-only views of c; column j is [e_i, e_j]."""
-        return tuple(self.c[i, :, :].T for i in range(self.dim))
-
     def ad(self, x: np.ndarray) -> np.ndarray:
         """ad_x by linearity: one contraction of x with c."""
         n = self.dim
@@ -357,9 +352,6 @@ class Metric:
     def inner(self, x, y) -> Fraction:
         return ex.dot(ex.dot(x, self.gram), y)
 
-    def norm_sq(self, x) -> Fraction:
-        return self.inner(x, x)
-
     def sharp(self, theta: "OneForm") -> np.ndarray:
         """Metric dual vector of a 1-form."""
         return ex.dot(self.inverse, theta.coeffs)
@@ -369,8 +361,9 @@ class Metric:
         gg, dg = self.scaled_gram
         return Metric((gg * lam.numerator, dg * lam.denominator))
 
-    def restrict(self, basis: np.ndarray) -> "Metric":
-        ib, db = ex.scaled(basis)
+    def restrict(self, basis) -> "Metric":
+        """On a column basis of Fractions and ints, or its integer form."""
+        ib, db = ex.as_form(basis)
         gg, dg = self.scaled_gram
         return Metric((ib.T.dot(gg).dot(ib), dg * db * db))
 
@@ -501,14 +494,20 @@ class Subspace:
 
     @classmethod
     def spanned_by(cls, vectors, ambient_dim=None) -> "Subspace":
+        """The span of ``vectors`` in Q^n, n = ``ambient_dim`` or their length."""
         vectors = [ex.rvec(v) if not isinstance(v, np.ndarray) else v for v in vectors]
         if not vectors:
             return cls.zero(ambient_dim)
+        n = vectors[0].shape[0] if ambient_dim is None else ambient_dim
+        if any(v.shape != (n,) for v in vectors):
+            raise DimensionMismatch(f"vectors must have length {n}")
         return cls(np.stack(vectors, axis=1))
 
     def contains(self, v) -> bool:
-        iv, _ = ex.scaled(np.asarray(v, dtype=object).reshape(-1, 1))
-        return ex.int_span_contains(self.scaled_basis[0], iv)
+        v = np.asarray(v, dtype=object).reshape(-1, 1)
+        if v.shape[0] != self.ambient_dim:
+            raise DimensionMismatch(f"vector must have length {self.ambient_dim}")
+        return ex.int_span_contains(self.scaled_basis[0], ex.scaled(v)[0])
 
     def contains_space(self, other: "Subspace") -> bool:
         return ex.int_span_contains(self.scaled_basis[0], other.scaled_basis[0])
@@ -702,44 +701,43 @@ def _find_almost_abelian_ideal(L: LieAlgebra):
     if cent.dim < n - 1:
         return None
     if cent.dim == n - 1:
-        if not cent.contains_space(der):
-            return None
-        if L.bracket_span(cent, cent).dim != 0:
-            return None
-        return cent
+        abelian = cent.contains_space(der) and L.bracket_span(cent, cent).dim == 0
+        return cent if abelian else None
     # C = g: g' is central.  Work on a complement of g' in g; columns of
-    # `lift` map to the standard basis of g/g' under the quotient rows q.
-    q = ex.left_nullspace(der.basis)
-    lift = ex.dot(q.T, ex.inv(ex.dot(q, q.T)))
+    # lift = q^T (q q^T)^-1 map to the standard basis of g/g' under the rows
+    # q that annihilate g', both integer and up to a scale no test reads.
+    d = der.scaled_basis[0]
+    q = ex.int_nullspace(d.T)[0].T
+    lift = q.T.dot(ex.int_inv(q.dot(q.T))[0])
     m = q.shape[0]
     # s[k] = skew m x m matrix of the g'_k component of the bracket on g/g'
-    coords = ex.solve(der.basis, L.brackets(lift, lift))
-    svals = [coords[k].reshape(m, m) for k in range(der.dim)]
-    nonzero = [s for s in svals if not ex.is_zero(s)]
+    coords, _ = ex.int_solve(d, L.int_brackets(lift, lift))
+    nonzero = [s for s in coords.reshape(der.dim, m, m) if s.any()]
     if not nonzero:
         # bracket vanishes identically on the complement: cannot happen
         # here since g' != 0 is generated by these values
         return None
     kernels = []
     for s in nonzero:
-        if ex.rank(s) > 2:
+        ker, _ = ex.int_nullspace(s)
+        if m - ker.shape[1] > 2:
             return None
-        kernels.append(ex.nullspace(s))
+        kernels.append(ker)
     # the hyperplane of g/g' must contain the sum of the kernels
-    ksum = Subspace(np.concatenate(kernels, axis=1))
+    ksum = Subspace.of_columns(np.concatenate(kernels, axis=1))
     if ksum.dim >= m:
         return None
-    h = ksum.basis
+    h = ksum.scaled_basis[0]
     if ksum.dim == m - 1:
         # single candidate; check total isotropy
         for s in nonzero:
-            if not ex.is_zero(ex.dot(ex.dot(h.T, s), h)):
+            if h.T.dot(s).dot(h).any():
                 return None
     else:
         # all kernels coincide (dim m-2); any line in a complement works
-        extra = next(e for e in ex.reye(m) if not ksum.contains(e))
+        extra = next(e for e in np.eye(m, dtype=object) if not ksum.contains(e))
         h = np.concatenate([h, extra.reshape(-1, 1)], axis=1)
-    return Subspace(np.concatenate([der.basis, ex.dot(lift, h)], axis=1))
+    return Subspace.of_columns(np.concatenate([d, lift.dot(h)], axis=1))
 
 
 def almost_abelian_presentation(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional
 
@@ -60,9 +61,11 @@ def _is_skew(m: np.ndarray) -> bool:
     return ex.is_zero(m + m.T)
 
 
-@dataclass(frozen=True)
 class OrthoRep:
-    """Linear map h -> so(q) given by its images on the h basis.
+    """Linear map h -> so(q) given by its images on the h basis, held as
+    the reduced integer form ``scaled_images == (mm, dm)`` of their (k, q,
+    q) stack, image a == mm[a] / dm; the tuple ``images`` of ``Fraction``
+    matrices is a read-only view made on first read.
 
     Invariants (all checked by :meth:`validate`): every image is
     skew-symmetric for the chosen Gram matrix on R^q (identity by
@@ -70,26 +73,39 @@ class OrthoRep:
     which together make it a Lie algebra representation.
     """
 
-    dim_target: int
-    images: tuple
+    def __init__(self, dim_target: int, images):
+        """``images`` are q x q matrices or the integer form of their stack."""
+        q = dim_target
+        if not ex.is_form(images):
+            mats = [_as_rmat(m) for m in images]
+            if any(m.shape != (q, q) for m in mats):
+                raise DimensionMismatch("image has wrong shape")
+            images = np.array(mats, dtype=object).reshape(len(mats), q, q)
+        mm, dm = ex.as_form(images)
+        mm.setflags(write=False)
+        self.dim_target, self.scaled_images = q, (mm, dm)
 
     @classmethod
     def from_matrices(cls, q: int, mats) -> "OrthoRep":
-        return cls(q, tuple(_as_rmat(m) for m in mats))
+        return cls(q, mats)
 
     @classmethod
     def zero(cls, q: int, h_dim: int) -> "OrthoRep":
-        return cls(q, tuple(ex.rzeros((q, q)) for _ in range(h_dim)))
+        return cls(q, (np.zeros((h_dim, q, q), dtype=object), 1))
+
+    @cached_property
+    def images(self) -> tuple:
+        images = ex.unscaled(*self.scaled_images)
+        images.setflags(write=False)
+        return tuple(images)
 
     def validate(self, h: LieAlgebra, gram: Optional[np.ndarray] = None):
-        """Check the invariants on the stacked images m[a] = mm[a] / dm,
-        scaled once: each test is one integer contraction of mm."""
-        q, k = self.dim_target, len(self.images)
+        """Check the invariants on m[a] = mm[a] / dm: each test is one
+        integer contraction of mm."""
+        mm, _ = self.scaled_images
+        q, k = self.dim_target, mm.shape[0]
         if k != h.dim:
             raise DimensionMismatch("one image per h basis vector required")
-        if any(m.shape != (q, q) for m in self.images):
-            raise DimensionMismatch("image has wrong shape")
-        mm, _ = ex.scaled(np.array(self.images, dtype=object).reshape(k, q, q))
         # G m[a] for every a (m[a] itself for the identity); skew iff that
         # plus its transpose vanishes, and the scales of G and m do not matter
         gm = mm
@@ -145,7 +161,7 @@ def semidirect_lcp(h: LieAlgebra, h_metric: Metric, beta: OrthoRep) -> LCPStruct
     beta.validate(h)
     m, q = h.dim, beta.dim_target
     cc, e = h.scaled_c
-    mm, dm = ex.scaled(np.array(beta.images, dtype=object).reshape(m, q, q))
+    mm, dm = beta.scaled_images
     eye = np.eye(q, dtype=object)
     alpha = -(hh * (e // dh * dm))[:, None, None] * eye + mm * (e * q)
     L = LieAlgebra((_semidirect_c(cc * (q * dm), alpha), e * q * dm))
@@ -180,8 +196,8 @@ def _line_lcp(M: np.ndarray, Bs: list, h_metric: Optional[Metric] = None) -> LCP
     mi, dm = ex.scaled(M)
     h = LieAlgebra((_semidirect_c(np.zeros((1, 1, 1), dtype=object), mi.reshape(1, r, r)), dm))
     hm = h_metric if h_metric is not None else Metric.identity(1 + r)
-    beta = list(Bs) + [ex.rzeros((q, q))] * (1 + r - len(Bs))
-    return semidirect_lcp(h, hm, OrthoRep.from_matrices(q, beta))
+    beta = list(Bs) + [np.zeros((q, q), dtype=object)] * (1 + r - len(Bs))
+    return semidirect_lcp(h, hm, OrthoRep(q, beta))
 
 
 def almab_lcp(A, B, h_metric: Optional[Metric] = None) -> LCPStructure:
@@ -204,8 +220,7 @@ def flag_lcp(A, B1, B2, v) -> LCPStructure:
     _check_blocks(A, {"B1": B1, "B2": B2}, 2)
     if ex.is_zero(B2):
         raise B2Zero("B2 must be nonzero")
-    if not ex.is_zero(ex.dot(B1, B2) - ex.dot(B2, B1)):
-        raise NonCommutingPair("[B1, B2] must vanish")
+    # [B1, B2] = 0 is the commutation check of OrthoRep.validate
     # ad_b on the basis y, x_1..x_p of R y + R^p
     M = ex.block_diag(ex.rzeros((1, 1)), A)
     M[1:, 0] = v
@@ -309,22 +324,26 @@ class Decomposition:
 
 
 def decompose(S: LCPStructure) -> Decomposition:
-    """Reverse of the semidirect construction, using h = u-perp."""
+    """Reverse of the semidirect construction, using h = u-perp, on the
+    integer forms hb / dh and ub / du of the canonical bases, c = cc / e,
+    G = gg / dg and theta = t / dt."""
     if S.flat.dim == 0:
         raise LcpError("cannot decompose a degenerate structure")
     L, G, theta, U = S.algebra, S.metric, S.theta, S.flat
     perp = U.orthogonal_complement(G)
-    hb, ub = perp.basis, U.basis
-    h = L.restrict(hb)
-    h_metric = G.restrict(hb)
-    u_gram = ex.dot(ub.T, ex.dot(G.gram, ub))
-    q = U.dim
-    # ad_x|_u for every basis vector x of h, from one bracket matrix and one solve
-    ad_u = ex.solve(ub, L.brackets(hb, ub))
-    if ad_u is None:
+    (hb, dh), (ub, du) = perp.scaled_basis, U.scaled_basis
+    (gg, dg), (t, dt) = G.scaled_gram, theta.scaled_coeffs
+    h = L.restrict(perp.scaled_basis)
+    # ad_x|_u for every basis vector x of h, from one bracket matrix and
+    # one solve: ub X = int_brackets(hb, ub), and ad_u = X / (dh e)
+    sol = ex.int_solve(ub, L.int_brackets(hb, ub))
+    if sol is None:
         raise LcpError("flat space is not ad-invariant")
-    ad_u = ad_u.reshape(q, perp.dim, q)
-    images = tuple(ad_u[:, a, :] - theta(hb[:, a]) * ex.reye(q) for a in range(perp.dim))
-    beta = OrthoRep(q, images)
-    beta.validate(h, gram=u_gram)
-    return Decomposition(h, h_metric, beta, hb, ub, u_gram)
+    (x, d), e, q = sol, L.scaled_c[1], U.dim
+    # beta(x_a) = ad_u[a] - theta(x_a) Id over d dh e dt, theta(x_a) = t.hb_a / (dt dh)
+    images = x.reshape(q, perp.dim, q).transpose(1, 0, 2) * dt
+    images[:, range(q), range(q)] -= (t.dot(hb) * (d * e))[:, None]
+    beta, ug = OrthoRep(q, (images, d * dh * e * dt)), ub.T.dot(gg).dot(ub)
+    beta.validate(h, gram=ug)
+    u_gram = ex.unscaled(ug, dg * du * du)
+    return Decomposition(h, G.restrict(perp.scaled_basis), beta, perp.basis, U.basis, u_gram)

@@ -50,21 +50,23 @@ search, verification and the structural audit eliminate and multiply
 these integers; none of them make a Fraction unless it is returned.
 
 Eliminations run on the same integers: one fraction-free Gauss-Jordan
-pass (Bareiss, :func:`_eliminate`) sits under :func:`rref`, :func:`det`,
-:func:`rank`, every kernel, column span, inverse and span test, and zero rows
-are dropped before it.  An echelon form, a kernel and a span do not
-depend on the scale of the matrix, so the ``int_`` kernels
-(:func:`int_nullspace`, :func:`int_column_space`, :func:`int_inv`,
-:func:`int_span_contains`, :func:`int_intersect_columns`) take integer
-matrices as they are and hand their result on as a reduced integer
-form; :func:`nullspace`, :func:`solve` and :func:`inv` scale Fractions
-in and unscale the result, and ``Subspace`` wraps the column spans and
-intersections as they come.  A span test is one elimination of
-``[basis | other]`` that checks that no pivot lands in ``other``.  The
-characteristic polynomial is one Berkowitz pass on the same integers
-(:func:`int_charpoly_coeffs`): division-free, so every coefficient is
-exact as computed and nothing is asserted of a quotient; ``intpoly`` and
-the lattice plan share it for integer matrices.
+pass (Bareiss, :func:`_eliminate`) sits under every kernel, column span,
+inverse and span test, and zero rows are dropped before it.  An echelon
+form, a kernel and a span do not depend on the scale of the matrix, so
+the ``int_`` kernels (:func:`int_nullspace`, :func:`int_column_space`,
+:func:`int_inv`, :func:`int_solve`, :func:`int_span_contains`,
+:func:`int_intersect_columns`) take integer matrices as they are and
+hand their result on as a reduced integer form, and ``Subspace`` wraps
+the column spans and intersections as they come.  A span test is one
+elimination of ``[basis | other]`` that checks that no pivot lands in
+``other``.  The characteristic polynomial is one Berkowitz pass on the
+same integers (:func:`int_charpoly_coeffs`): division-free, so every
+coefficient is exact as computed and nothing is asserted of a quotient;
+``intpoly`` and the lattice plan share it for integer matrices.
+
+The package eliminates with these alone; :func:`rref`, :func:`nullspace`,
+:func:`solve`, :func:`det` and :func:`charpoly` scale ``Fraction`` arrays
+in and out of the same passes, for callers that hold entries.
 """
 
 from __future__ import annotations
@@ -113,13 +115,6 @@ def rmat(rows) -> np.ndarray:
 def rzeros(shape) -> np.ndarray:
     m = np.empty(shape, dtype=object)
     m[...] = ZERO
-    return m
-
-
-def reye(n: int) -> np.ndarray:
-    m = rzeros((n, n))
-    for i in range(n):
-        m[i, i] = ONE
     return m
 
 
@@ -284,10 +279,6 @@ def int_dot(a, b):
     return python_ints(ia.dot(ib))
 
 
-def to_float(a) -> np.ndarray:
-    return np.asarray(a, dtype=object).astype(np.float64)
-
-
 def _int_rows(rows, ncols: int) -> np.ndarray:
     """Object array of Python ints from a list of equal-length int lists."""
     out = np.empty((len(rows), ncols), dtype=object)
@@ -345,10 +336,6 @@ def rref(m: np.ndarray):
     return r, pivots
 
 
-def rank(m: np.ndarray) -> int:
-    return len(_eliminate(scaled(m)[0])[1])
-
-
 def int_nullspace(ints: np.ndarray) -> tuple:
     """:func:`nullspace` of an integer matrix, as its reduced integer form
     ``(basis, den)``; the kernel does not depend on the scale of ``ints``."""
@@ -366,11 +353,6 @@ def int_nullspace(ints: np.ndarray) -> tuple:
 def nullspace(m: np.ndarray) -> np.ndarray:
     """Basis (columns) of the right kernel, canonical given the RREF."""
     return unscaled(*int_nullspace(scaled(m)[0]))
-
-
-def left_nullspace(m: np.ndarray) -> np.ndarray:
-    """Matrix Q (rows) with Q m = 0 and rank(Q) = rows - rank(m)."""
-    return nullspace(m.T).T
 
 
 def int_solve(a: np.ndarray, b: np.ndarray):
@@ -418,12 +400,6 @@ def int_inv(ints: np.ndarray) -> tuple:
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return reduced(_int_rows([row[n:] for row in rows], n), d)
-
-
-def inv(a: np.ndarray) -> np.ndarray:
-    ints, den = scaled(a)
-    inv_ints, d = int_inv(ints)
-    return unscaled(inv_ints * den, d)
 
 
 def det(a: np.ndarray) -> Fraction:
@@ -489,12 +465,6 @@ def int_is_pos_def(ints) -> bool:
             rows[i] = [(p * x - a * y) // d for x, y in zip(rows[i], prow)]
         d = p
     return True
-
-
-def is_pos_def(g: np.ndarray) -> bool:
-    """Sylvester's criterion for a symmetric rational matrix: the pass of
-    :func:`int_is_pos_def` on its integer numerators."""
-    return int_is_pos_def(scaled(g)[0])
 
 
 def int_charpoly_coeffs(ints) -> list:

@@ -260,8 +260,9 @@ class LatticeWitness:
 def _jordan_types(ints, roots) -> dict:
     """The Jordan block sizes of the integer matrix at each eigenvalue k
     of ``roots`` (pairs ``(k, multiplicity)``), largest first: with N_j the
-    nullity of (ints - k)^j, N_j - N_(j-1) blocks have size >= j.  A
-    simple root is one block of size 1, read off with no rank."""
+    nullity of (ints - k)^j (the size of its integer kernel), N_j - N_(j-1)
+    blocks have size >= j.  A simple root is one block of size 1, read off
+    with no kernel."""
     n = ints.shape[0]
     eye = np.eye(n, dtype=int).astype(object)
     out = {}
@@ -269,7 +270,7 @@ def _jordan_types(ints, roots) -> dict:
         power, nullity = eye, [0] if mult > 1 else [0, 1]
         while nullity[-1] < mult:
             power = (ints - k * eye).dot(power)
-            nullity.append(n - ex.rank(power))
+            nullity.append(ex.int_nullspace(power)[0].shape[1])
         at_least = [b - a for a, b in zip(nullity, nullity[1:])]
         out[k] = [sum(1 for x in at_least if x >= i) for i in range(1, at_least[0] + 1)]
     return out

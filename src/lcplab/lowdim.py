@@ -32,7 +32,7 @@ from .algebra import (
     audit_algebra,
 )
 from .detect import LCPStructure, classify, maximal_flat_parallel, structural_audit, verify_lcp
-from .errors import ParamOutOfRange, SingularMatrix, UnknownName
+from .errors import DimensionMismatch, ParamOutOfRange, SingularMatrix, UnknownName
 from .fixtures import _params_str, witness_specs_from_fixtures
 from .intpoly import int_spectrum
 from .lattice import cited_certificate, lattice_verdict
@@ -406,7 +406,7 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
     for term in ds:
         if term.dim == 0:
             break
-        sub = L.restrict(term.basis)
+        sub = L.restrict(term.scaled_basis)
         if sub.is_nilpotent():
             max_nil = max(max_nil, term.dim)
     pres = almost_abelian_presentation(L, Metric.identity(L.dim))
@@ -424,13 +424,16 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
 
 def check_isomorphism_witness(L1: LieAlgebra, L2: LieAlgebra, P: np.ndarray) -> bool:
     """True iff P [x,y]_1 = [Px, Py]_2 on all basis pairs, exactly: column
-    i n + j of both contractions holds the two sides at (e_i, e_j)."""
+    i n + j of both contractions holds the two sides at (e_i, e_j), on the
+    integer forms P = pp / dp and c_k = cc_k / e_k."""
     if L1.dim != L2.dim or P.shape != (L1.dim, L1.dim):
-        raise SingularMatrix("witness must be square of matching size")
-    if ex.det(P) == 0:
+        raise DimensionMismatch("witness must be square of matching size")
+    pp, dp = ex.scaled(P)
+    if ex.int_nullspace(pp)[0].shape[1]:
         raise SingularMatrix("witness matrix is singular")
     n = L1.dim
-    return bool((ex.dot(P, L1.c.reshape(n * n, n).T) == L2.brackets(P, P)).all())
+    (c1, e1), e2 = L1.scaled_c, L2.scaled_c[1]
+    return bool((pp.dot(c1.reshape(n * n, n).T) * (dp * e2) == L2.int_brackets(pp, pp) * e1).all())
 
 
 # ---------------------------------------------------------------------------

@@ -54,16 +54,6 @@ class Connection:
         ix, dx = ex.scaled(x)
         return ex.unscaled(ix.dot(self.g.reshape(n, n * n)), dx * self.d).reshape(n, n)
 
-    def torsion_defect(self, L: LieAlgebra):
-        """First basis pair where nabla_x y - nabla_y x != [x, y]."""
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = self.gamma[i][:, j] - self.gamma[j][:, i] - L.c[i, j, :]
-                if not ex.is_zero(d):
-                    return (i, j)
-        return None
-
 
 def levi_civita(L: LieAlgebra, G: Metric) -> Connection:
     """The Levi-Civita connection: the Weyl connection of theta = 0."""
@@ -184,12 +174,3 @@ def weyl_geometry(L: LieAlgebra, G: Metric, theta: OneForm) -> tuple[Connection,
 
     return memoised(L, "_weyl_geometry", (G.key, theta.key), make)
 
-
-def skew_defect(G: Metric, m: np.ndarray):
-    """G m + m^T G, the obstruction to m being G-skew-symmetric."""
-    gm = ex.dot(G.gram, m)
-    return gm + gm.T
-
-
-def is_g_skew(G: Metric, m: np.ndarray) -> bool:
-    return ex.is_zero(skew_defect(G, m))

@@ -1,4 +1,4 @@
-"""Seeded random generators of exact rational test inputs.
+"""Test helpers: seeded random exact inputs and Fraction-array references.
 
 Random Lie algebras are drawn from families where the Jacobi identity
 holds by construction (almost abelian, semidirect sums, nilpotent
@@ -6,6 +6,10 @@ two-step), since arbitrary random structure constants are essentially
 never Lie algebras.  Metrics are A^T A + I for a random small-entry A,
 which is positive definite by construction; Lee forms are random
 covectors annihilating the derived algebra.
+
+The references compute on ``Fraction`` arrays, apart from the integer
+forms lcplab itself computes on: ranks, inverses, annihilators,
+definiteness, ad-matrices, skewness and torsion as the tests read them.
 """
 
 from __future__ import annotations
@@ -15,8 +19,80 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exact as ex
-from .algebra import LieAlgebra, Metric, OneForm
+from lcplab import exact as ex
+from lcplab.algebra import LieAlgebra, Metric, OneForm
+
+
+# ---------------------------------------------------------------------------
+# Fraction-array references
+# ---------------------------------------------------------------------------
+
+
+def reye(n: int) -> np.ndarray:
+    m = ex.rzeros((n, n))
+    for i in range(n):
+        m[i, i] = ex.ONE
+    return m
+
+
+def rank(m) -> int:
+    return len(ex.rref(m)[1])
+
+
+def left_nullspace(m) -> np.ndarray:
+    """Matrix Q (rows) with Q m = 0 and rank(Q) = rows - rank(m)."""
+    return ex.nullspace(m.T).T
+
+
+def inv(a) -> np.ndarray:
+    ints, den = ex.scaled(a)
+    inv_ints, d = ex.int_inv(ints)
+    return ex.unscaled(inv_ints * den, d)
+
+
+def to_float(a) -> np.ndarray:
+    return np.asarray(a, dtype=object).astype(np.float64)
+
+
+def is_pos_def(g) -> bool:
+    """Sylvester's criterion for a symmetric rational matrix, on its
+    integer numerators."""
+    return ex.int_is_pos_def(ex.scaled(g)[0])
+
+
+def ad_basis(L: LieAlgebra) -> tuple:
+    """ad_{e_i} as views of c; column j is [e_i, e_j]."""
+    return tuple(L.c[i, :, :].T for i in range(L.dim))
+
+
+def norm_sq(G: Metric, x) -> Fraction:
+    return G.inner(x, x)
+
+
+def skew_defect(G: Metric, m: np.ndarray):
+    """G m + m^T G, the obstruction to m being G-skew-symmetric."""
+    gm = ex.dot(G.gram, m)
+    return gm + gm.T
+
+
+def is_g_skew(G: Metric, m: np.ndarray) -> bool:
+    return ex.is_zero(skew_defect(G, m))
+
+
+def torsion_defect(conn, L: LieAlgebra):
+    """First basis pair where nabla_x y - nabla_y x != [x, y], or None."""
+    n = conn.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = conn.gamma[i][:, j] - conn.gamma[j][:, i] - L.c[i, j, :]
+            if not ex.is_zero(d):
+                return (i, j)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# seeded random inputs
+# ---------------------------------------------------------------------------
 
 
 def rng(seed: int) -> random.Random:
@@ -32,7 +108,7 @@ def random_metric(r: random.Random, n: int) -> Metric:
     for i in range(n):
         for j in range(n):
             a[i, j] = Fraction(r.randint(-1, 1), r.randint(1, 2))
-    return Metric(a.T.dot(a) + ex.reye(n))
+    return Metric(a.T.dot(a) + reye(n))
 
 
 def random_almost_abelian(r: random.Random, n: int, trace_free: bool = False) -> LieAlgebra:
@@ -82,7 +158,7 @@ def random_algebra(r: random.Random, n: int) -> LieAlgebra:
 def random_closed_form(r: random.Random, L: LieAlgebra) -> OneForm:
     """Random nonzero 1-form vanishing on g' (hence closed); None when g'
     is the whole algebra."""
-    ann = ex.left_nullspace(L.derived_algebra.basis)
+    ann = left_nullspace(L.derived_algebra.basis)
     if ann.shape[0] == 0:
         return None
     for _ in range(64):

@@ -50,14 +50,21 @@ from lcplab.lowdim import (
     table_algebra,
     verify_table,
 )
-from lcplab.randgen import (
+from lcplab.weyl import weyl_connection
+from support import (
+    is_g_skew,
+    is_pos_def,
+    left_nullspace,
+    norm_sq,
     random_algebra,
     random_closed_form,
     random_metric,
     random_skew,
+    reye,
     rng,
+    to_float,
+    torsion_defect,
 )
-from lcplab.weyl import is_g_skew, weyl_connection
 
 GOLDEN = Path(__file__).parent / "data" / "golden_tables.txt"
 
@@ -103,7 +110,7 @@ def _random_beta(r, h, q):
     while ex.is_zero(skew):
         skew = random_skew(r, q)
     images = []
-    e = ex.reye(h.dim)
+    e = reye(h.dim)
     for i in range(h.dim):
         if der.contains(e[:, i]):
             images.append(ex.rzeros((q, q)))
@@ -146,9 +153,9 @@ def test_criterion_1_connection_laws():
         if theta is None:
             continue
         w = weyl_connection(L, G, theta)
-        ok = ok and w.torsion_defect(L) is None
+        ok = ok and torsion_defect(w, L) is None
         ok = ok and all(
-            is_g_skew(G, w.gamma[i] - theta.coeffs[i] * ex.reye(n)) for i in range(n)
+            is_g_skew(G, w.gamma[i] - theta.coeffs[i] * reye(n)) for i in range(n)
         )
         w2 = weyl_connection(L, G.scaled(F(5, 2)), theta)
         ok = ok and all(np.array_equal(a, b) for a, b in zip(w.gamma, w2.gamma))
@@ -310,7 +317,7 @@ def test_criterion_9_amalgam_pipeline():
     t3 = math.log((3 + math.sqrt(5)) / 2)
     sol = amalgam_lattice(t3, 1, t3, 1)
     ok = ok and sol is not None and sol["k1"] == 1 and sol["k2"] == 1
-    c_norm = ex.to_float(pres.matrix) / math.sqrt(float(pres.b_norm_sq))
+    c_norm = to_float(pres.matrix) / math.sqrt(float(pres.b_norm_sq))
     defect = integer_defect(charpoly_coeffs(exp_ad(c_norm, sol["t"])))
     ok = ok and defect <= 1e-9
     _report(9, "amalgamated product and its lattice rescaling", ok)
@@ -328,12 +335,12 @@ def test_criterion_10_metric_families():
     done = 0
     while done < 50:
         lam = F(r.randint(-3, 12), r.randint(1, 4))
-        if 1 + lam * G.norm_sq(G.sharp(theta)) <= 0:
+        if 1 + lam * norm_sq(G, G.sharp(theta)) <= 0:
             continue
         s2 = metric_modification(s, lam)
         ok = ok and s2.flat == u and s2.verify().passed
         done += 1
-    annihilator = ex.left_nullspace(u.basis)
+    annihilator = left_nullspace(u.basis)
     done = 0
     while done < 50:
         k = annihilator.shape[0]
@@ -344,7 +351,7 @@ def test_criterion_10_metric_families():
                 sym[i, j] = v
                 sym[j, i] = v
         gram = G.gram + annihilator.T.dot(sym).dot(annihilator)
-        if not ex.is_pos_def(gram):
+        if not is_pos_def(gram):
             continue
         ok = ok and verify_lcp(L, Metric(gram), theta, u).passed
         done += 1

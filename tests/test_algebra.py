@@ -19,13 +19,16 @@ from lcplab.algebra import (
     subspace_predicates,
     trace_form,
 )
-from lcplab.errors import InvalidStructure, NotPositiveDefinite
+from lcplab.errors import DimensionMismatch, InvalidStructure, NotPositiveDefinite
 from lcplab.lowdim import SAMPLES, table_algebra
-from lcplab.randgen import (
+from support import (
+    inv,
+    norm_sq,
     random_algebra,
     random_almost_abelian,
     random_metric,
     random_two_step_nilpotent,
+    reye,
     rng,
     small_fraction,
 )
@@ -123,6 +126,23 @@ def test_subspace_canonical_equality():
     assert a != Subspace.spanned_by([[1, 0, 0]])
 
 
+def test_subspace_refuses_vectors_of_another_length():
+    with pytest.raises(DimensionMismatch):
+        Subspace.spanned_by([[1, 0, 0]], ambient_dim=4)
+    with pytest.raises(DimensionMismatch):
+        Subspace.spanned_by([[1, 0, 0], [0, 1]])
+    assert Subspace.spanned_by([[1, 0, 0]], ambient_dim=3) == Subspace.spanned_by([[2, 0, 0]])
+    assert Subspace.spanned_by([], ambient_dim=4).ambient_dim == 4
+
+
+def test_subspace_contains_refuses_vectors_of_another_length():
+    u = Subspace.spanned_by([[1, 1, 0]])
+    for v in ([1, 1], [1, 1, 0, 0], ex.rvec([1, 1, 0, 0])):
+        with pytest.raises(DimensionMismatch):
+            u.contains(v)
+    assert u.contains([2, 2, 0]) and not u.contains(ex.rvec([1, 0, 0]))
+
+
 def test_subspace_predicates_e11():
     L, G = e11(), Metric.identity(3)
     rep = subspace_predicates(L, G, Subspace.spanned_by([[0, 0, 1]]))
@@ -192,7 +212,7 @@ def reference_primitive(v):
 def reference_presentation(L, G, ideal):
     """The presentation from its ideal, all in Fractions."""
     b = reference_primitive(ideal.orthogonal_complement(G).basis[:, 0])
-    nsq = G.norm_sq(b)
+    nsq = norm_sq(G, b)
     root = F(math.isqrt(nsq.numerator), math.isqrt(nsq.denominator))
     unit = root * root == nsq
     if unit and nsq != 1:
@@ -233,12 +253,12 @@ def test_primitive_big_denominators():
     # that of v, and b.G.b = d (b / v)^2
     L = table_algebra("e(1,1)+R")
     for d, unit, b in ((2, False, want), (F(4, 9), True, F(3, 2) * v), (1, True, v)):
-        D = ex.reye(4)
+        D = reye(4)
         D[0, 0] = ex.rat(d)
         for w in (v, -v):
-            P = ex.reye(4)
+            P = reye(4)
             P[:, 0] = w
-            Pi = ex.inv(P)
+            Pi = inv(P)
             p = check_against_reference(L, Metric(ex.dot(ex.dot(Pi.T, D), Pi)))
             assert p.unit == unit and list(p.b) == list(b)
 
@@ -281,7 +301,7 @@ def test_presentation_matches_fraction_reference(seed, n, kind, square):
     # rescale G so that the primitive b has norm square square^2: the
     # complement, so b, does not change with the scale of G
     b0 = reference_primitive(p.ideal.orthogonal_complement(G).basis[:, 0])
-    G2 = G.scaled(square * square / G.norm_sq(b0))
+    G2 = G.scaled(square * square / norm_sq(G, b0))
     p2 = check_against_reference(L, G2)
     assert p2.unit and p2.b_norm_sq == 1
 
@@ -304,7 +324,7 @@ def test_metric_validation():
     with pytest.raises(NotPositiveDefinite):
         Metric(ex.rmat([[1, 2], [2, 1]]))
     g = Metric(ex.rmat([[2, 1], [1, 2]]))
-    assert g.norm_sq(ex.rvec([1, 0])) == 2
+    assert norm_sq(g, ex.rvec([1, 0])) == 2
     th = OneForm.dual(2, 0)
     assert th(g.sharp(th)) == g.inverse[0, 0]
 

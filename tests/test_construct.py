@@ -40,11 +40,14 @@ from lcplab.errors import (
     UnimodularInput,
 )
 from lcplab.lowdim import check_isomorphism_witness, table_algebra
-from lcplab.randgen import (
+from support import (
+    ad_basis,
+    inv,
     random_algebra,
     random_almost_abelian,
     random_metric,
     random_skew,
+    reye,
     rng,
     small_fraction,
 )
@@ -66,7 +69,7 @@ def test_semidirect_gives_e11():
     assert is_unimodular(s.algebra)
     assert audit_algebra(s.algebra).solvable
     # matches the catalog row on the nose
-    assert check_isomorphism_witness(s.algebra, table_algebra("e(1,1)"), ex.reye(3))
+    assert check_isomorphism_witness(s.algebra, table_algebra("e(1,1)"), reye(3))
 
 
 def test_semidirect_rejects_unimodular():
@@ -106,7 +109,7 @@ def test_orthorep_validation():
 def ref_validate(beta, h, gram=None):
     """The error :meth:`OrthoRep.validate` must raise, or None, from
     ``Fraction`` products image by image and pair by pair."""
-    g = ex.reye(beta.dim_target) if gram is None else gram
+    g = reye(beta.dim_target) if gram is None else gram
     for m in beta.images:
         gm = g.dot(m)
         if not ex.is_zero(gm + gm.T):
@@ -125,7 +128,7 @@ def ref_validate(beta, h, gram=None):
 def _random_rep(r, k, q, gram):
     """k images on R^q: zero, multiples of one G-skew matrix (they
     commute), other G-skew matrices, or matrices with no symmetry."""
-    ginv = ex.inv(gram)
+    ginv = inv(gram)
     base = ginv.dot(random_skew(r, q))
     images = []
     for _ in range(k):
@@ -149,7 +152,7 @@ def test_orthorep_validation_matches_image_by_image_checks():
         # h' lies in span(e_2, ..); with images past e_1 zero, beta vanishes on it
         h = random_almost_abelian(r, k) if r.random() < 0.7 else LieAlgebra.abelian(k)
         G = random_metric(r, q) if r.random() < 0.5 else None
-        beta = _random_rep(r, k, q, ex.reye(q) if G is None else G.gram)
+        beta = _random_rep(r, k, q, reye(q) if G is None else G.gram)
         if r.random() < 0.5:
             beta = OrthoRep(q, beta.images[:1] + tuple(ex.rzeros((q, q)) for _ in range(k - 1)))
         gram = None if G is None else G.gram
@@ -167,7 +170,7 @@ def test_almab_examples():
     s = almab_lcp([[1]], [[0, -1], [1, 0]])
     assert s.algebra.dim == 4 and s.flat.dim == 2
     # ad_b on the flat factor is B - (tr A / q) Id
-    block = ex.solve(s.flat.basis, s.algebra.ad_basis[0].dot(s.flat.basis))
+    block = ex.solve(s.flat.basis, ad_basis(s.algebra)[0].dot(s.flat.basis))
     assert np.array_equal(block, ex.rmat([[F(-1, 2), -1], [1, F(-1, 2)]]))
     assert s.theta.coeffs[0] == F(-1, 2)
     s2 = almab_lcp([[1]], ex.rzeros((3, 3)))
@@ -182,7 +185,7 @@ def test_almab_matches_g46_family():
     # A = [-2], q = 2, B = [[0,1],[-1,0]] lands on the catalog row at p = 1
     s = almab_lcp([[-2]], [[0, 1], [-1, 0]])
     L2 = table_algebra("g_{4.6}^{-2p,p}", {"p": 1})
-    assert check_isomorphism_witness(s.algebra, L2, ex.reye(4))
+    assert check_isomorphism_witness(s.algebra, L2, reye(4))
     # A = [1], q = 2, B = J reaches the same family at p = 1/2 through the
     # sign flip b -> -e1
     s2 = almab_lcp([[1]], [[0, -1], [1, 0]])
@@ -352,7 +355,7 @@ def test_rebuild_from_decomposition_any_metric():
         for i in range(2):
             for j in range(2):
                 a[i, j] = F(r.randint(-1, 1), r.randint(1, 2))
-        new_metric = Metric(a.T.dot(a) + ex.reye(2))
+        new_metric = Metric(a.T.dot(a) + reye(2))
         rebuilt = semidirect_lcp(dec.h, new_metric, dec.beta)
         assert rebuilt.verify().passed
         assert is_unimodular(rebuilt.algebra)
@@ -382,7 +385,7 @@ def test_block_checks_keep_their_messages():
     with pytest.raises(DimensionMismatch, match=r"^v must lie in R\^p$"):
         flag_lcp([[1]], ex.rzeros((2, 2)), rot, [0, 0])
     with pytest.raises(NotSkew, match="^B1, B2 must be skew-symmetric$"):
-        flag_lcp([[1]], ex.reye(2), rot, [0])
+        flag_lcp([[1]], reye(2), rot, [0])
 
 
 def test_structures_past_the_envelope_are_refused_before_assembly(monkeypatch):
@@ -392,7 +395,7 @@ def test_structures_past_the_envelope_are_refused_before_assembly(monkeypatch):
         raise AssertionError("assembled past the envelope")
 
     monkeypatch.setattr(construct, "_semidirect_c", no_assembly)
-    A, B = ex.reye(9), ex.rzeros((9, 9))
+    A, B = reye(9), ex.rzeros((9, 9))
     with pytest.raises(EnvelopeExceeded, match="dim <= 16, got 19"):
         almab_lcp(A, B)
     with pytest.raises(EnvelopeExceeded, match="got 20"):
@@ -430,16 +433,16 @@ def ref_semidirect(h, h_metric, beta):
     m, q = h.dim, beta.dim_target
     c = ref_block_diag(h.c, ex.rzeros((q, q, q)))
     for i in range(m):
-        alpha_i = -(H[i] / q) * ex.reye(q) + beta.images[i]
+        alpha_i = -(H[i] / q) * reye(q) + beta.images[i]
         for j in range(q):
             for k in range(q):
                 c[i, m + j, m + k] = alpha_i[k, j]
                 c[m + j, i, m + k] = -alpha_i[k, j]
     return (
         c,
-        ref_block_diag(h_metric.gram, ex.reye(q)),
+        ref_block_diag(h_metric.gram, reye(q)),
         ref_block_diag(-H / q, ex.rzeros(q)),
-        ref_block_diag(ex.rzeros((m, 0)), ex.reye(q)),
+        ref_block_diag(ex.rzeros((m, 0)), reye(q)),
     )
 
 

@@ -25,7 +25,16 @@ from lcplab.errors import (
     PreconditionViolated,
     ZeroLeeForm,
 )
-from lcplab.randgen import random_algebra, random_closed_form, random_metric, rng, small_fraction
+from support import (
+    is_pos_def,
+    left_nullspace,
+    random_algebra,
+    random_closed_form,
+    random_metric,
+    reye,
+    rng,
+    small_fraction,
+)
 
 
 def e11():
@@ -109,7 +118,7 @@ def test_monotonicity_coordinate_subspaces():
         n = L.dim
         for k in range(1, n + 1):
             for idx in combinations(range(n), k):
-                basis = ex.reye(n)[:, list(idx)]
+                basis = reye(n)[:, list(idx)]
                 if verify_lcp(L, G, theta, Subspace(basis)).passed:
                     assert mx.contains_space(Subspace(basis))
 
@@ -152,7 +161,7 @@ def test_metric_agreeing_on_flat_preserves_verification():
     # any metric agreeing with g on pairings against u keeps u verified
     L, G, th = e11(), Metric.identity(3), theta_e11()
     u = maximal_flat_parallel(L, G, th)
-    q = ex.left_nullspace(u.basis)  # rows annihilating u
+    q = left_nullspace(u.basis)  # rows annihilating u
     r = rng(19)
     for _ in range(10):
         s = ex.rzeros((q.shape[0], q.shape[0]))
@@ -162,7 +171,7 @@ def test_metric_agreeing_on_flat_preserves_verification():
                 s[i, j] = v
                 s[j, i] = v
         gram = G.gram + q.T.dot(s).dot(q)
-        if not ex.is_pos_def(gram):
+        if not is_pos_def(gram):
             continue
         assert verify_lcp(L, Metric(gram), th, u).passed
 
@@ -172,7 +181,7 @@ def test_random_solvable_unimodular_detection_consistency():
     # (eigenvalue block matching theta(b), any metric on the complement):
     # the detector must find it and the structural theory must hold.
     # inputs are built by hand here, independently of the constructors.
-    from lcplab.randgen import random_metric, random_skew, small_fraction
+    from support import random_metric, random_skew, small_fraction
 
     r = rng(71)
     nonzero = 0
@@ -188,7 +197,7 @@ def test_random_solvable_unimodular_detection_consistency():
             a[0, 0] = a[0, 0] + 1
             tr = tr + 1
         lam = -tr / q
-        block = lam * ex.reye(q) + random_skew(r, q)
+        block = lam * reye(q) + random_skew(r, q)
         brackets = {}
         for j in range(p):
             brackets[(0, 1 + j)] = np.concatenate([ex.rzeros(1), a[:, j], ex.rzeros(q)])
@@ -199,7 +208,7 @@ def test_random_solvable_unimodular_detection_consistency():
         L = LieAlgebra.from_brackets(n, brackets)
         gram = ex.rzeros((n, n))
         gram[: 1 + p, : 1 + p] = random_metric(r, 1 + p).gram
-        gram[1 + p:, 1 + p:] = ex.reye(q)
+        gram[1 + p:, 1 + p:] = reye(q)
         G = Metric(gram)
         # theta = lam * (dual of b): closed since brackets land in the ideal
         theta = OneForm.dual(n, 0, lam)
@@ -353,7 +362,7 @@ def test_subalgebra_trace_form_matches_restrict_reference(seed):
     r = rng(seed)
     n = r.randint(2, 6)
     m, extra, ideal = r.randint(2, n), r.randint(0, 2), r.random() < 0.8
-    p = ex.reye(n)
+    p = reye(n)
     for i in range(n):
         for j in range(i + 1, n):
             p[i, j] = small_fraction(r, 2, 3)

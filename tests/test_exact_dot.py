@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab.algebra import LieAlgebra, Subspace
-from lcplab.randgen import (
+from support import (
     random_algebra,
     random_closed_form,
     random_metric,
+    reye,
     rng,
     small_fraction,
 )
@@ -225,7 +226,7 @@ def test_ad_and_bracket_span_match_references(n):
         got = L.bracket_span(Subspace(u, n), Subspace(v))
         assert got == want and np.array_equal(got.basis, want.basis)
     full = Subspace.full(n)
-    assert L.bracket_span(full, full) == ref_bracket_span(L, ex.reye(n), ex.reye(n))
+    assert L.bracket_span(full, full) == ref_bracket_span(L, reye(n), reye(n))
 
 
 @pytest.mark.parametrize("n", range(3, 11))

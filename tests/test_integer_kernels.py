@@ -28,8 +28,16 @@ from lcplab.algebra import LieAlgebra, Metric, OneForm, Subspace
 from lcplab.construct import almab_lcp, metric_modification
 from lcplab.detect import LCPStructure, maximal_flat_parallel, structural_audit, verify_lcp
 from lcplab.errors import InvalidStructure
-from lcplab.randgen import random_algebra, random_closed_form, random_metric, rng, small_fraction
 from lcplab.weyl import Connection, curvature, levi_civita, weyl_connection, weyl_geometry
+from support import (
+    random_algebra,
+    random_closed_form,
+    random_metric,
+    rank,
+    reye,
+    rng,
+    small_fraction,
+)
 from test_exact_dot import ref_bracket_span, ref_jacobi_defect
 from test_weyl import koszul_oracle
 
@@ -56,7 +64,7 @@ def ref_levi_civita(L, G):
 def ref_weyl_connection(L, G, theta):
     t = theta.coeffs
     sharp = G.inverse.dot(t)
-    eye = ex.reye(L.dim)
+    eye = reye(L.dim)
     return [
         g + t[i] * eye + np.outer(eye[:, i], t) - np.outer(sharp, G.gram[i])
         for i, g in enumerate(ref_levi_civita(L, G))
@@ -94,7 +102,7 @@ def ref_centraliser(L, u):
 
 
 def ref_series(L, step):
-    terms = [ex.reye(L.dim)]
+    terms = [reye(L.dim)]
     while terms[-1].shape[1] > 0:
         nxt = step(terms[-1]).basis
         if nxt.shape[1] == terms[-1].shape[1]:
@@ -107,7 +115,7 @@ def ref_centre_of_derived(L):
     """z(g') as d y with sum_j [d_j, d y] = 0: the kernel of the ad stack
     of the derived basis d, restricted to d."""
     n = L.dim
-    d = ref_bracket_span(L, ex.reye(n), ex.reye(n)).basis
+    d = ref_bracket_span(L, reye(n), reye(n)).basis
     k = d.shape[1]
     if k == 0:
         return Subspace.zero(n)
@@ -127,7 +135,7 @@ def test_brackets_and_spans_match_fraction_code(seed, n):
     v = _matrix(r, n, r.randint(1, 3))
     want = ref_brackets(L, u, v)
     assert same(L.brackets(u, v), want)
-    U, V, eye = Subspace(u), Subspace(v), ex.reye(n)
+    U, V, eye = Subspace(u), Subspace(v), reye(n)
     assert same_span(L.bracket_span(U, V), ref_bracket_span(L, u, v))
     assert same_span(L.centraliser(U), ref_centraliser(L, u))
     assert same_span(L.centre(), ref_centraliser(L, eye))
@@ -240,7 +248,7 @@ def _invertible(r, k):
     """A random invertible k x k rational matrix."""
     while True:
         t = _matrix(r, k, k)
-        if ex.rank(t) == k:
+        if rank(t) == k:
             return t
 
 
@@ -252,7 +260,7 @@ def test_value_objects_hold_the_scaled_forms_of_their_arrays(seed, n):
     G = random_metric(r, n)
     assert same_form(G.scaled_gram, G.gram)
     assert same_form(G.scaled_inverse, G.inverse)
-    assert np.array_equal(G.gram.dot(G.inverse), ex.reye(n))
+    assert np.array_equal(G.gram.dot(G.inverse), reye(n))
     U = Subspace(_matrix(r, n, r.randint(0, n)))
     for V in (U, U.orthogonal_complement(G)):
         assert same_form(V.scaled_basis, V.basis)

@@ -35,6 +35,7 @@ from lcplab.lattice import (
     no_lattice_codim2,
     no_lattice_double_root,
 )
+from support import inv, reye, to_float
 
 C_E11 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -371,7 +372,7 @@ def test_far_basis_float_twin_certifies_every_candidate():
     assert sum(c[i, i] for i in range(4)) == 0
     # the exact step decides the rational input; its float twin goes
     # through the scan and certification
-    c = ex.to_float(c)
+    c = to_float(c)
     assert len(integer_charpoly_scan(c, t_range=(0, 3))) == 18
     v = lattice_verdict(c, t_range=(0, 3))
     # trace of exp(t C) is m + 2 for the 2x2 witness E_m, m = 3..20
@@ -421,9 +422,9 @@ def _conjugated_hyperbolic(n):
     """P diag(1, -1, 0, ...) P^-1 on Fractions, P a near-identity basis."""
     d = ex.rzeros((n, n))
     d[0, 0], d[1, 1] = ex.ONE, -ex.ONE
-    p = ex.reye(n)
+    p = reye(n)
     p[0, 1], p[1, 2], p[2, 0] = Fraction(1, 4), Fraction(1, 8), Fraction(-1, 16)
-    return ex.dot(ex.dot(p, d), ex.inv(p))
+    return ex.dot(ex.dot(p, d), inv(p))
 
 
 def _conjugated_irrational(n, b=2):
@@ -432,9 +433,9 @@ def _conjugated_irrational(n, b=2):
     scan when sqrt(b) is irrational."""
     d = ex.rzeros((n, n))
     d[0, 1], d[1, 0] = ex.ONE, ex.rat(b)
-    p = ex.reye(n)
+    p = reye(n)
     p[0, 1], p[1, 2], p[2, 0] = Fraction(1, 4), Fraction(1, 8), Fraction(-1, 16)
-    return ex.dot(ex.dot(p, d), ex.inv(p))
+    return ex.dot(ex.dot(p, d), inv(p))
 
 
 def test_derogatory_irrational_input_certifies_every_candidate(monkeypatch):
@@ -445,7 +446,7 @@ def test_derogatory_irrational_input_certifies_every_candidate(monkeypatch):
     monkeypatch.setattr(kernels, "expm", lambda *a: pytest.fail("matrix exponential taken"))
     c = _conjugated_irrational(4)
     exact = lattice_verdict(c, t_range=(0.0, 3.0))
-    floats = lattice_verdict(ex.to_float(c), t_range=(0.0, 3.0))
+    floats = lattice_verdict(to_float(c), t_range=(0.0, 3.0))
     assert exact.status == "yes" and not any(w.exact for w in exact.witnesses)
     assert len(exact.witnesses) == len(integer_charpoly_scan(c, t_range=(0.0, 3.0)))
     assert [(w.t0, w.poly) for w in floats.witnesses] == [(w.t0, w.poly) for w in exact.witnesses]
@@ -487,12 +488,12 @@ def permuted_block_diagonal(draw, max_size=3):
     perm = draw(st.permutations(range(n)))
     d = ex.rmat([[d[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
     q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    low, up = ex.reye(n), ex.reye(n)
+    low, up = reye(n), reye(n)
     for i in range(n):
         for j in range(i):
             low[i, j], up[j, i] = draw(q), draw(q)
     p = ex.dot(low, up)
-    return d, ex.dot(ex.dot(p, d), ex.inv(p))
+    return d, ex.dot(ex.dot(p, d), inv(p))
 
 
 @settings(max_examples=40, deadline=None)
@@ -610,10 +611,10 @@ def test_rotations_one_to_two():
     for k, order in ((1, 4), (2, 2), (3, 4), (4, 1)):
         (w,) = [w for w in v.witnesses if abs(w.t0 - k * math.pi / 2) <= 1e-6]
         z = ex.rmat(w.integral_matrix)
-        powers = [ex.reye(4)]
+        powers = [reye(4)]
         for _ in range(4):
             powers.append(ex.dot(powers[-1], z))
-        assert [j for j in range(1, 5) if (powers[j] == ex.reye(4)).all()][0] == order
+        assert [j for j in range(1, 5) if (powers[j] == reye(4)).all()][0] == order
     for w in v.witnesses:
         assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
 
@@ -691,9 +692,9 @@ def _conjugated_blocks(blocks, reals=()):
         d[2 * i, 2 * i + 1], d[2 * i + 1, 2 * i] = -ex.rat(w), ex.rat(w)
     for i, x in enumerate(reals, start=2 * len(blocks)):
         d[i, i] = ex.rat(x)
-    p = ex.reye(n)
+    p = reye(n)
     p[0, 2], p[3, 1], p[4, 0], p[n - 1, 3] = Fraction(1, 2), Fraction(-1, 3), ex.ONE, Fraction(1, 4)
-    return ex.dot(ex.dot(p, d), ex.inv(p))
+    return ex.dot(ex.dot(p, d), inv(p))
 
 
 def _conjugated_complex6():

@@ -15,7 +15,7 @@ from lcplab.algebra import (
     trace_form,
 )
 from lcplab.construct import OrthoRep, semidirect_lcp
-from lcplab.errors import ParamOutOfRange, SingularMatrix, UnknownName
+from lcplab.errors import DimensionMismatch, ParamOutOfRange, SingularMatrix, UnknownName
 from lcplab.fixtures import witness_specs_from_fixtures
 from lcplab.lowdim import (
     NONUNIMODULAR_4D,
@@ -29,7 +29,7 @@ from lcplab.lowdim import (
     table_algebra,
     verify_table,
 )
-from lcplab.randgen import random_algebra, rng, small_fraction
+from support import ad_basis, inv, random_algebra, reye, rng, small_fraction
 
 
 def test_table_algebra_basic_rows():
@@ -38,7 +38,7 @@ def test_table_algebra_basic_rows():
     assert np.array_equal(e11.c[0, 2, :], ex.rvec([0, 0, -1]))
     g535 = table_algebra("g_{5.35}^{-2,0}")
     # [e5, e4] = -2 e4
-    assert np.array_equal(g535.ad_basis[4][:, 3], ex.rvec([0, 0, 0, -2, 0]))
+    assert np.array_equal(ad_basis(g535)[4][:, 3], ex.rvec([0, 0, 0, -2, 0]))
 
 
 def test_table_algebra_errors():
@@ -183,7 +183,7 @@ def rational_presentations(draw):
     p = ex.rmat([[draw(fractions) for _ in range(n)] for _ in range(n)])
     if ex.det(p) == 0:
         return b
-    return ex.dot(ex.dot(p, b), ex.inv(p))
+    return ex.dot(ex.dot(p, b), inv(p))
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,11 +202,19 @@ def test_isomorphism_witness():
     )
     p = ex.rmat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert check_isomorphism_witness(s.algebra, e11, p)
-    assert check_isomorphism_witness(e11, e11, ex.reye(3))
+    assert check_isomorphism_witness(e11, e11, reye(3))
     # a random invertible map is (essentially never) an isomorphism to abelian
-    assert not check_isomorphism_witness(e11, LieAlgebra.abelian(3), ex.reye(3))
+    assert not check_isomorphism_witness(e11, LieAlgebra.abelian(3), reye(3))
     with pytest.raises(SingularMatrix):
         check_isomorphism_witness(e11, e11, ex.rzeros((3, 3)))
+
+
+def test_isomorphism_witness_of_the_wrong_shape():
+    # a shape error, not a singular matrix
+    e11 = table_algebra("e(1,1)")
+    for L2, p in ((e11, reye(2)), (e11, ex.rzeros((3, 2))), (LieAlgebra.abelian(4), reye(3))):
+        with pytest.raises(DimensionMismatch):
+            check_isomorphism_witness(e11, L2, p)
 
 
 def _isomorphism_by_pairs(L1, L2, P):
@@ -227,11 +235,11 @@ def transported(draw):
     with [u, v]_2 = P [P^-1 u, P^-1 v]_1, so that P is an isomorphism."""
     n = draw(st.integers(2, 5))
     L1 = random_algebra(rng(draw(st.integers(0, 10**6))), n)
-    p = ex.reye(n)
+    p = reye(n)
     for _ in range(draw(st.integers(0, 2 * n))):
         i, j = draw(st.permutations(range(n)))[:2]
         p[i] = p[i] + draw(st.sampled_from([-1, 1])) * p[j]
-    pinv = ex.inv(p)
+    pinv = inv(p)
     c = ex.rzeros((n, n, n))
     for i in range(n):
         for j in range(n):
@@ -421,7 +429,7 @@ def test_fingerprint_invariant_under_basis_change():
                     p[i, j] = small_fraction(r, 2, 2)
             if ex.det(p) != 0:
                 break
-        pinv = ex.inv(p)
+        pinv = inv(p)
         c = ex.rzeros((n, n, n))
         for i in range(n):
             for j in range(n):

@@ -24,7 +24,7 @@ from lcplab.algebra import (
 from lcplab.construct import almab_lcp
 from lcplab.detect import LCPStructure, classify, structural_audit, verify_lcp
 from lcplab.errors import InvalidStructure
-from lcplab.randgen import random_algebra, random_metric, rng, small_fraction
+from support import random_algebra, random_metric, rng, small_fraction
 from test_exact_dot import ref_bracket_span, ref_jacobi_defect
 from test_integer_kernels import _counting, _invertible, _matrix, ref_centraliser, same_span
 
