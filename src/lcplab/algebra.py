@@ -46,6 +46,14 @@ def check_envelope(n: int):
         raise EnvelopeExceeded(f"the supported envelope is dim <= {MAX_DIM}, got {n}")
 
 
+def _check_dims(n: int, *objects):
+    """Refuse a metric, 1-form or subspace that is not on Q^n."""
+    for obj in objects:
+        dim = getattr(obj, "ambient_dim", obj.dim)
+        if dim != n:
+            raise DimensionMismatch(f"{type(obj).__name__} of dimension {dim} where {n} is expected")
+
+
 def memoised(obj, table: str, key, make):
     """``make()``, made on the first lookup of ``key`` and kept with ``obj``
     in its instance dictionary, under ``table``: the one home of every
@@ -162,7 +170,7 @@ class LieAlgebra:
         y = np.asarray(y, dtype=object)
         if x.shape[0] != self.dim or y.shape[0] != self.dim:
             raise DimensionMismatch("bracket operands must have length n")
-        return ex.dot(self.ad(x), y)
+        return self.brackets(x.reshape(-1, 1), y.reshape(self.dim, -1)).reshape(y.shape)
 
     def _ad_stack(self, iu: np.ndarray) -> np.ndarray:
         """ad_{u_a} for every column u_a of the integer matrix ``iu``,
@@ -350,11 +358,13 @@ class Metric:
         return inverse
 
     def inner(self, x, y) -> Fraction:
-        return ex.dot(ex.dot(x, self.gram), y)
+        (ix, dx), (iy, dy), (gg, dg) = ex.scaled(x), ex.scaled(y), self.scaled_gram
+        return ex.unscaled(ix.dot(gg).dot(iy), dx * dg * dy)
 
     def sharp(self, theta: "OneForm") -> np.ndarray:
         """Metric dual vector of a 1-form."""
-        return ex.dot(self.inverse, theta.coeffs)
+        (gi, di), (t, dt) = self.scaled_inverse, theta.scaled_coeffs
+        return ex.unscaled(gi.dot(t), di * dt)
 
     def scaled(self, lam) -> "Metric":
         lam = ex.rat(lam)
@@ -412,19 +422,23 @@ class OneForm:
         return cls((np.zeros(n, dtype=object), 1))
 
     def __call__(self, x) -> Fraction:
-        return ex.dot(self.coeffs, x)
+        (t, dt), (ix, dx) = self.scaled_coeffs, ex.scaled(x)
+        return ex.unscaled(t.dot(ix), dt * dx)
 
     def is_zero(self) -> bool:
         return not self.scaled_coeffs[0].any()
 
     def __add__(self, other):
-        return OneForm(self.coeffs + other.coeffs)
+        _check_dims(self.dim, other)
+        (t, dt), (u, du) = self.scaled_coeffs, other.scaled_coeffs
+        return OneForm((t * du + u * dt, dt * du))
 
     def __sub__(self, other):
-        return OneForm(self.coeffs - other.coeffs)
+        return self + other * -1
 
     def __mul__(self, s):
-        return OneForm(ex.rat(s) * self.coeffs)
+        (t, dt), s = self.scaled_coeffs, ex.rat(s)
+        return OneForm((t * s.numerator, dt * s.denominator))
 
     __rmul__ = __mul__
 
@@ -450,6 +464,8 @@ class Subspace:
     def __init__(self, basis_matrix: np.ndarray, ambient_dim: Optional[int] = None):
         if basis_matrix.size == 0 and ambient_dim is not None:
             basis_matrix = ex.rzeros((ambient_dim, 0))
+        elif ambient_dim not in (None, basis_matrix.shape[0]):
+            raise DimensionMismatch(f"basis vectors must have length {ambient_dim}")
         ub, du = ex.int_column_space(ex.scaled(basis_matrix)[0])
         ub.setflags(write=False)
         self.scaled_basis = (ub, du)
@@ -586,6 +602,7 @@ def audit_algebra(L: LieAlgebra) -> AuditReport:
 
 def is_closed(L: LieAlgebra, theta: OneForm) -> bool:
     """A left-invariant 1-form is closed iff it vanishes on g'."""
+    _check_dims(L.dim, theta)
     return ex.is_zero(theta.scaled_coeffs[0].dot(L.derived_algebra.scaled_basis[0]))
 
 
@@ -616,15 +633,22 @@ class AlmostAbelianPresentation:
     ``b`` is the primitive integer vector G-orthogonal to the ideal, first
     nonzero entry positive; it is rescaled to unit G-norm only when that
     norm is a rational square (``unit`` records which), since exact
-    arithmetic cannot normalise otherwise.  ``matrix`` is ad_b on the
-    canonical basis of the ideal.
+    arithmetic cannot normalise otherwise.  ad_b on the canonical basis of
+    the ideal is held as its reduced integer form ``scaled_matrix``, and
+    ``matrix`` is its read-only ``Fraction`` view, made on first read.
     """
 
     b: np.ndarray
     b_norm_sq: Fraction
     unit: bool
     ideal: Subspace
-    matrix: np.ndarray
+    scaled_matrix: tuple
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = ex.unscaled(*self.scaled_matrix)
+        matrix.setflags(write=False)
+        return matrix
 
 
 def _is_square(q: Fraction) -> bool:
@@ -659,8 +683,9 @@ def _presentation_from_ideal(L, G, ideal: Subspace) -> AlmostAbelianPresentation
     # c = cc / e: iu X = int_brackets(v, iu) / (s e)
     iu = ideal.scaled_basis[0]
     x, d = ex.int_solve(iu, L.int_brackets(v.reshape(-1, 1), iu))
-    mat = ex.unscaled(x * s.denominator, d * s.numerator * L.scaled_c[1])
-    return AlmostAbelianPresentation(b, nsq, unit, ideal, mat)
+    mm, dm = ex.reduced(x * s.denominator, d * s.numerator * L.scaled_c[1])
+    mm.setflags(write=False)
+    return AlmostAbelianPresentation(b, nsq, unit, ideal, (mm, dm))
 
 
 # the ideal of an abelian algebra: every hyperplane is one, and the metric
@@ -735,7 +760,7 @@ def _find_almost_abelian_ideal(L: LieAlgebra):
                 return None
     else:
         # all kernels coincide (dim m-2); any line in a complement works
-        extra = next(e for e in np.eye(m, dtype=object) if not ksum.contains(e))
+        extra = next(e for e in np.eye(m, dtype=object) if not ex.int_span_contains(h, e.reshape(-1, 1)))
         h = np.concatenate([h, extra.reshape(-1, 1)], axis=1)
     return Subspace.of_columns(np.concatenate([d, lift.dot(h)], axis=1))
 
@@ -754,7 +779,6 @@ def almost_abelian_presentation(
     if ideal is None:
         return None
     if ideal is _ANY_HYPERPLANE:
-        e1 = ex.rzeros(L.dim)
-        e1[0] = ex.ONE
-        ideal = Subspace.spanned_by([e1], L.dim).orthogonal_complement(G)
+        e1 = np.eye(L.dim, 1, dtype=object)
+        ideal = Subspace.of_columns(e1).orthogonal_complement(G)
     return _presentation_from_ideal(L, G, ideal)

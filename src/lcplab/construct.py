@@ -31,6 +31,7 @@ from .algebra import (
     Metric,
     OneForm,
     Subspace,
+    _check_dims,
     check_envelope,
     trace_form,
 )
@@ -101,7 +102,8 @@ class OrthoRep:
 
     def validate(self, h: LieAlgebra, gram: Optional[np.ndarray] = None):
         """Check the invariants on m[a] = mm[a] / dm: each test is one
-        integer contraction of mm."""
+        integer contraction of mm.  ``gram`` is the Gram matrix on R^q or
+        any positive multiple of it, entries or integers."""
         mm, _ = self.scaled_images
         q, k = self.dim_target, mm.shape[0]
         if k != h.dim:
@@ -110,8 +112,7 @@ class OrthoRep:
         # plus its transpose vanishes, and the scales of G and m do not matter
         gm = mm
         if gram is not None:
-            gg, _ = ex.scaled(gram)
-            gm = gg.dot(mm.transpose(1, 0, 2).reshape(q, k * q))
+            gm = gram.dot(mm.transpose(1, 0, 2).reshape(q, k * q))
             gm = gm.reshape(q, k, q).transpose(1, 0, 2)
         if (gm + gm.transpose(0, 2, 1) != 0).any():
             raise RepNotSkew("images must be skew-symmetric")
@@ -155,6 +156,7 @@ def semidirect_lcp(h: LieAlgebra, h_metric: Metric, beta: OrthoRep) -> LCPStruct
     if beta.dim_target < 1:
         raise DimensionMismatch("beta must act on R^q with q >= 1")
     check_envelope(h.dim + beta.dim_target)
+    _check_dims(h.dim, h_metric)
     hh, dh = trace_form(h).scaled_coeffs
     if not hh.any():
         raise UnimodularInput("h must be non-unimodular")
@@ -230,6 +232,7 @@ def flag_lcp(A, B1, B2, v) -> LCPStructure:
 def direct_product(S: LCPStructure, k: LieAlgebra, k_metric: Metric) -> LCPStructure:
     """Product with an arbitrary metric algebra; theta extends by zero and
     the flat space is unchanged.  Requires S adapted."""
+    _check_dims(k.dim, k_metric)
     if not S.is_adapted():
         raise NotAdapted("direct products require an adapted structure")
     if k.dim == 0:
@@ -285,7 +288,7 @@ def amalgamated_product(S1: LCPStructure, S2: LCPStructure) -> LCPStructure:
     flat_coords = ex.int_solve(ib, flats)
     if flat_coords is None:
         raise LcpError("flat space does not lie in the kernel")  # cannot happen
-    return _verified(L, G, theta, Subspace(flat_coords[0]))
+    return _verified(L, G, theta, Subspace.of_columns(flat_coords[0]))
 
 
 def metric_modification(S: LCPStructure, lam) -> LCPStructure:

@@ -30,6 +30,7 @@ from .algebra import (
     OneForm,
     Subspace,
     _almost_abelian_ideal,
+    _check_dims,
     is_closed,
     is_unimodular,
     memoised,
@@ -48,7 +49,8 @@ NON_ADAPTED = "non_adapted"
 CONFORMALLY_FLAT = "conformally_flat"
 
 
-def _guard(L: LieAlgebra, theta: OneForm):
+def _guard(L: LieAlgebra, G: Metric, theta: OneForm, *flat: Subspace):
+    _check_dims(L.dim, G, theta, *flat)
     if L.dim < 3:
         raise DimensionTooSmall("LCP structures need dim >= 3")
     if theta.is_zero():
@@ -103,7 +105,7 @@ def verify_lcp(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verific
     content keys of the Gram matrix, of theta and of the canonical basis
     of U, and the frozen report is shared.
     """
-    _guard(L, theta)
+    _guard(L, G, theta, U)
     if U.dim == 0:
         return VerificationReport(True, True, True)
     return memoised(L, "_verify_lcp", (G.key, theta.key, U.key), lambda: _verify(L, G, theta, U))
@@ -180,7 +182,7 @@ def maximal_flat_parallel(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
     The search runs once per (L, G, theta) and its Subspace is kept with
     L, keyed as ``weyl.weyl_geometry`` keys the connection.
     """
-    _guard(L, theta)
+    _guard(L, G, theta)
     return memoised(L, "_maximal_flat_parallel", (G.key, theta.key), lambda: _flat_search(L, G, theta))
 
 
@@ -239,7 +241,7 @@ class LCPStructure:
     flat: Subspace
 
     def __post_init__(self):
-        _guard(self.algebra, self.theta)
+        _guard(self.algebra, self.metric, self.theta, self.flat)
 
     @property
     def flat_dim(self) -> int:
@@ -294,22 +296,14 @@ class StructuralAuditReport:
         }
 
 
-def _subalgebra_trace_form(L: LieAlgebra, U: Subspace) -> list:
-    """tr(ad_y restricted to the subalgebra U) for each basis column y:
-    with the bracket coordinates x / den of the columns, the trace for
-    column a is the sum of x[b, a k + b] over b."""
-    x, den = L._int_subalgebra_coords(*U.scaled_basis)
-    k = U.dim
-    return [ex.unscaled(sum(x[b, a * k + b] for b in range(k)), den) for a in range(k)]
-
-
 def _trace_relation(L: LieAlgebra, U: Subspace, t: np.ndarray, dt: int, c: int) -> bool:
     """tr(ad_y restricted to the subalgebra U) == c theta(y) for each basis
-    column y, with theta = t / dt and U = iu / du, so that theta(u_a) =
-    (t iu)_a / (dt du)."""
+    column y, cross-multiplied: with U = iu / du and the bracket
+    coordinates x / den of its columns, the trace at column a is the sum
+    of x[b, a k + b] over b, over den, and theta(u_a) = (t iu)_a / (dt du)."""
     iu, du = U.scaled_basis
-    tu = t.dot(iu)
-    return all(h == c * ex.unscaled(x, dt * du) for h, x in zip(_subalgebra_trace_form(L, U), tu))
+    (x, den), tu, k = L._int_subalgebra_coords(iu, du), t.dot(iu), U.dim
+    return all(sum(x[b, a * k + b] for b in range(k)) * dt * du == c * tu[a] * den for a in range(k))
 
 
 def _codim3_normal_form(L, G, theta, U) -> bool:

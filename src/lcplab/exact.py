@@ -9,12 +9,12 @@ Conventions: vectors are 1-d arrays, matrices 2-d; the kernels below
 take and return a subspace as a matrix whose *columns* form a basis,
 and the rest of the package holds spans as ``algebra.Subspace``.
 
-Products go through :func:`dot`, a common-denominator kernel: each
-operand is scaled to Python integers over the lcm of its denominators
-(:func:`scaled`), the product is taken on integers, and each entry of
-the result becomes a ``Fraction`` once.  A ``Fraction`` product would
-normalise every partial sum by a gcd; this one normalises each result
-entry once, and a zero entry is the shared :data:`ZERO`.
+Products are taken on integers: entries given as ``Fraction``s and ints
+are scaled once to Python integers over the lcm of their denominators
+(:func:`scaled`), the product is taken on those integers, and each
+entry of a returned result becomes a ``Fraction`` once
+(:func:`unscaled`; a zero entry is the shared :data:`ZERO`).  A
+``Fraction`` product would normalise every partial sum by a gcd.
 
 The large integer tables are each one numpy expression on int64 while
 a bound proves it exact.  The caller bounds every intermediate of its
@@ -37,7 +37,8 @@ and Fractions are made only where a caller reads entries
 primary data: a ``LieAlgebra`` its structure constants (``scaled_c``),
 a ``Metric`` its Gram matrix (``scaled_gram``) and inverse, a
 ``OneForm`` its coefficients (``scaled_coeffs``), a ``Subspace`` (every
-span, the derived algebra included) its canonical basis, and a
+span, the derived algebra included) its canonical basis, an almost
+abelian presentation its ad-matrix (``scaled_matrix``), and a
 ``weyl.Connection`` and ``weyl.Curvature`` their whole tables; each
 makes its ``Fraction`` array a read-only view on first read.  The first
 three are built from entries or from an integer form (:func:`as_form`),
@@ -211,17 +212,6 @@ def content_key(ints, den: int) -> tuple:
     equal arrays, however built, give equal keys, and a lookup hashes
     Python ints only."""
     return (ints.shape, den, *ints.ravel().tolist())
-
-
-def dot(a, b):
-    """Exact product of 1-d or 2-d rational arrays, as ``a.dot(b)``.
-
-    One integer product over the two common denominators, then one
-    ``Fraction`` per result entry; a 1-d by 1-d product is a scalar.
-    """
-    ia, da = scaled(a)
-    ib, db = scaled(b)
-    return unscaled(ia.dot(ib), da * db)
 
 
 # an int64 expression is exact while every intermediate stays below this

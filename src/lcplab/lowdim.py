@@ -380,13 +380,13 @@ class Fingerprint:
         }
 
 
-def _eigen_ratios(mat: np.ndarray) -> Optional[tuple]:
-    """The eigenvalues over the one of largest modulus (positive on a
-    tie), sorted, or None unless all are rational; read from the integer
-    form d mat, since d cancels."""
-    if mat.shape[0] == 0:
+def _eigen_ratios(ints: np.ndarray) -> Optional[tuple]:
+    """The eigenvalues of a matrix over the one of largest modulus
+    (positive on a tie), sorted, or None unless all are rational; read
+    from an integer multiple ``ints`` of it, since the scale cancels."""
+    if ints.shape[0] == 0:
         return ()
-    ks = int_spectrum(ex.int_charpoly_coeffs(ex.scaled(mat)[0])).integer_eigenvalues()
+    ks = int_spectrum(ex.int_charpoly_coeffs(ints)).integer_eigenvalues()
     if ks is None:
         return None  # irrational or non-real spectrum: not comparable here
     ref = max(ks, key=lambda k: (abs(k), k))
@@ -418,7 +418,7 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
         max_nilpotent_derived_dim=max_nil,
         unimodular=audit_algebra(L).unimodular,
         almost_abelian=pres is not None,
-        ad_eigen_ratios=_eigen_ratios(pres.matrix) if pres is not None else None,
+        ad_eigen_ratios=_eigen_ratios(pres.scaled_matrix[0]) if pres is not None else None,
     )
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exact as ex
-from .algebra import LieAlgebra, Metric, OneForm, is_closed, memoised
+from .algebra import LieAlgebra, Metric, OneForm, _check_dims, is_closed, memoised
 from .errors import NonClosedLeeForm
 
 
@@ -73,6 +73,7 @@ def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
     max|gi|, the rest n max|gi| max|u| max|gg| + 2 dg di max|u|, so the
     table is taken on int64 while their sum is below 2^63.
     """
+    _check_dims(L.dim, G, theta)
     if not is_closed(L, theta):
         raise NonClosedLeeForm("theta does not vanish on the derived algebra")
     n = L.dim

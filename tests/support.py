@@ -28,6 +28,15 @@ from lcplab.algebra import LieAlgebra, Metric, OneForm
 # ---------------------------------------------------------------------------
 
 
+def dot(a, b):
+    """Exact product of 1-d or 2-d rational arrays, as ``a.dot(b)``: one
+    integer product over the two common denominators, then one
+    ``Fraction`` per result entry; a 1-d by 1-d product is a scalar."""
+    ia, da = ex.scaled(a)
+    ib, db = ex.scaled(b)
+    return ex.unscaled(ia.dot(ib), da * db)
+
+
 def reye(n: int) -> np.ndarray:
     m = ex.rzeros((n, n))
     for i in range(n):
@@ -71,7 +80,7 @@ def norm_sq(G: Metric, x) -> Fraction:
 
 def skew_defect(G: Metric, m: np.ndarray):
     """G m + m^T G, the obstruction to m being G-skew-symmetric."""
-    gm = ex.dot(G.gram, m)
+    gm = dot(G.gram, m)
     return gm + gm.T
 
 

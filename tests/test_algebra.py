@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab.algebra import (
-    AlmostAbelianPresentation,
     LieAlgebra,
     Metric,
     OneForm,
@@ -22,6 +22,7 @@ from lcplab.algebra import (
 from lcplab.errors import DimensionMismatch, InvalidStructure, NotPositiveDefinite
 from lcplab.lowdim import SAMPLES, table_algebra
 from support import (
+    dot,
     inv,
     norm_sq,
     random_algebra,
@@ -143,6 +144,26 @@ def test_subspace_contains_refuses_vectors_of_another_length():
     assert u.contains([2, 2, 0]) and not u.contains(ex.rvec([1, 0, 0]))
 
 
+def test_subspace_refuses_a_basis_of_another_length():
+    with pytest.raises(DimensionMismatch):
+        Subspace(np.eye(3, dtype=object), ambient_dim=4)
+    with pytest.raises(DimensionMismatch):
+        Subspace(ex.rmat([[1], [0]]), ambient_dim=3)
+    assert Subspace(np.eye(3, dtype=object), ambient_dim=3) == Subspace.full(3)
+    assert Subspace(ex.rzeros((3, 0)), ambient_dim=4) == Subspace.zero(4)
+
+
+def test_one_form_arithmetic_refuses_another_dimension():
+    a, b = OneForm([1, 2, 3]), OneForm([5])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(DimensionMismatch):
+            x + y
+        with pytest.raises(DimensionMismatch):
+            x - y
+    assert a + OneForm([1, 1, 1]) == OneForm([2, 3, 4])
+    assert a - OneForm([1, 1, 1]) == OneForm([0, 1, 2])
+
+
 def test_subspace_predicates_e11():
     L, G = e11(), Metric.identity(3)
     rep = subspace_predicates(L, G, Subspace.spanned_by([[0, 0, 1]]))
@@ -218,8 +239,8 @@ def reference_presentation(L, G, ideal):
     if unit and nsq != 1:
         b = b / root
         nsq = ex.ONE
-    mat = ex.solve(ideal.basis, ex.dot(L.ad(b), ideal.basis))
-    return AlmostAbelianPresentation(b, nsq, unit, ideal, mat)
+    mat = ex.solve(ideal.basis, dot(L.ad(b), ideal.basis))
+    return SimpleNamespace(b=b, b_norm_sq=nsq, unit=unit, ideal=ideal, matrix=mat)
 
 
 def check_against_reference(L, G):
@@ -259,7 +280,7 @@ def test_primitive_big_denominators():
             P = reye(4)
             P[:, 0] = w
             Pi = inv(P)
-            p = check_against_reference(L, Metric(ex.dot(ex.dot(Pi.T, D), Pi)))
+            p = check_against_reference(L, Metric(dot(dot(Pi.T, D), Pi)))
             assert p.unit == unit and list(p.b) == list(b)
 
 

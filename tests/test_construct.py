@@ -42,6 +42,7 @@ from lcplab.errors import (
 from lcplab.lowdim import check_isomorphism_witness, table_algebra
 from support import (
     ad_basis,
+    dot,
     inv,
     random_algebra,
     random_almost_abelian,
@@ -469,11 +470,11 @@ def ref_amalgam(S1, S2):
     v = np.concatenate([S2.theta(t2s) * t1s, S1.theta(t1s) * t2s])
     kers = ref_block_diag(*(ex.nullspace(s.theta.coeffs.reshape(1, -1)) for s in (S1, S2)))
     basis = np.concatenate([v.reshape(-1, 1), kers], axis=1)
-    theta = ex.dot(ref_block_diag(S1.theta.coeffs, ex.rzeros(S2.algebra.dim)), basis)
+    theta = dot(ref_block_diag(S1.theta.coeffs, ex.rzeros(S2.algebra.dim)), basis)
     flat = ex.solve(basis, ref_block_diag(S1.flat.basis, S2.flat.basis))
     return (
         LieAlgebra(c12, check=False).restrict(basis).c,
-        ex.dot(basis.T, ex.dot(gram12, basis)),
+        dot(basis.T, dot(gram12, basis)),
         theta,
         flat,
     )

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab import detect, weyl
-from lcplab.algebra import LieAlgebra, Metric, OneForm, Subspace, trace_form
-from lcplab.construct import almab_lcp, metric_modification, semidirect_lcp, OrthoRep
+from lcplab.algebra import LieAlgebra, Metric, OneForm, Subspace, is_closed, trace_form
+from lcplab.construct import almab_lcp, direct_product, metric_modification, semidirect_lcp, OrthoRep
 from lcplab.detect import (
     ADAPTED,
     DEGENERATE,
@@ -19,12 +19,14 @@ from lcplab.detect import (
     verify_lcp,
 )
 from lcplab.errors import (
+    DimensionMismatch,
     DimensionTooSmall,
     InvalidStructure,
     NonClosedLeeForm,
     PreconditionViolated,
     ZeroLeeForm,
 )
+from lcplab.lowdim import nonunimodular_4d
 from support import (
     is_pos_def,
     left_nullspace,
@@ -43,6 +45,32 @@ def e11():
 
 def theta_e11():
     return OneForm.dual(3, 0, -1)
+
+
+MISMATCHED = {
+    "verify-metric": lambda L, G, th, U: verify_lcp(L, Metric.identity(4), th, U),
+    "classify-metric": lambda L, G, th, U: classify(L, Metric.identity(2), th),
+    "classify-theta": lambda L, G, th, U: classify(L, G, OneForm.dual(4, 0, -1)),
+    "structure-flat": lambda L, G, th, U: LCPStructure(L, G, th, Subspace.spanned_by([[0, 0, 0, 1]])).verify(),
+    "is-closed": lambda L, G, th, U: is_closed(L, OneForm.dual(4, 0, -1)),
+    "weyl-connection": lambda L, G, th, U: weyl.weyl_connection(L, Metric.identity(4), th),
+    "direct-product": lambda L, G, th, U: direct_product(
+        LCPStructure(L, G, th, U), LieAlgebra.abelian(1), Metric.identity(2)
+    ),
+    "semidirect": lambda L, G, th, U: semidirect_lcp(
+        nonunimodular_4d("r2r2"), Metric.identity(3), OrthoRep.zero(2, 4)
+    ),
+    "almab": lambda L, G, th, U: almab_lcp([[1]], [[0]], Metric.identity(5)),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHED.values(), ids=MISMATCHED.keys())
+def test_mismatched_dimensions_raise_dimension_mismatch(call):
+    # e(1,1) with theta = -e^1 and its flat line; each call hands one
+    # object of another dimension to an entry point
+    L, G, th = e11(), Metric.identity(3), theta_e11()
+    with pytest.raises(DimensionMismatch):
+        call(L, G, th, Subspace.spanned_by([[0, 0, 1]]))
 
 
 def test_verify_e11_passes_on_flat_line():
@@ -358,7 +386,9 @@ def test_subalgebra_trace_form_matches_restrict_reference(seed):
     # unipotent rational basis so that c and the subspace bases have
     # denominators.  A subspace containing g' is an ideal, often proper
     # with a nonzero trace form; a span of random vectors may not be a
-    # subalgebra, and then both must refuse it
+    # subalgebra, and then both must refuse it.  theta is solved for so
+    # that c theta(u_a) is the reference trace of u_a, and then moved
+    # off it on one column about half the time
     r = rng(seed)
     n = r.randint(2, 6)
     m, extra, ideal = r.randint(2, n), r.randint(0, 2), r.random() < 0.8
@@ -374,10 +404,17 @@ def test_subalgebra_trace_form_matches_restrict_reference(seed):
     if extra:
         cols.append(ex.rmat([[small_fraction(r) for _ in range(n)] for _ in range(extra)]).T)
     U = Subspace(np.concatenate(cols, axis=1) if cols else ex.rzeros((n, 0)), n)
+    c = r.choice([-3, -2, -1, 1, 2, 5])
     try:
         expected = restricted_trace_form(L, U)
     except InvalidStructure:
         with pytest.raises(InvalidStructure):
-            detect._subalgebra_trace_form(L, U)
+            detect._trace_relation(L, U, np.ones(n, dtype=object), 1, c)
         return
-    assert detect._subalgebra_trace_form(L, U) == expected
+    target = ex.rvec([h / c for h in expected])
+    off = U.dim > 0 and r.random() < 0.5
+    if off:
+        target[r.randrange(U.dim)] += small_fraction(r) or 1
+    theta = ex.solve(U.basis.T, target) if U.dim else ex.rzeros(n)
+    t, dt = ex.scaled(theta)
+    assert detect._trace_relation(L, U, t, dt, c) is not off

@@ -1,7 +1,8 @@
-"""README references resolve: every backticked ``module.name`` in
-README.md whose module is an lcplab module (with or without the
-``lcplab.`` prefix) names an attribute of that module.  Wildcard
-mentions such as ``exact.int_*`` name a family and are skipped."""
+"""README holds: every backticked ``module.name`` in README.md whose
+module is an lcplab module (with or without the ``lcplab.`` prefix)
+names an attribute of that module, and the quick tour runs and gives the
+results its comments state.  Wildcard mentions such as ``exact.int_*``
+name a family and are skipped."""
 
 import importlib
 import pkgutil
@@ -28,3 +29,24 @@ def test_readme_references_resolve():
         if not name.endswith("*") and not hasattr(importlib.import_module(f"lcplab.{mod}"), name)
     ]
     assert refs and missing == []
+
+
+def quick_tour() -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index("A quick tour:")
+    return text[text.index("```python\n", start) + len("```python\n") : text.index("```\n", start + 1)]
+
+
+def test_readme_quick_tour_gives_its_commented_results():
+    # each commented line states the value of its expression, or of the
+    # name it assigns; arrays are compared as nested lists
+    space, checked = {}, 0
+    for line in quick_tour().splitlines():
+        code, _, want = line.partition("  # ")
+        exec(code, space)
+        if want:
+            target = code.split(" = ")[0] if " = " in code else code
+            got = eval(target, space)
+            assert str(got.tolist() if hasattr(got, "tolist") else got) == want.strip(), code
+            checked += 1
+    assert checked == 4

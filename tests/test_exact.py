@@ -16,7 +16,7 @@ from lcplab import exact as ex
 from lcplab.algebra import Subspace
 from lcplab.errors import SingularMatrix
 from lcplab.intpoly import int_spectrum
-from support import reye
+from support import dot, reye
 
 small = st.fractions(max_denominator=4, min_value=-3, max_value=3)
 
@@ -142,7 +142,7 @@ def test_elimination_matches_fraction_reference(m):
     ns = ex.nullspace(m)
     free = [j for j in range(m.shape[1]) if j not in want_pivots]
     assert np.array_equal(ns[free], reye(len(free)))
-    assert ex.is_zero(ex.dot(ref, ns))
+    assert ex.is_zero(dot(ref, ns))
     k = min(m.shape)
     assert ex.det(m[:k, :k]) == ref_det(ref[:k, :k])
     half = m.shape[1] // 2
@@ -175,7 +175,7 @@ def test_span_contains_matches_solve_reference(m, data):
     assert span.contains_space(Subspace(other)) == ref_span_contains(basis, other)
     assert all(span.contains(v) == ref_span_contains(basis, v.reshape(-1, 1)) for v in other.T)
     # combinations of the basis columns always lie inside
-    inside = ex.dot(basis, ex.rmat([[1] * 2] * half)) if half else ex.rzeros((m.shape[0], 2))
+    inside = dot(basis, ex.rmat([[1] * 2] * half)) if half else ex.rzeros((m.shape[0], 2))
     assert span.contains_space(Subspace(inside)) and ref_span_contains(basis, inside)
 
 

@@ -1,9 +1,13 @@
-"""The common-denominator product kernel and the integer passes built on it.
+"""The public Fraction methods on integer forms, and the integer passes.
 
-``ex.dot`` must agree entrywise with a plain ``Fraction`` product, and
-``ex.int_dot`` with the object product of the same Python ints, on both
-sides of its int64 bound; curvature, ad, bracket spans and the Jacobi
-test must agree with the ``Fraction`` loops kept below as references.
+``LieAlgebra.bracket``, ``Metric.inner``, ``Metric.sharp``,
+``OneForm.__call__`` and ``OneForm`` arithmetic compute on the integer
+forms the objects hold; each must return what its ``Fraction``-product
+version returns (``support.dot``, the common-denominator product kernel,
+kept as the reference).  ``ex.int_dot`` must agree with the object
+product of the same Python ints, on both sides of its int64 bound;
+curvature, ad, bracket spans and the Jacobi test must agree with the
+``Fraction`` loops kept below as references.
 """
 
 from fractions import Fraction as F
@@ -13,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
-from lcplab.algebra import LieAlgebra, Subspace
+from lcplab.algebra import LieAlgebra, OneForm, Subspace
 from support import (
+    dot,
     random_algebra,
     random_closed_form,
     random_metric,
@@ -34,35 +39,74 @@ entries = st.one_of(
 )
 
 
-@st.composite
-def operands(draw):
-    """A pair of object arrays whose product is defined: 2-d by 2-d,
-    1-d by 2-d, 2-d by 1-d or 1-d by 1-d, each dimension 0..16."""
-    m, k, p = (draw(st.integers(0, 16)) for _ in range(3))
-    shape_a, shape_b = draw(
-        st.sampled_from([((m, k), (k, p)), ((k,), (k, p)), ((m, k), (k,)), ((k,), (k,))])
-    )
+def arrays(shape):
+    size = int(np.prod(shape))
 
-    def array(shape):
-        vals = draw(st.lists(entries, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    def build(vals):
         a = np.empty(shape, dtype=object)
         a.ravel()[:] = vals
         return a
 
-    return array(shape_a), array(shape_b)
+    return st.lists(entries, min_size=size, max_size=size).map(build)
 
 
-@settings(max_examples=50, deadline=None)
-@given(operands())
-def test_dot_matches_fraction_product(ab):
-    a, b = ab
-    got, want = ex.dot(a, b), a.dot(b)
+def same(got, want):
+    """Equal shapes and values, and a ``Fraction`` in every entry."""
     assert np.shape(got) == np.shape(want)
-    if np.ndim(got) == 0:
-        assert isinstance(got, F) and got == want
-    else:
-        assert all(isinstance(x, F) for x in got.flat)
-        assert all(x == y for x, y in zip(got.flat, want.flat))
+    got, want = np.asarray(got, dtype=object), np.asarray(want, dtype=object)
+    assert all(type(x) is F for x in got.flat)
+    assert got.tolist() == want.tolist()
+
+
+@st.composite
+def metric_algebras(draw):
+    """A random algebra and metric of dimension 1..8, the metric scaled by
+    a rational with a large denominator now and then, and a vector and
+    a vector or matrix of ``entries`` for their arguments."""
+    n, seed = draw(st.integers(1, 8)), draw(st.integers(0, 10**6))
+    r = rng(seed)
+    L, G = random_algebra(r, n), random_metric(r, n)
+    G = G.scaled(draw(st.sampled_from([F(1), F(7, 3), F(10**30 + 1, 10**20 + 3)])))
+    x = draw(arrays((n,)))
+    y = draw(st.one_of(arrays((n,)), arrays((n, draw(st.integers(0, 3))))))
+    return L, G, x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(metric_algebras(), arrays((8,)), entries)
+def test_fraction_methods_match_the_fraction_products(case, t, s):
+    L, G, x, y = case
+    n = L.dim
+    theta, other = OneForm(t[:n]), OneForm(t[::-1][:n])
+    same(L.bracket(x, y), dot(L.ad(x), y))
+    same(G.inner(x, y), dot(dot(x, G.gram), y))
+    same(G.sharp(theta), dot(G.inverse, theta.coeffs))
+    same(theta(y), dot(theta.coeffs, y))
+    for got, want in (
+        (theta + other, theta.coeffs + other.coeffs),
+        (theta - other, theta.coeffs - other.coeffs),
+        (theta * s, ex.rat(s) * theta.coeffs),
+        (s * theta, ex.rat(s) * theta.coeffs),
+    ):
+        assert got == OneForm(want)
+        same(got.coeffs, want)
+
+
+def test_dot_rejects_floats():
+    # the products of the Fraction methods take Fractions and ints only
+    L, G = random_algebra(rng(1), 3), random_metric(rng(1), 3)
+    theta, v = OneForm([1, 2, 3]), np.array([F(1), 0.5, 0], dtype=object)
+    w = ex.rvec([1, 2, 3])
+    for call in (
+        lambda: L.bracket(v, w),
+        lambda: L.bracket(w, v),
+        lambda: G.inner(v, w),
+        lambda: G.inner(w, v),
+        lambda: theta(v),
+        lambda: theta * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_scaled_round_trip():
@@ -70,14 +114,6 @@ def test_scaled_round_trip():
     ints, den = ex.scaled(a)
     assert den == 30 and all(type(x) is int for x in ints.flat)
     assert np.array_equal(ex.unscaled(ints, den), a)
-
-
-def test_dot_rejects_floats():
-    v = np.array([F(1), 0.5], dtype=object)
-    with pytest.raises(TypeError):
-        ex.dot(v, ex.rvec([1, 2]))
-    with pytest.raises(TypeError):
-        ex.dot(ex.rmat([[1, 2], [3, 4]]), v)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from lcplab import exact as ex
 from lcplab.lattice import lattice_verdict
-from support import inv
+from support import dot, inv
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lattice.txt"
 
@@ -50,7 +50,7 @@ COMPLEX_SPECTRA = {
 def conjugated(d, p):
     """p d p^-1 on exact rationals."""
     d, p = ex.rmat(d), ex.rmat(p)
-    return ex.dot(ex.dot(p, d), inv(p))
+    return dot(dot(p, d), inv(p))
 
 
 def near_identity(n):

@@ -30,6 +30,7 @@ from lcplab.detect import LCPStructure, maximal_flat_parallel, structural_audit,
 from lcplab.errors import InvalidStructure
 from lcplab.weyl import Connection, curvature, levi_civita, weyl_connection, weyl_geometry
 from support import (
+    dot,
     random_algebra,
     random_closed_form,
     random_metric,
@@ -287,7 +288,7 @@ def test_equal_values_built_separately_give_equal_keys(seed, n):
     k = r.randint(0, n)
     b = _matrix(r, n, k)
     U = Subspace(b)
-    V = Subspace(ex.dot(b, _invertible(r, k)) if k else b)
+    V = Subspace(dot(b, _invertible(r, k)) if k else b)
     assert U.key == V.key and U == V and hash(U) == hash(V)
     theta = random_closed_form(r, L)
     if theta is None:

@@ -35,7 +35,7 @@ from lcplab.lattice import (
     no_lattice_codim2,
     no_lattice_double_root,
 )
-from support import inv, reye, to_float
+from support import dot, inv, reye, to_float
 
 C_E11 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -424,7 +424,7 @@ def _conjugated_hyperbolic(n):
     d[0, 0], d[1, 1] = ex.ONE, -ex.ONE
     p = reye(n)
     p[0, 1], p[1, 2], p[2, 0] = Fraction(1, 4), Fraction(1, 8), Fraction(-1, 16)
-    return ex.dot(ex.dot(p, d), inv(p))
+    return dot(dot(p, d), inv(p))
 
 
 def _conjugated_irrational(n, b=2):
@@ -435,7 +435,7 @@ def _conjugated_irrational(n, b=2):
     d[0, 1], d[1, 0] = ex.ONE, ex.rat(b)
     p = reye(n)
     p[0, 1], p[1, 2], p[2, 0] = Fraction(1, 4), Fraction(1, 8), Fraction(-1, 16)
-    return ex.dot(ex.dot(p, d), inv(p))
+    return dot(dot(p, d), inv(p))
 
 
 def test_derogatory_irrational_input_certifies_every_candidate(monkeypatch):
@@ -492,8 +492,8 @@ def permuted_block_diagonal(draw, max_size=3):
     for i in range(n):
         for j in range(i):
             low[i, j], up[j, i] = draw(q), draw(q)
-    p = ex.dot(low, up)
-    return d, ex.dot(ex.dot(p, d), inv(p))
+    p = dot(low, up)
+    return d, dot(dot(p, d), inv(p))
 
 
 @settings(max_examples=40, deadline=None)
@@ -613,7 +613,7 @@ def test_rotations_one_to_two():
         z = ex.rmat(w.integral_matrix)
         powers = [reye(4)]
         for _ in range(4):
-            powers.append(ex.dot(powers[-1], z))
+            powers.append(dot(powers[-1], z))
         assert [j for j in range(1, 5) if (powers[j] == reye(4)).all()][0] == order
     for w in v.witnesses:
         assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
@@ -694,7 +694,7 @@ def _conjugated_blocks(blocks, reals=()):
         d[i, i] = ex.rat(x)
     p = reye(n)
     p[0, 2], p[3, 1], p[4, 0], p[n - 1, 3] = Fraction(1, 2), Fraction(-1, 3), ex.ONE, Fraction(1, 4)
-    return ex.dot(ex.dot(p, d), inv(p))
+    return dot(dot(p, d), inv(p))
 
 
 def _conjugated_complex6():

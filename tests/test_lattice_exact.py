@@ -30,7 +30,7 @@ from lcplab.lattice import (
     integer_charpoly_scan,
     lattice_verdict,
 )
-from support import inv, rank, reye, to_float
+from support import dot, inv, rank, reye, to_float
 from test_golden_lattice import COMPLEX_SPECTRA, cases, complex_spectrum
 
 F = Fraction
@@ -61,7 +61,7 @@ def unimodular_conjugate(draw, d):
         i, j = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
         if i != j:
             u[i] = u[i] + draw(st.sampled_from([-1, 1])) * u[j]
-    return ex.dot(ex.dot(u, ex.rmat(d)), inv(u))
+    return dot(dot(u, ex.rmat(d)), inv(u))
 
 
 @st.composite
@@ -128,14 +128,14 @@ def assert_jordan_profile(c, z, lam_eff, exps, m, top=3):
     def ranks(a):
         out, power = [], eye
         for _ in range(top):
-            power = ex.dot(a, power)
+            power = dot(a, power)
             out.append(rank(power))
         return out
 
     assert ranks(z - eye) == ranks(c)
     for e in exps:
         k = e * lam_eff
-        q = ex.dot(z, z) - lucas(m, e) * z + eye
+        q = dot(z, z) - lucas(m, e) * z + eye
         expected = [a + b - n for a, b in zip(ranks(c - k * eye), ranks(c + k * eye))]
         assert ranks(q) == expected
 
@@ -304,8 +304,8 @@ def rational_conjugate(draw, d):
     for i in range(n):
         for j in range(i):
             low[i, j], up[j, i] = draw(q), draw(q)
-    p = ex.dot(low, up)
-    return ex.dot(ex.dot(p, ex.rmat(d)), inv(p))
+    p = dot(low, up)
+    return dot(dot(p, ex.rmat(d)), inv(p))
 
 
 @st.composite
@@ -357,7 +357,7 @@ def test_complex_spectra_never_run_the_scan(monkeypatch):
     for blocks, reals in COMPLEX_SPECTRA.values():
         c = complex_spectrum(blocks, reals)
         u = U6[: len(c), : len(c)]
-        for m in (c, ex.dot(ex.dot(u, c), inv(u)), to_float(c)):
+        for m in (c, dot(dot(u, c), inv(u)), to_float(c)):
             assert integer_charpoly_scan(m, t_range=(0.0, 2.0)) == []
             v = lattice_verdict(m, t_range=(0.0, 2.0))
             assert v.status == "inconclusive" and not v.certificates
@@ -443,8 +443,8 @@ J2J1 = ex.rmat(direct_sum([jordan(2, 1), jordan(1, 1), jordan(2, -1), jordan(1, 
 @pytest.mark.parametrize(
     "c",
     [
-        ex.dot(ex.dot(U4, diag(1, 1, -1, -1)), inv(U4)),
-        ex.dot(ex.dot(U6, J2J1), inv(U6)),
+        dot(dot(U4, diag(1, 1, -1, -1)), inv(U4)),
+        dot(dot(U6, J2J1), inv(U6)),
     ],
     ids=["derogatory-group", "jordan-group"],
 )
@@ -533,7 +533,7 @@ def _integer_basis(r, n):
 
 
 def _conjugate(p, d):
-    return ex.dot(ex.dot(p, d), inv(p))
+    return dot(dot(p, d), inv(p))
 
 
 def test_dense_double_roots_are_certified():
@@ -575,7 +575,7 @@ def test_dense_rational_spectra_list_every_witness(d, basis):
     "c, status",
     [
         (ex.rmat([[1, 1, 0], [0, 1, 0], [0, 0, -2]]), "no"),  # double root
-        (ex.dot(ex.dot(U6, J2J1), inv(U6)), "yes"),  # hyperbolic
+        (dot(dot(U6, J2J1), inv(U6)), "yes"),  # hyperbolic
     ],
     ids=["double-root", "hyperbolic"],
 )
@@ -637,7 +637,7 @@ J2_HALF = direct_sum([jordan(2, F(1, 2)), jordan(2, F(-1, 2)), [[0]]])
     [
         (J2, 3.0, 18),
         (J2_HALF, 7.0, 31),
-        (ex.dot(ex.dot(U4, diag(1, 1, -1, -1)), inv(U4)), 3.0, 18),
+        (dot(dot(U4, diag(1, 1, -1, -1)), inv(U4)), 3.0, 18),
     ],
     ids=["jordan", "jordan-half", "derogatory-group"],
 )
@@ -729,8 +729,8 @@ def test_one_pass_matches_the_per_level_construction(data, reach, below):
     [
         (diag(1, -1), (1.0, 1.3), 0),  # between the levels m = 3 and 4
         (diag(1, -1), (0.0, 3.0), 18),  # n = 2: no zero root
-        (ex.dot(ex.dot(U4, diag(1, 1, -1, -1)), inv(U4)), (0.0, 3.0), 18),
-        (ex.dot(ex.dot(U6, J2J1), inv(U6)), (-2.0, 2.0), 10),
+        (dot(dot(U4, diag(1, 1, -1, -1)), inv(U4)), (0.0, 3.0), 18),
+        (dot(dot(U6, J2J1), inv(U6)), (-2.0, 2.0), 10),
         (diag(1, -1), (0.0, 9.2), 9895),  # the listing limit's range
     ],
     ids=["no-level", "n2", "derogatory-group", "jordan-group", "listing-limit"],

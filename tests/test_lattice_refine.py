@@ -28,7 +28,7 @@ from lcplab.lattice import (
     _scanned_range,
     integer_charpoly_scan,
 )
-from support import inv
+from support import dot, inv
 
 
 def ref_golden_min(f, lo, hi):
@@ -104,7 +104,7 @@ def check_against_reference(c, t_range):
 def conjugate(d, u):
     """u d u^-1 on exact rationals."""
     u = ex.rmat(u)
-    return ex.dot(ex.dot(u, ex.rmat(d)), inv(u))
+    return dot(dot(u, ex.rmat(d)), inv(u))
 
 
 @st.composite

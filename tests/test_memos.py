@@ -24,7 +24,7 @@ from lcplab.algebra import (
 from lcplab.construct import almab_lcp
 from lcplab.detect import LCPStructure, classify, structural_audit, verify_lcp
 from lcplab.errors import InvalidStructure
-from support import random_algebra, random_metric, rng, small_fraction
+from support import dot, random_algebra, random_metric, rng, small_fraction
 from test_exact_dot import ref_bracket_span, ref_jacobi_defect
 from test_integer_kernels import _counting, _invertible, _matrix, ref_centraliser, same_span
 
@@ -32,7 +32,7 @@ from test_integer_kernels import _counting, _invertible, _matrix, ref_centralise
 def _same_span_twice(r, n, k):
     """Two Subspace objects of one span, from unrelated bases."""
     b = _matrix(r, n, k)
-    return Subspace(b), Subspace(ex.dot(b, _invertible(r, k)))
+    return Subspace(b), Subspace(dot(b, _invertible(r, k)))
 
 
 def _read_only(s: Subspace) -> bool:
@@ -67,14 +67,14 @@ def test_span_memos_share_equal_contents_and_keep_others_apart():
 
     perp = U1.orthogonal_complement(G)
     assert U2.orthogonal_complement(G) is perp
-    assert perp == Subspace(ex.nullspace(ex.dot(U1.basis.T, G.gram)), n)
-    assert V1.orthogonal_complement(G) == Subspace(ex.nullspace(ex.dot(V1.basis.T, G.gram)), n)
+    assert perp == Subspace(ex.nullspace(dot(U1.basis.T, G.gram)), n)
+    assert V1.orthogonal_complement(G) == Subspace(ex.nullspace(dot(V1.basis.T, G.gram)), n)
     assert len(vars(G)["_orthogonal_complement"]) == 2
     # another metric keeps its own table and its own answer
     G2 = G.scaled(2)
     assert U1.orthogonal_complement(G2) is not perp and U1.orthogonal_complement(G2) == perp
     H = Metric(G.gram + np.outer(U1.basis[:, 0], U1.basis[:, 0]))
-    assert U1.orthogonal_complement(H) == Subspace(ex.nullspace(ex.dot(U1.basis.T, H.gram)), n)
+    assert U1.orthogonal_complement(H) == Subspace(ex.nullspace(dot(U1.basis.T, H.gram)), n)
 
     for s in (span, cent, perp):
         assert _read_only(s)

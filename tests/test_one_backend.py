@@ -2,7 +2,11 @@
 
 Inside ``src/lcplab`` exact data is computed on integer forms; the
 ``Fraction``-array elimination kernels of ``exact`` take and return
-entries for callers outside the package.  The guard below keeps it so.
+entries for callers outside the package.  Two guards keep it so: an
+``ast`` scan for uses of those kernels (and of the deleted ones), and a
+run-time watch on ``exact.scaled`` and ``exact.unscaled`` for integer
+forms sent back through the constructor for entries and for ``Fraction``
+arrays made only to be scaled again or compared.
 The ``Fraction`` versions of the routines that compute on integer forms
 instead are kept here as references, and each integer version returns
 what its reference returns, on every sampled catalog row and on the
@@ -10,6 +14,7 @@ random inputs of the other test modules.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +31,8 @@ from lcplab.algebra import (
     audit_algebra,
 )
 from lcplab.construct import Decomposition, OrthoRep, decompose
-from lcplab.detect import LCPStructure, classify
-from lcplab.errors import LcpError, SingularMatrix
+from lcplab.detect import LCPStructure, classify, structural_audit
+from lcplab.errors import LcpError, PreconditionViolated, SingularMatrix
 from lcplab.fixtures import witness_specs_from_fixtures
 from lcplab.lattice import _jordan_types, _Plan
 from lcplab.lowdim import (
@@ -36,9 +41,11 @@ from lcplab.lowdim import (
     _eigen_ratios,
     check_isomorphism_witness,
     fingerprint,
+    sample_lattice_verdict,
     table_algebra,
+    verify_table,
 )
-from support import inv, left_nullspace, rank, reye, rng
+from support import dot, inv, left_nullspace, rank, reye, rng
 from test_algebra import _drawn_algebra
 from test_construct import RECIPES, _random_case
 from test_lattice_exact import rank_types
@@ -48,7 +55,7 @@ SRC = Path(__file__).parent.parent / "src" / "lcplab"
 # exact's Fraction-array elimination kernels, and the ones deleted with
 # their last caller in the package
 FRACTION_KERNELS = {"rref", "nullspace", "solve", "det", "charpoly"}
-DELETED = {"inv", "left_nullspace", "rank", "to_float", "is_pos_def", "reye"}
+DELETED = {"inv", "left_nullspace", "rank", "to_float", "is_pos_def", "reye", "dot"}
 
 
 def fraction_kernel_uses(source: str) -> list:
@@ -108,6 +115,110 @@ def test_the_guard_sees_every_spelling():
 
 
 # ---------------------------------------------------------------------------
+# no round trip at run time: what the package scales it did not unscale
+# ---------------------------------------------------------------------------
+
+
+def package_frames() -> list:
+    """``module:line`` of each ``lcplab`` frame on the caller's stack,
+    ``exact`` left out, innermost first."""
+    frame, sites = sys._getframe(2), []
+    while frame is not None:
+        name = frame.f_globals.get("__name__", "")
+        if name.startswith("lcplab.") and name != "lcplab.exact":
+            sites.append(f"{name}:{frame.f_lineno}")
+        frame = frame.f_back
+    return sites
+
+
+class ScalingWatch:
+    """``ex.scaled`` and ``ex.unscaled`` wrapped, with a fault recorded for
+    each call the package makes on its own data (one package function
+    calling another, so that test input handed to one entry point is not
+    counted) that is one of these:
+
+    * ``scaled`` of a nonempty array of Python ints only: an integer form
+      sent through the constructor for entries;
+    * ``scaled`` of an array that ``unscaled`` returned in the same run,
+      or of a view of one: a round trip;
+    * ``unscaled`` called by ``detect``, which makes a ``Fraction`` only
+      for a failing identity, and every structure watched passes.
+    """
+
+    def __init__(self, monkeypatch):
+        self.faults, self.returned = [], {}
+        scaled, unscaled = ex.scaled, ex.unscaled
+
+        def watched_scaled(a):
+            callers = package_frames()
+            if len(callers) >= 2 and isinstance(a, np.ndarray):
+                if a.size and all(type(x) is int for x in a.flat):
+                    self.faults.append(("scaled Python ints", *callers[:2]))
+                base = a
+                while isinstance(base, np.ndarray):
+                    if id(base) in self.returned:
+                        self.faults.append(("scaled what unscaled returned", *callers[:2]))
+                        break
+                    base = base.base
+            return scaled(a)
+
+        def watched_unscaled(ints, den):
+            callers = package_frames()
+            if callers and callers[0].startswith("lcplab.detect:"):
+                self.faults.append(("unscaled in detect", *callers[:2]))
+            out = unscaled(ints, den)
+            if isinstance(out, np.ndarray):
+                self.returned[id(out)] = out
+            return out
+
+        monkeypatch.setattr(ex, "scaled", watched_scaled)
+        monkeypatch.setattr(ex, "unscaled", watched_unscaled)
+
+
+def test_no_scaling_round_trip_at_run_time(monkeypatch):
+    # two structures of every recipe, classified, verified and audited,
+    # and every sampled catalog row through the catalog's entry points
+    watch = ScalingWatch(monkeypatch)
+    for recipe in RECIPES:
+        for seed in range(2):
+            S, _ = _random_case(rng(7000 + seed), recipe)
+            classify(S.algebra, S.metric, S.theta)
+            assert S.verify().passed
+            try:
+                structural_audit(S)
+            except PreconditionViolated:
+                pass
+    for sample in SAMPLES:
+        verify_table(sample.name, sample.params)
+        fingerprint(table_algebra(sample.name, sample.params))
+        sample_lattice_verdict(sample)
+    assert watch.returned
+    assert sorted(set(watch.faults)) == []
+
+
+def test_the_watch_sees_every_round_trip(monkeypatch):
+    watch = ScalingWatch(monkeypatch)
+    package = {"__name__": "lcplab.detect", "ex": ex}
+    exec(
+        "def entries(a):\n    return ex.scaled(a)\n"
+        "def outer(a):\n    return entries(a)\n"
+        "def fractions(ints):\n    return ex.unscaled(ints, 2)\n",
+        package,
+    )
+    ints = np.array([1, 2], dtype=object)
+    package["entries"](ints)  # test input handed to one entry point
+    assert watch.faults == []
+    package["outer"](ints)
+    package["outer"](ex.unscaled(ints, 3)[1:])
+    package["fractions"](ints)
+    assert [fault[0] for fault in watch.faults] == [
+        "scaled Python ints",
+        "scaled what unscaled returned",
+        "unscaled in detect",
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Fraction references of the routines that compute on integer forms
 # ---------------------------------------------------------------------------
 
@@ -129,7 +240,7 @@ def ref_almost_abelian_ideal(L):
             return None
         return cent
     q = left_nullspace(der.basis)
-    lift = ex.dot(q.T, inv(ex.dot(q, q.T)))
+    lift = dot(q.T, inv(dot(q, q.T)))
     m = q.shape[0]
     coords = ex.solve(der.basis, L.brackets(lift, lift))
     nonzero = [s for s in (coords[k].reshape(m, m) for k in range(der.dim)) if not ex.is_zero(s)]
@@ -146,12 +257,12 @@ def ref_almost_abelian_ideal(L):
     h = ksum.basis
     if ksum.dim == m - 1:
         for s in nonzero:
-            if not ex.is_zero(ex.dot(ex.dot(h.T, s), h)):
+            if not ex.is_zero(dot(dot(h.T, s), h)):
                 return None
     else:
         extra = next(e for e in reye(m) if not ksum.contains(e))
         h = np.concatenate([h, extra.reshape(-1, 1)], axis=1)
-    return Subspace(np.concatenate([der.basis, ex.dot(lift, h)], axis=1))
+    return Subspace(np.concatenate([der.basis, dot(lift, h)], axis=1))
 
 
 def ref_decompose(S):
@@ -166,7 +277,7 @@ def ref_decompose(S):
         raise LcpError("flat space is not ad-invariant")
     ad_u = ad_u.reshape(q, perp.dim, q)
     images = tuple(ad_u[:, a, :] - theta(hb[:, a]) * reye(q) for a in range(perp.dim))
-    u_gram = ex.dot(ub.T, ex.dot(G.gram, ub))
+    u_gram = dot(ub.T, dot(G.gram, ub))
     return Decomposition(L.restrict(hb), G.restrict(hb), OrthoRep(q, images), hb, ub, u_gram)
 
 
@@ -184,7 +295,7 @@ def ref_fingerprint(L):
         max_nilpotent_derived_dim=max_nil,
         unimodular=audit_algebra(L).unimodular,
         almost_abelian=pres is not None,
-        ad_eigen_ratios=_eigen_ratios(pres.matrix) if pres is not None else None,
+        ad_eigen_ratios=_eigen_ratios(ex.scaled(pres.matrix)[0]) if pres is not None else None,
     )
 
 
@@ -194,7 +305,7 @@ def ref_isomorphism_witness(L1, L2, P):
     if ex.det(P) == 0:
         return None
     n = L1.dim
-    return bool((ex.dot(P, L1.c.reshape(n * n, n).T) == L2.brackets(P, P)).all())
+    return bool((dot(P, L1.c.reshape(n * n, n).T) == L2.brackets(P, P)).all())
 
 
 def isomorphism_witness_or_none(L1, L2, P):
