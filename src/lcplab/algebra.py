@@ -315,8 +315,9 @@ class Metric:
         """``gram`` is the Gram matrix (entries that ``exact.rat`` takes)
         or its integer form ``(gg, dg)``."""
         if not ex.is_form(gram):
-            gram = np.asarray(gram, dtype=object) if not isinstance(gram, np.ndarray) else gram
-            if gram.size and not isinstance(gram[0, 0], Fraction):
+            gram = np.asarray(gram, dtype=object)
+            # ints and Fractions scale as they are; any other entry is coerced
+            if not all(hasattr(x, "denominator") for x in gram.ravel().tolist()):
                 gram = ex.rmat(gram.tolist())
         gg, dg = ex.as_form(gram)
         if not ex.is_symmetric(gg):
@@ -462,7 +463,7 @@ class Subspace:
     """
 
     def __init__(self, basis_matrix: np.ndarray, ambient_dim: Optional[int] = None):
-        if basis_matrix.size == 0 and ambient_dim is not None:
+        if basis_matrix.shape == (0,) and ambient_dim is not None:  # no vectors
             basis_matrix = ex.rzeros((ambient_dim, 0))
         elif ambient_dim not in (None, basis_matrix.shape[0]):
             raise DimensionMismatch(f"basis vectors must have length {ambient_dim}")

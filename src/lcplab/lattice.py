@@ -2,46 +2,34 @@
 
 A unimodular almost abelian group R |x_rho R^{n-1} has a lattice iff
 some rho(t0) = exp(t0 ad_b) is conjugate to an integer unimodular
-matrix.  C is read as the exact rationals its entries are, a float
-entry as the dyadic rational it holds, so every rule below that reads
-the spectrum reads it exactly, whatever the input type.  The search
-side has three paths:
+matrix.  One plan per verdict (``_Plan``) holds C once, as the exact
+rationals its entries are (a float as the dyadic rational it holds),
+checks the input once and computes each spectrum of C once, so every
+rule that reads the spectrum reads it exactly, whatever the input type.
 
-* exact, for a C whose spectrum is rational and real (read from the
-  exact spectrum of its integer form, ``intpoly.int_spectrum``): a
-  lattice exists iff the Jordan types of C at lam and -lam agree (Bock16
-  with Gelfond-Schneider), and then the witnesses are exactly
-  t = +-arccosh(m/2) / lam0 for the integers m >= 3, lam0 the smallest
-  positive eigenvalue ratio, each listed with the Frobenius form of the
-  invariant factors of exp(t0 C), up to MAX_LISTED_WITNESSES in the
-  t-range; complete by trace level, with no float tolerance;
-* off-axis, for a C with an eigenvalue neither real nor imaginary
-  (``IntSpectrum.off_axis``, integer Sturm counts): no lattice exists
-  (Gelfond-Schneider / Baker), so the scan allocates no grid and the
-  verdict is inconclusive, with no certificate yet; this holds for the
-  values a float input holds, also where rounding moved a root off the
-  imaginary axis;
-* the scan, for everything else (imaginary or irrational spectra, a
-  float trace that is zero only up to rounding, the one allowance for
-  rounding in this module, nilpotent C, longer lists): it scans t, in
-  floats, for integer characteristic polynomials and certifies each
-  candidate by the Frobenius form of exp(t0 C), from the exact Jordan
-  layers of C (``certify_witness``).  A witness the grid does not flag is
-  missing from its result.
+``lattice_verdict`` asks the rules of ``RULES`` in order, and the first
+that decides gives the verdict and names itself in it.  A rule returns
+None where it does not apply, a ``NoLatticeCertificate`` for "no", or
+its witnesses for "yes"; an empty list applies and finds none, and the
+verdict is inconclusive over the scanned range:
 
-One plan per verdict (``_Plan``) holds C once, as those rationals,
-checks the input once, and computes each spectrum of C once.
-
-The no-lattice side implements two certificate rules:
-
-* double_root: all eigenvalues of ad_b real with exactly one multiple
-  root, which is nonzero (then no power of the exponential can have an
-  integer characteristic polynomial); read from the exact spectrum;
+* cited: the caller's certificate, for a literature result that is not
+  recomputed here;
+* double_root: every eigenvalue real and exactly one multiple root,
+  which is nonzero (``no_lattice_double_root``);
 * codim2_highdim: a verified LCP structure of flat codimension 2 in
-  dimension >= 5;
-
-plus data-tagged "cited" verdicts for outcomes resting on literature
-results that are not recomputed here.
+  dimension >= 5 (``no_lattice_codim2``);
+* jordan_asymmetry: a rational real trace-free spectrum whose Jordan
+  types at some lam and -lam differ (Bock16 with Gelfond-Schneider);
+* trace_levels: where those types agree, every witness up to
+  MAX_LISTED_WITNESSES, by trace level and with no float tolerance
+  (``_exact_witnesses``);
+* scan: everything else (imaginary or irrational spectra, a float trace
+  that is zero only up to rounding, the one allowance for rounding in
+  this module, nilpotent C, longer lists): a float grid scan whose
+  candidates ``certify_witness`` certifies.  A witness the grid does not
+  flag is missing.  A C with a root off both axes has no lattice
+  (Gelfond-Schneider / Baker) and gets no grid, and no certificate yet.
 """
 
 from __future__ import annotations
@@ -283,9 +271,9 @@ class _Plan:
     rational, so nothing is rounded), with ``exact`` true when every entry
     was an int or a ``Fraction``.  On first use come the integer form
     C = ints / d, the characteristic polynomial and exact spectrum of
-    ints, the spectral radius, the Jordan layers of C, and ``spectrum``,
-    the one float eigen-solve, which only the steps that read floats
-    take.  Input is checked here, once: C must be a nonempty square matrix
+    ints, the spectral radius, the Jordan types and layers of C, and
+    ``spectrum``, the one float eigen-solve, which only the rules that read
+    floats take.  Input is checked here, once: C must be a nonempty square matrix
     (else DimensionMismatch), with n <= MAX_DIM, finite entries within the
     float range and its integer form within MAX_INT_FORM_SIZE (else
     EnvelopeExceeded)."""
@@ -346,6 +334,11 @@ class _Plan:
     def int_spectrum(self) -> IntSpectrum:
         """The exact spectrum of ints = d C."""
         return int_spectrum(self.charpoly)
+
+    @cached_property
+    def jordan_types(self) -> dict:
+        """``_jordan_types`` of ints at its integer roots, for both Jordan rules."""
+        return _jordan_types(self.scaled[0], self.int_spectrum.integer_roots)
 
     @cached_property
     def layers(self) -> list:
@@ -509,41 +502,43 @@ def _poly_mul(p: list, q: list) -> list:
     return out
 
 
-def _exact_witnesses(c, t_range) -> Optional[list]:
-    """Every witness in the clamped t-range, decided exactly, for a C
-    whose spectrum is rational and real; None where the step does not
-    apply and the scan decides.
-
-    With C = ints / d, the eigenvalues k of ints are the integer roots of
-    the plan's exact spectrum.  Put lam0 = gcd(k) / d.  A lattice exists
-    iff the Jordan types of C at lam and -lam agree for every lam (Bock16
-    with Gelfond-Schneider): if they differ, the list is empty; else the
-    witnesses are exactly t = +-arccosh(m/2) / lam0, m >= 3.  exp(t0 C) has
-    the Jordan types of C, at 1 for k = 0 and at the roots of
-    q_e = x^2 - L_e(m) x + 1 for k = +-e gcd(k), and Z is their Frobenius
-    form (``_frobenius``), built for every trace level in one pass: L_e(m)
-    is one vector over the levels, and Z one (levels, n, n) array whose
-    slices are the witnesses' Z.
-
-    Declines (None) on a trace or spectrum the scan must judge (nonzero
-    trace, non-integer or complex eigenvalues, nilpotent C) and past
-    MAX_LISTED_WITNESSES.  ``c`` is C or its plan."""
-    plan = _plan_of(c)
-    spec = plan.int_spectrum
-    ks = spec.integer_eigenvalues()
+def _asymmetric(plan) -> Optional[list]:
+    """The k > 0 at which the Jordan types of ints = d C at k and -k
+    differ, for a C whose eigenvalues k are integers, not all 0, that sum
+    to 0; else None: the two Jordan rules do not apply."""
+    ks = plan.int_spectrum.integer_eigenvalues()
     if ks is None or not any(ks) or sum(ks) != 0:
         return None
-    ints, d = plan.scaled
-    n = len(ks)
-    g = math.gcd(*ks)
-    types = _jordan_types(ints, spec.integer_roots)
-    if any(sizes != types.get(-k) for k, sizes in types.items()):
-        return []
-    lo, hi = _scanned_range(plan, t_range)
-    levels = _trace_levels(float(Fraction(g, d)), lo, hi)
+    types = plan.jordan_types
+    return sorted({abs(k) for k, sizes in types.items() if sizes != types.get(-k)})
+
+
+def _exact_witnesses(c, t_range) -> Optional[list]:
+    """Every witness in the clamped t-range, decided exactly, for a C
+    whose spectrum is rational and real with the same Jordan types at lam
+    and -lam for every lam; None where the rule does not apply.
+
+    With C = ints / d, the eigenvalues k of ints are the integer roots of
+    the plan's exact spectrum.  Put lam0 = gcd(k) / d.  The witnesses are
+    exactly t = +-arccosh(m/2) / lam0, m >= 3 (Bock16 with
+    Gelfond-Schneider).  exp(t0 C) has the Jordan types of C, at 1 for
+    k = 0 and at the roots of q_e = x^2 - L_e(m) x + 1 for k = +-e gcd(k),
+    and Z is their Frobenius form (``_frobenius``), built for every trace
+    level in one pass: L_e(m) is one vector over the levels, and Z one
+    (levels, n, n) array whose slices are the witnesses' Z.
+
+    Declines (None) where ``_asymmetric`` is not [] (a spectrum the scan
+    judges, or types that differ) and past MAX_LISTED_WITNESSES.  ``c`` is
+    C or its plan."""
+    plan = _plan_of(c)
+    if _asymmetric(plan) != []:
+        return None
+    types, d, n = plan.jordan_types, plan.scaled[1], plan.c.shape[0]
+    g = math.gcd(*types)
+    levels = _trace_levels(float(Fraction(g, d)), *_scanned_range(plan, t_range))
     if levels is None:
         return None
-    lucas = _lucas(np.array([m for _, m in levels], dtype=object), max(ks) // g)
+    lucas = _lucas(np.array([m for _, m in levels], dtype=object), max(types) // g)
     # at 1 for k = 0, at the roots of q_e = x^2 - L_e(m) x + 1 for k = e gcd(k)
     parts = [([1, -1] if k == 0 else [1, -lucas[k // g], 1], sizes)
              for k, sizes in types.items() if k >= 0]
@@ -559,7 +554,7 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
 
 @dataclass(frozen=True)
 class NoLatticeCertificate:
-    rule: str  # double_root | codim2_highdim | cited
+    rule: str  # the name of the entry of RULES that made it
     data: dict = field(default_factory=dict)
     reference: str = ""
 
@@ -597,20 +592,51 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     )
 
 
-def no_lattice_codim2(s: LCPStructure) -> Optional[NoLatticeCertificate]:
-    """Certificate for a verified solvable unimodular LCP structure whose
-    flat space has codimension 2 in dimension >= 5."""
+def _jordan_asymmetry(plan) -> Optional[NoLatticeCertificate]:
+    """Certificate when the Jordan types of C at some lam and -lam differ
+    (``_asymmetric``): exp(t0 C) then has different types at e^(t0 lam) and
+    e^(-t0 lam), Galois conjugates when it is integral (Bock16 with
+    Gelfond-Schneider).  ``data`` lists each such lam > 0 with both types."""
+    ks = _asymmetric(plan)
+    if not ks:
+        return None
+    types, d = plan.jordan_types, plan.scaled[1]
+    return NoLatticeCertificate("jordan_asymmetry", data={"asymmetric": [
+        {"eigenvalue": float(Fraction(k, d)), "at": types.get(k, []), "at_minus": types.get(-k, [])}
+        for k in ks
+    ]})
+
+
+def _require_lcp(s: Optional[LCPStructure]) -> None:
+    """PreconditionViolated unless ``s`` is None or a verified solvable unimodular LCP structure."""
+    if s is None:
+        return
     audit = audit_algebra(s.algebra)
     if not (audit.solvable and audit.unimodular):
         raise PreconditionViolated("codim2 rule needs a solvable unimodular algebra")
     if not s.verify().passed:
         raise PreconditionViolated("codim2 rule needs a verified structure")
-    n, q = s.algebra.dim, s.flat_dim
-    if n >= 5 and q == n - 2:
-        return NoLatticeCertificate(
-            "codim2_highdim", data={"dim": n, "flat_dim": q}
-        )
-    return None
+
+
+def _codim2(s: Optional[LCPStructure]) -> Optional[NoLatticeCertificate]:
+    """``no_lattice_codim2`` of a structure already checked, None for None."""
+    if s is None or not s.algebra.dim >= 5 or s.flat_dim != s.algebra.dim - 2:
+        return None
+    return NoLatticeCertificate("codim2_highdim", data={"dim": s.algebra.dim, "flat_dim": s.flat_dim})
+
+
+def no_lattice_codim2(s: LCPStructure) -> Optional[NoLatticeCertificate]:
+    """Certificate for a verified solvable unimodular LCP structure whose
+    flat space has codimension 2 in dimension >= 5."""
+    _require_lcp(s)
+    return _codim2(s)
+
+
+def _scan(plan, t_range) -> list:
+    """The scan's candidates that ``certify_witness`` certifies."""
+    found = (certify_witness(plan, cand.t0, cand.poly)
+             for cand in integer_charpoly_scan(plan, t_range=t_range))
+    return [w for w in found if w is not None]
 
 
 def cited_certificate(reference: str, note: str = "") -> NoLatticeCertificate:
@@ -672,10 +698,14 @@ def amalgam_lattice(t1: float, theta1_sq, t2: float, theta2_sq):
 
 @dataclass(frozen=True)
 class LatticeVerdict:
+    """A verdict and ``rule``, the name of the entry of RULES that gave it;
+    the entries before it in RULES were asked and did not apply."""
+
     input_label: str
     witnesses: tuple
     certificates: tuple
     inconclusive_ranges: tuple
+    rule: str
 
     @property
     def status(self) -> str:
@@ -689,10 +719,22 @@ class LatticeVerdict:
         return {
             "input": self.input_label,
             "status": self.status,
+            "rule": self.rule,
             "witnesses": [w.as_dict() for w in self.witnesses],
             "certificates": [c.as_dict() for c in self.certificates],
             "inconclusive_ranges": [list(r) for r in self.inconclusive_ranges],
         }
+
+
+# the rules of lattice_verdict, in the order it asks them (see the module docstring)
+RULES = (
+    ("cited", lambda plan, t_range, structure, cited: cited),
+    ("double_root", lambda plan, t_range, structure, cited: no_lattice_double_root(plan)),
+    ("codim2_highdim", lambda plan, t_range, structure, cited: _codim2(structure)),
+    ("jordan_asymmetry", lambda plan, t_range, structure, cited: _jordan_asymmetry(plan)),
+    ("trace_levels", lambda plan, t_range, structure, cited: _exact_witnesses(plan, t_range)),
+    ("scan", lambda plan, t_range, structure, cited: _scan(plan, t_range)),
+)
 
 
 def lattice_verdict(
@@ -703,31 +745,16 @@ def lattice_verdict(
     structure: Optional[LCPStructure] = None,
     cited: Optional[NoLatticeCertificate] = None,
 ) -> LatticeVerdict:
-    """Combine certificate rules, the exact step and the scan into a
-    single verdict.
-
-    C is read exactly (``_Plan``): a float entry is the rational it
-    holds.  Certificates are decisive, so when one fires no witness
-    search runs (a sound witness could never coexist with one).  A C
-    with a rational real spectrum is then decided by trace level
-    (``_exact_witnesses``); everything else goes to the scan, whose
-    candidates go to ``certify_witness``.  One plan, passed to each step
-    in place of C, serves the verdict.  ``seed`` is unused."""
+    """The verdict of the first rule of ``RULES`` that decides, named in
+    its ``rule``.  One plan of C (``_Plan``) serves every rule.  A
+    ``structure`` is checked first, so a bad one raises
+    PreconditionViolated whichever rule decides.  ``seed`` is unused."""
     plan = _Plan(c)
-    certs = [cited, no_lattice_double_root(plan)]
-    if structure is not None:
-        certs.append(no_lattice_codim2(structure))
-    certs = [cert for cert in certs if cert is not None]
-    if certs:
-        return LatticeVerdict(label, (), tuple(certs), ())
-    listed = _exact_witnesses(plan, t_range)
-    if listed is not None:
-        inconclusive = () if listed else (_scanned_range(plan, t_range),)
-        return LatticeVerdict(label, tuple(listed), (), inconclusive)
-    witnesses = []
-    for cand in integer_charpoly_scan(plan, t_range=t_range):
-        w = certify_witness(plan, cand.t0, cand.poly)
-        if w is not None:
-            witnesses.append(w)
-    inconclusive = () if witnesses else (_scanned_range(plan, t_range),)
-    return LatticeVerdict(label, tuple(witnesses), (), inconclusive)
+    _require_lcp(structure)
+    for rule, decide in RULES:
+        found = decide(plan, t_range, structure, cited)
+        if isinstance(found, NoLatticeCertificate):
+            return LatticeVerdict(label, (), (found,), (), rule)
+        if found is not None:
+            inconclusive = () if found else (_scanned_range(plan, t_range),)
+            return LatticeVerdict(label, tuple(found), (), inconclusive, rule)

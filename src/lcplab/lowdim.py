@@ -563,28 +563,18 @@ def _sample_for(name, params) -> SampleSpec:
 
 def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0, witnesses=None):
     """Verdict for one sampled row: cited where the literature decides,
-    computed certificates/witness search otherwise (it requires an almost
-    abelian algebra).  ``witnesses`` are the row's fixture witnesses when
-    the caller has parsed them already; ``seed`` is accepted and unused."""
+    else that of ``lattice_verdict`` (it requires an almost abelian
+    algebra), whose certificate's rule or first witness is the evidence.
+    ``witnesses`` are the row's fixture witnesses when the caller has
+    parsed them already; ``seed`` is accepted and unused."""
     L = table_algebra(sample.name, sample.params)
-    if sample.lattice_cited is not None and sample.lattice_cited[0] == "yes":
-        return {
-            "status": "yes",
-            "evidence": f"cited[{sample.lattice_cited[1]}]",
-            "witnesses": 0,
-        }
+    cited = sample.lattice_cited
+    if cited is not None and cited[0] == "yes":
+        return {"status": "yes", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
     pres = almost_abelian_presentation(L, Metric.identity(L.dim))
-    cited = None
-    if sample.lattice_cited is not None:
-        cited = cited_certificate(sample.lattice_cited[1])
-    if pres is None:
-        # not almost abelian: the Bock scan does not apply
+    if pres is None:  # not almost abelian: the Bock scan does not apply
         if cited is not None:
-            return {
-                "status": "no",
-                "evidence": f"cited[{cited.reference}]",
-                "witnesses": 0,
-            }
+            return {"status": "no", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
         return {"status": "inconclusive", "evidence": "not almost abelian", "witnesses": 0}
     structure = None
     if witnesses is None:
@@ -593,21 +583,13 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
     if best.expected_dim == L.dim - 2:
         flat = maximal_flat_parallel(L, best.metric, best.theta)
         structure = LCPStructure(L, best.metric, best.theta, flat)
-    verdict = lattice_verdict(
-        pres.matrix,
-        label=sample.name,
-        t_range=t_range,
-        structure=structure,
-        cited=cited,
-    )
+    verdict = lattice_verdict(pres.matrix, label=sample.name, t_range=t_range, structure=structure,
+                              cited=None if cited is None else cited_certificate(cited[1]))
     if verdict.witnesses:
-        w0 = verdict.witnesses[0]
-        evidence = f"witness t={w0.t0:.4f} ({len(verdict.witnesses)} found)"
+        evidence = f"witness t={verdict.witnesses[0].t0:.4f} ({len(verdict.witnesses)} found)"
     elif verdict.certificates:
-        evidence = ",".join(
-            c.rule + (f"[{c.reference}]" if c.reference else "")
-            for c in verdict.certificates
-        )
+        (c,) = verdict.certificates
+        evidence = c.rule + (f"[{c.reference}]" if c.reference else "")
     else:
         evidence = "inconclusive"
     return {"status": verdict.status, "evidence": evidence, "verdict": verdict,

@@ -150,7 +150,16 @@ def test_subspace_refuses_a_basis_of_another_length():
     with pytest.raises(DimensionMismatch):
         Subspace(ex.rmat([[1], [0]]), ambient_dim=3)
     assert Subspace(np.eye(3, dtype=object), ambient_dim=3) == Subspace.full(3)
-    assert Subspace(ex.rzeros((3, 0)), ambient_dim=4) == Subspace.zero(4)
+    assert Subspace(ex.rzeros((4, 0)), ambient_dim=4) == Subspace.zero(4)
+    # no vectors at all span the zero space of any ambient dimension
+    assert Subspace(np.zeros((0,), dtype=object), ambient_dim=3) == Subspace.zero(3)
+
+
+def test_subspace_refuses_an_empty_basis_of_another_length():
+    # an empty 2-d basis still has a row count, which must be ambient_dim
+    for rows in (3, 4):
+        with pytest.raises(DimensionMismatch):
+            Subspace(np.zeros((rows + 1, 0), dtype=object), ambient_dim=rows)
 
 
 def test_one_form_arithmetic_refuses_another_dimension():
@@ -339,6 +348,25 @@ def test_almost_abelian_does_not_depend_on_metric(seed, n, kind):
     assert (almost_abelian_presentation(L, G1) is None) == (
         almost_abelian_presentation(L, G2) is None
     )
+
+
+def test_metric_coerces_every_entry():
+    # a string entry is coerced wherever it stands, not only when the first
+    # entry is not a Fraction
+    half = F(1, 2)
+    a = Metric(np.array([[F(1), "1/2"], ["1/2", 1]], dtype=object))
+    b = Metric(np.array([[1, "1/2"], ["1/2", F(1)]], dtype=object))
+    assert a == b == Metric(ex.rmat([[1, half], [half, 1]]))
+
+
+def test_metric_of_integer_entries_makes_no_fractions(monkeypatch):
+    calls = []
+    rmat = ex.rmat
+    monkeypatch.setattr(ex, "rmat", lambda rows: calls.append(1) or rmat(rows))
+    g = Metric(np.eye(2, dtype=object))
+    assert calls == [] and g == Metric.identity(2)
+    assert Metric(np.eye(2, dtype=int)) == Metric.identity(2)
+    assert Metric(np.eye(2, dtype=int)).scaled_gram[1] == 1
 
 
 def test_metric_validation():

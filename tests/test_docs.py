@@ -2,7 +2,8 @@
 module is an lcplab module (with or without the ``lcplab.`` prefix)
 names an attribute of that module, and the quick tour runs and gives the
 results its comments state.  Wildcard mentions such as ``exact.int_*``
-name a family and are skipped."""
+name a family and are skipped.  Its table of lattice rules names the
+entries of ``lattice.RULES``, in order."""
 
 import importlib
 import pkgutil
@@ -50,3 +51,22 @@ def test_readme_quick_tour_gives_its_commented_results():
             assert str(got.tolist() if hasattr(got, "tolist") else got) == want.strip(), code
             checked += 1
     assert checked == 4
+
+
+def readme_rule_table() -> list:
+    """The rule names of the README's table of lattice rules, in order: the
+    first backticked word of each row after its ``| rule |`` header."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| rule | answers | rests on |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.match(r"\| `([a-z0-9_]+)` \|", line).group(1))
+    return rows
+
+
+def test_readme_lists_the_lattice_rules_in_order():
+    from lcplab.lattice import RULES
+
+    assert readme_rule_table() == [name for name, _ in RULES]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab import kernels
-from lcplab.algebra import MAX_DIM, LieAlgebra, Metric, OneForm
+from lcplab.algebra import MAX_DIM, LieAlgebra, Metric, OneForm, almost_abelian_presentation
 from lcplab.construct import almab_lcp
 from lcplab.detect import LCPStructure, maximal_flat_parallel
 from lcplab.errors import (
@@ -16,11 +16,13 @@ from lcplab.errors import (
     MTooSmall,
     NonPositiveInput,
     NonTraceFree,
+    PreconditionViolated,
 )
 from lcplab.intpoly import IntPoly, int_charpoly, int_det
 from lcplab.lattice import (
     MAX_INT_FORM_SIZE,
     MAX_SPECTRAL,
+    RULES,
     SCAN_TOL,
     _exact_witnesses,
     _Plan,
@@ -28,6 +30,7 @@ from lcplab.lattice import (
     amalgam_lattice,
     certify_witness,
     certify_witness_blocked,
+    cited_certificate,
     e11_lattice,
     exp_ad,
     integer_charpoly_scan,
@@ -314,12 +317,16 @@ def test_double_root_certificates():
 
 def test_verdict_tol_does_not_loosen_double_root():
     # eigenvalues 1e-6 or 1e-9 apart are distinct floats, hence distinct
-    # rationals: the double-root rule reads them exactly and does not fire
-    for gap in (1e-6, 1e-9):
+    # rationals: the double-root rule reads them exactly and does not fire.
+    # The floats of the 1e-9 gap sum to exactly 0, and their rational real
+    # spectrum has a type at 1 and none at -1: jordan_asymmetry says "no".
+    # Those of the 1e-6 gap sum to -2^-52, which only the scan's float
+    # trace check lets through, and the scan finds nothing
+    for gap, rule, status in ((1e-6, "scan", "inconclusive"), (1e-9, "jordan_asymmetry", "no")):
         c = np.diag([1.0, 1 + gap, -2 - gap])
         v = lattice_verdict(c, t_range=(0, 3))
-        assert v.status == "inconclusive"
-        assert v.certificates == ()
+        assert (v.rule, v.status) == (rule, status)
+        assert "double_root" not in [cert.rule for cert in v.certificates]
 
 
 def test_codim2_certificate():
@@ -334,6 +341,45 @@ def test_codim2_certificate():
     # dim-5 with flat 2 is exempt
     s2 = almab_lcp([[1, 0], [0, 2]], ex.rzeros((2, 2)))
     assert no_lattice_codim2(s2) is None
+
+
+def _first_rule_cases():
+    """(C, structure, cited, the rule that decides) for each entry of RULES."""
+    s = almab_lcp([[1]], [[0, -1, 0], [1, 0, 0], [0, 0, 0]])  # dim 5, flat 3
+    yield C_E11, None, cited_certificate("Bock16"), "cited"
+    yield ex.rmat([[1, 0, 0], [0, 1, 0], [0, 0, -2]]), None, None, "double_root"
+    # 1, -1/3 +- i, -1/3: no double root, and the structure decides
+    yield almost_abelian_presentation(s.algebra, s.metric).matrix, s, None, "codim2_highdim"
+    yield ex.rmat([[1, 0, 0], [0, Fraction(-1, 4), 0], [0, 0, Fraction(-3, 4)]]), None, None, "jordan_asymmetry"
+    yield ex.rmat([[1, 0], [0, -1]]), None, None, "trace_levels"
+    yield ex.rmat([[0, -1], [1, 0]]), None, None, "scan"
+
+
+def test_the_first_rule_that_decides_names_the_verdict():
+    # each entry of RULES decides one input; the entries before it were
+    # asked and did not apply, and the verdict names the entry
+    names = [name for name, _ in RULES]
+    assert names == ["cited", "double_root", "codim2_highdim", "jordan_asymmetry", "trace_levels", "scan"]
+    for c, structure, cited, rule in _first_rule_cases():
+        v = lattice_verdict(c, t_range=(0.0, 3.0), structure=structure, cited=cited)
+        assert v.rule == rule and v.as_dict()["rule"] == rule
+        assert v.status != "inconclusive"
+        plan = _Plan(c)
+        for name, decide in RULES[: names.index(rule)]:
+            assert decide(plan, (0.0, 3.0), structure, cited) is None, (rule, name)
+        assert [cert.rule for cert in v.certificates] in ([], [rule])
+
+
+def test_a_bad_structure_raises_whichever_rule_decides():
+    # a non-unimodular algebra's structure is refused also where the cited
+    # certificate or the double root decides before the codim2 rule is asked
+    h = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0]})
+    th = OneForm.dual(3, 0, -1)
+    bad = LCPStructure(h, Metric.identity(3), th, maximal_flat_parallel(h, Metric.identity(3), th))
+    for c, cited in ((C_E11, cited_certificate("Bock16")), (np.diag([1.0, -0.5, -0.5]), None)):
+        assert lattice_verdict(c, t_range=(0.0, 3.0), cited=cited).status == "no"
+        with pytest.raises(PreconditionViolated):
+            lattice_verdict(c, t_range=(0.0, 3.0), structure=bad, cited=cited)
 
 
 def test_amalgam_lattice():
@@ -397,7 +443,10 @@ def test_double_root_on_rationals_needs_an_exact_multiple_root():
     c = ex.rmat([[1, 0, 0], [0, 1 + e, 0], [0, 0, -2 - e]])
     assert no_lattice_double_root(c.astype(np.float64)) is None
     assert no_lattice_double_root(c) is None
-    assert lattice_verdict(c, t_range=(0, 3)).status != "no"
+    # the rationals have no lattice by the Jordan types, which differ at 1
+    # and -1, and get no double_root certificate
+    (cert,) = lattice_verdict(c, t_range=(0, 3)).certificates
+    assert cert.rule == "jordan_asymmetry"
     # an exact double root (diagonal or a Jordan block) keeps its certificate
     for rows in ([[Fraction(1, 4), 0, 0, 0], [0, Fraction(1, 4), 0, 0],
                   [0, 0, Fraction(1, 2), 0], [0, 0, 0, -1]],

@@ -1,6 +1,7 @@
-"""The exact step of ``lattice_verdict``: a rational C whose spectrum is
+"""The Jordan rules of ``lattice_verdict``: a rational C whose spectrum is
 rational and real has witnesses exactly at t = +-arccosh(m/2) / lam0,
-m >= 3, when its Jordan types at lam and -lam agree, and none otherwise."""
+m >= 3, when its Jordan types at lam and -lam agree (trace_levels), and
+a jordan_asymmetry certificate otherwise."""
 
 import math
 import random
@@ -87,7 +88,8 @@ def symmetric_jordan_data(draw):
 @st.composite
 def broken_jordan_data(draw):
     """A rational real trace-free spectrum whose Jordan types at lam and
-    -lam differ, with no single multiple root (so no certificate fires):
+    -lam differ, with no single multiple root (so double_root does not
+    fire):
     J_2(a) + J_1(-a) + J_1(-a), or the simple spectrum (e1 + e2, -e1, -e2)."""
     lam0 = draw(st.sampled_from([1, F(1, 2), 3]))
     if draw(st.booleans()):
@@ -190,7 +192,7 @@ def test_scan_witnesses_of_the_float_twin_are_exact_witnesses(data, reach):
 
 @settings(max_examples=30, deadline=None)
 @given(broken_jordan_data())
-def test_broken_symmetry_is_inconclusive_without_a_scan(c):
+def test_broken_symmetry_is_a_jordan_asymmetry_without_a_scan(c):
     import lcplab.lattice as lattice
 
     calls = []
@@ -198,8 +200,11 @@ def test_broken_symmetry_is_inconclusive_without_a_scan(c):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "integer_charpoly_scan", lambda *a, **k: calls.append(1) or scan(*a, **k))
         v = lattice_verdict(c, t_range=(0.0, 3.0))
-    assert v.status == "inconclusive" and not v.certificates
-    assert v.inconclusive_ranges == (_scanned_range(c, (0.0, 3.0)),)
+    assert v.status == "no" and v.rule == "jordan_asymmetry" and v.inconclusive_ranges == ()
+    (cert,) = v.certificates
+    assert cert.rule == "jordan_asymmetry" and cert.data["asymmetric"]
+    for pair in cert.data["asymmetric"]:
+        assert pair["eigenvalue"] > 0 and pair["at"] != pair["at_minus"]
     assert calls == []
 
 

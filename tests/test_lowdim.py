@@ -338,6 +338,25 @@ def test_lattice_verdicts_match_catalog():
             assert not (v.witnesses and v.certificates)
 
 
+def test_jordan_asymmetry_answers_only_some_parameters_rows():
+    # the rule's "no" falls on rows whose lattice column the paper gives
+    # as some_parameters: g_{4.5}^{p,-p-1} at p = -1/4 (spectrum 1, -1/4,
+    # -3/4, with a zero for +R) and g_{5.7}^{p,q,r} at (1/6, 1/3, 1/2)
+    # (spectrum p, q, r, -1), where no eigenvalue has its opposite
+    found = []
+    for sample in SAMPLES:
+        v = sample_lattice_verdict(sample).get("verdict")
+        if v is not None and v.rule == "jordan_asymmetry":
+            assert ROWS[sample.name].lattice_status == "some_parameters", sample.name
+            assert v.status == "no" and [c.rule for c in v.certificates] == ["jordan_asymmetry"]
+            found.append((sample.name, sample.params))
+    assert found == [
+        ("g_{4.5}^{p,-p-1}", {"p": F(-1, 4)}),
+        ("g_{4.5}^{p,-p-1}+R", {"p": F(-1, 4)}),
+        ("g_{5.7}^{p,q,r}", {"p": F(1, 6), "q": F(1, 3), "r": F(1, 2)}),
+    ]
+
+
 def test_nonunimodular_4d_catalog():
     r = rng(59)
     for name, (_, checks) in NONUNIMODULAR_4D.items():
