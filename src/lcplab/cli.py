@@ -206,14 +206,14 @@ def cmd_lattice(args) -> int:
         print("input is not almost abelian: Bock scan does not apply", file=sys.stderr)
         return EXIT_FAIL
     if args.action == "search":
+        # only a codim-2 flat at n >= 5 can decide (codim2_highdim); an almost
+        # abelian L is solvable, and unimodular iff tr C = 0, which the verdict checks
         structure = None
         theta = doc.one_form()
-        if theta is not None and not theta.is_zero() and is_closed(L, theta):
+        if L.dim >= 5 and theta is not None and not theta.is_zero() and is_closed(L, theta):
             flat = maximal_flat_parallel(L, G, theta)
-            if flat.dim >= 1 and verify_lcp(L, G, theta, flat).passed:
-                aud = audit_algebra(L)
-                if aud.solvable and aud.unimodular:
-                    structure = LCPStructure(L, G, theta, flat)
+            if flat.dim == L.dim - 2 and verify_lcp(L, G, theta, flat).passed:
+                structure = LCPStructure(L, G, theta, flat)
         verdict = lattice_verdict(
             pres.matrix,
             label=doc.label or "input",

@@ -7,11 +7,13 @@ rationals its entries are (a float as the dyadic rational it holds),
 checks the input once and computes each spectrum of C once, so every
 rule that reads the spectrum reads it exactly, whatever the input type.
 
-``lattice_verdict`` asks the rules of ``RULES`` in order, and the first
-that decides gives the verdict and names itself in it.  A rule returns
-None where it does not apply, a ``NoLatticeCertificate`` for "no", or
-its witnesses for "yes"; an empty list applies and finds none, and the
-verdict is inconclusive over the scanned range:
+``lattice_verdict`` refuses C with NonTraceFree unless the rationals it
+holds have trace exactly 0 (the one trace test, ``_require_trace_free``),
+then asks the rules of ``RULES`` in order; the first that decides gives
+the verdict and names itself in it.  A rule returns None where it does
+not apply, a ``NoLatticeCertificate`` for "no", or its witnesses for
+"yes"; an empty list applies and finds none, and the verdict is
+inconclusive over the scanned range:
 
 * cited: the caller's certificate, for a literature result that is not
   recomputed here;
@@ -19,17 +21,16 @@ verdict is inconclusive over the scanned range:
   which is nonzero (``no_lattice_double_root``);
 * codim2_highdim: a verified LCP structure of flat codimension 2 in
   dimension >= 5 (``no_lattice_codim2``);
-* jordan_asymmetry: a rational real trace-free spectrum whose Jordan
-  types at some lam and -lam differ (Bock16 with Gelfond-Schneider);
+* jordan_asymmetry: a rational real spectrum whose Jordan types at some
+  lam and -lam differ (Bock16 with Gelfond-Schneider);
 * trace_levels: where those types agree, every witness up to
   MAX_LISTED_WITNESSES, by trace level and with no float tolerance
   (``_exact_witnesses``);
-* scan: everything else (imaginary or irrational spectra, a float trace
-  that is zero only up to rounding, the one allowance for rounding in
-  this module, nilpotent C, longer lists): a float grid scan whose
-  candidates ``certify_witness`` certifies.  A witness the grid does not
-  flag is missing.  A C with a root off both axes has no lattice
-  (Gelfond-Schneider / Baker) and gets no grid, and no certificate yet.
+* scan: everything else (imaginary or irrational spectra, nilpotent C,
+  longer lists): a float grid scan whose candidates ``certify_witness``
+  certifies.  A witness the grid does not flag is missing.  A C with a
+  root off both axes has no lattice (Gelfond-Schneider / Baker) and gets
+  no grid, and no certificate yet.
 """
 
 from __future__ import annotations
@@ -157,10 +158,8 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     ``SCAN_STEP``, flags interior local minima below ``SCAN_FLAG_TOL``,
     refines the flags together by ``GOLDEN_ITERS`` golden-section steps
     (``_refine``), keeps minima down to ``SCAN_TOL``, and deduplicates
-    candidates closer than 1e-6.  The trace is read from the rationals of
-    C: exact input (every entry an int or a ``Fraction``) must have trace
-    0, and float input a trace within ``SCAN_TOL`` max(1, max|C|) of 0;
-    else NonTraceFree.
+    candidates closer than 1e-6.  C must be trace-free as the rationals
+    it holds (``_require_trace_free``), else NonTraceFree.
     A refined minimum with a coefficient of modulus 2^53 or more is
     dropped.  A (near) nilpotent C has integer coefficients for every t
     and is reported as the single degenerate candidate t = 1, or t = hi
@@ -172,10 +171,7 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     no grid.
     """
     plan = _plan_of(c)
-    ints, d = plan.scaled
-    tol = 0 if plan.exact else SCAN_TOL * max(1, np.abs(plan.c).max())
-    if abs(Fraction(np.trace(ints), d)) > tol:
-        raise NonTraceFree("Bock scan requires a trace-free matrix")
+    _require_trace_free(plan)
     lo, hi = _scanned_range(plan, t_range)
     if not hi - lo <= MAX_SCAN_POINTS * SCAN_STEP:
         raise EnvelopeExceeded(
@@ -268,8 +264,7 @@ class _Plan:
     """What one verdict computes once about C.  C is held once, as the
     exact rationals its entries are (``c``): ints and ``Fraction``s as
     they are, each float x as ``Fraction(x)`` (a finite float is a dyadic
-    rational, so nothing is rounded), with ``exact`` true when every entry
-    was an int or a ``Fraction``.  On first use come the integer form
+    rational, so nothing is rounded).  On first use come the integer form
     C = ints / d, the characteristic polynomial and exact spectrum of
     ints, the spectral radius, the Jordan types and layers of C, and
     ``spectrum``, the one float eigen-solve, which only the rules that read
@@ -284,10 +279,10 @@ class _Plan:
             raise DimensionMismatch(f"C must be a nonempty square matrix, not {a.shape}")
         if a.shape[0] > MAX_DIM:
             raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
-        self.c, self.exact = np.empty(a.shape, dtype=object), True
+        self.c = np.empty(a.shape, dtype=object)
         for i, x in enumerate(a.ravel().tolist()):
             if not hasattr(x, "denominator"):
-                x, self.exact = float(x), False
+                x = float(x)
                 if not math.isfinite(x):
                     raise EnvelopeExceeded("matrix entries must be finite")
                 x = Fraction(x)
@@ -370,6 +365,13 @@ class _Plan:
 def _plan_of(c) -> _Plan:
     """``c`` itself when it is a plan, else a new plan of C."""
     return c if isinstance(c, _Plan) else _Plan(c)
+
+
+def _require_trace_free(plan) -> None:
+    """NonTraceFree unless the rationals C holds have trace exactly 0, read
+    on the integer form: after its bit envelope, before any charpoly."""
+    if np.trace(plan.scaled[0]) != 0:
+        raise NonTraceFree("Bock scan requires a trace-free matrix")
 
 
 def _frobenius(parts, shape) -> tuple:
@@ -504,10 +506,10 @@ def _poly_mul(p: list, q: list) -> list:
 
 def _asymmetric(plan) -> Optional[list]:
     """The k > 0 at which the Jordan types of ints = d C at k and -k
-    differ, for a C whose eigenvalues k are integers, not all 0, that sum
-    to 0; else None: the two Jordan rules do not apply."""
+    differ, for a trace-free C whose eigenvalues k are integers, not all
+    0; else None: the two Jordan rules do not apply."""
     ks = plan.int_spectrum.integer_eigenvalues()
-    if ks is None or not any(ks) or sum(ks) != 0:
+    if ks is None or not any(ks):
         return None
     types = plan.jordan_types
     return sorted({abs(k) for k, sizes in types.items() if sizes != types.get(-k)})
@@ -675,7 +677,8 @@ def amalgam_lattice(t1: float, theta1_sq, t2: float, theta2_sq):
     t |theta1| / sqrt(...) = k2 t2 for natural k1, k2, which requires
     t2 |theta2| / (t1 |theta1|) to be rational.  Rationality of the float
     ratio is only accepted up to denominator 256 at 1e-9 relative
-    tolerance; anything else is reported as inconclusive (None).
+    tolerance; anything else is reported as inconclusive (None).  So a
+    solution rests on floats and says ``"numerical": True``.
     """
     th1 = ex.rat(theta1_sq)
     th2 = ex.rat(theta2_sq)
@@ -693,6 +696,7 @@ def amalgam_lattice(t1: float, theta1_sq, t2: float, theta2_sq):
         "k1": k1,
         "k2": k2,
         "t_sq_over_t1_sq": t_sq_over_t1_sq,
+        "numerical": True,
     }
 
 
@@ -746,10 +750,11 @@ def lattice_verdict(
     cited: Optional[NoLatticeCertificate] = None,
 ) -> LatticeVerdict:
     """The verdict of the first rule of ``RULES`` that decides, named in
-    its ``rule``.  One plan of C (``_Plan``) serves every rule.  A
-    ``structure`` is checked first, so a bad one raises
-    PreconditionViolated whichever rule decides.  ``seed`` is unused."""
+    its ``rule``.  One plan of C (``_Plan``) serves every rule.  Before any
+    rule, C must be trace-free (else NonTraceFree) and a ``structure``
+    verified (else PreconditionViolated).  ``seed`` is unused."""
     plan = _Plan(c)
+    _require_trace_free(plan)
     _require_lcp(structure)
     for rule, decide in RULES:
         found = decide(plan, t_range, structure, cited)

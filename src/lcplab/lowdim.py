@@ -561,12 +561,12 @@ def _sample_for(name, params) -> SampleSpec:
 # lattice verdict per sampled row and full catalog reproduction
 # ---------------------------------------------------------------------------
 
-def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0, witnesses=None):
+def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0):
     """Verdict for one sampled row: cited where the literature decides,
     else that of ``lattice_verdict`` (it requires an almost abelian
     algebra), whose certificate's rule or first witness is the evidence.
-    ``witnesses`` are the row's fixture witnesses when the caller has
-    parsed them already; ``seed`` is accepted and unused."""
+    A row's fixtures are read only where codim2_highdim can fire (n >= 5,
+    n - 2 among its flat dimensions); ``seed`` is accepted and unused."""
     L = table_algebra(sample.name, sample.params)
     cited = sample.lattice_cited
     if cited is not None and cited[0] == "yes":
@@ -577,12 +577,9 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
             return {"status": "no", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
         return {"status": "inconclusive", "evidence": "not almost abelian", "witnesses": 0}
     structure = None
-    if witnesses is None:
-        witnesses = witness_specs_from_fixtures(sample)
-    best = max(witnesses, key=lambda w: w.expected_dim)
-    if best.expected_dim == L.dim - 2:
-        flat = maximal_flat_parallel(L, best.metric, best.theta)
-        structure = LCPStructure(L, best.metric, best.theta, flat)
+    if L.dim >= 5 and L.dim - 2 in ROWS[sample.name].expected_flat_dims(sample.params):
+        w = max(witness_specs_from_fixtures(sample), key=lambda x: x.expected_dim)
+        structure = LCPStructure(L, w.metric, w.theta, maximal_flat_parallel(L, w.metric, w.theta))
     verdict = lattice_verdict(pres.matrix, label=sample.name, t_range=t_range, structure=structure,
                               cited=None if cited is None else cited_certificate(cited[1]))
     if verdict.witnesses:
@@ -602,9 +599,8 @@ def reproduce_tables(t_range=(0.0, 3.0)) -> list:
     out = []
     for sample in SAMPLES:
         row = ROWS[sample.name]
-        witnesses = witness_specs_from_fixtures(sample)
-        tv = verify_table(sample.name, sample.params, witnesses=witnesses)
-        lat = sample_lattice_verdict(sample, t_range=t_range, witnesses=witnesses)
+        tv = verify_table(sample.name, sample.params)
+        lat = sample_lattice_verdict(sample, t_range=t_range)
         out.append(
             {
                 "table": row.table,

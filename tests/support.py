@@ -63,6 +63,19 @@ def to_float(a) -> np.ndarray:
     return np.asarray(a, dtype=object).astype(np.float64)
 
 
+def trace_free_float(a, bits: int = 40) -> np.ndarray:
+    """A float twin whose held trace is exactly 0: ``to_float(a)`` with its
+    diagonal rounded to multiples of 2^-bits and the last diagonal entry
+    minus the sum of the others (sums on that grid are exact floats)."""
+    f = to_float(a)
+    n = len(f)
+    diag = np.round(f.diagonal() * 2.0**bits) / 2.0**bits
+    diag[-1] = -diag[:-1].sum()
+    f[range(n), range(n)] = diag
+    assert sum(Fraction(x) for x in f.diagonal()) == 0
+    return f
+
+
 def is_pos_def(g) -> bool:
     """Sylvester's criterion for a symmetric rational matrix, on its
     integer numerators."""

@@ -8,9 +8,12 @@ inputs is run and checked by ``lcpbench/checks.py``, so an API change
 that would break a benchmark run fails this test first."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import lcplab.lowdim as lowdim
 
 LCPBENCH = Path(__file__).parent.parent / "lcpbench"
 
@@ -46,3 +49,22 @@ def test_lattice_search_later_rounds_pass_their_checks(rnd):
 @pytest.mark.parametrize("rnd", [1, 2])
 def test_structures_later_rounds_pass_their_checks(rnd):
     _run_and_check("structures", rnd)
+
+
+def test_catalog_reads_fixtures_only_where_the_codim2_rule_can_fire(monkeypatch):
+    # over one pass of the catalog workload, sample_lattice_verdict reads
+    # a row's fixtures only at n >= 5 with n - 2 among the row's flat
+    # dimensions: g_{5.7} at p=q=r=1/3 and g_{5.13} at q=-1/3, of which
+    # the second is still decided by codim2_highdim
+    wround = workloads.WORKLOADS["catalog"](1, 0)
+    read, parse = [], lowdim.witness_specs_from_fixtures
+    monkeypatch.setattr(
+        lowdim, "witness_specs_from_fixtures", lambda s: read.append((s.name, s.params)) or parse(s)
+    )
+    lat = {inp: wround.run(inp)[1] for inp in wround.inputs}
+    third = Fraction(1, 3)
+    g57 = ("g_{5.7}^{p,q,r}", {"p": third, "q": third, "r": third})
+    g513 = ("g_{5.13}^{-1-2q,q,r}", {"q": -third, "r": 1})
+    assert read == [g57, g513]
+    (i,) = [i for i in wround.inputs if (lowdim.SAMPLES[i].name, lowdim.SAMPLES[i].params) == g513]
+    assert lat[i]["evidence"] == "codim2_highdim" and lat[i]["verdict"].rule == "codim2_highdim"

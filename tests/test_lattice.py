@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab import kernels
@@ -38,7 +38,7 @@ from lcplab.lattice import (
     no_lattice_codim2,
     no_lattice_double_root,
 )
-from support import dot, inv, reye, to_float
+from support import dot, inv, reye, to_float, trace_free_float
 
 C_E11 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -316,17 +316,62 @@ def test_double_root_certificates():
 
 
 def test_verdict_tol_does_not_loosen_double_root():
-    # eigenvalues 1e-6 or 1e-9 apart are distinct floats, hence distinct
-    # rationals: the double-root rule reads them exactly and does not fire.
-    # The floats of the 1e-9 gap sum to exactly 0, and their rational real
-    # spectrum has a type at 1 and none at -1: jordan_asymmetry says "no".
-    # Those of the 1e-6 gap sum to -2^-52, which only the scan's float
-    # trace check lets through, and the scan finds nothing
-    for gap, rule, status in ((1e-6, "scan", "inconclusive"), (1e-9, "jordan_asymmetry", "no")):
-        c = np.diag([1.0, 1 + gap, -2 - gap])
-        v = lattice_verdict(c, t_range=(0, 3))
-        assert (v.rule, v.status) == (rule, status)
-        assert "double_root" not in [cert.rule for cert in v.certificates]
+    # eigenvalues 1e-9 apart are distinct floats, hence distinct rationals:
+    # the double-root rule reads them exactly and does not fire.  Those
+    # floats sum to exactly 0, and their rational real spectrum has a type
+    # at 1 and none at -1: jordan_asymmetry says "no".  The floats of the
+    # 1e-6 gap sum to -2^-52: the values held are not trace-free, and the
+    # verdict refuses them before any rule is asked
+    v = lattice_verdict(np.diag([1.0, 1 + 1e-9, -2 - 1e-9]), t_range=(0, 3))
+    assert (v.rule, v.status) == ("jordan_asymmetry", "no")
+    assert "double_root" not in [cert.rule for cert in v.certificates]
+    with pytest.raises(NonTraceFree):
+        lattice_verdict(np.diag([1.0, 1 + 1e-6, -2 - 1e-6]), t_range=(0, 3))
+
+
+class CharpolyBuilt(Exception):
+    pass
+
+
+def _refuse_charpoly(ints):
+    raise CharpolyBuilt
+
+
+@st.composite
+def trace_rule_inputs(draw):
+    """An n x n matrix, n = 2..6, of floats (dyadic ones, or any of
+    modulus 0 or at least 2^-20) or of Fractions; half of them have the
+    last diagonal entry set to minus the sum of the others, in the
+    entries' own arithmetic (a float sum may round)."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        entry = st.one_of(
+            st.integers(-64, 64).map(lambda k: k / 8),
+            st.tuples(st.sampled_from([1.0, -1.0]), st.floats(2.0**-20, 8)).map(lambda sx: sx[0] * sx[1]),
+        )
+        dtype = np.float64
+    else:
+        entry = st.fractions(-8, 8, max_denominator=12)
+        dtype = object
+    c = np.array([[draw(entry) for _ in range(n)] for _ in range(n)], dtype=dtype)
+    if draw(st.booleans()):
+        c[n - 1, n - 1] = -sum(c[i, i] for i in range(n - 1))
+    return c
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_rule_inputs())
+def test_the_trace_rule_comes_before_any_characteristic_polynomial(c):
+    # one trace rule for every input type: NonTraceFree exactly when the
+    # rationals held have a nonzero trace, and before a characteristic
+    # polynomial is built; trace-free input goes on to build one
+    trace_free = sum(Fraction(c[i, i]) for i in range(len(c))) == 0
+    event(f"trace free: {trace_free}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "int_charpoly_coeffs", _refuse_charpoly)
+        for call in (lattice_verdict, integer_charpoly_scan):
+            with pytest.raises(CharpolyBuilt if trace_free else NonTraceFree):
+                call(c, t_range=(0.0, 1.0))
 
 
 def test_codim2_certificate():
@@ -370,6 +415,20 @@ def test_the_first_rule_that_decides_names_the_verdict():
         assert [cert.rule for cert in v.certificates] in ([], [rule])
 
 
+def test_only_double_root_decides_a_spectrum_not_all_rational():
+    # diag(2, 2) + companion(x^2 + 4x + 1): spectrum 2, 2, -2 +- sqrt(3),
+    # trace 0.  Not every eigenvalue is rational, so the Jordan rules do
+    # not apply, and the scan finds nothing on 0:3: without double_root
+    # the verdict would be inconclusive
+    c = ex.rmat([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, -1], [0, 0, 1, -4]])
+    v = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert (v.rule, v.status) == ("double_root", "no")
+    assert v.certificates[0].data["multiple_root"] == 2.0
+    plan = _Plan(c)
+    later = {name: decide(plan, (0.0, 3.0), None, None) for name, decide in RULES[2:]}
+    assert later == {"codim2_highdim": None, "jordan_asymmetry": None, "trace_levels": None, "scan": []}
+
+
 def test_a_bad_structure_raises_whichever_rule_decides():
     # a non-unimodular algebra's structure is refused also where the cited
     # certificate or the double root decides before the codim2 rule is asked
@@ -395,6 +454,14 @@ def test_amalgam_lattice():
         amalgam_lattice(-1.0, 1, 1.0, 1)
 
 
+def test_amalgam_lattice_is_labelled_numerical():
+    # the ratio is read from floats within a 1e-9 relative tolerance, so
+    # every solution says it is numerical: also one off an exact rational
+    # by less than the tolerance
+    for sol in (amalgam_lattice(3.0, 1, 2.0, 1), amalgam_lattice(3.0, 1, 2.0 * (1 + 1e-12), 1)):
+        assert sol["numerical"] is True and (sol["k1"], sol["k2"]) == (2, 3)
+
+
 def test_verdict_exclusivity():
     # a certificate suppresses the witness search entirely
     v = lattice_verdict(np.diag([1.0, -0.5, -0.5]), t_range=(0, 3))
@@ -416,9 +483,10 @@ def test_far_basis_float_twin_certifies_every_candidate():
         dtype=object,
     )
     assert sum(c[i, i] for i in range(4)) == 0
-    # the exact step decides the rational input; its float twin goes
-    # through the scan and certification
-    c = to_float(c)
+    # the exact step decides the rational input; its float twin, with the
+    # diagonal snapped so that the values held are trace-free, has an
+    # irrational spectrum and goes through the scan and certification
+    c = trace_free_float(c)
     assert len(integer_charpoly_scan(c, t_range=(0, 3))) == 18
     v = lattice_verdict(c, t_range=(0, 3))
     # trace of exp(t C) is m + 2 for the 2x2 witness E_m, m = 3..20

@@ -31,7 +31,7 @@ from lcplab.lattice import (
     integer_charpoly_scan,
     lattice_verdict,
 )
-from support import dot, inv, rank, reye, to_float
+from support import dot, inv, rank, reye, to_float, trace_free_float
 from test_golden_lattice import COMPLEX_SPECTRA, cases, complex_spectrum
 
 F = Fraction
@@ -250,7 +250,7 @@ def test_listing_limit():
         ex.rmat([[F(1, 2), -1, 0], [1, F(1, 2), 0], [0, 0, -1]]),  # complex spectrum
         ex.rmat([[0, 1], [2, 0]]),  # +-sqrt(2)
         ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),  # nilpotent
-        diag(1, 2),  # not trace-free: the scan raises NonTraceFree
+        diag(1, 2),  # not trace-free: lattice_verdict raises NonTraceFree first
     ],
     ids=["complex", "irrational", "nilpotent", "trace"],
 )
@@ -356,13 +356,13 @@ def _refuse_scan(*args):
 def test_complex_spectra_never_run_the_scan(monkeypatch):
     # every spectrum of COMPLEX_SPECTRA has a root off both axes: no
     # lattice, so no grid; the verdict stays inconclusive over the range,
-    # without a certificate.  The float twin, read as the rationals it
-    # holds, still has such a root
+    # without a certificate.  A trace-free float twin, read as the
+    # rationals it holds, still has such a root
     monkeypatch.setattr(kernels, "scan_defects", _refuse_scan)
     for blocks, reals in COMPLEX_SPECTRA.values():
         c = complex_spectrum(blocks, reals)
         u = U6[: len(c), : len(c)]
-        for m in (c, dot(dot(u, c), inv(u)), to_float(c)):
+        for m in (c, dot(dot(u, c), inv(u)), trace_free_float(c)):
             assert integer_charpoly_scan(m, t_range=(0.0, 2.0)) == []
             v = lattice_verdict(m, t_range=(0.0, 2.0))
             assert v.status == "inconclusive" and not v.certificates
@@ -392,39 +392,35 @@ def test_other_inputs_still_reach_the_scan(monkeypatch, c, t_range):
         lattice_verdict(c, t_range=t_range)
 
 
-def test_float_rounding_off_the_axis_is_read_as_held(monkeypatch):
+def test_float_rounding_off_the_axis_is_read_as_held():
     # a rotation block whose diagonal was summed in floats: 0.1 + 0.2 is
-    # not 0.3, so the floats hold trace 2^-54 and a root off both axes.
-    # Those values have no lattice, so no grid runs and the verdict is
-    # inconclusive, though the scan's trace check (relative 1e-9) would
-    # pass them.  With exact entries the block is on the imaginary axis
-    # and the scan certifies its witnesses
+    # not 0.3, so the floats hold trace 2^-54, and those values define a
+    # non-unimodular group: the verdict and the scan refuse them, with no
+    # characteristic polynomial built.  With exact entries the block is on
+    # the imaginary axis and the scan certifies its witnesses
     c = np.array([[0.1 + 0.2, -1.0], [1.0, -0.3]])
-    assert _Plan(c).int_spectrum.off_axis() and np.trace(c) == 2.0**-54
+    assert np.trace(c) == 2.0**-54
     exact = lattice_verdict(ex.rmat([[F(3, 10), -1], [1, F(-3, 10)]]), t_range=(0.0, 7.0))
     assert exact.status == "yes"
-    monkeypatch.setattr(kernels, "scan_defects", _refuse_scan)
-    v = lattice_verdict(c, t_range=(0.0, 7.0))
-    assert v.status == "inconclusive" and not v.certificates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "int_charpoly_coeffs", lambda ints: pytest.fail("charpoly built"))
+        for call in (lattice_verdict, integer_charpoly_scan):
+            with pytest.raises(NonTraceFree):
+                call(c, t_range=(0.0, 7.0))
 
 
 def test_exact_trace_is_judged_exactly():
-    # diag(1, -1 + 10^-12) is not unimodular, so it has no lattice; the
-    # exact matrix has a nonzero trace and raises, where the scan's
-    # relative tolerance used to give it 18 numerical witnesses.  Its
-    # float twin keeps that tolerance until floats leave the scan
-    c = ex.rmat([[1, 0], [0, F(-1) + F(1, 10**12)]])
-    with pytest.raises(NonTraceFree):
-        integer_charpoly_scan(c, t_range=(0.0, 3.0))
-    with pytest.raises(NonTraceFree):
-        lattice_verdict(c, t_range=(0.0, 3.0))
-    v = lattice_verdict(np.diag([1.0, -1.0 + 1e-12]), t_range=(0.0, 3.0))
-    assert v.status == "yes" and len(v.witnesses) == 18
-    assert not any(w.exact for w in v.witnesses)
-    # exact trace-free input, numpy ints or Fractions, still reaches the
+    # diag(1, -1 + 10^-12) is not unimodular, so it has no lattice: exact
+    # or float, its trace is not 0, and both raise, where the scan's
+    # relative tolerance once gave the float one 18 numerical witnesses
+    for c in (ex.rmat([[1, 0], [0, F(-1) + F(1, 10**12)]]), np.diag([1.0, -1.0 + 1e-12])):
+        with pytest.raises(NonTraceFree):
+            integer_charpoly_scan(c, t_range=(0.0, 3.0))
+        with pytest.raises(NonTraceFree):
+            lattice_verdict(c, t_range=(0.0, 3.0))
+    # trace-free input, numpy ints, Fractions or floats, still reaches the
     # scan: the rotation by pi/2 is a candidate
-    for c in (np.array([[0, -1], [1, 0]]), ex.rmat([[0, -1], [1, 0]])):
-        assert _Plan(c).exact
+    for c in (np.array([[0, -1], [1, 0]]), ex.rmat([[0, -1], [1, 0]]), np.array([[0.0, -1.0], [1.0, 0.0]])):
         assert [x.poly.coeffs for x in integer_charpoly_scan(c, t_range=(0.0, 2.0))] == [(1, -1, 1), (1, 0, 1)]
 
 
@@ -470,8 +466,10 @@ def _golden_hyperbolic():
 
 @pytest.mark.parametrize("label, c, t_range", _golden_hyperbolic(), ids=lambda x: str(x)[:14])
 def test_golden_hyperbolic_matches_the_float_twin(label, c, t_range):
+    # the twin's diagonal is snapped so that the values it holds are
+    # trace-free; their spectrum is irrational, so the scan decides them
     exact = lattice_verdict(c, t_range=t_range)
-    scan = lattice_verdict(to_float(c), t_range=t_range)
+    scan = lattice_verdict(trace_free_float(c), t_range=t_range)
     assert all(w.exact for w in exact.witnesses) and not any(w.exact for w in scan.witnesses)
     assert [(z_rows(w), w.poly) for w in exact.witnesses] == [
         (z_rows(w), w.poly) for w in scan.witnesses
