@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -113,7 +112,7 @@ def int_charpoly(a: np.ndarray) -> IntPoly:
 class IntSpectrum:
     """What :func:`int_spectrum` finds of p: gcd(p, p') (primitive,
     positive lead), the square-free part p / gcd(p, p'), the number of
-    distinct real roots, and, if every root is real, the integer roots as
+    distinct real roots, and, if every root is real, every integer root as
     ``(k, multiplicity in p)`` by increasing k."""
 
     degree: int
@@ -128,7 +127,8 @@ class IntSpectrum:
         return self.real_roots == len(self.square_free) - 1
 
     def integer_eigenvalues(self) -> Optional[list]:
-        """Every root with its multiplicity, when all are integers."""
+        """Every root with its multiplicity, when all are integers; None
+        exactly when some root is not."""
         ks = [k for k, m in self.integer_roots for _ in range(m)]
         return ks if len(ks) == self.degree else None
 
@@ -163,43 +163,6 @@ def _primitive(a: list) -> list:
         a = a[1:]
     g = math.gcd(*a) or 1
     return [x // g for x in a]
-
-
-def _guesses(r: list, c: int) -> set:
-    """Integers near the real parts of the roots of r, from the float
-    roots of t = r(x + c), which moves a cluster of roots near c to 0.
-    Past the float range the roots of t(2^e y) are taken, with 2^e past
-    max |t_i / t_0|^(1/i): then |y| < 2 (Fujiwara's bound)."""
-    t = list(r)
-    for i in range(len(t) - 1):  # Taylor shift by repeated synthetic division
-        for j in range(1, len(t) - i):
-            t[j] += c * t[j - 1]
-    try:
-        coeffs, e = [float(a) for a in t], 0
-    except OverflowError:
-        lead = abs(t[0]).bit_length()
-        e = max(0, *((abs(a).bit_length() - lead + i) // i for i, a in enumerate(t[1:], 1)))
-        coeffs = [a / (t[0] << (e * i)) for i, a in enumerate(t)]
-    xs = (float(y.real) for y in np.roots(coeffs))
-    return {c + round(Fraction(x) * 2**e) for x in xs if math.isfinite(x)}
-
-
-def _newton(r: list, guesses) -> set:
-    """The integer roots of r that up to 100 integer Newton steps reach
-    from the guesses, confirmed exactly; near a simple root each step is
-    x - root up to a quadratic term, and a step rounding to 0 stops."""
-    dr = [x * (len(r) - 1 - i) for i, x in enumerate(r[:-1])]
-    found = set()
-    for x in guesses:
-        for _ in range(100):
-            v, dv = _horner(r, x), _horner(dr, x)
-            if v == 0:
-                found.add(x)
-            step = (2 * v + dv) // (2 * dv) if v and dv else 0
-            if step == 0:
-                break
-            x -= step
-    return found
 
 
 def _euclid(a: list, b: list) -> list:
@@ -242,21 +205,24 @@ def square_free_factors(p: list) -> dict:
     return out
 
 
+def _changes(values) -> int:
+    """Sign changes along a sequence of integers, zeros dropped."""
+    s = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(s, s[1:]))
+
+
 def _sturm(p: list) -> tuple:
-    """The number of distinct real roots of p, and g = gcd(p, p')
-    (primitive, positive lead): the chain of (p, p') is a Sturm chain, and
-    its sign changes at -inf and +inf differ by that number."""
+    """The number of distinct real roots of p, g = gcd(p, p') (primitive,
+    positive lead) and the chain of (p, p') (``_euclid``): a Sturm chain,
+    whose sign changes at -inf and +inf differ by that number."""
     n = len(p) - 1
     if n == 0:
-        return 0, [1]
+        return 0, [1], [p]
     chain = _euclid(p, _primitive([x * (n - i) for i, x in enumerate(p[:-1])]))
     g = chain[-1] if chain[-1][0] > 0 else [-x for x in chain[-1]]
-
-    def sign_changes(x):  # along the chain at x = +inf (1) or -inf (-1)
-        s = [q[0] * x ** (len(q) - 1) > 0 for q in chain]
-        return sum(a != b for a, b in zip(s, s[1:]))
-
-    return sign_changes(-1) - sign_changes(1), g
+    at_inf = _changes(q[0] for q in chain)
+    at_minus_inf = _changes(q[0] * (-1) ** (len(q) - 1) for q in chain)
+    return at_minus_inf - at_inf, g, chain
 
 
 def _low_degree_roots(r: list) -> set:
@@ -274,43 +240,68 @@ def _low_degree_roots(r: list) -> set:
     return {x // (2 * a) for x in (-b + root, -b - root) if x % (2 * a) == 0}
 
 
+def _isolated_roots(chain: list) -> set:
+    """The integer roots of s = chain[0], square-free with every root
+    real, on its Sturm chain.  The roots lie in (-2^e, 2^e], past
+    Fujiwara's bound 2 max |s_i / s_0|^(1/i), and V(a) - V(b) roots in
+    (a, b], V the sign changes along the chain.  An interval with two or
+    more roots is halved until it holds one or has length 1; one with a
+    single root r is halved by the sign of s, which is that of s(b) on
+    (r, b], down to length 1.  Then r is an integer iff it is b."""
+    s = chain[0]
+    # |s_i / s_0| < 2^(bits(s_i) - bits(s_0) + 1), and e - 1 is the
+    # largest ceiling of that exponent over i
+    lead = abs(s[0]).bit_length()
+    e = 1 + max(0, *(-((lead - 1 - abs(a).bit_length()) // i) for i, a in enumerate(s[1:], 1)))
+
+    def v(x):
+        return _changes(_horner(q, x) for q in chain)
+
+    found, todo = set(), [(-(2**e), 2**e, v(-(2**e)), v(2**e))]
+    while todo:
+        a, b, va, vb = todo.pop()
+        if va - vb > 1 and b - a > 1:
+            m = (a + b) // 2
+            vm = v(m)
+            todo += [(a, m, va, vm), (m, b, vm, vb)]
+            continue
+        if va == vb:
+            continue
+        sb = _horner(s, b)
+        while sb and b - a > 1:  # one root in (a, b]
+            m = (a + b) // 2
+            sm = _horner(s, m)
+            if sm == 0 or (sm > 0) == (sb > 0):
+                b, sb = m, sm
+            else:
+                a = m
+        if sb == 0:
+            found.add(b)
+    return found
+
+
 def int_spectrum(p) -> IntSpectrum:
     """The exact spectrum of an integer polynomial p (descending
     coefficients).  The Sturm chain of (p, p') (``_sturm``) gives
     g = gcd(p, p') and the number of distinct real roots.  Only when every
     root is real, the one case a caller reads them, come the integer
-    roots: those of the square-free part p / g, whose roots are simple;
-    each round divides the roots it finds out of the rest.  A
-    rest with constant term 0 gives the root 0, and one of degree <= 2
-    gives its integer roots on integers (``_low_degree_roots``), so a
-    spectrum whose rest deflates that far needs no float.  Floats
-    propose roots only of a rest of degree >= 3; each is confirmed
-    exactly, and the rest proposed again while a round finds one.  A
-    round that finds none proposes once more from the rest shifted to
-    each of its guesses, which separates clusters of roots far apart.
-    A missed proposal makes callers that need every root decline; no
-    listed root is wrong."""
+    roots: those of the square-free part s = p / g, whose roots are
+    simple, all of them.  Two exact shortcuts come first: a constant term
+    0 gives the root 0, and a rest of degree <= 2 gives its integer roots
+    on integers (``_low_degree_roots``).  Past them the roots of s are
+    isolated on the chain divided by g, a Sturm chain of s
+    (``_isolated_roots``).  No float is computed."""
     p = [_integral(x) for x in p]
-    real, g = _sturm(p)
+    real, g, chain = _sturm(p)
     s = _divmod(p, g)[0]
     roots, rest = set(), s
-    while real == len(s) - 1 and len(roots) < real:
+    if real == len(s) - 1:
         if rest[-1] == 0:
-            roots.add(0)
-            rest = rest[:-1]
-            continue
-        if len(rest) <= 3:
+            roots, rest = {0}, rest[:-1]
+        if len(rest) > 3:  # every root of s, 0 among them
+            roots = _isolated_roots([_divmod(q, g)[0] for q in chain] if len(g) > 1 else chain)
+        elif len(rest) > 1:
             roots |= _low_degree_roots(rest)
-            break
-        guesses = _guesses(rest, -rest[1] // ((len(rest) - 1) * rest[0]))
-        new = _newton(rest, guesses)
-        if not new:
-            new = _newton(rest, {y for x in guesses for y in _guesses(rest, x)})
-        roots |= new
-        if not new or len(roots) == real:
-            break
-        for k in new:
-            rest = _divmod(rest, [1, -k])[0]
     mults = []
     for k in sorted(roots):  # one more time in p than in g
         q, r, m = g, [0], 0

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import exact as ex
 from . import kernels
-from .algebra import MAX_DIM, audit_algebra
+from .algebra import MAX_DIM, almost_abelian_presentation, audit_algebra
 from .detect import LCPStructure
 from .errors import (
     DimensionMismatch,
@@ -161,9 +161,10 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     candidates closer than 1e-6.  C must be trace-free as the rationals
     it holds (``_require_trace_free``), else NonTraceFree.
     A refined minimum with a coefficient of modulus 2^53 or more is
-    dropped.  A (near) nilpotent C has integer coefficients for every t
-    and is reported as the single degenerate candidate t = 1, or t = hi
-    when 1 is outside (lo, hi], or lo / 2 when hi = 0: never t = 0.  A
+    dropped.  A nilpotent C (charpoly x^n, decided exactly) has
+    charpoly(exp(t C)) = (x - 1)^n for every t and is reported as the
+    single candidate t = 1, or t = hi when 1 is outside (lo, hi], or
+    lo / 2 when hi = 0: never t = 0.  A
     clamped range that needs more than ``MAX_SCAN_POINTS`` grid points
     raises EnvelopeExceeded before the grid is allocated.  After these
     checks, a C with a root off both axes (``IntSpectrum.off_axis``) has
@@ -184,13 +185,12 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
         return []
     ev = plan.spectrum
     defects = kernels.scan_defects(ev, ts)
-    if defects.max() <= SCAN_TOL:
+    if not any(plan.charpoly[1:]):
         # unipotent exponential: every t != 0 works (exp(0 C) = I gives
         # no lattice), report t = 1 if in range
-        t = 1.0 if lo < 1.0 <= hi else hi or lo / 2
-        coeffs = kernels.exp_charpoly(ev, t)
-        poly = IntPoly(tuple(int(round(x)) for x in coeffs))
-        return [ScanCandidate(t, poly, float(kernels.integer_defect(coeffs)))]
+        n = len(plan.charpoly) - 1
+        poly = IntPoly(tuple((-1) ** k * math.comb(n, k) for k in range(n + 1)))
+        return [ScanCandidate(1.0 if lo < 1.0 <= hi else hi or lo / 2, poly, 0.0)]
     inner = defects[1:-1]
     flagged = 1 + np.flatnonzero(
         (inner <= defects[:-2]) & (inner <= defects[2:]) & (inner < SCAN_FLAG_TOL)
@@ -419,14 +419,31 @@ def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
     float spectrum of a defective C, off by a root of eps, moves the
     scan's t0, most where charpoly(exp(t C)) is flat in t.
 
+    A root 1 of ``poly`` needs as many eigenvalues lam of C with
+    e^(t0 lam) = 1, that is t0 lam in 2 pi i Z: lam = 0 (counted exactly,
+    on charpoly(C)) or |t0 lam| >= 2 pi (counted as |t0 lam| >= pi on the
+    float spectrum).  A nonzero lam within SCAN_TOL rho(C) of 0 counts
+    too: against the spectral radius it is 0 to the scan's tolerance, as
+    the float twin of a singular matrix has one.  A small spectrum, all
+    of whose exponentials are near 1, gives no witness.
+
     None (inconclusive) for t0 = 0 (exp(0 C) = I), a polynomial of
-    det -1, or a check that fails.  ``c`` is C or its plan; |t0| rho(C)
+    det -1, a root 1 of higher multiplicity than those eigenvalues allow,
+    or a check that fails.  ``c`` is C or its plan; |t0| rho(C)
     past MAX_SPECTRAL raises EnvelopeExceeded, rho as the scan's t-range
     clamp takes it (``_Plan.rho``)."""
     plan = _plan_of(c)
     _in_envelope(t0, plan.rho)
     n = plan.c.shape[0]
     if t0 == 0 or (-1) ** n * poly.constant_term() != 1:
+        return None
+    ones, q = 0, list(poly.coeffs)
+    while sum(q) == 0:  # q(1) = 0
+        q, ones = _divmod(q, [1, -1])[0], ones + 1
+    zeros = next(i for i, x in enumerate(reversed(plan.charpoly)) if x)
+    mods = np.sort(np.abs(plan.spectrum))[zeros:]  # the nonzero eigenvalues
+    at_one = (mods <= SCAN_TOL * mods.max(initial=0.0)) | (abs(t0) * mods >= math.pi)
+    if ones > zeros + int(at_one.sum()):
         return None
     if len(plan.layers) == 1:
         evs, u = [t0 * plan.spectrum], 1.0
@@ -538,8 +555,8 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     types, d, n = plan.jordan_types, plan.scaled[1], plan.c.shape[0]
     g = math.gcd(*types)
     levels = _trace_levels(float(Fraction(g, d)), *_scanned_range(plan, t_range))
-    if levels is None:
-        return None
+    if not levels:  # None past the listing limit; [] with no level in range
+        return levels
     lucas = _lucas(np.array([m for _, m in levels], dtype=object), max(types) // g)
     # at 1 for k = 0, at the roots of q_e = x^2 - L_e(m) x + 1 for k = e gcd(k)
     parts = [([1, -1] if k == 0 else [1, -lucas[k // g], 1], sizes)
@@ -574,7 +591,9 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     Decided from the plan's exact spectrum alone, for any input type (a
     float entry is the rational it holds): every root real, and
     gcd(p, p') = (x - k)^j, k != 0, that is, k is a root of multiplicity
-    j + 1 = deg gcd + 1.  No tolerance is involved."""
+    j + 1 = deg gcd + 1.  No tolerance is involved, and ``data`` is exact:
+    ``charpoly`` is charpoly(C), its coefficients as rationals (strings)
+    by descending degree."""
     plan = _plan_of(c)
     spec = plan.int_spectrum
     if not spec.all_real:
@@ -587,7 +606,7 @@ def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
     return NoLatticeCertificate(
         "double_root",
         data={
-            "eigenvalues": sorted(float(x) for x in plan.spectrum.real),
+            "charpoly": [str(Fraction(x, d**i)) for i, x in enumerate(plan.charpoly)],
             "multiple_root": float(root),
             "multiplicity": int(mult),
         },
@@ -618,6 +637,16 @@ def _require_lcp(s: Optional[LCPStructure]) -> None:
         raise PreconditionViolated("codim2 rule needs a solvable unimodular algebra")
     if not s.verify().passed:
         raise PreconditionViolated("codim2 rule needs a verified structure")
+
+
+def _require_presented(plan, s: Optional[LCPStructure]) -> None:
+    """PreconditionViolated unless ``s`` is None or C is the matrix of the
+    almost abelian presentation of its algebra under its metric."""
+    if s is None:
+        return
+    pres = almost_abelian_presentation(s.algebra, s.metric)
+    if pres is None or not np.array_equal(pres.matrix, plan.c):
+        raise PreconditionViolated("C is not the almost abelian presentation of the structure")
 
 
 def _codim2(s: Optional[LCPStructure]) -> Optional[NoLatticeCertificate]:
@@ -751,11 +780,14 @@ def lattice_verdict(
 ) -> LatticeVerdict:
     """The verdict of the first rule of ``RULES`` that decides, named in
     its ``rule``.  One plan of C (``_Plan``) serves every rule.  Before any
-    rule, C must be trace-free (else NonTraceFree) and a ``structure``
-    verified (else PreconditionViolated).  ``seed`` is unused."""
+    rule, C must be trace-free (else NonTraceFree), and a ``structure``
+    verified and presented by C, that is, C the matrix of the almost
+    abelian presentation of its algebra under its metric (else
+    PreconditionViolated).  ``seed`` is unused."""
     plan = _Plan(c)
     _require_trace_free(plan)
     _require_lcp(structure)
+    _require_presented(plan, structure)
     for rule, decide in RULES:
         found = decide(plan, t_range, structure, cited)
         if isinstance(found, NoLatticeCertificate):

@@ -566,7 +566,8 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
     else that of ``lattice_verdict`` (it requires an almost abelian
     algebra), whose certificate's rule or first witness is the evidence.
     A row's fixtures are read only where codim2_highdim can fire (n >= 5,
-    n - 2 among its flat dimensions); ``seed`` is accepted and unused."""
+    n - 2 among its flat dimensions), and C is then presented under the
+    metric of the structure passed on; ``seed`` is accepted and unused."""
     L = table_algebra(sample.name, sample.params)
     cited = sample.lattice_cited
     if cited is not None and cited[0] == "yes":
@@ -580,6 +581,7 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
     if L.dim >= 5 and L.dim - 2 in ROWS[sample.name].expected_flat_dims(sample.params):
         w = max(witness_specs_from_fixtures(sample), key=lambda x: x.expected_dim)
         structure = LCPStructure(L, w.metric, w.theta, maximal_flat_parallel(L, w.metric, w.theta))
+        pres = almost_abelian_presentation(L, w.metric)  # C as the structure presents it
     verdict = lattice_verdict(pres.matrix, label=sample.name, t_range=t_range, structure=structure,
                               cited=None if cited is None else cited_certificate(cited[1]))
     if verdict.witnesses:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from lcplab import cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,16 +38,27 @@ block B : 0 -1 ; 1 0
 """
 
 
-def run_cli(*args, max_bytes=None):
-    """Run the CLI; ``max_bytes`` caps the child's address space, so a
+def run_cli(*args, max_bytes=None, fresh=False):
+    """Run the CLI in this process through ``cli.main``, with its output
+    captured; the exit code is main's return value, or argparse's through
+    SystemExit.  ``max_bytes`` or ``fresh`` runs ``python -m lcplab.cli``
+    in a new process instead: ``max_bytes`` caps its address space, so a
     command that tried to allocate past it fails instead of swapping."""
-    limit = None
-    if max_bytes is not None:
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
-    return subprocess.run(
-        [sys.executable, "-m", "lcplab.cli", *args], capture_output=True, text=True, preexec_fn=limit
-    )
+    if max_bytes is not None or fresh:
+        limit = None
+        if max_bytes is not None:
+            def limit():
+                resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+        return subprocess.run(
+            [sys.executable, "-m", "lcplab.cli", *args], capture_output=True, text=True, preexec_fn=limit
+        )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as e:
+            code = e.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def assert_input_error(out, *words):
@@ -61,7 +76,8 @@ def e11_doc(tmp_path):
 
 
 def test_check(e11_doc):
-    out = run_cli("check", "--input", e11_doc)
+    # the module entry point, in a new interpreter
+    out = run_cli("check", "--input", e11_doc, fresh=True)
     assert out.returncode == 0
     assert "unimodular: True" in out.stdout
 
@@ -141,7 +157,7 @@ def test_oversized_construct_exit_code(tmp_path):
 
 
 def test_construct_past_the_envelope_is_refused_first(tmp_path, monkeypatch, capsys):
-    from lcplab import cli, construct
+    from lcplab import construct
 
     def no_assembly(*args):
         raise AssertionError("assembled past the envelope")

@@ -7,13 +7,16 @@ Faddeev-LeVerrier and elimination kept below as references, up to
 ``MAX_DIM`` and entries of the size of the lattice search's integer
 forms, and so must ``exact.charpoly`` on rationals.  ``int_spectrum``
 must agree with sympy's real-root count, and with its integer roots
-where every root is real (elsewhere it lists none, and proposes none in
-floats), and find the roots of a square-free part that deflates to
-degree <= 2 with no float.
+where every root is real (elsewhere it lists none), also for clusters
+of large integer roots next to irrational ones.  ``intpoly`` computes
+no float.
 """
 
+import ast
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,9 +248,8 @@ def test_int_spectrum_matches_sympy(p):
         [(-1) ** j * (10**20 + j * 10**18 + j * j) for j in range(16)],
         # 8 double roots near 10^20: p passes the float range, s does not
         [10**20 + j * 10**18 + 7 * j for j in range(8)] * 2,
-        # roots past the float range themselves: each guess y 2^e is
-        # rounded on integers, not through a float (three roots, as a
-        # rest of degree <= 2 is solved with no guess)
+        # roots past the float range themselves (three, as a rest of
+        # degree <= 2 takes the shortcut)
         [3 * 2**1100, -(2**1100) - 5, 5 * 2**1099 + 3],
     ],
     ids=["simple", "double", "huge-roots"],
@@ -261,18 +263,12 @@ def test_int_spectrum_past_the_float_range(roots):
 
 
 def test_int_spectrum_two_clusters_far_apart():
-    # 10^6..10^6+7 and -10^6-7..-10^6: the float roots of the polynomial
-    # shifted to the centroid miss both clusters by about 10^4, so no
-    # Newton step reaches a root; shifted to each of those guesses, the
-    # float roots of the near cluster round to its integers
+    # 10^6..10^6+7 and -10^6-7..-10^6: the Sturm counts split the range
+    # between the clusters, then within each down to unit intervals
     roots = [10**6 + j for j in range(8)] + [-(10**6) - j for j in range(8)]
     p = from_roots(roots)
     assert_matches_sympy(p)
     assert int_spectrum(p).integer_eigenvalues() == sorted(roots)
-
-
-def _refuse_roots(*args, **kwargs):
-    raise AssertionError("np.roots proposed roots of a rest of degree <= 2")
 
 
 @pytest.mark.parametrize(
@@ -293,10 +289,9 @@ def _refuse_roots(*args, **kwargs):
     ids=["0+-k", "repeated", "x2-2", "x2+1", "0-and-x2-2", "negative-lead", "linear",
          "non-monic", "non-monic-0", "non-monic-repeated", "non-monic-repeated-0"],
 )
-def test_int_spectrum_of_a_low_degree_rest_needs_no_float(monkeypatch, p):
+def test_int_spectrum_of_a_low_degree_rest_needs_no_float(p):
     # the square-free part deflates to degree <= 2 by the root 0 alone, so
-    # every integer root is found on integers
-    monkeypatch.setattr(np, "roots", _refuse_roots)
+    # the shortcuts find every integer root
     assert_matches_sympy(p)
 
 
@@ -311,10 +306,9 @@ def test_int_spectrum_of_a_low_degree_rest_needs_no_float(monkeypatch, p):
     ],
     ids=["c3", "c5", "x3-1"],
 )
-def test_int_spectrum_off_the_real_axis_looks_for_no_integer_root(monkeypatch, p):
+def test_int_spectrum_off_the_real_axis_looks_for_no_integer_root(p):
     # integer roots are read only where every root is real; with a root
-    # off the real axis none is looked for, and no float proposes one
-    monkeypatch.setattr(np, "roots", lambda *a: pytest.fail("np.roots proposed a root"))
+    # off the real axis none is looked for
     spec = int_spectrum(p)
     assert spec.integer_roots == () and spec.integer_eigenvalues() is None
     assert spec.real_roots == 1 and spec.square_free == tuple(p)
@@ -329,3 +323,35 @@ def test_int_spectrum_cases():
     assert spec.repeated == (1, -1) and spec.integer_roots == ((-2, 1), (1, 2))
     assert int_spectrum([1]).integer_eigenvalues() == []
     assert int_spectrum(from_roots([0, 0, 0])).integer_roots == ((0, 3),)
+
+
+@st.composite
+def clustered_roots_and_a_square_root(draw):
+    """prod (x - k) over integers k clustered near a large centre, some
+    repeated, times x^2 - a with a not a square (roots +-sqrt(a))."""
+    centre = draw(st.one_of(st.integers(-(10**12), 10**12), st.integers(-(2**100), 2**100)))
+    offsets = draw(st.lists(st.integers(0, 12), min_size=1, max_size=10))
+    offsets += draw(st.lists(st.sampled_from(offsets), max_size=2))
+    a = draw(st.integers(2, 10**6).filter(lambda a: math.isqrt(a) ** 2 != a))
+    return sorted(centre + k for k in offsets), a
+
+
+@settings(max_examples=40, deadline=None)
+@given(clustered_roots_and_a_square_root())
+@example(([10**9 + j for j in range(1, 11)], 2))
+@example(([10**9 + 1] + [10**9 + j for j in range(1, 11)], 2))
+def test_int_spectrum_lists_every_integer_root_of_a_cluster(case):
+    # every root is real, so every integer root is listed: the cluster,
+    # with its multiplicities, and neither of +-sqrt(a)
+    roots, a = case
+    p = from_roots(roots, [1, 0, -a])
+    assert_matches_sympy(p)
+    assert [k for k, m in int_spectrum(p).integer_roots for _ in range(m)] == roots
+
+
+def test_intpoly_computes_no_float():
+    # neither a float conversion nor numpy's float root-finder
+    tree = ast.parse((Path(__file__).parent.parent / "src" / "lcplab" / "intpoly.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "float" not in names and "roots" not in attrs

@@ -18,6 +18,7 @@ from lcplab.errors import (
     NonTraceFree,
     PreconditionViolated,
 )
+from lcplab.fixtures import witness_specs_from_fixtures
 from lcplab.intpoly import IntPoly, int_charpoly, int_det
 from lcplab.lattice import (
     MAX_INT_FORM_SIZE,
@@ -38,6 +39,7 @@ from lcplab.lattice import (
     no_lattice_codim2,
     no_lattice_double_root,
 )
+from lcplab.lowdim import SAMPLES, table_algebra
 from support import dot, inv, reye, to_float, trace_free_float
 
 C_E11 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -830,7 +832,7 @@ def _conjugated_complex5():
     "make, t_range, status, spectra",
     [
         # the float spectrum of C (t-range clamp); the exact spectrum has a
-        # root off the real axis, so no integer root is proposed, and a
+        # root off the real axis, so no integer root is looked for, and a
         # root off both axes keeps the verdict off the scan
         (_conjugated_complex6, (0.0, 2.0), "inconclusive", 1),
         # decided exactly, with no float: the square-free part x(x^2 - d^2)
@@ -839,7 +841,7 @@ def _conjugated_complex5():
         # radius from those integer eigenvalues
         (lambda: _conjugated_hyperbolic(6), (0.0, 3.0), "yes", 0),
         # one real root among complex ones: the float spectrum of C only,
-        # and no float root proposal for the integer roots no step reads
+        # and no search for the integer roots no step reads
         (_conjugated_complex5, (0.0, 2.0), "inconclusive", 1),
     ],
 )
@@ -886,3 +888,75 @@ def test_scan_drops_candidates_past_two_to_the_53(monkeypatch):
     assert len(candidates) == 112
     assert all(abs(x) < 2**53 for cand in candidates for x in cand.poly.coeffs)
     assert len(lattice_verdict(c, t_range=(0.0, 3.0)).witnesses) == 112
+
+
+def test_small_spectra_give_no_false_witness():
+    # +-sqrt(2) 10^-6 and +-i 10^-6: charpoly(exp(t C)) is within SCAN_TOL
+    # of x^2 - 2x + 1 on the whole grid, but e^(t0 lam) = 1 needs
+    # t0 lam in 2 pi i Z, so with |t0 lam| < pi neither gives the root 1
+    for c in (np.array([[0.0, 1.0], [2e-12, 0.0]]), np.array([[0.0, -1.0], [1e-12, 0.0]])):
+        v = lattice_verdict(c, t_range=(0.0, 20.0))
+        assert (v.status, v.rule) == ("inconclusive", "scan")
+        assert certify_witness(c, 1.0, IntPoly((1, -2, 1))) is None
+    # a nilpotent C, decided on its exact characteristic polynomial x^3,
+    # keeps its witness at t0 = 1: its eigenvalues are exactly 0
+    v = lattice_verdict(ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), t_range=(0.0, 20.0))
+    assert [(w.t0, w.poly.coeffs) for w in v.witnesses] == [(1.0, (1, -3, 3, -1))]
+
+
+def _g513_structure():
+    """The catalog's g_{5.13} structure at q = -1/3, of flat codimension 2."""
+    sample = next(s for s in SAMPLES if s.name.startswith("g_{5.13}") and s.params["q"] == Fraction(-1, 3))
+    L = table_algebra(sample.name, sample.params)
+    w = max(witness_specs_from_fixtures(sample), key=lambda x: x.expected_dim)
+    return LCPStructure(L, w.metric, w.theta, maximal_flat_parallel(L, w.metric, w.theta))
+
+
+def test_a_structure_must_be_presented_by_c():
+    # diag(1, -1, 0, 0) presents e(1,1) + R^2, which has lattices, not
+    # g_{5.13}: with that structure the codim-2 rule would answer "no"
+    s = _g513_structure()
+    with pytest.raises(PreconditionViolated):
+        lattice_verdict(ex.rmat([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), structure=s)
+    c = almost_abelian_presentation(s.algebra, s.metric).matrix
+    assert lattice_verdict(c, t_range=(0.0, 3.0), structure=s).rule == "codim2_highdim"
+
+
+def test_clustered_integer_roots_next_to_irrational_ones():
+    # 14 x 14: 10^9 + 1 (double), 10^9 + 2, ..., 10^9 + 10, minus their
+    # sum, and +-sqrt(2).  Every integer root is found, so the one double
+    # root decides exactly
+    ks = [10**9 + 1] + [10**9 + j for j in range(1, 11)]
+    d = ex.rzeros((14, 14))
+    for i, k in enumerate(ks + [-sum(ks)]):
+        d[i, i] = ex.rat(k)
+    d[12, 13], d[13, 12] = ex.ONE, ex.rat(2)
+    p = reye(14)
+    for i in range(13):
+        p[i, i + 1] = ex.ONE
+    v = lattice_verdict(dot(dot(p, d), inv(p)), t_range=(0.0, 3.0))
+    assert (v.status, v.rule) == ("no", "double_root")
+    assert v.certificates[0].data["multiple_root"] == 10**9 + 1
+
+
+def _refuse_spectrum(*args):
+    raise AssertionError("a float spectrum was computed")
+
+
+@pytest.mark.parametrize(
+    "make, rule",
+    [
+        (lambda: _conjugated_hyperbolic(6), "trace_levels"),
+        (lambda: ex.rmat([[1, 0, 0], [0, Fraction(-1, 4), 0], [0, 0, Fraction(-3, 4)]]), "jordan_asymmetry"),
+        # 2, 2, -2 +- sqrt(3): not all rational
+        (lambda: ex.rmat([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, -1], [0, 0, 1, -4]]), "double_root"),
+    ],
+    ids=["hyperbolic", "jordan_asymmetry", "double_root"],
+)
+def test_an_exact_verdict_computes_no_float_spectrum(monkeypatch, make, rule):
+    monkeypatch.setattr(kernels, "spectrum", _refuse_spectrum)
+    v = lattice_verdict(make(), t_range=(0.0, 3.0))
+    assert v.rule == rule and v.status != "inconclusive"
+    if rule == "double_root":
+        # its data is exact: charpoly(C) = (x - 2)^2 (x^2 + 4x + 1)
+        assert v.certificates[0].data["charpoly"] == ["1", "0", "-11", "12", "4"]
