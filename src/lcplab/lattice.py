@@ -35,6 +35,7 @@ inconclusive over the scanned range:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -164,7 +165,8 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     dropped.  A nilpotent C (charpoly x^n, decided exactly) has
     charpoly(exp(t C)) = (x - 1)^n for every t and is reported as the
     single candidate t = 1, or t = hi when 1 is outside (lo, hi], or
-    lo / 2 when hi = 0: never t = 0.  A
+    lo / 2 when hi = 0: never t = 0.  Any other C whose defect is within
+    SCAN_TOL on the whole grid has no candidate.  A
     clamped range that needs more than ``MAX_SCAN_POINTS`` grid points
     raises EnvelopeExceeded before the grid is allocated.  After these
     checks, a C with a root off both axes (``IntSpectrum.off_axis``) has
@@ -191,6 +193,10 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
         n = len(plan.charpoly) - 1
         poly = IntPoly(tuple((-1) ** k * math.comb(n, k) for k in range(n + 1)))
         return [ScanCandidate(1.0 if lo < 1.0 <= hi else hi or lo / 2, poly, 0.0)]
+    if defects.max() <= SCAN_TOL:
+        # every exponential within tolerance of 1 on the whole grid:
+        # certify_witness would refuse each candidate
+        return []
     inner = defects[1:-1]
     flagged = 1 + np.flatnonzero(
         (inner <= defects[:-2]) & (inner <= defects[2:]) & (inner < SCAN_FLAG_TOL)
@@ -209,10 +215,22 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
         poly = IntPoly(tuple(int(round(x)) for x in row))
         if abs(poly.constant_term()) != 1:
             continue
-        if any(abs(t0 - prev.t0) < 1e-6 for prev in out):
-            continue
         out.append(ScanCandidate(t0, poly, d0))
+    out = [out[i] for i in _far_apart([cand.t0 for cand in out])]
     return sorted(out, key=lambda cand: cand.t0)
+
+
+def _far_apart(ts: list) -> list:
+    """The indices of ``ts`` kept in order, each unless it is within 1e-6
+    of one kept before; only its nearest neighbours among the kept, held
+    sorted, are looked at."""
+    kept, out = [], []
+    for i, t in enumerate(ts):
+        j = bisect.bisect(kept, t)
+        if all(abs(t - prev) >= 1e-6 for prev in kept[max(j - 1, 0):j + 1]):
+            kept.insert(j, t)
+            out.append(i)
+    return out
 
 
 @dataclass(frozen=True)
@@ -280,9 +298,10 @@ class _Plan:
         if a.shape[0] > MAX_DIM:
             raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
         self.c = np.empty(a.shape, dtype=object)
+        self.floats = False  # some entry a float
         for i, x in enumerate(a.ravel().tolist()):
             if not hasattr(x, "denominator"):
-                x = float(x)
+                x, self.floats = float(x), True
                 if not math.isfinite(x):
                     raise EnvelopeExceeded("matrix entries must be finite")
                 x = Fraction(x)
@@ -421,11 +440,14 @@ def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
 
     A root 1 of ``poly`` needs as many eigenvalues lam of C with
     e^(t0 lam) = 1, that is t0 lam in 2 pi i Z: lam = 0 (counted exactly,
-    on charpoly(C)) or |t0 lam| >= 2 pi (counted as |t0 lam| >= pi on the
-    float spectrum).  A nonzero lam within SCAN_TOL rho(C) of 0 counts
-    too: against the spectral radius it is 0 to the scan's tolerance, as
-    the float twin of a singular matrix has one.  A small spectrum, all
-    of whose exponentials are near 1, gives no witness.
+    on charpoly(C), as the smallest moduli of the float spectrum) or
+    |t0 lam| >= 2 pi (counted as |t0 lam| >= pi on the float spectrum).
+    For a C with a float entry, a nonzero lam within SCAN_TOL rho(C) of 0
+    counts too: against the spectral radius it is 0 to the scan's
+    tolerance, as in the float twin of a singular matrix; so a float C
+    with eigenvalues +-1000 and +-1e-7 may get a witness with the root 1
+    twice, which its exact twin does not.  A small spectrum, all of whose
+    exponentials are near 1, gives no witness.
 
     None (inconclusive) for t0 = 0 (exp(0 C) = I), a polynomial of
     det -1, a root 1 of higher multiplicity than those eigenvalues allow,
@@ -442,7 +464,7 @@ def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
         q, ones = _divmod(q, [1, -1])[0], ones + 1
     zeros = next(i for i, x in enumerate(reversed(plan.charpoly)) if x)
     mods = np.sort(np.abs(plan.spectrum))[zeros:]  # the nonzero eigenvalues
-    at_one = (mods <= SCAN_TOL * mods.max(initial=0.0)) | (abs(t0) * mods >= math.pi)
+    at_one = (plan.floats & (mods <= SCAN_TOL * mods.max(initial=0.0))) | (abs(t0) * mods >= math.pi)
     if ones > zeros + int(at_one.sum()):
         return None
     if len(plan.layers) == 1:

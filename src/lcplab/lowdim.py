@@ -572,16 +572,15 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
     cited = sample.lattice_cited
     if cited is not None and cited[0] == "yes":
         return {"status": "yes", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
-    pres = almost_abelian_presentation(L, Metric.identity(L.dim))
-    if pres is None:  # not almost abelian: the Bock scan does not apply
-        if cited is not None:
-            return {"status": "no", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
-        return {"status": "inconclusive", "evidence": "not almost abelian", "witnesses": 0}
     structure = None
     if L.dim >= 5 and L.dim - 2 in ROWS[sample.name].expected_flat_dims(sample.params):
         w = max(witness_specs_from_fixtures(sample), key=lambda x: x.expected_dim)
         structure = LCPStructure(L, w.metric, w.theta, maximal_flat_parallel(L, w.metric, w.theta))
-        pres = almost_abelian_presentation(L, w.metric)  # C as the structure presents it
+    pres = almost_abelian_presentation(L, Metric.identity(L.dim) if structure is None else structure.metric)
+    if pres is None:  # not almost abelian: the Bock scan does not apply
+        if cited is not None:
+            return {"status": "no", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
+        return {"status": "inconclusive", "evidence": "not almost abelian", "witnesses": 0}
     verdict = lattice_verdict(pres.matrix, label=sample.name, t_range=t_range, structure=structure,
                               cited=None if cited is None else cited_certificate(cited[1]))
     if verdict.witnesses:

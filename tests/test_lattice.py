@@ -26,6 +26,7 @@ from lcplab.lattice import (
     RULES,
     SCAN_TOL,
     _exact_witnesses,
+    _far_apart,
     _Plan,
     _scanned_range,
     amalgam_lattice,
@@ -902,6 +903,47 @@ def test_small_spectra_give_no_false_witness():
     # keeps its witness at t0 = 1: its eigenvalues are exactly 0
     v = lattice_verdict(ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), t_range=(0.0, 20.0))
     assert [(w.t0, w.poly.coeffs) for w in v.witnesses] == [(1.0, (1, -3, 3, -1))]
+
+
+def test_a_flat_grid_is_refined_nowhere(monkeypatch):
+    # +-1e-10 is not nilpotent, but its defect is within SCAN_TOL on the
+    # whole 10^6-point grid of 0:1000: no grid point is refined, and the
+    # verdict is inconclusive
+    import lcplab.lattice as lattice
+
+    monkeypatch.setattr(lattice, "_refine", lambda *a: pytest.fail("flat grid refined"))
+    c = np.array([[0.0, 1.0], [1e-20, 0.0]])
+    assert integer_charpoly_scan(c, t_range=(0.0, 1000.0)) == []
+    v = lattice_verdict(c, t_range=(0.0, 1000.0))
+    assert (v.status, v.rule) == ("inconclusive", "scan")
+
+
+@given(st.lists(st.integers(0, 40), max_size=60))
+def test_the_scan_dedupe_keeps_what_the_pairwise_rule_keeps(steps):
+    # t0s on a 0.4e-6 grid, so that near ones fall on both sides of a kept one
+    ts = [k * 0.4e-6 for k in steps]
+    kept = []
+    for i, t in enumerate(ts):
+        if all(abs(t - ts[j]) >= 1e-6 for j in kept):
+            kept.append(i)
+    assert _far_apart(ts) == kept
+
+
+def test_an_eigenvalue_near_zero_gives_the_root_1_only_in_floats():
+    # diag(1, -1) + [[0, 1], [1e-20, 0]]: +-1e-10 is within SCAN_TOL rho(C)
+    # of 0.  In floats it counts as 0, and the scan's witnesses have the
+    # root 1 twice; the exact input has e^(t0 lam) != 1 there, and none
+    c = np.zeros((4, 4))
+    c[0, 0], c[1, 1], c[2, 3], c[3, 2] = 1.0, -1.0, 1.0, 1e-20
+    v = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert v.status == "yes" and len(v.witnesses) == 18
+    for w in v.witnesses:  # p(1) = p'(1) = 0
+        p = w.poly.coeffs
+        assert not w.exact and sum(p) == 0 and sum((len(p) - 1 - i) * x for i, x in enumerate(p)) == 0
+    exact_c = np.array([[Fraction(x) for x in row] for row in c.tolist()], dtype=object)
+    v_exact = lattice_verdict(exact_c, t_range=(0.0, 3.0))
+    assert (v_exact.status, v_exact.rule) == ("inconclusive", "scan")
+    assert all(certify_witness(exact_c, w.t0, w.poly) is None for w in v.witnesses)
 
 
 def _g513_structure():
