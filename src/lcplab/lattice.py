@@ -445,7 +445,7 @@ def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
     For a C with a float entry, a nonzero lam within SCAN_TOL rho(C) of 0
     counts too: against the spectral radius it is 0 to the scan's
     tolerance, as in the float twin of a singular matrix; so a float C
-    with eigenvalues +-1000 and +-1e-7 may get a witness with the root 1
+    with eigenvalues +-1 and +-1e-10 may get a witness with the root 1
     twice, which its exact twin does not.  A small spectrum, all of whose
     exponentials are near 1, gives no witness.
 
