@@ -25,7 +25,7 @@ class IntPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        c = tuple(_integral(x) for x in self.coeffs)
+        c = tuple(map(_integral, self.coeffs))
         while len(c) > 1 and c[0] == 0:
             c = c[1:]
         object.__setattr__(self, "coeffs", c)
@@ -94,6 +94,8 @@ def int_det(a: np.ndarray) -> int:
 
 
 def _integral(x) -> int:
+    if type(x) is int:
+        return x
     i = int(x)
     if i != x:
         raise TypeError(f"entry {x!r} is not an integer")
@@ -282,30 +284,35 @@ def _isolated_roots(chain: list) -> set:
 
 def int_spectrum(p) -> IntSpectrum:
     """The exact spectrum of an integer polynomial p (descending
-    coefficients).  The Sturm chain of (p, p') (``_sturm``) gives
-    g = gcd(p, p') and the number of distinct real roots.  Only when every
-    root is real, the one case a caller reads them, come the integer
-    roots: those of the square-free part s = p / g, whose roots are
-    simple, all of them.  Two exact shortcuts come first: a constant term
-    0 gives the root 0, and a rest of degree <= 2 gives its integer roots
-    on integers (``_low_degree_roots``).  Past them the roots of s are
-    isolated on the chain divided by g, a Sturm chain of s
-    (``_isolated_roots``).  No float is computed."""
+    coefficients).  The root 0 comes out first: p = x^j r with r(0) != 0.
+    The Sturm chain of (r, r') (``_sturm``) gives gcd(r, r') and the
+    number of distinct real roots of r; for j > 0, gcd(p, p') =
+    x^(j-1) gcd(r, r'), the square-free part gains the factor x and the
+    real roots the root 0.  Only when every root is real, the one case a
+    caller reads them, come the integer roots: 0 when j > 0, and those of
+    the square-free part s of r, whose roots are simple and nonzero.  A
+    part s of degree <= 2 gives them on integers (``_low_degree_roots``);
+    past it the roots of s are isolated on the chain of r divided by its
+    gcd, a Sturm chain of s (``_isolated_roots``).  No float is computed;
+    so a spectrum x^(n-2) (x^2 - k^2) takes a chain of degree 2."""
     p = [_integral(x) for x in p]
-    real, g, chain = _sturm(p)
-    s = _divmod(p, g)[0]
-    roots, rest = set(), s
+    j = next((i for i, x in enumerate(reversed(p)) if x), 0)
+    r = p[:len(p) - j]
+    real, g, chain = _sturm(r)
+    s, roots = _divmod(r, g)[0], set()
     if real == len(s) - 1:
-        if rest[-1] == 0:
-            roots, rest = {0}, rest[:-1]
-        if len(rest) > 3:  # every root of s, 0 among them
+        if len(s) > 3:
             roots = _isolated_roots([_divmod(q, g)[0] for q in chain] if len(g) > 1 else chain)
-        elif len(rest) > 1:
-            roots |= _low_degree_roots(rest)
+        elif len(s) > 1:
+            roots = _low_degree_roots(s)
+        if j:
+            roots.add(0)
+    if j:
+        g, s, real = g + [0] * (j - 1), s + [0], real + 1
     mults = []
     for k in sorted(roots):  # one more time in p than in g
-        q, r, m = g, [0], 0
-        while not any(r):
-            (q, r), m = _divmod(q, [1, -k]), m + 1
+        q, rem, m = g, [0], 0
+        while not any(rem):
+            (q, rem), m = _divmod(q, [1, -k]), m + 1
         mults.append((k, m))
     return IntSpectrum(len(p) - 1, tuple(g), tuple(s), real, tuple(mults))

@@ -6,6 +6,10 @@ matrix.  One plan per verdict (``_Plan``) holds C once, as the exact
 rationals its entries are (a float as the dyadic rational it holds),
 checks the input once and computes each spectrum of C once, so every
 rule that reads the spectrum reads it exactly, whatever the input type.
+The t-range is clamped at both ends to the envelope |t| rho(C) <=
+MAX_SPECTRAL (``_scanned_range``), settled where it can be by the exact
+bound rho(C) <= ||C||_inf, so a verdict decided exactly makes no float
+eigen-solve.
 
 ``lattice_verdict`` refuses C with NonTraceFree unless the rationals it
 holds have trace exactly 0 (the one trace test, ``_require_trace_free``),
@@ -142,13 +146,24 @@ class ScanCandidate:
 
 
 def _scanned_range(c, t_range) -> tuple:
-    """The t-range the scan covers: ``t_range`` with its upper end clamped
-    so that the spectral radius of t C stays within MAX_SPECTRAL.  ``c``
-    is C or its plan."""
+    """The t-range the scan covers: ``t_range`` with each end t clamped
+    so that the spectral radius |t| rho of t C stays within MAX_SPECTRAL,
+    as ``_in_envelope`` requires.  rho(C) <= ||C||_inf = ||ints||_inf / d
+    (``_Plan.norm``), so when max(|lo|, |hi|) ||C||_inf <= MAX_SPECTRAL,
+    compared exactly, neither end needs a clamp and rho is not read; otherwise each end past
+    the envelope becomes +-MAX_SPECTRAL / rho, rho from ``_Plan.rho``.
+    ``c`` is C or its plan."""
     lo, hi = float(t_range[0]), float(t_range[1])
-    rho = _plan_of(c).rho
+    plan, far = _plan_of(c), max(abs(lo), abs(hi))
+    if math.isfinite(far):  # far ||ints||_inf <= MAX_SPECTRAL d, on integers
+        (p, q), (a, b) = far.as_integer_ratio(), MAX_SPECTRAL.as_integer_ratio()
+        if p * b * plan.norm <= a * q * plan.scaled[1]:
+            return lo, hi
+    rho = plan.rho
     if hi * rho > MAX_SPECTRAL:
         hi = MAX_SPECTRAL / rho
+    if -lo * rho > MAX_SPECTRAL:
+        lo = -MAX_SPECTRAL / rho
     return lo, hi
 
 
@@ -163,10 +178,11 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     it holds (``_require_trace_free``), else NonTraceFree.
     A refined minimum with a coefficient of modulus 2^53 or more is
     dropped.  A nilpotent C (charpoly x^n, decided exactly) has
-    charpoly(exp(t C)) = (x - 1)^n for every t and is reported as the
-    single candidate t = 1, or t = hi when 1 is outside (lo, hi], or
-    lo / 2 when hi = 0: never t = 0.  Any other C whose defect is within
-    SCAN_TOL on the whole grid has no candidate.  A
+    charpoly(exp(t C)) = (x - 1)^n for every t and is reported, before
+    any float spectrum or grid, as the single candidate t = 1, or t = hi
+    when 1 is outside (lo, hi], or lo / 2 when hi = 0: never t = 0, and
+    none when the range holds no grid point.  Any other C whose defect is
+    within SCAN_TOL on the whole grid has no candidate.  A
     clamped range that needs more than ``MAX_SCAN_POINTS`` grid points
     raises EnvelopeExceeded before the grid is allocated.  After these
     checks, a C with a root off both axes (``IntSpectrum.off_axis``) has
@@ -185,14 +201,14 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     ts = np.arange(lo + SCAN_STEP, hi + SCAN_STEP / 2, SCAN_STEP)
     if ts.size == 0:
         return []
-    ev = plan.spectrum
-    defects = kernels.scan_defects(ev, ts)
     if not any(plan.charpoly[1:]):
         # unipotent exponential: every t != 0 works (exp(0 C) = I gives
-        # no lattice), report t = 1 if in range
+        # no lattice), report t = 1 if in range; no grid is evaluated
         n = len(plan.charpoly) - 1
         poly = IntPoly(tuple((-1) ** k * math.comb(n, k) for k in range(n + 1)))
         return [ScanCandidate(1.0 if lo < 1.0 <= hi else hi or lo / 2, poly, 0.0)]
+    ev = plan.spectrum
+    defects = kernels.scan_defects(ev, ts)
     if defects.max() <= SCAN_TOL:
         # every exponential within tolerance of 1 on the whole grid:
         # certify_witness would refuse each candidate
@@ -284,9 +300,9 @@ class _Plan:
     they are, each float x as ``Fraction(x)`` (a finite float is a dyadic
     rational, so nothing is rounded).  On first use come the integer form
     C = ints / d, the characteristic polynomial and exact spectrum of
-    ints, the spectral radius, the Jordan types and layers of C, and
-    ``spectrum``, the one float eigen-solve, which only the rules that read
-    floats take.  Input is checked here, once: C must be a nonempty square matrix
+    ints, the norm ||ints||_inf, s(ints), the spectral radius, the Jordan
+    types and layers of C, and ``spectrum``, the one float eigen-solve,
+    which only the rules that read floats take.  Input is checked here, once: C must be a nonempty square matrix
     (else DimensionMismatch), with n <= MAX_DIM, finite entries within the
     float range and its integer form within MAX_INT_FORM_SIZE (else
     EnvelopeExceeded)."""
@@ -297,9 +313,8 @@ class _Plan:
             raise DimensionMismatch(f"C must be a nonempty square matrix, not {a.shape}")
         if a.shape[0] > MAX_DIM:
             raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
-        self.c = np.empty(a.shape, dtype=object)
-        self.floats = False  # some entry a float
-        for i, x in enumerate(a.ravel().tolist()):
+        entries, self.floats = [], False  # some entry a float
+        for x in a.ravel().tolist():
             if not hasattr(x, "denominator"):
                 x, self.floats = float(x), True
                 if not math.isfinite(x):
@@ -310,17 +325,27 @@ class _Plan:
                     float(x)
                 except OverflowError:
                     raise EnvelopeExceeded("matrix entries must be within the float range") from None
-            self.c.flat[i] = x
+            entries.append(x)
+        self.c = np.array(entries, dtype=object).reshape(a.shape)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """The complex eigenvalues of C in floats."""
+        """The complex eigenvalues of C in floats: the one float
+        eigen-solve, read by the scan's grid, by ``certify_witness`` and by
+        ``rho`` when some eigenvalue of ints = d C is not an integer."""
         return kernels.spectrum(self.c.astype(np.float64))
+
+    @cached_property
+    def norm(self) -> int:
+        """||ints||_inf, the largest row sum of moduli of ints = d C: d
+        times a bound on the spectral radius of C that needs no spectrum."""
+        return max(sum(map(abs, row)) for row in self.scaled[0].tolist())
 
     @cached_property
     def rho(self) -> float:
         """The spectral radius of C: max|k| / d when every eigenvalue k of
-        ints = d C is an integer, else from ``spectrum``."""
+        ints = d C is an integer, else from ``spectrum``.  The t-range
+        clamp reads it only where ``norm`` leaves the range in doubt."""
         ks = self.int_spectrum.integer_eigenvalues()
         if ks is None:
             return float(np.abs(self.spectrum).max())
@@ -350,9 +375,26 @@ class _Plan:
         return int_spectrum(self.charpoly)
 
     @cached_property
+    def s_ints(self) -> np.ndarray:
+        """s(ints), s the square-free part of the characteristic polynomial
+        of ints: 0 exactly when ints, and so C, is diagonalizable."""
+        ints = self.scaled[0]
+        eye = np.eye(ints.shape[0], dtype=int).astype(object)
+        s = self.int_spectrum.square_free
+        out = s[0] * ints + s[1] * eye
+        for a in s[2:]:
+            out = ints.dot(out) + a * eye
+        return out
+
+    @cached_property
     def jordan_types(self) -> dict:
-        """``_jordan_types`` of ints at its integer roots, for both Jordan rules."""
-        return _jordan_types(self.scaled[0], self.int_spectrum.integer_roots)
+        """``_jordan_types`` of ints at its integer roots, for both Jordan
+        rules.  A diagonalizable ints (``s_ints`` 0) has one block of size
+        1 per eigenvalue, read off with no kernel."""
+        roots = self.int_spectrum.integer_roots
+        if not any(self.s_ints.ravel().tolist()):
+            return {k: [1] * m for k, m in roots}
+        return _jordan_types(self.scaled[0], roots)
 
     @cached_property
     def layers(self) -> list:
@@ -364,14 +406,9 @@ class _Plan:
         is invariant, and holds the first j columns of every block."""
         ints, d = self.scaled
         n = ints.shape[0]
-        eye = np.eye(n, dtype=int).astype(object)
-        s = self.int_spectrum.square_free
-        base = s[0] * ints + s[1] * eye
-        for a in s[2:]:
-            base = ints.dot(base) + a * eye
-        power, below, out = eye, [1], []
+        power, below, out = np.eye(n, dtype=int).astype(object), [1], []
         while len(below) <= n:  # until ker s(ints)^j is everything
-            power = base.dot(power)
+            power = self.s_ints.dot(power)
             basis, _ = ex.int_nullspace(power)
             m, den = ex.int_solve(basis, ints.dot(basis))  # ints basis = basis m / den
             upto = [x // den**i for i, x in enumerate(ex.int_charpoly_coeffs(m))]
@@ -400,9 +437,12 @@ def _frobenius(parts, shape) -> tuple:
     square-free b, one with Jordan type ``sizes``, largest first, at the
     roots of each b): Z has their companion matrices on consecutive
     diagonal blocks.  Coefficients are ints, or vectors over trace levels
-    that make Z one array of every level's matrix."""
+    that make Z one array of every level's matrix.  The characteristic
+    polynomial is multiplied from the last invariant factors, which
+    divide the first and are most often scalar, so the level vectors
+    enter as few products as they can."""
     z = np.zeros(shape, dtype=object)
-    poly, at = [1], 0
+    factors, at = [], 0
     for i in range(max(len(sizes) for _, sizes in parts)):
         p = [1]
         for b, sizes in parts:
@@ -412,7 +452,11 @@ def _frobenius(parts, shape) -> tuple:
         z[..., range(at + 1, end), range(at, end - 1)] = 1
         for row, x in enumerate(reversed(p[1:]), start=at):
             z[..., row, end - 1] = -x
-        poly, at = _poly_mul(poly, p), end
+        factors.append(p)
+        at = end
+    poly = [1]
+    for p in reversed(factors):
+        poly = _poly_mul(p, poly)
     z.flags.writeable = False
     return z, poly
 

@@ -11,9 +11,11 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lcplab.lowdim as lowdim
+from lcplab import kernels
 
 LCPBENCH = Path(__file__).parent.parent / "lcpbench"
 
@@ -68,3 +70,20 @@ def test_catalog_reads_fixtures_only_where_the_codim2_rule_can_fire(monkeypatch)
     assert read == [g57, g513]
     (i,) = [i for i in wround.inputs if (lowdim.SAMPLES[i].name, lowdim.SAMPLES[i].params) == g513]
     assert lat[i]["evidence"] == "codim2_highdim" and lat[i]["verdict"].rule == "codim2_highdim"
+
+
+def test_lattice_search_makes_no_float_eigen_solve(monkeypatch):
+    # every lattice-search verdict is exact: the norm bound settles each
+    # t-range clamp, the hyperbolic slots are listed by trace level and
+    # the complex ones have a root off both axes, so no slot reaches the
+    # float spectrum
+    solves = []
+    eigvals, spectrum = np.linalg.eigvals, kernels.spectrum
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a: solves.append("eigvals") or eigvals(*a))
+    monkeypatch.setattr(kernels, "spectrum", lambda *a: solves.append("spectrum") or spectrum(*a))
+    for seed in (1, 2, 3):
+        for rnd in (0, 1, 2):
+            wround = workloads.WORKLOADS["lattice-search"](seed, rnd)
+            for inp in wround.inputs:
+                wround.run(inp)
+    assert solves == []

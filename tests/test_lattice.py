@@ -832,18 +832,22 @@ def _conjugated_complex5():
 @pytest.mark.parametrize(
     "make, t_range, status, spectra",
     [
-        # the float spectrum of C (t-range clamp); the exact spectrum has a
-        # root off the real axis, so no integer root is looked for, and a
-        # root off both axes keeps the verdict off the scan
-        (_conjugated_complex6, (0.0, 2.0), "inconclusive", 1),
-        # decided exactly, with no float: the square-free part x(x^2 - d^2)
-        # of its integer form gives the root 0 and deflates to a quadratic
-        # solved on integers, and the t-range clamp reads the spectral
-        # radius from those integer eigenvalues
+        # no float: 2 ||C||_inf <= MAX_SPECTRAL settles the t-range clamp;
+        # the exact spectrum has a root off the real axis, so no integer
+        # root is looked for, and a root off both axes keeps the verdict
+        # off the scan
+        (_conjugated_complex6, (0.0, 2.0), "inconclusive", 0),
+        # decided exactly, with no float: the root 0 of its integer form
+        # comes out before the Sturm chain, which runs on the quadratic
+        # x^2 - d^2, solved on integers; a t-range clamp the norm bound
+        # leaves open reads the spectral radius from those eigenvalues
         (lambda: _conjugated_hyperbolic(6), (0.0, 3.0), "yes", 0),
-        # one real root among complex ones: the float spectrum of C only,
-        # and no search for the integer roots no step reads
-        (_conjugated_complex5, (0.0, 2.0), "inconclusive", 1),
+        # one real root among complex ones: no float spectrum, and no
+        # search for the integer roots no step reads
+        (_conjugated_complex5, (0.0, 2.0), "inconclusive", 0),
+        # the norm bound does not settle 0:20, so the clamp takes the
+        # float spectral radius: the one eigen-solve
+        (_conjugated_complex6, (0.0, 20.0), "inconclusive", 1),
     ],
 )
 def test_each_spectrum_once_per_verdict(monkeypatch, make, t_range, status, spectra):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab import kernels
@@ -22,6 +22,7 @@ from lcplab import lattice
 from lcplab.intpoly import IntPoly, companion, int_charpoly, int_det
 from lcplab.lattice import (
     MAX_LISTED_WITNESSES,
+    MAX_SPECTRAL,
     _exact_witnesses,
     _jordan_types,
     _Plan,
@@ -238,6 +239,61 @@ def test_negative_t_range():
     assert [-w.poly.coeffs[1] for w in v.witnesses] == [7, 6, 5, 4, 3, 3, 4, 5, 6, 7]
 
 
+@pytest.mark.parametrize("k", [10**4, 2**100], ids=["1e4", "2^100"])
+def test_the_lower_end_is_clamped_too(k):
+    # |t| rho <= MAX_SPECTRAL at both ends: -1:0.5 becomes -50/k:50/k,
+    # where 2 cosh(t) < 3 gives no level, so no exact witness lies past
+    # the envelope and no Lucas number is built
+    c = diag(1, -1, k, -k)
+    v = lattice_verdict(c, t_range=(-1.0, 0.5))
+    assert v.rule == "trace_levels" and v.status == "inconclusive"
+    assert v.inconclusive_ranges == ((-MAX_SPECTRAL / k, MAX_SPECTRAL / k),)
+
+
+def rho_clamp(plan, t_range):
+    """Each end t of ``t_range`` past the envelope |t| rho <= MAX_SPECTRAL
+    on its own side moved to it, rho read from the plan."""
+    lo, hi = map(float, t_range)
+    rho = plan.rho
+    return (-MAX_SPECTRAL / rho if -lo * rho > MAX_SPECTRAL else lo,
+            MAX_SPECTRAL / rho if hi * rho > MAX_SPECTRAL else hi)
+
+
+@st.composite
+def integer_spectra(draw):
+    """(C, rho(C)) for C = M / 2^j with integer eigenvalues, not all 0, so
+    that rho(C) is a float exactly.  M is U D U^-1 for an integer D (a
+    diagonal, possibly with ones above it) and a unimodular U, or u v^T
+    (eigenvalues v.u and 0), whose entries can all be below rho."""
+    n = draw(st.integers(1, 5))
+    scale = 2 ** draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        u, v = (draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(2))
+        k = sum(a * b for a, b in zip(u, v))
+        assume(k != 0)
+        return ex.rmat([[a * b for b in v] for a in u]) / F(scale), abs(k) / scale
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = draw(st.integers(-60, 60))
+        if i + 1 < n and draw(st.booleans()):
+            d[i][i + 1] = 1
+    d[0][0] = d[0][0] or 1
+    return draw(unimodular_conjugate(d)) / F(scale), max(abs(d[i][i]) for i in range(n)) / scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_spectra(), st.lists(st.one_of(st.floats(-1.5, 1.5), st.sampled_from([-1.0, 1.0])),
+                                   min_size=2, max_size=2))
+def test_the_norm_bound_only_skips_the_clamp_where_rho_needs_none(c_rho, ends):
+    # rho(C) <= ||C||_inf: where the exact norm bound keeps the range as
+    # given, the clamp on rho keeps it too.  The ends are drawn around the
+    # envelope's edge +-MAX_SPECTRAL / rho
+    c, rho = c_rho
+    t_range = tuple(x * MAX_SPECTRAL / rho for x in ends)
+    assert _Plan(c).rho == rho
+    assert _scanned_range(_Plan(c), t_range) == rho_clamp(_Plan(c), t_range)
+
+
 def test_listing_limit():
     # 2 cosh(9.2) ~ 9897: 9895 witnesses are listed; 2 cosh(9.22) ~ 10096 is past the limit
     assert len(_exact_witnesses(diag(1, -1), (0.0, 9.2))) == 9895 <= MAX_LISTED_WITNESSES
@@ -297,6 +353,37 @@ def test_exact_spectrum_matches_sympy(ints):
     spec = _Plan(ints).int_spectrum
     assert spec.integer_eigenvalues() == ks
     assert spec.off_axis() == off_axis
+
+
+@st.composite
+def integer_matrices_with_root_0(draw):
+    """An integer matrix with charpoly x^j r: a random integer block whose
+    charpoly is r (r(0) = 0 too now and then) beside a Jordan block of
+    size j at 0, split in one or two blocks, under a unimodular basis
+    change."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+    sizes = draw(st.sampled_from([[1], [2], [3], [1, 1], [2, 1]]))
+    return ex.scaled(draw(unimodular_conjugate(direct_sum([rows] + [jordan(k, 0) for k in sizes]))))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices_with_root_0())
+def test_exact_spectrum_with_root_0_matches_sympy(ints):
+    # the root 0 taken out before the Sturm chain: the integer
+    # eigenvalues, the off-axis reading and the gcd, square-free part and
+    # real root count of charpoly(ints) are sympy's
+    ks, off_axis = reference_spectrum(ints)
+    spec = _Plan(ints).int_spectrum
+    assert spec.integer_eigenvalues() == ks
+    assert spec.off_axis() == off_axis
+    x = sympy.Symbol("x")
+    p = sympy.Poly(sympy.Matrix(ints.tolist()).charpoly(x).as_expr(), x)
+    g = sympy.Poly(sympy.gcd(p, p.diff(x)), x).primitive()[1]
+    g = g if g.LC() > 0 else -g
+    assert spec.repeated == tuple(g.all_coeffs())
+    assert spec.square_free == tuple(sympy.quo(p, g).all_coeffs())
+    assert spec.real_roots == sympy.quo(p, g).count_roots()
 
 
 @st.composite
@@ -374,22 +461,24 @@ def _golden_case(label):
 
 
 @pytest.mark.parametrize(
-    "c, t_range",
+    "c, t_range, grid",
     [
-        _golden_case("rotations-4"),  # +-i twice: on the imaginary axis
-        _golden_case("irrational-derogatory-4"),
-        (ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (0.0, 3.0)),  # nilpotent
+        (*_golden_case("rotations-4"), True),  # +-i twice: on the imaginary axis
+        (*_golden_case("irrational-derogatory-4"), True),
+        # (x - 1)^3 at every t, decided on charpoly(C) before any grid
+        (ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (0.0, 3.0), False),  # nilpotent
         # float input is read as its rationals: the twin of an on-axis
         # spectrum goes to the scan like the spectrum itself
-        (to_float(_golden_case("rotations-4")[0]), (0.0, 20.0)),  # float
-        (ex.rmat([[1, 0], [0, -1]]), (0.0, 20.0)),  # past the listing limit
+        (to_float(_golden_case("rotations-4")[0]), (0.0, 20.0), True),  # float
+        (ex.rmat([[1, 0], [0, -1]]), (0.0, 20.0), True),  # past the listing limit
     ],
     ids=["rotations", "irrational", "nilpotent", "float", "e11-20"],
 )
-def test_other_inputs_still_reach_the_scan(monkeypatch, c, t_range):
-    monkeypatch.setattr(kernels, "scan_defects", _refuse_scan)
-    with pytest.raises(Scanned):
-        lattice_verdict(c, t_range=t_range)
+def test_other_inputs_still_reach_the_scan(monkeypatch, c, t_range, grid):
+    grids, scan_defects = [], kernels.scan_defects
+    monkeypatch.setattr(kernels, "scan_defects", lambda *a: grids.append(1) or scan_defects(*a))
+    assert lattice_verdict(c, t_range=t_range).rule == "scan"
+    assert bool(grids) == grid
 
 
 def test_float_rounding_off_the_axis_is_read_as_held():
@@ -760,9 +849,11 @@ def integer_jordan_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(integer_jordan_matrices())
 def test_jordan_types_match_the_ranks(data):
+    # and the plan's, which reads a diagonalizable ints off s(ints) = 0
     ints, types = data
-    roots = _Plan(ints).int_spectrum.integer_roots
-    assert _jordan_types(ints, roots) == rank_types(ints, roots) == types
+    plan = _Plan(ints)
+    roots = plan.int_spectrum.integer_roots
+    assert _jordan_types(ints, roots) == rank_types(ints, roots) == plan.jordan_types == types
 
 
 def test_witness_matrices_are_read_only():
@@ -774,8 +865,10 @@ def test_witness_matrices_are_read_only():
 
 
 def test_one_rank_and_no_companion_matrix(monkeypatch):
-    # diag(1, -1, 0, 0): the simple roots +-1 take no rank, the double
-    # root 0 one, and no companion matrix is built level by level.  The
+    # diag(1, -1, 0, 0) is diagonalizable, s(C) = 0 for the square-free
+    # part s of charpoly(C): its Jordan types take no rank.  With J_2(0)
+    # for the double root 0, the simple roots +-1 take no rank and the
+    # root 0 two, and no companion matrix is built level by level.  The
     # Jordan types read each rank as the nullity of one integer kernel;
     # the Jordan layers take kernels too, and are not counted.
     calls = {"companion": 0, "rank": 0}
@@ -793,4 +886,7 @@ def test_one_rank_and_no_companion_matrix(monkeypatch):
     monkeypatch.setattr(ex, "int_nullspace", counted("rank", ex.int_nullspace, "_jordan_types"))
     v = lattice_verdict(diag(1, -1, 0, 0), t_range=(0.0, 3.0))
     assert len(v.witnesses) == 18 and all(w.exact for w in v.witnesses)
-    assert calls == {"companion": 0, "rank": 1}
+    assert calls == {"companion": 0, "rank": 0}
+    v = lattice_verdict(ex.rmat(direct_sum([[[1]], [[-1]], jordan(2, 0)])), t_range=(0.0, 3.0))
+    assert len(v.witnesses) == 18 and all(w.exact for w in v.witnesses)
+    assert calls == {"companion": 0, "rank": 2}
