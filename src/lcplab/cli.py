@@ -21,7 +21,7 @@ import math
 import sys
 
 from . import exact as ex
-from .algebra import almost_abelian_presentation, audit_algebra, check_envelope, is_closed
+from .algebra import almost_abelian_presentation, audit_algebra, check_envelope
 from .construct import (
     OrthoRep,
     almab_lcp,
@@ -36,7 +36,6 @@ from .detect import (
     classify,
     maximal_flat_parallel,
     structural_audit,
-    verify_lcp,
 )
 from .docfmt import parse_file, render_document
 from .errors import DocumentError, LcpError
@@ -206,20 +205,7 @@ def cmd_lattice(args) -> int:
         print("input is not almost abelian: Bock scan does not apply", file=sys.stderr)
         return EXIT_FAIL
     if args.action == "search":
-        # only a codim-2 flat at n >= 5 can decide (codim2_highdim); an almost
-        # abelian L is solvable, and unimodular iff tr C = 0, which the verdict checks
-        structure = None
-        theta = doc.one_form()
-        if L.dim >= 5 and theta is not None and not theta.is_zero() and is_closed(L, theta):
-            flat = maximal_flat_parallel(L, G, theta)
-            if flat.dim == L.dim - 2 and verify_lcp(L, G, theta, flat).passed:
-                structure = LCPStructure(L, G, theta, flat)
-        verdict = lattice_verdict(
-            pres.matrix,
-            label=doc.label or "input",
-            t_range=_t_range(args.t_range),
-            structure=structure,
-        )
+        verdict = lattice_verdict(pres.matrix, label=doc.label or "input", t_range=_t_range(args.t_range))
         payload = verdict.as_dict()
         if args.format == "machine":
             payload["input_fingerprint"] = fingerprint(L).as_dict()

@@ -243,13 +243,13 @@ def _low_degree_roots(r: list) -> set:
 
 
 def _isolated_roots(chain: list) -> set:
-    """The integer roots of s = chain[0], square-free with every root
-    real, on its Sturm chain.  The roots lie in (-2^e, 2^e], past
-    Fujiwara's bound 2 max |s_i / s_0|^(1/i), and V(a) - V(b) roots in
-    (a, b], V the sign changes along the chain.  An interval with two or
-    more roots is halved until it holds one or has length 1; one with a
-    single root r is halved by the sign of s, which is that of s(b) on
-    (r, b], down to length 1.  Then r is an integer iff it is b."""
+    """The integer roots of s = chain[0], square-free, on its Sturm
+    chain.  The roots lie in (-2^e, 2^e], past Fujiwara's bound
+    2 max |s_i / s_0|^(1/i), and V(a) - V(b) real roots in (a, b], V the
+    sign changes along the chain.  An interval with two or more roots is
+    halved until it holds one or has length 1; one with a single root r
+    is halved by the sign of s, which is that of s(b) on (r, b], down to
+    length 1.  Then r is an integer iff it is b."""
     s = chain[0]
     # |s_i / s_0| < 2^(bits(s_i) - bits(s_0) + 1), and e - 1 is the
     # largest ceiling of that exponent over i
@@ -282,6 +282,18 @@ def _isolated_roots(chain: list) -> set:
     return found
 
 
+def integer_roots(g: list, chain: list) -> set:
+    """The integer roots of p = chain[0], each once, from g = gcd(p, p')
+    and the Sturm chain of p (``_sturm``): those of its square-free part
+    s = p / g, on integers for deg s <= 2 (``_low_degree_roots``), past it
+    isolated on the chain divided by g, a Sturm chain of s
+    (``_isolated_roots``).  Some roots of p may be non-real."""
+    s = _divmod(chain[0], g)[0]
+    if len(s) > 3:
+        return _isolated_roots([_divmod(q, g)[0] for q in chain] if len(g) > 1 else chain)
+    return _low_degree_roots(s) if len(s) > 1 else set()
+
+
 def int_spectrum(p) -> IntSpectrum:
     """The exact spectrum of an integer polynomial p (descending
     coefficients).  The root 0 comes out first: p = x^j r with r(0) != 0.
@@ -290,21 +302,15 @@ def int_spectrum(p) -> IntSpectrum:
     x^(j-1) gcd(r, r'), the square-free part gains the factor x and the
     real roots the root 0.  Only when every root is real, the one case a
     caller reads them, come the integer roots: 0 when j > 0, and those of
-    the square-free part s of r, whose roots are simple and nonzero.  A
-    part s of degree <= 2 gives them on integers (``_low_degree_roots``);
-    past it the roots of s are isolated on the chain of r divided by its
-    gcd, a Sturm chain of s (``_isolated_roots``).  No float is computed;
-    so a spectrum x^(n-2) (x^2 - k^2) takes a chain of degree 2."""
+    r (``integer_roots``).  No float is computed; so a spectrum
+    x^(n-2) (x^2 - k^2) takes a chain of degree 2."""
     p = [_integral(x) for x in p]
     j = next((i for i, x in enumerate(reversed(p)) if x), 0)
     r = p[:len(p) - j]
     real, g, chain = _sturm(r)
     s, roots = _divmod(r, g)[0], set()
     if real == len(s) - 1:
-        if len(s) > 3:
-            roots = _isolated_roots([_divmod(q, g)[0] for q in chain] if len(g) > 1 else chain)
-        elif len(s) > 1:
-            roots = _low_degree_roots(s)
+        roots = integer_roots(g, chain)
         if j:
             roots.add(0)
     if j:

@@ -14,7 +14,8 @@ eigen-solve.
 ``lattice_verdict`` refuses C with NonTraceFree unless the rationals it
 holds have trace exactly 0 (the one trace test, ``_require_trace_free``),
 then asks the rules of ``RULES`` in order; the first that decides gives
-the verdict and names itself in it.  A rule returns None where it does
+the verdict and names itself in it.  Every rule reads C alone, through
+the plan, and the caller's citation.  A rule returns None where it does
 not apply, a ``NoLatticeCertificate`` for "no", or its witnesses for
 "yes"; an empty list applies and finds none, and the verdict is
 inconclusive over the scanned range:
@@ -23,13 +24,15 @@ inconclusive over the scanned range:
   recomputed here;
 * double_root: every eigenvalue real and exactly one multiple root,
   which is nonzero (``no_lattice_double_root``);
-* codim2_highdim: a verified LCP structure of flat codimension 2 in
-  dimension >= 5 (``no_lattice_codim2``);
 * jordan_asymmetry: a rational real spectrum whose Jordan types at some
   lam and -lam differ (Bock16 with Gelfond-Schneider);
 * trace_levels: where those types agree, every witness up to
   MAX_LISTED_WITNESSES, by trace level and with no float tolerance
   (``_exact_witnesses``);
+* codim2_highdim: n >= 5 and C semisimple with a simple real eigenvalue
+  a != 0, every other eigenvalue of real part -a / (n - 2): the group
+  then has an LCP structure of flat codimension 2, and no lattice
+  (``no_lattice_codim2``);
 * scan: everything else (imaginary or irrational spectra, nilpotent C,
   longer lists): a float grid scan whose candidates ``certify_witness``
   certifies.  A witness the grid does not flag is missing.  A C with a
@@ -50,22 +53,24 @@ import numpy as np
 
 from . import exact as ex
 from . import kernels
-from .algebra import MAX_DIM, almost_abelian_presentation, audit_algebra
-from .detect import LCPStructure
+from .algebra import MAX_DIM
 from .errors import (
     DimensionMismatch,
     EnvelopeExceeded,
     MTooSmall,
     NonPositiveInput,
     NonTraceFree,
-    PreconditionViolated,
 )
 from .intpoly import (
     IntPoly,
     IntSpectrum,
+    _changes,
     _divmod,
+    _gcd,
+    _sturm,
     companion,
     int_spectrum,
+    integer_roots,
     square_free_factors,
 )
 
@@ -150,9 +155,11 @@ def _scanned_range(c, t_range) -> tuple:
     so that the spectral radius |t| rho of t C stays within MAX_SPECTRAL,
     as ``_in_envelope`` requires.  rho(C) <= ||C||_inf = ||ints||_inf / d
     (``_Plan.norm``), so when max(|lo|, |hi|) ||C||_inf <= MAX_SPECTRAL,
-    compared exactly, neither end needs a clamp and rho is not read; otherwise each end past
-    the envelope becomes +-MAX_SPECTRAL / rho, rho from ``_Plan.rho``.
-    ``c`` is C or its plan."""
+    compared exactly, neither end needs a clamp and rho is not read;
+    otherwise each end past the envelope, on either side, becomes
+    +-MAX_SPECTRAL / rho with its sign, rho from ``_Plan.rho``.  So a
+    range wholly past the envelope comes back empty, (r, r] with r at its
+    near edge, and never reversed.  ``c`` is C or its plan."""
     lo, hi = float(t_range[0]), float(t_range[1])
     plan, far = _plan_of(c), max(abs(lo), abs(hi))
     if math.isfinite(far):  # far ||ints||_inf <= MAX_SPECTRAL d, on integers
@@ -160,11 +167,8 @@ def _scanned_range(c, t_range) -> tuple:
         if p * b * plan.norm <= a * q * plan.scaled[1]:
             return lo, hi
     rho = plan.rho
-    if hi * rho > MAX_SPECTRAL:
-        hi = MAX_SPECTRAL / rho
-    if -lo * rho > MAX_SPECTRAL:
-        lo = -MAX_SPECTRAL / rho
-    return lo, hi
+    return tuple(math.copysign(MAX_SPECTRAL / rho, t) if abs(t) * rho > MAX_SPECTRAL else t
+                 for t in (lo, hi))
 
 
 def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
@@ -694,39 +698,39 @@ def _jordan_asymmetry(plan) -> Optional[NoLatticeCertificate]:
     ]})
 
 
-def _require_lcp(s: Optional[LCPStructure]) -> None:
-    """PreconditionViolated unless ``s`` is None or a verified solvable unimodular LCP structure."""
-    if s is None:
-        return
-    audit = audit_algebra(s.algebra)
-    if not (audit.solvable and audit.unimodular):
-        raise PreconditionViolated("codim2 rule needs a solvable unimodular algebra")
-    if not s.verify().passed:
-        raise PreconditionViolated("codim2 rule needs a verified structure")
+def no_lattice_codim2(c) -> Optional[NoLatticeCertificate]:
+    """Certificate when C, m x m with m = n - 1 >= 4, is semisimple with a
+    simple real eigenvalue a != 0 and every other eigenvalue of real part
+    -c, c = a / (m - 1).  Then B = C|_V + c I, V the sum of the other
+    eigenspaces, is skew for some rational inner product, and
+    ``almab_lcp([[a]], B)`` is an LCP structure of flat codimension 2 on an
+    isomorphic algebra: by the paper's theorem, there is no lattice.
 
-
-def _require_presented(plan, s: Optional[LCPStructure]) -> None:
-    """PreconditionViolated unless ``s`` is None or C is the matrix of the
-    almost abelian presentation of its algebra under its metric."""
-    if s is None:
-        return
-    pres = almost_abelian_presentation(s.algebra, s.metric)
-    if pres is None or not np.array_equal(pres.matrix, plan.c):
-        raise PreconditionViolated("C is not the almost abelian presentation of the structure")
-
-
-def _codim2(s: Optional[LCPStructure]) -> Optional[NoLatticeCertificate]:
-    """``no_lattice_codim2`` of a structure already checked, None for None."""
-    if s is None or not s.algebra.dim >= 5 or s.flat_dim != s.algebra.dim - 2:
+    Decided on p = charpoly(ints), ints = d C, with A = d a and
+    g = A / (m - 1), after declining for m < 4, a root 0, or other than 1
+    or 2 distinct real roots.  By Newton's identities g is a root of
+    m (m^2 - 1) g^3 - 3 T_2 g - T_3, T_2 = -2 p_2 and T_3 = -3 p_3 the power
+    sums; A has at most 3 < m conjugates, so it is rational, and an integer
+    root of gcd(p, K), K(x) = m (m + 1) x^3 - 3 (m - 1) T_2 x - (m - 1)^2 T_3.
+    For each, p = (x - A) q and h(w) = (m - 1)^(m-1) q((w - A) / (m - 1)),
+    with roots (m - 1)(lam + g), must be w^j H(w^2) with H of real roots
+    only and no positive one (no sign change), which also makes A simple;
+    last, s(ints) = 0."""
+    plan = _plan_of(c)
+    p = plan.charpoly
+    m = len(p) - 1
+    if m < 4 or not 1 <= plan.int_spectrum.real_roots <= 2 or p[-1] == 0:
         return None
-    return NoLatticeCertificate("codim2_highdim", data={"dim": s.algebra.dim, "flat_dim": s.flat_dim})
-
-
-def no_lattice_codim2(s: LCPStructure) -> Optional[NoLatticeCertificate]:
-    """Certificate for a verified solvable unimodular LCP structure whose
-    flat space has codimension 2 in dimension >= 5."""
-    _require_lcp(s)
-    return _codim2(s)
+    u, t2, t3 = m - 1, -2 * p[2], -3 * p[3]
+    for a in integer_roots(*_sturm(_gcd(p, [m * (m + 1), 0, -3 * u * t2, -u * u * t3]))[1:]):
+        h = []
+        for i, x in enumerate(_divmod(p, [1, -a])[0]):  # Horner at w - a
+            h = _poly_mul(h, [1, -a])
+            h[-1] += x * u**i
+        shaped = not (any(h[1::2]) or _changes(h[::2])) and int_spectrum(h[::2]).all_real
+        if shaped and not any(plan.s_ints.ravel().tolist()):
+            return NoLatticeCertificate("codim2_highdim", data={"dim": m + 1, "flat_dim": m - 1})
+    return None
 
 
 def _scan(plan, t_range) -> list:
@@ -827,12 +831,12 @@ class LatticeVerdict:
 
 # the rules of lattice_verdict, in the order it asks them (see the module docstring)
 RULES = (
-    ("cited", lambda plan, t_range, structure, cited: cited),
-    ("double_root", lambda plan, t_range, structure, cited: no_lattice_double_root(plan)),
-    ("codim2_highdim", lambda plan, t_range, structure, cited: _codim2(structure)),
-    ("jordan_asymmetry", lambda plan, t_range, structure, cited: _jordan_asymmetry(plan)),
-    ("trace_levels", lambda plan, t_range, structure, cited: _exact_witnesses(plan, t_range)),
-    ("scan", lambda plan, t_range, structure, cited: _scan(plan, t_range)),
+    ("cited", lambda plan, t_range, cited: cited),
+    ("double_root", lambda plan, t_range, cited: no_lattice_double_root(plan)),
+    ("jordan_asymmetry", lambda plan, t_range, cited: _jordan_asymmetry(plan)),
+    ("trace_levels", lambda plan, t_range, cited: _exact_witnesses(plan, t_range)),
+    ("codim2_highdim", lambda plan, t_range, cited: no_lattice_codim2(plan)),
+    ("scan", lambda plan, t_range, cited: _scan(plan, t_range)),
 )
 
 
@@ -841,21 +845,16 @@ def lattice_verdict(
     label: str = "",
     t_range=(0.0, 20.0),
     seed: int = 0,
-    structure: Optional[LCPStructure] = None,
     cited: Optional[NoLatticeCertificate] = None,
 ) -> LatticeVerdict:
     """The verdict of the first rule of ``RULES`` that decides, named in
-    its ``rule``.  One plan of C (``_Plan``) serves every rule.  Before any
-    rule, C must be trace-free (else NonTraceFree), and a ``structure``
-    verified and presented by C, that is, C the matrix of the almost
-    abelian presentation of its algebra under its metric (else
-    PreconditionViolated).  ``seed`` is unused."""
+    its ``rule``.  Every rule reads C alone, through one plan of C
+    (``_Plan``), and ``cited``.  Before any rule, C must be trace-free
+    (else NonTraceFree).  ``seed`` is unused."""
     plan = _Plan(c)
     _require_trace_free(plan)
-    _require_lcp(structure)
-    _require_presented(plan, structure)
     for rule, decide in RULES:
-        found = decide(plan, t_range, structure, cited)
+        found = decide(plan, t_range, cited)
         if isinstance(found, NoLatticeCertificate):
             return LatticeVerdict(label, (), (found,), (), rule)
         if found is not None:

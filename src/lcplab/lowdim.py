@@ -31,7 +31,7 @@ from .algebra import (
     almost_abelian_presentation,
     audit_algebra,
 )
-from .detect import LCPStructure, classify, maximal_flat_parallel, structural_audit, verify_lcp
+from .detect import LCPStructure, classify, structural_audit, verify_lcp
 from .errors import DimensionMismatch, ParamOutOfRange, SingularMatrix, UnknownName
 from .fixtures import _params_str, witness_specs_from_fixtures
 from .intpoly import int_spectrum
@@ -565,23 +565,18 @@ def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0
     """Verdict for one sampled row: cited where the literature decides,
     else that of ``lattice_verdict`` (it requires an almost abelian
     algebra), whose certificate's rule or first witness is the evidence.
-    A row's fixtures are read only where codim2_highdim can fire (n >= 5,
-    n - 2 among its flat dimensions), and C is then presented under the
-    metric of the structure passed on; ``seed`` is accepted and unused."""
+    C is presented under the identity metric, and no fixture is read;
+    ``seed`` is accepted and unused."""
     L = table_algebra(sample.name, sample.params)
     cited = sample.lattice_cited
     if cited is not None and cited[0] == "yes":
         return {"status": "yes", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
-    structure = None
-    if L.dim >= 5 and L.dim - 2 in ROWS[sample.name].expected_flat_dims(sample.params):
-        w = max(witness_specs_from_fixtures(sample), key=lambda x: x.expected_dim)
-        structure = LCPStructure(L, w.metric, w.theta, maximal_flat_parallel(L, w.metric, w.theta))
-    pres = almost_abelian_presentation(L, Metric.identity(L.dim) if structure is None else structure.metric)
+    pres = almost_abelian_presentation(L, Metric.identity(L.dim))
     if pres is None:  # not almost abelian: the Bock scan does not apply
         if cited is not None:
             return {"status": "no", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
         return {"status": "inconclusive", "evidence": "not almost abelian", "witnesses": 0}
-    verdict = lattice_verdict(pres.matrix, label=sample.name, t_range=t_range, structure=structure,
+    verdict = lattice_verdict(pres.matrix, label=sample.name, t_range=t_range,
                               cited=None if cited is None else cited_certificate(cited[1]))
     if verdict.witnesses:
         evidence = f"witness t={verdict.witnesses[0].t0:.4f} ({len(verdict.witnesses)} found)"

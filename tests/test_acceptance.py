@@ -284,10 +284,7 @@ def test_criterion_8_no_lattice_certificates():
         ok = ok and no_lattice_double_root(c) is not None
     for r in (F(1), F(2), F(1, 2)):
         L = table_algebra("g_{5.13}^{-1-2q,q,r}", {"q": F(-1, 3), "r": r})
-        G = Metric.identity(5)
-        theta = OneForm.dual(5, 4, F(-1, 3))
-        s = LCPStructure(L, G, theta, maximal_flat_parallel(L, G, theta))
-        cert = no_lattice_codim2(s)
+        cert = no_lattice_codim2(almost_abelian_presentation(L, Metric.identity(5)).matrix)
         ok = ok and cert is not None and cert.rule == "codim2_highdim"
     # exclusivity over the whole catalog: no sample gets both
     from lcplab.lowdim import sample_lattice_verdict

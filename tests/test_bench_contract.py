@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lcplab.detect as detect
+import lcplab.fixtures as fixtures
 import lcplab.lowdim as lowdim
 from lcplab import kernels
 
@@ -53,21 +55,22 @@ def test_structures_later_rounds_pass_their_checks(rnd):
     _run_and_check("structures", rnd)
 
 
-def test_catalog_reads_fixtures_only_where_the_codim2_rule_can_fire(monkeypatch):
-    # over one pass of the catalog workload, sample_lattice_verdict reads
-    # a row's fixtures only at n >= 5 with n - 2 among the row's flat
-    # dimensions: g_{5.7} at p=q=r=1/3 and g_{5.13} at q=-1/3, of which
-    # the second is still decided by codim2_highdim
+def test_catalog_verdicts_read_no_fixture(monkeypatch):
+    # one catalog pass's sample_lattice_verdict calls, made as the
+    # workload makes them, read no fixture and search no flat space:
+    # every verdict reads C alone, and g_{5.13} at q=-1/3 is still
+    # decided by codim2_highdim
     wround = workloads.WORKLOADS["catalog"](1, 0)
-    read, parse = [], lowdim.witness_specs_from_fixtures
-    monkeypatch.setattr(
-        lowdim, "witness_specs_from_fixtures", lambda s: read.append((s.name, s.params)) or parse(s)
-    )
-    lat = {inp: wround.run(inp)[1] for inp in wround.inputs}
-    third = Fraction(1, 3)
-    g57 = ("g_{5.7}^{p,q,r}", {"p": third, "q": third, "r": third})
-    g513 = ("g_{5.13}^{-1-2q,q,r}", {"q": -third, "r": 1})
-    assert read == [g57, g513]
+    read = []
+    for module, name in ((fixtures, "fixture_dir"), (detect, "maximal_flat_parallel")):
+        call = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, call=call: read.append(name) or call(*a))
+    lat = {
+        i: lowdim.sample_lattice_verdict(lowdim.SAMPLES[i], t_range=workloads.CATALOG_T_RANGE, seed=0)
+        for i in wround.inputs
+    }
+    assert read == []
+    g513 = ("g_{5.13}^{-1-2q,q,r}", {"q": -Fraction(1, 3), "r": 1})
     (i,) = [i for i in wround.inputs if (lowdim.SAMPLES[i].name, lowdim.SAMPLES[i].params) == g513]
     assert lat[i]["evidence"] == "codim2_highdim" and lat[i]["verdict"].rule == "codim2_highdim"
 

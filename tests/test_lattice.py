@@ -7,18 +7,15 @@ from hypothesis import event, given, settings, strategies as st
 
 from lcplab import exact as ex
 from lcplab import kernels
-from lcplab.algebra import MAX_DIM, LieAlgebra, Metric, OneForm, almost_abelian_presentation
+from lcplab.algebra import MAX_DIM, Metric, almost_abelian_presentation
 from lcplab.construct import almab_lcp
-from lcplab.detect import LCPStructure, maximal_flat_parallel
 from lcplab.errors import (
     DimensionMismatch,
     EnvelopeExceeded,
     MTooSmall,
     NonPositiveInput,
     NonTraceFree,
-    PreconditionViolated,
 )
-from lcplab.fixtures import witness_specs_from_fixtures
 from lcplab.intpoly import IntPoly, int_charpoly, int_det
 from lcplab.lattice import (
     MAX_INT_FORM_SIZE,
@@ -40,7 +37,7 @@ from lcplab.lattice import (
     no_lattice_codim2,
     no_lattice_double_root,
 )
-from lcplab.lowdim import SAMPLES, table_algebra
+from lcplab.lowdim import table_algebra
 from support import dot, inv, reye, to_float, trace_free_float
 
 C_E11 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -377,44 +374,46 @@ def test_the_trace_rule_comes_before_any_characteristic_polynomial(c):
                 call(c, t_range=(0.0, 1.0))
 
 
+def _presented(s):
+    """C of the almost abelian presentation of a structure's algebra under its metric."""
+    return almost_abelian_presentation(s.algebra, s.metric).matrix
+
+
 def test_codim2_certificate():
     s3 = almab_lcp([[1]], ex.rzeros((3, 3)))  # dim 5, flat 3 = n - 2
-    cert = no_lattice_codim2(s3)
-    assert cert is not None and cert.rule == "codim2_highdim"
-    # dimension 3 is exempt
-    e11 = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, -1]})
-    th = OneForm.dual(3, 0, -1)
-    s = LCPStructure(e11, Metric.identity(3), th, maximal_flat_parallel(e11, Metric.identity(3), th))
-    assert no_lattice_codim2(s) is None
+    cert = no_lattice_codim2(_presented(s3))
+    assert cert.rule == "codim2_highdim" and cert.data == {"dim": 5, "flat_dim": 3}
+    # dimension 3 is exempt: diag(1, -1) presents e(1,1)
+    assert no_lattice_codim2(C_E11) is None
     # dim-5 with flat 2 is exempt
     s2 = almab_lcp([[1, 0], [0, 2]], ex.rzeros((2, 2)))
-    assert no_lattice_codim2(s2) is None
+    assert no_lattice_codim2(_presented(s2)) is None
 
 
 def _first_rule_cases():
-    """(C, structure, cited, the rule that decides) for each entry of RULES."""
+    """(C, cited, the rule that decides) for each entry of RULES."""
     s = almab_lcp([[1]], [[0, -1, 0], [1, 0, 0], [0, 0, 0]])  # dim 5, flat 3
-    yield C_E11, None, cited_certificate("Bock16"), "cited"
-    yield ex.rmat([[1, 0, 0], [0, 1, 0], [0, 0, -2]]), None, None, "double_root"
-    # 1, -1/3 +- i, -1/3: no double root, and the structure decides
-    yield almost_abelian_presentation(s.algebra, s.metric).matrix, s, None, "codim2_highdim"
-    yield ex.rmat([[1, 0, 0], [0, Fraction(-1, 4), 0], [0, 0, Fraction(-3, 4)]]), None, None, "jordan_asymmetry"
-    yield ex.rmat([[1, 0], [0, -1]]), None, None, "trace_levels"
-    yield ex.rmat([[0, -1], [1, 0]]), None, None, "scan"
+    yield C_E11, cited_certificate("Bock16"), "cited"
+    yield ex.rmat([[1, 0, 0], [0, 1, 0], [0, 0, -2]]), None, "double_root"
+    yield ex.rmat([[1, 0, 0], [0, Fraction(-1, 4), 0], [0, 0, Fraction(-3, 4)]]), None, "jordan_asymmetry"
+    yield ex.rmat([[1, 0], [0, -1]]), None, "trace_levels"
+    # 1, -1/3 +- i, -1/3: no double root, not all real, and the codim-2 shape
+    yield _presented(s), None, "codim2_highdim"
+    yield ex.rmat([[0, -1], [1, 0]]), None, "scan"
 
 
 def test_the_first_rule_that_decides_names_the_verdict():
     # each entry of RULES decides one input; the entries before it were
     # asked and did not apply, and the verdict names the entry
     names = [name for name, _ in RULES]
-    assert names == ["cited", "double_root", "codim2_highdim", "jordan_asymmetry", "trace_levels", "scan"]
-    for c, structure, cited, rule in _first_rule_cases():
-        v = lattice_verdict(c, t_range=(0.0, 3.0), structure=structure, cited=cited)
+    assert names == ["cited", "double_root", "jordan_asymmetry", "trace_levels", "codim2_highdim", "scan"]
+    for c, cited, rule in _first_rule_cases():
+        v = lattice_verdict(c, t_range=(0.0, 3.0), cited=cited)
         assert v.rule == rule and v.as_dict()["rule"] == rule
         assert v.status != "inconclusive"
         plan = _Plan(c)
         for name, decide in RULES[: names.index(rule)]:
-            assert decide(plan, (0.0, 3.0), structure, cited) is None, (rule, name)
+            assert decide(plan, (0.0, 3.0), cited) is None, (rule, name)
         assert [cert.rule for cert in v.certificates] in ([], [rule])
 
 
@@ -428,20 +427,8 @@ def test_only_double_root_decides_a_spectrum_not_all_rational():
     assert (v.rule, v.status) == ("double_root", "no")
     assert v.certificates[0].data["multiple_root"] == 2.0
     plan = _Plan(c)
-    later = {name: decide(plan, (0.0, 3.0), None, None) for name, decide in RULES[2:]}
-    assert later == {"codim2_highdim": None, "jordan_asymmetry": None, "trace_levels": None, "scan": []}
-
-
-def test_a_bad_structure_raises_whichever_rule_decides():
-    # a non-unimodular algebra's structure is refused also where the cited
-    # certificate or the double root decides before the codim2 rule is asked
-    h = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0]})
-    th = OneForm.dual(3, 0, -1)
-    bad = LCPStructure(h, Metric.identity(3), th, maximal_flat_parallel(h, Metric.identity(3), th))
-    for c, cited in ((C_E11, cited_certificate("Bock16")), (np.diag([1.0, -0.5, -0.5]), None)):
-        assert lattice_verdict(c, t_range=(0.0, 3.0), cited=cited).status == "no"
-        with pytest.raises(PreconditionViolated):
-            lattice_verdict(c, t_range=(0.0, 3.0), structure=bad, cited=cited)
+    later = {name: decide(plan, (0.0, 3.0), None) for name, decide in RULES[2:]}
+    assert later == {"jordan_asymmetry": None, "trace_levels": None, "codim2_highdim": None, "scan": []}
 
 
 def test_amalgam_lattice():
@@ -950,22 +937,19 @@ def test_an_eigenvalue_near_zero_gives_the_root_1_only_in_floats():
     assert all(certify_witness(exact_c, w.t0, w.poly) is None for w in v.witnesses)
 
 
-def _g513_structure():
-    """The catalog's g_{5.13} structure at q = -1/3, of flat codimension 2."""
-    sample = next(s for s in SAMPLES if s.name.startswith("g_{5.13}") and s.params["q"] == Fraction(-1, 3))
-    L = table_algebra(sample.name, sample.params)
-    w = max(witness_specs_from_fixtures(sample), key=lambda x: x.expected_dim)
-    return LCPStructure(L, w.metric, w.theta, maximal_flat_parallel(L, w.metric, w.theta))
-
-
-def test_a_structure_must_be_presented_by_c():
-    # diag(1, -1, 0, 0) presents e(1,1) + R^2, which has lattices, not
-    # g_{5.13}: with that structure the codim-2 rule would answer "no"
-    s = _g513_structure()
-    with pytest.raises(PreconditionViolated):
-        lattice_verdict(ex.rmat([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), structure=s)
-    c = almost_abelian_presentation(s.algebra, s.metric).matrix
-    assert lattice_verdict(c, t_range=(0.0, 3.0), structure=s).rule == "codim2_highdim"
+def test_a_verdict_reads_its_own_c():
+    # diag(1, -1, 0, 0) presents e(1,1) + R^2, which has lattices: it has
+    # no codim-2 shape, and trace_levels finds them; the catalog's g_{5.13}
+    # at q = -1/3 has that shape under any metric, and no lattice
+    c = ex.rmat([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert no_lattice_codim2(c) is None
+    v = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert (v.rule, v.status) == ("trace_levels", "yes")
+    L = table_algebra("g_{5.13}^{-1-2q,q,r}", {"q": Fraction(-1, 3), "r": 1})
+    tridiagonal = [[2 if i == j else int(abs(i - j) == 1) for j in range(5)] for i in range(5)]
+    for metric in (Metric.identity(5), Metric(tridiagonal)):
+        v = lattice_verdict(almost_abelian_presentation(L, metric).matrix, t_range=(0.0, 3.0))
+        assert (v.rule, v.status) == ("codim2_highdim", "no")
 
 
 def test_clustered_integer_roots_next_to_irrational_ones():

@@ -250,13 +250,29 @@ def test_the_lower_end_is_clamped_too(k):
     assert v.inconclusive_ranges == ((-MAX_SPECTRAL / k, MAX_SPECTRAL / k),)
 
 
+@pytest.mark.parametrize("t_range, edge", [((60.0, 100.0), 50.0), ((-100.0, -60.0), -50.0)])
+def test_a_range_past_the_envelope_is_empty_not_reversed(t_range, edge):
+    # rho(diag(1, -1)) = 1: a range wholly past the envelope |t| <= 50
+    # is reported empty, (edge, edge], at its near edge
+    v = lattice_verdict(diag(1, -1), t_range=t_range)
+    assert (v.rule, v.status) == ("trace_levels", "inconclusive")
+    assert v.inconclusive_ranges == ((edge, edge),)
+
+
 def rho_clamp(plan, t_range):
-    """Each end t of ``t_range`` past the envelope |t| rho <= MAX_SPECTRAL
-    on its own side moved to it, rho read from the plan."""
-    lo, hi = map(float, t_range)
+    """Each end t of ``t_range`` past the envelope |t| rho <= MAX_SPECTRAL,
+    on either side, moved to the edge on that side, rho read from the
+    plan."""
     rho = plan.rho
-    return (-MAX_SPECTRAL / rho if -lo * rho > MAX_SPECTRAL else lo,
-            MAX_SPECTRAL / rho if hi * rho > MAX_SPECTRAL else hi)
+
+    def moved(t):
+        if t * rho > MAX_SPECTRAL:
+            return MAX_SPECTRAL / rho
+        if -t * rho > MAX_SPECTRAL:
+            return -MAX_SPECTRAL / rho
+        return t
+
+    return tuple(moved(float(t)) for t in t_range)
 
 
 @st.composite
