@@ -4,10 +4,11 @@ the associated simply connected solvable Lie groups.
 
 The exact layers (algebra, weyl, detect, construct, lowdim) run entirely
 over rational arithmetic.  A lattice verdict reads the matrix C of the
-almost abelian presentation alone.  It decides rational real spectra
-and the spectra of flat codimension 2 exactly; for the rest it scans t
-in floats with numpy kernels and certifies each candidate by the
-Frobenius form of exp(t0 C), read from the exact Jordan layers of C.
+almost abelian presentation and the t-range alone.  It decides rational
+real spectra (nilpotent C too) and those of flat codimension 2 exactly;
+for the rest it scans t in floats with numpy kernels and certifies each
+candidate by the Frobenius form of exp(t0 C), read from the exact
+Jordan layers of C.
 """
 
 from .algebra import (

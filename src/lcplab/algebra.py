@@ -241,14 +241,11 @@ class LieAlgebra:
 
     def centraliser(self, U: "Subspace") -> "Subspace":
         """{x in g : [x, u] = 0 for all u in U}: the common kernel of the
-        ad_u, eliminated on integers; made once per span, keyed by U.key."""
+        ad_u, eliminated on integers; not kept: the almost abelian ideal,
+        the one caller that asks again, is."""
         n, p = self.dim, U.dim
-
-        def kernel():
-            ad_u = self._ad_stack(U.scaled_basis[0]).reshape(p * n, n)
-            return Subspace.of_columns(ex.int_nullspace(ad_u)[0])
-
-        return memoised(self, "_centraliser", U.key, kernel)
+        ad_u = self._ad_stack(U.scaled_basis[0]).reshape(p * n, n)
+        return Subspace.of_columns(ex.int_nullspace(ad_u)[0])
 
     def centre(self) -> "Subspace":
         """{x : [x, .] = 0}: the kernel of every ad_{e_i}."""

@@ -214,7 +214,7 @@ def cmd_lattice(args) -> int:
             how = "exact" if w.exact else f"numerical (residual {w.residual:.2e})"
             lines.append(f"witness t0={w.t0:.6f} poly {w.poly} {how}")
         for cert in verdict.certificates:
-            lines.append(f"certificate {cert.rule} {cert.reference}".rstrip())
+            lines.append(f"certificate {cert.rule}")
         _emit(payload, args.format, "\n".join(lines))
         return EXIT_OK if verdict.status != "inconclusive" else EXIT_FAIL
     # certify
@@ -273,22 +273,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tables", help="reproduce the low-dimensional catalog")
     common(sp, needs_input=False)
-    sp.add_argument("--t-range", default="0:3", help="lattice scan range A:B")
+    sp.add_argument("--t-range", default="0:3", help="lattice scan range A:B (A may be negative)")
     sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("lattice", help="lattice search / certification")
     sp.add_argument("action", choices=("search", "certify"))
     common(sp)
-    sp.add_argument("--t-range", default="0:20", help="scan range A:B")
+    sp.add_argument("--t-range", default="0:20", help="scan range A:B (A may be negative)")
     sp.add_argument("--t0", type=float, help="candidate parameter (certify)")
     sp.add_argument("--poly", help="comma-separated descending integer coefficients")
     sp.set_defaults(func=cmd_lattice)
     return p
 
 
+def _joined_t_range(argv: list) -> list:
+    """``argv`` with ``--t-range A:B`` as ``--t-range=A:B``: argparse takes
+    a value such as -2:2, not a plain number, for a flag."""
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--t-range":
+            argv[i:i + 2] = [f"--t-range={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_t_range(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except DocumentError as e:

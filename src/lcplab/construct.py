@@ -48,7 +48,6 @@ from .errors import (
     RepNotVanishingOnDerived,
     TraceZero,
     UnimodularInput,
-    ZeroLeeForm,
 )
 
 
@@ -252,11 +251,10 @@ def amalgamated_product(S1: LCPStructure, S2: LCPStructure) -> LCPStructure:
 
     The chosen basis is [v, ker theta1, ker theta2] where the transversal
     v = |theta2|^2 theta1^sharp + |theta1|^2 theta2^sharp is a rational
-    representative of the distinguished direction, kept unnormalised.
+    representative of the distinguished direction, kept unnormalised; it
+    is nonzero, as an ``LCPStructure`` refuses a zero Lee form.
     """
     for s in (S1, S2):
-        if s.theta.is_zero():
-            raise ZeroLeeForm("both factors need a nonzero Lee form")
         if not s.is_adapted():
             raise NotAdapted("amalgamated products require adapted factors")
     # on integer forms: theta_s = t_s / dt_s and G_s^-1 = gi_s / di_s give

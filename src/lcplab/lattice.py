@@ -14,30 +14,28 @@ eigen-solve.
 ``lattice_verdict`` refuses C with NonTraceFree unless the rationals it
 holds have trace exactly 0 (the one trace test, ``_require_trace_free``),
 then asks the rules of ``RULES`` in order; the first that decides gives
-the verdict and names itself in it.  Every rule reads C alone, through
-the plan, and the caller's citation.  A rule returns None where it does
-not apply, a ``NoLatticeCertificate`` for "no", or its witnesses for
-"yes"; an empty list applies and finds none, and the verdict is
-inconclusive over the scanned range:
+the verdict and names itself in it.  Every rule reads C and the t-range
+alone, through the plan.  A rule returns None where it does not apply, a
+``NoLatticeCertificate`` for "no", or its witnesses for "yes"; an empty
+list applies and finds none, and the verdict is inconclusive over the
+scanned range:
 
-* cited: the caller's certificate, for a literature result that is not
-  recomputed here;
 * double_root: every eigenvalue real and exactly one multiple root,
   which is nonzero (``no_lattice_double_root``);
 * jordan_asymmetry: a rational real spectrum whose Jordan types at some
   lam and -lam differ (Bock16 with Gelfond-Schneider);
 * trace_levels: where those types agree, every witness up to
-  MAX_LISTED_WITNESSES, by trace level and with no float tolerance
-  (``_exact_witnesses``);
+  MAX_LISTED_WITNESSES, by trace level and with no float tolerance, and
+  for a nilpotent C, one witness (``_exact_witnesses``);
 * codim2_highdim: n >= 5 and C semisimple with a simple real eigenvalue
   a != 0, every other eigenvalue of real part -a / (n - 2): the group
   then has an LCP structure of flat codimension 2, and no lattice
   (``no_lattice_codim2``);
-* scan: everything else (imaginary or irrational spectra, nilpotent C,
-  longer lists): a float grid scan whose candidates ``certify_witness``
-  certifies.  A witness the grid does not flag is missing.  A C with a
-  root off both axes has no lattice (Gelfond-Schneider / Baker) and gets
-  no grid, and no certificate yet.
+* scan: everything else (imaginary or irrational spectra, longer lists):
+  a float grid scan whose candidates ``certify_witness`` certifies.  A
+  witness the grid does not flag is missing.  A C with a root off both
+  axes has no lattice (Gelfond-Schneider / Baker) and gets no grid, and
+  no certificate yet.
 """
 
 from __future__ import annotations
@@ -159,7 +157,9 @@ def _scanned_range(c, t_range) -> tuple:
     otherwise each end past the envelope, on either side, becomes
     +-MAX_SPECTRAL / rho with its sign, rho from ``_Plan.rho``.  So a
     range wholly past the envelope comes back empty, (r, r] with r at its
-    near edge, and never reversed.  ``c`` is C or its plan."""
+    near edge, and never reversed.  An end the clamp leaves infinite (rho
+    0, or so small that MAX_SPECTRAL / rho overflows) raises
+    EnvelopeExceeded.  ``c`` is C or its plan."""
     lo, hi = float(t_range[0]), float(t_range[1])
     plan, far = _plan_of(c), max(abs(lo), abs(hi))
     if math.isfinite(far):  # far ||ints||_inf <= MAX_SPECTRAL d, on integers
@@ -167,8 +167,11 @@ def _scanned_range(c, t_range) -> tuple:
         if p * b * plan.norm <= a * q * plan.scaled[1]:
             return lo, hi
     rho = plan.rho
-    return tuple(math.copysign(MAX_SPECTRAL / rho, t) if abs(t) * rho > MAX_SPECTRAL else t
-                 for t in (lo, hi))
+    out = tuple(math.copysign(MAX_SPECTRAL / rho, t) if abs(t) * rho > MAX_SPECTRAL else t
+                for t in (lo, hi))
+    if not all(map(math.isfinite, out)):
+        raise EnvelopeExceeded(f"t-range ({lo}, {hi}) has an end that the envelope does not bound")
+    return out
 
 
 def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
@@ -181,17 +184,14 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     candidates closer than 1e-6.  C must be trace-free as the rationals
     it holds (``_require_trace_free``), else NonTraceFree.
     A refined minimum with a coefficient of modulus 2^53 or more is
-    dropped.  A nilpotent C (charpoly x^n, decided exactly) has
-    charpoly(exp(t C)) = (x - 1)^n for every t and is reported, before
-    any float spectrum or grid, as the single candidate t = 1, or t = hi
-    when 1 is outside (lo, hi], or lo / 2 when hi = 0: never t = 0, and
-    none when the range holds no grid point.  Any other C whose defect is
-    within SCAN_TOL on the whole grid has no candidate.  A
-    clamped range that needs more than ``MAX_SCAN_POINTS`` grid points
-    raises EnvelopeExceeded before the grid is allocated.  After these
-    checks, a C with a root off both axes (``IntSpectrum.off_axis``) has
-    no lattice (Gelfond-Schneider / Baker), hence no candidate, and gets
-    no grid.
+    dropped, and a C whose defect is within SCAN_TOL on the whole grid
+    has no candidate.  A clamped range that needs more than
+    ``MAX_SCAN_POINTS`` grid points raises EnvelopeExceeded before the
+    grid is allocated.  After these checks, a C with a root off both axes
+    (``IntSpectrum.off_axis``) has no lattice (Gelfond-Schneider / Baker),
+    and a nilpotent C (charpoly x^n, read exactly) has its witness from
+    the exact step (``_exact_witnesses``): neither gets a candidate or a
+    grid.
     """
     plan = _plan_of(c)
     _require_trace_free(plan)
@@ -200,17 +200,11 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
         raise EnvelopeExceeded(
             f"t-range ({lo}, {hi}) needs more than {MAX_SCAN_POINTS} scan points"
         )
-    if plan.int_spectrum.off_axis():
+    if plan.int_spectrum.off_axis() or not any(plan.charpoly[1:]):
         return []
     ts = np.arange(lo + SCAN_STEP, hi + SCAN_STEP / 2, SCAN_STEP)
     if ts.size == 0:
         return []
-    if not any(plan.charpoly[1:]):
-        # unipotent exponential: every t != 0 works (exp(0 C) = I gives
-        # no lattice), report t = 1 if in range; no grid is evaluated
-        n = len(plan.charpoly) - 1
-        poly = IntPoly(tuple((-1) ** k * math.comb(n, k) for k in range(n + 1)))
-        return [ScanCandidate(1.0 if lo < 1.0 <= hi else hi or lo / 2, poly, 0.0)]
     ev = plan.spectrum
     defects = kernels.scan_defects(ev, ts)
     if defects.max() <= SCAN_TOL:
@@ -267,7 +261,10 @@ class LatticeWitness:
     integral_matrix: np.ndarray
     residual: Optional[float]
     poly: IntPoly
-    exact: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return self.residual is None
 
     def as_dict(self):
         return {
@@ -550,16 +547,14 @@ def _trace_levels(lam0: float, lo: float, hi: float) -> Optional[list]:
     integer m >= 3, by increasing t; None when there are more than
     MAX_LISTED_WITNESSES.  The count comes first, from the traces
     2 cosh(lam0 t) at the ends of the range, so nothing is enumerated
-    past the limit."""
+    past the limit.  The range must be clamped (``_scanned_range``), so
+    that lam0 |t| <= MAX_SPECTRAL and no trace overflows."""
 
     def trace(t):
         return 2.0 * math.cosh(lam0 * t)
 
-    try:
-        pos = (max(3, math.floor(trace(max(lo, 0.0))) + 1), math.floor(trace(hi)) + 1)
-        neg = (max(3, math.ceil(trace(min(hi, 0.0)))), math.ceil(trace(lo)))
-    except OverflowError:  # a trace past the float range: the scan decides
-        return None
+    pos = (max(3, math.floor(trace(max(lo, 0.0))) + 1), math.floor(trace(hi)) + 1)
+    neg = (max(3, math.ceil(trace(min(hi, 0.0)))), math.ceil(trace(lo)))
     if hi <= 0:
         pos = (3, 3)
     if lo >= 0:
@@ -593,10 +588,10 @@ def _poly_mul(p: list, q: list) -> list:
 
 def _asymmetric(plan) -> Optional[list]:
     """The k > 0 at which the Jordan types of ints = d C at k and -k
-    differ, for a trace-free C whose eigenvalues k are integers, not all
-    0; else None: the two Jordan rules do not apply."""
+    differ, for a trace-free C whose eigenvalues k are integers; else
+    None: the two Jordan rules do not apply."""
     ks = plan.int_spectrum.integer_eigenvalues()
-    if ks is None or not any(ks):
+    if ks is None:
         return None
     types = plan.jordan_types
     return sorted({abs(k) for k, sizes in types.items() if sizes != types.get(-k)})
@@ -616,6 +611,11 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     level in one pass: L_e(m) is one vector over the levels, and Z one
     (levels, n, n) array whose slices are the witnesses' Z.
 
+    A nilpotent C (every k = 0) has exp(t C) unipotent, of the Jordan
+    type of C, so every t != 0 is a witness, with Z the Frobenius form of
+    (x - 1)^s over the block sizes s of C.  One is listed: t = 1 when 1
+    is in (lo, hi], else hi, or lo / 2 when hi = 0; none when lo >= hi.
+
     Declines (None) where ``_asymmetric`` is not [] (a spectrum the scan
     judges, or types that differ) and past MAX_LISTED_WITNESSES.  ``c`` is
     C or its plan."""
@@ -623,8 +623,14 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     if _asymmetric(plan) != []:
         return None
     types, d, n = plan.jordan_types, plan.scaled[1], plan.c.shape[0]
+    lo, hi = _scanned_range(plan, t_range)
+    if not any(types):
+        if lo >= hi:
+            return []
+        z, poly = _frobenius([([1, -1], types[0])], (n, n))
+        return [LatticeWitness(1.0 if lo < 1.0 <= hi else hi or lo / 2, z, None, IntPoly(tuple(poly)))]
     g = math.gcd(*types)
-    levels = _trace_levels(float(Fraction(g, d)), *_scanned_range(plan, t_range))
+    levels = _trace_levels(float(Fraction(g, d)), lo, hi)
     if not levels:  # None past the listing limit; [] with no level in range
         return levels
     lucas = _lucas(np.array([m for _, m in levels], dtype=object), max(types) // g)
@@ -636,7 +642,7 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     for j, x in enumerate(poly):
         coeffs[j] = x
     return [
-        LatticeWitness(t0, zm, None, IntPoly(tuple(row)), exact=True)
+        LatticeWitness(t0, zm, None, IntPoly(tuple(row)))
         for (t0, _), zm, row in zip(levels, z, coeffs.T.tolist())
     ]
 
@@ -740,10 +746,6 @@ def _scan(plan, t_range) -> list:
     return [w for w in found if w is not None]
 
 
-def cited_certificate(reference: str, note: str = "") -> NoLatticeCertificate:
-    return NoLatticeCertificate("cited", data={"note": note}, reference=reference)
-
-
 @dataclass(frozen=True)
 class AbelianizationReport:
     snf_diagonal: tuple
@@ -765,7 +767,7 @@ def e11_lattice(m: int):
         raise MTooSmall("need m >= 3")
     t_m = math.log((m + math.sqrt(m * m - 4)) / 2)
     poly = IntPoly((1, -m, 1))
-    witness = LatticeWitness(t_m, companion(poly), None, poly, exact=True)
+    witness = LatticeWitness(t_m, companion(poly), None, poly)
     return witness, AbelianizationReport((1, m - 2), m - 2)
 
 
@@ -831,30 +833,23 @@ class LatticeVerdict:
 
 # the rules of lattice_verdict, in the order it asks them (see the module docstring)
 RULES = (
-    ("cited", lambda plan, t_range, cited: cited),
-    ("double_root", lambda plan, t_range, cited: no_lattice_double_root(plan)),
-    ("jordan_asymmetry", lambda plan, t_range, cited: _jordan_asymmetry(plan)),
-    ("trace_levels", lambda plan, t_range, cited: _exact_witnesses(plan, t_range)),
-    ("codim2_highdim", lambda plan, t_range, cited: no_lattice_codim2(plan)),
-    ("scan", lambda plan, t_range, cited: _scan(plan, t_range)),
+    ("double_root", lambda plan, t_range: no_lattice_double_root(plan)),
+    ("jordan_asymmetry", lambda plan, t_range: _jordan_asymmetry(plan)),
+    ("trace_levels", lambda plan, t_range: _exact_witnesses(plan, t_range)),
+    ("codim2_highdim", lambda plan, t_range: no_lattice_codim2(plan)),
+    ("scan", lambda plan, t_range: _scan(plan, t_range)),
 )
 
 
-def lattice_verdict(
-    c,
-    label: str = "",
-    t_range=(0.0, 20.0),
-    seed: int = 0,
-    cited: Optional[NoLatticeCertificate] = None,
-) -> LatticeVerdict:
+def lattice_verdict(c, label: str = "", t_range=(0.0, 20.0), seed: int = 0) -> LatticeVerdict:
     """The verdict of the first rule of ``RULES`` that decides, named in
-    its ``rule``.  Every rule reads C alone, through one plan of C
-    (``_Plan``), and ``cited``.  Before any rule, C must be trace-free
-    (else NonTraceFree).  ``seed`` is unused."""
+    its ``rule``.  Every rule reads C and ``t_range`` alone, through one
+    plan of C (``_Plan``).  Before any rule, C must be trace-free (else
+    NonTraceFree).  ``seed`` is unused."""
     plan = _Plan(c)
     _require_trace_free(plan)
     for rule, decide in RULES:
-        found = decide(plan, t_range, cited)
+        found = decide(plan, t_range)
         if isinstance(found, NoLatticeCertificate):
             return LatticeVerdict(label, (), (found,), (), rule)
         if found is not None:

@@ -35,7 +35,7 @@ from .detect import LCPStructure, classify, structural_audit, verify_lcp
 from .errors import DimensionMismatch, ParamOutOfRange, SingularMatrix, UnknownName
 from .fixtures import _params_str, witness_specs_from_fixtures
 from .intpoly import int_spectrum
-from .lattice import cited_certificate, lattice_verdict
+from .lattice import lattice_verdict
 
 F = Fraction
 
@@ -198,8 +198,8 @@ def _g535(dim, p):
 # ---------------------------------------------------------------------------
 
 def _no_params(p):
-    if p:
-        raise ParamOutOfRange("row takes no parameters")
+    """Nothing to check: ``table_algebra`` refuses every parameter name
+    of a row that takes none."""
 
 
 def _check_g45(p):
@@ -562,27 +562,25 @@ def _sample_for(name, params) -> SampleSpec:
 # ---------------------------------------------------------------------------
 
 def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0):
-    """Verdict for one sampled row: cited where the literature decides,
-    else that of ``lattice_verdict`` (it requires an almost abelian
-    algebra), whose certificate's rule or first witness is the evidence.
-    C is presented under the identity metric, and no fixture is read;
-    ``seed`` is accepted and unused."""
+    """Verdict for one sampled row, whose parameters are validated first.
+    A row the literature decides (``lattice_cited``) is answered from its
+    citation alone, before any presentation, with no ``"verdict"``; a row
+    that is not almost abelian is inconclusive.  Otherwise it is that of
+    ``lattice_verdict`` on C, presented under the identity metric, whose
+    certificate's rule or first witness is the evidence.  No fixture is
+    read; ``seed`` is accepted and unused."""
     L = table_algebra(sample.name, sample.params)
-    cited = sample.lattice_cited
-    if cited is not None and cited[0] == "yes":
-        return {"status": "yes", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
+    if sample.lattice_cited is not None:
+        status, reference = sample.lattice_cited
+        return {"status": status, "evidence": f"cited[{reference}]", "witnesses": 0}
     pres = almost_abelian_presentation(L, Metric.identity(L.dim))
     if pres is None:  # not almost abelian: the Bock scan does not apply
-        if cited is not None:
-            return {"status": "no", "evidence": f"cited[{cited[1]}]", "witnesses": 0}
         return {"status": "inconclusive", "evidence": "not almost abelian", "witnesses": 0}
-    verdict = lattice_verdict(pres.matrix, label=sample.name, t_range=t_range,
-                              cited=None if cited is None else cited_certificate(cited[1]))
+    verdict = lattice_verdict(pres.matrix, label=sample.name, t_range=t_range)
     if verdict.witnesses:
         evidence = f"witness t={verdict.witnesses[0].t0:.4f} ({len(verdict.witnesses)} found)"
     elif verdict.certificates:
-        (c,) = verdict.certificates
-        evidence = c.rule + (f"[{c.reference}]" if c.reference else "")
+        evidence = verdict.rule
     else:
         evidence = "inconclusive"
     return {"status": verdict.status, "evidence": evidence, "verdict": verdict,

@@ -185,11 +185,24 @@ def test_oversized_dim_exit_code(tmp_path):
     assert "envelope" in out.stderr
 
 
-@pytest.mark.parametrize("spec", ["3", "a:b", "nan:nan", "5:1"])
+@pytest.mark.parametrize("spec", ["3", "a:b", "nan:nan", "5:1", "-5:-6"])
 def test_bad_t_range_exit_code(e11_doc, spec):
-    # not A:B, not numbers, or an empty range
-    assert_input_error(run_cli("lattice", "search", "--input", e11_doc, "--t-range", spec), "t-range")
-    assert_input_error(run_cli("tables", "--t-range", spec), "t-range")
+    # not A:B, not numbers, or an empty range; a negative start is read
+    # as the range's value in either form, not as a flag
+    for args in (["--t-range", spec], [f"--t-range={spec}"]):
+        assert_input_error(run_cli("lattice", "search", "--input", e11_doc, *args), "t-range")
+        assert_input_error(run_cli("tables", *args), "t-range")
+
+
+def test_a_negative_t_range_start_is_read_in_both_forms(e11_doc):
+    outs = {}
+    for cmd in (("lattice", "search", "--input", e11_doc, "--format", "machine"), ("tables",)):
+        spaced, joined = run_cli(*cmd, "--t-range", "-2:2"), run_cli(*cmd, "--t-range=-2:2")
+        assert spaced.returncode == joined.returncode == 0
+        assert spaced.stdout == joined.stdout
+        outs[cmd[0]] = spaced.stdout
+    t0s = [w["t0"] for w in json.loads(outs["lattice"])["witnesses"]]
+    assert min(t0s) < 0 < max(t0s)
 
 
 NO_BLOCK_A = "dim 1\nblock B : 0 -1 ; 1 0\n"
@@ -236,11 +249,12 @@ def test_unreadable_input_exit_code(tmp_path):
 
 
 def test_oversized_scan_grid_exit_code(tmp_path):
-    # C nilpotent (rho = 0), so the range is not clamped: 0:1e6 at step
-    # 1e-3 is a 7.45 GiB grid, refused before it is allocated (the cap
-    # makes an attempt fail at once instead)
-    p = tmp_path / "heisenberg.lcp"
-    p.write_text("dim 3\nbracket 1 2 : 0 0 1\n")
+    # C a rotation of frequency 1/100 (rho = 1/100), so the range is
+    # clamped to 0:5000 only: at step 1e-3 that is a 5 * 10^6-point grid,
+    # refused before it is allocated (the cap makes an attempt fail at
+    # once instead).  A nilpotent C would get no grid at all
+    p = tmp_path / "slow_rotation.lcp"
+    p.write_text("dim 3\nbracket 1 2 : 0 0 1/100\nbracket 1 3 : 0 -1/100 0\n")
     out = run_cli(
         "lattice", "search", "--input", str(p), "--t-range", "0:1e6", max_bytes=4 * 2**30
     )

@@ -29,7 +29,6 @@ from lcplab.lattice import (
     amalgam_lattice,
     certify_witness,
     certify_witness_blocked,
-    cited_certificate,
     e11_lattice,
     exp_ad,
     integer_charpoly_scan,
@@ -103,9 +102,15 @@ def test_scan_double_root_case_empty():
 
 
 def test_scan_degenerate_zero_matrix():
-    cands = integer_charpoly_scan(np.zeros((3, 3)))
-    assert len(cands) == 1 and cands[0].t0 == 1.0
-    assert cands[0].poly.coeffs == (1, -3, 3, -1)  # (x-1)^3
+    # a nilpotent C gets no candidate from the scan: the exact step lists
+    # its witness, t0 = 1 with Z = I and charpoly (x - 1)^3
+    assert integer_charpoly_scan(np.zeros((3, 3))) == []
+    v = lattice_verdict(np.zeros((3, 3)))
+    assert (v.status, v.rule) == ("yes", "trace_levels")
+    (w,) = v.witnesses
+    assert w.exact and w.residual is None and w.t0 == 1.0
+    assert w.poly.coeffs == (1, -3, 3, -1)
+    assert w.integral_matrix.tolist() == np.eye(3, dtype=int).tolist()
 
 
 def test_nilpotent_witness_stays_in_the_range():
@@ -119,9 +124,44 @@ def test_nilpotent_witness_stays_in_the_range():
 
 def test_nilpotent_witness_is_never_t0_zero():
     # exp(0 C) = I gives no lattice: with 1 outside (-1, 0] and hi = 0
-    # the scan reports a t inside the range instead
+    # the exact step reports a t inside the range instead
     v = lattice_verdict(ex.rzeros((2, 2)), t_range=(-1.0, 0.0))
     assert v.status == "yes" and [w.t0 for w in v.witnesses] == [-0.5]
+
+
+def test_a_range_shorter_than_a_grid_step_keeps_the_nilpotent_witness():
+    # no grid point fits in 0:0.0005, but every t != 0 is a witness; an
+    # empty range lists none
+    j2 = ex.rmat([[0, 1], [0, 0]])
+    assert [w.t0 for w in lattice_verdict(j2, t_range=(0.0, 0.0005)).witnesses] == [0.0005]
+    v = lattice_verdict(j2, t_range=(2.0, 2.0))
+    assert (v.status, v.rule, v.inconclusive_ranges) == ("inconclusive", "trace_levels", ((2.0, 2.0),))
+
+
+@pytest.mark.parametrize(
+    "c, t_range",
+    [
+        (ex.rmat([[0, 1], [0, 0]]), (0.0, math.inf)),  # nilpotent: rho = 0
+        (ex.rmat([[0, 1], [0, 0]]), (-math.inf, 0.0)),
+        # rho = 2^-1100 reads 0.0 in floats; 2^-1060 is subnormal, and
+        # MAX_SPECTRAL / rho overflows
+        (np.diag([Fraction(1, 2**1100), Fraction(-1, 2**1100)]), (0.0, math.inf)),
+        (np.diag([Fraction(1, 2**1060), Fraction(-1, 2**1060)]), (0.0, math.inf)),
+    ],
+    ids=["nilpotent-hi", "nilpotent-lo", "rho-zero", "rho-subnormal"],
+)
+def test_a_range_end_the_clamp_leaves_infinite_is_refused(c, t_range):
+    with pytest.raises(EnvelopeExceeded, match="does not bound"):
+        lattice_verdict(c, t_range=t_range)
+
+
+def test_a_grid_past_max_scan_points_is_refused():
+    # a rotation of frequency 1/100: 0:1e4 is clamped to 0:5000, a grid
+    # of 5 * 10^6 points, refused before it is allocated
+    c = ex.rmat([[0, Fraction(-1, 100)], [Fraction(1, 100), 0]])
+    for scan in (integer_charpoly_scan, lattice_verdict):
+        with pytest.raises(EnvelopeExceeded, match="scan points"):
+            scan(c, t_range=(0.0, 1e4))
 
 
 def test_certification_refuses_t0_zero():
@@ -391,29 +431,30 @@ def test_codim2_certificate():
 
 
 def _first_rule_cases():
-    """(C, cited, the rule that decides) for each entry of RULES."""
+    """(C, the rule that decides) for inputs that each entry of RULES
+    decides."""
     s = almab_lcp([[1]], [[0, -1, 0], [1, 0, 0], [0, 0, 0]])  # dim 5, flat 3
-    yield C_E11, cited_certificate("Bock16"), "cited"
-    yield ex.rmat([[1, 0, 0], [0, 1, 0], [0, 0, -2]]), None, "double_root"
-    yield ex.rmat([[1, 0, 0], [0, Fraction(-1, 4), 0], [0, 0, Fraction(-3, 4)]]), None, "jordan_asymmetry"
-    yield ex.rmat([[1, 0], [0, -1]]), None, "trace_levels"
+    yield ex.rmat([[1, 0, 0], [0, 1, 0], [0, 0, -2]]), "double_root"
+    yield ex.rmat([[1, 0, 0], [0, Fraction(-1, 4), 0], [0, 0, Fraction(-3, 4)]]), "jordan_asymmetry"
+    yield ex.rmat([[1, 0], [0, -1]]), "trace_levels"
+    yield ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), "trace_levels"  # nilpotent
     # 1, -1/3 +- i, -1/3: no double root, not all real, and the codim-2 shape
-    yield _presented(s), None, "codim2_highdim"
-    yield ex.rmat([[0, -1], [1, 0]]), None, "scan"
+    yield _presented(s), "codim2_highdim"
+    yield ex.rmat([[0, -1], [1, 0]]), "scan"
 
 
 def test_the_first_rule_that_decides_names_the_verdict():
     # each entry of RULES decides one input; the entries before it were
     # asked and did not apply, and the verdict names the entry
     names = [name for name, _ in RULES]
-    assert names == ["cited", "double_root", "jordan_asymmetry", "trace_levels", "codim2_highdim", "scan"]
-    for c, cited, rule in _first_rule_cases():
-        v = lattice_verdict(c, t_range=(0.0, 3.0), cited=cited)
+    assert names == ["double_root", "jordan_asymmetry", "trace_levels", "codim2_highdim", "scan"]
+    for c, rule in _first_rule_cases():
+        v = lattice_verdict(c, t_range=(0.0, 3.0))
         assert v.rule == rule and v.as_dict()["rule"] == rule
         assert v.status != "inconclusive"
         plan = _Plan(c)
         for name, decide in RULES[: names.index(rule)]:
-            assert decide(plan, (0.0, 3.0), cited) is None, (rule, name)
+            assert decide(plan, (0.0, 3.0)) is None, (rule, name)
         assert [cert.rule for cert in v.certificates] in ([], [rule])
 
 
@@ -427,7 +468,7 @@ def test_only_double_root_decides_a_spectrum_not_all_rational():
     assert (v.rule, v.status) == ("double_root", "no")
     assert v.certificates[0].data["multiple_root"] == 2.0
     plan = _Plan(c)
-    later = {name: decide(plan, (0.0, 3.0), None) for name, decide in RULES[2:]}
+    later = {name: decide(plan, (0.0, 3.0)) for name, decide in RULES[1:]}
     assert later == {"jordan_asymmetry": None, "trace_levels": None, "codim2_highdim": None, "scan": []}
 
 
@@ -577,11 +618,22 @@ _BLOCKS = st.one_of(
 )
 
 
+def rational_basis(draw, n):
+    """A random rational basis P = L U of Q^n: unitriangular L and U with
+    entries in (-3..3)/(1..3)."""
+    q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    low, up = reye(n), reye(n)
+    for i in range(n):
+        for j in range(i):
+            low[i, j], up[j, i] = draw(q), draw(q)
+    return dot(low, up)
+
+
 @st.composite
 def permuted_block_diagonal(draw, max_size=3):
     """(D, P D P^-1): 2 to ``max_size`` blocks above on a permuted
-    diagonal, n <= 7, and D under a random rational basis P = L U
-    (unitriangular L and U with entries in (-3..3)/(1..3))."""
+    diagonal, n <= 7, and D under a random rational basis P
+    (``rational_basis``)."""
     blocks = draw(st.lists(_BLOCKS, min_size=2, max_size=max_size))
     while sum(len(b) for b in blocks) > 7:
         blocks.pop()
@@ -594,12 +646,7 @@ def permuted_block_diagonal(draw, max_size=3):
         i += len(b)
     perm = draw(st.permutations(range(n)))
     d = ex.rmat([[d[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
-    q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    low, up = reye(n), reye(n)
-    for i in range(n):
-        for j in range(i):
-            low[i, j], up[j, i] = draw(q), draw(q)
-    p = dot(low, up)
+    p = rational_basis(draw, n)
     return d, dot(dot(p, d), inv(p))
 
 
@@ -980,8 +1027,9 @@ def _refuse_spectrum(*args):
         (lambda: ex.rmat([[1, 0, 0], [0, Fraction(-1, 4), 0], [0, 0, Fraction(-3, 4)]]), "jordan_asymmetry"),
         # 2, 2, -2 +- sqrt(3): not all rational
         (lambda: ex.rmat([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, -1], [0, 0, 1, -4]]), "double_root"),
+        (lambda: ex.rmat([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]), "trace_levels"),
     ],
-    ids=["hyperbolic", "jordan_asymmetry", "double_root"],
+    ids=["hyperbolic", "jordan_asymmetry", "double_root", "nilpotent"],
 )
 def test_an_exact_verdict_computes_no_float_spectrum(monkeypatch, make, rule):
     monkeypatch.setattr(kernels, "spectrum", _refuse_spectrum)

@@ -34,6 +34,7 @@ from lcplab.lattice import (
 )
 from support import dot, inv, rank, reye, to_float, trace_free_float
 from test_golden_lattice import COMPLEX_SPECTRA, cases, complex_spectrum
+from test_lattice import rational_basis
 
 F = Fraction
 
@@ -321,13 +322,60 @@ def test_listing_limit():
     [
         ex.rmat([[F(1, 2), -1, 0], [1, F(1, 2), 0], [0, 0, -1]]),  # complex spectrum
         ex.rmat([[0, 1], [2, 0]]),  # +-sqrt(2)
-        ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),  # nilpotent
         diag(1, 2),  # not trace-free: lattice_verdict raises NonTraceFree first
     ],
-    ids=["complex", "irrational", "nilpotent", "trace"],
+    ids=["complex", "irrational", "trace"],
 )
 def test_step_declines_where_the_scan_decides(c):
     assert _exact_witnesses(c, (0.0, 3.0)) is None
+
+
+def test_nilpotent_c_takes_the_exact_step(monkeypatch):
+    # (x - 1)^3 at every t: the exact step lists t0 = 1 with
+    # Z = companion((x - 1)^3), and the scan, asked directly, gets no
+    # candidate and evaluates no grid
+    monkeypatch.setattr(kernels, "scan_defects", _refuse_scan)
+    c = ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    (w,) = _exact_witnesses(c, (0.0, 3.0))
+    assert (w.t0, w.poly, w.residual) == (1.0, IntPoly((1, -3, 3, -1)), None)
+    assert z_rows(w) == [[0, 0, 1], [1, 0, -3], [0, 1, 3]]
+    v = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert (v.rule, v.status) == ("trace_levels", "yes")
+    assert [x.as_dict() for x in v.witnesses] == [w.as_dict()]
+    assert integer_charpoly_scan(c, t_range=(0.0, 3.0)) == []
+
+
+@st.composite
+def nilpotent_matrices(draw):
+    """J_k(0) blocks of sizes summing to n <= 6, under a random rational
+    basis."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    while sum(sizes) > 6:
+        sizes.pop()
+    d = ex.rmat(direct_sum([jordan(k, 0) for k in sizes]))
+    p = rational_basis(draw, len(d))
+    return dot(dot(p, d), inv(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nilpotent_matrices())
+def test_nilpotent_c_has_one_exact_witness(c):
+    # exp(t0 C) is unipotent, of the Jordan type of C: Z is integral of
+    # det 1 and charpoly (x - 1)^n, and rank (Z - I)^j = rank C^j
+    n = len(c)
+    v = lattice_verdict(c, t_range=(0.0, 3.0))
+    assert (v.status, v.rule) == ("yes", "trace_levels")
+    (w,) = v.witnesses
+    assert w.exact and w.t0 == 1.0
+    assert all(isinstance(x, int) for x in w.integral_matrix.ravel().tolist())
+    assert int_det(w.integral_matrix) == 1
+    binomial = IntPoly(tuple(math.comb(n, k) * (-1) ** k for k in range(n + 1)))
+    assert int_charpoly(w.integral_matrix) == w.poly == binomial
+    eye = reye(n)
+    z_power, c_power = eye, eye
+    for _ in range(n):
+        z_power, c_power = dot(ex.rmat(z_rows(w)) - eye, z_power), dot(c, c_power)
+        assert rank(z_power) == rank(c_power)
 
 
 def reference_spectrum(ints):
@@ -477,24 +525,22 @@ def _golden_case(label):
 
 
 @pytest.mark.parametrize(
-    "c, t_range, grid",
+    "c, t_range",
     [
-        (*_golden_case("rotations-4"), True),  # +-i twice: on the imaginary axis
-        (*_golden_case("irrational-derogatory-4"), True),
-        # (x - 1)^3 at every t, decided on charpoly(C) before any grid
-        (ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (0.0, 3.0), False),  # nilpotent
+        _golden_case("rotations-4"),  # +-i twice: on the imaginary axis
+        _golden_case("irrational-derogatory-4"),
         # float input is read as its rationals: the twin of an on-axis
         # spectrum goes to the scan like the spectrum itself
-        (to_float(_golden_case("rotations-4")[0]), (0.0, 20.0), True),  # float
-        (ex.rmat([[1, 0], [0, -1]]), (0.0, 20.0), True),  # past the listing limit
+        (to_float(_golden_case("rotations-4")[0]), (0.0, 20.0)),  # float
+        (ex.rmat([[1, 0], [0, -1]]), (0.0, 20.0)),  # past the listing limit
     ],
-    ids=["rotations", "irrational", "nilpotent", "float", "e11-20"],
+    ids=["rotations", "irrational", "float", "e11-20"],
 )
-def test_other_inputs_still_reach_the_scan(monkeypatch, c, t_range, grid):
+def test_other_inputs_still_reach_the_scan(monkeypatch, c, t_range):
     grids, scan_defects = [], kernels.scan_defects
     monkeypatch.setattr(kernels, "scan_defects", lambda *a: grids.append(1) or scan_defects(*a))
     assert lattice_verdict(c, t_range=t_range).rule == "scan"
-    assert bool(grids) == grid
+    assert grids
 
 
 def test_float_rounding_off_the_axis_is_read_as_held():

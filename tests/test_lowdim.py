@@ -314,13 +314,21 @@ def test_dim3_witnesses_only_for_two_rows(catalog):
 
 
 def test_cited_yes_rows_build_no_presentation(monkeypatch):
-    # a cited "yes" is returned before anything reads the presentation
-    monkeypatch.setattr(lowdim, "almost_abelian_presentation",
-                        lambda *a: pytest.fail("presentation built"))
-    cited = [s for s in SAMPLES if s.lattice_cited and s.lattice_cited[0] == "yes"]
-    assert [s.name for s in cited] == ["g_{5.33}^{-1,-1}", "g_{5.35}^{-2,0}"]
+    # every cited row, "yes" or "no", is answered from its citation
+    # before anything builds a presentation or a verdict
+    for name in ("almost_abelian_presentation", "lattice_verdict"):
+        monkeypatch.setattr(lowdim, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    cited = [s for s in SAMPLES if s.lattice_cited]
+    assert [(s.name, s.lattice_cited[0]) for s in cited] == [
+        ("g_{5.9}^{p,-2-p}", "no"), ("g_{5.16}^{-1,q}", "no"), ("g_{5.19}^{p,-2p-2}", "no"),
+        ("g_{5.23}^{-4}", "no"), ("g_{5.25}^{p,4p}", "no"), ("g_{5.33}^{-1,-1}", "yes"),
+        ("g_{5.35}^{-2,0}", "yes"),
+    ]
     for sample in cited:
-        assert sample_lattice_verdict(sample)["status"] == "yes"
+        status, reference = sample.lattice_cited
+        assert sample_lattice_verdict(sample) == {
+            "status": status, "evidence": f"cited[{reference}]", "witnesses": 0
+        }
 
 
 def test_lattice_verdicts_match_catalog():

@@ -1,7 +1,7 @@
 """Values computed once per immutable object.
 
-Bracket spans and centralisers are kept with the algebra, keyed by the
-content keys of their spans; orthogonal complements with the metric,
+Bracket spans are kept with the algebra, keyed by the content keys of
+their spans; orthogonal complements with the metric,
 keyed by the span; the Jacobi defect with the algebra.  Equal contents
 built separately must find one entry, other contents must not collide,
 what is shared must be read-only, and the pipeline classify -> verify
@@ -61,9 +61,8 @@ def test_span_memos_share_equal_contents_and_keep_others_apart():
     assert len(spans) == before + 3
 
     cent = L.centraliser(U1)
-    assert L.centraliser(U2) is cent and same_span(cent, ref_centraliser(L, U1.basis))
+    assert same_span(cent, ref_centraliser(L, U1.basis))
     assert same_span(L.centraliser(V2), ref_centraliser(L, V1.basis))
-    assert len(vars(L)["_centraliser"]) == 2
 
     perp = U1.orthogonal_complement(G)
     assert U2.orthogonal_complement(G) is perp
