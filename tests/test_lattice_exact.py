@@ -318,16 +318,20 @@ def test_listing_limit():
 
 
 @pytest.mark.parametrize(
-    "c",
+    "c, listed",
     [
-        ex.rmat([[F(1, 2), -1, 0], [1, F(1, 2), 0], [0, 0, -1]]),  # complex spectrum
-        ex.rmat([[0, 1], [2, 0]]),  # +-sqrt(2)
-        diag(1, 2),  # not trace-free: lattice_verdict raises NonTraceFree first
+        (ex.rmat([[F(1, 2), -1, 0], [1, F(1, 2), 0], [0, 0, -1]]), None),  # complex spectrum
+        (ex.rmat([[0, 1], [2, 0]]), None),  # +-sqrt(2)
+        # the one input the step decides without a scan: (x - 1)^3 at
+        # every t, listed once at t0 = 1
+        (ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), [1.0]),  # nilpotent
+        (diag(1, 2), None),  # not trace-free: lattice_verdict raises NonTraceFree first
     ],
-    ids=["complex", "irrational", "trace"],
+    ids=["complex", "irrational", "nilpotent", "trace"],
 )
-def test_step_declines_where_the_scan_decides(c):
-    assert _exact_witnesses(c, (0.0, 3.0)) is None
+def test_step_declines_where_the_scan_decides(c, listed):
+    ws = _exact_witnesses(c, (0.0, 3.0))
+    assert (None if ws is None else [w.t0 for w in ws]) == listed
 
 
 def test_nilpotent_c_takes_the_exact_step(monkeypatch):
@@ -525,22 +529,25 @@ def _golden_case(label):
 
 
 @pytest.mark.parametrize(
-    "c, t_range",
+    "c, t_range, grid",
     [
-        _golden_case("rotations-4"),  # +-i twice: on the imaginary axis
-        _golden_case("irrational-derogatory-4"),
+        (*_golden_case("rotations-4"), True),  # +-i twice: on the imaginary axis
+        (*_golden_case("irrational-derogatory-4"), True),
+        # (x - 1)^3 at every t: the exact step decides it, and no grid is
+        # evaluated
+        (ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (0.0, 3.0), False),  # nilpotent
         # float input is read as its rationals: the twin of an on-axis
         # spectrum goes to the scan like the spectrum itself
-        (to_float(_golden_case("rotations-4")[0]), (0.0, 20.0)),  # float
-        (ex.rmat([[1, 0], [0, -1]]), (0.0, 20.0)),  # past the listing limit
+        (to_float(_golden_case("rotations-4")[0]), (0.0, 20.0), True),  # float
+        (ex.rmat([[1, 0], [0, -1]]), (0.0, 20.0), True),  # past the listing limit
     ],
-    ids=["rotations", "irrational", "float", "e11-20"],
+    ids=["rotations", "irrational", "nilpotent", "float", "e11-20"],
 )
-def test_other_inputs_still_reach_the_scan(monkeypatch, c, t_range):
+def test_other_inputs_still_reach_the_scan(monkeypatch, c, t_range, grid):
     grids, scan_defects = [], kernels.scan_defects
     monkeypatch.setattr(kernels, "scan_defects", lambda *a: grids.append(1) or scan_defects(*a))
-    assert lattice_verdict(c, t_range=t_range).rule == "scan"
-    assert grids
+    assert lattice_verdict(c, t_range=t_range).rule == ("scan" if grid else "trace_levels")
+    assert bool(grids) == grid
 
 
 def test_float_rounding_off_the_axis_is_read_as_held():
