@@ -47,10 +47,8 @@ from .detect import (
 from .lattice import (
     LatticeWitness,
     NoLatticeCertificate,
-    amalgam_lattice,
     certify_witness,
     e11_lattice,
-    exp_ad,
     integer_charpoly_scan,
     lattice_verdict,
     no_lattice_codim2,

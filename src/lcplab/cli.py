@@ -244,39 +244,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact LCP structures on metric Lie algebras: audits, "
         "detection, constructions, the dimension <= 5 catalog, and lattice search.",
         epilog="Environment: LCPLAB_FIXTURES overrides the witness fixture directory.",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="verb", required=True)
+
+    def command(name, help):  # flags in full: the one spelling _joined_t_range reads
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def common(sp, needs_input=True):
         if needs_input:
             sp.add_argument("--input", required=True, help="definition document path")
         sp.add_argument("--format", choices=("text", "machine"), default="text")
 
-    sp = sub.add_parser("check", help="algebraic audit")
+    sp = command("check", "algebraic audit")
     common(sp)
     sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("detect", help="classify and find the maximal flat subspace")
+    sp = command("detect", "classify and find the maximal flat subspace")
     common(sp)
     sp.set_defaults(func=cmd_detect)
 
-    sp = sub.add_parser("verify", help="verify an LCP structure and run the audit")
+    sp = command("verify", "verify an LCP structure and run the audit")
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("construct", help="build verified LCP structures")
+    sp = command("construct", "build verified LCP structures")
     sp.add_argument("recipe", choices=("semidirect", "almab", "flag", "direct", "amalgam", "modify"))
     common(sp)
     sp.add_argument("--with", dest="with_input", help="second document (direct/amalgam)")
     sp.add_argument("--lam", help="metric modification amount (rational)")
     sp.set_defaults(func=cmd_construct)
 
-    sp = sub.add_parser("tables", help="reproduce the low-dimensional catalog")
+    sp = command("tables", "reproduce the low-dimensional catalog")
     common(sp, needs_input=False)
     sp.add_argument("--t-range", default="0:3", help="lattice scan range A:B (A may be negative)")
     sp.set_defaults(func=cmd_tables)
 
-    sp = sub.add_parser("lattice", help="lattice search / certification")
+    sp = command("lattice", "lattice search / certification")
     sp.add_argument("action", choices=("search", "certify"))
     common(sp)
     sp.add_argument("--t-range", default="0:20", help="scan range A:B (A may be negative)")

@@ -82,7 +82,10 @@ class ParamOutOfRange(LcpError):
 
 
 class EnvelopeExceeded(LcpError):
-    """Input outside the supported numerical envelope (size or norm)."""
+    """Input outside the supported envelope: dimension, entries, the bit
+    size of a lattice plan's integer form, a t0 to certify past the
+    spectral envelope, a t-range end the clamp leaves infinite, or a scan
+    grid past MAX_SCAN_POINTS (only a C that gets a grid has one)."""
 
 
 class NonTraceFree(LcpError):
@@ -90,10 +93,6 @@ class NonTraceFree(LcpError):
 
 
 class MTooSmall(LcpError):
-    pass
-
-
-class NonPositiveInput(LcpError):
     pass
 
 

@@ -1,11 +1,12 @@
-"""Float kernels for the lattice scan: matrix exponential, characteristic
-polynomial coefficients, and the integer-defect scan over a t-grid.
+"""Float kernels for the lattice scan: characteristic polynomial
+coefficients and the integer-defect scan over a t-grid.
 
 No characteristic polynomial of exp(t C) needs a matrix exponential: the
 spectrum of exp(t C) is exp(t spec C), and the characteristic polynomial
 depends only on the spectrum (also for non-diagonalisable C), so one
-eigenvalue decomposition of C serves every t (``exp_charpoly``).
-``expm`` is kept for ``lattice.exp_ad``.
+eigenvalue decomposition of C serves every t (``exp_charpoly``).  No
+package code calls ``expm`` or ``charpoly_coeffs``: they are the scan
+tests' per-point reference, and the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations

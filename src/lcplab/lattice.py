@@ -36,6 +36,10 @@ scanned range:
   witness the grid does not flag is missing.  A C with a root off both
   axes has no lattice (Gelfond-Schneider / Baker) and gets no grid, and
   no certificate yet.
+
+Every lattice question is a verdict: an amalgam of two almost abelian
+factors is almost abelian, C = blockdiag(C1, s C2) with s rational, and
+``lattice_verdict`` on its presentation answers it.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .errors import (
     DimensionMismatch,
     EnvelopeExceeded,
     MTooSmall,
-    NonPositiveInput,
     NonTraceFree,
 )
 from .intpoly import (
@@ -86,22 +89,6 @@ MAX_LISTED_WITNESSES = 10**4
 # largest bit length of d and the entries of d C: a MAX_DIM x MAX_DIM C
 # with 128-bit entries
 MAX_INT_FORM_SIZE = MAX_DIM**2 * 128
-
-
-def _in_envelope(t: float, rho: float) -> None:
-    """EnvelopeExceeded unless the spectral radius |t| rho of t C is at
-    most MAX_SPECTRAL, rho that of C."""
-    if abs(t) * rho > MAX_SPECTRAL:
-        raise EnvelopeExceeded("spectral radius of t*C exceeds the envelope")
-
-
-def exp_ad(c, t: float) -> np.ndarray:
-    """exp(t C) by scaling and squaring, in floats, once |t| rho(C) is
-    within MAX_SPECTRAL, rho from the plan's float spectrum: no exact
-    characteristic polynomial is computed.  ``c`` is C or its plan."""
-    plan = _plan_of(c)
-    _in_envelope(t, float(np.abs(plan.spectrum).max()))
-    return kernels.expm(t * plan.c.astype(np.float64))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -151,7 +138,7 @@ class ScanCandidate:
 def _scanned_range(c, t_range) -> tuple:
     """The t-range the scan covers: ``t_range`` with each end t clamped
     so that the spectral radius |t| rho of t C stays within MAX_SPECTRAL,
-    as ``_in_envelope`` requires.  rho(C) <= ||C||_inf = ||ints||_inf / d
+    as ``certify_witness`` requires.  rho(C) <= ||C||_inf = ||ints||_inf / d
     (``_Plan.norm``), so when max(|lo|, |hi|) ||C||_inf <= MAX_SPECTRAL,
     compared exactly, neither end needs a clamp and rho is not read;
     otherwise each end past the envelope, on either side, becomes
@@ -185,23 +172,22 @@ def integer_charpoly_scan(c, t_range=(0.0, 20.0)) -> list:
     it holds (``_require_trace_free``), else NonTraceFree.
     A refined minimum with a coefficient of modulus 2^53 or more is
     dropped, and a C whose defect is within SCAN_TOL on the whole grid
-    has no candidate.  A clamped range that needs more than
-    ``MAX_SCAN_POINTS`` grid points raises EnvelopeExceeded before the
-    grid is allocated.  After these checks, a C with a root off both axes
+    has no candidate.  After the clamp, a C with a root off both axes
     (``IntSpectrum.off_axis``) has no lattice (Gelfond-Schneider / Baker),
     and a nilpotent C (charpoly x^n, read exactly) has its witness from
     the exact step (``_exact_witnesses``): neither gets a candidate or a
-    grid.
+    grid, on a range of any length.  Any other clamped range that needs
+    more than ``MAX_SCAN_POINTS`` grid points raises EnvelopeExceeded.
     """
     plan = _plan_of(c)
     _require_trace_free(plan)
     lo, hi = _scanned_range(plan, t_range)
+    if plan.int_spectrum.off_axis() or not any(plan.charpoly[1:]):
+        return []
     if not hi - lo <= MAX_SCAN_POINTS * SCAN_STEP:
         raise EnvelopeExceeded(
             f"t-range ({lo}, {hi}) needs more than {MAX_SCAN_POINTS} scan points"
         )
-    if plan.int_spectrum.off_axis() or not any(plan.charpoly[1:]):
-        return []
     ts = np.arange(lo + SCAN_STEP, hi + SCAN_STEP / 2, SCAN_STEP)
     if ts.size == 0:
         return []
@@ -302,8 +288,9 @@ class _Plan:
     rational, so nothing is rounded).  On first use come the integer form
     C = ints / d, the characteristic polynomial and exact spectrum of
     ints, the norm ||ints||_inf, s(ints), the spectral radius, the Jordan
-    types and layers of C, and ``spectrum``, the one float eigen-solve,
-    which only the rules that read floats take.  Input is checked here, once: C must be a nonempty square matrix
+    types and (for a defective C) layers of C, and ``spectrum``, the one
+    float eigen-solve, which only the rules that read floats take.  Input
+    is checked here, once: C must be a nonempty square matrix
     (else DimensionMismatch), with n <= MAX_DIM, finite entries within the
     float range and its integer form within MAX_INT_FORM_SIZE (else
     EnvelopeExceeded)."""
@@ -476,9 +463,10 @@ def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
     first b invariant factors of Z, so types that differ within one
     square-free factor, of charpoly(C) or of poly, are read root by root.
 
-    A semisimple C has one layer, charpoly(exp(t0 C)), taken from the
-    plan's spectrum as the scan took it.  Otherwise each layer takes the
-    float roots of its exact square-free factors, and t = u t0 is first
+    A semisimple C (s(ints) = 0, read exactly) has one layer,
+    charpoly(exp(t0 C)), taken from the plan's spectrum as the scan took
+    it, and builds no ``_Plan.layers``.  A defective C's layers take the
+    float roots of their exact square-free factors, and t = u t0 is first
     polished on their largest defect (``_refine`` within SCAN_STEP): the
     float spectrum of a defective C, off by a root of eps, moves the
     scan's t0, most where charpoly(exp(t C)) is flat in t.
@@ -500,7 +488,8 @@ def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
     past MAX_SPECTRAL raises EnvelopeExceeded, rho as the scan's t-range
     clamp takes it (``_Plan.rho``)."""
     plan = _plan_of(c)
-    _in_envelope(t0, plan.rho)
+    if abs(t0) * plan.rho > MAX_SPECTRAL:
+        raise EnvelopeExceeded("spectral radius of t*C exceeds the envelope")
     n = plan.c.shape[0]
     if t0 == 0 or (-1) ** n * poly.constant_term() != 1:
         return None
@@ -512,7 +501,7 @@ def certify_witness(c, t0: float, poly: IntPoly) -> Optional[LatticeWitness]:
     at_one = (plan.floats & (mods <= SCAN_TOL * mods.max(initial=0.0))) | (abs(t0) * mods >= math.pi)
     if ones > zeros + int(at_one.sum()):
         return None
-    if len(plan.layers) == 1:
+    if not any(plan.s_ints.ravel().tolist()):  # C semisimple: one layer
         evs, u = [t0 * plan.spectrum], 1.0
     else:  # roots of t0 C, which the envelope bounds, and u near 1
         t = Fraction(t0)
@@ -651,10 +640,9 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
 class NoLatticeCertificate:
     rule: str  # the name of the entry of RULES that made it
     data: dict = field(default_factory=dict)
-    reference: str = ""
 
     def as_dict(self):
-        return {"rule": self.rule, "data": self.data, "reference": self.reference}
+        return {"rule": self.rule, "data": self.data}
 
 
 def no_lattice_double_root(c) -> Optional[NoLatticeCertificate]:
@@ -769,36 +757,6 @@ def e11_lattice(m: int):
     poly = IntPoly((1, -m, 1))
     witness = LatticeWitness(t_m, companion(poly), None, poly)
     return witness, AbelianizationReport((1, m - 2), m - 2)
-
-
-def amalgam_lattice(t1: float, theta1_sq, t2: float, theta2_sq):
-    """Common rescaling for the amalgam of two lattice-bearing factors.
-
-    Solves t |theta2| / sqrt(|theta1|^2+|theta2|^2) = k1 t1 and
-    t |theta1| / sqrt(...) = k2 t2 for natural k1, k2, which requires
-    t2 |theta2| / (t1 |theta1|) to be rational.  Rationality of the float
-    ratio is only accepted up to denominator 256 at 1e-9 relative
-    tolerance; anything else is reported as inconclusive (None).  So a
-    solution rests on floats and says ``"numerical": True``.
-    """
-    th1 = ex.rat(theta1_sq)
-    th2 = ex.rat(theta2_sq)
-    if t1 <= 0 or t2 <= 0 or th1 <= 0 or th2 <= 0:
-        raise NonPositiveInput("t and |theta|^2 inputs must be positive")
-    ratio = (t2 / t1) * math.sqrt(th2 / th1)
-    approx = Fraction(ratio).limit_denominator(256)
-    if approx <= 0 or abs(ratio - float(approx)) > 1e-9 * max(1.0, ratio):
-        return None
-    k1, k2 = approx.numerator, approx.denominator
-    t_sq_over_t1_sq = Fraction(k1) ** 2 * (th1 + th2) / th2
-    t = t1 * math.sqrt(t_sq_over_t1_sq)
-    return {
-        "t": t,
-        "k1": k1,
-        "k2": k2,
-        "t_sq_over_t1_sq": t_sq_over_t1_sq,
-        "numerical": True,
-    }
 
 
 @dataclass(frozen=True)

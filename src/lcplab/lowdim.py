@@ -444,7 +444,7 @@ def check_isomorphism_witness(L1: LieAlgebra, L2: LieAlgebra, P: np.ndarray) -> 
 class SampleSpec:
     name: str
     params: dict
-    lattice_cited: Optional[tuple] = None  # (status, reference) overrides
+    cited: Optional[str] = None  # the reference that decides the row's lattice
 
 
 SAMPLES = [
@@ -464,17 +464,17 @@ SAMPLES = [
     SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 3), "q": F(1, 3), "r": F(1, 3)}),
     SampleSpec("g_{5.8}^{-1}", {}),
     SampleSpec("g_{5.9}^{p,-2-p}", {"p": 1}),
-    SampleSpec("g_{5.9}^{p,-2-p}", {"p": -1}, ("no", "Bock16 Thm 7.2.3")),
+    SampleSpec("g_{5.9}^{p,-2-p}", {"p": -1}, "Bock16 Thm 7.2.3"),
     SampleSpec("g_{5.11}^{-3}", {}),
     SampleSpec("g_{5.13}^{-1-2q,q,r}", {"q": F(-1, 4), "r": 1}),
     SampleSpec("g_{5.13}^{-1-2q,q,r}", {"q": F(-1, 3), "r": 1}),
-    SampleSpec("g_{5.16}^{-1,q}", {"q": 1}, ("no", "Bock16 Thm 7.2.10")),
+    SampleSpec("g_{5.16}^{-1,q}", {"q": 1}, "Bock16 Thm 7.2.10"),
     SampleSpec("g_{5.17}^{p,-p,r}", {"p": 1, "r": 1}),
-    SampleSpec("g_{5.19}^{p,-2p-2}", {"p": 1}, ("no", "Bock16 Thm 7.2.16")),
-    SampleSpec("g_{5.23}^{-4}", {}, ("no", "Bock16 Thm 7.2.16")),
-    SampleSpec("g_{5.25}^{p,4p}", {"p": 1}, ("no", "Bock16 Thm 7.2.16")),
-    SampleSpec("g_{5.33}^{-1,-1}", {}, ("yes", "Bock16 Prop 7.2.20")),
-    SampleSpec("g_{5.35}^{-2,0}", {}, ("yes", "Bock16 Prop 7.2.21")),
+    SampleSpec("g_{5.19}^{p,-2p-2}", {"p": 1}, "Bock16 Thm 7.2.16"),
+    SampleSpec("g_{5.23}^{-4}", {}, "Bock16 Thm 7.2.16"),
+    SampleSpec("g_{5.25}^{p,4p}", {"p": 1}, "Bock16 Thm 7.2.16"),
+    SampleSpec("g_{5.33}^{-1,-1}", {}, "Bock16 Prop 7.2.20"),
+    SampleSpec("g_{5.35}^{-2,0}", {}, "Bock16 Prop 7.2.21"),
 ]
 
 
@@ -563,16 +563,17 @@ def _sample_for(name, params) -> SampleSpec:
 
 def sample_lattice_verdict(sample: SampleSpec, t_range=(0.0, 3.0), seed: int = 0):
     """Verdict for one sampled row, whose parameters are validated first.
-    A row the literature decides (``lattice_cited``) is answered from its
-    citation alone, before any presentation, with no ``"verdict"``; a row
+    A row the literature decides (``cited``) is answered from its citation
+    alone, with the row's ``lattice_status``, before any presentation and
+    with no ``"verdict"``; a row
     that is not almost abelian is inconclusive.  Otherwise it is that of
     ``lattice_verdict`` on C, presented under the identity metric, whose
     certificate's rule or first witness is the evidence.  No fixture is
     read; ``seed`` is accepted and unused."""
     L = table_algebra(sample.name, sample.params)
-    if sample.lattice_cited is not None:
-        status, reference = sample.lattice_cited
-        return {"status": status, "evidence": f"cited[{reference}]", "witnesses": 0}
+    if sample.cited is not None:
+        return {"status": ROWS[sample.name].lattice_status, "evidence": f"cited[{sample.cited}]",
+                "witnesses": 0}
     pres = almost_abelian_presentation(L, Metric.identity(L.dim))
     if pres is None:  # not almost abelian: the Bock scan does not apply
         return {"status": "inconclusive", "evidence": "not almost abelian", "witnesses": 0}

@@ -33,11 +33,10 @@ from lcplab.detect import (
     structural_audit,
     verify_lcp,
 )
-from lcplab.kernels import charpoly_coeffs, integer_defect
+from lcplab.intpoly import int_charpoly, int_det
 from lcplab.lattice import (
-    amalgam_lattice,
     e11_lattice,
-    exp_ad,
+    lattice_verdict,
     no_lattice_codim2,
     no_lattice_double_root,
 )
@@ -62,7 +61,6 @@ from support import (
     random_skew,
     reye,
     rng,
-    to_float,
     torsion_defect,
 )
 
@@ -263,10 +261,8 @@ def test_criterion_7_lattice_witness_family():
         ok = ok and z == [[0, -1], [1, m]]
         ok = ok and w.poly.coeffs == (1, -m, 1)
         ok = ok and w.exact
-        # t_m is right: exp(t_m diag(1, -1)) has trace m (and det 1)
-        ok = ok and abs(np.trace(exp_ad(np.diag([1.0, -1.0]), w.t0)) - m) <= 1e-12 * m
-        from lcplab.intpoly import int_charpoly, int_det
-
+        # t_m is right: exp(t_m diag(1, -1)) has trace 2 cosh(t_m) = m (and det 1)
+        ok = ok and abs(2 * math.cosh(w.t0) - m) <= 1e-12 * m
         ok = ok and int_det(w.integral_matrix) == 1
         ok = ok and int_charpoly(w.integral_matrix).coeffs == w.poly.coeffs
         ok = ok and ab.torsion == (m - 2 if m > 3 else 1)
@@ -311,13 +307,17 @@ def test_criterion_9_amalgam_pipeline():
     expected[:2, :2] = c1
     expected[2:, 2:] = c1
     ok = ok and np.array_equal(pres.matrix, expected)
-    t3 = math.log((3 + math.sqrt(5)) / 2)
-    sol = amalgam_lattice(t3, 1, t3, 1)
-    ok = ok and sol is not None and sol["k1"] == 1 and sol["k2"] == 1
-    c_norm = to_float(pres.matrix) / math.sqrt(float(pres.b_norm_sq))
-    defect = integer_defect(charpoly_coeffs(exp_ad(c_norm, sol["t"])))
-    ok = ok and defect <= 1e-9
-    _report(9, "amalgamated product and its lattice rescaling", ok)
+    # the exact verdict on the presentation: its first witness, at trace
+    # level 3, is t0 = arccosh(3/2) for C, and sqrt(2) t0 for the unit b
+    v = lattice_verdict(pres.matrix, t_range=(0.0, 3.0))
+    ok = ok and (v.status, v.rule) == ("yes", "trace_levels")
+    ok = ok and all(w.exact for w in v.witnesses)
+    w = v.witnesses[0]
+    t = w.t0 * math.sqrt(pres.b_norm_sq)
+    ok = ok and abs(t - math.sqrt(2) * math.acosh(1.5)) <= 1e-12
+    ok = ok and all(type(x) is int for x in w.integral_matrix.ravel().tolist())
+    ok = ok and int_det(w.integral_matrix) == 1 and int_charpoly(w.integral_matrix) == w.poly
+    _report(9, "amalgamated product and the exact verdict on its presentation", ok)
 
 
 # -- criterion 10 ------------------------------------------------------------

@@ -205,6 +205,16 @@ def test_a_negative_t_range_start_is_read_in_both_forms(e11_doc):
     assert min(t0s) < 0 < max(t0s)
 
 
+def test_flags_have_one_spelling(e11_doc):
+    # no abbreviation is accepted, so --t-ran cannot take a value that
+    # --t-range would join
+    for flag in (("--t-ran", "-2:2"), ("--form", "machine")):
+        out = run_cli("lattice", "search", "--input", e11_doc, *flag)
+        assert out.returncode == 2 and "unrecognized arguments" in out.stderr
+    for flag in (("--t-range", "-2:2"), ("--t-range=-2:2",)):
+        assert run_cli("lattice", "search", "--input", e11_doc, *flag).returncode == 0
+
+
 NO_BLOCK_A = "dim 1\nblock B : 0 -1 ; 1 0\n"
 # construct flag with one block of the wrong shape
 FLAG = "dim 1\nblock A : {}\nblock B1 : {}\nblock B2 : 0 -1 ; 1 0\n"
@@ -259,6 +269,18 @@ def test_oversized_scan_grid_exit_code(tmp_path):
         "lattice", "search", "--input", str(p), "--t-range", "0:1e6", max_bytes=4 * 2**30
     )
     assert_input_error(out, "EnvelopeExceeded", "scan points")
+
+
+def test_an_off_axis_c_on_a_long_range_is_inconclusive(tmp_path):
+    # 1/100 +- i/100 and -1/50: 0:3000 is clamped to 0:2500, past the grid
+    # size, but an off-axis C gets no grid, so it is not refused
+    p = tmp_path / "slow_off_axis.lcp"
+    p.write_text("dim 4\nbracket 1 2 : 0 1/100 1/100 0\nbracket 1 3 : 0 -1/100 1/100 0\n"
+                 "bracket 1 4 : 0 0 0 -1/50\n")
+    out = run_cli("lattice", "search", "--input", str(p), "--t-range", "0:3000", "--format", "machine")
+    assert out.returncode == 1 and out.stderr == ""
+    got = json.loads(out.stdout)
+    assert (got["status"], got["rule"], got["inconclusive_ranges"]) == ("inconclusive", "scan", [[0.0, 2500.0]])
 
 
 def test_dropped_flags_are_refused(e11_doc):

@@ -8,12 +8,11 @@ from hypothesis import event, given, settings, strategies as st
 from lcplab import exact as ex
 from lcplab import kernels
 from lcplab.algebra import MAX_DIM, Metric, almost_abelian_presentation
-from lcplab.construct import almab_lcp
+from lcplab.construct import almab_lcp, amalgamated_product
 from lcplab.errors import (
     DimensionMismatch,
     EnvelopeExceeded,
     MTooSmall,
-    NonPositiveInput,
     NonTraceFree,
 )
 from lcplab.intpoly import IntPoly, int_charpoly, int_det
@@ -26,11 +25,9 @@ from lcplab.lattice import (
     _far_apart,
     _Plan,
     _scanned_range,
-    amalgam_lattice,
     certify_witness,
     certify_witness_blocked,
     e11_lattice,
-    exp_ad,
     integer_charpoly_scan,
     lattice_verdict,
     no_lattice_codim2,
@@ -40,40 +37,6 @@ from lcplab.lowdim import table_algebra
 from support import dot, inv, reye, to_float, trace_free_float
 
 C_E11 = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-def test_exp_ad_zero():
-    assert np.allclose(exp_ad(np.zeros((3, 3)), 1.0), np.eye(3))
-
-
-def test_exp_ad_hyperbolic_trace():
-    t3 = math.log((3 + math.sqrt(5)) / 2)
-    m = exp_ad(C_E11, t3)
-    assert abs(m[0, 0] + m[1, 1] - 3) < 1e-12
-    assert abs(m[0, 0] * m[1, 1] - 1) < 1e-12
-
-
-def test_exp_ad_nilpotent():
-    n = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    m = exp_ad(n, 1.0)
-    assert np.allclose(m, [[1, 1, 0.5], [0, 1, 1], [0, 0, 1]], atol=1e-14)
-
-
-def test_exp_ad_envelope():
-    with pytest.raises(EnvelopeExceeded):
-        exp_ad(np.eye(17), 1.0)
-    with pytest.raises(EnvelopeExceeded):
-        exp_ad(np.diag([60.0, -60.0]), 1.0)
-
-
-def test_exp_ad_group_law():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        a = rng.standard_normal((5, 5))
-        a -= np.trace(a) / 5 * np.eye(5)
-        s, t = rng.uniform(0.1, 1.5, size=2)
-        err = np.abs(exp_ad(a, s + t) - exp_ad(a, s) @ exp_ad(a, t)).max()
-        assert err < 1e-10
 
 
 def test_scan_finds_all_tm():
@@ -164,6 +127,18 @@ def test_a_grid_past_max_scan_points_is_refused():
             scan(c, t_range=(0.0, 1e4))
 
 
+def test_the_exact_exits_come_before_the_grid_size_refusal():
+    # 1/100 +- i/100 is off both axes: 0:3000 is clamped to 0:2500, which
+    # would need 2.5 * 10^6 grid points, but the off-axis exit builds no
+    # grid; nor does the nilpotent one, whose range is not clamped
+    c = ex.rmat([[Fraction(1, 100), Fraction(-1, 100), 0], [Fraction(1, 100), Fraction(1, 100), 0],
+                 [0, 0, Fraction(-2, 100)]])
+    assert integer_charpoly_scan(c, t_range=(0.0, 3000.0)) == []
+    v = lattice_verdict(c, t_range=(0.0, 3000.0))
+    assert (v.status, v.rule, v.inconclusive_ranges) == ("inconclusive", "scan", ((0.0, 2500.0),))
+    assert integer_charpoly_scan(ex.rmat([[0, 1], [0, 0]]), t_range=(0.0, 1e7)) == []
+
+
 def test_certification_refuses_t0_zero():
     # at t0 = 0 every exponential is I, which certification would
     # conjugate to an integer matrix
@@ -179,9 +154,8 @@ def test_certification_refuses_t0_zero():
         no_lattice_double_root,
         integer_charpoly_scan,
         lambda c: certify_witness(c, 1.0, IntPoly((1, -3, 1))),
-        lambda c: exp_ad(c, 1.0),
     ],
-    ids=["verdict", "double-root", "scan", "certify", "exp-ad"],
+    ids=["verdict", "double-root", "scan", "certify"],
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_entries_are_an_envelope_error(call, bad):
@@ -275,7 +249,6 @@ def test_past_max_dim_every_step_is_refused_before_a_spectrum(monkeypatch, make)
         no_lattice_double_root,
         integer_charpoly_scan,
         lambda c: certify_witness(c, 1.0, IntPoly((1,) + (0,) * 16 + (-1,))),
-        lambda c: exp_ad(c, 1.0),
     ]
     for call in calls:
         with pytest.raises(EnvelopeExceeded, match=f"n <= {MAX_DIM}"):
@@ -472,25 +445,26 @@ def test_only_double_root_decides_a_spectrum_not_all_rational():
     assert later == {"jordan_asymmetry": None, "trace_levels": None, "codim2_highdim": None, "scan": []}
 
 
-def test_amalgam_lattice():
-    t3 = math.log((3 + math.sqrt(5)) / 2)
-    sol = amalgam_lattice(t3, 1, t3, 1)
-    assert sol["k1"] == 1 and sol["k2"] == 1
-    assert sol["t_sq_over_t1_sq"] == 2
-    assert abs(sol["t"] - math.sqrt(2) * t3) < 1e-12
-    sol2 = amalgam_lattice(3.0, 1, 2.0, 1)
-    assert (sol2["k1"], sol2["k2"]) == (2, 3)
-    assert amalgam_lattice(1.0, 1, math.sqrt(2), 1) is None
-    with pytest.raises(NonPositiveInput):
-        amalgam_lattice(-1.0, 1, 1.0, 1)
+nonzero_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=9).filter(bool)
 
 
-def test_amalgam_lattice_is_labelled_numerical():
-    # the ratio is read from floats within a 1e-9 relative tolerance, so
-    # every solution says it is numerical: also one off an exact rational
-    # by less than the tolerance
-    for sol in (amalgam_lattice(3.0, 1, 2.0, 1), amalgam_lattice(3.0, 1, 2.0 * (1 + 1e-12), 1)):
-        assert sol["numerical"] is True and (sol["k1"], sol["k2"]) == (2, 3)
+@settings(max_examples=25, deadline=None)
+@given(nonzero_rationals, nonzero_rationals)
+def test_an_amalgam_is_decided_by_the_verdict_on_its_presentation(a1, a2):
+    # the amalgam of two almost abelian factors is almost abelian, with
+    # C = blockdiag(C1, s C2): here every eigenvalue is +-rho(C), so on
+    # 0:3/rho the verdict lists the 18 trace levels m = 3..20 exactly,
+    # each Z integral, of det 1 and charpoly (x^2 - m x + 1)^2
+    s = amalgamated_product(almab_lcp([[a1]], [[0]]), almab_lcp([[a2]], [[0]]))
+    c = almost_abelian_presentation(s.algebra, s.metric).matrix
+    rho = _Plan(c).rho
+    v = lattice_verdict(c, t_range=(0.0, 3 / rho))
+    assert (v.status, v.rule, len(v.witnesses)) == ("yes", "trace_levels", 18)
+    assert abs(v.witnesses[0].t0 * rho - math.acosh(1.5)) <= 1e-12
+    for m, w in enumerate(v.witnesses, start=3):
+        assert w.exact and all(type(x) is int for x in w.integral_matrix.ravel().tolist())
+        assert int_det(w.integral_matrix) == 1 and int_charpoly(w.integral_matrix) == w.poly
+        assert w.poly.coeffs == (1, -2 * m, m * m + 2, -2 * m, 1)
 
 
 def test_verdict_exclusivity():
@@ -701,9 +675,9 @@ def test_certification_does_not_depend_on_the_basis(cases):
 
 
 def test_one_plan_per_verdict(monkeypatch):
-    # the spectra of C are taken once per verdict, and so are the exact
-    # Jordan layers that certification reads: C is semisimple, so one
-    # kernel serves the 18 candidates
+    # the spectra of C are taken once per verdict, and C is semisimple, so
+    # certification builds no Jordan layers: no kernel is taken for the 18
+    # candidates
     import lcplab.lattice as lattice
 
     # eigenvalues +-1/sqrt(2), so that the exact step leaves C to the
@@ -727,7 +701,7 @@ def test_one_plan_per_verdict(monkeypatch):
     v = lattice_verdict(c, t_range=t_range)
     assert len(v.witnesses) == 18
     assert counts["eigvals"] <= 10
-    assert counts["certify"] == len(candidates) and counts["kernel"] == 1
+    assert counts["certify"] == len(candidates) and counts["kernel"] == 0
 
 
 def test_verdict_certifies_through_the_public_step(monkeypatch):
@@ -808,6 +782,20 @@ def test_rotation_jordan_block_next_to_rotations(blocks):
     assert all(abs(w.t0 - t) <= 1e-6 for w, t in zip(v.witnesses, expected))
     for w in v.witnesses:
         assert int_charpoly(w.integral_matrix) == w.poly and int_det(w.integral_matrix) == 1
+
+
+def test_only_a_defective_c_builds_the_jordan_layers(monkeypatch):
+    # certification reads s(ints) = 0 exactly and takes a semisimple C's
+    # one layer from its spectrum; only a defective C builds the layers
+    from test_golden_lattice import cases
+
+    built, layers = [], _Plan.layers.func
+    monkeypatch.setattr(_Plan, "layers", property(lambda plan: built.append(plan) or layers(plan)))
+    c, t_range = next((c, t) for name, c, t in cases() if name == "rotations-4")
+    v = lattice_verdict(c, t_range=t_range)
+    assert (v.status, v.rule, built) == ("yes", "scan", [])
+    v = lattice_verdict(_rotation_jordan(1), t_range=(0.0, 7.0))
+    assert (v.status, v.rule) == ("yes", "scan") and built
 
 
 def test_types_that_differ_on_conjugate_roots_are_no_witness():

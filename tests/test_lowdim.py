@@ -318,17 +318,24 @@ def test_cited_yes_rows_build_no_presentation(monkeypatch):
     # before anything builds a presentation or a verdict
     for name in ("almost_abelian_presentation", "lattice_verdict"):
         monkeypatch.setattr(lowdim, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
-    cited = [s for s in SAMPLES if s.lattice_cited]
-    assert [(s.name, s.lattice_cited[0]) for s in cited] == [
+    cited = [s for s in SAMPLES if s.cited]
+    assert [(s.name, ROWS[s.name].lattice_status) for s in cited] == [
         ("g_{5.9}^{p,-2-p}", "no"), ("g_{5.16}^{-1,q}", "no"), ("g_{5.19}^{p,-2p-2}", "no"),
         ("g_{5.23}^{-4}", "no"), ("g_{5.25}^{p,4p}", "no"), ("g_{5.33}^{-1,-1}", "yes"),
         ("g_{5.35}^{-2,0}", "yes"),
     ]
     for sample in cited:
-        status, reference = sample.lattice_cited
         assert sample_lattice_verdict(sample) == {
-            "status": status, "evidence": f"cited[{reference}]", "witnesses": 0
+            "status": ROWS[sample.name].lattice_status, "evidence": f"cited[{sample.cited}]",
+            "witnesses": 0,
         }
+
+
+def test_every_cited_row_has_a_decided_table_status():
+    # the status of a cited row is read from its table row, so that row
+    # must decide the lattice for every parameter value
+    cited = {s.name for s in SAMPLES if s.cited}
+    assert cited and all(ROWS[name].lattice_status in ("yes", "no") for name in cited)
 
 
 def test_lattice_verdicts_match_catalog():
