@@ -5,7 +5,8 @@ fixed basis, with ``[e_i, e_j] = sum_k c[i,j,k] e_k``.  Metrics are exact
 positive-definite Gram matrices, 1-forms are coefficient rows in the
 dual basis, and subspaces are canonicalised by reduced column echelon
 form so that equal spans compare equal.  Each holds its array as a
-reduced integer form ``(ints, den)`` (``exact.reduced``); algebras,
+reduced integer form ``(ints, den)`` (``exact.reduced``) and the bound
+max|ints| that the int64 products read instead of a scan; algebras,
 metrics and 1-forms are built from entries or from such a form, as the
 constructors build structures.  The ``Fraction`` arrays ``c``,
 ``gram``, ``coeffs`` and ``basis`` are read-only views made on first
@@ -65,14 +66,21 @@ def memoised(obj, table: str, key, make):
     return memo[key]
 
 
+def _ad_table(cc, iu):
+    """The ad stack of :meth:`LieAlgebra._ad_stack` from the constants and
+    the columns as they are, int64 or Python ints."""
+    n, p = cc.shape[0], iu.shape[1]
+    return iu.T.dot(cc.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
+
+
 class LieAlgebra:
     """Exact Lie algebra on a fixed basis.
 
     The structure constants are held as their reduced integer form
     ``scaled_c == (cc, e)``, c == cc / e, which every contraction with c
-    reads; ``c``, the (n, n, n) object array of Fractions, is a read-only
-    view made on first read.  Instances are immutable values; all
-    methods are pure.
+    reads, and its bound ``c_max == max|cc|``; ``c``, the (n, n, n)
+    object array of Fractions, is a read-only view made on first read.
+    Instances are immutable values; all methods are pure.
     """
 
     def __init__(self, c, check: bool = True):
@@ -81,7 +89,7 @@ class LieAlgebra:
         array of Python ints and their common denominator (as the
         constructors build them).  n > ``MAX_DIM`` is refused, also with
         ``check=False``."""
-        cc, e = ex.as_form(c)
+        cc, e, self.c_max = ex.as_form(c)
         if cc.ndim != 3 or len(set(cc.shape)) != 1:
             raise DimensionMismatch("structure constants must be (n, n, n)")
         check_envelope(cc.shape[0])
@@ -145,8 +153,7 @@ class LieAlgebra:
         Each entry of t sums n products of two entries of cc, and the
         Jacobi sum adds three of them, so the table is taken on int64
         while 3 n max|cc|^2 is below 2^63."""
-        n = self.dim
-        m = ex.int_max(self.scaled_c[0])
+        n, m = self.dim, self.c_max
         (cc,) = ex.int64_within(max(m, 3 * n * m * m), self.scaled_c[0])
         # sum_l cc[j, k, l] cc[i, l, :], moved to t[i, j, k]
         t = cc.reshape(n * n, n).dot(cc.transpose(1, 0, 2).reshape(n, n * n))
@@ -172,19 +179,30 @@ class LieAlgebra:
             raise DimensionMismatch("bracket operands must have length n")
         return self.brackets(x.reshape(-1, 1), y.reshape(self.dim, -1)).reshape(y.shape)
 
-    def _ad_stack(self, iu: np.ndarray) -> np.ndarray:
+    def _ad_stack(self, iu: np.ndarray, mu=None) -> np.ndarray:
         """ad_{u_a} for every column u_a of the integer matrix ``iu``,
-        stacked along the first axis: a[a] = e ad_{u_a}, with c = cc / e."""
-        n, p = self.dim, iu.shape[1]
-        cc, _ = self.scaled_c
-        return iu.T.dot(cc.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
+        stacked along the first axis: a[a] = e ad_{u_a}, with c = cc / e.
+        ``mu`` is the held bound of ``iu`` (else it is scanned); every
+        entry is at most c_max mu n, so the product is taken on int64
+        while that is below 2^63."""
+        mu = ex.int_max(iu) if mu is None else mu
+        m = self.c_max * mu * self.dim
+        cc, iu = ex.int64_within(max(m, self.c_max, mu), self.scaled_c[0], iu)
+        return ex.python_ints(_ad_table(cc, iu))
 
-    def int_brackets(self, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    def int_brackets(self, iu: np.ndarray, iv: np.ndarray, mu=None, mv=None) -> np.ndarray:
         """:meth:`brackets` of the columns of two integer matrices, times
-        the denominator e of c: an integer matrix."""
+        the denominator e of c: an integer matrix.  ``mu`` and ``mv`` are
+        the held bounds of ``iu`` and ``iv`` (else they are scanned).  The
+        ad stack is at most m = c_max mu n and the brackets m mv n, so
+        both products are taken on int64 while that is below 2^63."""
         n, p, q = self.dim, iu.shape[1], iv.shape[1]
-        w = self._ad_stack(iu).reshape(p * n, n).dot(iv)
-        return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q)
+        mu = ex.int_max(iu) if mu is None else mu
+        mv = ex.int_max(iv) if mv is None else mv
+        m = self.c_max * mu * n
+        cc, iu, iv = ex.int64_within(max(m * mv * n, m, mv, self.c_max, mu), self.scaled_c[0], iu, iv)
+        w = _ad_table(cc, iu).reshape(p * n, n).dot(iv)
+        return ex.python_ints(w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q))
 
     def brackets(self, u_basis: np.ndarray, v_basis: np.ndarray) -> np.ndarray:
         """Matrix whose column a * v_basis.shape[1] + b is [u_a, v_b], from
@@ -202,7 +220,11 @@ class LieAlgebra:
         the content keys of U and V, so the derived algebra, the series
         and the audits share their terms."""
         iu, iv = U.scaled_basis[0], V.scaled_basis[0]
-        return memoised(self, "_bracket_span", (U.key, V.key), lambda: Subspace.of_columns(self.int_brackets(iu, iv)))
+
+        def make():
+            return Subspace.of_columns(self.int_brackets(iu, iv, U.basis_max, V.basis_max))
+
+        return memoised(self, "_bracket_span", (U.key, V.key), make)
 
     @cached_property
     def derived_algebra(self) -> "Subspace":
@@ -244,7 +266,7 @@ class LieAlgebra:
         ad_u, eliminated on integers; not kept: the almost abelian ideal,
         the one caller that asks again, is."""
         n, p = self.dim, U.dim
-        ad_u = self._ad_stack(U.scaled_basis[0]).reshape(p * n, n)
+        ad_u = self._ad_stack(U.scaled_basis[0], U.basis_max).reshape(p * n, n)
         return Subspace.of_columns(ex.int_nullspace(ad_u)[0])
 
     def centre(self) -> "Subspace":
@@ -255,21 +277,22 @@ class LieAlgebra:
     def centre_of_derived(self) -> "Subspace":
         """z(g') = {D y : [D y, u] = 0 for u in g'}, D the integer basis of
         g': one kernel of the stacked ad_u D, made once."""
-        d = self.derived_algebra.scaled_basis[0]
+        der = self.derived_algebra
+        d = der.scaled_basis[0]
         n, p = d.shape
-        ker, _ = ex.int_nullspace(self._ad_stack(d).reshape(p * n, n).dot(d))
+        ker, _ = ex.int_nullspace(self._ad_stack(d, der.basis_max).reshape(p * n, n).dot(d))
         return Subspace.of_columns(d.dot(ker))
 
-    def _int_subalgebra_coords(self, ib: np.ndarray, db) -> tuple:
+    def _int_subalgebra_coords(self, ib: np.ndarray, db, mb) -> tuple:
         """Coordinates of the brackets of the columns of basis = ib / db
         in that basis, as the integer form ``(x, den)``; column a k + b
-        holds [u_a, u_b].  Raises ``InvalidStructure`` when the columns
-        do not span a subalgebra.
+        holds [u_a, u_b].  ``mb`` is the held bound of ``ib``.  Raises
+        ``InvalidStructure`` when the columns do not span a subalgebra.
 
         With c = cc / e, the brackets are ``int_brackets(ib, ib) /
         (db^2 e)``; one integer solve ib X = that integer matrix gives
         their coordinates X / (d db e)."""
-        sol = ex.int_solve(ib, self.int_brackets(ib, ib))
+        sol = ex.int_solve(ib, self.int_brackets(ib, ib, mb, mb))
         if sol is None:
             raise InvalidStructure("basis does not span a subalgebra")
         x, d = sol
@@ -278,9 +301,9 @@ class LieAlgebra:
     def restrict(self, basis) -> "LieAlgebra":
         """Subalgebra on the given column basis, with exact coordinates;
         the basis is a matrix of Fractions and ints or its integer form."""
-        ib, db = ex.as_form(basis)
+        ib, db, mb = ex.as_form(basis)
         k = ib.shape[1]
-        x, den = self._int_subalgebra_coords(ib, db)
+        x, den = self._int_subalgebra_coords(ib, db, mb)
         return LieAlgebra((x.T.reshape(k, k, k), den), check=False)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
@@ -302,10 +325,11 @@ class Metric:
 
     The Gram matrix is held as its reduced integer form ``scaled_gram ==
     (gg, dg)``, gram == gg / dg, on which symmetry and definiteness are
-    checked; the ``Fraction`` matrix ``gram`` is a read-only view made on
-    first read.  The inverse is held the same way, made once on first
-    use, and ``key`` is the content key of the Gram matrix that memo
-    tables of connections and reports look up.
+    checked, with its bound ``gram_max``; the ``Fraction`` matrix ``gram``
+    is a read-only view made on first read.  The inverse is held the same
+    way, made once on first use with its bound ``inverse_max``, and
+    ``key`` is the content key of the Gram matrix that memo tables of
+    connections and reports look up.
     """
 
     def __init__(self, gram):
@@ -316,7 +340,7 @@ class Metric:
             # ints and Fractions scale as they are; any other entry is coerced
             if not all(hasattr(x, "denominator") for x in gram.ravel().tolist()):
                 gram = ex.rmat(gram.tolist())
-        gg, dg = ex.as_form(gram)
+        gg, dg, self.gram_max = ex.as_form(gram)
         if not ex.is_symmetric(gg):
             raise NotSymmetric("Gram matrix must be symmetric")
         if not ex.int_is_pos_def(gg):
@@ -346,6 +370,10 @@ class Metric:
         return gi, di
 
     @cached_property
+    def inverse_max(self) -> int:
+        return ex.abs_max(self.scaled_inverse[0])
+
+    @cached_property
     def key(self) -> tuple:
         return ex.content_key(*self.scaled_gram)
 
@@ -371,7 +399,7 @@ class Metric:
 
     def restrict(self, basis) -> "Metric":
         """On a column basis of Fractions and ints, or its integer form."""
-        ib, db = ex.as_form(basis)
+        ib, db, _ = ex.as_form(basis)
         gg, dg = self.scaled_gram
         return Metric((ib.T.dot(gg).dot(ib), dg * db * db))
 
@@ -385,15 +413,16 @@ class Metric:
 class OneForm:
     """Left-invariant 1-form: a coefficient row in the dual basis, held as
     its reduced integer form ``scaled_coeffs == (t, dt)``, coeffs == t /
-    dt; the ``Fraction`` row ``coeffs`` is a read-only view made on first
-    read, and ``key`` is the content key of the form."""
+    dt, with its bound ``coeffs_max == max|t|``; the ``Fraction`` row
+    ``coeffs`` is a read-only view made on first read, and ``key`` is the
+    content key of the form."""
 
     def __init__(self, coeffs):
         """``coeffs`` is the coefficient row (entries that ``exact.rat``
         takes) or its integer form ``(t, dt)``."""
         if not (ex.is_form(coeffs) or isinstance(coeffs, np.ndarray)):
             coeffs = ex.rvec(coeffs)
-        t, dt = ex.as_form(coeffs)
+        t, dt, self.coeffs_max = ex.as_form(coeffs)
         t.setflags(write=False)
         self.scaled_coeffs = (t, dt)
         self.dim = t.shape[0]
@@ -453,10 +482,11 @@ class Subspace:
 
     The basis matrix may hold Fractions or integers; a span does not
     depend on scale.  The canonical basis is held as its reduced integer
-    form ``scaled_basis``, which the spans, tests and memo keys read; the
-    ``Fraction`` matrix ``basis`` is made on first read.  Spans computed
-    inside the package are wrapped by :meth:`_canonical` straight from
-    the elimination that made them.
+    form ``scaled_basis``, which the spans, tests and memo keys read, and
+    its bound ``basis_max`` is taken on first read; the ``Fraction``
+    matrix ``basis`` is made on first read.  Spans computed inside the
+    package are wrapped by :meth:`_canonical` straight from the
+    elimination that made them.
     """
 
     def __init__(self, basis_matrix: np.ndarray, ambient_dim: Optional[int] = None):
@@ -491,6 +521,10 @@ class Subspace:
         basis = ex.unscaled(*self.scaled_basis)
         basis.setflags(write=False)
         return basis
+
+    @cached_property
+    def basis_max(self) -> int:
+        return ex.abs_max(self.scaled_basis[0])
 
     @cached_property
     def key(self) -> tuple:
@@ -599,9 +633,12 @@ def audit_algebra(L: LieAlgebra) -> AuditReport:
 
 
 def is_closed(L: LieAlgebra, theta: OneForm) -> bool:
-    """A left-invariant 1-form is closed iff it vanishes on g'."""
+    """A left-invariant 1-form is closed iff it vanishes on g'; decided
+    once per (L, theta) and kept with L, keyed by the content key of
+    theta."""
     _check_dims(L.dim, theta)
-    return ex.is_zero(theta.scaled_coeffs[0].dot(L.derived_algebra.scaled_basis[0]))
+    t, der = theta.scaled_coeffs[0], L.derived_algebra.scaled_basis[0]
+    return memoised(L, "_is_closed", theta.key, lambda: not t.dot(der).any())
 
 
 @dataclass(frozen=True)
@@ -680,7 +717,7 @@ def _presentation_from_ideal(L, G, ideal: Subspace) -> AlmostAbelianPresentation
     # ideal.basis X = [b, ideal.basis] with ideal.basis = iu / du and
     # c = cc / e: iu X = int_brackets(v, iu) / (s e)
     iu = ideal.scaled_basis[0]
-    x, d = ex.int_solve(iu, L.int_brackets(v.reshape(-1, 1), iu))
+    x, d = ex.int_solve(iu, L.int_brackets(v.reshape(-1, 1), iu, mv=ideal.basis_max))
     mm, dm = ex.reduced(x * s.denominator, d * s.numerator * L.scaled_c[1])
     mm.setflags(write=False)
     return AlmostAbelianPresentation(b, nsq, unit, ideal, (mm, dm))

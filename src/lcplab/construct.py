@@ -81,7 +81,7 @@ class OrthoRep:
             if any(m.shape != (q, q) for m in mats):
                 raise DimensionMismatch("image has wrong shape")
             images = np.array(mats, dtype=object).reshape(len(mats), q, q)
-        mm, dm = ex.as_form(images)
+        mm, dm, _ = ex.as_form(images)
         mm.setflags(write=False)
         self.dim_target, self.scaled_images = q, (mm, dm)
 
@@ -337,7 +337,7 @@ def decompose(S: LCPStructure) -> Decomposition:
     h = L.restrict(perp.scaled_basis)
     # ad_x|_u for every basis vector x of h, from one bracket matrix and
     # one solve: ub X = int_brackets(hb, ub), and ad_u = X / (dh e)
-    sol = ex.int_solve(ub, L.int_brackets(hb, ub))
+    sol = ex.int_solve(ub, L.int_brackets(hb, ub, perp.basis_max, U.basis_max))
     if sol is None:
         raise LcpError("flat space is not ad-invariant")
     (x, d), e, q = sol, L.scaled_c[1], U.dim

@@ -103,12 +103,17 @@ def verify_lcp(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verific
     The report is made once per (L, G, theta, U) and kept with L, as
     ``weyl.weyl_geometry`` keeps the connection: the memo is keyed by the
     content keys of the Gram matrix, of theta and of the canonical basis
-    of U, and the frozen report is shared.
+    of U, and the frozen report is shared.  The input checks (dimensions,
+    dim L >= 3, theta nonzero and closed) run once per memo entry, before
+    the report is made: a later lookup of the same keys has the same
+    answers.
     """
-    _guard(L, G, theta, U)
-    if U.dim == 0:
-        return VerificationReport(True, True, True)
-    return memoised(L, "_verify_lcp", (G.key, theta.key, U.key), lambda: _verify(L, G, theta, U))
+
+    def make():
+        _guard(L, G, theta, U)
+        return _verify(L, G, theta, U) if U.dim else VerificationReport(True, True, True)
+
+    return memoised(L, "_verify_lcp", (G.key, theta.key, U.key), make)
 
 
 def _verify(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> VerificationReport:
@@ -120,8 +125,10 @@ def _verify(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verificati
     iu, du = U.scaled_basis
     ip, dp = perp.scaled_basis
 
-    cond1 = U.contains_space(L.bracket_span(U, U)) and perp.contains_space(
-        L.bracket_span(perp, perp)
+    # (1) one span test of each block's bracket matrix against its basis
+    cond1 = all(
+        ex.int_span_contains(b, L.int_brackets(b, b, m, m))
+        for b, m in ((iu, U.basis_max), (ip, perp.basis_max))
     )
     if not cond1:
         witnesses.append(Witness(1, (), ex.ONE))
@@ -131,40 +138,43 @@ def _verify(L: LieAlgebra, G: Metric, theta: OneForm, U: Subspace) -> Verificati
     # the products P^T G ad_v P for every v come from one contraction.
     # With V = iv / dv, P = iw / dw, G = gg / dg, theta = t / dt and
     # c = cc / e, S = (dt (A + A^T) - 2 e (t . iv) iw^T gg iw) / D for
-    # A = (gg iw)^T [iv, iw]_int and D = e dt dg dv dw^2.
+    # A = (gg iw)^T [iv, iw]_int and D = e dt dg dv dw^2.  Each block's S
+    # for every v is one stacked table with one zero test; S is symmetric,
+    # and the upper triangles are listed only when it fails.
     gg, dg = G.scaled_gram
     t, dt = theta.scaled_coeffs
     e = L.scaled_c[1]
     cond2 = True
-    for vl, iv, dv, wl, iw, dw in (("u", iu, du, "x", ip, dp), ("x", ip, dp, "u", iu, du)):
+    blocks = (("u", U, du, "x", perp, dp), ("x", perp, dp, "u", U, du))
+    for vl, V, dv, wl, W, dw in blocks:
+        iv, iw = V.scaled_basis[0], W.scaled_basis[0]
         p, k = iv.shape[1], iw.shape[1]
         gw = gg.dot(iw)
         gram = iw.T.dot(gw)
-        gad = gw.T.dot(L.int_brackets(iv, iw)).reshape(k, p, k)
-        tv = t.dot(iv)
+        gad = gw.T.dot(L.int_brackets(iv, iw, V.basis_max, W.basis_max))
+        gad = gad.reshape(k, p, k).transpose(1, 0, 2)
+        s = dt * (gad + gad.transpose(0, 2, 1)) - np.multiply.outer(2 * e * t.dot(iv), gram)
+        if not s.any():
+            continue
+        cond2 = False
         den = e * dt * dg * dv * dw * dw
         for a in range(p):
-            s = dt * (gad[:, a, :] + gad[:, a, :].T) - 2 * e * tv[a] * gram
             for i in range(k):
                 for j in range(i, k):
-                    if s[i, j] != 0:
-                        cond2 = False
-                        witnesses.append(
-                            Witness(2, (vl, a, wl, i, wl, j), ex.unscaled(s[i, j], den))
-                        )
+                    if s[a, i, j] != 0:
+                        witnesses.append(Witness(2, (vl, a, wl, i, wl, j), ex.unscaled(s[a, i, j], den)))
 
-    # (3) R_ij U for every pair i < j, stacked into one integer product;
-    # only a failing column becomes Fractions
+    # (3) R_ij U for every pair i < j, stacked into one integer product
+    # with one zero test; only a failing column becomes Fractions
     _, curv = weyl_geometry(L, G, theta)
     n, k = L.dim, iu.shape[1]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ru = ex.int_dot(curv.num.reshape(len(pairs) * n, n), iu).reshape(len(pairs), n, k)
-    cond3 = True
-    for (i, j), w in zip(pairs, ru):
-        if not ex.is_zero(w):
-            cond3 = False
+    ru = ex.int_dot(curv.num.reshape(len(pairs) * n, n), iu, curv.num_max, U.basis_max)
+    cond3 = not ru.any()
+    if not cond3:
+        for (i, j), w in zip(pairs, ru.reshape(len(pairs), n, k)):
             for a in range(k):
-                if not ex.is_zero(w[:, a]):
+                if w[:, a].any():
                     defect = tuple(ex.unscaled(w[:, a], curv.den * du))
                     witnesses.append(Witness(3, (i, j, "u", a), defect))
     return VerificationReport(cond1, cond2, cond3, tuple(witnesses))
@@ -180,10 +190,16 @@ def maximal_flat_parallel(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
     n steps.
 
     The search runs once per (L, G, theta) and its Subspace is kept with
-    L, keyed as ``weyl.weyl_geometry`` keys the connection.
+    L, keyed as ``weyl.weyl_geometry`` keys the connection.  The input
+    checks run once per memo entry, before the search, as in
+    :func:`verify_lcp`.
     """
-    _guard(L, G, theta)
-    return memoised(L, "_maximal_flat_parallel", (G.key, theta.key), lambda: _flat_search(L, G, theta))
+
+    def make():
+        _guard(L, G, theta)
+        return _flat_search(L, G, theta)
+
+    return memoised(L, "_maximal_flat_parallel", (G.key, theta.key), make)
 
 
 def _flat_search(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
@@ -227,7 +243,7 @@ def classify(L: LieAlgebra, G: Metric, theta: OneForm) -> LCPClass:
         return LCPClass(DEGENERATE, u)
     if u.dim == L.dim:
         return LCPClass(CONFORMALLY_FLAT, u)
-    adapted = ex.is_zero(theta.scaled_coeffs[0].dot(u.scaled_basis[0]))
+    adapted = not theta.scaled_coeffs[0].dot(u.scaled_basis[0]).any()
     return LCPClass(ADAPTED if adapted else NON_ADAPTED, u)
 
 
@@ -248,7 +264,7 @@ class LCPStructure:
         return self.flat.dim
 
     def is_adapted(self) -> bool:
-        return ex.is_zero(self.theta.scaled_coeffs[0].dot(self.flat.scaled_basis[0]))
+        return not self.theta.scaled_coeffs[0].dot(self.flat.scaled_basis[0]).any()
 
     def verify(self) -> VerificationReport:
         return verify_lcp(self.algebra, self.metric, self.theta, self.flat)
@@ -302,7 +318,7 @@ def _trace_relation(L: LieAlgebra, U: Subspace, t: np.ndarray, dt: int, c: int) 
     coordinates x / den of its columns, the trace at column a is the sum
     of x[b, a k + b] over b, over den, and theta(u_a) = (t iu)_a / (dt du)."""
     iu, du = U.scaled_basis
-    (x, den), tu, k = L._int_subalgebra_coords(iu, du), t.dot(iu), U.dim
+    (x, den), tu, k = L._int_subalgebra_coords(iu, du, U.basis_max), t.dot(iu), U.dim
     return all(sum(x[b, a * k + b] for b in range(k)) * dt * du == c * tu[a] * den for a in range(k))
 
 
@@ -339,7 +355,7 @@ def _codim3_normal_form(L, G, theta, U) -> bool:
     gu = iu.T.dot(G.scaled_gram[0]).dot(iu)
 
     def ad_on_u(v):
-        return ex.int_solve(iu, L.int_brackets(v.reshape(-1, 1), iu))
+        return ex.int_solve(iu, L.int_brackets(v.reshape(-1, 1), iu, mv=U.basis_max))
 
     def g_skew(m):
         gm = gu.dot(m)
@@ -395,15 +411,15 @@ def structural_audit(S: LCPStructure) -> StructuralAuditReport:
     # each: gamma = g / d and ad_{e_i} = cc[i]^T / e, compared cross-multiplied
     conn, _ = weyl_geometry(L, G, theta)
     cc, e = L.scaled_c
-    nabla_u = ex.int_dot(conn.g.reshape(n * n, n), iu)
-    ad_u = ex.int_dot(cc.transpose(0, 2, 1).reshape(n * n, n), iu)
+    nabla_u = ex.int_dot(conn.g.reshape(n * n, n), iu, conn.g_max, U.basis_max)
+    ad_u = ex.int_dot(cc.transpose(0, 2, 1).reshape(n * n, n), iu, L.c_max, U.basis_max)
     nabla_ad = np.array_equal(nabla_u * e, ad_u * conn.d)
 
     t, dt = theta.scaled_coeffs
-    theta_flat = ex.is_zero(t.dot(iu))
+    theta_flat = not t.dot(iu).any()
 
     der = L.derived_algebra.scaled_basis[0]
-    nabla_der = ex.is_zero(der.T.dot(nabla_u.reshape(n, n * q)))
+    nabla_der = not der.T.dot(nabla_u.reshape(n, n * q)).any()
 
     # trace forms of u and u-perp against theta
     perp = U.orthogonal_complement(G)

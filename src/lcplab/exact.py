@@ -18,18 +18,26 @@ entry of a returned result becomes a ``Fraction`` once
 
 The large integer tables are each one numpy expression on int64 while
 a bound proves it exact.  The caller bounds every intermediate of its
-expression from the largest entry of each input (:func:`int_max`) and
-the scalars it multiplies by: a product with inner length k has no
-partial sum beyond max|a| max|b| k.  Below 2^63 :func:`int64_within`
-hands it the inputs as int64, where nothing can wrap; above it, the
-Python ints as they are, and the same expression runs on objects.
-:func:`python_ints` hands the result on as Python ints.  The Jacobi
-test, the Weyl connection (the Koszul solve and the conformal
-correction in one pass, Levi-Civita its theta = 0 case) and the
-curvature pass run this way, and :func:`int_dot`, the plain product, is
-the same rule for verification condition 3 and the audit's check
-nabla = ad; small products stay on ``.dot`` of the Python ints, which
-costs less than the type test and casts.
+expression from the largest entry of each input and the scalars it
+multiplies by: a product with inner length k has no partial sum beyond
+max|a| max|b| k.  Below 2^63 :func:`int64_within` hands it the inputs
+as int64, where nothing can wrap; above it, the Python ints as they
+are, and the same expression runs on objects.  :func:`python_ints`
+hands the result on as Python ints, and :func:`held_table` as a
+reduced form with its bound, reduced on int64 before the conversion.
+Every held form carries its bound, max|entry|, taken once when it is
+made (:func:`abs_max`; :func:`as_form` returns it), so no table is
+scanned again: ``LieAlgebra.c_max``, ``Metric.gram_max`` and
+``inverse_max``, ``OneForm.coeffs_max``, ``Subspace.basis_max`` and
+the ``g_max`` and ``num_max`` of a ``weyl.Connection`` and
+``weyl.Curvature``.  Only a form given from outside (:func:`as_form`)
+and a temporary operand without a held bound are scanned by
+:func:`int_max`, which also refuses an entry that is not a Python int.
+The Jacobi test, the ad stacks and bracket matrices, the Weyl
+connection (the Koszul solve and the conformal correction in one pass,
+Levi-Civita its theta = 0 case) and the curvature pass run this way,
+and :func:`int_dot`, the plain product, is the same rule for
+verification condition 3 and the audit's check nabla = ad.
 
 Between kernels, exact data stays in that integer form, ``ints / den``,
 and Fractions are made only where a caller reads entries
@@ -185,16 +193,19 @@ def as_form(a) -> tuple:
     """The reduced integer form of exact data given as entries (Fractions
     and ints, :func:`scaled`) or as an integer form ``(ints, den)``, whose
     ``ints`` must be an object array of Python ints (:func:`int_max`)
-    and ``den`` nonzero."""
+    and ``den`` nonzero, with its bound: ``(ints, den, max|ints|)``."""
     if not is_form(a):
-        return scaled(a)
+        ints, den = scaled(a)
+        return ints, den, abs_max(ints)
     ints, den = a
     if ints.dtype != object:
         raise TypeError(f"an integer form holds Python ints, not {ints.dtype}")
-    int_max(ints)
+    m = int_max(ints)
     if den == 0:
         raise ZeroDivisionError("an integer form needs a nonzero denominator")
-    return reduced(ints, den)
+    ints, rden = reduced(ints, den)
+    # reduced divides every entry by den / rden, exactly
+    return ints, rden, m * rden // abs(den)
 
 
 def reduced(ints, den: int):
@@ -218,9 +229,16 @@ def content_key(ints, den: int) -> tuple:
 _INT64_BOUND = 2**63
 
 
+def abs_max(ints) -> int:
+    """max |entry| of an array of integers, 0 when it is empty: the bound
+    an integer form carries, taken once when it is made."""
+    vals = ints.ravel().tolist()
+    return max(max(vals, default=0), -min(vals, default=0))
+
+
 def int_max(a) -> int:
-    """max |entry| of an object array of Python ints, 0 when it is empty.
-    An entry that is not a Python int (a ``Fraction``, a float, a numpy
+    """:func:`abs_max` of an object array that must hold Python ints.  An
+    entry that is not a Python int (a ``Fraction``, a float, a numpy
     scalar) raises ``TypeError``: an int64 cast would truncate it
     without a word."""
     vals = a.ravel().tolist()
@@ -236,10 +254,10 @@ def int64_within(bound: int, *arrays) -> tuple:
 
     The caller evaluates one numpy expression on what this returns, and
     ``bound`` bounds the absolute value of every intermediate of that
-    expression, the operands and scalars included, from their
-    :func:`int_max`.  Below 2^63 nothing can wrap, so the int64 result is
-    exact; above it the same expression runs on the Python ints.  Either
-    way :func:`python_ints` hands the result on.
+    expression, the operands and scalars included, from their held
+    bounds.  Below 2^63 nothing can wrap, so the int64 result is exact;
+    above it the same expression runs on the Python ints.  Either way
+    :func:`python_ints` or :func:`held_table` hands the result on.
     """
     if bound < _INT64_BOUND:
         return tuple(a.astype(np.int64) for a in arrays)
@@ -254,17 +272,39 @@ def python_ints(a):
     return a.astype(object) if a.ndim else int(a)
 
 
-def int_dot(a, b):
+def held_table(table, den: int) -> tuple:
+    """The result ``table / den`` of an :func:`int64_within` expression as
+    a held form with its bound, ``(ints, den, max|ints|)``: reduced as
+    :func:`reduced` reduces it, Python ints.  An int64 table is reduced
+    by one ``np.gcd.reduce`` and divided before the conversion, so no
+    entry is divided as a Python int."""
+    if table.dtype == object:
+        ints, den = reduced(table, den)
+        return ints, den, abs_max(ints)
+    g = gcd(int(np.gcd.reduce(table, axis=None)), den)
+    if den < 0:
+        g = -g
+    # a zero table has g = den, which may be past int64; its entries stay 0
+    if g != 1 and table.any():
+        table = table // g
+    bound = int(np.abs(table).max()) if table.size else 0
+    return table.astype(object), den // g, bound
+
+
+def int_dot(a, b, ma=None, mb=None):
     """Exact product ``a.dot(b)`` of 1-d or 2-d object arrays of Python
     ints, as an object array of Python ints (a Python int for 1-d by 1-d).
 
     With k the inner length, every partial sum of the product is at most
     max|a| max|b| k in absolute value, so the product is taken on int64
     while that bound and the operands are below 2^63 (:func:`int64_within`),
-    and on the Python ints otherwise.  Entries that are not Python ints
-    raise ``TypeError`` (:func:`int_max`).
+    and on the Python ints otherwise.  ``ma`` and ``mb`` are the held
+    bounds of held forms; an operand without one is scanned by
+    :func:`int_max`, where entries that are not Python ints raise
+    ``TypeError``.
     """
-    ma, mb = int_max(a), int_max(b)
+    ma = int_max(a) if ma is None else ma
+    mb = int_max(b) if mb is None else mb
     ia, ib = int64_within(max(ma, mb, ma * mb * a.shape[-1]), a, b)
     return python_ints(ia.dot(ib))
 

@@ -9,7 +9,7 @@ correction theta(x) y + theta(y) x - g(x, y) theta^sharp.  Both terms
 are one integer pass over one denominator (:func:`weyl_connection`),
 and the Levi-Civita connection is its theta = 0 case.  Connections and
 curvatures are stored densely, as integer tables over one common
-denominator, reduced once; the ``Fraction`` matrices, one per basis
+denominator, reduced once with their bound; the ``Fraction`` matrices, one per basis
 direction or pair, are made when first read.  Algebras past the
 supported envelope, dim <= 16, are refused when they are built.
 """
@@ -28,13 +28,14 @@ from .errors import NonClosedLeeForm
 class Connection:
     """gamma[i] is the matrix of nabla_{e_i}; columns are nabla_{e_i} e_j.
 
-    Held as integers over one common denominator, gamma[i] == g[i] / d
-    (``ex.reduced``); the read-only ``Fraction`` matrices are made on
-    first read of ``gamma``.
+    Held as integers over one common denominator, gamma[i] == g[i] / d,
+    with the bound ``g_max == max|g|`` (``ex.held_table``: ``g`` may be
+    the int64 table of the pass that made it, or Python ints); the
+    read-only ``Fraction`` matrices are made on first read of ``gamma``.
     """
 
     def __init__(self, g: np.ndarray, d: int):
-        self.g, self.d = ex.reduced(g, d)
+        self.g, self.d, self.g_max = ex.held_table(g, d)
         self.g.setflags(write=False)
 
     @property
@@ -79,7 +80,7 @@ def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
     n = L.dim
     (cc, e), (gg, dg), (gi, di) = L.scaled_c, G.scaled_gram, G.scaled_inverse
     t, dt = theta.scaled_coeffs
-    mc, mg, mi, mu = ex.int_max(cc), ex.int_max(gg), ex.int_max(gi), 2 * e * ex.int_max(t)
+    mc, mg, mi, mu = L.c_max, G.gram_max, G.inverse_max, 2 * e * theta.coeffs_max
     k = dg * di
     bound = max(mc, mg, mi, dt, k * mu, 3 * n * n * dt * mc * mg * mi + n * mi * mu * mg + 2 * k * mu)
     # the correction's scalars go into u while it is Python ints, so theta
@@ -95,7 +96,7 @@ def weyl_connection(L: LieAlgebra, G: Metric, theta: OneForm) -> Connection:
     idx = np.arange(n)
     num[idx, idx, :] += ku
     num[:, idx, idx] += ku[:, None]
-    return Connection(ex.python_ints(num), 2 * e * dt * k)
+    return Connection(num, 2 * e * dt * k)
 
 
 class Curvature:
@@ -103,12 +104,13 @@ class Curvature:
 
     Held as the integer table ``num`` over one denominator ``den``:
     R_{e_i, e_j} == num[p] / den for the p-th pair i < j of
-    ``np.triu_indices(n, 1)``; the read-only ``Fraction`` table is made
-    on first read of ``r``.
+    ``np.triu_indices(n, 1)``, with the bound ``num_max == max|num|``
+    (``ex.held_table``, as ``Connection``); the read-only ``Fraction``
+    table is made on first read of ``r``.
     """
 
     def __init__(self, num: np.ndarray, den: int):
-        self.num, self.den = ex.reduced(num, den)
+        self.num, self.den, self.num_max = ex.held_table(num, den)
         self.num.setflags(write=False)
 
     @property
@@ -148,7 +150,7 @@ def curvature(L: LieAlgebra, conn: Connection) -> Curvature:
     """
     n = L.dim
     (g, d), (cc, e) = (conn.g, conn.d), L.scaled_c
-    mg, mc = ex.int_max(g), ex.int_max(cc)
+    mg, mc = conn.g_max, L.c_max
     bound = max(mg, mc, e, d, n * mg * (2 * e * mg + d * mc))
     g, cc = ex.int64_within(bound, g, cc)
     # prod[i, j] = g_i g_j and lin[i, j] = sum_k cc_ijk g_k, for all pairs
@@ -157,7 +159,7 @@ def curvature(L: LieAlgebra, conn: Connection) -> Curvature:
     lin = cc.reshape(n * n, n).dot(g.reshape(n, n * n)).reshape(n, n, n, n)
     iu, ju = np.triu_indices(n, 1)
     num = e * (prod[iu, ju] - prod[ju, iu]) - d * lin[iu, ju]
-    return Curvature(ex.python_ints(num), e * d * d)
+    return Curvature(num, e * d * d)
 
 
 def weyl_geometry(L: LieAlgebra, G: Metric, theta: OneForm) -> tuple[Connection, Curvature]:

@@ -15,7 +15,6 @@ from lcplab.algebra import (
     OneForm,
     Subspace,
     almost_abelian_presentation,
-    audit_algebra,
 )
 from lcplab.construct import (
     OrthoRep,

@@ -100,6 +100,28 @@ def test_verify_guards():
         classify(LieAlgebra.abelian(2), Metric.identity(2), OneForm.dual(2, 0))
 
 
+def test_refusals_fire_once_a_memo_holds_an_entry_for_that_algebra():
+    # the input checks run on a memo miss only; after a closed theta
+    # verified on L, every other input is a miss and is checked
+    L, G, th = e11(), Metric.identity(3), theta_e11()
+    U = maximal_flat_parallel(L, G, th)
+    assert U.dim == 1 and verify_lcp(L, G, th, U).passed
+    assert verify_lcp(L, G, th, Subspace.zero(3)).passed
+    refused = [
+        (NonClosedLeeForm, lambda: verify_lcp(L, G, OneForm.dual(3, 1), U)),
+        (NonClosedLeeForm, lambda: maximal_flat_parallel(L, G, OneForm.dual(3, 1))),
+        (ZeroLeeForm, lambda: verify_lcp(L, G, OneForm.zero(3), U)),
+        (ZeroLeeForm, lambda: verify_lcp(L, G, OneForm.zero(3), Subspace.zero(3))),
+        (ZeroLeeForm, lambda: maximal_flat_parallel(L, G, OneForm.zero(3))),
+        (DimensionMismatch, lambda: verify_lcp(L, G, th, Subspace.spanned_by([[0, 0, 0, 1]]))),
+        (DimensionMismatch, lambda: verify_lcp(L, G, th, Subspace.zero(4))),
+    ]
+    # twice each: a refusal leaves no entry behind
+    for err, call in refused + refused:
+        with pytest.raises(err):
+            call()
+
+
 def test_maximal_flat_abelian_degenerate():
     L = LieAlgebra.abelian(3)
     assert maximal_flat_parallel(L, Metric.identity(3), OneForm.dual(3, 0)).dim == 0

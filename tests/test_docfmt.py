@@ -1,6 +1,5 @@
 import pytest
 
-from lcplab import exact as ex
 from lcplab.algebra import Metric, OneForm, Subspace
 from lcplab.docfmt import parse_document, render_document
 from lcplab.errors import DocumentError

@@ -20,7 +20,7 @@ from math import isqrt
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lcplab import detect
 from lcplab import exact as ex
@@ -519,3 +519,111 @@ def test_integer_forms_given_from_outside_hold_python_ints():
         Metric((np.eye(2, dtype=object), 0))
     # a negative denominator is reduced away: -I / -2 is I / 2
     assert Metric((-np.eye(2, dtype=object), -2)).scaled_gram[1] == 2
+
+
+# ---------------------------------------------------------------------------
+# held bounds: taken once when a form is made, read by every int64 decision
+# ---------------------------------------------------------------------------
+
+
+def abs_max(a) -> int:
+    return max((abs(x) for x in np.asarray(a).flat), default=0)
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 8), scale=st.sampled_from([1, 3**40]))
+def test_held_bounds_are_the_largest_entries_of_the_held_ints(seed, n, scale):
+    # scale 3^40 > 2^63 puts the connection and curvature tables past
+    # int64, so both ways a table is made are covered
+    r = rng(seed)
+    cc, e = random_algebra(r, n).scaled_c
+    L, G = LieAlgebra((cc * scale, e)), random_metric(r, n)
+    theta = random_closed_form(r, L) or OneForm.zero(n)
+    U = Subspace(_matrix(r, n, r.randint(0, n)))
+    conn = weyl_connection(L, G, theta)
+    curv = curvature(L, conn)
+    held = [
+        (L.c_max, L.scaled_c[0]),
+        (G.gram_max, G.scaled_gram[0]),
+        (G.inverse_max, G.scaled_inverse[0]),
+        (theta.coeffs_max, theta.scaled_coeffs[0]),
+        (U.basis_max, U.scaled_basis[0]),
+        (L.derived_algebra.basis_max, L.derived_algebra.scaled_basis[0]),
+        (conn.g_max, conn.g),
+        (curv.num_max, curv.num),
+    ]
+    for bound, ints in held:
+        assert type(bound) is int and bound == abs_max(ints)
+        assert all(type(x) is int for x in ints.flat)
+    # a form given unreduced carries the bound of its reduced ints
+    assert LieAlgebra((cc * 6, e * 6)).c_max == abs_max(cc)
+
+
+def _int_columns(r, n, k):
+    a = np.empty((n, k), dtype=object)
+    a.ravel()[:] = [r.randint(-3, 3) for _ in range(n * k)]
+    a[0, 0] = 3
+    return a
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 6), past=st.booleans())
+def test_brackets_just_below_and_just_above_their_int64_bound(seed, n, past):
+    r = rng(seed)
+    cc, _ = random_algebra(r, n).scaled_c
+    assume(any(cc.flat))
+    u, v = _int_columns(r, n, r.randint(1, 3)), _int_columns(r, n, r.randint(1, 3))
+    # the brackets are at most c_max max|u| n max|v| n, the largest m = s
+    # max|cc| with that below 2^63 is at s below, and s + 1 is past it
+    s = (2**63 - 1) // (abs_max(cc) * 9 * n * n) + past
+    L = LieAlgebra((cc * s, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _int64_runs(mp)
+        got = L.int_brackets(u, v)
+    assert runs == [not past]
+    assert all(type(x) is int for x in got.flat)
+    assert got.tolist() == ref_brackets(L, ex.unscaled(u, 1), ex.unscaled(v, 1)).tolist()
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 6), past=st.booleans())
+def test_weyl_connection_just_below_and_just_above_its_int64_bound(seed, n, past):
+    r = rng(seed)
+    L0, G = random_algebra(r, n), random_metric(r, n)
+    cc, _ = L0.scaled_c
+    assume(any(cc.flat))
+    theta = random_closed_form(r, L0) or OneForm.zero(n)
+    t, dt = theta.scaled_coeffs
+    # the one bound of weyl_connection is a s + b for the integer
+    # constants s cc, whose algebra has the derived algebra of L0
+    mg, mi, mu, k = G.gram_max, G.inverse_max, 2 * abs_max(t), G.scaled_gram[1] * G.scaled_inverse[1]
+    a = 3 * n * n * dt * abs_max(cc) * mg * mi
+    b = n * mi * mu * mg + 2 * k * mu
+    s = (2**63 - 1 - b) // a + past
+    L = LieAlgebra((cc * s, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _int64_runs(mp)
+        conn = weyl_connection(L, G, theta)
+    assert runs == [not past]
+    assert all(same(got, want) for got, want in zip(conn.gamma, ref_weyl_connection(L, G, theta)))
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 6), past=st.booleans())
+def test_curvature_just_below_and_just_above_its_int64_bound(seed, n, past):
+    r = rng(seed)
+    L = random_algebra(r, n)
+    g = np.empty((n, n, n), dtype=object)
+    g.ravel()[:] = [r.randint(-4, 4) for _ in range(n**3)]
+    g[0, 0, 0] = 4
+    # the table s g over 1 is at most s max|g| = 4 s, and the pass is
+    # on int64 while 4 s is at most the edge of _curvature_edge
+    s = _curvature_edge(n, L.scaled_c[1], 1, L.c_max) // 4 + past
+    conn = Connection(g * s, 1)
+    assert conn.d == 1 and conn.g_max == 4 * s
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _int64_runs(mp)
+        curv = curvature(L, conn)
+    assert runs == [not past]
+    want = ref_curvature(L, conn.gamma)
+    assert all(same(curv.r[i][j], want[i, j]) for i in range(n) for j in range(n))

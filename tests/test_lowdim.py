@@ -24,7 +24,6 @@ from lcplab.lowdim import (
     check_isomorphism_witness,
     fingerprint,
     nonunimodular_4d,
-    reproduce_tables,
     sample_lattice_verdict,
     table_algebra,
     verify_table,
