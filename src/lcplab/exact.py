@@ -245,7 +245,7 @@ def int_max(a) -> int:
     if not set(map(type, vals)) <= {int}:
         bad = next(x for x in vals if type(x) is not int)
         raise TypeError(f"integer kernels take Python ints, not {bad!r}")
-    return max(max(vals, default=0), -min(vals, default=0))
+    return abs_max(a)
 
 
 def int64_within(bound: int, *arrays) -> tuple:
