@@ -61,6 +61,7 @@ from .errors import (
     EnvelopeExceeded,
     MTooSmall,
     NonTraceFree,
+    ParamOutOfRange,
 )
 from .intpoly import (
     IntPoly,
@@ -146,8 +147,12 @@ def _scanned_range(c, t_range) -> tuple:
     range wholly past the envelope comes back empty, (r, r] with r at its
     near edge, and never reversed.  An end the clamp leaves infinite (rho
     0, or so small that MAX_SPECTRAL / rho overflows) raises
-    EnvelopeExceeded.  ``c`` is C or its plan."""
+    EnvelopeExceeded.  A range with lo > hi or a NaN end raises
+    ParamOutOfRange; lo = hi and infinite ends are valid.  ``c`` is C or
+    its plan."""
     lo, hi = float(t_range[0]), float(t_range[1])
+    if not lo <= hi:  # also false for a NaN end
+        raise ParamOutOfRange(f"t-range must have lo <= hi and no NaN end, not ({lo}, {hi})")
     plan, far = _plan_of(c), max(abs(lo), abs(hi))
     if math.isfinite(far):  # far ||ints||_inf <= MAX_SPECTRAL d, on integers
         (p, q), (a, b) = far.as_integer_ratio(), MAX_SPECTRAL.as_integer_ratio()

@@ -50,14 +50,14 @@ from lcplab.lowdim import (
 )
 from lcplab.weyl import weyl_connection
 from support import (
+    e11,
     is_g_skew,
     is_pos_def,
     left_nullspace,
     norm_sq,
-    random_algebra,
     random_closed_form,
-    random_metric,
     random_skew,
+    random_triple,
     reye,
     rng,
     torsion_defect,
@@ -69,10 +69,6 @@ GOLDEN = Path(__file__).parent / "data" / "golden_tables.txt"
 def _report(num, label, ok):
     print(f"criterion {num:2d} [{label}]: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} ({label}) failed"
-
-
-def _e11():
-    return LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, -1]})
 
 
 # -- shared randomized construction pool (criteria 4 and 5) -----------------
@@ -144,9 +140,7 @@ def test_criterion_1_connection_laws():
     ok = True
     while checked < 1000:
         n = 3 if checked % 10 < 8 else (4 if checked % 10 < 9 else 5)
-        L = random_algebra(r, n)
-        G = random_metric(r, n)
-        theta = random_closed_form(r, L)
+        L, G, theta = random_triple(r, n)
         if theta is None:
             continue
         w = weyl_connection(L, G, theta)
@@ -165,7 +159,7 @@ def test_criterion_1_connection_laws():
 # -- criterion 2 -------------------------------------------------------------
 
 def test_criterion_2_e11_detection():
-    L, G = _e11(), Metric.identity(3)
+    L, G = e11(), Metric.identity(3)
     theta = OneForm.dual(3, 0, -1)
     cls = classify(L, G, theta)
     ok = cls.kind == ADAPTED and cls.flat_dim == 1
@@ -322,7 +316,7 @@ def test_criterion_9_amalgam_pipeline():
 # -- criterion 10 ------------------------------------------------------------
 
 def test_criterion_10_metric_families():
-    L, G = _e11(), Metric.identity(3)
+    L, G = e11(), Metric.identity(3)
     theta = OneForm.dual(3, 0, -1)
     u = maximal_flat_parallel(L, G, theta)
     s = LCPStructure(L, G, theta, u)

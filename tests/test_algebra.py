@@ -23,20 +23,15 @@ from lcplab.errors import DimensionMismatch, InvalidStructure, NotPositiveDefini
 from lcplab.lowdim import SAMPLES, table_algebra
 from support import (
     dot,
+    drawn_algebra,
+    e11,
     inv,
     norm_sq,
     random_algebra,
-    random_almost_abelian,
     random_metric,
-    random_two_step_nilpotent,
     reye,
     rng,
-    small_fraction,
 )
-
-
-def e11():
-    return LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, -1]})
 
 
 def sympy_span_dim(vectors, n):
@@ -300,21 +295,6 @@ def test_presentation_matches_reference_on_catalog():
             check_against_reference(L, G)
 
 
-def _drawn_algebra(seed, n, kind):
-    """An almost abelian, abelian or two-step nilpotent algebra, in a
-    random rational basis when ``kind`` says so."""
-    r = rng(seed)
-    if kind == "abelian":
-        return LieAlgebra.abelian(n)
-    L = random_almost_abelian(r, n) if kind.startswith("almab") else random_two_step_nilpotent(r, n)
-    if kind.endswith("basis"):
-        while True:
-            P = ex.rmat([[small_fraction(r) for _ in range(n)] for _ in range(n)])
-            if ex.det(P) != 0:
-                return L.restrict(P)
-    return L
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
@@ -323,7 +303,7 @@ def _drawn_algebra(seed, n, kind):
     square=st.fractions(min_value=F(1, 5), max_value=9, max_denominator=5),
 )
 def test_presentation_matches_fraction_reference(seed, n, kind, square):
-    L = _drawn_algebra(seed, n, kind)
+    L = drawn_algebra(seed, n, kind)
     G = random_metric(rng(seed + 1), n)
     p = check_against_reference(L, G)
     if p is None:
@@ -343,7 +323,7 @@ def test_presentation_matches_fraction_reference(seed, n, kind, square):
     kind=st.sampled_from(["abelian", "almab-basis", "nilpotent-basis", "random"]),
 )
 def test_almost_abelian_does_not_depend_on_metric(seed, n, kind):
-    L = random_algebra(rng(seed), n) if kind == "random" else _drawn_algebra(seed, n, kind)
+    L = random_algebra(rng(seed), n) if kind == "random" else drawn_algebra(seed, n, kind)
     G1, G2 = random_metric(rng(seed + 1), n), random_metric(rng(seed + 2), n)
     assert (almost_abelian_presentation(L, G1) is None) == (
         almost_abelian_presentation(L, G2) is None

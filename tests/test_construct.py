@@ -41,15 +41,16 @@ from lcplab.errors import (
 )
 from lcplab.lowdim import check_isomorphism_witness, table_algebra
 from support import (
+    RECIPES,
     ad_basis,
-    dot,
     inv,
-    random_algebra,
     random_almost_abelian,
     random_metric,
     random_skew,
     reye,
+    random_structure,
     rng,
+    same,
     small_fraction,
 )
 
@@ -417,139 +418,6 @@ def test_structures_past_the_envelope_are_refused_before_assembly(monkeypatch):
 # the constructors against entry-by-entry assemblies of the same recipes
 # ---------------------------------------------------------------------------
 
-def ref_block_diag(a, b):
-    """``a`` and ``b`` on the diagonal of a zero array, entry by entry."""
-    out = ex.rzeros(tuple(i + j for i, j in zip(a.shape, b.shape)))
-    for idx in np.ndindex(a.shape):
-        out[idx] = a[idx]
-    for idx in np.ndindex(b.shape):
-        out[tuple(i + k for i, k in zip(idx, a.shape))] = b[idx]
-    return out
-
-
-def ref_semidirect(h, h_metric, beta):
-    """(c, gram, theta, flat basis) of h |x_alpha R^q, one alpha_i at a
-    time and its brackets entry by entry."""
-    H = trace_form(h).coeffs
-    m, q = h.dim, beta.dim_target
-    c = ref_block_diag(h.c, ex.rzeros((q, q, q)))
-    for i in range(m):
-        alpha_i = -(H[i] / q) * reye(q) + beta.images[i]
-        for j in range(q):
-            for k in range(q):
-                c[i, m + j, m + k] = alpha_i[k, j]
-                c[m + j, i, m + k] = -alpha_i[k, j]
-    return (
-        c,
-        ref_block_diag(h_metric.gram, reye(q)),
-        ref_block_diag(-H / q, ex.rzeros(q)),
-        ref_block_diag(ex.rzeros((m, 0)), reye(q)),
-    )
-
-
-def ref_line_algebra(cols, dim):
-    """R b |x R^(dim-1) with [b, e_j] the j-th of ``cols``."""
-    return LieAlgebra.from_brackets(
-        dim, {(0, 1 + j): np.concatenate([ex.rzeros(1), col]) for j, col in enumerate(cols)}
-    )
-
-
-def ref_direct(S, k, k_metric):
-    return (
-        ref_block_diag(S.algebra.c, k.c),
-        ref_block_diag(S.metric.gram, k_metric.gram),
-        ref_block_diag(S.theta.coeffs, ex.rzeros(k.dim)),
-        ref_block_diag(S.flat.basis, ex.rzeros((k.dim, 0))),
-    )
-
-
-def ref_amalgam(S1, S2):
-    c12 = ref_block_diag(S1.algebra.c, S2.algebra.c)
-    gram12 = ref_block_diag(S1.metric.gram, S2.metric.gram)
-    t1s, t2s = S1.metric.sharp(S1.theta), S2.metric.sharp(S2.theta)
-    v = np.concatenate([S2.theta(t2s) * t1s, S1.theta(t1s) * t2s])
-    kers = ref_block_diag(*(ex.nullspace(s.theta.coeffs.reshape(1, -1)) for s in (S1, S2)))
-    basis = np.concatenate([v.reshape(-1, 1), kers], axis=1)
-    theta = dot(ref_block_diag(S1.theta.coeffs, ex.rzeros(S2.algebra.dim)), basis)
-    flat = ex.solve(basis, ref_block_diag(S1.flat.basis, S2.flat.basis))
-    return (
-        LieAlgebra(c12, check=False).restrict(basis).c,
-        dot(basis.T, dot(gram12, basis)),
-        theta,
-        flat,
-    )
-
-
-def _trace_nonzero(r, p):
-    while True:
-        A = ex.rmat([[small_fraction(r) for _ in range(p)] for _ in range(p)])
-        if sum(A[i, i] for i in range(p)) != 0:
-            return A
-
-
-def _random_almab(r):
-    """Blocks of almab_lcp, q = 1 included, with its reference."""
-    p, q = r.randint(1, 3), r.randint(1, 3)
-    A, B = _trace_nonzero(r, p), random_skew(r, q)
-    hm = random_metric(r, 1 + p) if r.random() < 0.5 else None
-    h = ref_line_algebra([A[:, j] for j in range(p)], 1 + p)
-    beta = OrthoRep.from_matrices(q, [B] + [ex.rzeros((q, q))] * p)
-    want = ref_semidirect(h, hm or Metric.identity(1 + p), beta)
-    return almab_lcp(A, B, hm), want
-
-
-def _random_case(r, recipe):
-    """(structure built by the constructor, reference assembly)."""
-    if recipe == "semidirect":
-        m, q = r.randint(2, 4), r.randint(1, 3)
-        h = random_almost_abelian(r, m)
-        while trace_form(h).is_zero():
-            h = random_almost_abelian(r, m)
-        # beta vanishes on h' inside span(e_2, ..) when only e_1 acts
-        beta = OrthoRep.from_matrices(q, [random_skew(r, q)] + [ex.rzeros((q, q))] * (m - 1))
-        hm = random_metric(r, m)
-        return semidirect_lcp(h, hm, beta), ref_semidirect(h, hm, beta)
-    if recipe == "almab":
-        return _random_almab(r)
-    if recipe == "flag":
-        p, q = r.randint(1, 2), r.randint(2, 3)
-        A, B2 = _trace_nonzero(r, p), random_skew(r, q)
-        while ex.is_zero(B2):
-            B2 = random_skew(r, q)
-        B1 = small_fraction(r) * B2
-        v = ex.rvec([small_fraction(r) for _ in range(p)])
-        cols = [np.concatenate([ex.rzeros(1), v])]
-        cols += [np.concatenate([ex.rzeros(1), A[:, j]]) for j in range(p)]
-        h = ref_line_algebra(cols, 2 + p)
-        beta = OrthoRep.from_matrices(q, [B1, B2] + [ex.rzeros((q, q))] * p)
-        return flag_lcp(A, B1, B2, v), ref_semidirect(h, Metric.identity(2 + p), beta)
-    if recipe == "direct":
-        S, _ = _random_almab(r)
-        kd = r.randint(1, 3)
-        k, km = random_algebra(r, kd), random_metric(r, kd)
-        return direct_product(S, k, km), ref_direct(S, k, km)
-    if recipe == "amalgam":
-        S1, _ = _random_almab(r)
-        if r.random() < 0.3:  # a degenerate factor: a zero-width flat block
-            n2 = r.randint(3, 4)
-            L2, G2 = LieAlgebra.abelian(n2), random_metric(r, n2)
-            S2 = type(S1)(L2, G2, OneForm.dual(n2, 0), Subspace.zero(n2))
-        else:
-            S2, _ = _random_almab(r)
-        return amalgamated_product(S1, S2), ref_amalgam(S1, S2)
-    S, _ = _random_almab(r)
-    lam = F(r.randint(1, 4), r.randint(1, 3))
-    t = S.theta.coeffs
-    gram = S.metric.gram.copy()
-    for i, j in np.ndindex(gram.shape):
-        gram[i, j] += lam * t[i] * t[j]
-    want = (S.algebra.c, gram, t, S.flat.basis)
-    return metric_modification(S, lam), want
-
-
-RECIPES = ["semidirect", "almab", "flag", "direct", "amalgam", "modify"]
-
-
 def _assert_matches_assembly(s, want, recipe):
     c, gram, theta, flat = want
     for got, want in (
@@ -558,21 +426,20 @@ def _assert_matches_assembly(s, want, recipe):
         (s.theta.coeffs, theta),
         (s.flat.basis, Subspace(flat).basis),
     ):
-        assert got.shape == want.shape and got.tolist() == want.tolist(), recipe
-        assert all(type(x) is F for x in got.flat)
+        assert same(got, want), recipe
 
 
 @pytest.mark.parametrize("recipe", RECIPES)
 def test_constructors_match_entry_by_entry_assembly(recipe):
     for seed in range(8):
-        s, want = _random_case(rng(1000 * len(recipe) + seed), recipe)
+        s, want = random_structure(rng(1000 * len(recipe) + seed), recipe)
         _assert_matches_assembly(s, want, recipe)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), recipe=st.sampled_from(RECIPES))
 def test_integer_constructors_match_the_fraction_recipe_formulas(seed, recipe):
-    # the constructors compute on integer forms; the references above
-    # evaluate each recipe's formulas in Fractions
-    s, want = _random_case(rng(seed), recipe)
+    # the constructors compute on integer forms; the references of
+    # support.random_structure evaluate each recipe's formulas in Fractions
+    s, want = random_structure(rng(seed), recipe)
     _assert_matches_assembly(s, want, recipe)

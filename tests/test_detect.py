@@ -28,19 +28,17 @@ from lcplab.errors import (
 )
 from lcplab.lowdim import nonunimodular_4d
 from support import (
+    e11,
     is_pos_def,
     left_nullspace,
     random_algebra,
     random_closed_form,
     random_metric,
+    random_triple,
     reye,
     rng,
     small_fraction,
 )
-
-
-def e11():
-    return LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, -1]})
 
 
 def theta_e11():
@@ -384,9 +382,7 @@ def reference_verify(L, G, theta, U):
 def test_verify_matches_pairwise_reference(seed, n, k):
     # k = 0 checks the maximal flat parallel subspace, k = 1, 2 a random one
     r = rng(seed)
-    L = random_algebra(r, n)
-    G = random_metric(r, n)
-    theta = random_closed_form(r, L)
+    L, G, theta = random_triple(r, n)
     assume(theta is not None)
     if k == 0:
         U = maximal_flat_parallel(L, G, theta)

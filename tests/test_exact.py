@@ -16,11 +16,9 @@ from lcplab import exact as ex
 from lcplab.algebra import Subspace
 from lcplab.errors import SingularMatrix
 from lcplab.intpoly import int_spectrum
-from support import dot, reye
+from support import PRIMES, dot, ref_block_diag, ref_det, reye
 
 small = st.fractions(max_denominator=4, min_value=-3, max_value=3)
-
-PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 entries = st.one_of(
     st.just(F(0)),
@@ -55,30 +53,6 @@ def ref_rref(m):
         if pr == rows:
             break
     return r, pivots
-
-
-def ref_det(a):
-    """Gaussian elimination in ``Fraction`` arithmetic, product of pivots."""
-    n = a.shape[0]
-    m = a.copy()
-    d = F(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i, c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return F(0)
-        if pivot != c:
-            m[[pivot, c]] = m[[c, pivot]]
-            d = -d
-        d *= m[c, c]
-        m[c] = m[c] / m[c, c]
-        for i in range(c + 1, n):
-            if m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[c]
-    return d
 
 
 @st.composite
@@ -325,16 +299,6 @@ def test_solve_inconsistent():
     assert ex.solve(a, ex.rvec([1, 2])) is None
     x = ex.solve(a, ex.rvec([1, 1]))
     assert x[0] == 1
-
-
-def ref_block_diag(a, b):
-    """``a`` and ``b`` on the diagonal of a zero array, entry by entry."""
-    out = ex.rzeros(tuple(i + j for i, j in zip(a.shape, b.shape)))
-    for idx in np.ndindex(a.shape):
-        out[idx] = a[idx]
-    for idx in np.ndindex(b.shape):
-        out[tuple(i + k for i, k in zip(idx, a.shape))] = b[idx]
-    return out
 
 
 def test_block_diag_matches_entry_by_entry_reference():

@@ -5,9 +5,8 @@
 forms the objects hold; each must return what its ``Fraction``-product
 version returns (``support.dot``, the common-denominator product kernel,
 kept as the reference).  ``ex.int_dot`` must agree with the object
-product of the same Python ints, on both sides of its int64 bound;
-curvature, ad, bracket spans and the Jacobi test must agree with the
-``Fraction`` loops kept below as references.
+product of the same Python ints, on both sides of its int64 bound, and
+the Jacobi test must agree with ``support.ref_jacobi_defect``.
 """
 
 from fractions import Fraction as F
@@ -17,19 +16,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
-from lcplab.algebra import LieAlgebra, OneForm, Subspace
+from lcplab.algebra import LieAlgebra, OneForm
 from support import (
+    PRIMES,
     dot,
     random_algebra,
-    random_closed_form,
     random_metric,
-    reye,
+    ref_jacobi_defect,
     rng,
+    same,
     small_fraction,
 )
-from lcplab.weyl import curvature, levi_civita, weyl_connection
-
-PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 entries = st.one_of(
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -48,14 +45,6 @@ def arrays(shape):
         return a
 
     return st.lists(entries, min_size=size, max_size=size).map(build)
-
-
-def same(got, want):
-    """Equal shapes and values, and a ``Fraction`` in every entry."""
-    assert np.shape(got) == np.shape(want)
-    got, want = np.asarray(got, dtype=object), np.asarray(want, dtype=object)
-    assert all(type(x) is F for x in got.flat)
-    assert got.tolist() == want.tolist()
 
 
 @st.composite
@@ -78,10 +67,10 @@ def test_fraction_methods_match_the_fraction_products(case, t, s):
     L, G, x, y = case
     n = L.dim
     theta, other = OneForm(t[:n]), OneForm(t[::-1][:n])
-    same(L.bracket(x, y), dot(L.ad(x), y))
-    same(G.inner(x, y), dot(dot(x, G.gram), y))
-    same(G.sharp(theta), dot(G.inverse, theta.coeffs))
-    same(theta(y), dot(theta.coeffs, y))
+    assert same(L.bracket(x, y), dot(L.ad(x), y))
+    assert same(G.inner(x, y), dot(dot(x, G.gram), y))
+    assert same(G.sharp(theta), dot(G.inverse, theta.coeffs))
+    assert same(theta(y), dot(theta.coeffs, y))
     for got, want in (
         (theta + other, theta.coeffs + other.coeffs),
         (theta - other, theta.coeffs - other.coeffs),
@@ -89,7 +78,7 @@ def test_fraction_methods_match_the_fraction_products(case, t, s):
         (s * theta, ex.rat(s) * theta.coeffs),
     ):
         assert got == OneForm(want)
-        same(got.coeffs, want)
+        assert same(got.coeffs, want)
 
 
 def test_dot_rejects_floats():
@@ -194,87 +183,6 @@ def test_int_dot_rejects_what_is_not_a_python_int(bad):
     for a, b in ((v, w), (w, v), (v.reshape(1, 2), w.reshape(2, 1))):
         with pytest.raises(TypeError):
             ex.int_dot(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Fraction references: the loops the integer passes replaced
-# ---------------------------------------------------------------------------
-
-
-def ref_ad(L, x):
-    m = ex.rzeros((L.dim, L.dim))
-    for i in range(L.dim):
-        if x[i] != 0:
-            m = m + x[i] * L.c[i, :, :].T
-    return m
-
-
-def ref_bracket_span(L, u_basis, v_basis):
-    """The Subspace spanned by the ``Fraction`` brackets of the columns."""
-    vecs = [
-        ref_ad(L, u_basis[:, a]).dot(v_basis[:, b])
-        for a in range(u_basis.shape[1])
-        for b in range(v_basis.shape[1])
-    ]
-    return Subspace.spanned_by(vecs, L.dim)
-
-
-def ref_jacobi_defect(L):
-    n = L.dim
-    ad = [L.c[i, :, :].T for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                s = ad[i].dot(L.c[j, k, :]) + ad[j].dot(L.c[k, i, :]) + ad[k].dot(L.c[i, j, :])
-                if not ex.is_zero(s):
-                    return (i, j, k)
-    return None
-
-
-def ref_curvature(L, conn):
-    n = L.dim
-    table = [[ex.rzeros((n, n)) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            gi, gj = conn.gamma[i], conn.gamma[j]
-            m = gi.dot(gj) - gj.dot(gi)
-            for k in range(n):
-                if L.c[i, j, k] != 0:
-                    m = m - L.c[i, j, k] * conn.gamma[k]
-            table[i][j], table[j][i] = m, -m
-    return table
-
-
-def _random_matrix(r, rows, cols):
-    return ex.rmat([[small_fraction(r) for _ in range(cols)] for _ in range(rows)])
-
-
-@pytest.mark.parametrize("n", range(3, 11))
-def test_ad_and_bracket_span_match_references(n):
-    r = rng(100 + n)
-    L = random_algebra(r, n)
-    for _ in range(3):
-        x = _random_matrix(r, n, 1)[:, 0]
-        assert np.array_equal(L.ad(x), ref_ad(L, x))
-        u = _random_matrix(r, n, r.randint(0, 3))
-        v = _random_matrix(r, n, r.randint(1, 3))
-        want = ref_bracket_span(L, u, v)
-        got = L.bracket_span(Subspace(u, n), Subspace(v))
-        assert got == want and np.array_equal(got.basis, want.basis)
-    full = Subspace.full(n)
-    assert L.bracket_span(full, full) == ref_bracket_span(L, reye(n), reye(n))
-
-
-@pytest.mark.parametrize("n", range(3, 11))
-def test_curvature_matches_reference(n):
-    r = rng(200 + n)
-    L = random_algebra(r, n)
-    G = random_metric(r, n)
-    theta = random_closed_form(r, L)
-    conn = levi_civita(L, G) if theta is None else weyl_connection(L, G, theta)
-    want = ref_curvature(L, conn)
-    got = curvature(L, conn)
-    assert all(np.array_equal(got.r[i][j], want[i][j]) for i in range(n) for j in range(n))
 
 
 def test_jacobi_defect_matches_reference_on_perturbed_constants():

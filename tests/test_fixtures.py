@@ -18,14 +18,13 @@ from lcplab.fixtures import (
     witness_specs_from_fixtures,
 )
 from lcplab.lowdim import SAMPLES, table_algebra
-
-COMMITTED = Path(__file__).parent.parent / "src" / "lcplab" / "fixtures"
+from support import FIXTURES
 
 
 def test_every_fixture_matches_its_row():
     rows = {(s.name, _params_str(s.params)): s for s in SAMPLES}
     seen = set()
-    for path in sorted(COMMITTED.glob("*.lcp")):
+    for path in sorted(FIXTURES.glob("*.lcp")):
         doc = parse_file(path)
         name, params, expected = parse_label(doc.label)
         assert (name, params) in rows, path.name
@@ -42,14 +41,14 @@ def test_every_fixture_matches_its_row():
 
 
 def test_committed_corpus_is_complete(monkeypatch):
-    monkeypatch.setenv("LCPLAB_FIXTURES", str(COMMITTED))
+    monkeypatch.setenv("LCPLAB_FIXTURES", str(FIXTURES))
     loaded = sum(len(witness_specs_from_fixtures(s)) for s in SAMPLES)
-    assert loaded == len(list(COMMITTED.glob("*.lcp")))
+    assert loaded == len(list(FIXTURES.glob("*.lcp")))
 
 
 def test_loaded_witnesses_classify_as_labelled(monkeypatch):
     # spot-check a couple of rows through the loader end to end
-    monkeypatch.setenv("LCPLAB_FIXTURES", str(COMMITTED))
+    monkeypatch.setenv("LCPLAB_FIXTURES", str(FIXTURES))
     for sample in SAMPLES[:3]:
         L = table_algebra(sample.name, sample.params)
         for w in witness_specs_from_fixtures(sample):
@@ -61,7 +60,7 @@ def test_loader_rejects_missing_and_mislabelled(tmp_path, monkeypatch):
     with pytest.raises(DocumentError):
         witness_specs_from_fixtures(SAMPLES[0])
     # the first row's witness stored under the second row's name
-    shutil.copy(COMMITTED / fixture_name(SAMPLES[0], 0), tmp_path / fixture_name(SAMPLES[1], 0))
+    shutil.copy(FIXTURES / fixture_name(SAMPLES[0], 0), tmp_path / fixture_name(SAMPLES[1], 0))
     with pytest.raises(DocumentError):
         witness_specs_from_fixtures(SAMPLES[1])
 

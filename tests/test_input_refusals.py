@@ -1,6 +1,7 @@
 """Malformed input is refused by the entry point that reads it, with the
 exception type that names the fault, before any work is done."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,10 +21,11 @@ from lcplab.errors import (
     UnknownName,
 )
 from lcplab.fixtures import fixture_name, parse_label, witness_specs_from_fixtures
+from lcplab.lattice import _scanned_range, integer_charpoly_scan, lattice_verdict
 from lcplab.lowdim import SAMPLES, nonunimodular_4d, table_algebra, verify_table
-from test_fixtures import COMMITTED
+from support import FIXTURES, e11
 
-E11 = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, -1]})
+E11 = e11()
 THETA = OneForm([-1, 0, 0])
 
 
@@ -96,9 +98,29 @@ def test_malformed_input_is_refused(make, error, message):
 
 def test_a_fixture_without_theta_is_refused(tmp_path, monkeypatch):
     name = fixture_name(SAMPLES[0], 0)
-    text = (COMMITTED / name).read_text()
+    text = (FIXTURES / name).read_text()
     kept = [line for line in text.splitlines(True) if not line.startswith("theta")]
     (tmp_path / name).write_text("".join(kept))
     monkeypatch.setenv("LCPLAB_FIXTURES", str(tmp_path))
     with pytest.raises(DocumentError, match="no theta"):
         witness_specs_from_fixtures(SAMPLES[0])
+
+
+@pytest.mark.parametrize(
+    "t_range, refused",
+    [((0.0, math.nan), True), ((math.nan, 1.0), True), ((3.0, 1.0), True),
+     ((1.0, 1.0), False), ((-math.inf, 0.0), False)],
+    ids=["nan-hi", "nan-lo", "reversed", "empty", "infinite"],
+)
+def test_a_t_range_must_be_ordered_without_nan(t_range, refused):
+    # every rule reads the range through lattice._scanned_range, here
+    # trace_levels (diag(2, -2)) and the scan (+-sqrt(2)); an empty range
+    # and an infinite end are valid, and the envelope bounds the end
+    for c in (ex.rmat([[2, 0], [0, -2]]), ex.rmat([[0, 1], [2, 0]])):
+        if refused:
+            for call in (lattice_verdict, integer_charpoly_scan):
+                with pytest.raises(ParamOutOfRange, match="t-range"):
+                    call(c, t_range=t_range)
+        else:
+            lo, hi = _scanned_range(c, t_range)
+            assert math.isfinite(lo) and lo <= hi == t_range[1]

@@ -2,7 +2,8 @@
 
 Brackets, ad stacks, the Koszul solve, the conformal correction and the
 curvature pass run on integers over one common denominator.  The
-references below are the same formulas evaluated entry by entry in
+references (``support``'s ``ref_*``, and the curvature, Weyl correction,
+series and z(g') below) are the same formulas evaluated entry by entry in
 ``Fraction`` arithmetic (numpy object products, no ``exact`` kernel), on
 random algebras, metrics and closed forms at n = 3..10.  Every returned
 entry must be a ``Fraction``, also where an elimination was handed an
@@ -19,8 +20,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lcplab import detect
 from lcplab import exact as ex
@@ -30,36 +30,53 @@ from lcplab.detect import LCPStructure, maximal_flat_parallel, structural_audit,
 from lcplab.errors import InvalidStructure
 from lcplab.weyl import Connection, curvature, levi_civita, weyl_connection, weyl_geometry
 from support import (
+    all_fractions,
+    counting,
     dot,
     random_algebra,
     random_closed_form,
+    random_invertible,
+    random_matrix,
     random_metric,
-    rank,
+    random_triple,
+    ref_ad_stack,
+    ref_bracket_span,
+    ref_brackets,
+    ref_centraliser,
+    ref_jacobi_defect,
+    ref_levi_civita,
     reye,
     rng,
-    small_fraction,
+    same,
+    same_span,
 )
-from test_exact_dot import ref_bracket_span, ref_jacobi_defect
-from test_weyl import koszul_oracle
 
 
-def ref_ad_stack(L, u):
-    n, p = L.dim, u.shape[1]
-    return u.T.dot(L.c.reshape(n, n * n)).reshape(p, n, n).transpose(0, 2, 1)
+def seeded_examples(base: int):
+    """``@example(seed=base + n, n=n)`` for n = 3..10: fixed seeds, run
+    besides the drawn ones, at every dimension of the references."""
+
+    def mark(test):
+        for n in range(3, 11):
+            test = example(seed=base + n, n=n)(test)
+        return test
+
+    return mark
 
 
-def ref_brackets(L, u, v):
-    n, p, q = L.dim, u.shape[1], v.shape[1]
-    w = ref_ad_stack(L, u).reshape(p * n, n).dot(v)
-    return w.reshape(p, n, q).transpose(1, 0, 2).reshape(n, p * q)
-
-
-def ref_levi_civita(L, G):
+def ref_curvature(L, gamma):
+    """R(e_i, e_j) = [Gamma_i, Gamma_j] - Gamma_[e_i, e_j], keyed (i, j),
+    for i < j; R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0."""
     n = L.dim
-    gc = L.c.reshape(n * n, n).dot(G.gram).reshape(n, n, n)
-    k = (gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)) / 2
-    gam = G.inverse.dot(k.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
-    return list(gam.transpose(1, 0, 2))
+    r = {(i, i): ex.rzeros((n, n)) for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = gamma[i].dot(gamma[j]) - gamma[j].dot(gamma[i])
+            for k in range(n):
+                if L.c[i, j, k] != 0:
+                    m = m - L.c[i, j, k] * gamma[k]
+            r[i, j], r[j, i] = m, -m
+    return r
 
 
 def ref_weyl_connection(L, G, theta):
@@ -70,36 +87,6 @@ def ref_weyl_connection(L, G, theta):
         g + t[i] * eye + np.outer(eye[:, i], t) - np.outer(sharp, G.gram[i])
         for i, g in enumerate(ref_levi_civita(L, G))
     ]
-
-
-def ref_curvature(L, gamma):
-    n = L.dim
-    r = {}
-    for i in range(n):
-        for j in range(n):
-            m = gamma[i].dot(gamma[j]) - gamma[j].dot(gamma[i])
-            for k in range(n):
-                m = m - L.c[i, j, k] * gamma[k]
-            r[i, j] = m
-    return r
-
-
-def all_fractions(a) -> bool:
-    return all(type(x) is F for x in np.asarray(a, dtype=object).flat)
-
-
-def same(a, b) -> bool:
-    return all_fractions(a) and np.array_equal(a, b)
-
-
-def _matrix(r, rows, cols):
-    return ex.rmat([[small_fraction(r) for _ in range(cols)] for _ in range(rows)])
-
-
-def ref_centraliser(L, u):
-    """The Subspace of x with [x, u_a] = 0 for every column u_a."""
-    n, p = L.dim, u.shape[1]
-    return Subspace(ex.nullspace(ref_ad_stack(L, u).reshape(p * n, n)), n)
 
 
 def ref_series(L, step):
@@ -123,22 +110,16 @@ def ref_centre_of_derived(L):
     return Subspace(d.dot(ex.nullspace(ref_ad_stack(L, d).reshape(k * n, n).dot(d))), n)
 
 
-def same_span(got, want) -> bool:
-    return got == want and same(got.basis, want.basis)
-
-
 @settings(max_examples=24, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(3, 6))
+@seeded_examples(100)
 def test_brackets_and_spans_match_fraction_code(seed, n):
+    # per algebra, three rounds of a vector x and column blocks u (maybe
+    # empty) and v
     r = rng(seed)
     L = random_algebra(r, n)
-    u = _matrix(r, n, r.randint(1, 3))
-    v = _matrix(r, n, r.randint(1, 3))
-    want = ref_brackets(L, u, v)
-    assert same(L.brackets(u, v), want)
-    U, V, eye = Subspace(u), Subspace(v), reye(n)
-    assert same_span(L.bracket_span(U, V), ref_bracket_span(L, u, v))
-    assert same_span(L.centraliser(U), ref_centraliser(L, u))
+    eye, g = reye(n), Subspace.full(n)
+    assert same_span(L.bracket_span(g, g), ref_bracket_span(L, eye, eye))
     assert same_span(L.centre(), ref_centraliser(L, eye))
     assert same_span(L.derived_algebra, ref_bracket_span(L, eye, eye))
     assert same_span(L.centre_of_derived, ref_centre_of_derived(L))
@@ -147,28 +128,34 @@ def test_brackets_and_spans_match_fraction_code(seed, n):
         (L.lower_central_series(), ref_series(L, lambda t: ref_bracket_span(L, eye, t))),
     ):
         assert len(series) == len(ref) and all(map(same_span, series, ref))
-    x = u[:, 0]
-    assert same(L.ad(x), ref_ad_stack(L, u[:, :1])[0])
-    assert same(L.bracket(x, v[:, 0]), want[:, 0])
-    # restrictions to a line, to g' and to the centraliser of U (all
-    # subalgebras), and to the columns of u and v, which may not be one
-    for basis in (u[:, :1], L.derived_algebra.basis, L.centraliser(U).basis, u, v):
-        k = basis.shape[1]
-        coords = ex.solve(basis, ref_brackets(L, basis, basis))
-        if coords is None:
-            with pytest.raises(InvalidStructure):
-                L.restrict(basis)
-        else:
-            assert same(L.restrict(basis).c, coords.T.reshape(k, k, k))
+    for _ in range(3):
+        x = random_matrix(r, n, 1)
+        u = random_matrix(r, n, r.randint(0, 3))
+        v = random_matrix(r, n, r.randint(1, 3))
+        U, V = Subspace(u, n), Subspace(v)
+        assert same(L.brackets(u, v), ref_brackets(L, u, v))
+        assert same(L.ad(x[:, 0]), ref_ad_stack(L, x)[0])
+        assert same(L.bracket(x[:, 0], v[:, 0]), ref_brackets(L, x, v)[:, 0])
+        assert same_span(L.bracket_span(U, V), ref_bracket_span(L, u, v))
+        assert same_span(L.centraliser(U), ref_centraliser(L, u))
+        # restrictions to a line, to g' and to the centraliser of U (all
+        # subalgebras), and to the columns of u and v, which may not be one
+        for basis in (x, L.derived_algebra.basis, L.centraliser(U).basis, u, v):
+            k = basis.shape[1]
+            coords = ex.solve(basis, ref_brackets(L, basis, basis))
+            if coords is None:
+                with pytest.raises(InvalidStructure):
+                    L.restrict(basis)
+            else:
+                assert same(L.restrict(basis).c, coords.T.reshape(k, k, k))
 
 
 @settings(max_examples=16, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(3, 10))
+@seeded_examples(200)
 def test_connections_and_curvature_match_fraction_code(seed, n):
     r = rng(seed)
-    L = random_algebra(r, n)
-    G = random_metric(r, n)
-    theta = random_closed_form(r, L)
+    L, G, theta = random_triple(r, n)
     lc = levi_civita(L, G)
     assert all(same(a, b) for a, b in zip(lc.gamma, ref_levi_civita(L, G)))
     conn = lc
@@ -178,7 +165,7 @@ def test_connections_and_curvature_match_fraction_code(seed, n):
     want = ref_curvature(L, conn.gamma)
     curv = curvature(L, conn)
     assert all(same(curv.r[i][j], want[i, j]) for i in range(n) for j in range(n))
-    x, y = _matrix(r, n, 2).T
+    x, y = random_matrix(r, n, 2).T
     at = sum((x[i] * y[j] * want[i, j] for i in range(n) for j in range(n)), ex.rzeros((n, n)))
     assert same(curv.at(x, y), at)
     assert same(conn.of(x), sum((x[i] * conn.gamma[i] for i in range(n)), ex.rzeros((n, n))))
@@ -245,14 +232,6 @@ def same_form(form, arr) -> bool:
     )
 
 
-def _invertible(r, k):
-    """A random invertible k x k rational matrix."""
-    while True:
-        t = _matrix(r, k, k)
-        if rank(t) == k:
-            return t
-
-
 @settings(max_examples=24, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(3, 9))
 def test_value_objects_hold_the_scaled_forms_of_their_arrays(seed, n):
@@ -262,7 +241,7 @@ def test_value_objects_hold_the_scaled_forms_of_their_arrays(seed, n):
     assert same_form(G.scaled_gram, G.gram)
     assert same_form(G.scaled_inverse, G.inverse)
     assert np.array_equal(G.gram.dot(G.inverse), reye(n))
-    U = Subspace(_matrix(r, n, r.randint(0, n)))
+    U = Subspace(random_matrix(r, n, r.randint(0, n)))
     for V in (U, U.orthogonal_complement(G)):
         assert same_form(V.scaled_basis, V.basis)
     theta = random_closed_form(r, L)
@@ -286,9 +265,9 @@ def test_equal_values_built_separately_give_equal_keys(seed, n):
     assert G.scaled(2).key != G.key and G.scaled(2) != G
     # the same span from another basis
     k = r.randint(0, n)
-    b = _matrix(r, n, k)
+    b = random_matrix(r, n, k)
     U = Subspace(b)
-    V = Subspace(dot(b, _invertible(r, k)) if k else b)
+    V = Subspace(dot(b, random_invertible(r, k)) if k else b)
     assert U.key == V.key and U == V and hash(U) == hash(V)
     theta = random_closed_form(r, L)
     if theta is None:
@@ -307,8 +286,8 @@ def _kernel_made_spans(r, n):
     constructor, on one random algebra, metric and closed form."""
     L = random_algebra(r, n)
     G = random_metric(r, n)
-    U = Subspace(_matrix(r, n, r.randint(0, n)))
-    V = Subspace(_matrix(r, n, r.randint(0, n)))
+    U = Subspace(random_matrix(r, n, r.randint(0, n)))
+    V = Subspace(random_matrix(r, n, r.randint(0, n)))
     g = Subspace.full(n)
     spans = [g, Subspace.zero(n), L.derived_algebra, L.centre(), L.centre_of_derived]
     spans += L.derived_series() + L.lower_central_series()
@@ -331,25 +310,18 @@ def test_kernel_made_subspaces_equal_the_subspace_of_their_basis(seed, n):
         assert same_form(s.scaled_basis, s.basis)
 
 
-def _counting(monkeypatch, name):
-    calls = []
-    fn = getattr(ex, name)
-    monkeypatch.setattr(ex, name, lambda *a: calls.append(a) or fn(*a))
-    return calls
-
-
 def test_spans_eliminate_once_and_never_rescale(monkeypatch):
     r = rng(5)
     L, G = random_algebra(r, 6), random_metric(r, 6)
     while (theta := random_closed_form(r, L)) is None:
         L = random_algebra(r, 6)
-    U, V = Subspace(_matrix(r, 6, 2)), Subspace(_matrix(r, 6, 3))
+    U, V = Subspace(random_matrix(r, 6, 2)), Subspace(random_matrix(r, 6, 3))
     weyl_geometry(L, G, theta)  # the connection and curvature tables
     G.scaled_gram
-    eliminations = _counting(monkeypatch, "_eliminate")
+    eliminations = counting(monkeypatch, "_eliminate")
     L.bracket_span(U, V)
     assert len(eliminations) == 1
-    scalings = _counting(monkeypatch, "scaled")
+    scalings = counting(monkeypatch, "scaled")
     U.orthogonal_complement(G)
     detect._flat_search(L, G, theta)
     assert scalings == []
@@ -419,9 +391,7 @@ def test_koszul_solve_at_and_past_the_int64_bound(monkeypatch, m, gram, on_int64
     runs = _int64_runs(monkeypatch)
     lc = levi_civita(L, G)
     assert runs == [on_int64]
-    for got, want in zip(lc.gamma, koszul_oracle(L, G)):
-        assert all_fractions(got)
-        assert sympy.Matrix(got.tolist()) == want
+    assert all(same(got, want) for got, want in zip(lc.gamma, ref_levi_civita(L, G)))
     theta = OneForm.dual(3, 0, m)
     for got, want in zip(weyl_connection(L, G, theta).gamma, ref_weyl_connection(L, G, theta)):
         assert same(got, want)
@@ -487,7 +457,7 @@ def test_curvature_at_and_past_the_int64_bound(monkeypatch, shift, on_int64):
 def test_views_are_read_only_and_unscale_the_held_forms(seed, n):
     r = rng(seed)
     L, G = random_algebra(r, n), random_metric(r, n)
-    theta = OneForm(_matrix(r, 1, n)[0])
+    theta = OneForm(random_matrix(r, 1, n)[0])
     views = ((L.c, L.scaled_c), (G.gram, G.scaled_gram), (theta.coeffs, theta.scaled_coeffs))
     for view, form in views:
         assert not view.flags.writeable and not form[0].flags.writeable
@@ -539,7 +509,7 @@ def test_held_bounds_are_the_largest_entries_of_the_held_ints(seed, n, scale):
     cc, e = random_algebra(r, n).scaled_c
     L, G = LieAlgebra((cc * scale, e)), random_metric(r, n)
     theta = random_closed_form(r, L) or OneForm.zero(n)
-    U = Subspace(_matrix(r, n, r.randint(0, n)))
+    U = Subspace(random_matrix(r, n, r.randint(0, n)))
     conn = weyl_connection(L, G, theta)
     curv = curvature(L, conn)
     held = [

@@ -33,6 +33,7 @@ from lcplab.intpoly import (
     int_det,
     int_spectrum,
 )
+from support import poly_mul, ref_det
 
 
 def test_intpoly_basics():
@@ -94,25 +95,6 @@ def ref_charpoly(rows):
             shifted = [[m[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
             m = [[sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
     return coeffs
-
-
-def ref_det(rows):
-    """Gaussian elimination in ``Fraction`` arithmetic."""
-    m = [[F(x) for x in row] for row in rows]
-    n = len(m)
-    det = F(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return F(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] / m[col][col]
-            m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return det
 
 
 @st.composite
@@ -186,14 +168,6 @@ def test_exact_charpoly_matches_fraction_reference(rows):
 
 
 X = sympy.Symbol("x")
-
-
-def poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def from_roots(roots, cofactor=(1,)):

@@ -34,7 +34,18 @@ from lcplab.lattice import (
     no_lattice_double_root,
 )
 from lcplab.lowdim import table_algebra
-from support import dot, inv, reye, to_float, trace_free_float
+from support import (
+    conjugate,
+    dot,
+    conjugated,
+    direct_sum,
+    golden_lattice_case,
+    rational_basis,
+    reye,
+    rotation_blocks,
+    to_float,
+    trace_free_float,
+)
 
 C_E11 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -546,7 +557,7 @@ def _conjugated_hyperbolic(n):
     d[0, 0], d[1, 1] = ex.ONE, -ex.ONE
     p = reye(n)
     p[0, 1], p[1, 2], p[2, 0] = Fraction(1, 4), Fraction(1, 8), Fraction(-1, 16)
-    return dot(dot(p, d), inv(p))
+    return conjugate(p, d)
 
 
 def _conjugated_irrational(n, b=2):
@@ -557,7 +568,7 @@ def _conjugated_irrational(n, b=2):
     d[0, 1], d[1, 0] = ex.ONE, ex.rat(b)
     p = reye(n)
     p[0, 1], p[1, 2], p[2, 0] = Fraction(1, 4), Fraction(1, 8), Fraction(-1, 16)
-    return dot(dot(p, d), inv(p))
+    return conjugate(p, d)
 
 
 def test_derogatory_irrational_input_certifies_every_candidate(monkeypatch):
@@ -592,17 +603,6 @@ _BLOCKS = st.one_of(
 )
 
 
-def rational_basis(draw, n):
-    """A random rational basis P = L U of Q^n: unitriangular L and U with
-    entries in (-3..3)/(1..3)."""
-    q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    low, up = reye(n), reye(n)
-    for i in range(n):
-        for j in range(i):
-            low[i, j], up[j, i] = draw(q), draw(q)
-    return dot(low, up)
-
-
 @st.composite
 def permuted_block_diagonal(draw, max_size=3):
     """(D, P D P^-1): 2 to ``max_size`` blocks above on a permuted
@@ -612,16 +612,10 @@ def permuted_block_diagonal(draw, max_size=3):
     while sum(len(b) for b in blocks) > 7:
         blocks.pop()
     n = sum(len(b) for b in blocks)
-    d = [[0] * n for _ in range(n)]
-    i = 0
-    for b in blocks:
-        for r, row in enumerate(b):
-            d[i + r][i : i + len(b)] = row
-        i += len(b)
+    d = direct_sum(blocks)
     perm = draw(st.permutations(range(n)))
     d = ex.rmat([[d[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
-    p = rational_basis(draw, n)
-    return d, dot(dot(p, d), inv(p))
+    return d, draw(conjugated(d, rational_basis))
 
 
 @settings(max_examples=40, deadline=None)
@@ -709,9 +703,8 @@ def test_verdict_certifies_through_the_public_step(monkeypatch):
     # candidate goes to certify_witness by its module name, on the
     # verdict's plan
     import lcplab.lattice as lattice
-    from test_golden_lattice import cases
 
-    c, t_range = next((c, t) for name, c, t in cases() if name == "irrational-derogatory-4")
+    c, t_range = golden_lattice_case("irrational-derogatory-4")
     candidates = integer_charpoly_scan(c, t_range=t_range)
     plans = []
     certify = lattice.certify_witness
@@ -787,11 +780,9 @@ def test_rotation_jordan_block_next_to_rotations(blocks):
 def test_only_a_defective_c_builds_the_jordan_layers(monkeypatch):
     # certification reads s(ints) = 0 exactly and takes a semisimple C's
     # one layer from its spectrum; only a defective C builds the layers
-    from test_golden_lattice import cases
-
     built, layers = [], _Plan.layers.func
     monkeypatch.setattr(_Plan, "layers", property(lambda plan: built.append(plan) or layers(plan)))
-    c, t_range = next((c, t) for name, c, t in cases() if name == "rotations-4")
+    c, t_range = golden_lattice_case("rotations-4")
     v = lattice_verdict(c, t_range=t_range)
     assert (v.status, v.rule, built) == ("yes", "scan", [])
     v = lattice_verdict(_rotation_jordan(1), t_range=(0.0, 7.0))
@@ -827,16 +818,11 @@ def test_every_diag_20_candidate_is_certified():
 def _conjugated_blocks(blocks, reals=()):
     """Rotation blocks p +- iw for the pairs (p, w) of ``blocks``, then the
     real eigenvalues ``reals``, under a rational basis change."""
-    n = 2 * len(blocks) + len(reals)
-    d = ex.rzeros((n, n))
-    for i, (p, w) in enumerate(blocks):
-        d[2 * i, 2 * i] = d[2 * i + 1, 2 * i + 1] = p
-        d[2 * i, 2 * i + 1], d[2 * i + 1, 2 * i] = -ex.rat(w), ex.rat(w)
-    for i, x in enumerate(reals, start=2 * len(blocks)):
-        d[i, i] = ex.rat(x)
+    d = rotation_blocks(blocks, reals)
+    n = len(d)
     p = reye(n)
     p[0, 2], p[3, 1], p[4, 0], p[n - 1, 3] = Fraction(1, 2), Fraction(-1, 3), ex.ONE, Fraction(1, 4)
-    return dot(dot(p, d), inv(p))
+    return conjugate(p, d)
 
 
 def _conjugated_complex6():
@@ -999,7 +985,7 @@ def test_clustered_integer_roots_next_to_irrational_ones():
     p = reye(14)
     for i in range(13):
         p[i, i + 1] = ex.ONE
-    v = lattice_verdict(dot(dot(p, d), inv(p)), t_range=(0.0, 3.0))
+    v = lattice_verdict(conjugate(p, d), t_range=(0.0, 3.0))
     assert (v.status, v.rule) == ("no", "double_root")
     assert v.certificates[0].data["multiple_root"] == 10**9 + 1
 

@@ -14,18 +14,14 @@ from lcplab.algebra import almost_abelian_presentation
 from lcplab.construct import almab_lcp
 from lcplab.intpoly import IntPoly, companion
 from lcplab.lattice import lattice_verdict, no_lattice_codim2
-from support import dot, inv, reye
-from test_lattice_exact import rational_conjugate
+from support import conjugate, conjugated, direct_sum, rational_basis, reye
 
 F = Fraction
 
 
 def blocks(*parts):
     """The block-diagonal matrix of the square ``parts``, as Fractions."""
-    out = ex.rmat([[0]])[:0, :0]
-    for part in parts:
-        out = ex.block_diag(out, ex.rmat(part))
-    return out
+    return ex.rmat(direct_sum(parts))
 
 
 def rotation(p, w):
@@ -51,10 +47,6 @@ def same_up_to_scale(p, q) -> bool:
     return all(r ** j == s ** i for i, r in ratios for j, s in ratios)
 
 
-def conjugate(p, c):
-    return dot(dot(p, c), inv(p))
-
-
 @st.composite
 def codim2_shapes(draw):
     """(a, B, C): a != 0, B rational skew (m - 1) x (m - 1) for m = 4..7,
@@ -67,7 +59,7 @@ def codim2_shapes(draw):
         for j in range(i + 1, m - 1):
             b[i, j] = draw(q)
             b[j, i] = -b[i, j]
-    return a, b, draw(rational_conjugate(blocks([[a]], b - a / (m - 1) * reye(m - 1))))
+    return a, b, draw(conjugated(blocks([[a]], b - a / (m - 1) * reye(m - 1)), rational_basis))
 
 
 @settings(max_examples=100, deadline=None)

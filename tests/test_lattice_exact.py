@@ -32,39 +32,27 @@ from lcplab.lattice import (
     integer_charpoly_scan,
     lattice_verdict,
 )
-from support import dot, inv, rank, reye, to_float, trace_free_float
-from test_golden_lattice import COMPLEX_SPECTRA, cases, complex_spectrum
-from test_lattice import rational_basis
+from support import (
+    COMPLEX_SPECTRA,
+    complex_spectrum,
+    conjugate,
+    conjugated,
+    direct_sum,
+    dot,
+    golden_lattice_case,
+    golden_lattice_cases,
+    jordan,
+    poly_mul,
+    rank,
+    rank_types,
+    rational_basis,
+    reye,
+    to_float,
+    trace_free_float,
+    unimodular_basis,
+)
 
 F = Fraction
-
-
-def jordan(k, a):
-    return [[a if i == j else int(j == i + 1) for j in range(k)] for i in range(k)]
-
-
-def direct_sum(blocks):
-    n = sum(len(b) for b in blocks)
-    d = [[0] * n for _ in range(n)]
-    i = 0
-    for b in blocks:
-        for r, row in enumerate(b):
-            d[i + r][i : i + len(b)] = row
-        i += len(b)
-    return d
-
-
-@st.composite
-def unimodular_conjugate(draw, d):
-    """U d U^-1 on Fractions, U a product of elementary integer row
-    operations (so det U = 1)."""
-    n = len(d)
-    u = reye(n)
-    for _ in range(draw(st.integers(0, 2 * n))):
-        i, j = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
-        if i != j:
-            u[i] = u[i] + draw(st.sampled_from([-1, 1])) * u[j]
-    return dot(dot(u, ex.rmat(d)), inv(u))
 
 
 @st.composite
@@ -82,7 +70,7 @@ def symmetric_jordan_data(draw):
         blocks += [jordan(k, e * lam0), jordan(k, -e * lam0)]
     blocks += [jordan(z, 0) for z in draw(st.lists(st.integers(1, 2), max_size=2))]
     blocks = draw(st.permutations(blocks))
-    c = draw(unimodular_conjugate(direct_sum(blocks)))
+    c = draw(conjugated(direct_sum(blocks), unimodular_basis))
     g = math.gcd(*(e for e, _ in pairs))
     return c, F(lam0) * g, sorted({e // g for e, _ in pairs})
 
@@ -100,7 +88,7 @@ def broken_jordan_data(draw):
     else:
         e1, e2 = draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
         blocks = [jordan(1, (e1 + e2) * lam0), jordan(1, -e1 * lam0), jordan(1, -e2 * lam0)]
-    return draw(unimodular_conjugate(direct_sum(draw(st.permutations(blocks)))))
+    return draw(conjugated(direct_sum(draw(st.permutations(blocks))), unimodular_basis))
 
 
 def closed_form(lam_eff, hi):
@@ -295,7 +283,7 @@ def integer_spectra(draw):
         if i + 1 < n and draw(st.booleans()):
             d[i][i + 1] = 1
     d[0][0] = d[0][0] or 1
-    return draw(unimodular_conjugate(d)) / F(scale), max(abs(d[i][i]) for i in range(n)) / scale
+    return draw(conjugated(d, unimodular_basis)) / F(scale), max(abs(d[i][i]) for i in range(n)) / scale
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,9 +292,10 @@ def integer_spectra(draw):
 def test_the_norm_bound_only_skips_the_clamp_where_rho_needs_none(c_rho, ends):
     # rho(C) <= ||C||_inf: where the exact norm bound keeps the range as
     # given, the clamp on rho keeps it too.  The ends are drawn around the
-    # envelope's edge +-MAX_SPECTRAL / rho
+    # envelope's edge +-MAX_SPECTRAL / rho, in order (a reversed range is
+    # refused)
     c, rho = c_rho
-    t_range = tuple(x * MAX_SPECTRAL / rho for x in ends)
+    t_range = tuple(sorted(x * MAX_SPECTRAL / rho for x in ends))
     assert _Plan(c).rho == rho
     assert _scanned_range(_Plan(c), t_range) == rho_clamp(_Plan(c), t_range)
 
@@ -357,8 +346,7 @@ def nilpotent_matrices(draw):
     while sum(sizes) > 6:
         sizes.pop()
     d = ex.rmat(direct_sum([jordan(k, 0) for k in sizes]))
-    p = rational_basis(draw, len(d))
-    return dot(dot(p, d), inv(p))
+    return draw(conjugated(d, rational_basis))
 
 
 @settings(max_examples=40, deadline=None)
@@ -409,7 +397,7 @@ def integer_matrices(draw):
         d[i][i] = draw(st.integers(-3, 3))
         if i + 1 < n and draw(st.booleans()):
             d[i][i + 1] = 1
-    return ex.scaled(draw(unimodular_conjugate(d)))[0]
+    return ex.scaled(draw(conjugated(d, unimodular_basis)))[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -432,7 +420,8 @@ def integer_matrices_with_root_0(draw):
     n = draw(st.integers(1, 4))
     rows = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
     sizes = draw(st.sampled_from([[1], [2], [3], [1, 1], [2, 1]]))
-    return ex.scaled(draw(unimodular_conjugate(direct_sum([rows] + [jordan(k, 0) for k in sizes]))))[0]
+    d = direct_sum([rows] + [jordan(k, 0) for k in sizes])
+    return ex.scaled(draw(conjugated(d, unimodular_basis)))[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -452,20 +441,6 @@ def test_exact_spectrum_with_root_0_matches_sympy(ints):
     assert spec.repeated == tuple(g.all_coeffs())
     assert spec.square_free == tuple(sympy.quo(p, g).all_coeffs())
     assert spec.real_roots == sympy.quo(p, g).count_roots()
-
-
-@st.composite
-def rational_conjugate(draw, d):
-    """P d P^-1 on Fractions, P = L U for unitriangular L and U with small
-    rational entries (so det P = 1 and P is dense)."""
-    n = len(d)
-    q = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
-    low, up = reye(n), reye(n)
-    for i in range(n):
-        for j in range(i):
-            low[i, j], up[j, i] = draw(q), draw(q)
-    p = dot(low, up)
-    return dot(dot(p, ex.rmat(d)), inv(p))
 
 
 @st.composite
@@ -489,8 +464,8 @@ def spectra_by_construction(draw):
         blocks.append(jordan(2, draw(q)))
     blocks.append([[-sum(b[i][i] for b in blocks for i in range(len(b)))]])
     d = direct_sum(blocks)
-    basis = unimodular_conjugate if draw(st.booleans()) else rational_conjugate
-    return draw(basis(d)), any(p for p, _ in rotations)
+    basis = unimodular_basis if draw(st.booleans()) else rational_basis
+    return draw(conjugated(d, basis)), any(p for p, _ in rotations)
 
 
 @settings(max_examples=60, deadline=None)
@@ -517,28 +492,24 @@ def test_complex_spectra_never_run_the_scan(monkeypatch):
     for blocks, reals in COMPLEX_SPECTRA.values():
         c = complex_spectrum(blocks, reals)
         u = U6[: len(c), : len(c)]
-        for m in (c, dot(dot(u, c), inv(u)), trace_free_float(c)):
+        for m in (c, conjugate(u, c), trace_free_float(c)):
             assert integer_charpoly_scan(m, t_range=(0.0, 2.0)) == []
             v = lattice_verdict(m, t_range=(0.0, 2.0))
             assert v.status == "inconclusive" and not v.certificates
             assert v.inconclusive_ranges == (_scanned_range(m, (0.0, 2.0)),)
 
 
-def _golden_case(label):
-    return next((c, t_range) for name, c, t_range in cases() if name == label)
-
-
 @pytest.mark.parametrize(
     "c, t_range, grid",
     [
-        (*_golden_case("rotations-4"), True),  # +-i twice: on the imaginary axis
-        (*_golden_case("irrational-derogatory-4"), True),
+        (*golden_lattice_case("rotations-4"), True),  # +-i twice: on the imaginary axis
+        (*golden_lattice_case("irrational-derogatory-4"), True),
         # (x - 1)^3 at every t: the exact step decides it, and no grid is
         # evaluated
         (ex.rmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (0.0, 3.0), False),  # nilpotent
         # float input is read as its rationals: the twin of an on-axis
         # spectrum goes to the scan like the spectrum itself
-        (to_float(_golden_case("rotations-4")[0]), (0.0, 20.0), True),  # float
+        (to_float(golden_lattice_case("rotations-4")[0]), (0.0, 20.0), True),  # float
         (ex.rmat([[1, 0], [0, -1]]), (0.0, 20.0), True),  # past the listing limit
     ],
     ids=["rotations", "irrational", "nilpotent", "float", "e11-20"],
@@ -602,8 +573,8 @@ J2J1 = ex.rmat(direct_sum([jordan(2, 1), jordan(1, 1), jordan(2, -1), jordan(1, 
 @pytest.mark.parametrize(
     "c",
     [
-        dot(dot(U4, diag(1, 1, -1, -1)), inv(U4)),
-        dot(dot(U6, J2J1), inv(U6)),
+        conjugate(U4, diag(1, 1, -1, -1)),
+        conjugate(U6, J2J1),
     ],
     ids=["derogatory-group", "jordan-group"],
 )
@@ -619,7 +590,7 @@ def test_derogatory_groups_are_decided_exactly(c):
 
 
 def _golden_hyperbolic():
-    return [(label, c, t) for label, c, t in cases() if label.startswith("hyperbolic")]
+    return [case for case in golden_lattice_cases() if case[0].startswith("hyperbolic")]
 
 
 @pytest.mark.parametrize("label, c, t_range", _golden_hyperbolic(), ids=lambda x: str(x)[:14])
@@ -693,10 +664,6 @@ def _integer_basis(r, n):
             return p
 
 
-def _conjugate(p, d):
-    return dot(dot(p, d), inv(p))
-
-
 def test_dense_double_roots_are_certified():
     # P (J_2(lam) + (-2 lam)) P^-1 under dense rational P: the rule reads
     # the exact spectrum, so no float clustering can miss the double root
@@ -704,7 +671,7 @@ def test_dense_double_roots_are_certified():
         r = random.Random(seed)
         lam = r.choice([-1, 1]) * F(r.randint(1, 4), r.randint(1, 3))
         d = ex.rmat([[lam, 1, 0], [0, lam, 0], [0, 0, -2 * lam]])
-        v = lattice_verdict(_conjugate(_dense_rational(r, 3, 9), d), t_range=(0.0, 3.0))
+        v = lattice_verdict(conjugate(_dense_rational(r, 3, 9), d), t_range=(0.0, 3.0))
         assert v.status == "no", seed
         (cert,) = v.certificates
         assert cert.rule == "double_root" and cert.data["multiplicity"] == 2
@@ -724,7 +691,7 @@ def test_dense_rational_spectra_list_every_witness(d, basis):
     # rational P: rounding float eigenvalues of the integer form lost
     # these integer spectra, the exact spectrum does not
     for seed in range(20):
-        c = _conjugate(basis(random.Random(seed), len(d)), d)
+        c = conjugate(basis(random.Random(seed), len(d)), d)
         v = lattice_verdict(c, t_range=(0.0, 3.0))
         assert len(v.witnesses) == 18 and all(w.exact for w in v.witnesses), seed
         for m, w in enumerate(v.witnesses, start=3):
@@ -736,7 +703,7 @@ def test_dense_rational_spectra_list_every_witness(d, basis):
     "c, status",
     [
         (ex.rmat([[1, 1, 0], [0, 1, 0], [0, 0, -2]]), "no"),  # double root
-        (dot(dot(U6, J2J1), inv(U6)), "yes"),  # hyperbolic
+        (conjugate(U6, J2J1), "yes"),  # hyperbolic
     ],
     ids=["double-root", "hyperbolic"],
 )
@@ -773,7 +740,7 @@ def float_twins(draw):
     for group in draw(st.lists(_FLOAT_TWIN_BLOCKS, min_size=1, max_size=3)):
         if sum(len(b) for b in blocks + group) <= 6:
             blocks += group
-    c = draw(unimodular_conjugate(direct_sum(draw(st.permutations(blocks)))))
+    c = draw(conjugated(direct_sum(draw(st.permutations(blocks))), unimodular_basis))
     twin = to_float(c)
     assert all(F(x) == y for x, y in zip(twin.flat, c.flat))
     return c, twin
@@ -798,7 +765,7 @@ J2_HALF = direct_sum([jordan(2, F(1, 2)), jordan(2, F(-1, 2)), [[0]]])
     [
         (J2, 3.0, 18),
         (J2_HALF, 7.0, 31),
-        (dot(dot(U4, diag(1, 1, -1, -1)), inv(U4)), 3.0, 18),
+        (conjugate(U4, diag(1, 1, -1, -1)), 3.0, 18),
     ],
     ids=["jordan", "jordan-half", "derogatory-group"],
 )
@@ -812,30 +779,6 @@ def test_float_input_lists_every_witness(c, t_hi, count):
         v = lattice_verdict(a, t_range=(0.0, t_hi))
         assert len(v.witnesses) == count and all(w.exact for w in v.witnesses)
         assert [w.as_dict() for w in v.witnesses] == [w.as_dict() for w in exact.witnesses]
-
-
-def rank_types(ints, roots):
-    """The Jordan types of an integer matrix from exact ranks at every
-    root, simple ones included: r_(j-1) - r_j blocks of size >= j."""
-    n = len(ints)
-    eye = np.eye(n, dtype=int).astype(object)
-    types = {}
-    for k, mult in roots:
-        shifted, power, ranks = ints - k * eye, eye, [n]
-        while ranks[-1] > n - mult:
-            power = shifted.dot(power)
-            ranks.append(rank(power))
-        at_least = [a - b for a, b in zip(ranks, ranks[1:])]
-        types[k] = [sum(1 for c in at_least if c >= i) for i in range(1, at_least[0] + 1)]
-    return types
-
-
-def poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
 
 
 def per_level_witnesses(c, t_range):
@@ -890,8 +833,8 @@ def test_one_pass_matches_the_per_level_construction(data, reach, below):
     [
         (diag(1, -1), (1.0, 1.3), 0),  # between the levels m = 3 and 4
         (diag(1, -1), (0.0, 3.0), 18),  # n = 2: no zero root
-        (dot(dot(U4, diag(1, 1, -1, -1)), inv(U4)), (0.0, 3.0), 18),
-        (dot(dot(U6, J2J1), inv(U6)), (-2.0, 2.0), 10),
+        (conjugate(U4, diag(1, 1, -1, -1)), (0.0, 3.0), 18),
+        (conjugate(U6, J2J1), (-2.0, 2.0), 10),
         (diag(1, -1), (0.0, 9.2), 9895),  # the listing limit's range
     ],
     ids=["no-level", "n2", "derogatory-group", "jordan-group", "listing-limit"],
@@ -908,7 +851,8 @@ def integer_jordan_matrices(draw):
     basis change (so the matrix stays integer)."""
     block = st.tuples(st.integers(-3, 3), st.integers(1, 3))
     blocks = draw(st.lists(block, min_size=1, max_size=4))
-    ints = ex.scaled(draw(unimodular_conjugate(direct_sum([jordan(k, a) for a, k in blocks]))))[0]
+    d = direct_sum([jordan(k, a) for a, k in blocks])
+    ints = ex.scaled(draw(conjugated(d, unimodular_basis)))[0]
     types = {}
     for a, k in blocks:
         types.setdefault(a, []).append(k)

@@ -28,7 +28,7 @@ from lcplab.lattice import (
     _scanned_range,
     integer_charpoly_scan,
 )
-from support import dot, inv
+from support import conjugate, rotation_blocks, unimodular_basis
 
 
 def ref_golden_min(f, lo, hi):
@@ -101,32 +101,13 @@ def check_against_reference(c, t_range):
     return len(flagged)
 
 
-def conjugate(d, u):
-    """u d u^-1 on exact rationals."""
-    u = ex.rmat(u)
-    return dot(dot(u, ex.rmat(d)), inv(u))
-
-
-@st.composite
-def unimodular(draw, n):
-    """A product of elementary integer row operations (determinant 1)."""
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(draw(st.integers(0, 4))):
-        i = draw(st.integers(0, n - 1))
-        j = draw(st.integers(0, n - 2))
-        j += j >= i
-        k = draw(st.integers(-2, 2))
-        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-    return u
-
-
 @st.composite
 def hyperbolic_inputs(draw):
     n = draw(st.integers(2, 5))
     a = F(draw(st.integers(1, 6)), 4)
     d = [[0] * n for _ in range(n)]
     d[0][0], d[1][1] = a, -a
-    return conjugate(d, draw(unimodular(n)))
+    return conjugate(draw(unimodular_basis(n, 4, st.integers(-2, 2))), d)
 
 
 @st.composite
@@ -135,14 +116,8 @@ def rotation_inputs(draw):
     blocks = draw(st.lists(st.tuples(half, half.filter(bool)), min_size=1, max_size=2))
     reals = draw(st.lists(half, max_size=2))
     reals.append(-2 * sum(p for p, _ in blocks) - sum(reals))
-    n = 2 * len(blocks) + len(reals)
-    d = [[0] * n for _ in range(n)]
-    for b, (p, w) in enumerate(blocks):
-        i = 2 * b
-        d[i][i], d[i][i + 1], d[i + 1][i], d[i + 1][i + 1] = p, -w, w, p
-    for k, x in enumerate(reals):
-        d[2 * len(blocks) + k][2 * len(blocks) + k] = x
-    return conjugate(d, draw(unimodular(n)))
+    d = rotation_blocks(blocks, reals)
+    return conjugate(draw(unimodular_basis(len(d), 4, st.integers(-2, 2))), d)
 
 
 @settings(max_examples=15, deadline=None)

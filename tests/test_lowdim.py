@@ -28,7 +28,19 @@ from lcplab.lowdim import (
     table_algebra,
     verify_table,
 )
-from support import ad_basis, dot, inv, random_algebra, reye, rng, small_fraction
+from support import (
+    ad_basis,
+    conjugate,
+    direct_sum,
+    inv,
+    jordan,
+    random_algebra,
+    reye,
+    rng,
+    small_fraction,
+    transport,
+    unimodular_basis,
+)
 
 
 def test_table_algebra_basic_rows():
@@ -166,23 +178,18 @@ def rational_presentations(draw):
         kind = draw(st.sampled_from(["jordan", "jordan", "rotation", "root"]))
         if kind == "jordan":
             lam, k = draw(fractions), draw(st.integers(1, 2))
-            blocks.append([[lam if i == j else F(int(j == i + 1)) for j in range(k)] for i in range(k)])
+            blocks.append(jordan(k, lam))
         elif kind == "rotation":
             p, w = draw(fractions), draw(fractions.filter(bool))
             blocks.append([[p, -w], [w, p]])
         else:
             blocks.append([[F(0), draw(st.sampled_from([F(2), F(3), F(4), F(1, 4), F(-1)]))], [F(1), F(0)]])
     n = sum(len(b) for b in blocks)
-    b = ex.rzeros((n, n))
-    at = 0
-    for blk in blocks:
-        k = len(blk)
-        b[at : at + k, at : at + k] = ex.rmat(blk)
-        at += k
+    b = ex.rmat(direct_sum(blocks))
     p = ex.rmat([[draw(fractions) for _ in range(n)] for _ in range(n)])
     if ex.det(p) == 0:
         return b
-    return dot(dot(p, b), inv(p))
+    return conjugate(p, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,16 +242,8 @@ def transported(draw):
     with [u, v]_2 = P [P^-1 u, P^-1 v]_1, so that P is an isomorphism."""
     n = draw(st.integers(2, 5))
     L1 = random_algebra(rng(draw(st.integers(0, 10**6))), n)
-    p = reye(n)
-    for _ in range(draw(st.integers(0, 2 * n))):
-        i, j = draw(st.permutations(range(n)))[:2]
-        p[i] = p[i] + draw(st.sampled_from([-1, 1])) * p[j]
-    pinv = inv(p)
-    c = ex.rzeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            c[i, j, :] = p.dot(L1.bracket(pinv[:, i], pinv[:, j]))
-    return L1, LieAlgebra(c), p
+    p = draw(unimodular_basis(n))
+    return L1, transport(L1, p), p
 
 
 @settings(max_examples=40, deadline=None)
@@ -463,11 +462,6 @@ def test_fingerprint_invariant_under_basis_change():
                     p[i, j] = small_fraction(r, 2, 2)
             if ex.det(p) != 0:
                 break
-        pinv = inv(p)
-        c = ex.rzeros((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                c[i, j, :] = pinv.dot(L.bracket(p[:, i], p[:, j]))
-        moved = LieAlgebra(c)
+        moved = transport(L, inv(p))
         assert check_isomorphism_witness(moved, L, p)
         assert fingerprint(moved) == fingerprint(L), name

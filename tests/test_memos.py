@@ -24,15 +24,26 @@ from lcplab.algebra import (
 from lcplab.construct import almab_lcp
 from lcplab.detect import LCPStructure, classify, structural_audit, verify_lcp
 from lcplab.errors import InvalidStructure
-from support import dot, random_algebra, random_metric, rng, small_fraction
-from test_exact_dot import ref_bracket_span, ref_jacobi_defect
-from test_integer_kernels import _counting, _invertible, _matrix, ref_centraliser, same_span
+from support import (
+    counting,
+    dot,
+    random_algebra,
+    random_invertible,
+    random_matrix,
+    random_metric,
+    ref_bracket_span,
+    ref_centraliser,
+    ref_jacobi_defect,
+    rng,
+    same_span,
+    small_fraction,
+)
 
 
 def _same_span_twice(r, n, k):
     """Two Subspace objects of one span, from unrelated bases."""
-    b = _matrix(r, n, k)
-    return Subspace(b), Subspace(dot(b, _invertible(r, k)))
+    b = random_matrix(r, n, k)
+    return Subspace(b), Subspace(dot(b, random_invertible(r, k)))
 
 
 def _read_only(s: Subspace) -> bool:
@@ -126,8 +137,8 @@ def test_pipeline_computes_each_span_once(monkeypatch):
     L = LieAlgebra(s.algebra.c)
     G = Metric(2 * s.metric.gram)
     theta = OneForm(s.theta.coeffs)
-    eliminated = _counting(monkeypatch, "_eliminate")
-    kernels = _counting(monkeypatch, "int_nullspace")
+    eliminated = counting(monkeypatch, "_eliminate")
+    kernels = counting(monkeypatch, "int_nullspace")
 
     flat = classify(L, G, theta).flat
     assert verify_lcp(L, G, theta, flat).passed

@@ -8,9 +8,11 @@ run-time watch on ``exact.scaled`` and ``exact.unscaled`` for integer
 forms sent back through the constructor for entries and for ``Fraction``
 arrays made only to be scaled again or compared.
 The ``Fraction`` versions of the routines that compute on integer forms
-instead are kept here as references, and each integer version returns
-what its reference returns, on every sampled catalog row and on the
-random inputs of the other test modules.
+instead are the references: those read only here are kept here, and
+``rank_types`` (the Jordan types by exact ranks) is ``support``'s.  Each
+integer version returns what its reference returns, on every sampled
+catalog row and on ``support``'s random inputs (``drawn_algebra``,
+``random_structure``).
 """
 
 import ast
@@ -23,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 from lcplab import exact as ex
 from lcplab.algebra import (
     _ANY_HYPERPLANE,
-    LieAlgebra,
     Metric,
     Subspace,
     _find_almost_abelian_ideal,
@@ -45,10 +46,19 @@ from lcplab.lowdim import (
     table_algebra,
     verify_table,
 )
-from support import dot, inv, left_nullspace, rank, reye, rng
-from test_algebra import _drawn_algebra
-from test_construct import RECIPES, _random_case
-from test_lattice_exact import rank_types
+from support import (
+    RECIPES,
+    dot,
+    drawn_algebra,
+    inv,
+    left_nullspace,
+    random_structure,
+    rank,
+    rank_types,
+    reye,
+    rng,
+    transport,
+)
 
 SRC = Path(__file__).parent.parent / "src" / "lcplab"
 
@@ -181,7 +191,7 @@ def test_no_scaling_round_trip_at_run_time(monkeypatch):
     watch = ScalingWatch(monkeypatch)
     for recipe in RECIPES:
         for seed in range(2):
-            S, _ = _random_case(rng(7000 + seed), recipe)
+            S, _ = random_structure(rng(7000 + seed), recipe)
             classify(S.algebra, S.metric, S.theta)
             assert S.verify().passed
             try:
@@ -328,16 +338,6 @@ def same_ideal(L):
     assert got == want or got is want
 
 
-def transport(L, P):
-    """L in the basis P e_i: [u, v]' = P [P^-1 u, P^-1 v]."""
-    n, pinv = L.dim, inv(P)
-    c = ex.rzeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            c[i, j, :] = P.dot(L.bracket(pinv[:, i], pinv[:, j]))
-    return LieAlgebra(c)
-
-
 def test_integer_forms_match_the_fraction_references_on_the_catalog():
     # on random inputs, test_lattice_exact holds the Jordan types to the
     # rank count used here, and test_lowdim the isomorphism test to the
@@ -372,7 +372,7 @@ def test_integer_forms_match_the_fraction_references_on_the_catalog():
     kind=st.sampled_from(["abelian", "almab", "almab-basis", "nilpotent", "nilpotent-basis"]),
 )
 def test_ideal_and_fingerprint_match_the_fraction_references(seed, n, kind):
-    L = _drawn_algebra(seed, n, kind)
+    L = drawn_algebra(seed, n, kind)
     same_ideal(L)
     assert fingerprint(L) == ref_fingerprint(L)
 
@@ -380,7 +380,7 @@ def test_ideal_and_fingerprint_match_the_fraction_references(seed, n, kind):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), recipe=st.sampled_from(RECIPES))
 def test_decompose_matches_the_fraction_reference(seed, recipe):
-    S, _ = _random_case(rng(seed), recipe)
+    S, _ = random_structure(rng(seed), recipe)
     if S.flat.dim:
         same_decomposition(decompose(S), ref_decompose(S))
 

@@ -2,7 +2,6 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-import sympy
 
 from lcplab import exact as ex
 from lcplab.algebra import LieAlgebra, Metric, OneForm
@@ -10,61 +9,23 @@ from lcplab.errors import NonClosedLeeForm
 from lcplab.weyl import curvature, levi_civita, weyl_connection, weyl_geometry
 from support import (
     ad_basis,
+    e11,
     is_g_skew,
     random_algebra,
-    random_closed_form,
     random_metric,
+    random_triple,
+    ref_levi_civita,
     reye,
     rng,
+    same,
     skew_defect,
     torsion_defect,
 )
 
 
-def e11():
-    return LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, -1]})
-
-
-def koszul_oracle(L, G):
-    """Independent evaluation of the defining identity with sympy."""
-    n = L.dim
-    g = sympy.Matrix([[sympy.Rational(G.gram[i, j]) for j in range(n)] for i in range(n)])
-    br = {
-        (i, j): sympy.Matrix([sympy.Rational(x) for x in L.c[i, j, :]])
-        for i in range(n)
-        for j in range(n)
-    }
-    def inner(u, v):
-        return (u.T * g * v)[0, 0]
-    basis = [sympy.Matrix([1 if k == i else 0 for k in range(n)]) for i in range(n)]
-    gammas = []
-    for i in range(n):
-        cols = []
-        for j in range(n):
-            rhs = sympy.Matrix(
-                [
-                    sympy.Rational(1, 2)
-                    * (
-                        inner(br[(i, j)], basis[k])
-                        - inner(br[(i, k)], basis[j])
-                        - inner(br[(j, k)], basis[i])
-                    )
-                    for k in range(n)
-                ]
-            )
-            cols.append(g.solve(rhs))
-        gammas.append(sympy.Matrix.hstack(*cols))
-    return gammas
-
-
-def assert_matches_oracle(L, G):
+def assert_matches_reference(L, G):
     lc = levi_civita(L, G)
-    oracle = koszul_oracle(L, G)
-    for i in range(L.dim):
-        got = sympy.Matrix(
-            [[sympy.Rational(lc.gamma[i][r, c]) for c in range(L.dim)] for r in range(L.dim)]
-        )
-        assert got == oracle[i]
+    assert all(same(got, want) for got, want in zip(lc.gamma, ref_levi_civita(L, G)))
 
 
 def test_levi_civita_abelian():
@@ -74,12 +35,12 @@ def test_levi_civita_abelian():
 
 
 def test_levi_civita_e11_frozen_values():
-    # oracle-derived values: nabla_{e2} e2 = +e1 and nabla_{e2} e1 = -e2
+    # Koszul-derived values: nabla_{e2} e2 = +e1 and nabla_{e2} e1 = -e2
     lc = levi_civita(e11(), Metric.identity(3))
     assert np.array_equal(lc.gamma[1][:, 1], ex.rvec([1, 0, 0]))
     assert np.array_equal(lc.gamma[1][:, 0], ex.rvec([0, -1, 0]))
     assert ex.is_zero(lc.gamma[0])
-    assert_matches_oracle(e11(), Metric.identity(3))
+    assert_matches_reference(e11(), Metric.identity(3))
 
 
 def test_levi_civita_random_against_oracle():
@@ -87,7 +48,7 @@ def test_levi_civita_random_against_oracle():
     for _ in range(4):
         L = random_algebra(r, 3)
         G = random_metric(r, 3)
-        assert_matches_oracle(L, G)
+        assert_matches_reference(L, G)
 
 
 def test_levi_civita_skew_ad_case():
@@ -145,17 +106,10 @@ def test_curvature_kills_flat_line_of_e11():
     assert np.array_equal(cv.at(x, y), expected)
 
 
-def _random_triple(r, n):
-    L = random_algebra(r, n)
-    G = random_metric(r, n)
-    theta = random_closed_form(r, L)
-    return L, G, theta
-
-
 def test_torsion_identity_randomised():
     r = rng(23)
     for _ in range(12):
-        L, G, theta = _random_triple(r, 4)
+        L, G, theta = random_triple(r, 4)
         if theta is None:
             continue
         w = weyl_connection(L, G, theta)
@@ -165,7 +119,7 @@ def test_torsion_identity_randomised():
 def test_skew_identity_randomised():
     r = rng(29)
     for _ in range(12):
-        L, G, theta = _random_triple(r, 3)
+        L, G, theta = random_triple(r, 3)
         if theta is None:
             continue
         w = weyl_connection(L, G, theta)
@@ -177,7 +131,7 @@ def test_skew_identity_randomised():
 def test_conformal_invariance_randomised():
     r = rng(31)
     for _ in range(8):
-        L, G, theta = _random_triple(r, 3)
+        L, G, theta = random_triple(r, 3)
         if theta is None:
             continue
         w1 = weyl_connection(L, G, theta)
@@ -188,7 +142,7 @@ def test_conformal_invariance_randomised():
 def test_first_bianchi_randomised():
     r = rng(37)
     for _ in range(6):
-        L, G, theta = _random_triple(r, 3)
+        L, G, theta = random_triple(r, 3)
         if theta is None:
             continue
         cv = curvature(L, weyl_connection(L, G, theta))
