@@ -58,6 +58,7 @@ from lcplab.construct import (
     semidirect_lcp,
 )
 
+F = Fraction
 FIXTURES = Path(__file__).parent.parent / "src" / "lcplab" / "fixtures"
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
@@ -610,11 +611,9 @@ def conjugated(draw, d, basis):
 
 # a near-identity rational basis change, as the benchmark's hyperbolic
 # inputs use
-P3 = [[1, Fraction(1, 4), Fraction(-1, 8)], [Fraction(-3, 16), 1, Fraction(1, 8)],
-      [Fraction(1, 16), Fraction(-1, 4), 1]]
+P3 = [[1, F(1, 4), F(-1, 8)], [F(-3, 16), 1, F(1, 8)], [F(1, 16), F(-1, 4), 1]]
 # rotation blocks (p, w) and real eigenvalues of the benchmark's
 # lattice-search slots
-F = Fraction
 COMPLEX_SPECTRA = {
     "c3": ([(F(1, 2), 1)], [-1]),
     "c4": ([(F(1, 2), 1)], [F(-1, 4), F(-3, 4)]),
