@@ -21,6 +21,7 @@ against the ``lcplab`` code it checks:
 - ``ref_centraliser``: ``LieAlgebra.centraliser`` and ``centre``;
 - ``ref_jacobi_defect``: ``LieAlgebra.jacobi_defect``;
 - ``ref_levi_civita``: ``weyl.levi_civita`` (the Koszul formula);
+- ``ref_curvature``: ``weyl.curvature``;
 - ``rank_types``: ``lattice._jordan_types``;
 - ``ref_semidirect``, ``ref_direct``, ``ref_amalgam`` (with
   ``ref_line_algebra``): ``construct.semidirect_lcp``, ``almab_lcp``,
@@ -254,6 +255,21 @@ def ref_levi_civita(L, G):
     k = (gc - gc.transpose(0, 2, 1) - gc.transpose(2, 0, 1)) / 2
     gam = G.inverse.dot(k.transpose(2, 0, 1).reshape(n, n * n)).reshape(n, n, n)
     return list(gam.transpose(1, 0, 2))
+
+
+def ref_curvature(L, gamma):
+    """R(e_i, e_j) = [Gamma_i, Gamma_j] - Gamma_[e_i, e_j], keyed (i, j),
+    for i < j; R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0."""
+    n = L.dim
+    r = {(i, i): ex.rzeros((n, n)) for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = gamma[i].dot(gamma[j]) - gamma[j].dot(gamma[i])
+            for k in range(n):
+                if L.c[i, j, k] != 0:
+                    m = m - L.c[i, j, k] * gamma[k]
+            r[i, j], r[j, i] = m, -m
+    return r
 
 
 def rank_types(ints, roots):

@@ -5,8 +5,9 @@
 forms the objects hold; each must return what its ``Fraction``-product
 version returns (``support.dot``, the common-denominator product kernel,
 kept as the reference).  ``ex.int_dot`` must agree with the object
-product of the same Python ints, on both sides of its int64 bound, and
-the Jacobi test must agree with ``support.ref_jacobi_defect``.
+product of the same Python ints, on both sides of its int64 bound;
+ad, bracket spans, curvature and the Jacobi test must agree with
+``support``'s ``ref_*`` references at fixed seeds, n = 3..10.
 """
 
 from fractions import Fraction as F
@@ -16,15 +17,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcplab import exact as ex
-from lcplab.algebra import LieAlgebra, OneForm
+from lcplab.algebra import LieAlgebra, OneForm, Subspace
+from lcplab.weyl import curvature, levi_civita, weyl_connection
 from support import (
     PRIMES,
     dot,
     random_algebra,
+    random_matrix,
     random_metric,
+    random_triple,
+    ref_ad_stack,
+    ref_bracket_span,
+    ref_curvature,
     ref_jacobi_defect,
+    reye,
     rng,
     same,
+    same_span,
     small_fraction,
 )
 
@@ -183,6 +192,30 @@ def test_int_dot_rejects_what_is_not_a_python_int(bad):
     for a, b in ((v, w), (w, v), (v.reshape(1, 2), w.reshape(2, 1))):
         with pytest.raises(TypeError):
             ex.int_dot(a, b)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_ad_and_bracket_span_match_references(n):
+    r = rng(100 + n)
+    L = random_algebra(r, n)
+    for _ in range(3):
+        x = random_matrix(r, n, 1)
+        assert same(L.ad(x[:, 0]), ref_ad_stack(L, x)[0])
+        u = random_matrix(r, n, r.randint(0, 3))
+        v = random_matrix(r, n, r.randint(1, 3))
+        assert same_span(L.bracket_span(Subspace(u, n), Subspace(v)), ref_bracket_span(L, u, v))
+    full = Subspace.full(n)
+    assert same_span(L.bracket_span(full, full), ref_bracket_span(L, reye(n), reye(n)))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_curvature_matches_reference(n):
+    r = rng(200 + n)
+    L, G, theta = random_triple(r, n)
+    conn = levi_civita(L, G) if theta is None else weyl_connection(L, G, theta)
+    want = ref_curvature(L, conn.gamma)
+    got = curvature(L, conn)
+    assert all(same(got.r[i][j], want[i, j]) for i in range(n) for j in range(n))
 
 
 def test_jacobi_defect_matches_reference_on_perturbed_constants():

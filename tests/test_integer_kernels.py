@@ -2,8 +2,8 @@
 
 Brackets, ad stacks, the Koszul solve, the conformal correction and the
 curvature pass run on integers over one common denominator.  The
-references (``support``'s ``ref_*``, and the curvature, Weyl correction,
-series and z(g') below) are the same formulas evaluated entry by entry in
+references (``support``'s ``ref_*``, and the Weyl correction, series
+and z(g') below) are the same formulas evaluated entry by entry in
 ``Fraction`` arithmetic (numpy object products, no ``exact`` kernel), on
 random algebras, metrics and closed forms at n = 3..10.  Every returned
 entry must be a ``Fraction``, also where an elimination was handed an
@@ -20,7 +20,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lcplab import detect
 from lcplab import exact as ex
@@ -43,6 +43,7 @@ from support import (
     ref_bracket_span,
     ref_brackets,
     ref_centraliser,
+    ref_curvature,
     ref_jacobi_defect,
     ref_levi_civita,
     reye,
@@ -50,33 +51,6 @@ from support import (
     same,
     same_span,
 )
-
-
-def seeded_examples(base: int):
-    """``@example(seed=base + n, n=n)`` for n = 3..10: fixed seeds, run
-    besides the drawn ones, at every dimension of the references."""
-
-    def mark(test):
-        for n in range(3, 11):
-            test = example(seed=base + n, n=n)(test)
-        return test
-
-    return mark
-
-
-def ref_curvature(L, gamma):
-    """R(e_i, e_j) = [Gamma_i, Gamma_j] - Gamma_[e_i, e_j], keyed (i, j),
-    for i < j; R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0."""
-    n = L.dim
-    r = {(i, i): ex.rzeros((n, n)) for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = gamma[i].dot(gamma[j]) - gamma[j].dot(gamma[i])
-            for k in range(n):
-                if L.c[i, j, k] != 0:
-                    m = m - L.c[i, j, k] * gamma[k]
-            r[i, j], r[j, i] = m, -m
-    return r
 
 
 def ref_weyl_connection(L, G, theta):
@@ -112,7 +86,6 @@ def ref_centre_of_derived(L):
 
 @settings(max_examples=24, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(3, 6))
-@seeded_examples(100)
 def test_brackets_and_spans_match_fraction_code(seed, n):
     # per algebra, three rounds of a vector x and column blocks u (maybe
     # empty) and v
@@ -152,7 +125,6 @@ def test_brackets_and_spans_match_fraction_code(seed, n):
 
 @settings(max_examples=16, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(3, 10))
-@seeded_examples(200)
 def test_connections_and_curvature_match_fraction_code(seed, n):
     r = rng(seed)
     L, G, theta = random_triple(r, n)
