@@ -109,17 +109,20 @@ class LieAlgebra:
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict, check=True):
         """Build from a map {(i, j): coeffs} with i < j (0-indexed);
-        omitted pairs are zero brackets."""
-        c = ex.rzeros((dim, dim, dim))
+        omitted pairs are zero brackets.  Every coefficient is read once,
+        by ``exact.scaled``."""
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise DimensionMismatch(f"bad bracket pair ({i}, {j})")
-            v = ex.rvec(coeffs)
-            if v.shape[0] != dim:
+            if len(coeffs) != dim:
                 raise DimensionMismatch("bracket coefficient count != dim")
-            c[i, j, :] = v
-            c[j, i, :] = -v
-        return cls(c, check=check)
+        rows, e = ex.scaled(list(brackets.values()))
+        if rows.ndim > 2:
+            raise DimensionMismatch("bracket coefficients must be entries, not sequences")
+        cc = np.zeros((dim, dim, dim), dtype=object)
+        for (i, j), row in zip(brackets, rows):
+            cc[i, j], cc[j, i] = row, -row
+        return cls((cc, e), check=check)
 
     @classmethod
     def abelian(cls, dim: int):
@@ -127,9 +130,7 @@ class LieAlgebra:
 
     @cached_property
     def c(self) -> np.ndarray:
-        c = ex.unscaled(*self.scaled_c)
-        c.setflags(write=False)
-        return c
+        return ex.view(*self.scaled_c)
 
     def antisymmetry_defect(self):
         """First pair (i, j), i <= j, with c[i, j] != -c[j, i], or None."""
@@ -335,12 +336,9 @@ class Metric:
     def __init__(self, gram):
         """``gram`` is the Gram matrix (entries that ``exact.rat`` takes)
         or its integer form ``(gg, dg)``."""
-        if not ex.is_form(gram):
-            gram = np.asarray(gram, dtype=object)
-            # ints and Fractions scale as they are; any other entry is coerced
-            if not all(hasattr(x, "denominator") for x in gram.ravel().tolist()):
-                gram = ex.rmat(gram.tolist())
         gg, dg, self.gram_max = ex.as_form(gram)
+        if gg.ndim != 2:
+            raise DimensionMismatch(f"a Gram matrix needs 2 dimensions, not the shape {gg.shape}")
         if not ex.is_symmetric(gg):
             raise NotSymmetric("Gram matrix must be symmetric")
         if not ex.int_is_pos_def(gg):
@@ -355,9 +353,7 @@ class Metric:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        gram = ex.unscaled(*self.scaled_gram)
-        gram.setflags(write=False)
-        return gram
+        return ex.view(*self.scaled_gram)
 
     @cached_property
     def scaled_inverse(self) -> tuple:
@@ -379,9 +375,7 @@ class Metric:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        inverse = ex.unscaled(*self.scaled_inverse)
-        inverse.setflags(write=False)
-        return inverse
+        return ex.view(*self.scaled_inverse)
 
     def inner(self, x, y) -> Fraction:
         (ix, dx), (iy, dy), (gg, dg) = ex.scaled(x), ex.scaled(y), self.scaled_gram
@@ -420,18 +414,16 @@ class OneForm:
     def __init__(self, coeffs):
         """``coeffs`` is the coefficient row (entries that ``exact.rat``
         takes) or its integer form ``(t, dt)``."""
-        if not (ex.is_form(coeffs) or isinstance(coeffs, np.ndarray)):
-            coeffs = ex.rvec(coeffs)
         t, dt, self.coeffs_max = ex.as_form(coeffs)
+        if t.ndim != 1:
+            raise DimensionMismatch(f"a coefficient row needs 1 dimension, not the shape {t.shape}")
         t.setflags(write=False)
         self.scaled_coeffs = (t, dt)
         self.dim = t.shape[0]
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        coeffs = ex.unscaled(*self.scaled_coeffs)
-        coeffs.setflags(write=False)
-        return coeffs
+        return ex.view(*self.scaled_coeffs)
 
     @cached_property
     def key(self) -> tuple:
@@ -489,12 +481,17 @@ class Subspace:
     elimination that made them.
     """
 
-    def __init__(self, basis_matrix: np.ndarray, ambient_dim: Optional[int] = None):
-        if basis_matrix.shape == (0,) and ambient_dim is not None:  # no vectors
-            basis_matrix = ex.rzeros((ambient_dim, 0))
-        elif ambient_dim not in (None, basis_matrix.shape[0]):
+    def __init__(self, basis_matrix, ambient_dim: Optional[int] = None):
+        """The span of the columns of ``basis_matrix``, given as entries
+        (``exact.scaled``) or as an integer form."""
+        ints = ex.as_form(basis_matrix)[0]
+        if ints.shape == (0,) and ambient_dim is not None:  # no vectors
+            ints = np.zeros((ambient_dim, 0), dtype=object)
+        elif ints.ndim != 2:
+            raise DimensionMismatch(f"a basis matrix needs 2 dimensions, not the shape {ints.shape}")
+        elif ambient_dim not in (None, ints.shape[0]):
             raise DimensionMismatch(f"basis vectors must have length {ambient_dim}")
-        ub, du = ex.int_column_space(ex.scaled(basis_matrix)[0])
+        ub, du = ex.int_column_space(ints)
         ub.setflags(write=False)
         self.scaled_basis = (ub, du)
         self.ambient_dim, self.dim = ub.shape
@@ -518,9 +515,7 @@ class Subspace:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        basis = ex.unscaled(*self.scaled_basis)
-        basis.setflags(write=False)
-        return basis
+        return ex.view(*self.scaled_basis)
 
     @cached_property
     def basis_max(self) -> int:
@@ -543,13 +538,15 @@ class Subspace:
     @classmethod
     def spanned_by(cls, vectors, ambient_dim=None) -> "Subspace":
         """The span of ``vectors`` in Q^n, n = ``ambient_dim`` or their length."""
-        vectors = [ex.rvec(v) if not isinstance(v, np.ndarray) else v for v in vectors]
-        if not vectors:
+        rows = ex.scaled(vectors)[0]
+        if not len(rows):
+            if ambient_dim is None:
+                raise DimensionMismatch("the span of no vectors needs its ambient_dim")
             return cls.zero(ambient_dim)
-        n = vectors[0].shape[0] if ambient_dim is None else ambient_dim
-        if any(v.shape != (n,) for v in vectors):
+        n = rows.shape[-1] if ambient_dim is None else ambient_dim
+        if rows.shape != (len(rows), n):
             raise DimensionMismatch(f"vectors must have length {n}")
-        return cls(np.stack(vectors, axis=1))
+        return cls.of_columns(rows.T)
 
     def contains(self, v) -> bool:
         v = np.asarray(v, dtype=object).reshape(-1, 1)
@@ -681,9 +678,7 @@ class AlmostAbelianPresentation:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        matrix = ex.unscaled(*self.scaled_matrix)
-        matrix.setflags(write=False)
-        return matrix
+        return ex.view(*self.scaled_matrix)
 
 
 def _is_square(q: Fraction) -> bool:

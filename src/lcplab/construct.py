@@ -51,16 +51,6 @@ from .errors import (
 )
 
 
-def _as_rmat(a) -> np.ndarray:
-    if isinstance(a, np.ndarray) and a.dtype == object:
-        return a
-    return ex.rmat(np.atleast_2d(a).tolist())
-
-
-def _is_skew(m: np.ndarray) -> bool:
-    return ex.is_zero(m + m.T)
-
-
 class OrthoRep:
     """Linear map h -> so(q) given by its images on the h basis, held as
     the reduced integer form ``scaled_images == (mm, dm)`` of their (k, q,
@@ -76,12 +66,9 @@ class OrthoRep:
     def __init__(self, dim_target: int, images):
         """``images`` are q x q matrices or the integer form of their stack."""
         q = dim_target
-        if not ex.is_form(images):
-            mats = [_as_rmat(m) for m in images]
-            if any(m.shape != (q, q) for m in mats):
-                raise DimensionMismatch("image has wrong shape")
-            images = np.array(mats, dtype=object).reshape(len(mats), q, q)
         mm, dm, _ = ex.as_form(images)
+        if mm.shape[1:] != (q, q):
+            raise DimensionMismatch("image has wrong shape")
         mm.setflags(write=False)
         self.dim_target, self.scaled_images = q, (mm, dm)
 
@@ -95,9 +82,7 @@ class OrthoRep:
 
     @cached_property
     def images(self) -> tuple:
-        images = ex.unscaled(*self.scaled_images)
-        images.setflags(write=False)
-        return tuple(images)
+        return tuple(ex.view(*self.scaled_images))
 
     def validate(self, h: LieAlgebra, gram: Optional[np.ndarray] = None):
         """Check the invariants on m[a] = mm[a] / dm: each test is one
@@ -174,58 +159,62 @@ def semidirect_lcp(h: LieAlgebra, h_metric: Metric, beta: OrthoRep) -> LCPStruct
     return _verified(L, G, theta, flat)
 
 
-def _check_blocks(A: np.ndarray, Bs: dict, lines: int):
-    """The input check shared by :func:`almab_lcp` and :func:`flag_lcp`:
-    A and every named block B square, the B of one size, the structure
-    on ``lines`` basis vectors besides R^p and R^q within the envelope,
-    tr(A) != 0 and every B skew-symmetric."""
-    p, q = A.shape[0], next(iter(Bs.values())).shape[0]
-    if A.shape != (p, p) or any(B.shape != (q, q) for B in Bs.values()):
-        raise DimensionMismatch(f"{' and '.join(['A', *Bs])} must be square")
+def _check_blocks(a: np.ndarray, bs: dict, lines: int):
+    """The input check shared by :func:`almab_lcp` and :func:`flag_lcp`,
+    on the integers of A and of every named block B: each square, the B
+    of one size, the structure on ``lines`` basis vectors besides R^p and
+    R^q within the envelope, tr(A) != 0 and every B skew-symmetric."""
+    p, q = (m.shape[0] if m.ndim == 2 else -1 for m in (a, next(iter(bs.values()))))
+    if a.shape != (p, p) or any(b.shape != (q, q) for b in bs.values()):
+        raise DimensionMismatch(f"{' and '.join(['A', *bs])} must be square")
     check_envelope(lines + p + q)
-    if sum(A[i, i] for i in range(p)) == 0:
+    if a.trace() == 0:
         raise TraceZero("tr(A) must be nonzero")
-    if not all(_is_skew(B) for B in Bs.values()):
-        raise NotSkew(f"{', '.join(Bs)} must be skew-symmetric")
+    if any((b + b.T != 0).any() for b in bs.values()):
+        raise NotSkew(f"{', '.join(bs)} must be skew-symmetric")
 
 
-def _line_lcp(M: np.ndarray, Bs: list, h_metric: Optional[Metric] = None) -> LCPStructure:
+def _line_lcp(M: tuple, Bs: list, h_metric: Optional[Metric] = None) -> LCPStructure:
     """:func:`semidirect_lcp` of h = R b |x_M R^r (ad_b acting as M on
     R^r), with beta sending b, e_1, ... to the blocks Bs and the rest of
-    the basis to zero."""
-    r, q = M.shape[0], Bs[0].shape[0]
-    mi, dm = ex.scaled(M)
+    the basis to zero; M and the Bs are integer forms."""
+    (mi, dm), r, q = M, M[0].shape[0], Bs[0][0].shape[0]
     h = LieAlgebra((_semidirect_c(np.zeros((1, 1, 1), dtype=object), mi.reshape(1, r, r)), dm))
     hm = h_metric if h_metric is not None else Metric.identity(1 + r)
-    beta = list(Bs) + [np.zeros((q, q), dtype=object)] * (1 + r - len(Bs))
-    return semidirect_lcp(h, hm, OrthoRep(q, beta))
+    db = lcm(*(d for _, d in Bs))
+    images = np.zeros((1 + r, q, q), dtype=object)
+    for k, (b, d) in enumerate(Bs):
+        images[k] = b * (db // d)
+    return semidirect_lcp(h, hm, OrthoRep(q, (images, db)))
 
 
 def almab_lcp(A, B, h_metric: Optional[Metric] = None) -> LCPStructure:
     """Almost abelian structure: R b |x (R^p + R^q) with ad_b acting as
-    blockdiag(A, B - tr(A)/q Id) and theta = -(1/q) tr(A) b*."""
-    A, B = _as_rmat(A), _as_rmat(B)
-    _check_blocks(A, {"B": B}, 1)
-    return _line_lcp(A, [B], h_metric)
+    blockdiag(A, B - tr(A)/q Id) and theta = -(1/q) tr(A) b*.  A and B
+    are entries (``exact.scaled``) or integer forms."""
+    (a, da, _), (b, db, _) = ex.as_form(A), ex.as_form(B)
+    _check_blocks(a, {"B": b}, 1)
+    return _line_lcp((a, da), [(b, db)], h_metric)
 
 
 def flag_lcp(A, B1, B2, v) -> LCPStructure:
     """Non-almost-abelian structure on R b |x (R y + R^p) |x R^q with
-    [b, y] = v, ad_b = blockdiag(A, B1 - tr(A)/q Id), ad_y|R^q = B2."""
-    A, B1, B2 = _as_rmat(A), _as_rmat(B1), _as_rmat(B2)
-    v = ex.rvec(v)
-    if B2.shape != (B1.shape[0],) * 2:
+    [b, y] = v, ad_b = blockdiag(A, B1 - tr(A)/q Id), ad_y|R^q = B2.
+    Each input is entries (``exact.scaled``) or an integer form."""
+    (a, da, _), (b1, d1, _), (b2, d2, _), (iv, dv, _) = map(ex.as_form, (A, B1, B2, v))
+    if b2.shape != b1.shape[:1] * 2:
         raise DimensionMismatch("B1 and B2 must have the same size")
-    if v.shape[0] != A.shape[0]:
+    if iv.shape != a.shape[:1]:
         raise DimensionMismatch("v must lie in R^p")
-    _check_blocks(A, {"B1": B1, "B2": B2}, 2)
-    if ex.is_zero(B2):
+    _check_blocks(a, {"B1": b1, "B2": b2}, 2)
+    if not b2.any():
         raise B2Zero("B2 must be nonzero")
     # [B1, B2] = 0 is the commutation check of OrthoRep.validate
-    # ad_b on the basis y, x_1..x_p of R y + R^p
-    M = ex.block_diag(ex.rzeros((1, 1)), A)
-    M[1:, 0] = v
-    return _line_lcp(M, [B1, B2])
+    # ad_b on the basis y, x_1..x_p of R y + R^p, over dm
+    dm = lcm(da, dv)
+    m = ex.block_diag(np.zeros((1, 1), dtype=object), a * (dm // da))
+    m[1:, 0] = iv * (dm // dv)
+    return _line_lcp((m, dm), [(b1, d1), (b2, d2)])
 
 
 def direct_product(S: LCPStructure, k: LieAlgebra, k_metric: Metric) -> LCPStructure:

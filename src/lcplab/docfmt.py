@@ -51,12 +51,12 @@ class Document:
     def metric(self) -> Metric:
         if self.metric_rows is None:
             return Metric.identity(self.dim)
-        return Metric(ex.rmat(self.metric_rows))
+        return Metric(self.metric_rows)
 
     def one_form(self) -> Optional[OneForm]:
         if self.theta is None:
             return None
-        return OneForm(ex.rvec(self.theta))
+        return OneForm(self.theta)
 
     def flat(self) -> Optional[Subspace]:
         if self.flat_vectors is None:

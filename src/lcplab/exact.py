@@ -9,12 +9,17 @@ Conventions: vectors are 1-d arrays, matrices 2-d; the kernels below
 take and return a subspace as a matrix whose *columns* form a basis,
 and the rest of the package holds spans as ``algebra.Subspace``.
 
-Products are taken on integers: entries given as ``Fraction``s and ints
-are scaled once to Python integers over the lcm of their denominators
-(:func:`scaled`), the product is taken on those integers, and each
-entry of a returned result becomes a ``Fraction`` once
-(:func:`unscaled`; a zero entry is the shared :data:`ZERO`).  A
-``Fraction`` product would normalise every partial sum by a gcd.
+Exact data crosses the package's boundary in one place each way: in,
+:func:`scaled` is the one reader of entries (what :func:`rat` takes),
+under :func:`as_form`, which every constructor and recipe reads its
+input through once; out, :func:`view` is the one read-only view.
+
+Products are taken on integers: entries are scaled once to Python
+integers over the lcm of their denominators (:func:`scaled`), the
+product is taken on those integers, and each entry of a returned result
+becomes a ``Fraction`` once (:func:`unscaled`; a zero entry is the
+shared :data:`ZERO`).  A ``Fraction`` product would normalise every
+partial sum by a gcd.
 
 The large integer tables are each one numpy expression on int64 while
 a bound proves it exact.  The caller bounds every intermediate of its
@@ -48,10 +53,9 @@ a ``Metric`` its Gram matrix (``scaled_gram``) and inverse, a
 span, the derived algebra included) its canonical basis, an almost
 abelian presentation its ad-matrix (``scaled_matrix``), and a
 ``weyl.Connection`` and ``weyl.Curvature`` their whole tables; each
-makes its ``Fraction`` array a read-only view on first read.  The first
-three are built from entries or from an integer form (:func:`as_form`),
-and the constructors of ``construct`` build every structure from
-integer forms, padded by :func:`form_block_diag`.  Each form is reduced
+makes its ``Fraction`` array on first read, as a :func:`view`.  The
+constructors of ``construct`` build every structure from integer
+forms, padded by :func:`form_block_diag`.  Each form is reduced
 (:func:`reduced`): it is the one :func:`scaled` gives for the same
 values, so :func:`content_key` of it identifies the values and memo
 lookups hash Python ints only.  Bracket spans, centralisers, the flat
@@ -103,22 +107,21 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
+def _entries(data, ndim: int, what: str) -> np.ndarray:
+    """The ``Fraction`` array of ``data`` as :func:`scaled` reads it, which
+    must have ``ndim`` dimensions."""
+    ints, den = scaled(data)
+    if ints.ndim != ndim:
+        raise DimensionMismatch(f"a {what} needs {ndim} dimensions, not the shape {ints.shape}")
+    return unscaled(ints, den)
+
+
 def rvec(data) -> np.ndarray:
-    v = np.empty(len(data), dtype=object)
-    for i, x in enumerate(data):
-        v[i] = rat(x)
-    return v
+    return _entries(data, 1, "vector")
 
 
 def rmat(rows) -> np.ndarray:
-    rows = list(rows)
-    m = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        if len(row) != m.shape[1]:
-            raise DimensionMismatch("ragged matrix")
-        for j, x in enumerate(row):
-            m[i, j] = rat(x)
-    return m
+    return _entries(rows, 2, "matrix")
 
 
 def rzeros(shape) -> np.ndarray:
@@ -154,18 +157,23 @@ def is_zero(a) -> bool:
 
 
 def scaled(a) -> tuple[np.ndarray, int]:
-    """Integer numerators over one common denominator: ``a == ints / den``.
+    """Integer numerators over one common denominator, ``a == ints / den``:
+    the one reader of exact entries.
 
-    Entries are ``Fraction`` or ``int``; ``ints`` holds Python ints and
-    ``den`` is the lcm of the denominators.  Floats raise ``TypeError``.
+    Entries are those :func:`rat` takes: ints, numpy ints, ``Fraction``s
+    and strings like '3/4'; ``ints`` holds Python ints and ``den`` is the
+    lcm of the denominators.  A float raises ``TypeError``, and nested
+    rows of different lengths raise ``DimensionMismatch``.
     """
     a = np.asarray(a, dtype=object)
     flat = a.ravel().tolist()
     try:
         dens = [x.denominator for x in flat]
     except AttributeError:
-        bad = next(x for x in flat if not hasattr(x, "denominator"))
-        raise TypeError(f"exact products take Fractions and ints, not {bad!r}") from None
+        if any(isinstance(x, (list, tuple, np.ndarray)) for x in flat):
+            raise DimensionMismatch("ragged matrix: rows of different lengths") from None
+        flat = [rat(x) for x in flat]
+        dens = [x.denominator for x in flat]
     den = lcm(*dens)
     ints = np.empty(a.shape, dtype=object)
     ints.ravel()[:] = [int(x.numerator) * (den // d) for x, d in zip(flat, dens)]
@@ -183,18 +191,21 @@ def unscaled(ints, den: int):
     return out
 
 
-def is_form(a) -> bool:
-    """Is ``a`` an integer form ``(ints, den)``, an array and an int,
-    rather than an array (or nested sequence) of entries?"""
-    return type(a) is tuple and len(a) == 2 and isinstance(a[0], np.ndarray) and type(a[1]) is int
+def view(ints, den: int) -> np.ndarray:
+    """The read-only ``Fraction`` array ``ints / den`` (:func:`unscaled`):
+    the one view of exact data held as an integer form."""
+    out = unscaled(ints, den)
+    out.setflags(write=False)
+    return out
 
 
 def as_form(a) -> tuple:
-    """The reduced integer form of exact data given as entries (Fractions
-    and ints, :func:`scaled`) or as an integer form ``(ints, den)``, whose
+    """The reduced integer form of exact data given as entries (read by
+    :func:`scaled`) or as an integer form ``(ints, den)``, whose
     ``ints`` must be an object array of Python ints (:func:`int_max`)
-    and ``den`` nonzero, with its bound: ``(ints, den, max|ints|)``."""
-    if not is_form(a):
+    and ``den`` nonzero, with its bound: ``(ints, den, max|ints|)``.  An
+    integer form is a tuple of an array and an int."""
+    if not (type(a) is tuple and len(a) == 2 and isinstance(a[0], np.ndarray) and type(a[1]) is int):
         ints, den = scaled(a)
         return ints, den, abs_max(ints)
     ints, den = a

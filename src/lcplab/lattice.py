@@ -12,9 +12,10 @@ bound rho(C) <= ||C||_inf, so a verdict decided exactly makes no float
 eigen-solve.
 
 ``lattice_verdict`` refuses C with NonTraceFree unless the rationals it
-holds have trace exactly 0 (the one trace test, ``_require_trace_free``),
-then asks the rules of ``RULES`` in order; the first that decides gives
-the verdict and names itself in it.  Every rule reads C and the t-range
+holds have trace exactly 0 (the one trace test, ``_require_trace_free``)
+and a t-range with lo > hi or a NaN end with ParamOutOfRange
+(``_ordered``), then asks the rules of ``RULES`` in order; the first
+that decides gives the verdict and names itself in it.  Every rule reads C and the t-range
 alone, through the plan.  A rule returns None where it does not apply, a
 ``NoLatticeCertificate`` for "no", or its witnesses for "yes"; an empty
 list applies and finds none, and the verdict is inconclusive over the
@@ -136,6 +137,15 @@ class ScanCandidate:
     defect: float
 
 
+def _ordered(t_range) -> tuple:
+    """``t_range`` as two floats lo <= hi; a range with lo > hi or a NaN
+    end raises ParamOutOfRange, and lo = hi and infinite ends are valid."""
+    lo, hi = float(t_range[0]), float(t_range[1])
+    if not lo <= hi:  # also false for a NaN end
+        raise ParamOutOfRange(f"t-range must have lo <= hi and no NaN end, not ({lo}, {hi})")
+    return lo, hi
+
+
 def _scanned_range(c, t_range) -> tuple:
     """The t-range the scan covers: ``t_range`` with each end t clamped
     so that the spectral radius |t| rho of t C stays within MAX_SPECTRAL,
@@ -147,12 +157,9 @@ def _scanned_range(c, t_range) -> tuple:
     range wholly past the envelope comes back empty, (r, r] with r at its
     near edge, and never reversed.  An end the clamp leaves infinite (rho
     0, or so small that MAX_SPECTRAL / rho overflows) raises
-    EnvelopeExceeded.  A range with lo > hi or a NaN end raises
-    ParamOutOfRange; lo = hi and infinite ends are valid.  ``c`` is C or
-    its plan."""
-    lo, hi = float(t_range[0]), float(t_range[1])
-    if not lo <= hi:  # also false for a NaN end
-        raise ParamOutOfRange(f"t-range must have lo <= hi and no NaN end, not ({lo}, {hi})")
+    EnvelopeExceeded.  The range is checked by ``_ordered``.  ``c`` is C
+    or its plan."""
+    lo, hi = _ordered(t_range)
     plan, far = _plan_of(c), max(abs(lo), abs(hi))
     if math.isfinite(far):  # far ||ints||_inf <= MAX_SPECTRAL d, on integers
         (p, q), (a, b) = far.as_integer_ratio(), MAX_SPECTRAL.as_integer_ratio()
@@ -288,17 +295,17 @@ def _jordan_types(ints, roots) -> dict:
 
 class _Plan:
     """What one verdict computes once about C.  C is held once, as the
-    exact rationals its entries are (``c``): ints and ``Fraction``s as
-    they are, each float x as ``Fraction(x)`` (a finite float is a dyadic
-    rational, so nothing is rounded).  On first use come the integer form
-    C = ints / d, the characteristic polynomial and exact spectrum of
-    ints, the norm ||ints||_inf, s(ints), the spectral radius, the Jordan
-    types and (for a defective C) layers of C, and ``spectrum``, the one
-    float eigen-solve, which only the rules that read floats take.  Input
-    is checked here, once: C must be a nonempty square matrix
-    (else DimensionMismatch), with n <= MAX_DIM, finite entries within the
-    float range and its integer form within MAX_INT_FORM_SIZE (else
-    EnvelopeExceeded)."""
+    exact rationals its entries are (``c``): each Python or numpy float x
+    as ``Fraction(x)`` (a finite float is a dyadic rational, so nothing is
+    rounded), every other entry as ``exact.rat`` reads it.  On first use
+    come the integer form C = ints / d, the characteristic polynomial and
+    exact spectrum of ints, the norm ||ints||_inf, s(ints), the spectral
+    radius, the Jordan types and (for a defective C) layers of C, and
+    ``spectrum``, the one float eigen-solve, which only the rules that
+    read floats take.  Input is checked here, once: C must be a nonempty
+    square matrix (else DimensionMismatch), with n <= MAX_DIM, finite
+    entries within the float range and its integer form within
+    MAX_INT_FORM_SIZE (else EnvelopeExceeded)."""
 
     def __init__(self, c):
         a = np.asarray(c, dtype=object)
@@ -308,12 +315,12 @@ class _Plan:
             raise EnvelopeExceeded(f"supported envelope is n <= {MAX_DIM}")
         entries, self.floats = [], False  # some entry a float
         for x in a.ravel().tolist():
-            if not hasattr(x, "denominator"):
+            if isinstance(x, (float, np.floating)):
                 x, self.floats = float(x), True
                 if not math.isfinite(x):
                     raise EnvelopeExceeded("matrix entries must be finite")
                 x = Fraction(x)
-            elif int(x.numerator).bit_length() - int(x.denominator).bit_length() > 1022:
+            elif (x := ex.rat(x)).numerator.bit_length() - x.denominator.bit_length() > 1022:
                 try:  # below that |x| < 2^1023, and float(x) cannot overflow
                     float(x)
                 except OverflowError:
@@ -808,9 +815,11 @@ def lattice_verdict(c, label: str = "", t_range=(0.0, 20.0), seed: int = 0) -> L
     """The verdict of the first rule of ``RULES`` that decides, named in
     its ``rule``.  Every rule reads C and ``t_range`` alone, through one
     plan of C (``_Plan``).  Before any rule, C must be trace-free (else
-    NonTraceFree).  ``seed`` is unused."""
+    NonTraceFree) and the t-range ordered with no NaN end (``_ordered``,
+    else ParamOutOfRange).  ``seed`` is unused."""
     plan = _Plan(c)
     _require_trace_free(plan)
+    _ordered(t_range)
     for rule, decide in RULES:
         found = decide(plan, t_range)
         if isinstance(found, NoLatticeCertificate):

@@ -203,18 +203,17 @@ def _no_params(p):
 
 
 def _check_g45(p):
-    v = ex.rat(p["p"])
-    if not (F(-1, 2) <= v < 0):
+    if not (F(-1, 2) <= p["p"] < 0):
         raise ParamOutOfRange("need -1/2 <= p < 0")
 
 
 def _check_g46(p):
-    if ex.rat(p["p"]) <= 0:
+    if p["p"] <= 0:
         raise ParamOutOfRange("need p > 0")
 
 
 def _check_g57(p):
-    a, b, c = ex.rat(p["p"]), ex.rat(p["q"]), ex.rat(p["r"])
+    a, b, c = p["p"], p["q"], p["r"]
     if a * b * c == 0:
         raise ParamOutOfRange("need pqr != 0")
     if a + b + c != 1:
@@ -224,12 +223,12 @@ def _check_g57(p):
 
 
 def _check_g59(p):
-    if ex.rat(p["p"]) < -1:
+    if p["p"] < -1:
         raise ParamOutOfRange("need p >= -1")
 
 
 def _check_g513(p):
-    q, r = ex.rat(p["q"]), ex.rat(p["r"])
+    q, r = p["q"], p["r"]
     if r <= 0:
         raise ParamOutOfRange("need r > 0")
     if not (-1 <= q <= 0) or q == F(-1, 2):
@@ -237,22 +236,22 @@ def _check_g513(p):
 
 
 def _check_g516(p):
-    if ex.rat(p["q"]) <= 0:
+    if p["q"] <= 0:
         raise ParamOutOfRange("need q > 0")
 
 
 def _check_g517(p):
-    if ex.rat(p["p"]) < 0 or ex.rat(p["r"]) <= 0:
+    if p["p"] < 0 or p["r"] <= 0:
         raise ParamOutOfRange("need p >= 0, r > 0")
 
 
 def _check_g519(p):
-    if ex.rat(p["p"]) == -1:
+    if p["p"] == -1:
         raise ParamOutOfRange("need p != -1")
 
 
 def _check_g525(p):
-    if ex.rat(p["p"]) <= 0:
+    if p["p"] <= 0:
         raise ParamOutOfRange("need p > 0")
 
 
@@ -261,11 +260,11 @@ def _dims_const(*dims):
 
 
 def _dims_g45(p):
-    return frozenset({1, 2}) if ex.rat(p["p"]) == F(-1, 2) else frozenset({1})
+    return frozenset({1, 2}) if p["p"] == F(-1, 2) else frozenset({1})
 
 
 def _dims_g57(p):
-    a, b, c = ex.rat(p["p"]), ex.rat(p["q"]), ex.rat(p["r"])
+    a, b, c = p["p"], p["q"], p["r"]
     dims = {1}
     if a != c and (b == a or b == c):
         dims.add(2)
@@ -275,18 +274,18 @@ def _dims_g57(p):
 
 
 def _dims_g59(p):
-    return frozenset({1, 2}) if ex.rat(p["p"]) == -1 else frozenset({1})
+    return frozenset({1, 2}) if p["p"] == -1 else frozenset({1})
 
 
 def _dims_g513(p):
     dims = {1, 2}
-    if ex.rat(p["q"]) == F(-1, 3):
+    if p["q"] == F(-1, 3):
         dims.add(3)
     return frozenset(dims)
 
 
 def _dims_g517(p):
-    return frozenset({2}) if ex.rat(p["p"]) != 0 else frozenset()
+    return frozenset({2}) if p["p"] != 0 else frozenset()
 
 
 @dataclass(frozen=True)
@@ -484,10 +483,7 @@ def _row_algebra(name: str, params: tuple) -> LieAlgebra:
     as sorted (parameter, Fraction) pairs; the memo holds every sampled
     row."""
     row = ROWS[name]
-    brackets = {
-        k: [ex.rat(x) for x in v] for k, v in row.brackets(row.dim, dict(params)).items()
-    }
-    return LieAlgebra.from_brackets(row.dim, brackets)
+    return LieAlgebra.from_brackets(row.dim, row.brackets(row.dim, dict(params)))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +548,7 @@ def verify_table(name: str, params=None, witnesses=None) -> TableVerification:
 
 def _sample_for(name, params) -> SampleSpec:
     for s in SAMPLES:
-        if s.name == name and {k: ex.rat(v) for k, v in s.params.items()} == params:
+        if s.name == name and s.params == params:
             return s
     raise UnknownName(f"no shipped witnesses for {name} at {params}")
 
@@ -743,5 +739,4 @@ def nonunimodular_4d(name: str, params: Optional[dict] = None) -> LieAlgebra:
     for k, ok in checks.items():
         if not ok(params[k]):
             raise ParamOutOfRange(f"parameter {k}={params[k]} out of range")
-    brackets = {k: [ex.rat(x) for x in v] for k, v in builder(params).items()}
-    return LieAlgebra.from_brackets(4, brackets)
+    return LieAlgebra.from_brackets(4, builder(params))

@@ -44,9 +44,7 @@ class Connection:
 
     @cached_property
     def gamma(self) -> tuple:
-        gam = ex.unscaled(self.g, self.d)
-        gam.setflags(write=False)
-        return tuple(gam)
+        return tuple(ex.view(self.g, self.d))
 
     def of(self, x: np.ndarray) -> np.ndarray:
         """Matrix of nabla_x by linearity in x: one contraction with the
@@ -119,16 +117,10 @@ class Curvature:
 
     @cached_property
     def r(self) -> tuple:
-        n = self.dim
-        pos = ex.unscaled(self.num, self.den)
-        neg = ex.unscaled(-self.num, self.den)
-        zero = ex.rzeros((n, n))
-        for m in (pos, neg, zero):
-            m.setflags(write=False)
-        table = [[zero for _ in range(n)] for _ in range(n)]
-        for p, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
-            table[i][j], table[j][i] = pos[p], neg[p]
-        return tuple(tuple(row) for row in table)
+        n, (iu, ju) = self.dim, np.triu_indices(self.dim, 1)
+        full = np.zeros((n, n, n, n), dtype=object)
+        full[iu, ju], full[ju, iu] = self.num, -self.num
+        return tuple(map(tuple, ex.view(full, self.den)))
 
     def at(self, x, y) -> np.ndarray:
         """R_{x,y} by bilinearity: sum over pairs i < j of

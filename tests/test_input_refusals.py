@@ -54,10 +54,17 @@ CASES = {
         lambda: LieAlgebra.from_brackets(3, {(1, 0): [0, 0, 1]}), DimensionMismatch, "bracket pair"),
     "bracket-coefficients": (
         lambda: LieAlgebra.from_brackets(3, {(0, 1): [0, 1]}), DimensionMismatch, "coefficient count"),
+    "bracket-coefficients-nested": (
+        lambda: LieAlgebra.from_brackets(2, {(0, 1): [[0], [1]]}), DimensionMismatch, "not sequences"),
     "bracket-operands": (lambda: E11.bracket([1, 0], [0, 1, 0]), DimensionMismatch, "operands"),
     "gram-not-symmetric": (lambda: Metric([[1, 1], [0, 1]]), NotSymmetric, "symmetric"),
+    "gram-empty": (lambda: Metric([]), DimensionMismatch, "Gram matrix needs 2 dimensions"),
+    "span-of-nothing": (lambda: Subspace.spanned_by([]), DimensionMismatch, "ambient_dim"),
+    "basis-not-a-matrix": (lambda: Subspace([1, 2]), DimensionMismatch, "basis matrix needs 2 dimensions"),
+    "coefficients-not-a-row": (lambda: OneForm([[1, 2]]), DimensionMismatch, "row needs 1 dimension"),
     # exact
     "ragged-matrix": (lambda: ex.rmat([[1, 2], [3]]), DimensionMismatch, "ragged"),
+    "empty-matrix": (lambda: ex.rmat([]), DimensionMismatch, "matrix needs 2 dimensions"),
     "solve-shapes": (
         lambda: ex.solve(ex.rmat([[1, 0], [0, 1]]), ex.rvec([1, 2, 3])), DimensionMismatch, "solve"),
     "inverse-not-square": (
@@ -113,10 +120,13 @@ def test_a_fixture_without_theta_is_refused(tmp_path, monkeypatch):
     ids=["nan-hi", "nan-lo", "reversed", "empty", "infinite"],
 )
 def test_a_t_range_must_be_ordered_without_nan(t_range, refused):
-    # every rule reads the range through lattice._scanned_range, here
-    # trace_levels (diag(2, -2)) and the scan (+-sqrt(2)); an empty range
-    # and an infinite end are valid, and the envelope bounds the end
-    for c in (ex.rmat([[2, 0], [0, -2]]), ex.rmat([[0, 1], [2, 0]])):
+    # lattice_verdict checks the range before any rule, so also where
+    # double_root decides (J_2(1) + (-2), diag(2, -1, -1)), which reads
+    # no range; trace_levels (diag(2, -2)) and the scan (+-sqrt(2)) read
+    # it through lattice._scanned_range.  An empty range and an infinite
+    # end are valid, and the envelope bounds the end
+    double_roots = (ex.rmat([[1, 1, 0], [0, 1, 0], [0, 0, -2]]), ex.rmat([[2, 0, 0], [0, -1, 0], [0, 0, -1]]))
+    for c in (ex.rmat([[2, 0], [0, -2]]), ex.rmat([[0, 1], [2, 0]]), *double_roots):
         if refused:
             for call in (lattice_verdict, integer_charpoly_scan):
                 with pytest.raises(ParamOutOfRange, match="t-range"):
