@@ -339,6 +339,8 @@ class Metric:
         gg, dg, self.gram_max = ex.as_form(gram)
         if gg.ndim != 2:
             raise DimensionMismatch(f"a Gram matrix needs 2 dimensions, not the shape {gg.shape}")
+        if gg.shape[0] != gg.shape[1]:
+            raise DimensionMismatch(f"a Gram matrix must be square, not of the shape {gg.shape}")
         if not ex.is_symmetric(gg):
             raise NotSymmetric("Gram matrix must be symmetric")
         if not ex.int_is_pos_def(gg):

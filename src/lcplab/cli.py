@@ -182,7 +182,7 @@ def cmd_construct(args) -> int:
             raise DocumentError("construct modify needs --lam")
         try:
             lam = ex.rat(args.lam)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise DocumentError(f"--lam must be a rational number, not {args.lam!r}") from None
         s = metric_modification(_structure_from_doc(doc), lam)
     else:  # pragma: no cover
@@ -223,7 +223,7 @@ def cmd_lattice(args) -> int:
     if not math.isfinite(args.t0) or args.t0 == 0:
         raise DocumentError(f"--t0 must be a finite nonzero number, not {args.t0}")
     try:
-        poly = IntPoly(tuple(int(x) for x in args.poly.split(",")))
+        poly = IntPoly(tuple(ex.integer(x) for x in args.poly.split(",")))
     except ValueError:
         raise DocumentError(f"--poly must be comma-separated integers, not {args.poly!r}") from None
     w = certify_witness(pres.matrix, args.t0, poly)

@@ -14,9 +14,10 @@ Grammar (UTF-8, '#' starts a comment, blank lines ignored)::
     scalar q 2                   # named rational scalars
 
 Scalars are integers or reduced fractions ``p/q`` with positive
-denominator; anything else (including non-reduced fractions like 2/4)
-is rejected with a line/column-tagged error.  Every integer, in a
-scalar, the dimension or a bracket index, is a run of ASCII digits.
+denominator, read by ``exact.rat``, the one grammar of rationals in
+text; anything else (including non-reduced fractions like 2/4) is
+rejected with a line/column-tagged error.  Every integer, in a scalar,
+the dimension or a bracket index, is a run of ASCII digits.
 Omitted bracket pairs are zero brackets.
 """
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 import numpy as np
@@ -69,32 +69,14 @@ class Document:
         return ex.rmat(self.blocks[name])
 
 
-def _parse_natural(tok: str, line: int, col: int, what: str) -> int:
-    """A run of ASCII digits: the one integer grammar of documents, so no
-    sign, no underscores and no non-ASCII digits."""
-    if not (tok.isascii() and tok.isdigit()):
-        raise DocumentError(f"malformed {what} {tok!r}", line, col)
+def _parse(read, tok: str, line: int, col: int, *args):
+    """``read(tok, *args)``, one of ``exact.rat`` and ``exact.natural``,
+    whose grammar is that of documents, with a refusal raised at the
+    line and column of ``tok``."""
     try:
-        return int(tok)
-    except ValueError:  # more digits than int() converts
-        raise DocumentError(f"{what} of {len(tok)} digits is too long", line, col) from None
-
-
-def _parse_rational(tok: str, line: int, col: int) -> Fraction:
-    s = tok
-    neg = s.startswith("-")
-    if neg or s.startswith("+"):
-        s = s[1:]
-    parts = s.split("/")
-    if len(parts) > 2:
-        raise DocumentError(f"malformed rational {tok!r}", line, col)
-    num = _parse_natural(parts[0], line, col, "rational")
-    den = _parse_natural(parts[1], line, col, "rational") if len(parts) == 2 else 1
-    if den == 0:
-        raise DocumentError(f"zero denominator in {tok!r}", line, col)
-    if gcd(num, den) != 1:
-        raise DocumentError(f"non-reduced rational {tok!r}", line, col)
-    return Fraction(-num if neg else num, den)
+        return read(tok, *args)
+    except ValueError as e:
+        raise DocumentError(str(e), line, col) from None
 
 
 def _tokens_with_cols(body: str, lineno: int, offset: int):
@@ -109,7 +91,7 @@ def _tokens_with_cols(body: str, lineno: int, offset: int):
 
 def _parse_vector(body: str, lineno: int, offset: int, want: Optional[int]) -> list:
     toks = _tokens_with_cols(body, lineno, offset)
-    vals = [_parse_rational(t, ln, c) for (t, ln, c) in toks]
+    vals = [_parse(ex.rat, t, ln, c) for (t, ln, c) in toks]
     if want is not None and len(vals) != want:
         raise DocumentError(f"expected {want} entries, got {len(vals)}", lineno, offset)
     return vals
@@ -139,7 +121,7 @@ def parse_document(text: str) -> Document:
         if key == "dim":
             if doc is not None:
                 raise DocumentError("duplicate dim directive", lineno, 1)
-            dim = _parse_natural(rest.strip(), lineno, indent + 5, "dimension")
+            dim = _parse(ex.natural, rest.strip(), lineno, indent + 5, "dimension")
             if dim <= 0:
                 raise DocumentError("dimension must be positive", lineno, indent + 5)
             if dim > MAX_DIM:
@@ -163,7 +145,7 @@ def parse_document(text: str) -> Document:
             idx = head.split()
             if len(idx) != 2 or not sep:
                 raise DocumentError("bracket needs 'bracket i j : coeffs'", lineno, indent + 1)
-            i, j = (_parse_natural(t, lineno, indent + 9, "bracket index") for t in idx)
+            i, j = (_parse(ex.natural, t, lineno, indent + 9, "bracket index") for t in idx)
             if not (1 <= i < j <= doc.dim):
                 raise DocumentError(
                     f"bracket indices must satisfy 1 <= i < j <= {doc.dim}", lineno, indent + 9
@@ -198,7 +180,7 @@ def parse_document(text: str) -> Document:
                 raise DocumentError("scalar needs 'scalar NAME value'", lineno, indent + 1)
             if toks[0] in doc.scalars:
                 raise DocumentError(f"duplicate scalar {toks[0]}", lineno, indent + 8)
-            doc.scalars[toks[0]] = _parse_rational(toks[1], lineno, indent + 8 + len(toks[0]))
+            doc.scalars[toks[0]] = _parse(ex.rat, toks[1], lineno, indent + 8 + len(toks[0]))
         else:
             raise DocumentError(f"unknown directive {key!r}", lineno, indent + 1)
     if doc is None:

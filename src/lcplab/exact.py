@@ -96,14 +96,49 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _digits(part: str, tok: str, what: str, signed: bool) -> int:
+    """``part`` of the text ``tok`` as an int: ASCII digits, after one
+    optional sign where ``signed``.  ``int()`` also takes spaces,
+    underscores and non-ASCII digits; here they raise ValueError."""
+    digits = part[1:] if signed and part[:1] in ("+", "-") else part
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed {what} {tok!r}")
+    try:
+        n = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"{what} of {len(digits)} digits is too long") from None
+    return -n if part[:1] == "-" else n
+
+
+def natural(tok: str, what: str) -> int:
+    """A run of ASCII digits as an int; ValueError names ``what`` otherwise."""
+    return _digits(tok, tok, what, signed=False)
+
+
+def integer(tok: str) -> int:
+    """An optional sign and a run of ASCII digits as an int."""
+    return _digits(tok, tok, "integer", signed=True)
+
+
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4' and Fractions; reject floats."""
+    """Coerce ints, Fractions and strings; reject floats.  A string is
+    read by the one grammar of rationals in text, documents included: an
+    optional sign, ASCII digits, and an optional '/' with ASCII digits, a
+    nonzero denominator and no common factor ('2/4', '0.1', '1e3', ' 1'
+    and '1_0' raise ValueError)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, str):
-        return Fraction(x)
+        num, slash, den = x.partition("/")
+        n = _digits(num, x, "rational", signed=True)
+        d = _digits(den, x, "rational", signed=False) if slash else 1
+        if d == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+        if gcd(n, d) != 1:
+            raise ValueError(f"non-reduced rational {x!r}")
+        return Fraction(n, d)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 

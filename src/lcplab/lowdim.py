@@ -2,14 +2,17 @@
 carrying non-degenerate LCP structures, with per-row witnesses and
 lattice verdicts.
 
-Each catalog row stores the bracket template, the admissible parameter
-range, the set of flat dimensions realised over all structures, and the
-printed lattice status.  The witness metrics and Lee forms per sampled
-parameter are the fixture corpus (``lcplab.fixtures``); they realise
-every flat dimension of the row, and rows whose smaller flat dimensions
-are swallowed by eigenvalue coincidences under the identity metric carry
-explicitly chosen non-diagonal metrics (the flat space depends on the
-metric, not just the algebra).
+Each catalog row is a ``Family`` (dimension, parameter names, bracket
+template and admissible parameter ranges) with the set of flat
+dimensions realised over all structures and the printed lattice status.
+The 4-dimensional non-unimodular algebras of the construction pool are
+``Family`` records too, and one path instantiates both tables.  The
+witness metrics and Lee forms per sampled parameter are the fixture
+corpus (``lcplab.fixtures``); they realise every flat dimension of the
+row, and rows whose smaller flat dimensions are swallowed by eigenvalue
+coincidences under the identity metric carry explicitly chosen
+non-diagonal metrics (the flat space depends on the metric, not just
+the algebra).
 
 Isomorphism is never decided in general: rows are matched by invariant
 fingerprints plus explicit basis-change witnesses.
@@ -44,40 +47,24 @@ F = Fraction
 # bracket templates (0-indexed pairs i < j, coefficients of [e_i, e_j])
 # ---------------------------------------------------------------------------
 
-def _pad(dim, vec):
-    return list(vec) + [0] * (dim - len(vec))
+def _e11(p):
+    return {(0, 1): [0, 1, 0], (0, 2): [0, 0, -1]}
 
 
-def _e11(dim, p):
-    return {(0, 1): _pad(dim, [0, 1, 0]), (0, 2): _pad(dim, [0, 0, -1])}
+def _g42(p):
+    return {(0, 1): [0, 1, 0, 0], (0, 2): [0, 1, 1, 0], (0, 3): [0, 0, 0, -2]}
 
 
-def _g42(dim, p):
-    return {
-        (0, 1): _pad(dim, [0, 1, 0, 0]),
-        (0, 2): _pad(dim, [0, 1, 1, 0]),
-        (0, 3): _pad(dim, [0, 0, 0, -2]),
-    }
+def _g45(p):
+    return {(0, 1): [0, 1, 0, 0], (0, 2): [0, 0, p["p"], 0], (0, 3): [0, 0, 0, -(p["p"] + 1)]}
 
 
-def _g45(dim, p):
-    return {
-        (0, 1): _pad(dim, [0, 1, 0, 0]),
-        (0, 2): _pad(dim, [0, 0, p["p"], 0]),
-        (0, 3): _pad(dim, [0, 0, 0, -(p["p"] + 1)]),
-    }
-
-
-def _g46(dim, p):
+def _g46(p):
     pp = p["p"]
-    return {
-        (0, 1): _pad(dim, [0, -2 * pp, 0, 0]),
-        (0, 2): _pad(dim, [0, 0, pp, -1]),
-        (0, 3): _pad(dim, [0, 0, 1, pp]),
-    }
+    return {(0, 1): [0, -2 * pp, 0, 0], (0, 2): [0, 0, pp, -1], (0, 3): [0, 0, 1, pp]}
 
 
-def _g57(dim, p):
+def _g57(p):
     return {
         (0, 4): [-p["p"], 0, 0, 0, 0],
         (1, 4): [0, -p["q"], 0, 0, 0],
@@ -86,7 +73,7 @@ def _g57(dim, p):
     }
 
 
-def _g58(dim, p):
+def _g58(p):
     return {
         (0, 4): [-1, 0, 0, 0, 0],
         (2, 4): [0, -1, 0, 0, 0],
@@ -94,7 +81,7 @@ def _g58(dim, p):
     }
 
 
-def _g59(dim, p):
+def _g59(p):
     return {
         (0, 4): [-p["p"], 0, 0, 0, 0],
         (1, 4): [0, -1, 0, 0, 0],
@@ -103,7 +90,7 @@ def _g59(dim, p):
     }
 
 
-def _g511(dim, p):
+def _g511(p):
     return {
         (0, 4): [-1, 0, 0, 0, 0],
         (1, 4): [-1, -1, 0, 0, 0],
@@ -112,7 +99,7 @@ def _g511(dim, p):
     }
 
 
-def _g513(dim, p):
+def _g513(p):
     q, r = p["q"], p["r"]
     return {
         (0, 4): [-1, 0, 0, 0, 0],
@@ -122,7 +109,7 @@ def _g513(dim, p):
     }
 
 
-def _g516(dim, p):
+def _g516(p):
     q = p["q"]
     return {
         (0, 4): [-1, 0, 0, 0, 0],
@@ -132,7 +119,7 @@ def _g516(dim, p):
     }
 
 
-def _g517(dim, p):
+def _g517(p):
     pp, r = p["p"], p["r"]
     return {
         (0, 4): [-pp, 1, 0, 0, 0],
@@ -142,7 +129,7 @@ def _g517(dim, p):
     }
 
 
-def _g519(dim, p):
+def _g519(p):
     pp = p["p"]
     return {
         (0, 1): [0, 0, 1, 0, 0],
@@ -153,7 +140,7 @@ def _g519(dim, p):
     }
 
 
-def _g523(dim, p):
+def _g523(p):
     return {
         (0, 1): [0, 0, 1, 0, 0],
         (0, 4): [-1, 0, 0, 0, 0],
@@ -163,7 +150,7 @@ def _g523(dim, p):
     }
 
 
-def _g525(dim, p):
+def _g525(p):
     pp = p["p"]
     return {
         (0, 1): [0, 0, 1, 0, 0],
@@ -174,7 +161,7 @@ def _g525(dim, p):
     }
 
 
-def _g533(dim, p):
+def _g533(p):
     return {
         (0, 1): [0, 1, 0, 0, 0],
         (0, 2): [0, 0, -1, 0, 0],
@@ -183,7 +170,7 @@ def _g533(dim, p):
     }
 
 
-def _g535(dim, p):
+def _g535(p):
     return {
         (0, 1): [0, 0, 1, 0, 0],
         (0, 2): [0, -1, 0, 0, 0],
@@ -193,66 +180,102 @@ def _g535(dim, p):
     }
 
 
+# the 4-dimensional non-unimodular solvable algebras (construction pool)
+
+def _h_rr3(p):
+    return {(0, 1): [0, 1, 0, 0], (0, 2): [0, 1, 1, 0]}
+
+
+def _h_rr3_lam(p):
+    return {(0, 1): [0, 1, 0, 0], (0, 2): [0, 0, p["lam"], 0]}
+
+
+def _h_rr3p(p):
+    g = p["gam"]
+    return {(0, 1): [0, g, -1, 0], (0, 2): [0, 1, g, 0]}
+
+
+def _h_r2r2(p):
+    return {(0, 1): [0, 1, 0, 0], (2, 3): [0, 0, 0, 1]}
+
+
+def _h_r2p(p):
+    return {
+        (0, 2): [0, 0, 1, 0],
+        (0, 3): [0, 0, 0, 1],
+        (1, 2): [0, 0, 0, 1],
+        (1, 3): [0, 0, -1, 0],
+    }
+
+
+def _h_r4(p):
+    return {(0, 3): [-1, 0, 0, 0], (1, 3): [-1, -1, 0, 0], (2, 3): [0, -1, -1, 0]}
+
+
+def _h_r4_mu(p):
+    m = p["mu"]
+    return {(0, 3): [-1, 0, 0, 0], (1, 3): [0, -m, 0, 0], (2, 3): [0, -1, -m, 0]}
+
+
+def _h_r4_ab(p):
+    a, b = p["alpha"], p["beta"]
+    return {(0, 3): [-1, 0, 0, 0], (1, 3): [0, -a, 0, 0], (2, 3): [0, 0, -b, 0]}
+
+
+def _h_r4p(p):
+    g, d = p["gam"], p["delta"]
+    return {(0, 3): [-1, 0, 0, 0], (1, 3): [0, -g, d, 0], (2, 3): [0, -d, -g, 0]}
+
+
+def _h_d4_lam(p):
+    lam = p["lam"]
+    return {
+        (0, 1): [0, 0, 1, 0],
+        (0, 3): [-lam, 0, 0, 0],
+        (1, 3): [0, lam - 1, 0, 0],
+        (2, 3): [0, 0, -1, 0],
+    }
+
+
+def _h_d4p(p):
+    d = p["delta"]
+    return {
+        (0, 1): [0, 0, 1, 0],
+        (0, 3): [-d / 2, 1, 0, 0],
+        (1, 3): [-1, -d / 2, 0, 0],
+        (2, 3): [0, 0, -d, 0],
+    }
+
+
+def _h_h4(p):
+    return {
+        (0, 1): [0, 0, 1, 0],
+        (0, 3): [F(-1, 2), 0, 0, 0],
+        (1, 3): [-1, F(-1, 2), 0, 0],
+        (2, 3): [0, 0, -1, 0],
+    }
+
+
 # ---------------------------------------------------------------------------
-# parameter validation and expected flat dimensions per row
+# parameter ranges and expected flat dimensions per row
 # ---------------------------------------------------------------------------
 
-def _no_params(p):
-    """Nothing to check: ``table_algebra`` refuses every parameter name
-    of a row that takes none."""
-
-
-def _check_g45(p):
-    if not (F(-1, 2) <= p["p"] < 0):
-        raise ParamOutOfRange("need -1/2 <= p < 0")
-
-
-def _check_g46(p):
-    if p["p"] <= 0:
-        raise ParamOutOfRange("need p > 0")
-
-
-def _check_g57(p):
-    a, b, c = p["p"], p["q"], p["r"]
-    if a * b * c == 0:
-        raise ParamOutOfRange("need pqr != 0")
-    if a + b + c != 1:
-        raise ParamOutOfRange("need p + q + r = 1")
-    if not (-1 <= a <= b <= c <= 1):
-        raise ParamOutOfRange("need -1 <= p <= q <= r <= 1")
-
-
-def _check_g59(p):
-    if p["p"] < -1:
-        raise ParamOutOfRange("need p >= -1")
-
-
-def _check_g513(p):
-    q, r = p["q"], p["r"]
-    if r <= 0:
-        raise ParamOutOfRange("need r > 0")
-    if not (-1 <= q <= 0) or q == F(-1, 2):
-        raise ParamOutOfRange("need q in [-1, 0], q != -1/2")
-
-
-def _check_g516(p):
-    if p["q"] <= 0:
-        raise ParamOutOfRange("need q > 0")
-
-
-def _check_g517(p):
-    if p["p"] < 0 or p["r"] <= 0:
-        raise ParamOutOfRange("need p >= 0, r > 0")
-
-
-def _check_g519(p):
-    if p["p"] == -1:
-        raise ParamOutOfRange("need p != -1")
-
-
-def _check_g525(p):
-    if p["p"] <= 0:
-        raise ParamOutOfRange("need p > 0")
+# a range is a (test, message) pair: the test reads the parameter dict
+_P_POSITIVE = ((lambda p: p["p"] > 0, "need p > 0"),)
+_G45 = ((lambda p: F(-1, 2) <= p["p"] < 0, "need -1/2 <= p < 0"),)
+_G57 = (
+    (lambda p: p["p"] * p["q"] * p["r"] != 0, "need pqr != 0"),
+    (lambda p: p["p"] + p["q"] + p["r"] == 1, "need p + q + r = 1"),
+    (lambda p: -1 <= p["p"] <= p["q"] <= p["r"] <= 1, "need -1 <= p <= q <= r <= 1"),
+)
+_G59 = ((lambda p: p["p"] >= -1, "need p >= -1"),)
+_G513 = (
+    (lambda p: p["r"] > 0, "need r > 0"),
+    (lambda p: -1 <= p["q"] <= 0 and p["q"] != F(-1, 2), "need q in [-1, 0], q != -1/2"),
+)
+_G516 = ((lambda p: p["q"] > 0, "need q > 0"),)
+_G517 = ((lambda p: p["p"] >= 0 and p["r"] > 0, "need p >= 0, r > 0"),)
+_G519 = ((lambda p: p["p"] != -1, "need p != -1"),)
 
 
 def _dims_const(*dims):
@@ -288,14 +311,27 @@ def _dims_g517(p):
     return frozenset({2}) if p["p"] != 0 else frozenset()
 
 
+# ---------------------------------------------------------------------------
+# the family tables, their sampled parameters (whose witnesses are the
+# fixture corpus) and the one path that instantiates a family
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
-class TableEntry:
-    name: str
-    table: int
+class Family:
+    """Lie algebras on e_0..e_{dim-1} at the rational ``param_names``:
+    ``brackets(p)`` gives the coefficients of [e_i, e_j], i < j, at the
+    parameter dict p, where each (test, message) of ``ranges`` holds."""
+
     dim: int
     param_names: tuple
     brackets: object
-    validate: object
+    ranges: tuple
+
+
+@dataclass(frozen=True)
+class TableEntry(Family):
+    name: str
+    table: int
     expected_flat_dims: object
     lattice_status: str  # yes | no | some_parameters
 
@@ -303,48 +339,126 @@ class TableEntry:
 ROWS = {
     r.name: r
     for r in [
-        TableEntry("e(1,1)", 1, 3, (), _e11, _no_params, _dims_const(1), "yes"),
-        TableEntry("e(1,1)+R", 2, 4, (), _e11, _no_params, _dims_const(1), "yes"),
-        TableEntry("g_{4.2}^{-2}", 2, 4, (), _g42, _no_params, _dims_const(1), "no"),
-        TableEntry("g_{4.5}^{p,-p-1}", 2, 4, ("p",), _g45, _check_g45, _dims_g45, "some_parameters"),
-        TableEntry("g_{4.6}^{-2p,p}", 2, 4, ("p",), _g46, _check_g46, _dims_const(1, 2), "some_parameters"),
-        TableEntry("e(1,1)+R2", 3, 5, (), _e11, _no_params, _dims_const(1), "yes"),
-        TableEntry("g_{4.2}^{-2}+R", 3, 5, (), _g42, _no_params, _dims_const(1), "no"),
-        TableEntry("g_{4.5}^{p,-p-1}+R", 3, 5, ("p",), _g45, _check_g45, _dims_g45, "some_parameters"),
-        TableEntry("g_{4.6}^{-2p,p}+R", 3, 5, ("p",), _g46, _check_g46, _dims_const(1, 2), "some_parameters"),
-        TableEntry("g_{5.7}^{p,q,r}", 3, 5, ("p", "q", "r"), _g57, _check_g57, _dims_g57, "some_parameters"),
-        TableEntry("g_{5.8}^{-1}", 3, 5, (), _g58, _no_params, _dims_const(1), "yes"),
-        TableEntry("g_{5.9}^{p,-2-p}", 3, 5, ("p",), _g59, _check_g59, _dims_g59, "no"),
-        TableEntry("g_{5.11}^{-3}", 3, 5, (), _g511, _no_params, _dims_const(1), "no"),
-        TableEntry("g_{5.13}^{-1-2q,q,r}", 3, 5, ("q", "r"), _g513, _check_g513, _dims_g513, "some_parameters"),
-        TableEntry("g_{5.16}^{-1,q}", 3, 5, ("q",), _g516, _check_g516, _dims_const(2), "no"),
-        TableEntry("g_{5.17}^{p,-p,r}", 3, 5, ("p", "r"), _g517, _check_g517, _dims_g517, "some_parameters"),
-        TableEntry("g_{5.19}^{p,-2p-2}", 3, 5, ("p",), _g519, _check_g519, _dims_const(1), "no"),
-        TableEntry("g_{5.23}^{-4}", 3, 5, (), _g523, _no_params, _dims_const(1), "no"),
-        TableEntry("g_{5.25}^{p,4p}", 3, 5, ("p",), _g525, _check_g525, _dims_const(1), "no"),
-        TableEntry("g_{5.33}^{-1,-1}", 3, 5, (), _g533, _no_params, _dims_const(1), "yes"),
-        TableEntry("g_{5.35}^{-2,0}", 3, 5, (), _g535, _no_params, _dims_const(1, 2), "yes"),
+        TableEntry(3, (), _e11, (), "e(1,1)", 1, _dims_const(1), "yes"),
+        TableEntry(4, (), _e11, (), "e(1,1)+R", 2, _dims_const(1), "yes"),
+        TableEntry(4, (), _g42, (), "g_{4.2}^{-2}", 2, _dims_const(1), "no"),
+        TableEntry(4, ("p",), _g45, _G45, "g_{4.5}^{p,-p-1}", 2, _dims_g45, "some_parameters"),
+        TableEntry(4, ("p",), _g46, _P_POSITIVE, "g_{4.6}^{-2p,p}", 2, _dims_const(1, 2), "some_parameters"),
+        TableEntry(5, (), _e11, (), "e(1,1)+R2", 3, _dims_const(1), "yes"),
+        TableEntry(5, (), _g42, (), "g_{4.2}^{-2}+R", 3, _dims_const(1), "no"),
+        TableEntry(5, ("p",), _g45, _G45, "g_{4.5}^{p,-p-1}+R", 3, _dims_g45, "some_parameters"),
+        TableEntry(5, ("p",), _g46, _P_POSITIVE, "g_{4.6}^{-2p,p}+R", 3, _dims_const(1, 2), "some_parameters"),
+        TableEntry(5, ("p", "q", "r"), _g57, _G57, "g_{5.7}^{p,q,r}", 3, _dims_g57, "some_parameters"),
+        TableEntry(5, (), _g58, (), "g_{5.8}^{-1}", 3, _dims_const(1), "yes"),
+        TableEntry(5, ("p",), _g59, _G59, "g_{5.9}^{p,-2-p}", 3, _dims_g59, "no"),
+        TableEntry(5, (), _g511, (), "g_{5.11}^{-3}", 3, _dims_const(1), "no"),
+        TableEntry(5, ("q", "r"), _g513, _G513, "g_{5.13}^{-1-2q,q,r}", 3, _dims_g513, "some_parameters"),
+        TableEntry(5, ("q",), _g516, _G516, "g_{5.16}^{-1,q}", 3, _dims_const(2), "no"),
+        TableEntry(5, ("p", "r"), _g517, _G517, "g_{5.17}^{p,-p,r}", 3, _dims_g517, "some_parameters"),
+        TableEntry(5, ("p",), _g519, _G519, "g_{5.19}^{p,-2p-2}", 3, _dims_const(1), "no"),
+        TableEntry(5, (), _g523, (), "g_{5.23}^{-4}", 3, _dims_const(1), "no"),
+        TableEntry(5, ("p",), _g525, _P_POSITIVE, "g_{5.25}^{p,4p}", 3, _dims_const(1), "no"),
+        TableEntry(5, (), _g533, (), "g_{5.33}^{-1,-1}", 3, _dims_const(1), "yes"),
+        TableEntry(5, (), _g535, (), "g_{5.35}^{-2,0}", 3, _dims_const(1, 2), "yes"),
     ]
 }
 
+NONUNIMODULAR_4D = {
+    "rr3": Family(4, (), _h_rr3, ()),
+    "rr3_lam": Family(4, ("lam",), _h_rr3_lam, ((lambda p: -1 < p["lam"] <= 1, "need -1 < lam <= 1"),)),
+    "rr3p_gam": Family(4, ("gam",), _h_rr3p, ((lambda p: p["gam"] > 0, "need gam > 0"),)),
+    "r2r2": Family(4, (), _h_r2r2, ()),
+    "r2p": Family(4, (), _h_r2p, ()),
+    "r4": Family(4, (), _h_r4, ()),
+    "r4_mu": Family(4, ("mu",), _h_r4_mu, ((lambda p: p["mu"] != F(-1, 2), "need mu != -1/2"),)),
+    "r4_ab": Family(4, ("alpha", "beta"), _h_r4_ab, (
+        (lambda p: -1 <= p["alpha"] <= 1 and p["alpha"] != 0, "need -1 <= alpha <= 1, alpha != 0"),
+        (lambda p: -1 <= p["beta"] <= 1 and p["beta"] != 0, "need -1 <= beta <= 1, beta != 0"),
+    )),
+    "r4p_gd": Family(4, ("gam", "delta"), _h_r4p, (
+        (lambda p: p["gam"] != F(-1, 2), "need gam != -1/2"),
+        (lambda p: p["delta"] > 0, "need delta > 0"),
+    )),
+    "d4_lam": Family(4, ("lam",), _h_d4_lam, ((lambda p: p["lam"] >= F(1, 2), "need lam >= 1/2"),)),
+    "d4p_del": Family(4, ("delta",), _h_d4p, ((lambda p: p["delta"] > 0, "need delta > 0"),)),
+    "h4": Family(4, (), _h_h4, ()),
+}
+
+
+@dataclass(frozen=True)
+class SampleSpec:
+    name: str
+    params: dict
+    cited: Optional[str] = None  # the reference that decides the row's lattice
+
+
+SAMPLES = [
+    SampleSpec("e(1,1)", {}),
+    SampleSpec("e(1,1)+R", {}),
+    SampleSpec("g_{4.2}^{-2}", {}),
+    SampleSpec("g_{4.5}^{p,-p-1}", {"p": F(-1, 4)}),
+    SampleSpec("g_{4.5}^{p,-p-1}", {"p": F(-1, 2)}),
+    SampleSpec("g_{4.6}^{-2p,p}", {"p": 1}),
+    SampleSpec("e(1,1)+R2", {}),
+    SampleSpec("g_{4.2}^{-2}+R", {}),
+    SampleSpec("g_{4.5}^{p,-p-1}+R", {"p": F(-1, 4)}),
+    SampleSpec("g_{4.5}^{p,-p-1}+R", {"p": F(-1, 2)}),
+    SampleSpec("g_{4.6}^{-2p,p}+R", {"p": 1}),
+    SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 6), "q": F(1, 3), "r": F(1, 2)}),
+    SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 4), "q": F(1, 4), "r": F(1, 2)}),
+    SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 3), "q": F(1, 3), "r": F(1, 3)}),
+    SampleSpec("g_{5.8}^{-1}", {}),
+    SampleSpec("g_{5.9}^{p,-2-p}", {"p": 1}),
+    SampleSpec("g_{5.9}^{p,-2-p}", {"p": -1}, "Bock16 Thm 7.2.3"),
+    SampleSpec("g_{5.11}^{-3}", {}),
+    SampleSpec("g_{5.13}^{-1-2q,q,r}", {"q": F(-1, 4), "r": 1}),
+    SampleSpec("g_{5.13}^{-1-2q,q,r}", {"q": F(-1, 3), "r": 1}),
+    SampleSpec("g_{5.16}^{-1,q}", {"q": 1}, "Bock16 Thm 7.2.10"),
+    SampleSpec("g_{5.17}^{p,-p,r}", {"p": 1, "r": 1}),
+    SampleSpec("g_{5.19}^{p,-2p-2}", {"p": 1}, "Bock16 Thm 7.2.16"),
+    SampleSpec("g_{5.23}^{-4}", {}, "Bock16 Thm 7.2.16"),
+    SampleSpec("g_{5.25}^{p,4p}", {"p": 1}, "Bock16 Thm 7.2.16"),
+    SampleSpec("g_{5.33}^{-1,-1}", {}, "Bock16 Prop 7.2.20"),
+    SampleSpec("g_{5.35}^{-2,0}", {}, "Bock16 Prop 7.2.21"),
+]
+
+
+@lru_cache(maxsize=len(SAMPLES) + len(NONUNIMODULAR_4D))
+def _algebra(name: str, params: tuple) -> LieAlgebra:
+    """Family ``name`` (the two tables share no name) at checked, sorted
+    (parameter, Fraction) pairs, each coefficient row padded with zeros to
+    ``dim``; the memo has room for every sample and one per pool family."""
+    family = ROWS.get(name) or NONUNIMODULAR_4D[name]
+    rows = family.brackets(dict(params)).items()
+    return LieAlgebra.from_brackets(family.dim, {ij: [*c] + [0] * (family.dim - len(c)) for ij, c in rows})
+
+
+def _instantiate(table: dict, kind: str, name: str, params: Optional[dict]) -> LieAlgebra:
+    """Family ``name`` of ``table`` at exact rational parameters, whose names
+    and then ranges are checked on every call.  The algebra is shared, one
+    per family and parameter values, so every caller reads the spans, flat
+    spaces and reports kept with it (a ``LieAlgebra`` is an immutable value)."""
+    if name not in table:
+        raise UnknownName(f"unknown {kind} {name!r}")
+    family = table[name]
+    params = {k: ex.rat(v) for k, v in (params or {}).items()}
+    if set(params) != set(family.param_names):
+        raise ParamOutOfRange(f"{kind} {name} takes parameters {family.param_names}, got {tuple(params)}")
+    for test, message in family.ranges:
+        if not test(params):
+            raise ParamOutOfRange(message)
+    return _algebra(name, tuple(sorted(params.items())))
+
 
 def table_algebra(name: str, params: Optional[dict] = None) -> LieAlgebra:
-    """Instantiate a catalog row at exact rational parameters.
+    """Instantiate a catalog row at exact rational parameters."""
+    return _instantiate(ROWS, "catalog row", name, params)
 
-    The parameters are validated on every call.  The algebra itself is
-    shared: one ``LieAlgebra`` per row and parameter values, so every
-    caller reads the spans, flat spaces and reports kept with it (a
-    ``LieAlgebra`` is an immutable value)."""
-    if name not in ROWS:
-        raise UnknownName(f"unknown catalog row {name!r}")
-    row = ROWS[name]
-    params = {k: ex.rat(v) for k, v in (params or {}).items()}
-    if set(params) != set(row.param_names):
-        raise ParamOutOfRange(
-            f"row {name} takes parameters {row.param_names}, got {tuple(params)}"
-        )
-    row.validate(params)
-    return _row_algebra(name, tuple(sorted(params.items())))
+
+def nonunimodular_4d(name: str, params: Optional[dict] = None) -> LieAlgebra:
+    """The 4-dimensional non-unimodular solvable algebras used as the
+    h-factor pool for semidirect constructions."""
+    return _instantiate(NONUNIMODULAR_4D, "4-dimensional family", name, params)
 
 
 # ---------------------------------------------------------------------------
@@ -433,57 +547,6 @@ def check_isomorphism_witness(L1: LieAlgebra, L2: LieAlgebra, P: np.ndarray) -> 
     n = L1.dim
     (c1, e1), e2 = L1.scaled_c, L2.scaled_c[1]
     return bool((pp.dot(c1.reshape(n * n, n).T) * (dp * e2) == L2.int_brackets(pp, pp) * e1).all())
-
-
-# ---------------------------------------------------------------------------
-# sampled parameters; their witnesses are the fixture corpus
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SampleSpec:
-    name: str
-    params: dict
-    cited: Optional[str] = None  # the reference that decides the row's lattice
-
-
-SAMPLES = [
-    SampleSpec("e(1,1)", {}),
-    SampleSpec("e(1,1)+R", {}),
-    SampleSpec("g_{4.2}^{-2}", {}),
-    SampleSpec("g_{4.5}^{p,-p-1}", {"p": F(-1, 4)}),
-    SampleSpec("g_{4.5}^{p,-p-1}", {"p": F(-1, 2)}),
-    SampleSpec("g_{4.6}^{-2p,p}", {"p": 1}),
-    SampleSpec("e(1,1)+R2", {}),
-    SampleSpec("g_{4.2}^{-2}+R", {}),
-    SampleSpec("g_{4.5}^{p,-p-1}+R", {"p": F(-1, 4)}),
-    SampleSpec("g_{4.5}^{p,-p-1}+R", {"p": F(-1, 2)}),
-    SampleSpec("g_{4.6}^{-2p,p}+R", {"p": 1}),
-    SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 6), "q": F(1, 3), "r": F(1, 2)}),
-    SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 4), "q": F(1, 4), "r": F(1, 2)}),
-    SampleSpec("g_{5.7}^{p,q,r}", {"p": F(1, 3), "q": F(1, 3), "r": F(1, 3)}),
-    SampleSpec("g_{5.8}^{-1}", {}),
-    SampleSpec("g_{5.9}^{p,-2-p}", {"p": 1}),
-    SampleSpec("g_{5.9}^{p,-2-p}", {"p": -1}, "Bock16 Thm 7.2.3"),
-    SampleSpec("g_{5.11}^{-3}", {}),
-    SampleSpec("g_{5.13}^{-1-2q,q,r}", {"q": F(-1, 4), "r": 1}),
-    SampleSpec("g_{5.13}^{-1-2q,q,r}", {"q": F(-1, 3), "r": 1}),
-    SampleSpec("g_{5.16}^{-1,q}", {"q": 1}, "Bock16 Thm 7.2.10"),
-    SampleSpec("g_{5.17}^{p,-p,r}", {"p": 1, "r": 1}),
-    SampleSpec("g_{5.19}^{p,-2p-2}", {"p": 1}, "Bock16 Thm 7.2.16"),
-    SampleSpec("g_{5.23}^{-4}", {}, "Bock16 Thm 7.2.16"),
-    SampleSpec("g_{5.25}^{p,4p}", {"p": 1}, "Bock16 Thm 7.2.16"),
-    SampleSpec("g_{5.33}^{-1,-1}", {}, "Bock16 Prop 7.2.20"),
-    SampleSpec("g_{5.35}^{-2,0}", {}, "Bock16 Prop 7.2.21"),
-]
-
-
-@lru_cache(maxsize=len(SAMPLES))
-def _row_algebra(name: str, params: tuple) -> LieAlgebra:
-    """The algebra of :func:`table_algebra` for validated parameters, given
-    as sorted (parameter, Fraction) pairs; the memo holds every sampled
-    row."""
-    row = ROWS[name]
-    return LieAlgebra.from_brackets(row.dim, row.brackets(row.dim, dict(params)))
 
 
 # ---------------------------------------------------------------------------
@@ -625,118 +688,3 @@ def render_tables_text(rows: list) -> str:
             )
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
-
-
-# ---------------------------------------------------------------------------
-# the 4-dimensional non-unimodular solvable algebras (construction pool)
-# ---------------------------------------------------------------------------
-
-def _h_rr3(p):
-    return {(0, 1): [0, 1, 0, 0], (0, 2): [0, 1, 1, 0]}
-
-
-def _h_rr3_lam(p):
-    return {(0, 1): [0, 1, 0, 0], (0, 2): [0, 0, p["lam"], 0]}
-
-
-def _h_rr3p(p):
-    g = p["gam"]
-    return {(0, 1): [0, g, -1, 0], (0, 2): [0, 1, g, 0]}
-
-
-def _h_r2r2(p):
-    return {(0, 1): [0, 1, 0, 0], (2, 3): [0, 0, 0, 1]}
-
-
-def _h_r2p(p):
-    return {
-        (0, 2): [0, 0, 1, 0],
-        (0, 3): [0, 0, 0, 1],
-        (1, 2): [0, 0, 0, 1],
-        (1, 3): [0, 0, -1, 0],
-    }
-
-
-def _h_r4(p):
-    return {(0, 3): [-1, 0, 0, 0], (1, 3): [-1, -1, 0, 0], (2, 3): [0, -1, -1, 0]}
-
-
-def _h_r4_mu(p):
-    m = p["mu"]
-    return {(0, 3): [-1, 0, 0, 0], (1, 3): [0, -m, 0, 0], (2, 3): [0, -1, -m, 0]}
-
-
-def _h_r4_ab(p):
-    a, b = p["alpha"], p["beta"]
-    return {(0, 3): [-1, 0, 0, 0], (1, 3): [0, -a, 0, 0], (2, 3): [0, 0, -b, 0]}
-
-
-def _h_r4p(p):
-    g, d = p["gam"], p["delta"]
-    return {(0, 3): [-1, 0, 0, 0], (1, 3): [0, -g, d, 0], (2, 3): [0, -d, -g, 0]}
-
-
-def _h_d4_lam(p):
-    lam = p["lam"]
-    return {
-        (0, 1): [0, 0, 1, 0],
-        (0, 3): [-lam, 0, 0, 0],
-        (1, 3): [0, lam - 1, 0, 0],
-        (2, 3): [0, 0, -1, 0],
-    }
-
-
-def _h_d4p(p):
-    d = p["delta"]
-    return {
-        (0, 1): [0, 0, 1, 0],
-        (0, 3): [-d / 2, 1, 0, 0],
-        (1, 3): [-1, -d / 2, 0, 0],
-        (2, 3): [0, 0, -d, 0],
-    }
-
-
-def _h_h4(p):
-    return {
-        (0, 1): [0, 0, 1, 0],
-        (0, 3): [F(-1, 2), 0, 0, 0],
-        (1, 3): [-1, F(-1, 2), 0, 0],
-        (2, 3): [0, 0, -1, 0],
-    }
-
-
-NONUNIMODULAR_4D = {
-    "rr3": (_h_rr3, {}),
-    "rr3_lam": (_h_rr3_lam, {"lam": lambda v: -1 < v <= 1 and v != -1}),
-    "rr3p_gam": (_h_rr3p, {"gam": lambda v: v > 0}),
-    "r2r2": (_h_r2r2, {}),
-    "r2p": (_h_r2p, {}),
-    "r4": (_h_r4, {}),
-    "r4_mu": (_h_r4_mu, {"mu": lambda v: v != F(-1, 2)}),
-    "r4_ab": (
-        _h_r4_ab,
-        {
-            "alpha": lambda v: -1 <= v <= 1 and v != 0,
-            "beta": lambda v: -1 <= v <= 1 and v != 0,
-        },
-    ),
-    "r4p_gd": (_h_r4p, {"gam": lambda v: v != F(-1, 2), "delta": lambda v: v > 0}),
-    "d4_lam": (_h_d4_lam, {"lam": lambda v: v >= F(1, 2)}),
-    "d4p_del": (_h_d4p, {"delta": lambda v: v > 0}),
-    "h4": (_h_h4, {}),
-}
-
-
-def nonunimodular_4d(name: str, params: Optional[dict] = None) -> LieAlgebra:
-    """The 4-dimensional non-unimodular solvable algebras used as the
-    h-factor pool for semidirect constructions."""
-    if name not in NONUNIMODULAR_4D:
-        raise UnknownName(f"unknown 4-dimensional family {name!r}")
-    builder, checks = NONUNIMODULAR_4D[name]
-    params = {k: ex.rat(v) for k, v in (params or {}).items()}
-    if set(params) != set(checks):
-        raise ParamOutOfRange(f"family {name} takes parameters {tuple(checks)}")
-    for k, ok in checks.items():
-        if not ok(params[k]):
-            raise ParamOutOfRange(f"parameter {k}={params[k]} out of range")
-    return LieAlgebra.from_brackets(4, builder(params))

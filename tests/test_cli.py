@@ -231,17 +231,22 @@ SEMIDIRECT_Q = "dim 2\nbracket 1 2 : 0 1\nscalar q {}\n"
         (FLAG.format("1 0 0 ; 0 1 0", "0 0 ; 0 0"), ["construct", "flag"], ["DimensionMismatch"]),
         (FLAG.format("2", "0 0 0 ; 0 0 0"), ["construct", "flag"], ["DimensionMismatch"]),
         (E11, ["construct", "modify", "--lam", "abc"], ["--lam"]),
+        (E11, ["construct", "modify", "--lam", "1_0"], ["--lam"]),
+        (E11, ["construct", "modify", "--lam", "0.1"], ["--lam"]),
         (SEMIDIRECT_Q.format("0"), ["construct", "semidirect"], ["scalar q"]),
         (SEMIDIRECT_Q.format("-2"), ["construct", "semidirect"], ["scalar q"]),
         (SEMIDIRECT_Q.format("3/2"), ["construct", "semidirect"], ["scalar q"]),
         (E11, ["lattice", "certify", "--t0", "0.96", "--poly", "1,x,1"], ["--poly"]),
         (E11, ["lattice", "certify", "--t0", "0.96", "--poly", ","], ["--poly"]),
+        (E11, ["lattice", "certify", "--t0", "0.9624236501192069", "--poly", "1,-\u0663,1"], ["--poly"]),
+        (E11, ["lattice", "certify", "--t0", "0.9624236501192069", "--poly", "1, -3, 1"], ["--poly"]),
         (E11, ["lattice", "certify", "--t0", "nan", "--poly", "1,-3,1"], ["--t0"]),
         (E11, ["lattice", "certify", "--t0", "0", "--poly", "1,-2,1"], ["--t0"]),
     ],
     ids=[
         "almab-no-A", "flag-no-A", "flag-A-3x2", "flag-A-2x3", "flag-B1-2x3", "lam-abc",
-        "q-0", "q-neg", "q-3/2", "poly-x", "poly-comma", "t0-nan",
+        "lam-underscore", "lam-decimal", "q-0", "q-neg", "q-3/2", "poly-x", "poly-comma",
+        "poly-non-ascii-digit", "poly-spaces", "t0-nan",
         "t0-zero",
     ],
 )

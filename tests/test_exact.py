@@ -196,8 +196,13 @@ def mat_strategy(n):
 def test_rat_coercions():
     assert ex.rat(3) == F(3)
     assert ex.rat("3/4") == F(3, 4)
+    assert ex.rat("-3/4") == F(-3, 4) and ex.rat("+3") == F(3) and ex.rat("0") == F(0)
     with pytest.raises(TypeError):
         ex.rat(0.5)
+    # the document grammar: a sign, ASCII digits and a reduced /denominator
+    for text in ("0.1", " 3/4 ", "1_000", "1e3", "2/4", "\u0663/4", "1/0", "3/-4", "1/2/3", "", "-"):
+        with pytest.raises(ValueError):
+            ex.rat(text)
 
 
 def test_rref_and_rank():

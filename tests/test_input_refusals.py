@@ -59,6 +59,7 @@ CASES = {
     "bracket-operands": (lambda: E11.bracket([1, 0], [0, 1, 0]), DimensionMismatch, "operands"),
     "gram-not-symmetric": (lambda: Metric([[1, 1], [0, 1]]), NotSymmetric, "symmetric"),
     "gram-empty": (lambda: Metric([]), DimensionMismatch, "Gram matrix needs 2 dimensions"),
+    "gram-not-square": (lambda: Metric([[1, 2]]), DimensionMismatch, "Gram matrix must be square"),
     "span-of-nothing": (lambda: Subspace.spanned_by([]), DimensionMismatch, "ambient_dim"),
     "basis-not-a-matrix": (lambda: Subspace([1, 2]), DimensionMismatch, "basis matrix needs 2 dimensions"),
     "coefficients-not-a-row": (lambda: OneForm([[1, 2]]), DimensionMismatch, "row needs 1 dimension"),
@@ -70,6 +71,16 @@ CASES = {
     "inverse-not-square": (
         lambda: ex.int_inv(np.array([[1, 0, 0], [0, 1, 0]], dtype=object)), DimensionMismatch, "inv"),
     "det-not-square": (lambda: ex.det(ex.rmat([[1, 0, 0], [0, 1, 0]])), DimensionMismatch, "det"),
+    # rational strings: the grammar of documents, wherever they enter
+    "rational-decimal": (lambda: ex.rmat([["0.1"]]), ValueError, "malformed rational '0.1'"),
+    "rational-spaces": (
+        lambda: table_algebra("g_{4.6}^{-2p,p}", {"p": " 3/4 "}), ValueError, "malformed rational"),
+    "rational-underscore": (lambda: OneForm(["1_000", 0, 0]), ValueError, "malformed rational"),
+    "rational-exponent": (
+        lambda: LieAlgebra.from_brackets(3, {(0, 1): ["1e3", 0, 0]}), ValueError, "malformed rational"),
+    "rational-not-reduced": (lambda: Metric([["2/4"]]), ValueError, "non-reduced rational"),
+    "rational-non-ascii-digit": (
+        lambda: nonunimodular_4d("rr3_lam", {"lam": "\u0663/4"}), ValueError, "malformed rational"),
     # structural audit preconditions
     "audit-not-solvable": (lambda: structural_audit(so3_plus_r()), PreconditionViolated, "not solvable"),
     "audit-zero-flat": (

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -90,7 +92,7 @@ def test_catalog_pass_builds_one_algebra_per_row(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(LieAlgebra, "from_brackets", classmethod(counting))
-    lowdim._row_algebra.cache_clear()
+    lowdim._algebra.cache_clear()
     for sample in SAMPLES:
         verify_table(sample.name, sample.params, witnesses=witness_specs_from_fixtures(sample))
         sample_lattice_verdict(sample)
@@ -123,11 +125,8 @@ def _draw_params(r, name):
             params = dict(zip(("p", "q", "r"), vals))
         else:
             params = {k: small_fraction(r, 6, 12) for k in row.param_names}
-        try:
-            row.validate({k: ex.rat(v) for k, v in params.items()})
+        if all(test(params) for test, _ in row.ranges):
             return params
-        except ParamOutOfRange:
-            continue
     return None
 
 
@@ -372,14 +371,11 @@ def test_jordan_asymmetry_answers_only_some_parameters_rows():
 
 def test_nonunimodular_4d_catalog():
     r = rng(59)
-    for name, (_, checks) in NONUNIMODULAR_4D.items():
-        params = {}
-        for k in checks:
-            for _ in range(50):
-                v = small_fraction(r, 3, 4)
-                if checks[k](v):
-                    params[k] = v
-                    break
+    for name, family in NONUNIMODULAR_4D.items():
+        for _ in range(50):
+            params = {k: small_fraction(r, 3, 4) for k in family.param_names}
+            if all(test(params) for test, _ in family.ranges):
+                break
         h = nonunimodular_4d(name, params)
         rep = audit_algebra(h)
         assert rep.jacobi_ok and rep.solvable, name
@@ -388,6 +384,30 @@ def test_nonunimodular_4d_catalog():
         nonunimodular_4d("zzz")
     with pytest.raises(ParamOutOfRange):
         nonunimodular_4d("r4_mu", {"mu": F(-1, 2)})
+
+
+# the values each parameter of a family takes in the range test below
+GRID = (-2, -1, F(-1, 2), F(-1, 3), 0, F(1, 4), F(1, 3), F(1, 2), 1, 2)
+FAMILIES = [(table_algebra, ROWS, name) for name in ROWS] + [
+    (nonunimodular_4d, NONUNIMODULAR_4D, name) for name in NONUNIMODULAR_4D
+]
+
+
+@pytest.mark.parametrize("build, table, name", FAMILIES, ids=[name for *_, name in FAMILIES])
+def test_each_range_refuses_what_it_alone_breaks_and_a_valid_point_is_shared(build, table, name):
+    family = table[name]
+    points = [dict(zip(family.param_names, v)) for v in itertools.product(GRID, repeat=len(family.param_names))]
+    broken = [[i for i, (test, _) in enumerate(family.ranges) if not test(p)] for p in points]
+    for i, (_, message) in enumerate(family.ranges):
+        with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+            build(name, points[broken.index([i])])
+    valid = points[broken.index([])]
+    assert build(name, valid) is build(name, dict(valid))
+
+
+def test_the_two_tables_share_no_family_name():
+    # the one memo of both tables is keyed by family name
+    assert not ROWS.keys() & NONUNIMODULAR_4D.keys()
 
 
 def test_prop71_shape_of_almost_abelian_dim3():
