@@ -20,11 +20,10 @@ elimination that made it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -594,8 +593,7 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     jacobi_ok: bool
     solvable: bool
     nilpotent: bool
@@ -640,8 +638,7 @@ def is_closed(L: LieAlgebra, theta: OneForm) -> bool:
     return memoised(L, "_is_closed", theta.key, lambda: not t.dot(der).any())
 
 
-@dataclass(frozen=True)
-class SubspaceReport:
+class SubspaceReport(NamedTuple):
     is_subalgebra: bool
     is_ideal: bool
     is_abelian: bool
@@ -660,8 +657,7 @@ def subspace_predicates(L: LieAlgebra, G: Metric, U: Subspace) -> SubspaceReport
     )
 
 
-@dataclass(frozen=True)
-class AlmostAbelianPresentation:
+class AlmostAbelianPresentation(NamedTuple):
     """g = R b |x k with k a codimension-1 abelian ideal and b _|_ k.
 
     ``b`` is the primitive integer vector G-orthogonal to the ideal, first
@@ -669,7 +665,7 @@ class AlmostAbelianPresentation:
     norm is a rational square (``unit`` records which), since exact
     arithmetic cannot normalise otherwise.  ad_b on the canonical basis of
     the ideal is held as its reduced integer form ``scaled_matrix``, and
-    ``matrix`` is its read-only ``Fraction`` view, made on first read.
+    ``matrix`` is its read-only ``Fraction`` view, made on each read.
     """
 
     b: np.ndarray
@@ -678,7 +674,7 @@ class AlmostAbelianPresentation:
     ideal: Subspace
     scaled_matrix: tuple
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
         return ex.view(*self.scaled_matrix)
 

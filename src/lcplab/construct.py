@@ -17,11 +17,10 @@ squared quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -299,8 +298,7 @@ def metric_modification(S: LCPStructure, lam) -> LCPStructure:
     return _verified(S.algebra, G, S.theta, S.flat)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """The (h, h_metric, beta) data recovered from a verified structure:
     h = u-perp with the restricted metric and beta(x) = ad_x|_u -
     theta(x) Id, expressed on the canonical bases."""

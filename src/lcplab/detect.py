@@ -18,8 +18,7 @@ Everything here is exact rational arithmetic; there are no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,8 +58,7 @@ def _guard(L: LieAlgebra, G: Metric, theta: OneForm, *flat: Subspace):
         raise NonClosedLeeForm("the Lee form must vanish on g'")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A failed exact identity: which condition, on which basis indices,
     with the nonzero defect value."""
 
@@ -76,12 +74,11 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     subalgebras_ok: bool
     bilinear_ok: bool
     curvature_ok: bool
-    witnesses: tuple = field(default_factory=tuple)
+    witnesses: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -224,8 +221,7 @@ def _flat_search(L: LieAlgebra, G: Metric, theta: OneForm) -> Subspace:
     return Subspace.of_columns(u)
 
 
-@dataclass(frozen=True)
-class LCPClass:
+class LCPClass(NamedTuple):
     """Classification of (L, G, theta), with the maximal flat parallel
     subspace it rests on."""
 
@@ -247,17 +243,27 @@ def classify(L: LieAlgebra, G: Metric, theta: OneForm) -> LCPClass:
     return LCPClass(ADAPTED if adapted else NON_ADAPTED, u)
 
 
-@dataclass(frozen=True)
-class LCPStructure:
-    """Verified quadruple (algebra, metric, Lee form, flat subspace)."""
-
+class _LCPStructureFields(NamedTuple):
     algebra: LieAlgebra
     metric: Metric
     theta: OneForm
     flat: Subspace
 
-    def __post_init__(self):
-        _guard(self.algebra, self.metric, self.theta, self.flat)
+
+class LCPStructure(_LCPStructureFields):
+    """Verified quadruple (algebra, metric, Lee form, flat subspace),
+    checked by ``_guard`` on construction; ``_make`` and ``_replace``
+    build through the same check."""
+
+    __slots__ = ()
+
+    def __new__(cls, algebra, metric, theta, flat):
+        _guard(algebra, metric, theta, flat)
+        return tuple.__new__(cls, (algebra, metric, theta, flat))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def flat_dim(self) -> int:
@@ -270,8 +276,7 @@ class LCPStructure:
         return verify_lcp(self.algebra, self.metric, self.theta, self.flat)
 
 
-@dataclass(frozen=True)
-class StructuralAuditReport:
+class StructuralAuditReport(NamedTuple):
     """Exact structural facts about a verified solvable unimodular LCP
     structure; keys (a)-(h) as independent checks.  (g) and (h) are None
     when their codimension hypotheses do not apply."""

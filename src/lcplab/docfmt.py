@@ -23,7 +23,6 @@ Omitted bracket pairs are zero brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -34,16 +33,19 @@ from .algebra import MAX_DIM, LieAlgebra, Metric, OneForm, Subspace
 from .errors import DocumentError
 
 
-@dataclass
 class Document:
-    dim: int
-    label: str = ""
-    brackets: dict = field(default_factory=dict)  # (i, j) -> list of Fractions
-    metric_rows: Optional[list] = None
-    theta: Optional[list] = None
-    flat_vectors: Optional[list] = None
-    blocks: dict = field(default_factory=dict)
-    scalars: dict = field(default_factory=dict)
+    """What ``parse_document`` has read of a document so far: it fills
+    in each directive as it reads it."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.label = ""
+        self.brackets = {}  # (i, j) -> list of Fractions
+        self.metric_rows = None  # a list of rows, if given
+        self.theta = None  # a list of coefficients, if given
+        self.flat_vectors = None  # a list of vectors, if given
+        self.blocks = {}
+        self.scalars = {}
 
     def algebra(self, check: bool = True) -> LieAlgebra:
         return LieAlgebra.from_brackets(self.dim, self.brackets, check=check)

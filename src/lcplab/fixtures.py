@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
+from . import exact as ex
 from .algebra import Metric, OneForm
 from .docfmt import parse_file
 from .errors import DocumentError
@@ -55,12 +56,16 @@ def fixture_name(sample, windex: int) -> str:
 
 
 def parse_label(label) -> tuple:
-    """(name, params string, expected flat dimension) of a fixture label."""
+    """(name, params string, expected flat dimension) of a fixture label;
+    N is read by ``exact.natural``, the one grammar of integers in text."""
     parts = [p.strip() for p in (label or "").split("|")]
     key, _, dim = parts[-1].partition(" ")
-    if len(parts) != 3 or key != "dim" or not (dim.isascii() and dim.isdigit()):
+    if len(parts) != 3 or key != "dim":
         raise DocumentError(f"fixture label {label!r} is not 'name | params | dim N'")
-    return parts[0], parts[1], int(dim)
+    try:
+        return parts[0], parts[1], ex.natural(dim, "dimension")
+    except ValueError as e:
+        raise DocumentError(f"fixture label: {e}") from None
 
 
 def witness_specs_from_fixtures(sample) -> list:

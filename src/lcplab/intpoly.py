@@ -7,8 +7,7 @@ Polynomials are stored by descending-degree integer coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -16,19 +15,28 @@ from . import exact as ex
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial; coeffs by descending degree, no leading zeros.
-    Coefficients may be any numbers of integral value; any other raises
-    TypeError."""
-
+class _IntPolyFields(NamedTuple):
     coeffs: tuple
 
-    def __post_init__(self):
-        c = tuple(map(_integral, self.coeffs))
+
+class IntPoly(_IntPolyFields):
+    """Integer polynomial; coeffs by descending degree, no leading zeros.
+    Coefficients may be any numbers of integral value; any other raises
+    TypeError.  ``_make`` and ``_replace`` build through the same checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
+        c = tuple(coeffs)
+        if {*map(type, c)} != {int}:  # Python ints pass without a call each
+            c = tuple(map(_integral, c))
         while len(c) > 1 and c[0] == 0:
             c = c[1:]
-        object.__setattr__(self, "coeffs", c)
+        return tuple.__new__(cls, (c,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def monic(self) -> bool:
@@ -110,8 +118,7 @@ def int_charpoly(a: np.ndarray) -> IntPoly:
     return IntPoly(tuple(ex.int_charpoly_coeffs(ints)))
 
 
-@dataclass(frozen=True)
-class IntSpectrum:
+class IntSpectrum(NamedTuple):
     """What :func:`int_spectrum` finds of p: gcd(p, p') (primitive,
     positive lead), the square-free part p / gcd(p, p'), the number of
     distinct real roots, and, if every root is real, every integer root as

@@ -47,10 +47,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -130,8 +129,7 @@ def _refine(defect, lo: np.ndarray, hi: np.ndarray):
     return x, defect(x)
 
 
-@dataclass(frozen=True)
-class ScanCandidate:
+class ScanCandidate(NamedTuple):
     t0: float
     poly: IntPoly
     defect: float
@@ -245,8 +243,7 @@ def _far_apart(ts: list) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class LatticeWitness:
+class LatticeWitness(NamedTuple):
     """Witness: exp(t0 C) is conjugate to Z, the integer Frobenius form of
     its invariant factors, of determinant 1 and characteristic polynomial
     ``poly``.  An exact witness has ``residual`` None, and only t0 is a
@@ -648,10 +645,9 @@ def _exact_witnesses(c, t_range) -> Optional[list]:
     ]
 
 
-@dataclass(frozen=True)
-class NoLatticeCertificate:
+class NoLatticeCertificate(NamedTuple):
     rule: str  # the name of the entry of RULES that made it
-    data: dict = field(default_factory=dict)
+    data: dict
 
     def as_dict(self):
         return {"rule": self.rule, "data": self.data}
@@ -746,8 +742,7 @@ def _scan(plan, t_range) -> list:
     return [w for w in found if w is not None]
 
 
-@dataclass(frozen=True)
-class AbelianizationReport:
+class AbelianizationReport(NamedTuple):
     snf_diagonal: tuple
     torsion: int  # order of the cyclic torsion part (1 = free)
 
@@ -771,8 +766,7 @@ def e11_lattice(m: int):
     return witness, AbelianizationReport((1, m - 2), m - 2)
 
 
-@dataclass(frozen=True)
-class LatticeVerdict:
+class LatticeVerdict(NamedTuple):
     """A verdict and ``rule``, the name of the entry of RULES that gave it;
     the entries before it in RULES were asked and did not apply."""
 

@@ -2,17 +2,18 @@
 carrying non-degenerate LCP structures, with per-row witnesses and
 lattice verdicts.
 
-Each catalog row is a ``Family`` (dimension, parameter names, bracket
-template and admissible parameter ranges) with the set of flat
-dimensions realised over all structures and the printed lattice status.
-The 4-dimensional non-unimodular algebras of the construction pool are
-``Family`` records too, and one path instantiates both tables.  The
-witness metrics and Lee forms per sampled parameter are the fixture
-corpus (``lcplab.fixtures``); they realise every flat dimension of the
-row, and rows whose smaller flat dimensions are swallowed by eigenvalue
-coincidences under the identity metric carry explicitly chosen
-non-diagonal metrics (the flat space depends on the metric, not just
-the algebra).
+Each catalog row is a ``TableEntry``: the fields of a ``Family``
+(dimension, parameter names, bracket template and admissible parameter
+ranges), then the set of flat dimensions realised over all structures
+and the printed lattice status.  The 4-dimensional non-unimodular
+algebras of the construction pool are ``Family`` records, and one path,
+which reads only the fields the two records share, instantiates both
+tables.  The witness metrics and Lee forms per sampled parameter are the
+fixture corpus (``lcplab.fixtures``); they realise every flat dimension
+of the row, and rows whose smaller flat dimensions are swallowed by
+eigenvalue coincidences under the identity metric carry explicitly
+chosen non-diagonal metrics (the flat space depends on the metric, not
+just the algebra).
 
 Isomorphism is never decided in general: rows are matched by invariant
 fingerprints plus explicit basis-change witnesses.
@@ -20,10 +21,9 @@ fingerprints plus explicit basis-change witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -316,8 +316,7 @@ def _dims_g517(p):
 # fixture corpus) and the one path that instantiates a family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Lie algebras on e_0..e_{dim-1} at the rational ``param_names``:
     ``brackets(p)`` gives the coefficients of [e_i, e_j], i < j, at the
     parameter dict p, where each (test, message) of ``ranges`` holds."""
@@ -328,8 +327,16 @@ class Family:
     ranges: tuple
 
 
-@dataclass(frozen=True)
-class TableEntry(Family):
+class TableEntry(NamedTuple):
+    """A catalog row: the four fields of a ``Family``, in its order, so
+    ``_instantiate`` reads a row and a pool family alike, then the row's
+    name, its table (1-3), its flat dimensions at parameters p
+    (``expected_flat_dims(p)``) and its printed lattice status."""
+
+    dim: int
+    param_names: tuple
+    brackets: object
+    ranges: tuple
     name: str
     table: int
     expected_flat_dims: object
@@ -385,8 +392,7 @@ NONUNIMODULAR_4D = {
 }
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(NamedTuple):
     name: str
     params: dict
     cited: Optional[str] = None  # the reference that decides the row's lattice
@@ -465,8 +471,7 @@ def nonunimodular_4d(name: str, params: Optional[dict] = None) -> LieAlgebra:
 # fingerprints and explicit isomorphism witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Isomorphism invariants; equality is necessary, never sufficient."""
 
     dim: int
@@ -553,8 +558,7 @@ def check_isomorphism_witness(L1: LieAlgebra, L2: LieAlgebra, P: np.ndarray) -> 
 # verification of a catalog row against its witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     expected_dim: int
     found_dim: int
     kind: str
@@ -562,8 +566,7 @@ class WitnessResult:
     audited: bool
 
 
-@dataclass(frozen=True)
-class TableVerification:
+class TableVerification(NamedTuple):
     name: str
     params: dict
     expected_dims: frozenset

@@ -450,10 +450,13 @@ def test_fixture_dir_override(tmp_path):
 
 
 def test_import_does_not_load_sympy():
-    # sympy costs about half a second to import, and lcplab does not use it
+    # sympy costs about half a second to import, and lcplab does not use it;
+    # nor dataclasses, which generates and compiles about 1 ms of code per
+    # class at import (numpy does not load it either)
     src = Path(__file__).parent.parent / "src"
+    code = "import lcplab, sys; assert 'sympy' not in sys.modules; assert 'dataclasses' not in sys.modules"
     out = subprocess.run(
-        [sys.executable, "-c", "import lcplab, sys; assert 'sympy' not in sys.modules"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert out.returncode == 0, out.stderr

@@ -13,14 +13,18 @@ from lcplab.construct import OrthoRep, direct_product, metric_modification
 from lcplab.detect import LCPStructure, structural_audit
 from lcplab.errors import (
     DimensionMismatch,
+    DimensionTooSmall,
     DocumentError,
+    NonClosedLeeForm,
     NotAdapted,
     NotSymmetric,
     ParamOutOfRange,
     PreconditionViolated,
     UnknownName,
+    ZeroLeeForm,
 )
 from lcplab.fixtures import fixture_name, parse_label, witness_specs_from_fixtures
+from lcplab.intpoly import IntPoly
 from lcplab.lattice import _scanned_range, integer_charpoly_scan, lattice_verdict
 from lcplab.lowdim import SAMPLES, nonunimodular_4d, table_algebra, verify_table
 from support import FIXTURES, e11
@@ -81,6 +85,18 @@ CASES = {
     "rational-not-reduced": (lambda: Metric([["2/4"]]), ValueError, "non-reduced rational"),
     "rational-non-ascii-digit": (
         lambda: nonunimodular_4d("rr3_lam", {"lam": "\u0663/4"}), ValueError, "malformed rational"),
+    # records checked on construction, by every constructor
+    "structure-dim-too-small": (
+        lambda: LCPStructure(LieAlgebra.abelian(2), Metric.identity(2), OneForm([1, 0]), Subspace.zero(2)),
+        DimensionTooSmall, "dim >= 3"),
+    "structure-zero-lee-form": (
+        lambda: LCPStructure(E11, Metric.identity(3), OneForm.zero(3), Subspace.zero(3)), ZeroLeeForm, "nonzero"),
+    "structure-lee-form-not-closed": (
+        lambda: LCPStructure(E11, Metric.identity(3), OneForm([0, 1, 0]), Subspace.zero(3)),
+        NonClosedLeeForm, "vanish on g'"),
+    "structure-replace": (
+        lambda: e11_structure([[0], [0], [1]])._replace(theta=OneForm.zero(3)), ZeroLeeForm, "nonzero"),
+    "intpoly-replace": (lambda: IntPoly((1, 2))._replace(coeffs=(1, 0.5)), TypeError, "not an integer"),
     # structural audit preconditions
     "audit-not-solvable": (lambda: structural_audit(so3_plus_r()), PreconditionViolated, "not solvable"),
     "audit-zero-flat": (
@@ -105,6 +121,9 @@ CASES = {
     "4d-parameter-set": (lambda: nonunimodular_4d("rr3_lam", {}), ParamOutOfRange, "takes parameters"),
     # fixtures
     "fixture-label": (lambda: parse_label("e(1,1) | -"), DocumentError, "is not"),
+    "fixture-label-dim": (lambda: parse_label("e(1,1) | - | dim 1x"), DocumentError, "malformed dimension '1x'"),
+    "fixture-label-long-dim": (
+        lambda: parse_label("e(1,1) | - | dim " + "7" * 5000), DocumentError, "dimension of 5000 digits"),
 }
 
 
